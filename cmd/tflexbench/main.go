@@ -20,16 +20,10 @@
 // exported at top level so regressions in the instrumented paths are
 // visible without arithmetic.
 //
-// Two further passes measure the event-domain engine where domains
-// actually multiply: a multiprogrammed workload (four copies of every
-// suite kernel on four 8-core partitions, one event domain per
-// processor) run serially (ParallelDomains=1, the merged window
-// scheduler) and in parallel (ParallelDomains = -par, the worker pool).
-// Both passes simulate bit-identical chips, so "parallel_speedup" is a
-// pure wall-clock ratio; the report records the host's CPU count
-// ("cpus") alongside it because the ratio can only exceed 1 when the
-// worker pool actually has cores to spread over — ci.sh gates the
-// speedup on multi-CPU hosts only.
+// A sixth pass ("multiprog") measures the engine where event domains
+// multiply: four copies of every suite kernel on four 8-core
+// partitions, one event domain per processor, advancing in lockstep
+// windows.
 //
 // Each pass runs -reps times (default 8), interleaved round-robin with
 // the others in alternating (ABBA) order, and the fastest repetition is
@@ -83,20 +77,9 @@ type report struct {
 	Flight    engineResult `json:"flight"`
 	Speedup   float64      `json:"speedup"`
 	// MultiWorkload is the multiprogrammed job grid measured by the
-	// serial_domains and parallel_domains passes.
-	MultiWorkload string `json:"multi_workload"`
-	// SerialDomains and ParallelDomains time the identical
-	// multiprogrammed simulation under the merged window scheduler
-	// (ParallelDomains=1) and the worker pool (ParallelDomains =
-	// parallel_domain_count); the chips they simulate are bit-identical.
-	SerialDomains       engineResult `json:"serial_domains"`
-	ParallelDomains     engineResult `json:"parallel_domains"`
-	ParallelDomainCount int          `json:"parallel_domain_count"`
-	// ParallelSpeedup is serial-domains wall over parallel-domains wall
-	// (median per-round ratio, see overheadOf).  Meaningful only when
-	// cpus > 1: on a single-CPU host the worker pool degenerates to
-	// serial execution plus barrier overhead.
-	ParallelSpeedup float64 `json:"parallel_speedup"`
+	// multiprog pass, and Multiprogram its measurement.
+	MultiWorkload string       `json:"multi_workload"`
+	Multiprogram  engineResult `json:"multiprogram"`
 	// Absolute per-pass wall clock, duplicated from the engineResult
 	// blocks: the instrumented passes' raw times, recorded explicitly so
 	// trend tooling reads them without dividing ratios back out.
@@ -138,11 +121,10 @@ func grid() []job {
 type pass struct {
 	reference, telemetry, critpath, flight bool
 	// multi switches the pass to the multiprogrammed workload (see
-	// multiGrid); domains is its ParallelDomains setting.
-	multi   bool
-	domains int
-	runs    []engineResult // one per round
-	best    engineResult   // fastest round
+	// measureMulti).
+	multi bool
+	runs  []engineResult // one per round
+	best  engineResult   // fastest round
 }
 
 // measureBest runs every pass reps times, interleaved round-robin, and
@@ -217,7 +199,7 @@ func overheadOf(a, b *pass) float64 {
 
 func (ps *pass) measure(jobs []job, scale int) (engineResult, error) {
 	if ps.multi {
-		return measureMulti(scale, ps.domains)
+		return measureMulti(scale)
 	}
 	return measureGrid(jobs, scale, ps.reference, ps.telemetry, ps.critpath, ps.flight)
 }
@@ -273,17 +255,17 @@ func measureGrid(jobs []job, scale int, reference, telemetry, critpath, flight b
 // participates and the chip forms four event domains.
 const multiCopies = 4
 
-// multiWorkload describes the serial/parallel passes' job grid.
+// multiWorkload describes the multiprog pass's job grid.
 func multiWorkload() string {
 	return fmt.Sprintf("multiprogram grid: %d jobs (suite kernels x %d copies on 8-core partitions)",
 		len(tflex.Kernels()), multiCopies)
 }
 
-// measureMulti times the multiprogrammed workload with the given
-// ParallelDomains setting.  SimCycles counts chip time (the slowest
-// processor of each job), not the sum over processors, so
-// sim_cycles_per_sec stays comparable with the single-program passes.
-func measureMulti(scale, domains int) (engineResult, error) {
+// measureMulti times the multiprogrammed workload.  SimCycles counts
+// chip time (the slowest processor of each job), not the sum over
+// processors, so sim_cycles_per_sec stays comparable with the
+// single-program passes.
+func measureMulti(scale int) (engineResult, error) {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -304,14 +286,14 @@ func measureMulti(scale, domains int) (engineResult, error) {
 			insts[i] = inst
 			specs[i] = tflex.ProgramSpec{Prog: inst.Prog, Cores: rects[i], Init: inst.Init}
 		}
-		results, err := tflex.RunMulti(specs, tflex.RunConfig{ParallelDomains: domains})
+		results, err := tflex.RunMulti(specs, tflex.RunConfig{})
 		if err != nil {
-			return r, fmt.Errorf("%s x%d (par %d): %w", k.Name, multiCopies, domains, err)
+			return r, fmt.Errorf("%s x%d: %w", k.Name, multiCopies, err)
 		}
 		var chipCycles uint64
 		for i, res := range results {
 			if err := insts[i].Check(&res.Regs, res.Mem); err != nil {
-				return r, fmt.Errorf("%s proc %d (par %d): %w", k.Name, i, domains, err)
+				return r, fmt.Errorf("%s proc %d: %w", k.Name, i, err)
 			}
 			if res.Cycles > chipCycles {
 				chipCycles = res.Cycles
@@ -329,22 +311,18 @@ func measureMulti(scale, domains int) (engineResult, error) {
 }
 
 // passNames are the -only values, in report order.
-var passNames = []string{"reference", "optimized", "telemetry", "critpath", "flight", "serial", "parallel"}
+var passNames = []string{"reference", "optimized", "telemetry", "critpath", "flight", "multiprog"}
 
 // validateFlags rejects flag values that would otherwise produce a
 // silent zero-value run: -reps 0 measures nothing and reports all-zero
-// numbers, -scale 0 simulates empty kernels, -par 0 would ask the
-// parallel pass for zero domain workers, and a mistyped -only would
+// numbers, -scale 0 simulates empty kernels, and a mistyped -only would
 // previously burn a full default-flag benchmark before erroring.
-func validateFlags(scale, reps, par int, only string) error {
+func validateFlags(scale, reps int, only string) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
 	}
 	if reps < 1 {
 		return fmt.Errorf("-reps must be >= 1, got %d", reps)
-	}
-	if par < 1 {
-		return fmt.Errorf("-par must be >= 1, got %d", par)
 	}
 	if only != "" {
 		known := false
@@ -362,13 +340,12 @@ func main() {
 	scale := flag.Int("scale", 1, "kernel input scale")
 	out := flag.String("out", "BENCH_sim.json", "output file")
 	reps := flag.Int("reps", 8, "repetitions per pass (interleaved, ABBA order); the fastest is reported")
-	only := flag.String("only", "", "run a single pass (reference|optimized|telemetry|critpath|flight|serial|parallel); for profiling")
-	par := flag.Int("par", 8, "ParallelDomains for the parallel multiprogram pass")
+	only := flag.String("only", "", "run a single pass (reference|optimized|telemetry|critpath|flight|multiprog); for profiling")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Parse()
 
-	if err := validateFlags(*scale, *reps, *par, *only); err != nil {
+	if err := validateFlags(*scale, *reps, *only); err != nil {
 		fmt.Fprintln(os.Stderr, "tflexbench:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -391,36 +368,31 @@ func main() {
 
 	jobs := grid()
 	rep := report{
-		Workload:            fmt.Sprintf("fig6 grid: %d jobs (suite kernels x composition sizes + TRIPS)", len(jobs)),
-		MultiWorkload:       multiWorkload(),
-		Scale:               *scale,
-		Jobs:                1,
-		CPUs:                runtime.NumCPU(),
-		GoVersion:           runtime.Version(),
-		ParallelDomainCount: *par,
+		Workload:      fmt.Sprintf("fig6 grid: %d jobs (suite kernels x composition sizes + TRIPS)", len(jobs)),
+		MultiWorkload: multiWorkload(),
+		Scale:         *scale,
+		Jobs:          1,
+		CPUs:          runtime.NumCPU(),
+		GoVersion:     runtime.Version(),
 	}
 
 	// Round order: reference first so its allocation burst cannot
 	// inflate the optimized measurement's GC activity, and the
 	// instrumented passes adjacent to the optimized baseline they are
-	// priced against (overheadOf pairs within a round).  The serial and
-	// parallel multiprogram passes are likewise adjacent, since
-	// parallel_speedup pairs them per round.
+	// priced against (overheadOf pairs within a round).
 	reference := &pass{reference: true}
 	optimized := &pass{}
 	telemetry := &pass{telemetry: true}
 	critpath := &pass{critpath: true}
 	flight := &pass{flight: true}
-	serial := &pass{multi: true, domains: 1}
-	parallel := &pass{multi: true, domains: *par}
+	multiprog := &pass{multi: true}
 
 	if *only != "" {
 		// Single-pass mode: no report, just the pass under the profiler.
 		ps, ok := map[string]*pass{
 			"reference": reference, "optimized": optimized,
 			"telemetry": telemetry, "critpath": critpath,
-			"flight": flight,
-			"serial": serial, "parallel": parallel,
+			"flight": flight, "multiprog": multiprog,
 		}[*only]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "tflexbench: unknown pass %q\n", *only)
@@ -436,7 +408,7 @@ func main() {
 	}
 
 	if err := measureBest(*reps, jobs, *scale,
-		[]*pass{reference, telemetry, optimized, flight, critpath, serial, parallel}); err != nil {
+		[]*pass{reference, telemetry, optimized, flight, critpath, multiprog}); err != nil {
 		fmt.Fprintln(os.Stderr, "tflexbench:", err)
 		os.Exit(1)
 	}
@@ -445,8 +417,7 @@ func main() {
 	rep.Telemetry = telemetry.best
 	rep.CritPath = critpath.best
 	rep.Flight = flight.best
-	rep.SerialDomains = serial.best
-	rep.ParallelDomains = parallel.best
+	rep.Multiprogram = multiprog.best
 	rep.Speedup = rep.Reference.WallSeconds / rep.Optimized.WallSeconds
 	rep.OptimizedWallSeconds = rep.Optimized.WallSeconds
 	rep.TelemetryWallSeconds = rep.Telemetry.WallSeconds
@@ -455,7 +426,6 @@ func main() {
 	rep.TelemetryOverhead = overheadOf(telemetry, optimized)
 	rep.CritPathOverhead = overheadOf(critpath, optimized)
 	rep.FlightOverhead = overheadOf(flight, optimized)
-	rep.ParallelSpeedup = overheadOf(serial, parallel)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -481,11 +451,8 @@ func main() {
 		rep.CritPath.WallSeconds, rep.CritPath.SimCyclesPerSec, rep.CritPath.AllocsPerBlock)
 	fmt.Printf("  flight     %6.2fs  %11.0f sim-cycles/s  %6.1f allocs/block\n",
 		rep.Flight.WallSeconds, rep.Flight.SimCyclesPerSec, rep.Flight.AllocsPerBlock)
-	fmt.Printf("  serial     %6.2fs  %11.0f sim-cycles/s  %6.1f allocs/block  (multiprogram, 1 domain worker)\n",
-		rep.SerialDomains.WallSeconds, rep.SerialDomains.SimCyclesPerSec, rep.SerialDomains.AllocsPerBlock)
-	fmt.Printf("  parallel   %6.2fs  %11.0f sim-cycles/s  %6.1f allocs/block  (multiprogram, %d domain workers)\n",
-		rep.ParallelDomains.WallSeconds, rep.ParallelDomains.SimCyclesPerSec, rep.ParallelDomains.AllocsPerBlock, *par)
+	fmt.Printf("  multiprog  %6.2fs  %11.0f sim-cycles/s  %6.1f allocs/block\n",
+		rep.Multiprogram.WallSeconds, rep.Multiprogram.SimCyclesPerSec, rep.Multiprogram.AllocsPerBlock)
 	fmt.Printf("  speedup    %.2fx (telemetry overhead %.2fx, critpath overhead %.2fx, flight overhead %.2fx)\n",
 		rep.Speedup, rep.TelemetryOverhead, rep.CritPathOverhead, rep.FlightOverhead)
-	fmt.Printf("  parallel domains %.2fx on %d CPUs\n", rep.ParallelSpeedup, rep.CPUs)
 }

@@ -10,34 +10,29 @@ func TestValidateFlags(t *testing.T) {
 		name    string
 		scale   int
 		reps    int
-		par     int
 		only    string
 		wantErr string // substring of the error; "" means valid
 	}{
-		{"defaults", 1, 8, 8, "", ""},
-		{"single pass", 4, 2, 8, "critpath", ""},
-		{"every pass name", 1, 1, 8, "reference", ""},
-		{"serial pass", 1, 1, 8, "serial", ""},
-		{"parallel pass", 1, 1, 4, "parallel", ""},
-		{"serial-capped parallel pass", 1, 1, 1, "", ""},
-		{"zero reps", 1, 0, 8, "", "-reps"},
-		{"negative reps", 1, -3, 8, "", "-reps"},
-		{"zero scale", 0, 8, 8, "", "-scale"},
-		{"zero par", 1, 8, 0, "", "-par"},
-		{"negative par", 1, 8, -2, "", "-par"},
-		{"unknown pass", 1, 8, 8, "fastest", "-only"},
+		{"defaults", 1, 8, "", ""},
+		{"single pass", 4, 2, "critpath", ""},
+		{"every pass name", 1, 1, "reference", ""},
+		{"multiprogram pass", 1, 1, "multiprog", ""},
+		{"zero reps", 1, 0, "", "-reps"},
+		{"negative reps", 1, -3, "", "-reps"},
+		{"zero scale", 0, 8, "", "-scale"},
+		{"unknown pass", 1, 8, "fastest", "-only"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := validateFlags(tt.scale, tt.reps, tt.par, tt.only)
+			err := validateFlags(tt.scale, tt.reps, tt.only)
 			if tt.wantErr == "" {
 				if err != nil {
-					t.Fatalf("validateFlags(%d, %d, %d, %q) = %v, want nil", tt.scale, tt.reps, tt.par, tt.only, err)
+					t.Fatalf("validateFlags(%d, %d, %q) = %v, want nil", tt.scale, tt.reps, tt.only, err)
 				}
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
-				t.Fatalf("validateFlags(%d, %d, %d, %q) = %v, want error containing %q", tt.scale, tt.reps, tt.par, tt.only, err, tt.wantErr)
+				t.Fatalf("validateFlags(%d, %d, %q) = %v, want error containing %q", tt.scale, tt.reps, tt.only, err, tt.wantErr)
 			}
 		})
 	}

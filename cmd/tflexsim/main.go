@@ -7,16 +7,14 @@
 //	tflexsim -kernel mcf -trips
 //	tflexsim -kernel conv -cores 16 -critpath
 //	tflexsim -kernel conv -sweep -jobs 4
-//	tflexsim -kernel conv -cores 8 -procs 4 -par 4
+//	tflexsim -kernel conv -cores 8 -procs 4
 //	tflexsim -fuzz-seed 42
 //	tflexsim -fuzz-n 1000
 //	tflexsim -list
 //
 // -procs N multiprograms N copies of the kernel onto disjoint
 // compositions of -cores cores each (one chip, one event domain per
-// processor) and prints per-processor results; -par caps how many of
-// those domains simulate concurrently.  Results are bit-identical for
-// any -par value — the knob trades wall-clock time only.
+// processor) and prints per-processor results.
 //
 // -critpath prints the cycle-exact critical-path attribution breakdown
 // after the run (every committed block's latency split across eight
@@ -75,7 +73,6 @@ func main() {
 	sweep := flag.Bool("sweep", false, "run the kernel on every composition size concurrently and print the speedup curve")
 	jobs := flag.Int("jobs", 0, "concurrent simulation jobs for -sweep (<=0: GOMAXPROCS)")
 	procs := flag.Int("procs", 1, "multiprogram this many copies of the kernel on disjoint compositions")
-	par := flag.Int("par", 0, "cap on concurrently simulated event domains (<=1: serial; results identical for any value)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	fuzzSeed := flag.Int64("fuzz-seed", -1, "replay this differential-fuzz seed through every executor and report any divergence")
@@ -93,7 +90,7 @@ func main() {
 		return
 	}
 
-	if err := validateFlags(*cores, *scale, *procs, *par, *fuzzN, *fuzzSeed, *useTRIPS); err != nil {
+	if err := validateFlags(*cores, *scale, *procs, *fuzzN, *fuzzSeed, *useTRIPS); err != nil {
 		fmt.Fprintln(os.Stderr, "tflexsim:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -146,7 +143,7 @@ func main() {
 	}
 
 	if *procs > 1 {
-		if err := runMultiProg(*kernel, *scale, *cores, *procs, *par, *flightOut, *flightEvents, srv); err != nil {
+		if err := runMultiProg(*kernel, *scale, *cores, *procs, *flightOut, *flightEvents, srv); err != nil {
 			fmt.Fprintln(os.Stderr, "tflexsim:", err)
 			os.Exit(1)
 		}
@@ -154,13 +151,12 @@ func main() {
 	}
 
 	runCfg := tflex.RunConfig{
-		Cores:           *cores,
-		TRIPS:           *useTRIPS,
-		CritPath:        *critPath,
-		ParallelDomains: *par,
-		Flight:          *flightOut != "",
-		FlightEvents:    *flightEvents,
-		Observe:         srv,
+		Cores:        *cores,
+		TRIPS:        *useTRIPS,
+		CritPath:     *critPath,
+		Flight:       *flightOut != "",
+		FlightEvents: *flightEvents,
+		Observe:      srv,
 	}
 	var events []tflex.BlockEvent
 	if *timeline != "" {
@@ -254,16 +250,12 @@ func main() {
 }
 
 // validateFlags rejects flag combinations before any simulation runs:
-// a composition size the chip cannot form, a partition that does not
-// fit the 32-core array, or a negative domain cap would otherwise
-// surface as a mid-run error (or, for -procs with -trips, silently run
-// a single processor).
-func validateFlags(cores, scale, procs, par, fuzzN int, fuzzSeed int64, trips bool) error {
+// a composition size the chip cannot form or a partition that does not
+// fit the 32-core array would otherwise surface as a mid-run error (or,
+// for -procs with -trips, silently run a single processor).
+func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, trips bool) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
-	}
-	if par < 0 {
-		return fmt.Errorf("-par must be >= 0 (0 or 1: serial), got %d", par)
 	}
 	if procs < 1 {
 		return fmt.Errorf("-procs must be >= 1, got %d", procs)
@@ -371,10 +363,9 @@ func printFlight(path string) error {
 }
 
 // runMultiProg multiprograms n copies of the kernel on disjoint
-// compositions of the given size — one event domain per processor, at
-// most par of them simulating concurrently — and prints per-processor
-// results.
-func runMultiProg(kernel string, scale, cores, n, par int, flightOut string, flightEvents int, srv *tflex.Observer) error {
+// compositions of the given size — one event domain per processor — and
+// prints per-processor results.
+func runMultiProg(kernel string, scale, cores, n int, flightOut string, flightEvents int, srv *tflex.Observer) error {
 	rects, err := tflex.Partition(cores, n)
 	if err != nil {
 		return err
@@ -390,10 +381,9 @@ func runMultiProg(kernel string, scale, cores, n, par int, flightOut string, fli
 		specs[i] = tflex.ProgramSpec{Prog: inst.Prog, Cores: rects[i], Init: inst.Init}
 	}
 	results, err := tflex.RunMulti(specs, tflex.RunConfig{
-		ParallelDomains: par,
-		Flight:          flightOut != "",
-		FlightEvents:    flightEvents,
-		Observe:         srv,
+		Flight:       flightOut != "",
+		FlightEvents: flightEvents,
+		Observe:      srv,
 	})
 	if err != nil {
 		return err
@@ -408,12 +398,8 @@ func runMultiProg(kernel string, scale, cores, n, par int, flightOut string, fli
 			return fmt.Errorf("proc %d output validation failed: %w", i, err)
 		}
 	}
-	mode := "serial"
-	if par > 1 {
-		mode = fmt.Sprintf("%d parallel domains", par)
-	}
-	fmt.Printf("%s x%d on TFlex-%d partitions (scale %d, %s): outputs validated against reference\n",
-		kernel, n, cores, scale, mode)
+	fmt.Printf("%s x%d on TFlex-%d partitions (scale %d): outputs validated against reference\n",
+		kernel, n, cores, scale)
 	for i, r := range results {
 		fmt.Printf("  proc %d  cycles %12d  IPC %6.3f  blocks committed %d\n",
 			i, r.Cycles, r.Stats.IPC(), r.Stats.BlocksCommitted)

@@ -1,9 +1,7 @@
 package tflex
 
 import (
-	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -15,72 +13,55 @@ import (
 // statistics, same architectural state — on every kernel and composition
 // size; any divergence is a bug in the optimizations, not a modeling
 // choice.
-// TestParallelDomainsVsReferenceDifferential sweeps the domain engine's
-// concurrency knobs — ParallelDomains in {1, 2, 8} crossed with
-// GOMAXPROCS in {1, 4} — and checks every combination against the
-// reference engine on the differential kernels at 1–8 composed cores.
-// The partitioned engine's contract is that these knobs trade wall-clock
-// time only: cycle counts, statistics and architectural state must be
-// bit-identical however many OS threads the window scheduler is given.
-func TestParallelDomainsVsReferenceDifferential(t *testing.T) {
-	kernels := []string{"conv", "dither", "mcf"}
-	coreCounts := []int{1, 2, 8}
-
-	type key struct {
+func TestOptimizedVsReferenceDifferential(t *testing.T) {
+	type config struct {
 		name  string
-		cores int
+		cores int // 0: the TRIPS baseline
 	}
-	refs := map[key]*Result{}
+	configs := []config{{"1c", 1}, {"2c", 2}, {"4c", 4}, {"8c", 8}, {"32c", 32}, {"trips", 0}}
+	kernels := []string{"conv", "autcor", "dither", "tblook", "mcf"}
 	for _, name := range kernels {
-		for _, cores := range coreCounts {
-			refOpts := DefaultOptions()
-			refOpts.Reference = true
-			ref, err := RunKernel(name, 1, RunConfig{Cores: cores, Options: &refOpts})
-			if err != nil {
-				t.Fatalf("reference run %s/%dc: %v", name, cores, err)
-			}
-			refs[key{name, cores}] = ref
-		}
-	}
-
-	for _, gomax := range []int{1, 4} {
-		for _, domains := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("gomaxprocs=%d/par=%d", gomax, domains), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomax))
-				for _, name := range kernels {
-					for _, cores := range coreCounts {
-						fast, err := RunKernel(name, 1, RunConfig{Cores: cores, ParallelDomains: domains})
-						if err != nil {
-							t.Fatalf("%s/%dc: %v", name, cores, err)
-						}
-						ref := refs[key{name, cores}]
-						if fast.Cycles != ref.Cycles {
-							t.Errorf("%s/%dc: cycles diverge: par %d, reference %d", name, cores, fast.Cycles, ref.Cycles)
-						}
-						if !reflect.DeepEqual(fast.Stats, ref.Stats) {
-							t.Errorf("%s/%dc: stats diverge:\npar       %+v\nreference %+v", name, cores, fast.Stats, ref.Stats)
-						}
-						if fast.Regs != ref.Regs {
-							t.Errorf("%s/%dc: architectural registers diverge", name, cores)
-						}
-					}
+		for _, c := range configs {
+			t.Run(name+"/"+c.name, func(t *testing.T) {
+				cfg := RunConfig{Cores: c.cores, TRIPS: c.cores == 0}
+				fast, err := RunKernel(name, 1, cfg)
+				if err != nil {
+					t.Fatalf("optimized run: %v", err)
+				}
+				refOpts := DefaultOptions()
+				if cfg.TRIPS {
+					refOpts = TRIPSOptions()
+				}
+				refOpts.Reference = true
+				cfg.Options = &refOpts
+				ref, err := RunKernel(name, 1, cfg)
+				if err != nil {
+					t.Fatalf("reference run: %v", err)
+				}
+				if fast.Cycles != ref.Cycles {
+					t.Errorf("cycles diverge: optimized %d, reference %d", fast.Cycles, ref.Cycles)
+				}
+				if !reflect.DeepEqual(fast.Stats, ref.Stats) {
+					t.Errorf("stats diverge:\noptimized %+v\nreference %+v", fast.Stats, ref.Stats)
+				}
+				if fast.Regs != ref.Regs {
+					t.Errorf("architectural registers diverge")
 				}
 			})
 		}
 	}
 }
 
-// TestMultiprogramDomainModesIdentical is the differential for the case
-// where domains actually multiply: four programs on four 8-core
-// partitions.  The serial merged scheduler (ParallelDomains=1) is the
-// ordering ground truth; the parallel worker pool must replay it
-// bit-identically — per-processor cycle counts, statistics and
-// architectural state — for every ParallelDomains/GOMAXPROCS
-// combination.  Every run also validates each kernel's outputs against
-// its pure-Go reference implementation.
-func TestMultiprogramDomainModesIdentical(t *testing.T) {
+// TestMultiprogramIsolationAndDeterminism covers the case where domains
+// multiply: four programs on four 8-core partitions of one chip.  Every
+// program's outputs validate against its pure-Go reference, its
+// architectural results (registers, committed blocks and instructions)
+// equal those of the same program running alone on the same composition
+// — co-runners may only move its timing — and a second run reproduces
+// every processor's cycles and statistics exactly.
+func TestMultiprogramIsolationAndDeterminism(t *testing.T) {
 	names := []string{"conv", "autcor", "tblook", "mcf"}
-	runMulti := func(t *testing.T, domains int) []*Result {
+	runMulti := func(t *testing.T) []*Result {
 		t.Helper()
 		procs, err := Partition(8, len(names))
 		if err != nil {
@@ -96,65 +77,40 @@ func TestMultiprogramDomainModesIdentical(t *testing.T) {
 			insts[i] = inst
 			specs[i] = ProgramSpec{Prog: inst.Prog, Cores: procs[i], Init: inst.Init}
 		}
-		results, err := RunMulti(specs, RunConfig{ParallelDomains: domains})
+		results, err := RunMulti(specs, RunConfig{})
 		if err != nil {
-			t.Fatalf("RunMulti(par=%d): %v", domains, err)
+			t.Fatalf("RunMulti: %v", err)
 		}
 		for i, r := range results {
 			if err := insts[i].Check(&r.Regs, r.Mem); err != nil {
-				t.Fatalf("par=%d: %s output validation failed: %v", domains, names[i], err)
+				t.Fatalf("%s output validation failed: %v", names[i], err)
 			}
 		}
 		return results
 	}
 
-	base := runMulti(t, 1)
-	for _, gomax := range []int{1, 4} {
-		for _, domains := range []int{2, 8} {
-			t.Run(fmt.Sprintf("gomaxprocs=%d/par=%d", gomax, domains), func(t *testing.T) {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(gomax))
-				got := runMulti(t, domains)
-				for i, r := range got {
-					if r.Cycles != base[i].Cycles {
-						t.Errorf("%s: cycles diverge: par %d, serial %d", names[i], r.Cycles, base[i].Cycles)
-					}
-					if !reflect.DeepEqual(r.Stats, base[i].Stats) {
-						t.Errorf("%s: stats diverge:\npar    %+v\nserial %+v", names[i], r.Stats, base[i].Stats)
-					}
-					if r.Regs != base[i].Regs {
-						t.Errorf("%s: architectural registers diverge", names[i])
-					}
-				}
-			})
+	first := runMulti(t)
+	for i, name := range names {
+		alone, err := RunKernel(name, 1, RunConfig{Cores: 8})
+		if err != nil {
+			t.Fatalf("%s alone: %v", name, err)
+		}
+		r := first[i]
+		if r.Regs != alone.Regs {
+			t.Errorf("%s: architectural registers differ from the solo run", name)
+		}
+		if r.Stats.BlocksCommitted != alone.Stats.BlocksCommitted || r.Stats.InstsCommitted != alone.Stats.InstsCommitted {
+			t.Errorf("%s: committed %d blocks / %d insts multiprogrammed, %d / %d alone", name,
+				r.Stats.BlocksCommitted, r.Stats.InstsCommitted, alone.Stats.BlocksCommitted, alone.Stats.InstsCommitted)
 		}
 	}
-}
-
-func TestOptimizedVsReferenceDifferential(t *testing.T) {
-	kernels := []string{"conv", "autcor", "dither", "tblook", "mcf"}
-	for _, name := range kernels {
-		for _, cores := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/%dc", name, cores), func(t *testing.T) {
-				fast, err := RunKernel(name, 1, RunConfig{Cores: cores})
-				if err != nil {
-					t.Fatalf("optimized run: %v", err)
-				}
-				refOpts := DefaultOptions()
-				refOpts.Reference = true
-				ref, err := RunKernel(name, 1, RunConfig{Cores: cores, Options: &refOpts})
-				if err != nil {
-					t.Fatalf("reference run: %v", err)
-				}
-				if fast.Cycles != ref.Cycles {
-					t.Errorf("cycles diverge: optimized %d, reference %d", fast.Cycles, ref.Cycles)
-				}
-				if !reflect.DeepEqual(fast.Stats, ref.Stats) {
-					t.Errorf("stats diverge:\noptimized %+v\nreference %+v", fast.Stats, ref.Stats)
-				}
-				if fast.Regs != ref.Regs {
-					t.Errorf("architectural registers diverge")
-				}
-			})
+	second := runMulti(t)
+	for i, name := range names {
+		if second[i].Cycles != first[i].Cycles {
+			t.Errorf("%s: cycles differ between identical runs: %d, %d", name, first[i].Cycles, second[i].Cycles)
+		}
+		if !reflect.DeepEqual(second[i].Stats, first[i].Stats) {
+			t.Errorf("%s: stats differ between identical runs:\nfirst  %+v\nsecond %+v", name, first[i].Stats, second[i].Stats)
 		}
 	}
 }

@@ -265,13 +265,11 @@ func (s Summary) String() string {
 // domainAgg accumulates per-domain scheduler statistics across every
 // chip the suite has run — the raw material of the Parallel line.
 type domainAgg struct {
-	chips        int
-	domains      int
-	windows      uint64
-	events       uint64
-	barrierWait  uint64
-	sharedGrants uint64
-	sharedWait   uint64
+	chips       int
+	domains     int
+	windows     uint64
+	events      uint64
+	barrierWait uint64
 }
 
 // recordDomains folds one finished chip's domain statistics into the
@@ -285,16 +283,14 @@ func (s *Suite) recordDomains(ds []flight.DomainStats) {
 		s.dom.windows += d.Windows
 		s.dom.events += d.Events
 		s.dom.barrierWait += d.BarrierWait
-		s.dom.sharedGrants += d.SharedGrants
-		s.dom.sharedWait += d.SharedWait
 	}
 }
 
 // Parallel renders the suite's parallel-efficiency line: how well the
 // job pool filled the machine (in-job time over wall time) and what the
-// event-domain schedulers did underneath.  Single-domain chips run the
-// exact serial engine and open no lockstep windows, so the domain half
-// degrades to a chip count when no windows were crossed.
+// chips' window loops did underneath.  Every chip crosses lockstep
+// windows, single-domain ones included (there the windows are
+// unobservable and the slack is the idle tail of each window).
 func (s *Suite) Parallel() string {
 	es := s.engine.Summary()
 	s.domMu.Lock()
@@ -308,10 +304,10 @@ func (s *Suite) Parallel() string {
 		line += "no jobs run"
 	}
 	if a.windows > 0 {
-		line += fmt.Sprintf("; domains: %d across %d chips, %d lockstep windows, avg barrier slack %.1f cycles/window, shared grants %d (waits %d)",
-			a.domains, a.chips, a.windows, float64(a.barrierWait)/float64(a.windows), a.sharedGrants, a.sharedWait)
+		line += fmt.Sprintf("; domains: %d across %d chips, %d lockstep windows, avg barrier slack %.1f cycles/window",
+			a.domains, a.chips, a.windows, float64(a.barrierWait)/float64(a.windows))
 	} else {
-		line += fmt.Sprintf("; domains: %d single-domain chips (serial engine, no lockstep windows)", a.chips)
+		line += "; domains: no chips simulated"
 	}
 	return line
 }

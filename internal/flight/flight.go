@@ -1,7 +1,7 @@
 // Package flight implements the simulator's flight recorder: one
 // fixed-size ring buffer of compact binary event records per event
-// domain, written lock-free by the goroutine that owns the domain and
-// drained post-mortem into text, JSON or Chrome-trace form.
+// domain, written lock-free by the engine goroutine and drained
+// post-mortem into text, JSON or Chrome-trace form.
 //
 // The recorder follows the instrumentation discipline of
 // internal/telemetry: the simulator holds *Ring pointers that are nil
@@ -11,13 +11,10 @@
 // the telemetry-cost lint analyzer, which treats this package as an
 // instrumentation package).
 //
-// Concurrency contract: a ring has a single writer — the goroutine
-// currently advancing its domain (the domain's worker during a
-// parallel window, or the engine goroutine in the serial schedulers
-// and at window boundaries, where the monitor's quiescence guarantees
-// exclusive access).  Dumps are taken only at quiescent points
-// (window boundaries, post-run, post-panic on the engine goroutine),
-// so no atomics are needed on the write path.
+// Concurrency contract: a ring has a single writer — the engine
+// goroutine running the chip's event loop.  Dumps are taken on that
+// same goroutine (a sampler notify hook, post-run, post-panic), so no
+// atomics are needed on the write path.
 package flight
 
 import (
@@ -39,7 +36,9 @@ const (
 	KCommit               // A=block sequence number, B=fetch-to-commit latency
 	KFlush                // A=block sequence number, B=restart address
 
-	// Scheduler milestones, recorded by the domain/engine.
+	// Scheduler milestones, recorded by the domain/engine.  Nothing
+	// emits KBarrierArrive, KSharedEnter or KSharedExit any more; they
+	// keep their numeric slots so existing dumps still parse.
 	KWindowOpen     // A=window limit cycle
 	KWindowClose    // A=window limit cycle, B=events executed in window
 	KBarrierArrive  // A=window limit cycle
@@ -336,10 +335,8 @@ func (d *Dump) Records(kinds ...Kind) []Rec {
 
 // DomainStats is the live per-domain scheduler snapshot served by the
 // obs server's /domains endpoint and aggregated by tflexexp's
-// parallel-efficiency summary.  All counters are derived from the
-// merged event order, so they are deterministic at any
-// ParallelDomains/GOMAXPROCS setting; SharedGrants/SharedWait stay
-// zero outside the parallel scheduler, where no arbiter runs.
+// domain summary line.  All counters are derived from the merged
+// event order, so they are deterministic.
 type DomainStats struct {
 	Dom     int    `json:"dom"`
 	Procs   int    `json:"procs"`
@@ -350,7 +347,11 @@ type DomainStats struct {
 	// BarrierWait accumulates each window's end-of-window slack: how
 	// many cycles of the window the domain spent idle after its last
 	// event, clamped to the window width.
-	BarrierWait  uint64 `json:"barrier_wait_cycles"`
+	BarrierWait uint64 `json:"barrier_wait_cycles"`
+	// SharedGrants and SharedWait are always zero: the arbiter that
+	// counted them is gone.  The fields remain only because the frozen
+	// benchmark (cmd/clpbench) still reads them; the next benchmark PR
+	// may drop them.
 	SharedGrants uint64 `json:"shared_grants"`
 	SharedWait   uint64 `json:"shared_wait"`
 	Invals       uint64 `json:"invals_delivered"`

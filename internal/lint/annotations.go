@@ -1,32 +1,19 @@
 package lint
 
-// Ownership and hot-path annotations: the declarations that turn
-// tribal knowledge about the engine's isolation boundary into analyzer
-// input.  Grammar (one directive per comment, trailing the annotated
-// line or on the line directly above it):
+// Hot-path annotations: the declarations that turn tribal knowledge
+// about the engine's per-cycle fast path into analyzer input.  Grammar
+// (one directive per comment, trailing the annotated line or on the
+// line directly above it):
 //
-//	//lint:owner domain       — struct field owned by the enclosing
-//	                            per-domain state; only its own worker
-//	                            (or a shared-section holder) may touch it
-//	//lint:owner shared       — struct field shared across domains; every
-//	                            access must hold the shared-section bracket
-//	//lint:owner domain-link  — struct field that points at the executing
-//	                            entity's own domain (Proc.dom, Chip.curDom);
-//	                            reading it yields an owned domain value
-//	//lint:owner worker       — function: a domain worker's window loop,
-//	                            a root for domainguard's reachability walk
-//	//lint:owner quiescent    — function: runs only at full quiescence
-//	                            (arbiter/boundary code); domainguard does
-//	                            not traverse into it
 //	//lint:hot root           — function: a per-cycle event-loop entry,
 //	                            a root for hotalloc's reachability walk
 //	//lint:hot cold <reason>  — function: off the per-cycle fast path
 //	                            (fault handling, one-time decode); hotalloc
 //	                            does not traverse into it
 //
-// A directive with an unknown kind, or one that attaches to neither a
-// struct field nor a function declaration, is itself reported — the
-// same no-stale-annotations policy //lint:allow follows.
+// A directive with an unknown kind, or one that attaches to no function
+// declaration, is itself reported — the same no-stale-annotations
+// policy //lint:allow follows.
 
 import (
 	"fmt"
@@ -54,7 +41,7 @@ type rawDirective struct {
 }
 
 // scanRawDirectives collects every //lint:<prefix> comment in the
-// module (prefix like "lint:owner").
+// module (prefix like "lint:hot").
 func scanRawDirectives(m *Module, prefix string) []rawDirective {
 	var out []rawDirective
 	for _, pkg := range m.Pkgs {
@@ -79,31 +66,6 @@ func scanRawDirectives(m *Module, prefix string) []rawDirective {
 	return out
 }
 
-// fieldVarsAt resolves the struct-field declaration on the given line
-// (or the line below a directive-above comment) to its field objects.
-func fieldVarsAt(m *Module, d rawDirective) []*types.Var {
-	var vars []*types.Var
-	ast.Inspect(d.file, func(n ast.Node) bool {
-		st, ok := n.(*ast.StructType)
-		if !ok || st.Fields == nil {
-			return true
-		}
-		for _, f := range st.Fields.List {
-			line := m.Fset.Position(f.Pos()).Line
-			if line != d.line && line != d.line+1 {
-				continue
-			}
-			for _, name := range f.Names {
-				if v, ok := d.pkg.Info.Defs[name].(*types.Var); ok {
-					vars = append(vars, v)
-				}
-			}
-		}
-		return true
-	})
-	return vars
-}
-
 // funcDeclAt resolves the function declaration on the given line (or
 // the line below).
 func funcDeclAt(m *Module, d rawDirective) *ast.FuncDecl {
@@ -118,91 +80,6 @@ func funcDeclAt(m *Module, d rawDirective) *ast.FuncDecl {
 		}
 	}
 	return nil
-}
-
-// enclosingTypeName finds the named type declaring the struct that
-// holds the field on d's line — the type whose values own the field.
-func enclosingTypeName(m *Module, d rawDirective) *types.TypeName {
-	var found *types.TypeName
-	ast.Inspect(d.file, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok || st.Fields == nil {
-			return true
-		}
-		for _, f := range st.Fields.List {
-			line := m.Fset.Position(f.Pos()).Line
-			if line == d.line || line == d.line+1 {
-				if tn, ok := d.pkg.Info.Defs[ts.Name].(*types.TypeName); ok {
-					found = tn
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// ownerFacts is the resolved //lint:owner annotation set.
-type ownerFacts struct {
-	fieldKind  map[*types.Var]string    // domain | shared | domain-link
-	ownerTypes map[*types.TypeName]bool // structs holding >= 1 domain field
-	workers    []*FuncNode              // domainguard roots
-	quiescent  map[*FuncNode]bool       // traversal stops
-	bad        []moduleDiag
-}
-
-func collectOwnerAnnotations(m *Module) *ownerFacts {
-	g := m.CallGraph()
-	facts := &ownerFacts{
-		fieldKind:  map[*types.Var]string{},
-		ownerTypes: map[*types.TypeName]bool{},
-		quiescent:  map[*FuncNode]bool{},
-	}
-	for _, d := range scanRawDirectives(m, "lint:owner") {
-		if len(d.fields) == 0 {
-			facts.bad = append(facts.bad, moduleDiag{d.pkg, d.pos, `malformed directive: want "//lint:owner <domain|shared|domain-link|worker|quiescent>"`})
-			continue
-		}
-		kind := d.fields[0]
-		switch kind {
-		case "domain", "shared", "domain-link":
-			vars := fieldVarsAt(m, d)
-			if len(vars) == 0 {
-				facts.bad = append(facts.bad, moduleDiag{d.pkg, d.pos, fmt.Sprintf("//lint:owner %s attaches to no struct field on this or the next line", kind)})
-				continue
-			}
-			for _, v := range vars {
-				facts.fieldKind[v] = kind
-			}
-			if kind == "domain" {
-				if tn := enclosingTypeName(m, d); tn != nil {
-					facts.ownerTypes[tn] = true
-				}
-			}
-		case "worker", "quiescent":
-			fd := funcDeclAt(m, d)
-			if fd == nil {
-				facts.bad = append(facts.bad, moduleDiag{d.pkg, d.pos, fmt.Sprintf("//lint:owner %s attaches to no function declaration on this or the next line", kind)})
-				continue
-			}
-			node := g.byDecl[fd]
-			if node == nil {
-				continue // unresolvable decl (type error); nothing to do
-			}
-			if kind == "worker" {
-				facts.workers = append(facts.workers, node)
-			} else {
-				facts.quiescent[node] = true
-			}
-		default:
-			facts.bad = append(facts.bad, moduleDiag{d.pkg, d.pos, fmt.Sprintf("//lint:owner has unknown kind %q (want domain, shared, domain-link, worker or quiescent)", kind)})
-		}
-	}
-	return facts
 }
 
 // hotFacts is the resolved //lint:hot annotation set.

@@ -5,12 +5,12 @@ package lint
 // module types, and interface dispatch resolved to every module-local
 // concrete method implementing the interface (the sound
 // over-approximation — internal/sim hands itself to internal/mem as a
-// mem.L1Directory, and domainguard must follow that edge back into
+// mem.L1Directory, and hotalloc must follow that edge back into
 // (*Chip).InvalidateL1).  Calls through plain function values (fields,
 // parameters, locals) get no edges: the module's hook points
 // (Chip.onHalt, telemetry samplers) are registration-time seams, and
-// treating them as reachable from the cycle loop would drown both
-// analyzers in boundary code.  Function literals are attributed to
+// treating them as reachable from the cycle loop would drown the
+// analyzer in boundary code.  Function literals are attributed to
 // their enclosing declaration.
 //
 // The graph is built once per Module and shared by every analyzer
@@ -171,8 +171,7 @@ func deref(t types.Type) types.Type {
 // Reachable walks the graph from roots, returning every node reached.
 // A node for which stop returns true is recorded as visited but not
 // traversed into, and is excluded from the result — the hook for
-// annotations that declare a subtree out of scope (quiescent arbiter
-// entries, cold fault paths).
+// annotations that declare a subtree out of scope (cold fault paths).
 func (g *CallGraph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) map[*FuncNode]bool {
 	reach := map[*FuncNode]bool{}
 	seen := map[*FuncNode]bool{}
@@ -200,23 +199,4 @@ func (g *CallGraph) Reachable(roots []*FuncNode, stop func(*FuncNode) bool) map[
 		}
 	}
 	return reach
-}
-
-// Callers inverts the graph restricted to the given node set: for each
-// node, the (caller, site) pairs that can invoke it.
-type callerEdge struct {
-	caller *FuncNode
-	site   CallSite
-}
-
-func (g *CallGraph) callersWithin(within map[*FuncNode]bool) map[*FuncNode][]callerEdge {
-	callers := map[*FuncNode][]callerEdge{}
-	for n := range within {
-		for _, site := range n.Calls {
-			for _, c := range site.Callees {
-				callers[c] = append(callers[c], callerEdge{caller: n, site: site})
-			}
-		}
-	}
-	return callers
 }

@@ -52,7 +52,7 @@ type ReportFunc func(pos token.Pos, format string, args ...any)
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PoolGuard, TelemetryCost, EventDiscipline, DomainGuard, HotAlloc}
+	return []*Analyzer{Determinism, PoolGuard, TelemetryCost, EventDiscipline, HotAlloc}
 }
 
 // ByName resolves a comma-separated analyzer list ("determinism,poolguard").

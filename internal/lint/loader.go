@@ -62,14 +62,13 @@ type Module struct {
 
 	// Lazily built, shared across analyzers within one run (the
 	// dogfood timing budget assumes one load and one fact build).
-	flows map[*ast.BlockStmt]*funcFlow
 	graph *CallGraph
 	facts map[string]any
 }
 
 // Fact memoizes a module-level analysis result under key, so analyzers
-// that need whole-module facts (domainguard, hotalloc) compute them
-// once and then filter per package.
+// that need whole-module facts (hotalloc) compute them once and then
+// filter per package.
 func (m *Module) Fact(key string, build func() any) any {
 	if m.facts == nil {
 		m.facts = map[string]any{}

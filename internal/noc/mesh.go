@@ -62,15 +62,6 @@ type Stats struct {
 }
 
 // Mesh is one W x H mesh network.  Node IDs are y*W + x.
-//
-// Routing and reservation logic live on Port: a per-caller view of the
-// mesh that shares the link timelines but keeps its own statistics
-// target and multicast scratch.  The parallel domain engine gives each
-// event domain a port so that domains with disjoint routing closures
-// (disjoint bounding boxes — XY routes never leave the bounding box of
-// their endpoints) can reserve links concurrently without sharing any
-// mutable bookkeeping.  The Mesh's own Send/Multicast/... methods
-// delegate to a built-in default port charging m.stats directly.
 type Mesh struct {
 	W, H int
 	BW   uint16 // flits per link per cycle
@@ -78,7 +69,13 @@ type Mesh struct {
 	links []link // [node*4 + dir]
 	stats Stats
 
-	self Port // default port for single-owner callers
+	// Multicast link-sharing scratch: crossAt[link] is the cycle the
+	// current multicast's flit finished crossing that link, valid when
+	// crossStamp[link] == crossGen.  Generation stamping makes the scratch
+	// reusable across calls without clearing or allocating.
+	crossGen   uint64
+	crossAt    []uint64
+	crossStamp []uint64
 }
 
 // Directions for link indexing.
@@ -94,52 +91,11 @@ func NewMesh(w, h int, bw int) *Mesh {
 	if w < 1 || h < 1 || bw < 1 {
 		panic("noc: invalid mesh shape")
 	}
-	m := &Mesh{W: w, H: h, BW: uint16(bw), links: make([]link, w*h*4)}
-	m.self = Port{m: m, stats: &m.stats}
-	return m
+	return &Mesh{W: w, H: h, BW: uint16(bw), links: make([]link, w*h*4)}
 }
 
 // Stats returns accumulated network statistics.
 func (m *Mesh) Stats() Stats { return m.stats }
-
-// Port is one caller's view of the mesh.  Sends through a port reserve
-// the shared link timelines, but message statistics accumulate into the
-// port's stats target and the multicast scratch is private, so ports
-// whose traffic touches disjoint link sets may be used concurrently.
-type Port struct {
-	m     *Mesh
-	stats *Stats
-
-	// Multicast link-sharing scratch: crossAt[link] is the cycle the
-	// current multicast's flit finished crossing that link, valid when
-	// crossStamp[link] == crossGen.  Generation stamping makes the scratch
-	// reusable across calls without clearing or allocating.
-	crossGen   uint64
-	crossAt    []uint64
-	crossStamp []uint64
-}
-
-// NewPort returns a port charging statistics into stats; a nil stats
-// charges the mesh's own accumulated statistics (the default for
-// single-owner callers).
-func (m *Mesh) NewPort(stats *Stats) *Port {
-	if stats == nil {
-		stats = &m.stats
-	}
-	return &Port{m: m, stats: stats}
-}
-
-// FoldStats adds s into the mesh's accumulated statistics and zeroes s.
-// The parallel engine calls it at window boundaries to drain per-domain
-// shadow statistics deterministically (uint64 sums commute, so the fold
-// order never changes the totals).
-func (m *Mesh) FoldStats(s *Stats) {
-	m.stats.Messages += s.Messages
-	m.stats.Hops += s.Hops
-	m.stats.StallCycles += s.StallCycles
-	m.stats.LocalDeliveries += s.LocalDeliveries
-	*s = Stats{}
-}
 
 // XY returns the coordinates of a node.
 func (m *Mesh) XY(node int) (x, y int) { return node % m.W, node / m.W }
@@ -161,16 +117,12 @@ func abs(v int) int {
 // Send routes one message from node `from` to node `to`, injected at cycle
 // start, and returns its arrival cycle.  Local delivery (from == to) is
 // free: the value goes through the local bypass.
-func (m *Mesh) Send(from, to int, start uint64) uint64 { return m.self.Send(from, to, start) }
-
-// Send routes one message through the port (see Mesh.Send).
-func (p *Port) Send(from, to int, start uint64) uint64 {
-	m := p.m
+func (m *Mesh) Send(from, to int, start uint64) uint64 {
 	if from == to {
-		p.stats.LocalDeliveries++
+		m.stats.LocalDeliveries++
 		return start
 	}
-	p.stats.Messages++
+	m.stats.Messages++
 	t := start
 	x, y := m.XY(from)
 	tx, ty := m.XY(to)
@@ -185,7 +137,7 @@ func (p *Port) Send(from, to int, start uint64) uint64 {
 		}
 		t = m.links[(y*m.W+x)*4+dir].reserve(t, m.BW) + 1
 		x = nx
-		p.stats.Hops++
+		m.stats.Hops++
 	}
 	for y != ty {
 		dir := dirS
@@ -196,10 +148,10 @@ func (p *Port) Send(from, to int, start uint64) uint64 {
 		}
 		t = m.links[(y*m.W+x)*4+dir].reserve(t, m.BW) + 1
 		y = ny
-		p.stats.Hops++
+		m.stats.Hops++
 	}
 	if t-start > ideal {
-		p.stats.StallCycles += (t - start) - ideal
+		m.stats.StallCycles += (t - start) - ideal
 	}
 	return t
 }
@@ -220,26 +172,20 @@ func (m *Mesh) Multicast(from int, targets []int, start uint64) []uint64 {
 // MulticastInto is Multicast writing arrivals into dst (which must have
 // len(targets) entries), so steady-state callers can reuse one buffer.
 func (m *Mesh) MulticastInto(from int, targets []int, start uint64, dst []uint64) []uint64 {
-	return m.self.MulticastInto(from, targets, start, dst)
-}
-
-// MulticastInto is the port form of Mesh.MulticastInto.
-func (p *Port) MulticastInto(from int, targets []int, start uint64, dst []uint64) []uint64 {
-	m := p.m
-	if p.crossAt == nil {
-		p.crossAt = make([]uint64, len(m.links))
-		p.crossStamp = make([]uint64, len(m.links))
+	if m.crossAt == nil {
+		m.crossAt = make([]uint64, len(m.links))
+		m.crossStamp = make([]uint64, len(m.links))
 	}
-	p.crossGen++
+	m.crossGen++
 	first := true
 	for i, to := range targets {
 		if to == from {
 			dst[i] = start
-			p.stats.LocalDeliveries++
+			m.stats.LocalDeliveries++
 			continue
 		}
 		if first {
-			p.stats.Messages++
+			m.stats.Messages++
 			first = false
 		}
 		t := start
@@ -247,13 +193,13 @@ func (p *Port) MulticastInto(from int, targets []int, start uint64, dst []uint64
 		tx, ty := m.XY(to)
 		step := func(dir, nx, ny int) {
 			li := (y*m.W+x)*4 + dir
-			if p.crossStamp[li] == p.crossGen {
-				t = p.crossAt[li]
+			if m.crossStamp[li] == m.crossGen {
+				t = m.crossAt[li]
 			} else {
 				t = m.links[li].reserve(t, m.BW) + 1
-				p.crossStamp[li] = p.crossGen
-				p.crossAt[li] = t
-				p.stats.Hops++
+				m.crossStamp[li] = m.crossGen
+				m.crossAt[li] = t
+				m.stats.Hops++
 			}
 			x, y = nx, ny
 		}

@@ -108,8 +108,8 @@ func (s *Server) PublishSample(cycle uint64, names []string, row []float64) {
 
 // PublishDomains stores the per-domain scheduler statistics served by
 // /domains.  Like PublishMetrics, call it only from the goroutine that
-// owns the domains (the sampler notify hook fires at a quiescent point,
-// or after the run) — the slice is owned by the caller until published,
+// owns the domains (inside the sampler notify hook, or after the run)
+// — the slice is owned by the caller until published,
 // shared read-only after.
 func (s *Server) PublishDomains(ds []flight.DomainStats) {
 	s.mu.Lock()
@@ -119,13 +119,12 @@ func (s *Server) PublishDomains(ds []flight.DomainStats) {
 
 // FlightWanted reports whether an HTTP client has requested a flight
 // dump since the last PublishFlight.  The sim side polls it from its
-// notify hook and, when set, captures a dump at that quiescent point —
-// the handler never touches live rings.
+// notify hook and, when set, captures a dump there — the handler never
+// touches live rings.
 func (s *Server) FlightWanted() bool { return s.flightWant.Load() }
 
 // PublishFlight stores the ring dump served by /flight and clears the
-// pending request flag.  Call from the goroutine that owns the rings,
-// at a quiescent point.
+// pending request flag.  Call from the goroutine that owns the rings.
 func (s *Server) PublishFlight(d *flight.Dump) {
 	s.mu.Lock()
 	s.flightDump = d
@@ -212,7 +211,7 @@ func (s *Server) handleDomains(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleFlight serves the last published ring dump and flags a fresh
-// capture for the sim side's next quiescent point.  The first request
+// capture at the sim side's next notify hook.  The first request
 // of a run typically sees {"pending":true}; scrape twice (or poll) to
 // get a dump taken after the flag was raised.
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {

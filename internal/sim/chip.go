@@ -24,8 +24,8 @@ type Chip struct {
 
 	Opn  *noc.Mesh // operand network
 	Ctl  *noc.Mesh // control network (fetch/commit protocols)
-	L2   *mem.L2   //lint:owner shared
-	DRAM *mem.DRAM //lint:owner shared
+	L2   *mem.L2
+	DRAM *mem.DRAM
 
 	l1d     [compose.NumCores]*mem.Cache
 	l1dPort [compose.NumCores]port
@@ -39,17 +39,16 @@ type Chip struct {
 	domains      []*domain
 	nextDomainID int
 	coreDom      [compose.NumCores]*domain // owning domain per physical core
-	pendingProcs []*Proc                   //lint:owner shared (composed, awaiting quiescent placement)
-	curDom       *domain                   //lint:owner domain-link (domain whose event is executing)
-	par          *parRun                   // non-nil while the worker pool runs
-	deferSeq     uint64                    //lint:owner shared (global deferred-invalidation sequence)
+	pendingProcs []*Proc                   // composed, awaiting placement between windows
+	curDom       *domain                   // domain whose event is executing
+	deferSeq     uint64                    // global deferred-invalidation sequence
 
 	ref      eventQueue // reference queue (Options.Reference)
 	eventSeq uint64
 	now      uint64
 	err      error
 
-	onHalt func(*Proc) //lint:owner shared
+	onHalt func(*Proc)
 
 	// Telemetry (see telemetry.go): all nil/disarmed by default.  The
 	// event loop pays one uint64 compare per event against sampleAt
@@ -158,8 +157,7 @@ func (c *Chip) issueAt(core int) *issueRing {
 // InvalidateL1 implements mem.L1Directory.  An invalidation crossing
 // domain boundaries (only the L2 eviction path does: address-space
 // tagging keeps all same-line traffic intra-domain) is deferred into the
-// target domain's inbox and applied at the next window boundary — in
-// every optimized mode, so ParallelDomains never changes results.  The
+// target domain's inbox and applied at the next window boundary.  The
 // found/dirty feedback is reported as a miss, exactly what the eviction
 // path does with it (mem/l2.go fill discards both).
 func (c *Chip) InvalidateL1(core int, addr uint64) (found, dirty bool) {
@@ -227,9 +225,9 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 
 // launch readies a composed processor.  Under Reference it starts
 // fetching immediately in the global queue; the optimized engine defers
-// it to the next quiescent point (Run entry, or the next window boundary
-// when composed mid-run by an OnProcHalt scheduler), where domains are
-// re-formed around its footprint.
+// it to Run entry, or to the next window boundary when composed mid-run
+// by an OnProcHalt scheduler, where domains are re-formed around its
+// footprint.
 func (c *Chip) launch(pr *Proc) {
 	pr.prepareStart()
 	if c.Opts.Reference {
@@ -256,15 +254,10 @@ func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, fro
 }
 
 // Run executes events until every processor halts, the cycle limit is
-// exceeded, or the model faults.  The optimized engine runs the
-// partitioned domain loop (domain.go); Options.Reference runs the
-// original single-queue loop in run.  With the flight recorder armed
-// (EnableFlight) and a sink set (SetFlightSink), a panicking or
-// failing run writes a post-mortem text dump of every ring on the way
-// out — the panic is re-raised unchanged.  The recover wrapper covers
-// the engine goroutine; a panic on a parallel worker goroutine is
-// fatal before any recover can run, Go offers no cross-goroutine
-// recovery.
+// exceeded, or the model faults.  With the flight recorder armed
+// (EnableFlight) and a sink set (SetFlightSink), a panicking or failing
+// run writes a post-mortem text dump of every ring on the way out — the
+// panic is re-raised unchanged.
 func (c *Chip) Run(maxCycles uint64) error {
 	if c.flightRec == nil {
 		return c.run(maxCycles)
@@ -282,26 +275,26 @@ func (c *Chip) Run(maxCycles uint64) error {
 	return err
 }
 
+// run drives one of the two event loops to completion: the optimized
+// engine's window loop over event domains (runWindows, domain.go), or,
+// under Options.Reference, the original single-queue heap loop below —
+// the oracle the differential tests compare against.
 func (c *Chip) run(maxCycles uint64) error {
 	if !c.Opts.Reference {
-		return c.runOptimized(maxCycles)
-	}
-	for {
-		if c.err != nil {
-			return c.err
+		c.placePending(c.now)
+		c.runWindows(maxCycles)
+	} else {
+		for c.err == nil && !c.ref.empty() {
+			e := c.ref.popMin()
+			if e.at > maxCycles {
+				return c.exceededErr(maxCycles)
+			}
+			c.now = e.at
+			if c.now >= c.sampleAt {
+				c.takeSamples()
+			}
+			c.dispatch(&e, c.now)
 		}
-		if c.ref.empty() {
-			break
-		}
-		e := c.ref.popMin()
-		if e.at > maxCycles {
-			return c.exceededErr(maxCycles)
-		}
-		c.now = e.at
-		if c.now >= c.sampleAt {
-			c.takeSamples()
-		}
-		c.dispatch(&e, c.now)
 	}
 	if c.err != nil {
 		return c.err
@@ -317,12 +310,10 @@ func (c *Chip) run(maxCycles uint64) error {
 	return nil
 }
 
-// dispatch executes one event at cycle now (the event's own time —
-// passed explicitly because during parallel windows the chip-wide clock
-// is stale and each domain carries its own).  Events carrying a block
-// reference are dropped when the block's generation moved on — the block
-// committed or was flushed (and possibly recycled) after the event was
-// scheduled.
+// dispatch executes one event at cycle now (the event's own time).
+// Events carrying a block reference are dropped when the block's
+// generation moved on — the block committed or was flushed (and possibly
+// recycled) after the event was scheduled.
 //
 //lint:hot root
 func (c *Chip) dispatch(e *event, now uint64) {

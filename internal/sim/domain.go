@@ -5,7 +5,6 @@ import (
 
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/flight"
-	"github.com/clp-sim/tflex/internal/noc"
 	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
@@ -13,45 +12,44 @@ import (
 //
 // The optimized engine splits the chip's work into *domains*, each
 // owning a bucketed calendar queue, a private (cycle, insertion-seq)
-// sequence space, per-domain NoC ports and a deferred-coherence inbox.
-// A domain is the unit of concurrency: all state a domain's events touch
-// — its processors' windows, LSQ banks, L1s, issue rings and the mesh
-// links inside its routing closure — is reachable from no other domain,
-// so domains advance independently inside lockstep windows of W cycles
-// ([kW, (k+1)W), W = Options.DomainWindow) and synchronize at every
-// boundary.  The only state domains share is the L2/DRAM side; every
-// access to it is serialized in the global merged event order (at,
-// domainID, seq) — inline when domains run on one goroutine, through
-// the window arbiter (parallel.go) when they run on many — so results
-// are bit-identical for every ParallelDomains setting and GOMAXPROCS.
+// sequence space and a deferred-coherence inbox.  All state a domain's
+// events touch — its processors' windows, LSQ banks, L1s, issue rings
+// and the mesh links inside its routing closure — is reachable from no
+// other domain; the only state domains share is the L2/DRAM side.  One
+// loop (runWindows) advances every domain on the caller's goroutine in
+// the global merged event order (at, domainID, seq), in lockstep windows
+// of W cycles ([kW, (k+1)W), W = Options.DomainWindow) with a boundary
+// between windows.  Domains and windows are the multiprogram *model* —
+// which processors can observe each other, and when — not a parallelism
+// device: a single-program chip is the one-domain case of the same loop,
+// where windows are unobservable.
 //
 // Domain formation.  Processors are grouped by the closure of two
 // relations: sharing an architectural memory (AddProcShared — directory
 // traffic on shared lines must stay inside one domain) and overlapping
 // routing bounding boxes (XY routes never leave the bounding box of
 // their endpoints, so disjoint boxes touch disjoint mesh links).  The
-// grouping runs only at quiescent points — Run entry and window
-// boundaries — and processors composed mid-run begin fetching at the
-// boundary that places them, modeling a (≤ W cycle) recomposition
-// latency.  Domains whose boxes an arriving processor bridges are
-// merged at the same quiescent point.
+// grouping runs only between windows — Run entry and window boundaries —
+// and processors composed mid-run begin fetching at the boundary that
+// places them, modeling a (≤ W cycle) recomposition latency.  Domains
+// whose boxes an arriving processor bridges are merged at the same
+// boundary.
 //
 // Cross-domain coherence.  Address-space tagging (physAddr) makes every
 // same-line directory operation intra-domain; the single cross-domain
 // channel is the L2 eviction path invalidating a victim's L1 line in
 // another domain.  Those invalidations are deferred into the target
 // domain's inbox and applied at the next window boundary — an
-// invalidate message spending up to W cycles crossing the chip.  The
-// deferral is identical in every mode, so it never breaks mode parity.
+// invalidate message spending up to W cycles crossing the chip.
 
 // domain is one event partition.
 type domain struct {
 	id   int
 	chip *Chip
 
-	cal calQueue //lint:owner domain
-	seq uint64   //lint:owner domain
-	now uint64   //lint:owner domain
+	cal calQueue
+	seq uint64
+	now uint64
 
 	procs []*Proc
 	mems  []*exec.PageMem // identity set for memory-sharing grouping
@@ -59,46 +57,28 @@ type domain struct {
 	// Routing-closure bounding box, inclusive; x0 == -1 when empty.
 	x0, y0, x1, y1 int
 
-	// Per-domain mesh ports.  They point at the mesh's own statistics
-	// when domains share one goroutine and at the shadow structs below
-	// during parallel runs (drained at each boundary).
-	opn, ctl           *noc.Port
-	opnStats, ctlStats noc.Stats //lint:owner domain
-
 	// inbox holds deferred cross-domain L1 invalidations in global
-	// defer-sequence order (appends happen in arbiter order).
-	inbox []inval //lint:owner domain
+	// defer-sequence order.
+	inbox []inval
 
 	err   error
 	errAt uint64
 
-	// Parallel-run bookkeeping (owned by parRun under its monitor).
-	gen     uint64
-	granted bool
-	retired bool
-	spawned bool
-
 	// flight is the domain's flight-recorder ring; nil unless
 	// Chip.EnableFlight armed the recorder, so the disabled cost is the
-	// nil check inside flight.Ring.Add.  Single-writer: the goroutine
-	// advancing the domain, or the boundary/leader goroutine while
-	// every worker is quiescent.
-	flight *flight.Ring //lint:owner domain
+	// nil check inside flight.Ring.Add.
+	flight *flight.Ring
 
 	// Scheduler observability counters, always on in the style of
 	// Stats (plain increments, no pointers).  All are derived from the
-	// merged event order — never wall time — so they are deterministic
-	// at any ParallelDomains/GOMAXPROCS; sharedGrants/sharedWait stay
-	// zero outside the parallel scheduler, where no arbiter runs.
+	// merged event order — never wall time — so they are deterministic.
 	// mergeDomains folds the absorbed domain's counters into the
 	// survivor.
-	windows      uint64 // lockstep windows completed (boundary-counted)
-	events       uint64 // events executed
-	winEvents    uint64 // events executed in the current window
-	barrierWait  uint64 // cumulative end-of-window slack cycles (≤ W each)
-	sharedGrants uint64 // shared L2/DRAM sections granted by the arbiter
-	sharedWait   uint64 // grants to other domains observed while parked
-	invalsSeen   uint64 // deferred cross-domain invals delivered
+	windows     uint64 // lockstep windows completed (boundary-counted)
+	events      uint64 // events executed
+	winEvents   uint64 // events executed in the current window
+	barrierWait uint64 // cumulative end-of-window slack cycles (≤ W each)
+	invalsSeen  uint64 // deferred cross-domain invals delivered
 
 	hBarrier *telemetry.Histogram // domain<d>.barrier.wait_cycles; nil-safe
 }
@@ -122,8 +102,8 @@ func (d *domain) scheduleEv(at uint64, e event) {
 	d.cal.push(e)
 }
 
-// fail records the domain's first model fault; the engine stops at the
-// next synchronization point and reports the globally first fault.
+// fail records the domain's first model fault; the event loop stops
+// before its next event and reports the globally first fault.
 //
 //lint:hot cold fault path, runs at most once per simulation
 func (d *domain) fail(format string, args ...any) {
@@ -133,42 +113,11 @@ func (d *domain) fail(format string, args ...any) {
 	}
 }
 
-// runWindow executes this domain's events with at < limit, in (at, seq)
-// order.  It is the per-worker body of a parallel window and never
-// touches another domain's state; shared-resource accesses inside
-// dispatched events park on the window arbiter.
-//
-//lint:owner worker
-func (d *domain) runWindow(limit uint64) { //lint:hot root
-	c := d.chip
-	stall := c.Opts.stallEvents()
-	d.flight.Add(flight.KWindowOpen, d.now, -1, -1, limit, 0)
-	var n uint64
-	for d.err == nil {
-		at, ok := d.cal.nextAt()
-		if !ok || at >= limit {
-			break
-		}
-		e := d.cal.popMin()
-		d.now = e.at
-		n++
-		if n >= stall {
-			d.stall(n, limit)
-			break
-		}
-		c.dispatch(&e, e.at)
-	}
-	d.winEvents = n
-	d.events += n
-	d.flight.Add(flight.KWindowClose, d.now, -1, -1, limit, n)
-}
-
 // stall fails the run with the watchdog diagnostic: the domain executed
-// count events without its window (or cycle) advancing.  The engine
-// stops at the next synchronization point instead of hanging; the
-// flight rings (when armed) keep the event history leading up to the
-// stall, and Chip.Run writes a post-mortem text dump to the flight
-// sink on the way out.
+// count events without its window advancing.  The event loop stops
+// instead of hanging; the flight rings (when armed) keep the event
+// history leading up to the stall, and Chip.Run writes a post-mortem
+// text dump to the flight sink on the way out.
 func (d *domain) stall(count, limit uint64) {
 	d.flight.Add(flight.KStall, d.now, -1, -1, limit, count)
 	d.fail("stall watchdog: domain %d executed %d events without advancing past cycle %d (limit %d events; flight rings dumped)",
@@ -214,10 +163,10 @@ func (d *domain) ownsMem(m *exec.PageMem) bool {
 }
 
 // applyInbox applies deferred cross-domain invalidations.  Runs only at
-// window boundaries with every domain quiescent.  The dirty bit and
-// distance feedback are discarded exactly as the immediate eviction
-// path discards them (mem/l2.go fill), so deferral shifts only the
-// victim's hit/miss timing by at most W cycles.
+// window boundaries.  The dirty bit and distance feedback are discarded
+// exactly as the immediate eviction path discards them (mem/l2.go
+// fill), so deferral shifts only the victim's hit/miss timing by at
+// most W cycles.
 func (d *domain) applyInbox() {
 	c := d.chip
 	for i := range d.inbox {
@@ -233,41 +182,35 @@ func (d *domain) applyInbox() {
 	d.inbox = d.inbox[:0]
 }
 
-// stats snapshots the domain's scheduler observability counters.  Call
-// from a quiescent point (boundary, post-run) like every other
-// cross-domain read.
+// stats snapshots the domain's scheduler observability counters.
 func (d *domain) stats() flight.DomainStats {
 	cores := 0
 	for _, p := range d.procs {
 		cores += len(p.cores)
 	}
 	return flight.DomainStats{
-		Dom:          d.id,
-		Procs:        len(d.procs),
-		Cores:        cores,
-		Now:          d.now,
-		Windows:      d.windows,
-		Events:       d.events,
-		BarrierWait:  d.barrierWait,
-		SharedGrants: d.sharedGrants,
-		SharedWait:   d.sharedWait,
-		Invals:       d.invalsSeen,
-		InboxDepth:   len(d.inbox),
-		RingRecords:  d.flight.Written(),
+		Dom:         d.id,
+		Procs:       len(d.procs),
+		Cores:       cores,
+		Now:         d.now,
+		Windows:     d.windows,
+		Events:      d.events,
+		BarrierWait: d.barrierWait,
+		Invals:      d.invalsSeen,
+		InboxDepth:  len(d.inbox),
+		RingRecords: d.flight.Written(),
 	}
 }
 
 // register installs the domain's telemetry views: window occupancy,
-// barrier-wait histogram, shared-section arbiter counters and inbox
-// depth.  A domain merged away keeps its entries with the counters
-// folded into (and future activity accounted to) the surviving domain.
+// barrier-wait histogram, delivered invalidations and inbox depth.  A
+// domain merged away keeps its entries with the counters folded into
+// (and future activity accounted to) the surviving domain.
 func (d *domain) register(r *telemetry.Registry) {
 	prefix := fmt.Sprintf("domain%d", d.id)
 	r.CounterView(prefix+".window.count", &d.windows)
 	r.CounterView(prefix+".window.events", &d.events)
 	r.CounterView(prefix+".barrier.wait_total", &d.barrierWait)
-	r.CounterView(prefix+".shared.grants", &d.sharedGrants)
-	r.CounterView(prefix+".shared.wait", &d.sharedWait)
 	r.CounterView(prefix+".inval.delivered", &d.invalsSeen)
 	r.Gauge(prefix+".inbox.depth", func() float64 { return float64(len(d.inbox)) })
 	r.Gauge(prefix+".window.occupancy", func() float64 {
@@ -306,8 +249,6 @@ func (c *Chip) bboxOfCores(cores []int) (x0, y0, x1, y1 int) {
 func (c *Chip) newDomain() *domain {
 	d := &domain{id: c.nextDomainID, chip: c, x0: -1}
 	c.nextDomainID++
-	d.opn = c.Opn.NewPort(nil)
-	d.ctl = c.Ctl.NewPort(nil)
 	if c.flightRec != nil {
 		d.flight = c.flightRec.NewRing(d.id)
 	}
@@ -318,16 +259,18 @@ func (c *Chip) newDomain() *domain {
 	return d
 }
 
-// placePending assigns every processor composed since the last quiescent
-// point to a domain (forming, joining or merging domains as its
+// placePending assigns every processor composed since the last window
+// boundary to a domain (forming, joining or merging domains as its
 // footprint requires) and schedules its first fetch no earlier than
-// startAt.  Must run at a quiescent point.
+// startAt.  Must run between windows.  The slice is cleared and kept, so
+// a placed processor is not pinned by the backing array and repeated
+// compositions reuse it.
 func (c *Chip) placePending(startAt uint64) {
-	for len(c.pendingProcs) > 0 {
-		p := c.pendingProcs[0]
-		c.pendingProcs = c.pendingProcs[1:]
+	for i, p := range c.pendingProcs {
+		c.pendingProcs[i] = nil
 		c.placeProc(p, startAt)
 	}
+	c.pendingProcs = c.pendingProcs[:0]
 }
 
 //lint:hot cold composition event, not per-cycle work
@@ -372,10 +315,9 @@ func (d *domain) adopt(p *Proc, x0, y0, x1, y1 int, startAt uint64) {
 	p.maybeFetch()
 }
 
-// mergeDomains folds b into a (a.id < b.id, both quiescent): b's queued
+// mergeDomains folds b into a (a.id < b.id, between windows): b's queued
 // events re-file into a's sequence space in (at, seq) order, clamped to
-// the merged now — the deterministic definition of a bridge merge, the
-// same in every mode.
+// the merged now — the deterministic definition of a bridge merge.
 //
 //lint:hot cold composition event, not per-cycle work
 func (c *Chip) mergeDomains(a, b *domain) {
@@ -397,11 +339,8 @@ func (c *Chip) mergeDomains(a, b *domain) {
 	a.events += b.events
 	a.windows += b.windows
 	a.barrierWait += b.barrierWait
-	a.sharedGrants += b.sharedGrants
-	a.sharedWait += b.sharedWait
 	a.invalsSeen += b.invalsSeen
-	b.events, b.windows, b.barrierWait = 0, 0, 0
-	b.sharedGrants, b.sharedWait, b.invalsSeen = 0, 0, 0
+	b.events, b.windows, b.barrierWait, b.invalsSeen = 0, 0, 0, 0
 	for _, m := range b.mems {
 		if !a.ownsMem(m) {
 			a.mems = append(a.mems, m)
@@ -430,15 +369,11 @@ func (c *Chip) mergeDomains(a, b *domain) {
 	if b.err != nil && a.err == nil {
 		a.err, a.errAt = b.err, b.errAt
 	}
-	// Shadow statistics drain straight to the meshes (sums commute).
-	c.Opn.FoldStats(&b.opnStats)
-	c.Ctl.FoldStats(&b.ctlStats)
 	for i := range c.coreDom {
 		if c.coreDom[i] == b {
 			c.coreDom[i] = a
 		}
 	}
-	b.retired = true
 	for i, d := range c.domains {
 		if d == b {
 			c.domains = append(c.domains[:i], c.domains[i+1:]...)
@@ -476,37 +411,15 @@ func (c *Chip) collectErrors() {
 	}
 }
 
-// syncNow advances the chip clock to the furthest domain.
-func (c *Chip) syncNow() {
-	for _, d := range c.domains {
-		if d.now > c.now {
-			c.now = d.now
-		}
-	}
-}
-
-// drainShadows folds every domain's shadow NoC statistics into the
-// meshes, in domain order.  A no-op for direct-bound ports (the shadow
-// structs stay zero).
-func (c *Chip) drainShadows() {
-	for _, d := range c.domains {
-		c.Opn.FoldStats(&d.opnStats)
-		c.Ctl.FoldStats(&d.ctlStats)
-	}
-}
-
-// windowBoundary runs the between-window work with every domain
-// quiescent: deferred invalidations apply in domain order, shadow NoC
-// statistics drain, and processors composed during the window are
-// placed and begin fetching at the boundary cycle.  Identical in merged
-// and parallel modes — mode parity depends on it.
+// windowBoundary runs the between-window work: deferred invalidations
+// apply in domain order, and processors composed during the window are
+// placed and begin fetching at the boundary cycle.
 func (c *Chip) windowBoundary(boundaryCycle uint64) {
 	w := c.Opts.domainWindow()
 	for _, d := range c.domains {
 		// Barrier accounting: the end-of-window slack (cycles between the
 		// domain's last executed event and the boundary, clamped to the
-		// window width) — the simulated-time analogue of barrier wait,
-		// identical in merged and parallel modes.
+		// window width) — the simulated-time analogue of barrier wait.
 		d.windows++
 		slack := uint64(0)
 		if d.now < boundaryCycle {
@@ -520,7 +433,6 @@ func (c *Chip) windowBoundary(boundaryCycle uint64) {
 		d.flight.Add(flight.KBarrierRelease, boundaryCycle, -1, -1, boundaryCycle, slack)
 		d.applyInbox()
 	}
-	c.drainShadows()
 	if len(c.pendingProcs) > 0 {
 		c.placePending(boundaryCycle)
 	}
@@ -528,8 +440,7 @@ func (c *Chip) windowBoundary(boundaryCycle uint64) {
 
 // windowLimitFor returns the exclusive event-time limit of the window
 // containing cycle m: the next multiple of W above m, capped so no
-// event beyond maxCycles ever executes (keeping the exceeded-cycles
-// state identical across modes).
+// event beyond maxCycles ever executes.
 func (c *Chip) windowLimitFor(m, maxCycles uint64) uint64 {
 	w := c.Opts.domainWindow()
 	limit := (m/w + 1) * w
@@ -544,122 +455,82 @@ func (c *Chip) exceededErr(maxCycles uint64) error {
 	return fmt.Errorf("sim: exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())
 }
 
-// takeBoundarySamples records sampler rows due at or before the next
-// event cycle m.  Multi-domain sampling is boundary-granular: a row at
-// cycle s reflects every event before the boundary that emitted it.
-func (c *Chip) takeBoundarySamples(m uint64) {
-	if c.sampler == nil {
-		return
+// nextDomain picks the domain holding the globally minimal pending
+// (at, domainID) key below limit, and the exclusive cycle bound until
+// which that domain stays minimal: another domain's next event ends the
+// run at its own cycle if it has the lower ID, one cycle later if not.
+// Events never schedule into a foreign domain, so the bound holds while
+// the picked domain executes.
+func (c *Chip) nextDomain(limit uint64) (best *domain, until uint64) {
+	until = limit
+	var bat uint64
+	for _, d := range c.domains {
+		at, ok := d.cal.nextAt()
+		if !ok || at >= until {
+			continue
+		}
+		if best == nil || at < bat {
+			if best != nil {
+				until = bat
+			}
+			best, bat = d, at
+		} else {
+			until = at + 1
+		}
 	}
-	iv := c.sampler.Interval()
-	for c.sampleAt <= m {
-		c.sampler.Sample(c.sampleAt)
-		c.sampleAt += iv
-	}
+	return best, until
 }
 
-// runSingle is the single-domain fast path: the exact serial event loop
-// (per-event sampling and cycle-limit checks), byte-identical to the
-// pre-partitioning engine and to Options.Reference.  Returns when the
-// queue drains, a fault lands, or a composition event requires
-// re-forming domains.
+// runWindows is the optimized engine's event loop: every domain advances
+// on the caller's goroutine in merged (at, domainID, seq) order, window
+// by window, until the queues drain, the cycle limit is passed or a
+// domain faults.  The stall watchdog is window-granular: a domain that
+// executes Options.StallEvents events inside one window fails the run.
 //
 //lint:hot root
-func (c *Chip) runSingle(d *domain, maxCycles uint64) {
-	c.curDom = d
+func (c *Chip) runWindows(maxCycles uint64) {
 	stall := c.Opts.stallEvents()
-	watchAt, watchN := ^uint64(0), uint64(0)
-	for c.err == nil && d.err == nil {
-		if d.cal.empty() {
-			break
-		}
-		e := d.cal.popMin()
-		if e.at > maxCycles {
-			c.err = c.exceededErr(maxCycles)
-			break
-		}
-		c.now = e.at
-		d.now = e.at
-		d.events++
-		// Stall watchdog, cycle-granular here (no windows): too many
-		// events without the clock advancing fails the run.
-		if e.at != watchAt {
-			watchAt, watchN = e.at, 0
-		}
-		watchN++
-		if watchN >= stall {
-			d.stall(watchN, e.at)
-			break
-		}
-		if c.now >= c.sampleAt {
-			c.takeSamples()
-		}
-		c.dispatch(&e, e.at)
-		if len(c.pendingProcs) > 0 {
-			break
-		}
-	}
-	if c.err == nil && d.err != nil {
-		c.err = d.err
-	}
-	c.curDom = nil
-}
-
-// runMerged advances every domain on the caller's goroutine in merged
-// (at, domainID, seq) order, window by window.  This is ParallelDomains
-// <= 1: the same partitioned engine minus the worker pool, and the
-// ordering contract the parallel arbiter reproduces.
-//
-//lint:hot root
-func (c *Chip) runMerged(maxCycles uint64) {
-	for {
-		c.collectErrors()
-		if c.err != nil {
-			return
-		}
+	c.collectErrors()
+	for c.err == nil {
 		m, ok := c.minNextAt()
 		if !ok {
-			c.syncNow()
-			c.takeBoundarySamples(c.now)
 			return
 		}
-		c.takeBoundarySamples(m)
 		if m > maxCycles {
-			c.syncNow()
 			c.err = c.exceededErr(maxCycles)
 			return
 		}
 		limit := c.windowLimitFor(m, maxCycles)
-		stall := c.Opts.stallEvents()
 		for _, d := range c.domains {
 			d.winEvents = 0
 			d.flight.Add(flight.KWindowOpen, d.now, -1, -1, limit, 0)
 		}
-		for c.err == nil {
-			var best *domain
-			var bat uint64
-			for _, d := range c.domains {
-				if d.err != nil {
-					best = nil
+		for {
+			d, until := c.nextDomain(limit)
+			if d == nil {
+				break
+			}
+			c.curDom = d
+			for d.err == nil {
+				e, ok := d.cal.popBefore(until)
+				if !ok {
 					break
 				}
-				if at, ok := d.cal.nextAt(); ok && at < limit && (best == nil || at < bat) {
-					best, bat = d, at
+				d.now = e.at
+				c.now = e.at
+				d.winEvents++
+				if d.winEvents >= stall {
+					d.stall(d.winEvents, limit)
+					break
 				}
+				if e.at >= c.sampleAt {
+					c.takeSamples()
+				}
+				c.dispatch(&e, e.at)
 			}
-			if best == nil {
+			if d.err != nil {
 				break
 			}
-			e := best.cal.popMin()
-			best.now = e.at
-			c.now = e.at
-			best.winEvents++
-			if best.winEvents >= stall {
-				best.stall(best.winEvents, limit)
-				break
-			}
-			c.curDom = best
-			c.dispatch(&e, e.at)
 		}
 		c.curDom = nil
 		for _, d := range c.domains {
@@ -667,49 +538,8 @@ func (c *Chip) runMerged(maxCycles uint64) {
 			d.flight.Add(flight.KWindowClose, d.now, -1, -1, limit, d.winEvents)
 		}
 		c.collectErrors()
-		if c.err != nil {
-			return
-		}
-		c.windowBoundary(limit)
-	}
-}
-
-// runOptimized is the domain-engine driver: it forms domains from the
-// composed processors, picks the execution mode (single-domain fast
-// path, merged serial windows, or the parallel worker pool) and runs to
-// completion, re-evaluating the mode whenever the composition changes.
-func (c *Chip) runOptimized(maxCycles uint64) error {
-	c.placePending(c.now)
-	for c.err == nil {
-		if len(c.pendingProcs) > 0 {
-			c.placePending(c.now)
-			continue
-		}
-		if len(c.domains) == 1 {
-			c.runSingle(c.domains[0], maxCycles)
-			if c.err == nil && len(c.pendingProcs) > 0 {
-				continue
-			}
-			break
-		}
-		if c.Opts.ParallelDomains > 1 && len(c.domains) > 1 {
-			c.runParallel(maxCycles)
-		} else {
-			c.runMerged(maxCycles)
-		}
-		break
-	}
-	c.syncNow()
-	if c.err != nil {
-		return c.err
-	}
-	for _, p := range c.Procs {
-		if !p.halted {
-			return fmt.Errorf("sim: deadlock: processor %d stalled at cycle %d (%s)", p.id, c.now, p.describeStall())
+		if c.err == nil {
+			c.windowBoundary(limit)
 		}
 	}
-	if c.critEnabled {
-		c.releaseCritRecords()
-	}
-	return nil
 }

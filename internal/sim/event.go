@@ -123,52 +123,50 @@ func (q *calQueue) push(e event) {
 	}
 }
 
-// popMin removes and returns the earliest event in (at, seq) order.
+// popMin removes and returns the earliest event in (at, seq) order; the
+// queue must not be empty.
+func (q *calQueue) popMin() event {
+	e, _ := q.popBefore(^uint64(0))
+	return e
+}
+
+// popBefore removes and returns the earliest event in (at, seq) order if
+// its cycle is below limit; ok is false when the queue is empty or its
+// earliest event is at or past limit.
 //
 // Ordering argument: a bucket only ever holds events for one cycle at a
 // time (the window is exactly calBuckets wide), and all pushes for a given
 // cycle T arrive in seq order — overflow events for T are migrated, in seq
-// order, at the top of the pop that first makes T reachable, which is
-// before any event executes and directly pushes more work for T.
-func (q *calQueue) popMin() event {
-	for {
-		// Pull due overflow events into the calendar window.
-		for len(q.overflow) > 0 && q.overflow[0].at < q.base+calBuckets {
-			e := q.overflow.pop()
-			i := e.at & calMask
-			bkt := q.buckets[i]
-			if cap(bkt) == 0 {
-				bkt = make([]event, 0, calBucketCap)
-			}
-			q.buckets[i] = append(bkt, e)
-			q.nbucket++
+// order, by the nextAt that first makes T reachable, which is before any
+// event executes and directly pushes more work for T.
+func (q *calQueue) popBefore(limit uint64) (e event, ok bool) {
+	i := q.base & calMask
+	if int(q.heads[i]) == len(q.buckets[i]) {
+		// Cursor bucket drained: scan to the next pending cycle.  While it
+		// still holds events the cursor has not moved since the last scan,
+		// so no overflow event can have come due and the scan is skipped.
+		if _, ok := q.nextAt(); !ok {
+			return e, false
 		}
-		i := q.base & calMask
-		if int(q.heads[i]) < len(q.buckets[i]) {
-			e := q.buckets[i][q.heads[i]]
-			q.heads[i]++
-			q.nbucket--
-			if int(q.heads[i]) == len(q.buckets[i]) {
-				q.buckets[i] = q.buckets[i][:0]
-				q.heads[i] = 0
-			}
-			return e
-		}
+		i = q.base & calMask
+	}
+	if q.base >= limit {
+		return e, false
+	}
+	e = q.buckets[i][q.heads[i]]
+	q.heads[i]++
+	q.nbucket--
+	if int(q.heads[i]) == len(q.buckets[i]) {
 		q.buckets[i] = q.buckets[i][:0]
 		q.heads[i] = 0
-		if q.nbucket == 0 && len(q.overflow) > 0 {
-			q.base = q.overflow[0].at // jump over the idle gap
-		} else {
-			q.base++
-		}
 	}
+	return e, true
 }
 
 // nextAt returns the cycle of the earliest pending event without
 // removing it; ok is false when the queue is empty.  The scan advances
 // the cursor over empty ground (pure bookkeeping — ordering is
-// unaffected), so a subsequent popMin finds the event immediately and
-// repeated peeks never rescan the same gap.
+// unaffected), so repeated peeks never rescan the same gap.
 func (q *calQueue) nextAt() (at uint64, ok bool) {
 	if q.nbucket == 0 && len(q.overflow) == 0 {
 		return 0, false

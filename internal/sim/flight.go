@@ -10,8 +10,8 @@ import (
 // Recorder whose rings are handed to domains at creation.  Everything
 // here follows the telemetry disabled-cost contract — the recorder
 // pointer is nil until EnableFlight, every hot-path write is a
-// nil-receiver-safe flight.Ring.Add, and all cross-domain reads
-// (dumps, stats) happen only at quiescent points.
+// nil-receiver-safe flight.Ring.Add, and all reads (dumps, stats)
+// happen on the goroutine running the event loop.
 
 // EnableFlight arms the flight recorder with per-domain rings holding
 // events records each (<= 0 selects flight.DefaultEvents).  Idempotent;
@@ -38,9 +38,9 @@ func (c *Chip) FlightEnabled() bool { return c.flightRec != nil }
 func (c *Chip) SetFlightSink(w io.Writer) { c.flightSink = w }
 
 // FlightDump snapshots every ring, including rings of domains merged
-// away.  Returns nil when the recorder is disabled.  Call only from a
-// quiescent point: after Run returns, or inside a sampler notify hook
-// (multi-domain sampling is boundary-granular, hence quiescent).
+// away.  Returns nil when the recorder is disabled.  Call only from the
+// goroutine running the chip: after Run returns, or inside a sampler
+// notify hook.
 func (c *Chip) FlightDump() *flight.Dump {
 	if c.flightRec == nil {
 		return nil
@@ -50,8 +50,7 @@ func (c *Chip) FlightDump() *flight.Dump {
 
 // DomainStats snapshots every live domain's scheduler observability
 // counters (always on — available with or without the flight
-// recorder), in domain-ID order.  Same quiescence contract as
-// FlightDump.
+// recorder), in domain-ID order.  Same calling contract as FlightDump.
 func (c *Chip) DomainStats() []flight.DomainStats {
 	out := make([]flight.DomainStats, 0, len(c.domains))
 	for _, d := range c.domains {

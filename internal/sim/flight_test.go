@@ -25,74 +25,58 @@ func armBomb(proc *Proc) {
 	})
 }
 
-// TestStallWatchdogSingleDomain pins the watchdog contract on the
-// serial engine: an injected non-advancing event storm fails the run
-// with a stall diagnostic (instead of hanging), leaves a KStall record
-// in the rings, and the failed run dumps a post-mortem to the flight
-// sink.
-func TestStallWatchdogSingleDomain(t *testing.T) {
-	opts := DefaultOptions()
-	opts.StallEvents = 5000
-	chip := New(opts)
-	chip.EnableFlight(256)
-	var sink bytes.Buffer
-	chip.SetFlightSink(&sink)
-	proc, err := chip.AddProc(compose.MustRect(0, 0, 2), sumProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc.Regs[1] = 50
-	armBomb(proc)
-	err = chip.Run(1_000_000)
-	if err == nil {
-		t.Fatal("run with injected stall succeeded; watchdog never fired")
-	}
-	if !strings.Contains(err.Error(), "stall watchdog") {
-		t.Fatalf("run failed with %v, want a stall watchdog diagnostic", err)
-	}
-	dump := chip.FlightDump()
-	if dump == nil || len(dump.Records(flight.KStall)) == 0 {
-		t.Fatal("no KStall record in the flight rings after a watchdog trip")
-	}
-	if !strings.Contains(sink.String(), "flight recorder post-mortem") {
-		t.Error("failed run did not dump a post-mortem to the flight sink")
-	}
-	if !strings.Contains(sink.String(), "stall") {
-		t.Error("post-mortem text does not mention the stall")
-	}
-}
-
-// TestStallWatchdogParallelDomains pins the same contract where it
-// matters most: one stalled domain among several under the parallel
-// scheduler must fail the whole run promptly — the stalled worker
-// breaks out of its window, the barrier completes, and Run returns the
-// diagnostic instead of deadlocking.
-func TestStallWatchdogParallelDomains(t *testing.T) {
-	opts := DefaultOptions()
-	opts.StallEvents = 5000
-	opts.ParallelDomains = 2
-	chip := New(opts)
-	chip.EnableFlight(256)
-	p := sumProgram(t)
-	var procs [2]*Proc
-	for i, rect := range [][3]int{{0, 0, 2}, {2, 0, 2}} {
-		pr, err := chip.AddProc(compose.MustRect(rect[0], rect[1], rect[2]), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr.Regs[1] = 50
-		procs[i] = pr
-	}
-	armBomb(procs[0])
-	err := chip.Run(1_000_000)
-	if err == nil {
-		t.Fatal("parallel run with injected stall succeeded; watchdog never fired")
-	}
-	if !strings.Contains(err.Error(), "stall watchdog") {
-		t.Fatalf("parallel run failed with %v, want a stall watchdog diagnostic", err)
-	}
-	if dump := chip.FlightDump(); dump == nil || len(dump.Records(flight.KStall)) == 0 {
-		t.Fatal("no KStall record in the flight rings after a parallel watchdog trip")
+// TestStallWatchdog pins the watchdog contract on one-domain and
+// two-domain chips alike (both run the same window loop): an injected
+// non-advancing event storm in one domain fails the whole run with a
+// stall diagnostic instead of hanging, leaves a KStall record in the
+// rings, and the failed run dumps a post-mortem to the flight sink.
+func TestStallWatchdog(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		rects [][3]int // x, y, cores; the first processor carries the bomb
+	}{
+		{"one domain", [][3]int{{0, 0, 2}}},
+		{"two domains", [][3]int{{0, 0, 2}, {2, 0, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.StallEvents = 5000
+			chip := New(opts)
+			chip.EnableFlight(256)
+			var sink bytes.Buffer
+			chip.SetFlightSink(&sink)
+			p := sumProgram(t)
+			for i, rect := range tc.rects {
+				pr, err := chip.AddProc(compose.MustRect(rect[0], rect[1], rect[2]), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr.Regs[1] = 50
+				if i == 0 {
+					armBomb(pr)
+				}
+			}
+			err := chip.Run(1_000_000)
+			if err == nil {
+				t.Fatal("run with injected stall succeeded; watchdog never fired")
+			}
+			if !strings.Contains(err.Error(), "stall watchdog") {
+				t.Fatalf("run failed with %v, want a stall watchdog diagnostic", err)
+			}
+			if got := len(chip.DomainStats()); got != len(tc.rects) {
+				t.Fatalf("chip formed %d domains, want %d", got, len(tc.rects))
+			}
+			dump := chip.FlightDump()
+			if dump == nil || len(dump.Records(flight.KStall)) == 0 {
+				t.Fatal("no KStall record in the flight rings after a watchdog trip")
+			}
+			if !strings.Contains(sink.String(), "flight recorder post-mortem") {
+				t.Error("failed run did not dump a post-mortem to the flight sink")
+			}
+			if !strings.Contains(sink.String(), "stall") {
+				t.Error("post-mortem text does not mention the stall")
+			}
+		})
 	}
 }
 
@@ -127,8 +111,8 @@ func TestFlightPanicPostMortem(t *testing.T) {
 	chip.Run(1_000_000) //nolint:errcheck // panics before returning
 }
 
-// TestDomainStatsAndBarrierAccounting runs a two-domain chip through
-// the merged scheduler and checks the always-on per-domain counters:
+// TestDomainStatsAndBarrierAccounting runs a two-domain chip and
+// checks the always-on per-domain counters:
 // windows were crossed, events counted, barrier slack accumulated, and
 // the stats survive with the flight recorder disabled.
 func TestDomainStatsAndBarrierAccounting(t *testing.T) {
@@ -154,7 +138,7 @@ func TestDomainStatsAndBarrierAccounting(t *testing.T) {
 	}
 	for _, d := range ds {
 		if d.Windows == 0 {
-			t.Errorf("domain %d crossed no windows under the merged scheduler", d.Dom)
+			t.Errorf("domain %d crossed no windows", d.Dom)
 		}
 		if d.Events == 0 {
 			t.Errorf("domain %d counted no events", d.Dom)

@@ -111,13 +111,11 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 			}
 		} else {
 			accessDone = svc + uint64(p.chip.Opts.Params.L1DHitCycles)
-			p.enterShared()
 			fill := p.chip.L2.Read(physCore, pa, accessDone)
 			victim, evicted := cache.Fill(pa, fill)
 			if evicted {
 				p.writeBackVictim(physCore, victim)
 			}
-			p.exitShared()
 			dataAt = fill
 		}
 	}

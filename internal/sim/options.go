@@ -46,33 +46,31 @@ type Options struct {
 	// NACKRetryCycles is the backoff before a NACKed LSQ insert retries.
 	NACKRetryCycles uint64
 
-	// ParallelDomains caps how many event domains may execute
-	// concurrently on worker goroutines (see domain.go).  Values <= 1
-	// keep every domain on the caller's goroutine; results are
-	// bit-identical for any value and any GOMAXPROCS, so the knob trades
-	// wall-clock speed only.  It has no effect under Reference or when
-	// the chip forms a single domain.
+	// ParallelDomains is accepted and has no effect: the worker-pool
+	// scheduler it selected is gone and every domain runs on the
+	// caller's goroutine.  The field remains only because the frozen
+	// benchmark (cmd/clpbench) still assigns it; the next benchmark PR
+	// may drop it.
 	ParallelDomains int
 
-	// DomainWindow is the lockstep window width W in cycles for
-	// multi-domain runs: domains advance independently inside [kW,
-	// (k+1)W) and synchronize at every boundary, where deferred
-	// cross-domain coherence traffic (L2 eviction invalidations) is
-	// applied and newly composed processors begin fetching.  W is a
-	// model parameter — it must be identical across ParallelDomains
-	// settings for runs to compare — and defaults to 16 cycles,
+	// DomainWindow is the lockstep window width W in cycles: events
+	// execute window by window ([kW, (k+1)W)), and at every boundary
+	// deferred cross-domain coherence traffic (L2 eviction
+	// invalidations) is applied and newly composed processors begin
+	// fetching.  W is a model parameter and defaults to 16 cycles,
 	// approximating the banked-L2 round trip an invalidate needs to
-	// reach a remote core (L2 hit latency spans 5..27 cycles).
-	// Values < 1 mean the default.
+	// reach a remote core (L2 hit latency spans 5..27 cycles); a
+	// single-domain run without mid-run composition is identical at any
+	// W.  Values < 1 mean the default.
 	DomainWindow uint64
 
 	// StallEvents is the stall-watchdog budget: the maximum number of
-	// events one domain may execute without its lockstep window (or, in
-	// single-domain runs, the current cycle) advancing before the run
-	// fails with a diagnostic instead of hanging.  The watchdog counts
-	// events, not wall time, so it is deterministic like everything
-	// else in the engine.  Values < 1 mean the default (1<<20 events —
-	// orders of magnitude above what any legal window can execute).
+	// events one domain may execute without its lockstep window
+	// advancing before the run fails with a diagnostic instead of
+	// hanging.  The watchdog counts events, not wall time, so it is
+	// deterministic like everything else in the engine.  Values < 1
+	// mean the default (1<<20 events — orders of magnitude above what
+	// any legal window can execute).
 	StallEvents uint64
 
 	// Reference disables the engine's hot-path optimizations — the

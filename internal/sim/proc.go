@@ -17,7 +17,7 @@ import (
 // Proc is one composed logical processor executing one thread.
 type Proc struct {
 	chip *Chip
-	dom  *domain //lint:owner domain-link (owning event domain; nil under Options.Reference)
+	dom  *domain // owning event domain; nil under Options.Reference
 	// fr is the owning domain's flight-recorder ring; nil unless
 	// Chip.EnableFlight armed the recorder (and always nil under
 	// Reference, which has no domains).  Add is nil-receiver safe, so
@@ -191,11 +191,10 @@ func (p *Proc) regBankIdx(reg uint8) int {
 	return p.rbanks[int(reg)%len(p.rbanks)]
 }
 
-// The domain-routing layer: every simulator action a processor takes —
-// reading the clock, scheduling events, reporting faults, sending
-// messages — goes through its owning event domain, so that domains can
-// advance concurrently without sharing queues, clocks or statistics.
-// Under Options.Reference dom is nil and everything falls through to the
+// The domain-routing layer: a processor reads the clock, schedules
+// events and reports faults through its owning event domain, which
+// carries its own queue, clock and first-fault slot.  Under
+// Options.Reference dom is nil and everything falls through to the
 // chip's original single-queue engine.
 
 // nowCycle returns the processor's current simulation cycle.
@@ -226,39 +225,16 @@ func (p *Proc) fail(format string, args ...any) {
 	p.chip.fail(format, args...)
 }
 
-// enterShared/exitShared bracket every access to chip-shared state (the
-// L2/DRAM side, and chip composition from OnProcHalt hooks).  During a
-// parallel run they park on the window arbiter, which grants domains in
-// merged (cycle, domain) order at full quiescence; in every serial mode
-// execution is already in that order and they cost two nil checks.
-func (p *Proc) enterShared() {
-	if pr := p.chip.par; pr != nil {
-		pr.enter(p.dom)
-	}
-}
-
-func (p *Proc) exitShared() {
-	if pr := p.chip.par; pr != nil {
-		pr.exit(p.dom)
-	}
-}
-
 // ctlSend routes a control message, honoring the ZeroHandshake ablation.
 func (p *Proc) ctlSend(fromIdx, toIdx int, t uint64) uint64 {
 	if p.chip.Opts.ZeroHandshake {
 		return t
-	}
-	if p.dom != nil {
-		return p.dom.ctl.Send(p.phys(fromIdx), p.phys(toIdx), t)
 	}
 	return p.chip.Ctl.Send(p.phys(fromIdx), p.phys(toIdx), t)
 }
 
 // opnSend routes an operand on the operand network.
 func (p *Proc) opnSend(fromIdx, toIdx int, t uint64) uint64 {
-	if p.dom != nil {
-		return p.dom.opn.Send(p.phys(fromIdx), p.phys(toIdx), t)
-	}
 	return p.chip.Opn.Send(p.phys(fromIdx), p.phys(toIdx), t)
 }
 
@@ -272,16 +248,12 @@ func (p *Proc) ctlMulticastInto(fromIdx int, t uint64, dst []uint64) {
 		}
 		return
 	}
-	if p.dom != nil {
-		p.dom.ctl.MulticastInto(p.phys(fromIdx), p.cores, t, dst)
-		return
-	}
 	p.chip.Ctl.MulticastInto(p.phys(fromIdx), p.cores, t, dst)
 }
 
 // prepareStart validates the program and primes the fetch engine.  The
 // first fetch is scheduled by Chip.launch (Reference) or by domain
-// placement at the next quiescent point (optimized).
+// placement at Run entry or the next window boundary (optimized).
 func (p *Proc) prepareStart() {
 	entry := p.prog.EntryBlock()
 	if entry == nil {
@@ -371,9 +343,7 @@ func (p *Proc) fetchBlock() {
 	cmdStart := t0 + constLat
 	if _, hit := p.l1i.Access(p.physAddr(addr), cmdStart); !hit {
 		p.Stats.ICacheMisses++
-		p.enterShared()
 		fill := p.chip.L2.Read(p.phys(owner), p.physAddr(addr), cmdStart)
-		p.exitShared()
 		p.l1i.Fill(p.physAddr(addr), fill)
 		b.icacheStall = fill - cmdStart
 		cmdStart = fill
@@ -692,20 +662,16 @@ func (p *Proc) commitStoreToCache(addr uint64) {
 	now := p.nowCycle()
 	if line, hit := cache.Access(pa, now); hit {
 		if !line.Dirty {
-			p.enterShared()
 			p.chip.L2.Upgrade(physCore, pa, now)
-			p.exitShared()
 			line.Dirty = true
 		}
 		return
 	}
-	p.enterShared()
 	fill := p.chip.L2.Upgrade(physCore, pa, now)
 	victim, evicted := cache.Fill(pa, fill)
 	if evicted {
 		p.writeBackVictim(physCore, victim)
 	}
-	p.exitShared()
 	if l := cache.Probe(pa); l != nil {
 		l.Dirty = true
 	}
@@ -779,12 +745,8 @@ func (p *Proc) finalizeCommit(b *IFB, t uint64) {
 	if b.actual.Op == isa.OpHalt {
 		p.halted = true
 		p.Stats.Cycles = t
-		//lint:allow domainguard audited: the hook pointer is installed before Run and immutable while workers execute; the probe is a read of frozen state and the call below is bracketed
 		if p.chip.onHalt != nil {
-			// The hook composes processors onto the chip — shared state.
-			p.enterShared()
 			p.chip.onHalt(p)
-			p.exitShared()
 		}
 	}
 	p.releaseIFB(b)

@@ -103,9 +103,9 @@ func (t *Trace) Len() int {
 // WriteJSON emits the trace as {"traceEvents":[...]} — the JSON Object
 // Format accepted by chrome://tracing and Perfetto.  Events are emitted
 // in (ts, pid, tid, name) order rather than append order: concurrent
-// recorders (runner workers, parallel event domains) interleave their
-// appends nondeterministically, and sorting keeps the file byte-stable
-// across runs of the same simulation.
+// recorders (runner workers) interleave their appends
+// nondeterministically, and sorting keeps the file byte-stable across
+// runs of the same simulation.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	t.mu.Lock()
 	events := make([]chromeEvent, len(t.events))

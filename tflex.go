@@ -119,8 +119,8 @@ type (
 	// Chrome trace.
 	FlightDump = flight.Dump
 	// DomainStats are one event domain's scheduler statistics: windows
-	// run, events executed, barrier slack, shared-section grants/waits
-	// and deferred invalidations delivered.
+	// run, events executed, barrier slack and deferred invalidations
+	// delivered.
 	DomainStats = flight.DomainStats
 )
 
@@ -222,11 +222,10 @@ type RunConfig struct {
 	// Options overrides the chip options (nil: DefaultOptions, or
 	// TRIPSOptions when TRIPS is set).
 	Options *Options
-	// ParallelDomains caps how many event domains may simulate
-	// concurrently (Options.ParallelDomains).  Values <= 1 run every
-	// domain on the calling goroutine; results are bit-identical for any
-	// value and any GOMAXPROCS, so the knob trades wall-clock time only.
-	// Overrides the same field in Options when both are set.
+	// ParallelDomains is accepted and has no effect: every event domain
+	// runs on the calling goroutine.  The field remains only because
+	// the frozen benchmark (cmd/clpbench) still assigns it; the next
+	// benchmark PR may drop it.
 	ParallelDomains int
 	// OnBlock, if set, observes every block retirement (commit or flush).
 	OnBlock func(BlockEvent)
@@ -256,8 +255,7 @@ type RunConfig struct {
 	// Flight arms the always-on flight recorder: every domain keeps a
 	// fixed-size ring of compact scheduler/pipeline records (fetch,
 	// dispatch, issue, commit, flush, window and barrier crossings,
-	// shared-section grants, deferred invalidations, composition
-	// changes).  Result.Flight and Result.Domains report the drained
+	// deferred invalidations, composition changes).  Result.Flight and Result.Domains report the drained
 	// rings and per-domain statistics; on a failed or panicking run the
 	// rings are dumped to stderr as a post-mortem.  Off by default —
 	// the hot paths then pay only nil checks.
@@ -329,9 +327,6 @@ func Run(p *Program, cfg RunConfig) (*Result, error) {
 			return nil, err
 		}
 	}
-	if cfg.ParallelDomains != 0 {
-		opts.ParallelDomains = cfg.ParallelDomains
-	}
 	chip := sim.New(opts)
 	var reg *Metrics
 	if cfg.CollectMetrics {
@@ -354,8 +349,8 @@ func Run(p *Program, cfg RunConfig) (*Result, error) {
 	if srv := cfg.Observe; srv != nil {
 		chip.SetCritPathSink(srv.Rolling())
 		// Publishing happens on the chip's event-loop goroutine via the
-		// sampler notify hook — a quiescent point in every engine — so
-		// handlers never read live counters or rings.
+		// sampler notify hook, so handlers never read live counters or
+		// rings.
 		obsReg := chip.Telemetry()
 		pubSamp := samp
 		if pubSamp == nil {
@@ -421,14 +416,12 @@ type ProgramSpec struct {
 
 // RunMulti executes several independent programs on one chip, each on
 // its own composed processor, and returns one Result per program in
-// input order.  This is where the event-domain engine multiplies: each
-// processor (plus the architectural memory it shares with nobody)
-// becomes its own event domain, and RunConfig.ParallelDomains > 1 lets
-// up to that many domains simulate concurrently in lockstep windows —
-// with results bit-identical to ParallelDomains=1 at any GOMAXPROCS.
+// input order.  Each processor (plus the architectural memory it shares
+// with nobody) becomes its own event domain; the domains advance in
+// lockstep windows and interact only through the shared L2/DRAM.
 //
 // Only the chip-wide RunConfig fields apply (MaxCycles, Options,
-// ParallelDomains, Flight/FlightEvents, Observe); the per-program
+// Flight/FlightEvents, Observe); the per-program
 // instrumentation fields are for single-program runs and are ignored
 // here.  When the flight recorder is armed, every Result shares the
 // same chip-wide dump and domain statistics.  An Observe server gets
@@ -445,9 +438,6 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
-	if cfg.ParallelDomains != 0 {
-		opts.ParallelDomains = cfg.ParallelDomains
-	}
 	chip := sim.New(opts)
 	if cfg.Flight || cfg.FlightEvents > 0 {
 		chip.EnableFlight(cfg.FlightEvents)
@@ -456,9 +446,9 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if srv := cfg.Observe; srv != nil {
 		chip.EnableCritPath()
 		chip.SetCritPathSink(srv.Rolling())
-		// Same quiescent-point publishing contract as Run: the sampler
-		// notify hook fires at window boundaries, where every domain is
-		// parked, so DomainStats/FlightDump reads are safe.
+		// Same publishing contract as Run: the sampler notify hook fires
+		// on the event-loop goroutine, so DomainStats/FlightDump reads
+		// are safe.
 		obsReg := chip.Telemetry()
 		chip.SampleEvery(4096).SetNotify(func(cycle uint64, names []string, row []float64) {
 			srv.PublishSample(cycle, names, row)
