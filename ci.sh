@@ -113,7 +113,10 @@ go test -race -count=1 -run 'TestConcurrentPublishAndScrape|TestObserverDuringCo
 echo "== observability live smoke (tflexexp -serve) =="
 obsbin=$(mktemp -d)/tflexexp
 go build -o "$obsbin" ./cmd/tflexexp
-"$obsbin" -exp fig9x -scale 1 -serve 127.0.0.1:18573 >/dev/null 2>&1 &
+# The server lives only while the sweep runs, so the sweep must outlast
+# the first polls: the whole evaluation on one worker takes seconds,
+# fig9x alone a quarter of one.
+"$obsbin" -exp all -scale 2 -jobs 1 -serve 127.0.0.1:18573 >/dev/null 2>&1 &
 obspid=$!
 fetch() {
     if command -v curl >/dev/null 2>&1; then

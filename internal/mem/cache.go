@@ -34,7 +34,7 @@ type Cache struct {
 	Ways      int
 	LineBytes int
 
-	lines []Line // SetCount * Ways
+	tags  tagArray[Line]
 	Stats CacheStats
 	tick  uint64 // LRU clock
 }
@@ -49,20 +49,14 @@ func NewCache(totalBytes, ways, lineBytes int) *Cache {
 		SetCount:  sets,
 		Ways:      ways,
 		LineBytes: lineBytes,
-		lines:     make([]Line, sets*ways),
+		tags:      newTagArray[Line](sets, ways),
 	}
-}
-
-func (c *Cache) set(addr uint64) []Line {
-	la := addr / uint64(c.LineBytes)
-	s := int(la % uint64(c.SetCount))
-	return c.lines[s*c.Ways : (s+1)*c.Ways]
 }
 
 // Probe returns the line holding addr without updating stats or LRU.
 func (c *Cache) Probe(addr uint64) *Line {
 	la := addr / uint64(c.LineBytes)
-	set := c.set(addr)
+	set := c.tags.peek(c.tags.setOf(la))
 	for i := range set {
 		if set[i].Valid && set[i].LineAddr == la {
 			return &set[i]
@@ -92,7 +86,7 @@ func (c *Cache) Access(addr uint64, now uint64) (*Line, bool) {
 // back or notify a directory.
 func (c *Cache) Fill(addr uint64, fillAt uint64) (victim Line, evicted bool) {
 	la := addr / uint64(c.LineBytes)
-	set := c.set(addr)
+	set := c.tags.touch(c.tags.setOf(la))
 	c.tick++
 	// Reuse the line if it is already present (racing fills merge).
 	for i := range set {
@@ -144,17 +138,19 @@ func (c *Cache) Invalidate(addr uint64) (found, dirty bool) {
 // rebuilt wholesale in tests; recomposition itself uses directory-driven
 // per-line invalidation).
 func (c *Cache) InvalidateAll() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
+	for _, g := range c.tags.groups {
+		clear(g)
 	}
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid {
-			n++
+	for _, g := range c.tags.groups {
+		for i := range g {
+			if g[i].Valid {
+				n++
+			}
 		}
 	}
 	return n

@@ -18,14 +18,16 @@ type L1Directory interface {
 	DowngradeL1(core int, addr uint64) (found bool)
 }
 
+// l2Line is ordered widest field first: 32 bytes, two lines to a host
+// cache line.
 type l2Line struct {
 	lineAddr uint64
-	valid    bool
-	dirty    bool // newer than DRAM
 	fillAt   uint64
 	lastUse  uint64
 	sharers  uint32 // bit per L1 (physical core ID)
 	owner    int8   // dirty L1 owner, -1 if none
+	valid    bool
+	dirty    bool // newer than DRAM
 }
 
 // L2Stats counts L2 and directory activity.
@@ -41,14 +43,12 @@ type L2Stats struct {
 
 // L2 is the shared S-NUCA level-two cache with its coherence directory.
 type L2 struct {
-	setCount  int
-	ways      int
 	lineBytes int
 	banks     int
 	hitMin    uint64
 	hitMax    uint64
 
-	lines    []l2Line
+	tags     tagArray[l2Line]
 	bankPort []port
 	dram     *DRAM
 	dir      L1Directory
@@ -64,13 +64,11 @@ type L2 struct {
 func NewL2(totalBytes, ways, lineBytes, banks int, hitMin, hitMax uint64, dram *DRAM) *L2 {
 	sets := totalBytes / (ways * lineBytes)
 	return &L2{
-		setCount:  sets,
-		ways:      ways,
 		lineBytes: lineBytes,
 		banks:     banks,
 		hitMin:    hitMin,
 		hitMax:    hitMax,
-		lines:     make([]l2Line, sets*ways),
+		tags:      newTagArray[l2Line](sets, ways),
 		bankPort:  make([]port, banks),
 		dram:      dram,
 		arrayW:    4,
@@ -115,15 +113,9 @@ func (l *L2) HitLatency(core int, addr uint64) uint64 {
 	return l.hitMin + (l.hitMax-l.hitMin)*d/maxD
 }
 
-func (l *L2) set(addr uint64) []l2Line {
-	la := addr / uint64(l.lineBytes)
-	s := int(la % uint64(l.setCount))
-	return l.lines[s*l.ways : (s+1)*l.ways]
-}
-
 func (l *L2) probe(addr uint64) *l2Line {
 	la := addr / uint64(l.lineBytes)
-	set := l.set(addr)
+	set := l.tags.peek(l.tags.setOf(la))
 	for i := range set {
 		if set[i].valid && set[i].lineAddr == la {
 			return &set[i]
@@ -133,7 +125,8 @@ func (l *L2) probe(addr uint64) *l2Line {
 }
 
 func (l *L2) fill(addr uint64, fillAt uint64) *l2Line {
-	set := l.set(addr)
+	la := addr / uint64(l.lineBytes)
+	set := l.tags.touch(l.tags.setOf(la))
 	l.tick++
 	vi := 0
 	for i := range set {
@@ -153,7 +146,7 @@ func (l *L2) fill(addr uint64, fillAt uint64) *l2Line {
 		// Dirty victims drain to DRAM through the writeback buffer
 		// (bandwidth folded into the DRAM channel model elsewhere).
 	}
-	*v = l2Line{lineAddr: addr / uint64(l.lineBytes), valid: true, fillAt: fillAt, lastUse: l.tick, owner: -1}
+	*v = l2Line{lineAddr: la, valid: true, fillAt: fillAt, lastUse: l.tick, owner: -1}
 	return v
 }
 

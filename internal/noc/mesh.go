@@ -12,45 +12,19 @@
 // at 2.5 GHz.
 package noc
 
-// horizon is the per-link reservation window in cycles.  Reservations are
-// made at or slightly after the current simulation cycle, so a few
-// thousand cycles of lookahead is ample.
-const horizon = 4096
-
+// link is one directed mesh link.  Its reservation ring is built by the
+// first flit that crosses it, so an untouched link costs nothing.
 type link struct {
-	base  uint64 // earliest reservable cycle (requests clamp forward to it)
-	used  []uint16
-	stamp []uint64 // cycle+1 each slot currently describes; 0 = never used
-	flits uint64   // total flit traversals, exported per-link via telemetry
+	ring  Ring
+	flits uint64 // total flit traversals, exported per-link via telemetry
 }
 
 func (l *link) reserve(t uint64, bw uint16) uint64 {
-	if l.used == nil {
-		l.used = make([]uint16, horizon)
-		l.stamp = make([]uint64, horizon)
-		l.base = t
+	if l.ring.slots == nil {
+		l.ring.init(t, int(bw), int(bw))
 	}
-	if t < l.base {
-		t = l.base
-	}
-	for {
-		if t >= l.base+horizon {
-			// Advance the window; everything before t is forgotten.  Stale
-			// slots invalidate lazily via their stamps, so no bulk clear.
-			l.base = t
-		}
-		idx := t % horizon
-		if l.stamp[idx] != t+1 {
-			l.stamp[idx] = t + 1
-			l.used[idx] = 0
-		}
-		if l.used[idx] < bw {
-			l.used[idx]++
-			l.flits++
-			return t
-		}
-		t++
-	}
+	l.flits++
+	return l.ring.Reserve(t, false)
 }
 
 // Stats counts network activity for the power model and reports.
@@ -86,9 +60,10 @@ const (
 	dirS
 )
 
-// NewMesh returns a mesh of the given dimensions and per-link bandwidth.
+// NewMesh returns a mesh of the given dimensions and per-link bandwidth
+// (1..MaxSlotCount flits per cycle).
 func NewMesh(w, h int, bw int) *Mesh {
-	if w < 1 || h < 1 || bw < 1 {
+	if w < 1 || h < 1 || bw < 1 || bw > MaxSlotCount {
 		panic("noc: invalid mesh shape")
 	}
 	return &Mesh{W: w, H: h, BW: uint16(bw), links: make([]link, w*h*4)}

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -126,6 +127,33 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// ringOracle is the reservation timeline kept as plain maps keyed by
+// absolute cycle: no ring, no generations, nothing to alias.
+type ringOracle struct {
+	base            uint64
+	capTotal, capFP int
+	total, fp       map[uint64]int
+}
+
+func (o *ringOracle) reserve(t uint64, fp bool) uint64 {
+	if t < o.base {
+		t = o.base
+	}
+	for {
+		if t >= o.base+horizon {
+			o.base = t
+		}
+		if o.total[t] < o.capTotal && (!fp || o.fp[t] < o.capFP) {
+			o.total[t]++
+			if fp {
+				o.fp[t]++
+			}
+			return t
+		}
+		t++
+	}
+}
+
 func TestReservationWindowAdvance(t *testing.T) {
 	// Reservations far beyond the horizon must still work.
 	m := NewMesh(2, 1, 1)
@@ -135,6 +163,67 @@ func TestReservationWindowAdvance(t *testing.T) {
 	}
 	if arr := m.Send(0, 1, 1_000_000); arr != 1_000_002 {
 		t.Fatalf("contended far-future send arrival %d", arr)
+	}
+
+	// The packed rings against the map oracle, as a link books them (one
+	// class, window opening at the first request) and as a core's issue
+	// slots do (FP the restricted class, window opening at cycle 0).
+	// Request times hover around a cursor that mostly creeps, so slots
+	// fill to capacity and requests spill into the next cycle; sometimes
+	// falls back behind the window base (the clamp); and sometimes leaps
+	// to just below a multiple of the horizon, a whole number of laps
+	// ahead, or across the points where the 16-bit generation reaches
+	// half range and wraps — where a slot stale by exactly 65536 laps
+	// would alias a current one if advance did not clear.
+	const wrap = horizon << genBits
+	leaps := [...]uint64{horizon, 3 * horizon, 64 * horizon, wrap / 2, wrap, wrap + wrap/2}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		caps := [...][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 3}, {MaxSlotCount, 1}}[seed%5]
+		start := uint64(rng.Intn(3 * horizon))
+		var asLink link
+		linkOracle := &ringOracle{base: start, capTotal: caps[0], capFP: caps[0], total: map[uint64]int{}, fp: map[uint64]int{}}
+		issue := NewRing(0, caps[0], caps[1])
+		issueOracle := &ringOracle{capTotal: caps[0], capFP: caps[1], total: map[uint64]int{}, fp: map[uint64]int{}}
+		cursor, advances := start, 0
+		for i := 0; i < 30000; i++ {
+			switch r := rng.Intn(1000); {
+			case r < 5:
+				cursor += leaps[rng.Intn(len(leaps))]
+				cursor -= cursor%horizon + uint64(rng.Intn(4)) // just below a multiple of the horizon
+			case r < 10:
+				cursor += horizon + uint64(rng.Intn(horizon)) // past the window: it advances
+			case r < 300:
+				cursor++
+			}
+			at := cursor + uint64(rng.Intn(6))
+			if rng.Intn(50) == 0 && at > horizon {
+				at -= uint64(rng.Intn(horizon)) // maybe behind the base: clamps forward
+			}
+			if i == 0 {
+				at = start // a link's window opens at its first request
+			}
+			isFP := rng.Intn(3) == 0
+			before := issue.base
+			if got, want := asLink.reserve(at, uint16(caps[0])), linkOracle.reserve(at, false); got != want {
+				t.Fatalf("seed %d request %d: link reserve(%d) = %d, oracle %d", seed, i, at, got, want)
+			}
+			if got, want := issue.Reserve(at, isFP), issueOracle.reserve(at, isFP); got != want {
+				t.Fatalf("seed %d request %d: issue reserve(%d, fp %t) = %d, oracle %d", seed, i, at, isFP, got, want)
+			}
+			if issue.base != before {
+				advances++
+			}
+		}
+		if asLink.ring.base != linkOracle.base || issue.base != issueOracle.base {
+			t.Fatalf("seed %d: window bases %d and %d, oracle %d and %d", seed, asLink.ring.base, issue.base, linkOracle.base, issueOracle.base)
+		}
+		if asLink.flits != 30000 {
+			t.Fatalf("seed %d: link counted %d flits, want 30000", seed, asLink.flits)
+		}
+		if advances < 100 || cursor < 2*wrap {
+			t.Fatalf("seed %d: %d window advances up to cycle %d: the stream is too tame", seed, advances, cursor)
+		}
 	}
 }
 

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/compose"
+	"github.com/clp-sim/tflex/internal/prog"
 )
 
 // Microbenchmarks of the two engine hot paths this package optimizes: the
@@ -84,3 +87,66 @@ func BenchmarkBlockPipelineReference(b *testing.B) { benchBlockPipeline(b, true,
 // attribution against BenchmarkBlockPipeline: the delta is the full
 // recording + walk cost, which ci.sh budgets at 1.10x end to end.
 func BenchmarkBlockPipelineCritPath(b *testing.B) { benchBlockPipeline(b, false, true) }
+
+// chipSetupRun is the shortest whole job: a fresh chip, one composition
+// of n cores, and a two-block run (one loop iteration, then halt).  Its
+// cost is almost all set-up — what the chip's lazily built structures
+// are meant to keep proportional to what the job touches.
+func chipSetupRun(tb testing.TB, p *prog.Program, n int) {
+	chip := New(DefaultOptions())
+	proc, err := chip.AddProc(compose.MustRect(0, 0, n), p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	proc.Regs[1] = 1
+	if err := chip.Run(1_000_000); err != nil {
+		tb.Fatal(err)
+	}
+	if proc.Stats.BlocksCommitted != 2 {
+		tb.Fatalf("committed %d blocks, want 2", proc.Stats.BlocksCommitted)
+	}
+}
+
+// BenchmarkChipSetup prices chipSetupRun on 1 and 4 cores; B/op is the
+// figure TestChipSetupBudget holds.
+func BenchmarkChipSetup(b *testing.B) {
+	p := sumProgram(b)
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				chipSetupRun(b, p, n)
+			}
+		})
+	}
+}
+
+// TestChipSetupBudget is the set-up half of the allocation ratchet
+// (ROADMAP item 4): bytes and allocations per chipSetupRun stay within
+// 1.25x of what was measured when the tag arrays, the calendar queue and
+// the reservation rings became lazy.  An eager array creeping back into
+// sim.New or AddProc fails here long before it shows in a sweep.
+func TestChipSetupBudget(t *testing.T) {
+	p := sumProgram(t)
+	for _, c := range []struct {
+		cores         int
+		bytes, allocs float64 // measured: go test -bench ChipSetup -benchmem
+	}{
+		{cores: 1, bytes: 95728, allocs: 70},
+		{cores: 4, bytes: 290256, allocs: 121},
+	} {
+		const runs = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { chipSetupRun(t, p, c.cores) })
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		t.Logf("%d cores: %.0f B and %.0f allocs per run", c.cores, bytes, allocs)
+		if bytes > 1.25*c.bytes {
+			t.Errorf("%d cores: %.0f B per run, budget %.0f (1.25 x %.0f)", c.cores, bytes, 1.25*c.bytes, c.bytes)
+		}
+		if allocs > 1.25*c.allocs {
+			t.Errorf("%d cores: %.0f allocs per run, budget %.0f (1.25 x %.0f)", c.cores, allocs, 1.25*c.allocs, c.allocs)
+		}
+	}
+}

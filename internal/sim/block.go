@@ -322,7 +322,7 @@ func (p *Proc) maybeIssue(b *IFB, idx int) {
 	}
 	st.status = stIssued
 	coreIdx := b.instCoreIdx(idx)
-	issueAt := p.chip.issueAt(p.phys(coreIdx)).reserve(readyAt, in.Op.IsFP())
+	issueAt := p.chip.issueAt(p.phys(coreIdx)).Reserve(readyAt, in.Op.IsFP())
 	if p.fr != nil && !b.frIssued {
 		b.frIssued = true
 		p.fr.Add(flight.KIssue, issueAt, int16(p.id), int16(p.phys(coreIdx)), b.seq, 0)

@@ -29,7 +29,7 @@ type Chip struct {
 
 	l1d     [compose.NumCores]*mem.Cache
 	l1dPort [compose.NumCores]port
-	issue   [compose.NumCores]*issueRing
+	issue   [compose.NumCores]*noc.Ring // issue slots: IssueTotal per cycle, IssueFP of them floating point
 
 	Procs []*Proc
 
@@ -81,6 +81,12 @@ func (c *Chip) OnProcHalt(fn func(*Proc)) { c.onHalt = fn }
 func New(opts Options) *Chip {
 	p := opts.Params
 	c := &Chip{Opts: opts, sampleAt: ^uint64(0)}
+	c.checkCapacities()
+	if c.err != nil {
+		// Run reports the fault before any event; one-flit links keep the
+		// rest of the chip well-formed until then.
+		p.OperandBW, p.ControlBW = 1, 1
+	}
 	c.Opn = noc.NewMesh(compose.ArrayW, compose.ArrayH, p.OperandBW)
 	c.Ctl = noc.NewMesh(compose.ArrayW, compose.ArrayH, p.ControlBW)
 	c.DRAM = mem.NewDRAM(uint64(p.DRAMCycles), 2, 4)
@@ -92,6 +98,27 @@ func New(opts Options) *Chip {
 		heap.Init(&c.ref)
 	}
 	return c
+}
+
+// checkCapacities fails the chip when an issue width or link bandwidth
+// is outside what a reservation slot can count: a capacity of zero could
+// never be booked (Reserve would spin inside one event, out of the stall
+// watchdog's reach), and one past noc.MaxSlotCount would wrap to zero.
+func (c *Chip) checkCapacities() {
+	p := &c.Opts.Params
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"IssueTotal", p.IssueTotal, noc.MaxSlotCount},
+		{"IssueFP", p.IssueFP, p.IssueTotal},
+		{"OperandBW", p.OperandBW, noc.MaxSlotCount},
+		{"ControlBW", p.ControlBW, noc.MaxSlotCount},
+	} {
+		if f.v < 1 || f.v > f.max {
+			c.fail("%s = %d, want 1..%d", f.name, f.v, f.max)
+		}
+	}
 }
 
 // Now returns the current simulation cycle.
@@ -145,10 +172,10 @@ func (c *Chip) l1dAt(core int) *mem.Cache {
 // issueAt returns core's issue ring, creating it on first use.
 //
 //lint:hot cold lazy one-time construction of a core's issue ring
-func (c *Chip) issueAt(core int) *issueRing {
+func (c *Chip) issueAt(core int) *noc.Ring {
 	r := c.issue[core]
 	if r == nil {
-		r = newIssueRing(c.Opts.Params.IssueTotal, c.Opts.Params.IssueFP)
+		r = noc.NewRing(0, c.Opts.Params.IssueTotal, c.Opts.Params.IssueFP)
 		c.issue[core] = r
 	}
 	return r
@@ -280,6 +307,9 @@ func (c *Chip) Run(maxCycles uint64) error {
 // under Options.Reference, the original single-queue heap loop below —
 // the oracle the differential tests compare against.
 func (c *Chip) run(maxCycles uint64) error {
+	if c.err != nil {
+		return c.err // rejected at construction (checkCapacities): no event runs
+	}
 	if !c.Opts.Reference {
 		c.placePending(c.now)
 		c.runWindows(maxCycles)

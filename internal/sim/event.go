@@ -15,10 +15,11 @@ import (
 // Two interchangeable queues implement the same ordering contract:
 //
 //   - calQueue (default): a bucketed calendar queue.  Events within the
-//     lookahead window land in a per-cycle bucket (append = FIFO = seq
-//     order); far-future events wait in a small overflow heap and migrate
-//     into buckets before their cycle is processed.  Push and pop are
-//     allocation-free in steady state.
+//     lookahead window join a per-cycle FIFO (append = seq order) threaded
+//     through one slab of nodes; far-future events wait in a small
+//     overflow heap and migrate into buckets before their cycle is
+//     processed.  Push and pop are allocation-free once the slab has
+//     grown to the peak number of resident events.
 //   - eventQueue (Options.Reference): the original container/heap binary
 //     heap, kept as the differential-testing slow path.  It boxes every
 //     event through `any`, which is exactly the overhead the calendar
@@ -85,18 +86,28 @@ func (q *eventQueue) popMin() event { return heap.Pop(q).(event) }
 const (
 	calBuckets = 1 << 10
 	calMask    = calBuckets - 1
-
-	// First touch of a bucket allocates this capacity up front: one
-	// allocation per bucket per chip instead of a growth chain.
-	calBucketCap = 8
 )
 
-// calQueue is the default bucketed calendar queue.
+// calNode is one slab cell: an event and the handle of the next node in
+// its bucket's FIFO, or in the free list once popped.
+type calNode struct {
+	ev   event
+	next int32
+}
+
+// calQueue is the default bucketed calendar queue.  Every resident event
+// lives in one slab of nodes; a bucket is a FIFO threaded through the
+// slab by head/tail handles (a handle is slab index + 1, so the zero
+// queue is empty and ready).  Popped nodes go to a LIFO free list and are
+// reused before the slab grows, so the slab's length is the peak number
+// of events ever resident at once and the working set stays in cache.
 type calQueue struct {
 	base     uint64 // cycle the cursor bucket corresponds to
 	nbucket  int    // events resident in buckets
-	buckets  [calBuckets][]event
-	heads    [calBuckets]int32
+	nodes    []calNode
+	free     int32 // free-list head handle
+	head     [calBuckets]int32
+	tail     [calBuckets]int32
 	overflow minEvHeap // events at or beyond base+calBuckets
 }
 
@@ -111,16 +122,30 @@ func (q *calQueue) push(e event) {
 		q.rewind(e.at)
 	}
 	if e.at < q.base+calBuckets {
-		i := e.at & calMask
-		bkt := q.buckets[i]
-		if cap(bkt) == 0 {
-			bkt = make([]event, 0, calBucketCap)
-		}
-		q.buckets[i] = append(bkt, e)
-		q.nbucket++
+		q.file(e)
 	} else {
 		q.overflow.push(e)
 	}
+}
+
+// file appends an in-window event to its cycle's bucket.
+func (q *calQueue) file(e event) {
+	h := q.free
+	if h != 0 {
+		q.free = q.nodes[h-1].next
+	} else {
+		q.nodes = append(q.nodes, calNode{})
+		h = int32(len(q.nodes))
+	}
+	q.nodes[h-1] = calNode{ev: e}
+	i := e.at & calMask
+	if t := q.tail[i]; t != 0 {
+		q.nodes[t-1].next = h
+	} else {
+		q.head[i] = h
+	}
+	q.tail[i] = h
+	q.nbucket++
 }
 
 // popMin removes and returns the earliest event in (at, seq) order; the
@@ -141,7 +166,7 @@ func (q *calQueue) popMin() event {
 // event executes and directly pushes more work for T.
 func (q *calQueue) popBefore(limit uint64) (e event, ok bool) {
 	i := q.base & calMask
-	if int(q.heads[i]) == len(q.buckets[i]) {
+	if q.head[i] == 0 {
 		// Cursor bucket drained: scan to the next pending cycle.  While it
 		// still holds events the cursor has not moved since the last scan,
 		// so no overflow event can have come due and the scan is skipped.
@@ -153,13 +178,16 @@ func (q *calQueue) popBefore(limit uint64) (e event, ok bool) {
 	if q.base >= limit {
 		return e, false
 	}
-	e = q.buckets[i][q.heads[i]]
-	q.heads[i]++
-	q.nbucket--
-	if int(q.heads[i]) == len(q.buckets[i]) {
-		q.buckets[i] = q.buckets[i][:0]
-		q.heads[i] = 0
+	h := q.head[i]
+	n := &q.nodes[h-1]
+	e = n.ev
+	q.head[i] = n.next
+	if n.next == 0 {
+		q.tail[i] = 0
 	}
+	n.next = q.free
+	q.free = h
+	q.nbucket--
 	return e, true
 }
 
@@ -174,23 +202,13 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 	for {
 		// Pull due overflow events into the calendar window.
 		for len(q.overflow) > 0 && q.overflow[0].at < q.base+calBuckets {
-			e := q.overflow.pop()
-			i := e.at & calMask
-			bkt := q.buckets[i]
-			if cap(bkt) == 0 {
-				bkt = make([]event, 0, calBucketCap)
-			}
-			q.buckets[i] = append(bkt, e)
-			q.nbucket++
+			q.file(q.overflow.pop())
 		}
-		i := q.base & calMask
-		if int(q.heads[i]) < len(q.buckets[i]) {
+		if q.head[q.base&calMask] != 0 {
 			// A bucket holds events for exactly one cycle (the window is
 			// calBuckets wide), so every resident event sits at q.base.
 			return q.base, true
 		}
-		q.buckets[i] = q.buckets[i][:0]
-		q.heads[i] = 0
 		if q.nbucket == 0 && len(q.overflow) > 0 {
 			q.base = q.overflow[0].at // jump over the idle gap
 		} else {
@@ -208,14 +226,15 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 //
 //lint:hot cold at most once per composition event
 func (q *calQueue) rewind(to uint64) {
-	var resident []event
-	for i := range q.buckets {
-		for j := int(q.heads[i]); j < len(q.buckets[i]); j++ {
-			resident = append(resident, q.buckets[i][j])
+	resident := make([]event, 0, q.nbucket)
+	for i := range q.head {
+		for h := q.head[i]; h != 0; h = q.nodes[h-1].next {
+			resident = append(resident, q.nodes[h-1].ev)
 		}
-		q.buckets[i] = q.buckets[i][:0]
-		q.heads[i] = 0
+		q.head[i], q.tail[i] = 0, 0
 	}
+	q.nodes = q.nodes[:0]
+	q.free = 0
 	q.nbucket = 0
 	q.base = to
 	for _, e := range resident {
@@ -273,56 +292,6 @@ func (h *minEvHeap) pop() event {
 		i = smallest
 	}
 	return top
-}
-
-// issueRing books per-core issue slots: at most capTotal instructions per
-// cycle, of which at most capFP may be floating point.  Slots are stamped
-// with the cycle they describe, so advancing the window never clears.
-type issueRing struct {
-	base     uint64
-	total    []uint8
-	fp       []uint8
-	stamp    []uint64 // cycle+1 each slot currently describes
-	capTotal uint8
-	capFP    uint8
-}
-
-const issueHorizon = 4096
-
-func newIssueRing(capTotal, capFP int) *issueRing {
-	return &issueRing{
-		total:    make([]uint8, issueHorizon),
-		fp:       make([]uint8, issueHorizon),
-		stamp:    make([]uint64, issueHorizon),
-		capTotal: uint8(capTotal),
-		capFP:    uint8(capFP),
-	}
-}
-
-// reserve books the earliest issue slot at or after t.
-func (r *issueRing) reserve(t uint64, isFP bool) uint64 {
-	if t < r.base {
-		t = r.base
-	}
-	for {
-		if t >= r.base+issueHorizon {
-			r.base = t
-		}
-		i := t % issueHorizon
-		if r.stamp[i] != t+1 {
-			r.stamp[i] = t + 1
-			r.total[i] = 0
-			r.fp[i] = 0
-		}
-		if r.total[i] < r.capTotal && (!isFP || r.fp[i] < r.capFP) {
-			r.total[i]++
-			if isFP {
-				r.fp[i]++
-			}
-			return t
-		}
-		t++
-	}
 }
 
 // port books a resource accepting one request per interval cycles.

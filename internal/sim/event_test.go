@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // drainCal pops every event and returns the (at, seq) sequence.
 func drainCal(t *testing.T, q *calQueue) [][2]uint64 {
@@ -99,4 +102,100 @@ func TestCalQueueRewindAfterIdleJump(t *testing.T) {
 		t.Fatalf("cursor at %d after rewind, want <= 100", q.base)
 	}
 	expectOrder(t, drainCal(t, &q), [][2]uint64{{100, 2}, {far, 1}})
+}
+
+// TestCalQueueMatchesHeapOnRandomStreams drives the calendar queue and
+// the reference heap with the same seeded push/pop stream — pushes far
+// beyond the calBuckets window, idle gaps the cursor jumps, and a push
+// behind a jumped cursor (the rewind) — and requires the same pop order.
+// It also pins the slab's footprint: its high-water mark is the peak
+// number of events resident at once, to within one growth step of append.
+func TestCalQueueMatchesHeapOnRandomStreams(t *testing.T) {
+	offsets := [...]uint64{0, 0, 1, 1, 2, 3, 7, 16, 150, calBuckets - 1, calBuckets, calBuckets + 1, 5 * calBuckets}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var cal calQueue
+		var ref eventQueue
+		var now, seq uint64
+		live, peak, rewinds := 0, 0, 0
+		push := func(at uint64) {
+			seq++
+			e := event{at: at, seq: seq, val: seq}
+			cal.push(e)
+			ref.push(e)
+			if live++; live > peak {
+				peak = live
+			}
+		}
+		pop := func() {
+			c, r := cal.popMin(), ref.popMin()
+			if c.at != r.at || c.seq != r.seq || c.val != r.val {
+				t.Fatalf("seed %d: calendar popped (at %d, seq %d), heap popped (at %d, seq %d)", seed, c.at, c.seq, r.at, r.seq)
+			}
+			now = c.at
+			live--
+		}
+		for step := 0; step < 4000; step++ {
+			switch {
+			case live == 0 || rng.Intn(100) < 52:
+				push(now + offsets[rng.Intn(len(offsets))])
+			case rng.Intn(100) < 3:
+				// Drain, leave one far-future event, let a peek jump the
+				// cursor over the idle gap, then schedule behind it.
+				for live > 0 {
+					pop()
+				}
+				far := now + 3*calBuckets + uint64(rng.Intn(50))
+				push(far)
+				if at, ok := cal.nextAt(); !ok || at != far || cal.base != far {
+					t.Fatalf("seed %d: nextAt = (%d, %t) with cursor at %d, want a jump to %d", seed, at, ok, cal.base, far)
+				}
+				push(now + uint64(rng.Intn(2*calBuckets)))
+				rewinds++
+			default:
+				pop()
+			}
+			if cal.empty() != ref.empty() {
+				t.Fatalf("seed %d: calendar empty = %t, heap empty = %t", seed, cal.empty(), ref.empty())
+			}
+		}
+		for live > 0 {
+			pop()
+		}
+		if rewinds == 0 {
+			t.Fatalf("seed %d: the stream never rewound the cursor", seed)
+		}
+		if len(cal.nodes) > peak {
+			t.Errorf("seed %d: slab grew to %d nodes, but at most %d events were ever live", seed, len(cal.nodes), peak)
+		}
+		if cap(cal.nodes) > 2*peak+8 {
+			t.Errorf("seed %d: slab capacity %d for a peak of %d live events", seed, cap(cal.nodes), peak)
+		}
+	}
+}
+
+// TestCalQueueSteadyStateAllocatesNothing: once the slab and the overflow
+// heap have reached the workload's peak, push and pop recycle nodes
+// through the free list and never allocate.
+func TestCalQueueSteadyStateAllocatesNothing(t *testing.T) {
+	var q calQueue
+	offsets := [...]uint64{1, 1, 2, 3, 5, 8, 17, 150, 1500}
+	var seq uint64
+	for i := 0; i < 64; i++ {
+		seq++
+		q.push(event{at: uint64(i % 8), seq: seq})
+	}
+	i := 0
+	churn := func() {
+		for n := 0; n < 1000; n++ {
+			e := q.popMin()
+			seq++
+			q.push(event{at: e.at + offsets[i%len(offsets)], seq: seq})
+			i++
+		}
+	}
+	churn() // warm-up: grow the slab and the overflow heap to their peak
+	if allocs := testing.AllocsPerRun(20, churn); allocs != 0 {
+		t.Fatalf("steady-state push/pop allocates %.1f times per 1000 events, want 0", allocs)
+	}
 }

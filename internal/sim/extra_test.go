@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/compose"
@@ -216,6 +217,50 @@ func TestUtilizationProfile(t *testing.T) {
 	for c, u := range util {
 		if u < 0 || u > 2.0 {
 			t.Fatalf("core %d utilization %.2f outside dual-issue bound", c, u)
+		}
+	}
+}
+
+// TestOutOfRangeCapacitiesFailTheRun: an issue width or link bandwidth a
+// reservation slot cannot count — zero, which could never be booked and
+// used to spin forever inside one event where the stall watchdog cannot
+// fire, or one past noc.MaxSlotCount, which used to wrap to zero — is
+// rejected by New and reported by Run before any event, on both engines,
+// with neither a panic nor a hang.
+func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
+	p := sumProgram(t)
+	for _, c := range []struct {
+		name string
+		set  func(*compose.CoreParams)
+	}{
+		{"IssueTotal 0", func(p *compose.CoreParams) { p.IssueTotal = 0 }},
+		{"IssueTotal 256", func(p *compose.CoreParams) { p.IssueTotal = 256 }},
+		{"IssueFP 0", func(p *compose.CoreParams) { p.IssueFP = 0 }},
+		{"IssueFP > IssueTotal", func(p *compose.CoreParams) { p.IssueFP = p.IssueTotal + 1 }},
+		{"OperandBW 0", func(p *compose.CoreParams) { p.OperandBW = 0 }},
+		{"OperandBW 256", func(p *compose.CoreParams) { p.OperandBW = 256 }},
+		{"OperandBW 70000", func(p *compose.CoreParams) { p.OperandBW = 70000 }},
+		{"ControlBW 0", func(p *compose.CoreParams) { p.ControlBW = 0 }},
+		{"ControlBW 256", func(p *compose.CoreParams) { p.ControlBW = 256 }},
+		{"ControlBW 70000", func(p *compose.CoreParams) { p.ControlBW = 70000 }},
+	} {
+		for _, reference := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Reference = reference
+			c.set(&opts.Params)
+			chip := New(opts)
+			proc, err := chip.AddProc(compose.MustRect(0, 0, 4), p)
+			if err != nil {
+				t.Fatalf("%s: AddProc: %v", c.name, err)
+			}
+			proc.Regs[1] = 5
+			err = chip.Run(1_000_000)
+			if err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+				t.Errorf("%s (reference %t): Run returned %v, want a sim: error", c.name, reference, err)
+			}
+			if proc.Stats.BlocksFetched != 0 {
+				t.Errorf("%s (reference %t): %d blocks fetched before the run failed", c.name, reference, proc.Stats.BlocksFetched)
+			}
 		}
 	}
 }
