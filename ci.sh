@@ -4,8 +4,8 @@
 #   ./ci.sh
 #
 # Checks, in order: formatting, vet, build, the tflexlint static-analysis
-# suite (determinism, poolguard, telemetry-cost, event-discipline and
-# hotalloc invariants), the full test suite under the race detector
+# suite (the determinism and event-discipline invariants), the full test
+# suite under the race detector
 # (the concurrency gate for what is concurrent — the experiment runner,
 # telemetry and the observability server — which also runs the
 # determinism regression in internal/experiments and the
@@ -30,7 +30,7 @@
 #   ./ci.sh lint
 #
 # runs only the static-analysis stage (a few hundred milliseconds):
-# go vet plus all five tflexlint analyzers over the whole module; on
+# go vet plus both tflexlint analyzers over the whole module; on
 # findings the machine-readable JSON record is attached to stderr.
 #
 #   ./ci.sh fuzz [fuzztime]

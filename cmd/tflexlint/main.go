@@ -1,13 +1,12 @@
 // tflexlint runs the project's static-analysis suite (internal/lint)
 // over the module: stdlib-only go/ast + go/types analyzers that enforce
-// the simulator's determinism, pooling, telemetry-cost and
-// event-ordering invariants.
+// the simulator's determinism and event-ordering invariants.
 //
 // Usage:
 //
 //	go run ./cmd/tflexlint ./...            # whole module (the ci.sh lint stage)
 //	go run ./cmd/tflexlint ./internal/sim   # one package subtree
-//	go run ./cmd/tflexlint -analyzers determinism,poolguard ./...
+//	go run ./cmd/tflexlint -analyzers determinism ./...
 //	go run ./cmd/tflexlint -json ./...      # machine-readable findings
 //	go run ./cmd/tflexlint -list            # describe the analyzers
 //

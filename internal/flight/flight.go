@@ -7,9 +7,7 @@
 // internal/telemetry: the simulator holds *Ring pointers that are nil
 // unless Chip.EnableFlight armed the recorder, every hot-path write
 // goes through the nil-receiver-safe Add, and a disabled recorder
-// therefore costs exactly one nil check per record site (enforced by
-// the telemetry-cost lint analyzer, which treats this package as an
-// instrumentation package).
+// therefore costs exactly one nil check per record site.
 //
 // Concurrency contract: a ring has a single writer — the engine
 // goroutine running the chip's event loop.  Dumps are taken on that

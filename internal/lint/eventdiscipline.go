@@ -1,13 +1,12 @@
 package lint
 
 // The event-discipline analyzer.  The engine's event layer offers
-// exactly one correct way to schedule work: the scheduleEv entry points
-// (on the chip for the reference queue, on each event domain for its
-// partitioned calendar queue), which clamp the target cycle to now and
-// stamp the insertion sequence number.  Both queue implementations
-// assume it — calQueue.push in particular documents its bucket
-// invariant in terms of the clamp.  Two mistakes re-introduce the bugs
-// that contract removed:
+// exactly one correct way to schedule work: each event domain's
+// scheduleEv (a processor's scheduleEv forwards to it), which clamps
+// the target cycle to now and stamps the insertion sequence number.
+// Both queue implementations assume it — calQueue.push in particular
+// documents its bucket invariant in terms of the clamp.  Two mistakes
+// re-introduce the bugs that contract removed:
 //
 //   - pushing or popping a queue directly from code that does not own
 //     it, which skips the seq stamp (breaking the (at, seq) total order
@@ -18,10 +17,11 @@ package lint
 //     reordering what was meant to be causality into coincidence.
 //
 // Ownership is structural, not nominal: a *queue owner* is any struct
-// type with a field of a queue type (Chip owns the reference heap, each
-// domain owns a calendar queue).  Pops are the owner's drain loops, so
-// any method of an owner may pop its queue; pushes must additionally go
-// through the owner's scheduleEv, where the stamp and clamp live.
+// type with a field of a queue type (each domain owns a calendar queue,
+// or the reference heap), or with a slice of owners (the chip owns its
+// domains).  Pops are the owner's drain loops, so any method of an
+// owner may pop its queue; pushes must additionally go through the
+// owner's scheduleEv, where the stamp and clamp live.
 // Queue internals (event.go) are exempt wholesale.  Everything else —
 // free functions, methods of non-owner types — may not touch a queue at
 // all.
@@ -41,8 +41,6 @@ var EventDiscipline = &Analyzer{
 	Run:  runEventDiscipline,
 }
 
-var eventDisciplineScope = []string{"internal/sim"}
-
 // queueTypes are the event-queue implementations; direct method access
 // is confined to event.go plus the methods of queue-owner types.
 var queueTypes = map[string]bool{"calQueue": true, "eventQueue": true, "minEvHeap": true}
@@ -54,7 +52,7 @@ var pushMethods = map[string]bool{"push": true, "Push": true}
 var popMethods = map[string]bool{"popMin": true, "pop": true, "Pop": true, "nextAt": true}
 
 func runEventDiscipline(m *Module, pkg *Package, report ReportFunc) {
-	if !inScope(pkg.RelPath, eventDisciplineScope) {
+	if pkg.RelPath != "internal/sim" {
 		return
 	}
 	owners := queueOwners(pkg)
@@ -80,27 +78,42 @@ func runEventDiscipline(m *Module, pkg *Package, report ReportFunc) {
 }
 
 // queueOwners returns the package's queue-owner types: named structs
-// with a field (plain or pointer) of a queue type.
+// with a field (plain or pointer) of a queue type, and — to a fixpoint —
+// structs holding a slice of owners (the chip owns its domains, so it
+// may drain their queues; a lone *domain back-reference owns nothing).
 func queueOwners(pkg *Package) map[string]bool {
 	owners := map[string]bool{}
 	scope := pkg.Types.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			ft := st.Field(i).Type()
-			if ptr, isPtr := ft.(*types.Pointer); isPtr {
-				ft = ptr.Elem()
+	for changed := true; changed; {
+		changed = false
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || owners[name] {
+				continue
 			}
-			if named, isNamed := ft.(*types.Named); isNamed && queueTypes[named.Obj().Name()] {
-				owners[name] = true
-				break
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				ft := st.Field(i).Type()
+				sl, isSlice := ft.(*types.Slice)
+				if isSlice {
+					ft = sl.Elem()
+				}
+				if ptr, isPtr := ft.(*types.Pointer); isPtr {
+					ft = ptr.Elem()
+				}
+				named, isNamed := ft.(*types.Named)
+				if !isNamed {
+					continue
+				}
+				elem := named.Obj().Name()
+				if !isSlice && queueTypes[elem] || isSlice && owners[elem] {
+					owners[name] = true
+					changed = true
+					break
+				}
 			}
 		}
 	}
@@ -113,14 +126,7 @@ func recvTypeName(fd *ast.FuncDecl) string {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {
 		return ""
 	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+	return receiverTypeName(fd.Recv.List[0].Type)
 }
 
 // checkQueueAccess flags direct queue operations outside event.go and

@@ -1,10 +1,9 @@
 // Package lint is the tflex static-analysis suite: project-specific
 // analyzers, built on the standard library's go/ast + go/parser +
 // go/types only, that enforce the simulator invariants no general
-// linter knows about — cycle determinism, pool recycling discipline,
-// the telemetry nil-check disabled-cost contract and calendar-queue
-// event ordering.  cmd/tflexlint is the command-line driver; ci.sh
-// runs it in the default tier-1 gate.
+// linter knows about and no deterministic test can observe — cycle
+// determinism and event-queue ordering.  cmd/tflexlint is the
+// command-line driver; ci.sh runs it in the default tier-1 gate.
 //
 // A finding can be suppressed at a call site that has been audited by
 // hand with a directive comment on the flagged line or the line above:
@@ -52,10 +51,10 @@ type ReportFunc func(pos token.Pos, format string, args ...any)
 
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, PoolGuard, TelemetryCost, EventDiscipline, HotAlloc}
+	return []*Analyzer{Determinism, EventDiscipline}
 }
 
-// ByName resolves a comma-separated analyzer list ("determinism,poolguard").
+// ByName resolves a comma-separated analyzer list ("determinism,event-discipline").
 func ByName(names string) ([]*Analyzer, error) {
 	var out []*Analyzer
 	for _, name := range strings.Split(names, ",") {
@@ -235,8 +234,7 @@ func collectDirectives(m *Module, pkg *Package, analyzers []*Analyzer) ([]*allow
 	return dirs, bad
 }
 
-// render prints an expression's source form — the textual key used to
-// match a guarded receiver chain against its nil check.
+// render prints an expression's source form for diagnostics.
 func render(e ast.Expr) string {
 	switch e := e.(type) {
 	case *ast.Ident:

@@ -90,46 +90,8 @@ func TestDeterminismGolden(t *testing.T) {
 	checkGolden(t, "determinism", []*Analyzer{Determinism})
 }
 
-func TestPoolGuardGolden(t *testing.T) {
-	checkGolden(t, "poolguard", []*Analyzer{PoolGuard})
-}
-
-func TestTelemetryCostGolden(t *testing.T) {
-	checkGolden(t, "telemcost", []*Analyzer{TelemetryCost})
-}
-
 func TestEventDisciplineGolden(t *testing.T) {
 	checkGolden(t, "eventdisc", []*Analyzer{EventDiscipline})
-}
-
-func TestHotAllocGolden(t *testing.T) {
-	checkGolden(t, "hotalloc", []*Analyzer{HotAlloc})
-}
-
-// TestInjectedViolations pins the acceptance criterion directly: the
-// injected event-loop allocation produces exactly one finding, at the
-// marked line.
-func TestInjectedViolations(t *testing.T) {
-	const file = "inject.go"
-	m := loadFixture(t, "hotalloc")
-	wantLine := 0
-	for _, w := range fixtureWants(m) {
-		if w.file == file {
-			wantLine = w.line
-		}
-	}
-	if wantLine == 0 {
-		t.Fatalf("hotalloc: no want marker in %s", file)
-	}
-	var inFile []Diagnostic
-	for _, d := range Run(m, []*Analyzer{HotAlloc}, nil) {
-		if filepath.Base(d.Pos.Filename) == file {
-			inFile = append(inFile, d)
-		}
-	}
-	if len(inFile) != 1 || inFile[0].Pos.Line != wantLine {
-		t.Errorf("hotalloc/%s: want exactly one finding at line %d, got %v", file, wantLine, inFile)
-	}
 }
 
 // TestAllowDirectives pins the suppression machinery: audited map
@@ -187,8 +149,8 @@ func TestAllowFixtureTriggersWithoutDirectives(t *testing.T) {
 
 // TestByName pins the analyzer-selection flag.
 func TestByName(t *testing.T) {
-	got, err := ByName("determinism, poolguard")
-	if err != nil || len(got) != 2 || got[0].Name != "determinism" || got[1].Name != "poolguard" {
+	got, err := ByName("determinism, event-discipline")
+	if err != nil || len(got) != 2 || got[0].Name != "determinism" || got[1].Name != "event-discipline" {
 		t.Fatalf("ByName: got %v, err %v", got, err)
 	}
 	if _, err := ByName("bogus"); err == nil {

@@ -11,12 +11,11 @@ package lint
 // Cross-module (standard library) imports are satisfied with empty
 // placeholder packages instead of being type-checked from source: the
 // invariants tflexlint enforces are stated in terms of *this module's*
-// declarations (sim.Chip fields, telemetry.Histogram methods, the
-// critpath block pool), so stdlib member types may come out as
-// `invalid` without costing any analyzer precision — the few stdlib
-// shapes that matter (`sync.Pool`, `sort.*`, `time`/`math/rand`
-// imports) are matched on resolved import names, not on stdlib type
-// information.  That trade keeps a full-module load under a second
+// declarations (the engine's event queues and their owners, map-typed
+// fields), so stdlib member types may come out as `invalid` without
+// costing any analyzer precision — the few stdlib shapes that matter
+// (`sort.*`, `time`/`math/rand` imports) are matched on resolved import
+// names, not on stdlib type information.  That trade keeps a full-module load under a second
 // where a source-importing load of net/http alone would blow the
 // budget.
 
@@ -57,34 +56,6 @@ type Module struct {
 	Path string // module path from go.mod
 	Fset *token.FileSet
 	Pkgs []*Package // topologically ordered, dependencies first
-
-	nilSafe map[methodKey]bool
-
-	// Lazily built, shared across analyzers within one run (the
-	// dogfood timing budget assumes one load and one fact build).
-	graph *CallGraph
-	facts map[string]any
-}
-
-// Fact memoizes a module-level analysis result under key, so analyzers
-// that need whole-module facts (hotalloc) compute them once and then
-// filter per package.
-func (m *Module) Fact(key string, build func() any) any {
-	if m.facts == nil {
-		m.facts = map[string]any{}
-	}
-	if v, ok := m.facts[key]; ok {
-		return v
-	}
-	v := build()
-	m.facts[key] = v
-	return v
-}
-
-type methodKey struct {
-	pkgPath  string
-	typeName string
-	method   string
 }
 
 // FindModuleRoot walks upward from dir to the nearest go.mod.
@@ -225,7 +196,6 @@ func LoadTree(root, modPath string) (*Module, error) {
 		imp.local[pkg.Path] = tpkg
 	}
 	m.Pkgs = ordered
-	m.computeNilSafe()
 	return m, nil
 }
 
@@ -342,108 +312,6 @@ func (imp *moduleImporter) Import(p string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// computeNilSafe records every pointer-receiver method in the module
-// whose body opens with a `if recv == nil { ... }` guard — the
-// callee-side variant of the telemetry disabled-cost contract.  A
-// method whose statements all delegate to other methods on its own
-// receiver (`func (t *T) A() { t.b() }`) inherits nil-safety from its
-// delegates, resolved to a fixpoint.
-func (m *Module) computeNilSafe() {
-	m.nilSafe = map[methodKey]bool{}
-	type delegation struct {
-		key   methodKey
-		calls []methodKey
-	}
-	var delegators []delegation
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Recv == nil || len(fd.Recv.List) != 1 || fd.Body == nil || len(fd.Body.List) == 0 {
-					continue
-				}
-				names := fd.Recv.List[0].Names
-				if len(names) != 1 {
-					continue
-				}
-				recv := names[0].Name
-				typeName := receiverTypeName(fd.Recv.List[0].Type)
-				if typeName == "" {
-					continue
-				}
-				key := methodKey{pkg.Path, typeName, fd.Name.Name}
-				if first, ok := fd.Body.List[0].(*ast.IfStmt); ok && condChecksNil(first.Cond, recv) {
-					m.nilSafe[key] = true
-					continue
-				}
-				if calls := receiverDelegations(fd, recv, pkg.Path, typeName); calls != nil {
-					delegators = append(delegators, delegation{key: key, calls: calls})
-				}
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range delegators {
-			if m.nilSafe[d.key] {
-				continue
-			}
-			safe := true
-			for _, c := range d.calls {
-				if !m.nilSafe[c] {
-					safe = false
-					break
-				}
-			}
-			if safe {
-				m.nilSafe[d.key] = true
-				changed = true
-			}
-		}
-	}
-}
-
-// receiverDelegations returns the methods fd forwards to when every
-// statement is a bare call (or return of a call) on fd's own receiver;
-// nil if fd does anything else.
-func receiverDelegations(fd *ast.FuncDecl, recv, pkgPath, typeName string) []methodKey {
-	var calls []methodKey
-	callOnRecv := func(e ast.Expr) bool {
-		call, ok := e.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !isIdentNamed(sel.X, recv) {
-			return false
-		}
-		calls = append(calls, methodKey{pkgPath, typeName, sel.Sel.Name})
-		return true
-	}
-	for _, s := range fd.Body.List {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if !callOnRecv(s.X) {
-				return nil
-			}
-		case *ast.ReturnStmt:
-			if len(s.Results) != 1 || !callOnRecv(s.Results[0]) {
-				return nil
-			}
-		default:
-			return nil
-		}
-	}
-	return calls
-}
-
-// NilSafeMethod reports whether method on the named type (declared in
-// the package with import path pkgPath) opens with a nil-receiver
-// guard.
-func (m *Module) NilSafeMethod(pkgPath, typeName, method string) bool {
-	return m.nilSafe[methodKey{pkgPath, typeName, method}]
-}
-
 // receiverTypeName unwraps *T / generic instantiations to the bare
 // receiver type name.
 func receiverTypeName(e ast.Expr) string {
@@ -461,33 +329,4 @@ func receiverTypeName(e ast.Expr) string {
 			return ""
 		}
 	}
-}
-
-// condChecksNil reports whether cond contains `name == nil` as a
-// top-level || / && operand (evaluation reaches it before any member
-// access on name can fault).
-func condChecksNil(cond ast.Expr, name string) bool {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		return condChecksNil(c.X, name)
-	case *ast.BinaryExpr:
-		switch c.Op {
-		case token.LOR, token.LAND:
-			return condChecksNil(c.X, name) || condChecksNil(c.Y, name)
-		case token.EQL:
-			return isIdentNamed(c.X, name) && isNilIdent(c.Y) ||
-				isIdentNamed(c.Y, name) && isNilIdent(c.X)
-		}
-	}
-	return false
-}
-
-func isIdentNamed(e ast.Expr, name string) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == name
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
 }

@@ -1,40 +1,32 @@
 // Fixture: pops are confined to queue-owner methods, pushes to the
 // owner's scheduleEv, and nothing may compute a target cycle by
-// subtracting from now.
+// subtracting from now.  The chip holds no queue of its own: it owns
+// its domains (a slice of owners), and through them their queues.
 package sim
 
 type Chip struct {
-	ref *calQueue
-	now uint64
-	seq uint64
-}
-
-func (c *Chip) scheduleEv(at uint64, e event) {
-	if at < c.now {
-		at = c.now
-	}
-	c.seq++
-	e.at = at
-	e.seq = c.seq
-	c.ref.push(e) // ok: the owner's stamping entry point
+	domains []*domain
+	now     uint64
 }
 
 func (c *Chip) Run() {
-	for len(c.ref.evs) > 0 {
-		e := c.ref.popMin() // ok: a queue owner draining its queue
-		c.now = e.at
+	for _, d := range c.domains {
+		for len(d.cal.evs) > 0 {
+			e := d.cal.popMin() // ok: the chip draining a domain it owns
+			c.now = e.at
+		}
 	}
 }
 
 func (c *Chip) sneak(e event) {
-	c.ref.push(e) // want "bypasses the owner's scheduleEv"
+	c.domains[0].cal.push(e) // want "bypasses the owner's scheduleEv"
 }
 
 func (c *Chip) retro(e event) {
-	c.scheduleEv(c.now-1, e) // want "schedules before Now()"
-	c.scheduleEv(c.now+2, e) // ok: forward delay
+	c.domains[0].scheduleEv(c.now-1, e) // want "schedules before Now()"
+	c.domains[0].scheduleEv(c.now+2, e) // ok: forward delay
 }
 
 func (c *Chip) forward(t uint64, e event) {
-	c.scheduleEv(t-1, e) // ok: t is not the current cycle
+	c.domains[0].scheduleEv(t-1, e) // ok: t is not the current cycle
 }

@@ -1,11 +1,10 @@
-// Fixture: the partitioned engine's per-domain queue.  Ownership is
-// structural — any struct with a queue-typed field is an owner — so the
-// domain type gets the same discipline as the chip without the analyzer
-// naming either type.
+// Fixture: the per-domain queue.  Ownership is structural — any struct
+// with a queue-typed field (plain or pointer) is an owner — so the
+// analyzer names no engine type.
 package sim
 
 type domain struct {
-	cal calQueue
+	cal *calQueue
 	now uint64
 	seq uint64
 }

@@ -71,7 +71,6 @@ func (b *LSQBank) Insert(e LSQEntry) (ok bool, violations []MemKey) {
 		for i := range b.entries {
 			o := &b.entries[i]
 			if !o.Store && e.Key.Less(o.Key) && bytesOverlap(e.Addr, e.Size, o.Addr, o.Size) {
-				//lint:allow hotalloc audited: violation keys escape to the caller's flush path; violations are rare and the slice is usually nil
 				violations = append(violations, o.Key)
 			}
 		}

@@ -45,7 +45,6 @@ func NewRing(base uint64, capTotal, capFP int) *Ring {
 	return r
 }
 
-//lint:hot cold one-time construction of a ring: a link's first flit, a core's first issue
 func (r *Ring) init(base uint64, capTotal, capFP int) {
 	if capFP < 1 || capFP > capTotal || capTotal > MaxSlotCount {
 		panic("noc: ring capacity out of range")

@@ -91,9 +91,14 @@ func BenchmarkBlockPipelineCritPath(b *testing.B) { benchBlockPipeline(b, false,
 // chipSetupRun is the shortest whole job: a fresh chip, one composition
 // of n cores, and a two-block run (one loop iteration, then halt).  Its
 // cost is almost all set-up — what the chip's lazily built structures
-// are meant to keep proportional to what the job touches.
-func chipSetupRun(tb testing.TB, p *prog.Program, n int) {
+// are meant to keep proportional to what the job touches.  With critpath
+// set the run also arms critical-path attribution, so each block draws an
+// attribution record from critpath's pool and returns it at the end.
+func chipSetupRun(tb testing.TB, p *prog.Program, n int, critpath bool) {
 	chip := New(DefaultOptions())
+	if critpath {
+		chip.EnableCritPath()
+	}
 	proc, err := chip.AddProc(compose.MustRect(0, 0, n), p)
 	if err != nil {
 		tb.Fatal(err)
@@ -115,7 +120,7 @@ func BenchmarkChipSetup(b *testing.B) {
 		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				chipSetupRun(b, p, n)
+				chipSetupRun(b, p, n, false)
 			}
 		})
 	}
@@ -126,8 +131,22 @@ func BenchmarkChipSetup(b *testing.B) {
 // 1.25x of what was measured when the tag arrays, the calendar queue and
 // the reservation rings became lazy.  An eager array creeping back into
 // sim.New or AddProc fails here long before it shows in a sweep.
+//
+// The same job with critical-path attribution armed costs at most 1.10x
+// the unarmed bytes: attribution records are 9 KB each, so that holds
+// only while every record a run draws from critpath's pool goes back to
+// it (measured +0.4 %, +3.6 % under -race where sync.Pool drops a quarter
+// of its Puts, and +20 % with the Put removed).
 func TestChipSetupBudget(t *testing.T) {
 	p := sumProgram(t)
+	const runs = 50
+	measure := func(cores int, critpath bool) (bytes, allocs float64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(runs, func() { chipSetupRun(t, p, cores, critpath) })
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1), allocs // AllocsPerRun warms up once
+	}
 	for _, c := range []struct {
 		cores         int
 		bytes, allocs float64 // measured: go test -bench ChipSetup -benchmem
@@ -135,18 +154,19 @@ func TestChipSetupBudget(t *testing.T) {
 		{cores: 1, bytes: 95728, allocs: 70},
 		{cores: 4, bytes: 290256, allocs: 121},
 	} {
-		const runs = 50
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, func() { chipSetupRun(t, p, c.cores) })
-		runtime.ReadMemStats(&after)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		bytes, allocs := measure(c.cores, false)
 		t.Logf("%d cores: %.0f B and %.0f allocs per run", c.cores, bytes, allocs)
 		if bytes > 1.25*c.bytes {
 			t.Errorf("%d cores: %.0f B per run, budget %.0f (1.25 x %.0f)", c.cores, bytes, 1.25*c.bytes, c.bytes)
 		}
 		if allocs > 1.25*c.allocs {
 			t.Errorf("%d cores: %.0f allocs per run, budget %.0f (1.25 x %.0f)", c.cores, allocs, 1.25*c.allocs, c.allocs)
+		}
+		armed, _ := measure(c.cores, true)
+		t.Logf("%d cores, critpath armed: %.0f B per run (%+.1f %%)", c.cores, armed, 100*(armed/bytes-1))
+		if armed > 1.10*bytes {
+			t.Errorf("%d cores, critpath armed: %.0f B per run, over 1.10 x the unarmed %.0f: attribution records are not returning to their pool",
+				c.cores, armed, bytes)
 		}
 	}
 }

@@ -228,9 +228,17 @@ func (p *Proc) deliverWrite(b *IFB, wi int, val uint64, dead bool, fromIdx int, 
 	}
 }
 
+// serveWriteWaiters re-resolves every read that was waiting on write
+// slot wi, then recycles the drained list through p.waiterFree.  The
+// slot is resolved before the drain, so nothing re-appends to the list
+// being walked; lists the walk files on other slots come off the free
+// list, which does not hold this one yet.
 func (p *Proc) serveWriteWaiters(b *IFB, wi int, t uint64) {
 	w := &b.wr[wi]
 	waiters := w.waiters
+	if waiters == nil {
+		return
+	}
 	w.waiters = nil
 	for i := range waiters {
 		wt := &waiters[i]
@@ -243,6 +251,8 @@ func (p *Proc) serveWriteWaiters(b *IFB, wi int, t uint64) {
 		}
 		p.resolveRead(wt.b, wt.readIdx, at)
 	}
+	clear(waiters) // the free list must not pin retired blocks
+	p.waiterFree = append(p.waiterFree, waiters[:0])
 }
 
 // kill squashes or deadens an instruction and propagates dead tokens.
@@ -505,7 +515,10 @@ func (p *Proc) resolveRead(b *IFB, ri int, t uint64) {
 		}
 		w := &a.wr[slot]
 		if !w.resolved {
-			//lint:allow hotalloc audited: the waiter list is drained wholesale and nil-reset at wake (serveWriteWaiters); reusing the backing array would alias an in-flight drain, so the regrowth is the safe choice
+			if n := len(p.waiterFree); w.waiters == nil && n > 0 {
+				w.waiters = p.waiterFree[n-1]
+				p.waiterFree = p.waiterFree[:n-1]
+			}
 			w.waiters = append(w.waiters, readWaiter{b: b, gen: b.gen, readIdx: ri, t: t})
 			return
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 
@@ -33,20 +32,18 @@ type Chip struct {
 
 	Procs []*Proc
 
-	// The optimized engine's event domains (domain.go): each owns a
-	// calendar queue and sequence space.  The reference engine keeps the
-	// original single container/heap queue with a global sequence.
+	// Event domains (domain.go): each owns an event queue and sequence
+	// space.  The reference engine is the one-domain case whose queue is
+	// the original container/heap.
 	domains      []*domain
 	nextDomainID int
 	coreDom      [compose.NumCores]*domain // owning domain per physical core
 	pendingProcs []*Proc                   // composed, awaiting placement between windows
-	curDom       *domain                   // domain whose event is executing
+	curDom       *domain                   // domain whose event is executing; under Reference, the one domain
 	deferSeq     uint64                    // global deferred-invalidation sequence
 
-	ref      eventQueue // reference queue (Options.Reference)
-	eventSeq uint64
-	now      uint64
-	err      error
+	now uint64
+	err error
 
 	onHalt func(*Proc)
 
@@ -94,9 +91,6 @@ func New(opts Options) *Chip {
 	c.L2.SetDirectory(c)
 	// L1 D-caches and issue rings are created on first use: a job
 	// composing k of the 32 cores pays setup for k, not 32.
-	if opts.Reference {
-		heap.Init(&c.ref)
-	}
 	return c
 }
 
@@ -124,29 +118,6 @@ func (c *Chip) checkCapacities() {
 // Now returns the current simulation cycle.
 func (c *Chip) Now() uint64 { return c.now }
 
-// schedule enqueues an arbitrary callback (the cold control paths).
-func (c *Chip) schedule(at uint64, fn func()) {
-	c.scheduleEv(at, event{kind: evFunc, fn: fn})
-}
-
-// scheduleEv enqueues a typed event, stamping time (clamped to now) and
-// the deterministic insertion sequence.  Optimized-mode events are filed
-// in the executing domain; Proc.scheduleEv routes there directly.
-func (c *Chip) scheduleEv(at uint64, e event) {
-	if c.curDom != nil {
-		c.curDom.scheduleEv(at, e)
-		return
-	}
-	if at < c.now {
-		at = c.now
-	}
-	c.eventSeq++
-	e.at = at
-	e.seq = c.eventSeq
-	c.ref.push(e)
-}
-
-//lint:hot cold fault path, runs at most once per simulation
 func (c *Chip) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("sim: "+format, args...)
@@ -154,8 +125,6 @@ func (c *Chip) fail(format string, args ...any) {
 }
 
 // l1dAt returns core's private D-cache, creating it on first use.
-//
-//lint:hot cold lazy one-time construction of a core's L1 and telemetry names
 func (c *Chip) l1dAt(core int) *mem.Cache {
 	cache := c.l1d[core]
 	if cache == nil {
@@ -170,8 +139,6 @@ func (c *Chip) l1dAt(core int) *mem.Cache {
 }
 
 // issueAt returns core's issue ring, creating it on first use.
-//
-//lint:hot cold lazy one-time construction of a core's issue ring
 func (c *Chip) issueAt(core int) *noc.Ring {
 	r := c.issue[core]
 	if r == nil {
@@ -250,15 +217,19 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 	return pr, nil
 }
 
-// launch readies a composed processor.  Under Reference it starts
-// fetching immediately in the global queue; the optimized engine defers
-// it to Run entry, or to the next window boundary when composed mid-run
-// by an OnProcHalt scheduler, where domains are re-formed around its
-// footprint.
+// launch readies a composed processor.  Under Reference it joins the
+// chip's one domain (created here on first use) and starts fetching
+// immediately; the optimized engine defers it to Run entry, or to the
+// next window boundary when composed mid-run by an OnProcHalt
+// scheduler, where domains are re-formed around its footprint.
 func (c *Chip) launch(pr *Proc) {
 	pr.prepareStart()
 	if c.Opts.Reference {
-		pr.maybeFetch()
+		if c.curDom == nil {
+			c.curDom = c.newDomain()
+		}
+		x0, y0, x1, y1 := c.bboxOfCores(pr.cores)
+		c.curDom.adopt(pr, x0, y0, x1, y1, c.now)
 		return
 	}
 	c.pendingProcs = append(c.pendingProcs, pr)
@@ -304,27 +275,17 @@ func (c *Chip) Run(maxCycles uint64) error {
 
 // run drives one of the two event loops to completion: the optimized
 // engine's window loop over event domains (runWindows, domain.go), or,
-// under Options.Reference, the original single-queue heap loop below —
-// the oracle the differential tests compare against.
+// under Options.Reference, the original heap loop (runReference) — the
+// oracle the differential tests compare against.
 func (c *Chip) run(maxCycles uint64) error {
 	if c.err != nil {
-		return c.err // rejected at construction (checkCapacities): no event runs
+		return c.err // rejected at construction or launch: no event runs
 	}
-	if !c.Opts.Reference {
+	if c.Opts.Reference {
+		c.runReference(maxCycles)
+	} else {
 		c.placePending(c.now)
 		c.runWindows(maxCycles)
-	} else {
-		for c.err == nil && !c.ref.empty() {
-			e := c.ref.popMin()
-			if e.at > maxCycles {
-				return c.exceededErr(maxCycles)
-			}
-			c.now = e.at
-			if c.now >= c.sampleAt {
-				c.takeSamples()
-			}
-			c.dispatch(&e, c.now)
-		}
 	}
 	if c.err != nil {
 		return c.err
@@ -344,8 +305,6 @@ func (c *Chip) run(maxCycles uint64) error {
 // Events carrying a block reference are dropped when the block's
 // generation moved on — the block committed or was flushed (and possibly
 // recycled) after the event was scheduled.
-//
-//lint:hot root
 func (c *Chip) dispatch(e *event, now uint64) {
 	if e.b != nil && e.b.gen != e.gen {
 		return
@@ -401,7 +360,6 @@ func (c *Chip) dispatch(e *event, now uint64) {
 	}
 }
 
-//lint:hot cold error-message helper on the fault path
 func (c *Chip) runningProcs() string {
 	s := ""
 	for _, p := range c.Procs {

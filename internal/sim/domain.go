@@ -24,6 +24,10 @@ import (
 // device: a single-program chip is the one-domain case of the same loop,
 // where windows are unobservable.
 //
+// Options.Reference is the degenerate chip: one domain holding every
+// processor, whose queue is the container/heap oracle, drained by
+// runReference with no windows.
+//
 // Domain formation.  Processors are grouped by the closure of two
 // relations: sharing an architectural memory (AddProcShared — directory
 // traffic on shared lines must stay inside one domain) and overlapping
@@ -47,7 +51,10 @@ type domain struct {
 	id   int
 	chip *Chip
 
-	cal calQueue
+	// Exactly one queue is live: the calendar, or under Options.Reference
+	// (cal == nil) the container/heap oracle.
+	cal *calQueue
+	ref eventQueue
 	seq uint64
 	now uint64
 
@@ -99,13 +106,15 @@ func (d *domain) scheduleEv(at uint64, e event) {
 	d.seq++
 	e.at = at
 	e.seq = d.seq
+	if d.cal == nil {
+		d.ref.push(e)
+		return
+	}
 	d.cal.push(e)
 }
 
 // fail records the domain's first model fault; the event loop stops
 // before its next event and reports the globally first fault.
-//
-//lint:hot cold fault path, runs at most once per simulation
 func (d *domain) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("sim: "+format, args...)
@@ -245,9 +254,14 @@ func (c *Chip) bboxOfCores(cores []int) (x0, y0, x1, y1 int) {
 }
 
 // newDomain appends a fresh, empty domain, arming its flight ring and
-// telemetry views when the chip has them.
+// telemetry views when the chip has them.  A Reference domain gets no
+// calendar: the 8 KB of bucket handles would outweigh the rest of its
+// chip's set-up on a short job.
 func (c *Chip) newDomain() *domain {
 	d := &domain{id: c.nextDomainID, chip: c, x0: -1}
+	if !c.Opts.Reference {
+		d.cal = new(calQueue)
+	}
 	c.nextDomainID++
 	if c.flightRec != nil {
 		d.flight = c.flightRec.NewRing(d.id)
@@ -273,7 +287,6 @@ func (c *Chip) placePending(startAt uint64) {
 	c.pendingProcs = c.pendingProcs[:0]
 }
 
-//lint:hot cold composition event, not per-cycle work
 func (c *Chip) placeProc(p *Proc, startAt uint64) {
 	x0, y0, x1, y1 := c.bboxOfCores(p.cores)
 	var matches []*domain
@@ -295,8 +308,6 @@ func (c *Chip) placeProc(p *Proc, startAt uint64) {
 }
 
 // adopt attaches a processor to the domain and seeds its fetch engine.
-//
-//lint:hot cold composition event, not per-cycle work
 func (d *domain) adopt(p *Proc, x0, y0, x1, y1 int, startAt uint64) {
 	p.dom = d
 	p.fr = d.flight
@@ -318,8 +329,6 @@ func (d *domain) adopt(p *Proc, x0, y0, x1, y1 int, startAt uint64) {
 // mergeDomains folds b into a (a.id < b.id, between windows): b's queued
 // events re-file into a's sequence space in (at, seq) order, clamped to
 // the merged now — the deterministic definition of a bridge merge.
-//
-//lint:hot cold composition event, not per-cycle work
 func (c *Chip) mergeDomains(a, b *domain) {
 	if b.now > a.now {
 		a.now = b.now
@@ -450,7 +459,6 @@ func (c *Chip) windowLimitFor(m, maxCycles uint64) uint64 {
 	return limit
 }
 
-//lint:hot cold run-termination error construction
 func (c *Chip) exceededErr(maxCycles uint64) error {
 	return fmt.Errorf("sim: exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())
 }
@@ -481,13 +489,36 @@ func (c *Chip) nextDomain(limit uint64) (best *domain, until uint64) {
 	return best, until
 }
 
+// runReference is the Options.Reference event loop: one domain, heap
+// queue, no windows.  Every processor lives in curDom, so events run in
+// plain (at, seq) order and cross-domain deferral never triggers.
+func (c *Chip) runReference(maxCycles uint64) {
+	d := c.curDom
+	if d == nil {
+		return // no processor was ever launched
+	}
+	for c.err == nil && d.err == nil && !d.ref.empty() {
+		e := d.ref.popMin()
+		if e.at > maxCycles {
+			c.err = c.exceededErr(maxCycles)
+			return
+		}
+		d.now = e.at
+		c.now = e.at
+		d.events++
+		if e.at >= c.sampleAt {
+			c.takeSamples()
+		}
+		c.dispatch(&e, e.at)
+	}
+	c.collectErrors()
+}
+
 // runWindows is the optimized engine's event loop: every domain advances
 // on the caller's goroutine in merged (at, domainID, seq) order, window
 // by window, until the queues drain, the cycle limit is passed or a
 // domain faults.  The stall watchdog is window-granular: a domain that
 // executes Options.StallEvents events inside one window fails the run.
-//
-//lint:hot root
 func (c *Chip) runWindows(maxCycles uint64) {
 	stall := c.Opts.stallEvents()
 	c.collectErrors()

@@ -223,8 +223,6 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 // events whose cycles no longer fit the rewound window are re-filed, so
 // no two cycles ever share a bucket.  Rare and cold: it can only happen
 // once per composition event.
-//
-//lint:hot cold at most once per composition event
 func (q *calQueue) rewind(to uint64) {
 	resident := make([]event, 0, q.nbucket)
 	for i := range q.head {

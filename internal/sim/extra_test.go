@@ -264,3 +264,22 @@ func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultBeforePlacementIsATypedError: a program with no entry block
+// faults in AddProc, before the processor has an event domain to report
+// through; the fault lands on the chip and Run returns it, on both
+// engines, instead of dereferencing the missing domain.
+func TestFaultBeforePlacementIsATypedError(t *testing.T) {
+	for _, reference := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Reference = reference
+		chip := New(opts)
+		if _, err := chip.AddProc(compose.MustRect(0, 0, 4), &prog.Program{}); err != nil {
+			t.Fatalf("reference %t: AddProc: %v", reference, err)
+		}
+		err := chip.Run(1_000_000)
+		if err == nil || err.Error() != "sim: proc 0: no entry block" {
+			t.Errorf("reference %t: Run returned %v, want sim: proc 0: no entry block", reference, err)
+		}
+	}
+}

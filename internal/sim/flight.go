@@ -15,8 +15,7 @@ import (
 
 // EnableFlight arms the flight recorder with per-domain rings holding
 // events records each (<= 0 selects flight.DefaultEvents).  Idempotent;
-// call before Run.  Existing domains (and any formed later) get rings;
-// the reference engine has no domains and records nothing.
+// call before Run.  Existing domains (and any formed later) get rings.
 func (c *Chip) EnableFlight(events int) {
 	if c.flightRec != nil {
 		return

@@ -37,7 +37,6 @@ func (p *Proc) violGet(b *IFB, idx int) bool {
 	return p.violBits[w]&(1<<(bit%64)) != 0
 }
 
-//lint:hot cold dependence-violation bookkeeping, off the common path
 func (p *Proc) violSet(b *IFB, idx int) {
 	bi := b.meta.blkIdx
 	if bi < 0 {
@@ -309,7 +308,7 @@ func (p *Proc) retryDeferredLoads() {
 		}
 		in := &d.b.blk.Insts[d.idx]
 		if p.olderStoresResolved(d.b, in.LSID) {
-			p.scheduleEv(p.nowCycle(), event{kind: evLoadBank, b: d.b, gen: d.gen, idx: int32(d.idx), addr: d.addr})
+			p.scheduleEv(p.dom.now, event{kind: evLoadBank, b: d.b, gen: d.gen, idx: int32(d.idx), addr: d.addr})
 		} else {
 			p.deferred = append(p.deferred, d)
 		}

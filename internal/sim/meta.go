@@ -48,8 +48,6 @@ type blockMeta struct {
 }
 
 // buildBlockMeta decodes one block for an n-core composition.
-//
-//lint:hot cold block decode runs once per static block, memoized by blockMeta
 func (p *Proc) buildBlockMeta(blk *isa.Block, blkIdx int) *blockMeta {
 	m := &blockMeta{
 		blk:      blk,
@@ -153,7 +151,6 @@ func (p *Proc) acquireIFB() *IFB {
 		p.ifbFree = p.ifbFree[:n-1]
 		return b
 	}
-	//lint:allow hotalloc audited: pool growth on a free-list miss; steady state recycles through ifbFree
 	return &IFB{}
 }
 

@@ -17,11 +17,10 @@ import (
 // Proc is one composed logical processor executing one thread.
 type Proc struct {
 	chip *Chip
-	dom  *domain // owning event domain; nil under Options.Reference
+	dom  *domain // owning event domain; set when the processor is placed, never nil after
 	// fr is the owning domain's flight-recorder ring; nil unless
-	// Chip.EnableFlight armed the recorder (and always nil under
-	// Reference, which has no domains).  Add is nil-receiver safe, so
-	// every record site costs a nil check when disabled.
+	// Chip.EnableFlight armed the recorder.  Add is nil-receiver safe,
+	// so every record site costs a nil check when disabled.
 	fr   *flight.Ring
 	id   int
 	asid uint64
@@ -70,8 +69,9 @@ type Proc struct {
 	deferred      []deferredLoad
 	deferredSpare []deferredLoad // swap buffer for retryDeferredLoads
 
-	meta    []*blockMeta // decoded-block cache, indexed by block index
-	ifbFree []*IFB       // recycled in-flight blocks
+	meta       []*blockMeta   // decoded-block cache, indexed by block index
+	ifbFree    []*IFB         // recycled in-flight blocks
+	waiterFree [][]readWaiter // drained read-waiter lists, emptied, awaiting reuse
 
 	// Per-fetch/per-commit scratch, sized n at construction.  Each buffer
 	// has a single producer whose use completes before the next producer
@@ -191,39 +191,15 @@ func (p *Proc) regBankIdx(reg uint8) int {
 	return p.rbanks[int(reg)%len(p.rbanks)]
 }
 
-// The domain-routing layer: a processor reads the clock, schedules
-// events and reports faults through its owning event domain, which
-// carries its own queue, clock and first-fault slot.  Under
-// Options.Reference dom is nil and everything falls through to the
-// chip's original single-queue engine.
-
-// nowCycle returns the processor's current simulation cycle.
-func (p *Proc) nowCycle() uint64 {
-	if p.dom != nil {
-		return p.dom.now
-	}
-	return p.chip.now
-}
+// A processor reads the clock (p.dom.now), schedules events and reports
+// faults through its owning event domain, which carries its own queue,
+// clock and first-fault slot.
 
 // scheduleEv enqueues a typed event in the processor's domain.
-func (p *Proc) scheduleEv(at uint64, e event) {
-	if p.dom != nil {
-		p.dom.scheduleEv(at, e)
-		return
-	}
-	p.chip.scheduleEv(at, e)
-}
+func (p *Proc) scheduleEv(at uint64, e event) { p.dom.scheduleEv(at, e) }
 
 // fail records a model fault against the processor's domain.
-//
-//lint:hot cold fault path, runs at most once per simulation
-func (p *Proc) fail(format string, args ...any) {
-	if p.dom != nil {
-		p.dom.fail(format, args...)
-		return
-	}
-	p.chip.fail(format, args...)
-}
+func (p *Proc) fail(format string, args ...any) { p.dom.fail(format, args...) }
 
 // ctlSend routes a control message, honoring the ZeroHandshake ablation.
 func (p *Proc) ctlSend(fromIdx, toIdx int, t uint64) uint64 {
@@ -252,12 +228,14 @@ func (p *Proc) ctlMulticastInto(fromIdx int, t uint64, dst []uint64) {
 }
 
 // prepareStart validates the program and primes the fetch engine.  The
-// first fetch is scheduled by Chip.launch (Reference) or by domain
-// placement at Run entry or the next window boundary (optimized).
+// first fetch is scheduled when a domain adopts the processor: in
+// Chip.launch (Reference), or at Run entry or the next window boundary
+// (optimized).  It runs before the processor has a domain, so its fault
+// goes to the chip.
 func (p *Proc) prepareStart() {
 	entry := p.prog.EntryBlock()
 	if entry == nil {
-		p.fail("proc %d: no entry block", p.id)
+		p.chip.fail("proc %d: no entry block", p.id)
 		return
 	}
 	p.fetch.addr = entry.Addr
@@ -283,7 +261,7 @@ func (p *Proc) maybeFetch() {
 // p.fetch.addr: prediction, hand-off, I-cache tag check, fetch-command
 // distribution and per-core dispatch (paper §4.2, Figure 9a).
 func (p *Proc) fetchBlock() {
-	t0 := p.nowCycle()
+	t0 := p.dom.now
 	addr := p.fetch.addr
 	hist := p.fetch.hist
 	blk := p.prog.BlockAt(addr)
@@ -544,7 +522,7 @@ func (p *Proc) tryCommit() {
 func (p *Proc) startCommit(b *IFB) {
 	b.phase = phaseCommitting
 	start := b.completeAt
-	if now := p.nowCycle(); now > start {
+	if now := p.dom.now; now > start {
 		start = now
 	}
 	if p.anyCommitted {
@@ -659,7 +637,7 @@ func (p *Proc) commitStoreToCache(addr uint64) {
 	physCore := p.phys(bank)
 	cache := p.chip.l1dAt(physCore)
 	pa := p.physAddr(addr)
-	now := p.nowCycle()
+	now := p.dom.now
 	if line, hit := cache.Access(pa, now); hit {
 		if !line.Dirty {
 			p.chip.L2.Upgrade(physCore, pa, now)

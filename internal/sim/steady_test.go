@@ -1,0 +1,68 @@
+package sim_test
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/clp-sim/tflex/internal/compose"
+	"github.com/clp-sim/tflex/internal/kernels"
+	"github.com/clp-sim/tflex/internal/sim"
+)
+
+// TestSteadyStateAllocsPerBlock is the steady-state half of the
+// allocation ratchet (TestChipSetupBudget holds set-up): once a chip is
+// warm, fetching, executing and committing one more block allocates
+// nothing.  Each kernel runs whole on a fresh chip at two scales; the
+// difference in allocations over the difference in committed blocks is
+// the marginal cost of a block, with set-up cancelled by the
+// subtraction.  Anything per-block that regrows — an append onto a list
+// that was dropped instead of recycled, a closure, a boxed event — shows
+// up here as ≥ 1; pool and slab growth to a larger working set amortizes
+// to a few thousandths.
+func TestSteadyStateAllocsPerBlock(t *testing.T) {
+	const small, large = 2, 16
+	for _, name := range []string{"mcf", "bzip2", "gcc"} {
+		k, ok := kernels.ByName(name)
+		if !ok {
+			t.Fatalf("no kernel %q", name)
+		}
+		for _, cores := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/cores=%d", name, cores), func(t *testing.T) {
+				allocsS, blocksS := wholeRunAllocs(t, k, small, cores)
+				allocsL, blocksL := wholeRunAllocs(t, k, large, cores)
+				if blocksL <= blocksS {
+					t.Fatalf("scale %d commits %d blocks, scale %d commits %d: no steady state to measure", large, blocksL, small, blocksS)
+				}
+				perBlock := (allocsL - allocsS) / float64(blocksL-blocksS)
+				t.Logf("%.0f allocs / %d blocks at scale %d, %.0f / %d at scale %d: %.4f allocs per marginal block",
+					allocsS, blocksS, small, allocsL, blocksL, large, perBlock)
+				if perBlock > 0.1 {
+					t.Errorf("%.4f allocations per marginal block, want <= 0.1", perBlock)
+				}
+			})
+		}
+	}
+}
+
+// wholeRunAllocs builds the kernel once, then measures one complete job
+// — new chip, composition, input set-up, run to halt — and returns its
+// allocations and the blocks it committed.
+func wholeRunAllocs(t *testing.T, k kernels.Kernel, scale, cores int) (allocs float64, blocks uint64) {
+	inst, err := k.Build(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(1, func() {
+		chip := sim.New(sim.DefaultOptions())
+		proc, err := chip.AddProc(compose.MustRect(0, 0, cores), inst.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Init(&proc.Regs, proc.Mem)
+		if err := chip.Run(2_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+		blocks = proc.Stats.BlocksCommitted
+	})
+	return allocs, blocks
+}

@@ -94,8 +94,6 @@ func (p *Proc) emitBlockEvent(b *IFB, retiredAt uint64, flushed bool) {
 // cycle rendered as one microsecond.  Flushed blocks end in a "flushed"
 // span instead of a commit.  Built purely from the event's public
 // fields; safe on a nil trace.
-//
-//lint:hot cold trace emission, opt-in tracing accepts the overhead
 func (ev *BlockEvent) AppendSpans(t *telemetry.Trace, pid int) {
 	if t == nil {
 		return

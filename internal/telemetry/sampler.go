@@ -63,8 +63,6 @@ func (s *Sampler) SetNotify(fn func(cycle uint64, names []string, row []float64)
 }
 
 // Sample appends one row for the given cycle.  Safe on nil.
-//
-//lint:hot cold fires at the user-set sampling cadence, not per event
 func (s *Sampler) Sample(cycle uint64) {
 	if s == nil {
 		return
