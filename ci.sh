@@ -13,7 +13,7 @@
 # the telemetry layer (shared Chrome trace + per-chip samplers inside
 # concurrent runner jobs), an explicit race gate on the observability
 # server (HTTP scrapers hammering a sweep with live publishing, plus
-# /domains + /flight scraped off a live four-domain chip), a live
+# /metrics + /flight scraped off a live four-processor chip), a live
 # smoke that curls /metrics and /critpath off a serving tflexexp, a
 # flight-recorder smoke (tflexsim -flight on a fuzz seed must write a
 # dump that -flight-print parses back), and a one-iteration smoke of
@@ -106,8 +106,8 @@ echo "== telemetry race gate (sampler vs. runner jobs) =="
 go test -race -count=1 -run 'TestTelemetryUnderConcurrentJobs|TestRegistryConcurrent|TestChipTelemetryEndToEnd' \
     . ./internal/telemetry ./internal/sim
 
-echo "== observability race gate (HTTP scrape vs. live sweep + live multi-domain chip) =="
-go test -race -count=1 -run 'TestConcurrentPublishAndScrape|TestObserverDuringConcurrentSweep|TestDomainsAndFlightUnderMultiDomainRun' \
+echo "== observability race gate (HTTP scrape vs. live sweep + live four-processor chip) =="
+go test -race -count=1 -run 'TestConcurrentPublishAndScrape|TestObserverDuringConcurrentSweep|TestFlightUnderFourProcessorRun' \
     ./internal/obs ./internal/experiments
 
 echo "== observability live smoke (tflexexp -serve) =="

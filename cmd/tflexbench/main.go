@@ -20,10 +20,9 @@
 // exported at top level so regressions in the instrumented paths are
 // visible without arithmetic.
 //
-// A sixth pass ("multiprog") measures the engine where event domains
-// multiply: four copies of every suite kernel on four 8-core
-// partitions, one event domain per processor, advancing in lockstep
-// windows.
+// A sixth pass ("multiprog") measures the engine on multiprogrammed
+// chips: four copies of every suite kernel on four 8-core partitions,
+// sharing the chip's one event queue.
 //
 // Each pass runs -reps times (default 8), interleaved round-robin with
 // the others in alternating (ABBA) order, and the fastest repetition is
@@ -252,7 +251,7 @@ func measureGrid(jobs []job, scale int, reference, telemetry, critpath, flight b
 
 // multiCopies is the multiprogrammed workload's processor count: four
 // 8-core partitions tile the 32-core chip exactly, so every core
-// participates and the chip forms four event domains.
+// participates.
 const multiCopies = 4
 
 // multiWorkload describes the multiprog pass's job grid.

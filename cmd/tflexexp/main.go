@@ -12,10 +12,9 @@
 // With -serve ADDR a live observability server runs for the duration of
 // the sweep: /metrics (latest telemetry snapshot), /critpath (rolling
 // critical-path attribution across all jobs), /events (SSE sampler
-// stream), /domains (per-domain scheduler statistics) and /debug/pprof.
-// Observation is passive — the tables on stdout are unchanged.  A
-// parallel-efficiency summary line (job concurrency plus domain
-// scheduler aggregates) lands on stderr after the tables.
+// stream) and /debug/pprof.  Observation is passive — the tables on
+// stdout are unchanged.  A parallel-efficiency summary line (job
+// concurrency) lands on stderr after the tables.
 //
 // Each experiment enqueues its full simulation job set on the concurrent
 // runner (-jobs workers, default GOMAXPROCS) and renders its tables from
@@ -137,19 +136,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tflexexp: serve:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "observability server on http://%s (endpoints: /metrics /critpath /events /domains /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "observability server on http://%s (endpoints: /metrics /critpath /events /debug/pprof)\n", addr)
 		s.SetObserver(srv)
 		defer srv.Close()
 	}
 
 	run := func(e experiment) {
-		fmt.Printf("\n================ %s ================\n", strings.ToUpper(e.name))
-		out, err := e.fn(s)
-		if err != nil {
+		if err := render(os.Stdout, s, e); err != nil {
 			fmt.Fprintf(os.Stderr, "tflexexp: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Print(out)
 	}
 
 	// finish writes the telemetry artifacts and the suite summary after
@@ -185,6 +181,18 @@ func main() {
 		}
 	}
 	finish()
+}
+
+// render runs one experiment and writes its banner and tables — the
+// whole of what the experiment contributes to stdout.
+func render(w io.Writer, s *experiments.Suite, e experiment) error {
+	fmt.Fprintf(w, "\n================ %s ================\n", strings.ToUpper(e.name))
+	out, err := e.fn(s)
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, out)
+	return err
 }
 
 // writeFile creates path and streams write into it.

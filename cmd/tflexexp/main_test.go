@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
+
+	"github.com/clp-sim/tflex/internal/experiments"
 )
 
 func TestValidateFlags(t *testing.T) {
@@ -39,4 +43,37 @@ func TestValidateFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenScale2 renders what `tflexexp -exp all -scale 2` prints and
+// compares it byte for byte with the committed capture, so "stdout is
+// unchanged" is a test and not a claim.  After an intended model change,
+// regenerate the capture with
+//
+//	go run ./cmd/tflexexp -exp all -scale 2 > results_scale2.txt
+func TestGoldenScale2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders every experiment at scale 2")
+	}
+	want, err := os.ReadFile("../../results_scale2.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := experiments.NewSuite(2)
+	var got bytes.Buffer
+	for _, e := range expList(10) { // the flag defaults: -scale 2 -workloads 10
+		if err := render(&got, s, e); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("output differs from results_scale2.txt at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, results_scale2.txt has %d", len(gl), len(wl))
 }

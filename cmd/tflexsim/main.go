@@ -13,8 +13,8 @@
 //	tflexsim -list
 //
 // -procs N multiprograms N copies of the kernel onto disjoint
-// compositions of -cores cores each (one chip, one event domain per
-// processor) and prints per-processor results.
+// compositions of -cores cores each (one chip, one event queue) and
+// prints per-processor results.
 //
 // -critpath prints the cycle-exact critical-path attribution breakdown
 // after the run (every committed block's latency split across eight
@@ -28,11 +28,10 @@
 // divergence is shrunk to a minimal reproducer and dumped as a .tfa
 // file with a flight-recorder sidecar.
 //
-// -flight FILE arms the always-on flight recorder and writes every
-// domain's ring of scheduler/pipeline records as JSON after the run
-// (combined with -fuzz-seed it replays the seed with the recorder
-// armed); -flight-events N sizes the rings; -flight-print FILE renders
-// a dump back as text:
+// -flight FILE arms the flight recorder and writes the chip's ring of
+// pipeline records as JSON after the run (combined with -fuzz-seed it
+// replays the seed with the recorder armed); -flight-events N sizes the
+// ring; -flight-print FILE renders a dump back as text:
 //
 //	tflexsim -kernel conv -cores 8 -flight dump.json
 //	tflexsim -fuzz-seed 7 -flight dump.json
@@ -78,7 +77,7 @@ func main() {
 	fuzzSeed := flag.Int64("fuzz-seed", -1, "replay this differential-fuzz seed through every executor and report any divergence")
 	fuzzN := flag.Int("fuzz-n", 0, "differentially check seeds [0,N) across every executor")
 	flightOut := flag.String("flight", "", "arm the flight recorder and write its ring dump as JSON to this file after the run")
-	flightEvents := flag.Int("flight-events", 0, "per-domain flight ring size in records, rounded up to a power of two (<=0: 4096)")
+	flightEvents := flag.Int("flight-events", 0, "flight ring size in records, rounded up to a power of two (<=0: 4096)")
 	flightPrint := flag.String("flight-print", "", "render a flight dump file as text on stdout and exit")
 	flag.Parse()
 
@@ -138,7 +137,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tflexsim: serve:", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "observability server on http://%s (endpoints: /metrics /critpath /events /domains /flight /debug/pprof)\n", addr)
+		fmt.Fprintf(os.Stderr, "observability server on http://%s (endpoints: /metrics /critpath /events /flight /debug/pprof)\n", addr)
 		defer srv.Close()
 	}
 
@@ -363,8 +362,7 @@ func printFlight(path string) error {
 }
 
 // runMultiProg multiprograms n copies of the kernel on disjoint
-// compositions of the given size — one event domain per processor — and
-// prints per-processor results.
+// compositions of the given size and prints per-processor results.
 func runMultiProg(kernel string, scale, cores, n int, flightOut string, flightEvents int, srv *tflex.Observer) error {
 	rects, err := tflex.Partition(cores, n)
 	if err != nil {

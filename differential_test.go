@@ -1,7 +1,9 @@
 package tflex
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -52,13 +54,74 @@ func TestOptimizedVsReferenceDifferential(t *testing.T) {
 	}
 }
 
-// TestMultiprogramIsolationAndDeterminism covers the case where domains
-// multiply: four programs on four 8-core partitions of one chip.  Every
-// program's outputs validate against its pure-Go reference, its
-// architectural results (registers, committed blocks and instructions)
-// equal those of the same program running alone on the same composition
-// — co-runners may only move its timing — and a second run reproduces
-// every processor's cycles and statistics exactly.
+// TestMultiprogramOptimizedVsReference holds Options.Reference's "results
+// are identical either way" on chips with several processors: four
+// programs share one chip — evicting each other's lines from the L2,
+// halting far apart, interleaving same-cycle events — and every
+// processor's cycles, statistics and registers must be equal on both
+// engines.
+func TestMultiprogramOptimizedVsReference(t *testing.T) {
+	mixes := []struct {
+		kernels []string
+		sizes   []int // nil: Partition(8, 4)
+	}{
+		{[]string{"conv", "autcor", "tblook", "mcf"}, nil},
+		{[]string{"ct", "autcor", "mcf", "8b10b"}, []int{16, 8, 4, 4}},
+		{[]string{"ammp", "conv", "gcc", "dither"}, []int{16, 8, 4, 4}},
+		{[]string{"swim", "802.11b", "bzip2", "tblook"}, []int{16, 8, 4, 4}},
+		{[]string{"art", "bezier", "parser", "genalg"}, []int{16, 8, 4, 4}},
+	}
+	for _, mix := range mixes {
+		for _, scale := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s@%d", strings.Join(mix.kernels, "+"), scale), func(t *testing.T) {
+				run := func(reference bool) []*Result {
+					procs, err := Partition(8, len(mix.kernels))
+					if mix.sizes != nil {
+						procs, err = PartitionAsymmetric(mix.sizes)
+					}
+					if err != nil {
+						t.Fatalf("partition: %v", err)
+					}
+					specs := make([]ProgramSpec, len(mix.kernels))
+					for i, name := range mix.kernels {
+						inst, err := BuildKernel(name, scale)
+						if err != nil {
+							t.Fatalf("build %s: %v", name, err)
+						}
+						specs[i] = ProgramSpec{Prog: inst.Prog, Cores: procs[i], Init: inst.Init}
+					}
+					opts := DefaultOptions()
+					opts.Reference = reference
+					results, err := RunMulti(specs, RunConfig{Options: &opts})
+					if err != nil {
+						t.Fatalf("RunMulti (reference %t): %v", reference, err)
+					}
+					return results
+				}
+				fast, ref := run(false), run(true)
+				for i, name := range mix.kernels {
+					if fast[i].Cycles != ref[i].Cycles {
+						t.Errorf("%s: cycles diverge: optimized %d, reference %d", name, fast[i].Cycles, ref[i].Cycles)
+					}
+					if !reflect.DeepEqual(fast[i].Stats, ref[i].Stats) {
+						t.Errorf("%s: stats diverge:\noptimized %+v\nreference %+v", name, fast[i].Stats, ref[i].Stats)
+					}
+					if fast[i].Regs != ref[i].Regs {
+						t.Errorf("%s: architectural registers diverge", name)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMultiprogramIsolationAndDeterminism covers four programs on four
+// 8-core partitions of one chip.  Every program's outputs validate
+// against its pure-Go reference, its architectural results (registers,
+// committed blocks and instructions) equal those of the same program
+// running alone on the same composition — co-runners may only move its
+// timing — and a second run reproduces every processor's cycles and
+// statistics exactly.
 func TestMultiprogramIsolationAndDeterminism(t *testing.T) {
 	names := []string{"conv", "autcor", "tblook", "mcf"}
 	runMulti := func(t *testing.T) []*Result {

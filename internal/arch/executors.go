@@ -87,13 +87,19 @@ func (s Sim) Run(p *prog.Program, in Input) (State, error) {
 	if err := chip.Run(in.maxCycles()); err != nil {
 		return State{}, err
 	}
+	return SimState(proc, sh), nil
+}
+
+// SimState reads the architectural state off a finished simulated
+// processor whose committed stores sh observed (Proc.TraceStores).
+func SimState(proc *sim.Proc, sh *StoreHasher) State {
 	return State{
 		Regs:        proc.Regs,
 		MemDigest:   proc.Mem.Digest(),
 		Blocks:      proc.Stats.BlocksCommitted,
 		Stores:      sh.Count(),
 		StoreDigest: sh.Digest(),
-	}, nil
+	}
 }
 
 // ConvTrace executes programs through the linearized-trace pipeline the

@@ -19,14 +19,12 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/conv"
 	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/exec"
-	"github.com/clp-sim/tflex/internal/flight"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/obs"
 	"github.com/clp-sim/tflex/internal/power"
@@ -91,9 +89,6 @@ type Suite struct {
 
 	engine *runner.Engine
 	obs    *obs.Server // nil unless SetObserver armed live observability
-
-	domMu sync.Mutex // guards dom; runner jobs record concurrently
-	dom   domainAgg
 
 	tflex  runner.Store[sizedKey, RunResult] // kernel × cores
 	tripsR runner.Store[string, RunResult]
@@ -262,54 +257,15 @@ func (s Summary) String() string {
 		s.JobsRun, s.CacheHits, s.SimCycles, s.Wall.Seconds(), s.CPUTime.Seconds())
 }
 
-// domainAgg accumulates per-domain scheduler statistics across every
-// chip the suite has run — the raw material of the Parallel line.
-type domainAgg struct {
-	chips       int
-	domains     int
-	windows     uint64
-	events      uint64
-	barrierWait uint64
-}
-
-// recordDomains folds one finished chip's domain statistics into the
-// suite aggregate.  Runner jobs call it concurrently.
-func (s *Suite) recordDomains(ds []flight.DomainStats) {
-	s.domMu.Lock()
-	defer s.domMu.Unlock()
-	s.dom.chips++
-	s.dom.domains += len(ds)
-	for _, d := range ds {
-		s.dom.windows += d.Windows
-		s.dom.events += d.Events
-		s.dom.barrierWait += d.BarrierWait
-	}
-}
-
 // Parallel renders the suite's parallel-efficiency line: how well the
-// job pool filled the machine (in-job time over wall time) and what the
-// chips' window loops did underneath.  Every chip crosses lockstep
-// windows, single-domain ones included (there the windows are
-// unobservable and the slack is the idle tail of each window).
+// job pool filled the machine (in-job time over wall time).
 func (s *Suite) Parallel() string {
 	es := s.engine.Summary()
-	s.domMu.Lock()
-	a := s.dom
-	s.domMu.Unlock()
-	line := "parallel: "
-	if es.Wall > 0 {
-		line += fmt.Sprintf("%.2fx job concurrency (in-job %.2fs / wall %.2fs)",
-			es.CPUTime.Seconds()/es.Wall.Seconds(), es.CPUTime.Seconds(), es.Wall.Seconds())
-	} else {
-		line += "no jobs run"
+	if es.Wall <= 0 {
+		return "parallel: no jobs run"
 	}
-	if a.windows > 0 {
-		line += fmt.Sprintf("; domains: %d across %d chips, %d lockstep windows, avg barrier slack %.1f cycles/window",
-			a.domains, a.chips, a.windows, float64(a.barrierWait)/float64(a.windows))
-	} else {
-		line += "; domains: no chips simulated"
-	}
-	return line
+	return fmt.Sprintf("parallel: %.2fx job concurrency (in-job %.2fs / wall %.2fs)",
+		es.CPUTime.Seconds()/es.Wall.Seconds(), es.CPUTime.Seconds(), es.Wall.Seconds())
 }
 
 // Summary reports cumulative runner and cache activity.
@@ -389,7 +345,6 @@ func (s *Suite) runInstance(inst *kernels.Instance, chip *sim.Chip, procCores co
 		samp.SetNotify(func(cycle uint64, names []string, row []float64) {
 			o.PublishSample(cycle, names, row)
 			o.PublishMetrics(reg.Snapshot())
-			o.PublishDomains(chip.DomainStats())
 		})
 	}
 	proc, err := chip.AddProc(procCores, inst.Prog)
@@ -400,10 +355,8 @@ func (s *Suite) runInstance(inst *kernels.Instance, chip *sim.Chip, procCores co
 	if err := chip.Run(MaxCycles); err != nil {
 		return RunResult{}, err
 	}
-	s.recordDomains(chip.DomainStats())
 	if s.obs != nil {
 		s.obs.PublishMetrics(reg.Snapshot())
-		s.obs.PublishDomains(chip.DomainStats())
 	}
 	if err := inst.Check(&proc.Regs, proc.Mem); err != nil {
 		return RunResult{}, fmt.Errorf("output validation: %w", err)

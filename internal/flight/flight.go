@@ -1,13 +1,13 @@
 // Package flight implements the simulator's flight recorder: one
-// fixed-size ring buffer of compact binary event records per event
-// domain, written lock-free by the engine goroutine and drained
-// post-mortem into text, JSON or Chrome-trace form.
+// fixed-size ring buffer of compact binary event records per chip,
+// written by the engine goroutine and drained post-mortem into text,
+// JSON or Chrome-trace form.
 //
 // The recorder follows the instrumentation discipline of
-// internal/telemetry: the simulator holds *Ring pointers that are nil
-// unless Chip.EnableFlight armed the recorder, every hot-path write
-// goes through the nil-receiver-safe Add, and a disabled recorder
-// therefore costs exactly one nil check per record site.
+// internal/telemetry: the chip holds a *Ring that is nil unless
+// Chip.EnableFlight armed the recorder, every hot-path write goes
+// through the nil-receiver-safe Add, and a disabled recorder therefore
+// costs exactly one nil check per record site.
 //
 // Concurrency contract: a ring has a single writer — the engine
 // goroutine running the chip's event loop.  Dumps are taken on that
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 )
 
 // Kind enumerates the record types a ring can hold.
@@ -34,26 +33,15 @@ const (
 	KCommit               // A=block sequence number, B=fetch-to-commit latency
 	KFlush                // A=block sequence number, B=restart address
 
-	// Scheduler milestones, recorded by the domain/engine.  Nothing
-	// emits KBarrierArrive, KSharedEnter or KSharedExit any more; they
-	// keep their numeric slots so existing dumps still parse.
-	KWindowOpen     // A=window limit cycle
-	KWindowClose    // A=window limit cycle, B=events executed in window
-	KBarrierArrive  // A=window limit cycle
-	KBarrierRelease // A=boundary cycle, B=end-of-window slack cycles
-	KSharedEnter    // shared L2/DRAM section granted; A=grant ordinal
-	KSharedExit     // shared section released; A=grant ordinal
-	KInval          // deferred cross-domain inval delivered; A=address, B=defer sequence
-	KCompose        // processor adopted (A=proc id, B=cores) or domains merged (A=survivor, B=absorbed)
-	KStall          // watchdog fired; A=window limit cycle, B=events executed
+	// Engine milestones, recorded by the chip.
+	KCompose // processor composed; A=proc id, B=cores
+	KStall   // watchdog fired; A=events executed without the clock advancing
 
 	numKinds
 )
 
 var kindNames = [numKinds]string{
-	"fetch", "dispatch", "issue", "commit", "flush",
-	"window.open", "window.close", "barrier.arrive", "barrier.release",
-	"shared.enter", "shared.exit", "inval", "compose", "stall",
+	"fetch", "dispatch", "issue", "commit", "flush", "compose", "stall",
 }
 
 func (k Kind) String() string {
@@ -72,33 +60,34 @@ type Rec struct {
 	A     uint64 `json:"a"`
 	B     uint64 `json:"b"`
 	Kind  Kind   `json:"kind"`
-	Dom   uint16 `json:"dom"`
 	Proc  int16  `json:"proc"`
 	Core  int16  `json:"core"`
 }
 
-// DefaultEvents is the per-ring record capacity used when the caller
-// does not pick one (tflexsim -flight-events, tflex.RunConfig).
+// DefaultEvents is the ring's record capacity when the caller does not
+// pick one (tflexsim -flight-events, tflex.RunConfig).
 const DefaultEvents = 4096
 
 // Ring is a fixed-capacity single-writer record ring.  Once full it
 // overwrites the oldest records, so a dump always holds the most
 // recent window of activity.
 type Ring struct {
-	dom  int
-	mask uint64
+	mask uint64 // len(rec) - 1
 	n    uint64 // records ever written; n & mask is the next slot
 	rec  []Rec
 }
 
-// newRing returns a ring for domain dom holding size records (rounded
-// up to a power of two, minimum 64).
-func newRing(dom, size int) *Ring {
+// NewRing returns a ring holding size records (<= 0 selects
+// DefaultEvents), rounded up to a power of two, minimum 64.
+func NewRing(size int) *Ring {
+	if size <= 0 {
+		size = DefaultEvents
+	}
 	n := 64
 	for n < size {
 		n <<= 1
 	}
-	return &Ring{dom: dom, mask: uint64(n - 1), rec: make([]Rec, n)}
+	return &Ring{mask: uint64(n - 1), rec: make([]Rec, n)}
 }
 
 // Add appends one record.  Nil-receiver safe: on a disabled recorder
@@ -110,7 +99,7 @@ func (r *Ring) Add(k Kind, cycle uint64, proc, core int16, a, b uint64) {
 	rc := &r.rec[r.n&r.mask]
 	r.n++
 	rc.Cycle, rc.A, rc.B = cycle, a, b
-	rc.Kind, rc.Dom, rc.Proc, rc.Core = k, uint16(r.dom), proc, core
+	rc.Kind, rc.Proc, rc.Core = k, proc, core
 }
 
 // Len reports how many records the ring currently holds.
@@ -133,9 +122,10 @@ func (r *Ring) Written() uint64 {
 	return r.n
 }
 
-// snapshot copies the ring's live records in write order.
-func (r *Ring) snapshot() RingDump {
-	d := RingDump{Dom: r.dom, Written: r.n}
+// Dump snapshots the ring's live records in write order.  Call only
+// from the goroutine that writes the ring.
+func (r *Ring) Dump() *Dump {
+	d := RingDump{Written: r.n}
 	n := uint64(len(r.rec))
 	start := uint64(0)
 	if r.n > n {
@@ -145,63 +135,19 @@ func (r *Ring) snapshot() RingDump {
 	for i := start; i < r.n; i++ {
 		d.Recs = append(d.Recs, r.rec[i&r.mask])
 	}
-	return d
-}
-
-// Recorder owns one ring per event domain.  Rings are created at
-// domain creation (a quiescent composition point); the mutex guards
-// only the ring list, never the per-ring write path.
-type Recorder struct {
-	mu    sync.Mutex
-	size  int
-	rings []*Ring
-}
-
-// NewRecorder returns a recorder whose rings hold size records each
-// (<= 0 selects DefaultEvents).
-func NewRecorder(size int) *Recorder {
-	if size <= 0 {
-		size = DefaultEvents
-	}
-	return &Recorder{size: size}
-}
-
-// NewRing allocates and registers the ring for domain dom.
-func (c *Recorder) NewRing(dom int) *Ring {
-	r := newRing(dom, c.size)
-	c.mu.Lock()
-	c.rings = append(c.rings, r)
-	c.mu.Unlock()
-	return r
-}
-
-// Events reports the per-ring record capacity.
-func (c *Recorder) Events() int { return c.size }
-
-// Dump snapshots every ring (including rings of domains that have
-// since been merged away).  Call only from a quiescent point.
-func (c *Recorder) Dump() *Dump {
-	c.mu.Lock()
-	rings := append([]*Ring(nil), c.rings...)
-	c.mu.Unlock()
-	d := &Dump{Events: c.size}
-	for _, r := range rings {
-		d.Rings = append(d.Rings, r.snapshot())
-	}
-	sort.Slice(d.Rings, func(i, j int) bool { return d.Rings[i].Dom < d.Rings[j].Dom })
-	return d
+	return &Dump{Events: len(r.rec), Rings: []RingDump{d}}
 }
 
 // RingDump is the drained form of one ring.
 type RingDump struct {
-	Dom     int    `json:"dom"`
 	Written uint64 `json:"written"` // > len(Recs) means the ring wrapped
 	Recs    []Rec  `json:"records"`
 }
 
-// Dump is a point-in-time snapshot of every ring, serializable to
+// Dump is a point-in-time snapshot of a chip's ring, serializable to
 // JSON (WriteJSON/ParseDump), human-readable text (WriteText) and the
-// Chrome trace-event format (WriteChrome).
+// Chrome trace-event format (WriteChrome).  Rings holds one element: a
+// chip has one ring.
 type Dump struct {
 	Events int        `json:"events"`
 	Rings  []RingDump `json:"rings"`
@@ -223,14 +169,14 @@ func ParseDump(r io.Reader) (*Dump, error) {
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("flight dump: %w", err)
 	}
-	for _, ring := range d.Rings {
+	for i, ring := range d.Rings {
 		if uint64(len(ring.Recs)) > ring.Written {
 			return nil, fmt.Errorf("flight dump: ring %d holds %d records but claims only %d written",
-				ring.Dom, len(ring.Recs), ring.Written)
+				i, len(ring.Recs), ring.Written)
 		}
 		for _, rc := range ring.Recs {
 			if rc.Kind >= numKinds {
-				return nil, fmt.Errorf("flight dump: ring %d has unknown record kind %d", ring.Dom, rc.Kind)
+				return nil, fmt.Errorf("flight dump: ring %d has unknown record kind %d", i, rc.Kind)
 			}
 		}
 	}
@@ -240,13 +186,13 @@ func ParseDump(r io.Reader) (*Dump, error) {
 // WriteText renders the dump as one line per record.
 func (d *Dump) WriteText(w io.Writer) error {
 	for _, ring := range d.Rings {
-		if _, err := fmt.Fprintf(w, "ring dom=%d records=%d written=%d\n",
-			ring.Dom, len(ring.Recs), ring.Written); err != nil {
+		if _, err := fmt.Fprintf(w, "ring records=%d written=%d\n",
+			len(ring.Recs), ring.Written); err != nil {
 			return err
 		}
 		for _, rc := range ring.Recs {
-			if _, err := fmt.Fprintf(w, "  @%-10d %-15s dom=%d proc=%d core=%d a=%#x b=%d\n",
-				rc.Cycle, rc.Kind, rc.Dom, rc.Proc, rc.Core, rc.A, rc.B); err != nil {
+			if _, err := fmt.Fprintf(w, "  @%-10d %-9s proc=%d core=%d a=%#x b=%d\n",
+				rc.Cycle, rc.Kind, rc.Proc, rc.Core, rc.A, rc.B); err != nil {
 				return err
 			}
 		}
@@ -259,7 +205,6 @@ type chromeEvent struct {
 	Name  string            `json:"name"`
 	Phase string            `json:"ph"`
 	TS    uint64            `json:"ts"`
-	Dur   uint64            `json:"dur,omitempty"`
 	PID   int               `json:"pid"`
 	TID   int               `json:"tid"`
 	Scope string            `json:"s,omitempty"`
@@ -268,41 +213,20 @@ type chromeEvent struct {
 
 // WriteChrome renders the dump in the Chrome trace-event format (load
 // in chrome://tracing or ui.perfetto.dev): one process track per
-// domain, window open/close pairs as duration spans, every other
-// record as a thread-scoped instant event on the core's track.
+// logical processor, every record a thread-scoped instant event on its
+// core's track.
 func (d *Dump) WriteChrome(w io.Writer) error {
 	var evs []chromeEvent
 	for _, ring := range d.Rings {
-		var open *Rec
-		for i := range ring.Recs {
-			rc := &ring.Recs[i]
-			switch rc.Kind {
-			case KWindowOpen:
-				open = rc
-			case KWindowClose:
-				if open != nil {
-					evs = append(evs, chromeEvent{
-						Name: "window", Phase: "X", TS: open.Cycle,
-						Dur: rc.Cycle - open.Cycle + 1, PID: ring.Dom, TID: -1,
-						Args: map[string]uint64{"limit": rc.A, "events": rc.B},
-					})
-					open = nil
-				}
-			default:
-				evs = append(evs, chromeEvent{
-					Name: rc.Kind.String(), Phase: "i", TS: rc.Cycle,
-					PID: ring.Dom, TID: int(rc.Core), Scope: "t",
-					Args: map[string]uint64{"a": rc.A, "b": rc.B},
-				})
-			}
+		for _, rc := range ring.Recs {
+			evs = append(evs, chromeEvent{
+				Name: rc.Kind.String(), Phase: "i", TS: rc.Cycle,
+				PID: int(rc.Proc), TID: int(rc.Core), Scope: "t",
+				Args: map[string]uint64{"a": rc.A, "b": rc.B},
+			})
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].TS != evs[j].TS {
-			return evs[i].TS < evs[j].TS
-		}
-		return evs[i].PID < evs[j].PID
-	})
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 	enc := json.NewEncoder(w)
 	return enc.Encode(struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
@@ -331,28 +255,21 @@ func (d *Dump) Records(kinds ...Kind) []Rec {
 	return out
 }
 
-// DomainStats is the live per-domain scheduler snapshot served by the
-// obs server's /domains endpoint and aggregated by tflexexp's
-// domain summary line.  All counters are derived from the merged
-// event order, so they are deterministic.
+// DomainStats is what is left of the per-domain scheduler snapshot now
+// that a chip has one event queue: sim.Chip.DomainStats returns exactly
+// one.  The type and the always-zero fields remain only because the
+// frozen benchmark (cmd/clpbench) still reads them; the benchmark PR
+// (ROADMAP item 1a) drops them.
 type DomainStats struct {
-	Dom     int    `json:"dom"`
-	Procs   int    `json:"procs"`
-	Cores   int    `json:"cores"`
-	Now     uint64 `json:"now"`
-	Windows uint64 `json:"windows"`
-	Events  uint64 `json:"events"`
-	// BarrierWait accumulates each window's end-of-window slack: how
-	// many cycles of the window the domain spent idle after its last
-	// event, clamped to the window width.
-	BarrierWait uint64 `json:"barrier_wait_cycles"`
-	// SharedGrants and SharedWait are always zero: the arbiter that
-	// counted them is gone.  The fields remain only because the frozen
-	// benchmark (cmd/clpbench) still reads them; the next benchmark PR
-	// may drop them.
-	SharedGrants uint64 `json:"shared_grants"`
-	SharedWait   uint64 `json:"shared_wait"`
-	Invals       uint64 `json:"invals_delivered"`
-	InboxDepth   int    `json:"inbox_depth"`
-	RingRecords  uint64 `json:"ring_records"`
+	Events      uint64 // events the chip's loop executed
+	RingRecords uint64 // flight records ever written; 0 with the recorder off
+
+	// Always zero: lockstep windows, barriers, the shared-section
+	// arbiter and deferred-invalidation inboxes are gone.
+	Windows      uint64
+	BarrierWait  uint64
+	SharedGrants uint64
+	SharedWait   uint64
+	Invals       uint64
+	InboxDepth   int
 }

@@ -23,15 +23,14 @@ func TestNilRingIsSafe(t *testing.T) {
 }
 
 func TestRingWrap(t *testing.T) {
-	rec := NewRecorder(64)
-	r := rec.NewRing(3)
+	r := NewRing(64)
 	for i := 0; i < 100; i++ {
 		r.Add(KCommit, uint64(i), 1, 2, uint64(i), 0)
 	}
 	if r.Len() != 64 || r.Written() != 100 {
 		t.Fatalf("Len=%d Written=%d, want 64/100", r.Len(), r.Written())
 	}
-	d := rec.Dump()
+	d := r.Dump()
 	if len(d.Rings) != 1 {
 		t.Fatalf("dump has %d rings, want 1", len(d.Rings))
 	}
@@ -44,21 +43,18 @@ func TestRingWrap(t *testing.T) {
 		if want := uint64(36 + i); rc.Cycle != want {
 			t.Fatalf("record %d has cycle %d, want %d", i, rc.Cycle, want)
 		}
-		if rc.Dom != 3 || rc.Proc != 1 || rc.Core != 2 {
+		if rc.Proc != 1 || rc.Core != 2 {
 			t.Fatalf("record %d misattributed: %+v", i, rc)
 		}
 	}
 }
 
 func TestDumpJSONRoundTrip(t *testing.T) {
-	rec := NewRecorder(0)
-	r0 := rec.NewRing(0)
-	r1 := rec.NewRing(1)
-	r0.Add(KWindowOpen, 0, -1, -1, 16, 0)
-	r0.Add(KFetch, 3, 0, 2, 0x80, 7)
-	r0.Add(KWindowClose, 15, -1, -1, 16, 2)
-	r1.Add(KSharedEnter, 9, -1, -1, 1, 0)
-	d := rec.Dump()
+	r := NewRing(0)
+	r.Add(KCompose, 0, 0, 2, 0, 2)
+	r.Add(KFetch, 3, 0, 2, 0x80, 7)
+	r.Add(KStall, 15, -1, -1, 5000, 0)
+	d := r.Dump()
 
 	var buf bytes.Buffer
 	if err := d.WriteJSON(&buf); err != nil {
@@ -76,25 +72,23 @@ func TestDumpJSONRoundTrip(t *testing.T) {
 }
 
 func TestParseDumpRejectsBadKind(t *testing.T) {
-	src := `{"events":64,"rings":[{"dom":0,"written":1,"records":[{"cycle":1,"kind":200}]}]}`
+	src := `{"events":64,"rings":[{"written":1,"records":[{"cycle":1,"kind":200}]}]}`
 	if _, err := ParseDump(strings.NewReader(src)); err == nil {
 		t.Fatal("ParseDump accepted an unknown record kind")
 	}
 }
 
 func TestWriteTextAndChrome(t *testing.T) {
-	rec := NewRecorder(0)
-	r := rec.NewRing(2)
-	r.Add(KWindowOpen, 0, -1, -1, 16, 0)
+	r := NewRing(0)
+	r.Add(KCompose, 0, 0, 1, 0, 2)
 	r.Add(KCommit, 5, 0, 1, 42, 9)
-	r.Add(KWindowClose, 12, -1, -1, 16, 1)
-	d := rec.Dump()
+	d := r.Dump()
 
 	var text bytes.Buffer
 	if err := d.WriteText(&text); err != nil {
 		t.Fatalf("WriteText: %v", err)
 	}
-	for _, want := range []string{"ring dom=2", "commit", "window.open"} {
+	for _, want := range []string{"ring records=2", "commit", "compose"} {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("text dump lacks %q:\n%s", want, text.String())
 		}
@@ -110,19 +104,18 @@ func TestWriteTextAndChrome(t *testing.T) {
 	if err := json.Unmarshal(chrome.Bytes(), &trace); err != nil {
 		t.Fatalf("chrome dump is not JSON: %v", err)
 	}
-	// The open/close pair folds into one X span plus the commit instant.
+	// One instant event per record.
 	if len(trace.TraceEvents) != 2 {
 		t.Fatalf("chrome dump has %d events, want 2: %s", len(trace.TraceEvents), chrome.String())
 	}
 }
 
 func TestRecordsFilter(t *testing.T) {
-	rec := NewRecorder(0)
-	r := rec.NewRing(0)
+	r := NewRing(0)
 	r.Add(KFetch, 1, 0, 0, 0, 0)
-	r.Add(KStall, 2, -1, -1, 16, 99)
-	d := rec.Dump()
-	if got := d.Records(KStall); len(got) != 1 || got[0].B != 99 {
+	r.Add(KStall, 2, -1, -1, 99, 0)
+	d := r.Dump()
+	if got := d.Records(KStall); len(got) != 1 || got[0].A != 99 {
 		t.Fatalf("Records(KStall) = %+v", got)
 	}
 	if got := d.Records(); len(got) != 2 {

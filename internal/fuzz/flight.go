@@ -12,11 +12,11 @@ import (
 )
 
 // FlightReplay re-runs the program on a fresh chip with the flight
-// recorder armed and returns the drained rings — the last `events`
-// scheduler/pipeline records per domain leading up to the divergence
-// (or the end of the run).  A failed run is not an error here: the
-// dump is the point, and a reproducer that errors mid-run still leaves
-// its final cycles in the rings.
+// recorder armed and returns the drained ring — the last `events`
+// pipeline records leading up to the divergence (or the end of the
+// run).  A failed run is not an error here: the dump is the point, and
+// a reproducer that errors mid-run still leaves its final cycles in the
+// ring.
 func FlightReplay(p *prog.Program, in arch.Input, cores, events int) (*flight.Dump, error) {
 	comp, err := compose.Rect(0, 0, cores)
 	if err != nil {
@@ -36,7 +36,7 @@ func FlightReplay(p *prog.Program, in arch.Input, cores, events int) (*flight.Du
 	if mc == 0 {
 		mc = arch.DefaultMaxCycles
 	}
-	chip.Run(mc) //nolint:errcheck // a diverging run may legitimately fail; the rings are what we came for
+	chip.Run(mc) //nolint:errcheck // a diverging run may legitimately fail; the ring is what we came for
 	return chip.FlightDump(), nil
 }
 

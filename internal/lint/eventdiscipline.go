@@ -1,12 +1,12 @@
 package lint
 
 // The event-discipline analyzer.  The engine's event layer offers
-// exactly one correct way to schedule work: each event domain's
-// scheduleEv (a processor's scheduleEv forwards to it), which clamps
-// the target cycle to now and stamps the insertion sequence number.
-// Both queue implementations assume it — calQueue.push in particular
-// documents its bucket invariant in terms of the clamp.  Two mistakes
-// re-introduce the bugs that contract removed:
+// exactly one correct way to schedule work: the chip's scheduleEv,
+// which clamps the target cycle to now and stamps the insertion
+// sequence number.  Both queue implementations assume it —
+// calQueue.push in particular states its no-push-behind-the-cursor
+// invariant in terms of the clamp.  Two mistakes re-introduce the bugs
+// that contract removed:
 //
 //   - pushing or popping a queue directly from code that does not own
 //     it, which skips the seq stamp (breaking the (at, seq) total order
@@ -17,11 +17,10 @@ package lint
 //     reordering what was meant to be causality into coincidence.
 //
 // Ownership is structural, not nominal: a *queue owner* is any struct
-// type with a field of a queue type (each domain owns a calendar queue,
-// or the reference heap), or with a slice of owners (the chip owns its
-// domains).  Pops are the owner's drain loops, so any method of an
-// owner may pop its queue; pushes must additionally go through the
-// owner's scheduleEv, where the stamp and clamp live.
+// type with a field of a queue type (the chip owns the calendar queue
+// and the reference heap).  Pops are the owner's drain loop, so any
+// method of an owner may pop its queue; pushes must additionally go
+// through the owner's scheduleEv, where the stamp and clamp live.
 // Queue internals (event.go) are exempt wholesale.  Everything else —
 // free functions, methods of non-owner types — may not touch a queue at
 // all.
@@ -78,42 +77,28 @@ func runEventDiscipline(m *Module, pkg *Package, report ReportFunc) {
 }
 
 // queueOwners returns the package's queue-owner types: named structs
-// with a field (plain or pointer) of a queue type, and — to a fixpoint —
-// structs holding a slice of owners (the chip owns its domains, so it
-// may drain their queues; a lone *domain back-reference owns nothing).
+// with a field (plain or pointer) of a queue type.  A back-reference to
+// an owner (a processor's *Chip) owns nothing.
 func queueOwners(pkg *Package) map[string]bool {
 	owners := map[string]bool{}
 	scope := pkg.Types.Scope()
-	for changed := true; changed; {
-		changed = false
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || owners[name] {
-				continue
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			ft := st.Field(i).Type()
+			if ptr, isPtr := ft.(*types.Pointer); isPtr {
+				ft = ptr.Elem()
 			}
-			st, ok := tn.Type().Underlying().(*types.Struct)
-			if !ok {
-				continue
-			}
-			for i := 0; i < st.NumFields(); i++ {
-				ft := st.Field(i).Type()
-				sl, isSlice := ft.(*types.Slice)
-				if isSlice {
-					ft = sl.Elem()
-				}
-				if ptr, isPtr := ft.(*types.Pointer); isPtr {
-					ft = ptr.Elem()
-				}
-				named, isNamed := ft.(*types.Named)
-				if !isNamed {
-					continue
-				}
-				elem := named.Obj().Name()
-				if !isSlice && queueTypes[elem] || isSlice && owners[elem] {
-					owners[name] = true
-					changed = true
-					break
-				}
+			if named, isNamed := ft.(*types.Named); isNamed && queueTypes[named.Obj().Name()] {
+				owners[name] = true
+				break
 			}
 		}
 	}

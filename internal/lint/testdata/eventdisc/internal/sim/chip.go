@@ -1,32 +1,58 @@
-// Fixture: pops are confined to queue-owner methods, pushes to the
-// owner's scheduleEv, and nothing may compute a target cycle by
-// subtracting from now.  The chip holds no queue of its own: it owns
-// its domains (a slice of owners), and through them their queues.
+// Fixture: the chip owns the event queue.  Ownership is structural — any
+// struct with a queue-typed field (plain or pointer) is an owner — so the
+// analyzer names no engine type.  Pops are confined to owner methods,
+// pushes to the owner's scheduleEv, and nothing may compute a target
+// cycle by subtracting from now.
 package sim
 
 type Chip struct {
-	domains []*domain
-	now     uint64
+	cal *calQueue
+	now uint64
+	seq uint64
 }
 
-func (c *Chip) Run() {
-	for _, d := range c.domains {
-		for len(d.cal.evs) > 0 {
-			e := d.cal.popMin() // ok: the chip draining a domain it owns
-			c.now = e.at
-		}
+func (c *Chip) scheduleEv(at uint64, e event) {
+	if at < c.now {
+		at = c.now
+	}
+	c.seq++
+	e.at = at
+	e.seq = c.seq
+	c.cal.push(e) // ok: the owner's stamping entry point
+}
+
+func (c *Chip) run() {
+	for len(c.cal.evs) > 0 {
+		e := c.cal.popMin() // ok: an owner method draining its queue
+		c.now = e.at
 	}
 }
 
 func (c *Chip) sneak(e event) {
-	c.domains[0].cal.push(e) // want "bypasses the owner's scheduleEv"
+	c.cal.push(e) // want "bypasses the owner's scheduleEv"
 }
 
 func (c *Chip) retro(e event) {
-	c.domains[0].scheduleEv(c.now-1, e) // want "schedules before Now()"
-	c.domains[0].scheduleEv(c.now+2, e) // ok: forward delay
+	c.scheduleEv(c.now-1, e) // want "schedules before Now()"
+	c.scheduleEv(c.now+2, e) // ok: forward delay
 }
 
 func (c *Chip) forward(t uint64, e event) {
-	c.domains[0].scheduleEv(t-1, e) // ok: t is not the current cycle
+	c.scheduleEv(t-1, e) // ok: t is not the current cycle
+}
+
+// Proc owns no queue: it may not touch one, even reached through the
+// chip it runs on.
+type Proc struct{ chip *Chip }
+
+func (p *Proc) steal() event {
+	return p.chip.cal.popMin() // want "outside a queue-owner method"
+}
+
+func (p *Proc) sneak(e event) {
+	p.chip.cal.push(e) // want "bypasses the owner's scheduleEv"
+}
+
+func drain(q *calQueue) event {
+	return q.popMin() // want "outside a queue-owner method"
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -35,31 +34,21 @@ func loopProgram(t *testing.T) *prog.Program {
 	return p
 }
 
-// TestDomainsAndFlightUnderMultiDomainRun is the end-to-end race gate
-// for the scheduler-observability endpoints: a live four-domain chip
-// publishes from its sampler notify hook (on the event-loop goroutine)
-// while HTTP scrapers hammer /domains and /flight.  Run under -race in
-// CI.  Beyond freedom from races it checks the acceptance contract:
-// /domains reports window and barrier-wait stats for all four domains,
-// and /flight eventually serves a parseable dump on demand.
-func TestDomainsAndFlightUnderMultiDomainRun(t *testing.T) {
+// TestFlightUnderFourProcessorRun is the end-to-end race gate for the
+// on-demand flight endpoint: a live four-processor chip publishes from
+// its sampler notify hook (on the event-loop goroutine) while HTTP
+// scrapers hammer /metrics and /flight.  Run under -race in CI.  Beyond
+// freedom from races it checks the acceptance contract: /metrics
+// carries the chip's event count, and /flight eventually serves a
+// parseable dump of one ring holding every processor's records.
+func TestFlightUnderFourProcessorRun(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Before any publish: an empty array, not an error.
-	res, err := http.Get(ts.URL + "/domains")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if res.StatusCode != 200 || strings.TrimSpace(string(body)) != "[]" {
-		t.Fatalf("empty /domains = %d %q", res.StatusCode, body)
-	}
-
 	chip := sim.New(sim.DefaultOptions())
 	chip.EnableFlight(1024)
+	reg := chip.Telemetry()
 	p := loopProgram(t)
 	for _, at := range [][2]int{{0, 0}, {2, 0}, {0, 1}, {2, 1}} {
 		pr, err := chip.AddProc(compose.MustRect(at[0], at[1], 2), p)
@@ -69,9 +58,9 @@ func TestDomainsAndFlightUnderMultiDomainRun(t *testing.T) {
 		pr.Regs[1] = 20_000
 	}
 	// Publish from the sampler notify hook: it fires on the goroutine
-	// running the event loop, so DomainStats/FlightDump reads are safe.
+	// running the event loop, so registry and ring reads are safe.
 	chip.SampleEvery(256).SetNotify(func(uint64, []string, []float64) {
-		s.PublishDomains(chip.DomainStats())
+		s.PublishMetrics(reg.Snapshot())
 		if s.FlightWanted() {
 			s.PublishFlight(chip.FlightDump())
 		}
@@ -91,21 +80,15 @@ func TestDomainsAndFlightUnderMultiDomainRun(t *testing.T) {
 					return
 				default:
 				}
-				res, err := http.Get(ts.URL + "/domains")
+				res, err := http.Get(ts.URL + "/metrics")
 				if err != nil {
 					return
 				}
-				var ds []flight.DomainStats
-				derr := json.NewDecoder(res.Body).Decode(&ds)
+				var snap map[string]float64
+				derr := json.NewDecoder(res.Body).Decode(&snap)
 				res.Body.Close()
 				if derr != nil {
-					t.Errorf("/domains mid-run: %v", derr)
-					return
-				}
-				// Snapshot consistency: all four domains or none yet,
-				// never a torn prefix.
-				if len(ds) != 0 && len(ds) != 4 {
-					t.Errorf("/domains served %d domains, want 0 or 4", len(ds))
+					t.Errorf("/metrics mid-run: %v", derr)
 					return
 				}
 
@@ -139,33 +122,22 @@ func TestDomainsAndFlightUnderMultiDomainRun(t *testing.T) {
 	scrapers.Wait()
 
 	// Final publish after the run, as tflex.Run does.
-	s.PublishDomains(chip.DomainStats())
+	s.PublishMetrics(reg.Snapshot())
 	if s.FlightWanted() {
 		s.PublishFlight(chip.FlightDump())
 	}
 
-	res, err = http.Get(ts.URL + "/domains")
+	res, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ds []flight.DomainStats
-	if err := json.NewDecoder(res.Body).Decode(&ds); err != nil {
+	var snap map[string]float64
+	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
 	res.Body.Close()
-	if len(ds) != 4 {
-		t.Fatalf("final /domains served %d domains, want 4", len(ds))
-	}
-	var windows, barrier uint64
-	for _, d := range ds {
-		windows += d.Windows
-		barrier += d.BarrierWait
-	}
-	if windows == 0 {
-		t.Error("no lockstep windows reported across four domains")
-	}
-	if barrier == 0 {
-		t.Error("no barrier wait cycles reported across four domains")
+	if snap["sim.events"] == 0 {
+		t.Error("final /metrics carries no sim.events count")
 	}
 
 	flightMu.Lock()
@@ -186,10 +158,14 @@ func TestDomainsAndFlightUnderMultiDomainRun(t *testing.T) {
 			t.Fatalf("post-run /flight unparseable: %v", err)
 		}
 	}
-	if len(got.Rings) == 0 {
-		t.Fatal("flight dump served over /flight has no rings")
+	if len(got.Rings) != 1 {
+		t.Fatalf("flight dump served over /flight has %d rings, want 1", len(got.Rings))
 	}
-	if len(got.Records(flight.KBarrierRelease)) == 0 {
-		t.Error("flight dump has no barrier-release records from the four-domain run")
+	procs := map[int16]bool{}
+	for _, rc := range got.Records() {
+		procs[rc.Proc] = true
+	}
+	if len(procs) != 4 {
+		t.Errorf("the ring holds records of %d processors, want all 4", len(procs))
 	}
 }

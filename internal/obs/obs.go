@@ -7,7 +7,6 @@
 //	/metrics      latest telemetry registry snapshot (JSON)
 //	/critpath     rolling critical-path attribution aggregate (JSON)
 //	/events       SSE stream of cycle-sampler rows
-//	/domains      latest per-domain scheduler statistics (JSON)
 //	/flight       on-demand flight-recorder ring dump (JSON)
 //	/debug/pprof  the standard Go profiling endpoints
 //
@@ -47,7 +46,6 @@ type Server struct {
 	ln      net.Listener
 	srv     *http.Server
 
-	domains    []flight.DomainStats
 	flightDump *flight.Dump
 	flightWant atomic.Bool
 
@@ -106,25 +104,14 @@ func (s *Server) PublishSample(cycle uint64, names []string, row []float64) {
 	s.mu.Unlock()
 }
 
-// PublishDomains stores the per-domain scheduler statistics served by
-// /domains.  Like PublishMetrics, call it only from the goroutine that
-// owns the domains (inside the sampler notify hook, or after the run)
-// — the slice is owned by the caller until published,
-// shared read-only after.
-func (s *Server) PublishDomains(ds []flight.DomainStats) {
-	s.mu.Lock()
-	s.domains = ds
-	s.mu.Unlock()
-}
-
 // FlightWanted reports whether an HTTP client has requested a flight
 // dump since the last PublishFlight.  The sim side polls it from its
 // notify hook and, when set, captures a dump there — the handler never
-// touches live rings.
+// touches the live ring.
 func (s *Server) FlightWanted() bool { return s.flightWant.Load() }
 
 // PublishFlight stores the ring dump served by /flight and clears the
-// pending request flag.  Call from the goroutine that owns the rings.
+// pending request flag.  Call from the goroutine that owns the ring.
 func (s *Server) PublishFlight(d *flight.Dump) {
 	s.mu.Lock()
 	s.flightDump = d
@@ -159,7 +146,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/critpath", s.handleCritPath)
 	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/domains", s.handleDomains)
 	mux.HandleFunc("/flight", s.handleFlight)
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -179,7 +165,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"  /metrics       latest telemetry snapshot (JSON)\n"+
 		"  /critpath      rolling critical-path attribution (JSON)\n"+
 		"  /events        SSE stream of sampler rows\n"+
-		"  /domains       per-domain scheduler statistics (JSON)\n"+
 		"  /flight        flight-recorder ring dump (JSON)\n"+
 		"  /debug/pprof/  Go profiling endpoints\n")
 }
@@ -195,19 +180,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(snap) //nolint:errcheck // client went away
-}
-
-func (s *Server) handleDomains(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	ds := s.domains
-	s.mu.Unlock()
-	if ds == nil {
-		ds = []flight.DomainStats{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(ds) //nolint:errcheck // client went away
 }
 
 // handleFlight serves the last published ring dump and flags a fresh

@@ -165,3 +165,45 @@ func TestSchedulerIsolation(t *testing.T) {
 		t.Fatalf("expected both job results, got %v", sums)
 	}
 }
+
+// TestSchedulerOptimizedVsReference runs a queue the chip cannot hold at
+// once — 12 kernels wanting 4 cores each — on both engines.  Jobs that
+// wait are composed mid-run by the on-halt hook, beside processors still
+// running, so equal start, halt and cycle counts per job hold the
+// Reference oracle over scheduler-driven recomposition.
+func TestSchedulerOptimizedVsReference(t *testing.T) {
+	run := func(reference bool) []*Job {
+		opts := sim.DefaultOptions()
+		opts.Reference = reference
+		s := New(opts, EqualShare)
+		var jobs []*Job
+		for _, k := range kernels.All()[:12] {
+			inst, err := k.Build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := &Job{Name: k.Name, Prog: inst.Prog, Init: inst.Init, MaxCores: 4}
+			jobs = append(jobs, j)
+			s.Submit(j)
+		}
+		if _, err := s.Run(500_000_000); err != nil {
+			t.Fatalf("reference %t: %v", reference, err)
+		}
+		return jobs
+	}
+	fast, ref := run(false), run(true)
+	queued := 0
+	for i, f := range fast {
+		r := ref[i]
+		if f.StartedAt != r.StartedAt || f.HaltedAt != r.HaltedAt || f.Stats.Cycles != r.Stats.Cycles {
+			t.Errorf("%s: optimized started %d, halted %d, ran %d cycles; reference %d, %d, %d",
+				f.Name, f.StartedAt, f.HaltedAt, f.Stats.Cycles, r.StartedAt, r.HaltedAt, r.Stats.Cycles)
+		}
+		if f.StartedAt > 0 {
+			queued++
+		}
+	}
+	if queued == 0 {
+		t.Fatal("no job waited for cores; the queue never exercised on-halt recomposition")
+	}
+}

@@ -172,7 +172,7 @@ func (p *Proc) deliver(b *IFB, target isa.Target, val uint64, dead bool, fromIdx
 		return // late arrival at squashed/dead instruction
 	}
 	if slot.got {
-		p.fail("proc %d block %s inst %d: two values at one operand", p.id, b.blk.Name, idx)
+		p.chip.fail("proc %d block %s inst %d: two values at one operand", p.id, b.blk.Name, idx)
 		return
 	}
 	slot.got, slot.val, slot.at = true, val, t
@@ -193,7 +193,7 @@ func (p *Proc) deliverWrite(b *IFB, wi int, val uint64, dead bool, fromIdx int, 
 	reg := b.blk.Writes[wi].Reg
 	if !dead {
 		if w.has {
-			p.fail("proc %d block %s: two values at write slot %d", p.id, b.blk.Name, wi)
+			p.chip.fail("proc %d block %s: two values at write slot %d", p.id, b.blk.Name, wi)
 			return
 		}
 		bank := p.regBankIdx(reg)
@@ -333,9 +333,9 @@ func (p *Proc) maybeIssue(b *IFB, idx int) {
 	st.status = stIssued
 	coreIdx := b.instCoreIdx(idx)
 	issueAt := p.chip.issueAt(p.phys(coreIdx)).Reserve(readyAt, in.Op.IsFP())
-	if p.fr != nil && !b.frIssued {
+	if p.chip.flight != nil && !b.frIssued {
 		b.frIssued = true
-		p.fr.Add(flight.KIssue, issueAt, int16(p.id), int16(p.phys(coreIdx)), b.seq, 0)
+		p.chip.flight.Add(flight.KIssue, issueAt, int16(p.id), int16(p.phys(coreIdx)), b.seq, 0)
 	}
 	if b.cp != nil {
 		ci := b.cp.InstAt(idx)
@@ -361,7 +361,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 	case in.Op == isa.OpLoad:
 		addr := st.left.val + uint64(in.Imm)
 		if addr%uint64(in.MemSize) != 0 {
-			p.fail("proc %d block %s inst %d: misaligned %d-byte load at %#x",
+			p.chip.fail("proc %d block %s inst %d: misaligned %d-byte load at %#x",
 				p.id, b.blk.Name, idx, in.MemSize, addr)
 			return
 		}
@@ -376,12 +376,12 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			ci.BankIdeal = p.opnIdeal(coreIdx, bank)
 			ci.BankArrive = arr
 		}
-		p.scheduleEv(arr, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
+		p.chip.scheduleEv(arr, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
 
 	case in.Op == isa.OpStore:
 		addr := st.left.val + uint64(in.Imm)
 		if addr%uint64(in.MemSize) != 0 {
-			p.fail("proc %d block %s inst %d: misaligned %d-byte store at %#x",
+			p.chip.fail("proc %d block %s inst %d: misaligned %d-byte store at %#x",
 				p.id, b.blk.Name, idx, in.MemSize, addr)
 			return
 		}
@@ -397,7 +397,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			ci.BankIdeal = p.opnIdeal(coreIdx, bank)
 			ci.BankArrive = arr
 		}
-		p.scheduleEv(arr, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
+		p.chip.scheduleEv(arr, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
 
 	case in.Op == isa.OpNull:
 		done := issueAt + 1
@@ -410,7 +410,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 					s.Kind, s.Src = critpath.SrcInst, int32(idx)
 				}
 			}
-			p.scheduleEv(done, event{kind: evNullSlot, b: b, gen: b.gen, idx: int32(in.NullLSID)})
+			p.chip.scheduleEv(done, event{kind: evNullSlot, b: b, gen: b.gen, idx: int32(in.NullLSID)})
 		}
 		for _, tg := range in.Targets {
 			p.scheduleDeadToken(b, tg, coreIdx, done)
@@ -424,7 +424,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		case isa.OpBro, isa.OpCallo:
 			tgt, ok := p.prog.BranchTarget(in)
 			if !ok {
-				p.fail("proc %d: unresolved branch target %q", p.id, in.BranchTo)
+				p.chip.fail("proc %d: unresolved branch target %q", p.id, in.BranchTo)
 				return
 			}
 			target = tgt
@@ -437,7 +437,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			// first arrival and ignores a later predicated twin.
 			b.cp.Branch = critpath.SlotOut{Kind: critpath.SrcInst, Src: int32(idx), ResolvedAt: done, Valid: true}
 		}
-		p.scheduleEv(arr, event{kind: evBranch, b: b, gen: b.gen, idx: int32(in.Op), from: in.Exit, val: target})
+		p.chip.scheduleEv(arr, event{kind: evBranch, b: b, gen: b.gen, idx: int32(in.Op), from: in.Exit, val: target})
 
 	default:
 		val := exec.EvalALU(in, st.left.val, st.right.val)
@@ -484,11 +484,11 @@ func (p *Proc) scheduleDelivery(b *IFB, tg isa.Target, val uint64, fromIdx int, 
 			b.cp.InstAt(int(tg.Index)).Pred = e
 		}
 	}
-	p.scheduleEv(arr, event{kind: evDeliver, b: b, gen: b.gen, tgt: tg, val: val, from: uint8(fromIdx)})
+	p.chip.scheduleEv(arr, event{kind: evDeliver, b: b, gen: b.gen, tgt: tg, val: val, from: uint8(fromIdx)})
 }
 
 func (p *Proc) scheduleDeadToken(b *IFB, tg isa.Target, fromIdx int, t uint64) {
-	p.scheduleEv(t, event{kind: evDeadToken, b: b, gen: b.gen, tgt: tg, from: uint8(fromIdx)})
+	p.chip.scheduleEv(t, event{kind: evDeadToken, b: b, gen: b.gen, tgt: tg, from: uint8(fromIdx)})
 }
 
 // resolveRead finds the architectural or forwarded value of a register

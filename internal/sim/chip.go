@@ -32,18 +32,16 @@ type Chip struct {
 
 	Procs []*Proc
 
-	// Event domains (domain.go): each owns an event queue and sequence
-	// space.  The reference engine is the one-domain case whose queue is
-	// the original container/heap.
-	domains      []*domain
-	nextDomainID int
-	coreDom      [compose.NumCores]*domain // owning domain per physical core
-	pendingProcs []*Proc                   // composed, awaiting placement between windows
-	curDom       *domain                   // domain whose event is executing; under Reference, the one domain
-	deferSeq     uint64                    // global deferred-invalidation sequence
-
-	now uint64
-	err error
+	// The chip's one event queue (event.go).  Exactly one is live: the
+	// calendar, or under Options.Reference (cal == nil) the
+	// container/heap oracle.  cal is a pointer so a Reference chip never
+	// pays for the calendar's 8 KB of bucket handles.
+	cal    *calQueue
+	ref    eventQueue
+	seq    uint64 // insertion sequence, the (at, seq) tie-break
+	now    uint64
+	events uint64 // events executed
+	err    error
 
 	onHalt func(*Proc)
 
@@ -63,9 +61,9 @@ type Chip struct {
 	critEnabled bool
 	critSink    *critpath.Rolling
 
-	// Flight recorder (see flight.go): nil/unset until EnableFlight.
-	// Domains carry the ring pointers; disabled cost is nil checks only.
-	flightRec  *flight.Recorder
+	// Flight recorder (see flight.go): nil/unset until EnableFlight, so
+	// the disabled cost is the nil check inside flight.Ring.Add.
+	flight     *flight.Ring
 	flightSink io.Writer
 }
 
@@ -78,6 +76,9 @@ func (c *Chip) OnProcHalt(fn func(*Proc)) { c.onHalt = fn }
 func New(opts Options) *Chip {
 	p := opts.Params
 	c := &Chip{Opts: opts, sampleAt: ^uint64(0)}
+	if !opts.Reference {
+		c.cal = new(calQueue)
+	}
 	c.checkCapacities()
 	if c.err != nil {
 		// Run reports the fault before any event; one-flit links keep the
@@ -118,10 +119,29 @@ func (c *Chip) checkCapacities() {
 // Now returns the current simulation cycle.
 func (c *Chip) Now() uint64 { return c.now }
 
+// fail records the chip's first model fault; the event loop stops before
+// its next event and Run reports it.
 func (c *Chip) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("sim: "+format, args...)
 	}
+}
+
+// scheduleEv enqueues a typed event, stamping its time (clamped to now)
+// and the chip-wide insertion sequence.  It is the only place an event
+// enters the queue.
+func (c *Chip) scheduleEv(at uint64, e event) {
+	if at < c.now {
+		at = c.now
+	}
+	c.seq++
+	e.at = at
+	e.seq = c.seq
+	if c.cal == nil {
+		c.ref.push(e)
+		return
+	}
+	c.cal.push(e)
 }
 
 // l1dAt returns core's private D-cache, creating it on first use.
@@ -148,18 +168,8 @@ func (c *Chip) issueAt(core int) *noc.Ring {
 	return r
 }
 
-// InvalidateL1 implements mem.L1Directory.  An invalidation crossing
-// domain boundaries (only the L2 eviction path does: address-space
-// tagging keeps all same-line traffic intra-domain) is deferred into the
-// target domain's inbox and applied at the next window boundary.  The
-// found/dirty feedback is reported as a miss, exactly what the eviction
-// path does with it (mem/l2.go fill discards both).
+// InvalidateL1 implements mem.L1Directory.
 func (c *Chip) InvalidateL1(core int, addr uint64) (found, dirty bool) {
-	if tgt := c.coreDom[core]; tgt != nil && tgt != c.curDom {
-		c.deferSeq++
-		tgt.inbox = append(tgt.inbox, inval{seq: c.deferSeq, core: core, addr: addr})
-		return false, false
-	}
 	if c.l1d[core] == nil {
 		return false, false
 	}
@@ -217,22 +227,15 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 	return pr, nil
 }
 
-// launch readies a composed processor.  Under Reference it joins the
-// chip's one domain (created here on first use) and starts fetching
-// immediately; the optimized engine defers it to Run entry, or to the
-// next window boundary when composed mid-run by an OnProcHalt
-// scheduler, where domains are re-formed around its footprint.
+// launch readies a composed processor and schedules its first fetch at
+// the current cycle — cycle 0 before Run, the halting cycle when an
+// OnProcHalt hook composes it mid-run.  The caller seeds registers and
+// memory afterwards, which is safe because no event executes outside
+// Run and prepareStart reads no architectural state.
 func (c *Chip) launch(pr *Proc) {
 	pr.prepareStart()
-	if c.Opts.Reference {
-		if c.curDom == nil {
-			c.curDom = c.newDomain()
-		}
-		x0, y0, x1, y1 := c.bboxOfCores(pr.cores)
-		c.curDom.adopt(pr, x0, y0, x1, y1, c.now)
-		return
-	}
-	c.pendingProcs = append(c.pendingProcs, pr)
+	c.flight.Add(flight.KCompose, c.now, int16(pr.id), int16(pr.cores[0]), uint64(pr.id), uint64(len(pr.cores)))
+	pr.maybeFetch()
 }
 
 // AddProcShared composes a logical processor that shares the architectural
@@ -254,10 +257,10 @@ func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, fro
 // Run executes events until every processor halts, the cycle limit is
 // exceeded, or the model faults.  With the flight recorder armed
 // (EnableFlight) and a sink set (SetFlightSink), a panicking or failing
-// run writes a post-mortem text dump of every ring on the way out — the
+// run writes a post-mortem text dump of the ring on the way out — the
 // panic is re-raised unchanged.
 func (c *Chip) Run(maxCycles uint64) error {
-	if c.flightRec == nil {
+	if c.flight == nil {
 		return c.run(maxCycles)
 	}
 	defer func() {
@@ -273,19 +276,45 @@ func (c *Chip) Run(maxCycles uint64) error {
 	return err
 }
 
-// run drives one of the two event loops to completion: the optimized
-// engine's window loop over event domains (runWindows, domain.go), or,
-// under Options.Reference, the original heap loop (runReference) — the
-// oracle the differential tests compare against.
+// run is the event loop of both engines: pop the earliest event in
+// (at, seq) order, check the cycle limit and the stall watchdog, take due
+// samples, dispatch.  Options.Reference changes only which queue the pop
+// reads.  A chip already failed — rejected at construction or launch —
+// runs no event.
 func (c *Chip) run(maxCycles uint64) error {
-	if c.err != nil {
-		return c.err // rejected at construction or launch: no event runs
-	}
-	if c.Opts.Reference {
-		c.runReference(maxCycles)
-	} else {
-		c.placePending(c.now)
-		c.runWindows(maxCycles)
+	stall := c.Opts.stallEvents()
+	var sameCycle uint64 // events executed since the clock last advanced
+	var e event
+	for c.err == nil {
+		if c.cal != nil {
+			if c.cal.empty() {
+				break
+			}
+			e = c.cal.popMin()
+		} else {
+			if c.ref.empty() {
+				break
+			}
+			e = c.ref.popMin()
+		}
+		if e.at > maxCycles {
+			c.fail("exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())
+			break
+		}
+		if e.at != c.now {
+			c.now = e.at
+			sameCycle = 0
+		}
+		if sameCycle++; sameCycle >= stall {
+			c.flight.Add(flight.KStall, c.now, -1, -1, sameCycle, 0)
+			c.fail("stall watchdog: %d events executed without the clock advancing past cycle %d (Options.StallEvents; flight ring dumped)", sameCycle, c.now)
+			break
+		}
+		c.events++
+		if e.at >= c.sampleAt {
+			c.takeSamples()
+		}
+		c.dispatch(&e, e.at)
 	}
 	if c.err != nil {
 		return c.err

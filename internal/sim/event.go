@@ -113,14 +113,11 @@ type calQueue struct {
 
 func (q *calQueue) empty() bool { return q.nbucket == 0 && len(q.overflow) == 0 }
 
-// push files an event.  Schedule times are clamped to the domain's now,
-// which the cursor normally never passes; the one exception is a cursor
-// that jumped ahead over an idle gap (nextAt) before new work arrived
-// from a window boundary, which rewinds first.
+// push files an event.  Invariant: e.at >= q.base, so no push lands behind
+// the cursor.  The chip's loop moves the cursor only by popping, which
+// leaves it on the popped event's cycle — the chip's now — and
+// Chip.scheduleEv clamps every schedule time to now.
 func (q *calQueue) push(e event) {
-	if e.at < q.base {
-		q.rewind(e.at)
-	}
 	if e.at < q.base+calBuckets {
 		q.file(e)
 	} else {
@@ -150,37 +147,24 @@ func (q *calQueue) file(e event) {
 
 // popMin removes and returns the earliest event in (at, seq) order; the
 // queue must not be empty.
-func (q *calQueue) popMin() event {
-	e, _ := q.popBefore(^uint64(0))
-	return e
-}
-
-// popBefore removes and returns the earliest event in (at, seq) order if
-// its cycle is below limit; ok is false when the queue is empty or its
-// earliest event is at or past limit.
 //
 // Ordering argument: a bucket only ever holds events for one cycle at a
 // time (the window is exactly calBuckets wide), and all pushes for a given
 // cycle T arrive in seq order — overflow events for T are migrated, in seq
 // order, by the nextAt that first makes T reachable, which is before any
 // event executes and directly pushes more work for T.
-func (q *calQueue) popBefore(limit uint64) (e event, ok bool) {
+func (q *calQueue) popMin() event {
 	i := q.base & calMask
 	if q.head[i] == 0 {
 		// Cursor bucket drained: scan to the next pending cycle.  While it
 		// still holds events the cursor has not moved since the last scan,
 		// so no overflow event can have come due and the scan is skipped.
-		if _, ok := q.nextAt(); !ok {
-			return e, false
-		}
+		q.nextAt()
 		i = q.base & calMask
-	}
-	if q.base >= limit {
-		return e, false
 	}
 	h := q.head[i]
 	n := &q.nodes[h-1]
-	e = n.ev
+	e := n.ev
 	q.head[i] = n.next
 	if n.next == 0 {
 		q.tail[i] = 0
@@ -188,7 +172,7 @@ func (q *calQueue) popBefore(limit uint64) (e event, ok bool) {
 	n.next = q.free
 	q.free = h
 	q.nbucket--
-	return e, true
+	return e
 }
 
 // nextAt returns the cycle of the earliest pending event without
@@ -214,29 +198,6 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 		} else {
 			q.base++
 		}
-	}
-}
-
-// rewind moves the cursor back to cycle `to` after an idle-gap jump
-// outpaced a new arrival (a processor composed at a window boundary
-// scheduling into a domain whose cursor already jumped ahead).  Resident
-// events whose cycles no longer fit the rewound window are re-filed, so
-// no two cycles ever share a bucket.  Rare and cold: it can only happen
-// once per composition event.
-func (q *calQueue) rewind(to uint64) {
-	resident := make([]event, 0, q.nbucket)
-	for i := range q.head {
-		for h := q.head[i]; h != 0; h = q.nodes[h-1].next {
-			resident = append(resident, q.nodes[h-1].ev)
-		}
-		q.head[i], q.tail[i] = 0, 0
-	}
-	q.nodes = q.nodes[:0]
-	q.free = 0
-	q.nbucket = 0
-	q.base = to
-	for _, e := range resident {
-		q.push(e) // e.at >= the old base > to, so no recursive rewind
 	}
 }
 

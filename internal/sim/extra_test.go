@@ -266,9 +266,8 @@ func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 }
 
 // TestFaultBeforePlacementIsATypedError: a program with no entry block
-// faults in AddProc, before the processor has an event domain to report
-// through; the fault lands on the chip and Run returns it, on both
-// engines, instead of dereferencing the missing domain.
+// faults in AddProc, before any event exists; the fault lands on the
+// chip and Run returns it, on both engines.
 func TestFaultBeforePlacementIsATypedError(t *testing.T) {
 	for _, reference := range []bool{false, true} {
 		opts := DefaultOptions()

@@ -83,7 +83,7 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 		p.Stats.LSQNACKs++
 		p.relieveLSQPressure(b, t)
 		retry := t + p.chip.Opts.NACKRetryCycles
-		p.scheduleEv(retry, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
+		p.chip.scheduleEv(retry, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
 		return
 	}
 
@@ -148,7 +148,7 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 		p.Stats.LSQNACKs++
 		p.relieveLSQPressure(b, t)
 		retry := t + p.chip.Opts.NACKRetryCycles
-		p.scheduleEv(retry, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
+		p.chip.scheduleEv(retry, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
 		return
 	}
 
@@ -308,7 +308,7 @@ func (p *Proc) retryDeferredLoads() {
 		}
 		in := &d.b.blk.Insts[d.idx]
 		if p.olderStoresResolved(d.b, in.LSID) {
-			p.scheduleEv(p.dom.now, event{kind: evLoadBank, b: d.b, gen: d.gen, idx: int32(d.idx), addr: d.addr})
+			p.chip.scheduleEv(p.chip.now, event{kind: evLoadBank, b: d.b, gen: d.gen, idx: int32(d.idx), addr: d.addr})
 		} else {
 			p.deferred = append(p.deferred, d)
 		}

@@ -46,31 +46,18 @@ type Options struct {
 	// NACKRetryCycles is the backoff before a NACKed LSQ insert retries.
 	NACKRetryCycles uint64
 
-	// ParallelDomains is accepted and has no effect: the worker-pool
-	// scheduler it selected is gone and every domain runs on the
-	// caller's goroutine.  The field remains only because the frozen
-	// benchmark (cmd/clpbench) still assigns it; the next benchmark PR
-	// may drop it.
+	// ParallelDomains is accepted and has no effect: a chip has one
+	// event queue, drained on the caller's goroutine.  The field remains
+	// only because the frozen benchmark (cmd/clpbench) still assigns it;
+	// the benchmark PR (ROADMAP item 1a) drops it.
 	ParallelDomains int
 
-	// DomainWindow is the lockstep window width W in cycles: events
-	// execute window by window ([kW, (k+1)W)), and at every boundary
-	// deferred cross-domain coherence traffic (L2 eviction
-	// invalidations) is applied and newly composed processors begin
-	// fetching.  W is a model parameter and defaults to 16 cycles,
-	// approximating the banked-L2 round trip an invalidate needs to
-	// reach a remote core (L2 hit latency spans 5..27 cycles); a
-	// single-domain run without mid-run composition is identical at any
-	// W.  Values < 1 mean the default.
-	DomainWindow uint64
-
-	// StallEvents is the stall-watchdog budget: the maximum number of
-	// events one domain may execute without its lockstep window
-	// advancing before the run fails with a diagnostic instead of
-	// hanging.  The watchdog counts events, not wall time, so it is
-	// deterministic like everything else in the engine.  Values < 1
-	// mean the default (1<<20 events — orders of magnitude above what
-	// any legal window can execute).
+	// StallEvents is the stall-watchdog budget: the run fails with a
+	// diagnostic, instead of hanging, when this many events execute
+	// without the clock advancing.  The watchdog counts events, not wall
+	// time, so it is deterministic like everything else in the engine,
+	// and it guards both engines.  Values < 1 mean the default (1<<20
+	// events — orders of magnitude above what any legal cycle executes).
 	StallEvents uint64
 
 	// Reference disables the engine's hot-path optimizations — the
@@ -89,11 +76,8 @@ func DefaultOptions() Options {
 	}
 }
 
-// defaultDomainWindow is the default lockstep window width (cycles).
-const defaultDomainWindow = 16
-
 // defaultStallEvents is the default stall-watchdog budget (events per
-// window without progress).
+// cycle).
 const defaultStallEvents = 1 << 20
 
 func (o *Options) stallEvents() uint64 {
@@ -101,13 +85,6 @@ func (o *Options) stallEvents() uint64 {
 		return o.StallEvents
 	}
 	return defaultStallEvents
-}
-
-func (o *Options) domainWindow() uint64 {
-	if o.DomainWindow >= 1 {
-		return o.DomainWindow
-	}
-	return defaultDomainWindow
 }
 
 func (o *Options) windowPerCore() int {

@@ -17,11 +17,6 @@ import (
 // Proc is one composed logical processor executing one thread.
 type Proc struct {
 	chip *Chip
-	dom  *domain // owning event domain; set when the processor is placed, never nil after
-	// fr is the owning domain's flight-recorder ring; nil unless
-	// Chip.EnableFlight armed the recorder.  Add is nil-receiver safe,
-	// so every record site costs a nil check when disabled.
-	fr   *flight.Ring
 	id   int
 	asid uint64
 
@@ -191,16 +186,6 @@ func (p *Proc) regBankIdx(reg uint8) int {
 	return p.rbanks[int(reg)%len(p.rbanks)]
 }
 
-// A processor reads the clock (p.dom.now), schedules events and reports
-// faults through its owning event domain, which carries its own queue,
-// clock and first-fault slot.
-
-// scheduleEv enqueues a typed event in the processor's domain.
-func (p *Proc) scheduleEv(at uint64, e event) { p.dom.scheduleEv(at, e) }
-
-// fail records a model fault against the processor's domain.
-func (p *Proc) fail(format string, args ...any) { p.dom.fail(format, args...) }
-
 // ctlSend routes a control message, honoring the ZeroHandshake ablation.
 func (p *Proc) ctlSend(fromIdx, toIdx int, t uint64) uint64 {
 	if p.chip.Opts.ZeroHandshake {
@@ -227,11 +212,9 @@ func (p *Proc) ctlMulticastInto(fromIdx int, t uint64, dst []uint64) {
 	p.chip.Ctl.MulticastInto(p.phys(fromIdx), p.cores, t, dst)
 }
 
-// prepareStart validates the program and primes the fetch engine.  The
-// first fetch is scheduled when a domain adopts the processor: in
-// Chip.launch (Reference), or at Run entry or the next window boundary
-// (optimized).  It runs before the processor has a domain, so its fault
-// goes to the chip.
+// prepareStart validates the program and primes the fetch engine;
+// Chip.launch then schedules the first fetch.  It must not read
+// registers or memory: callers seed those after AddProc returns.
 func (p *Proc) prepareStart() {
 	entry := p.prog.EntryBlock()
 	if entry == nil {
@@ -254,14 +237,14 @@ func (p *Proc) maybeFetch() {
 		return // re-invoked on dealloc
 	}
 	p.fetch.scheduled = true
-	p.scheduleEv(p.fetch.readyAt, event{kind: evFetch, proc: p, val: p.fetch.epoch})
+	p.chip.scheduleEv(p.fetch.readyAt, event{kind: evFetch, proc: p, val: p.fetch.epoch})
 }
 
 // fetchBlock runs the distributed fetch pipeline for the block at
 // p.fetch.addr: prediction, hand-off, I-cache tag check, fetch-command
 // distribution and per-core dispatch (paper §4.2, Figure 9a).
 func (p *Proc) fetchBlock() {
-	t0 := p.dom.now
+	t0 := p.chip.now
 	addr := p.fetch.addr
 	hist := p.fetch.hist
 	blk := p.prog.BlockAt(addr)
@@ -315,7 +298,7 @@ func (p *Proc) fetchBlock() {
 		p.fetch.valid = false
 	}
 	b.tFetchStart = t0
-	p.fr.Add(flight.KFetch, t0, int16(p.id), int16(p.phys(owner)), addr, b.seq)
+	p.chip.flight.Add(flight.KFetch, t0, int16(p.id), int16(p.phys(owner)), addr, b.seq)
 
 	// I-cache tag check at the owner; misses fill from the L2.
 	cmdStart := t0 + constLat
@@ -359,15 +342,15 @@ func (p *Proc) fetchBlock() {
 		if av > dispatchLast {
 			dispatchLast = av
 		}
-		p.scheduleEv(av, event{kind: evDispatch, b: b, gen: b.gen, idx: id32})
+		p.chip.scheduleEv(av, event{kind: evDispatch, b: b, gen: b.gen, idx: id32})
 	}
 	b.dispatchLat = dispatchLast - bcastLast
-	p.fr.Add(flight.KDispatch, dispatchLast, int16(p.id), int16(p.phys(owner)), b.seq, b.dispatchLat)
+	p.chip.flight.Add(flight.KDispatch, dispatchLast, int16(p.id), int16(p.phys(owner)), b.seq, b.dispatchLat)
 
 	// Register reads are dispatched to their register-bank cores.
 	for ri := range blk.Reads {
 		bank := p.regBankIdx(blk.Reads[ri].Reg)
-		p.scheduleEv(arr[bank]+1, event{kind: evRegRead, b: b, gen: b.gen, idx: int32(ri)})
+		p.chip.scheduleEv(arr[bank]+1, event{kind: evRegRead, b: b, gen: b.gen, idx: int32(ri)})
 	}
 
 	// Blocks with no register writes/stores can complete with just the
@@ -398,7 +381,7 @@ func (p *Proc) flushFrom(seq uint64, restartAddr uint64, hist predictor.History,
 		}
 		b.dead = true
 		p.Stats.BlocksFlushed++
-		p.fr.Add(flight.KFlush, t, int16(p.id), -1, b.seq, restartAddr)
+		p.chip.flight.Add(flight.KFlush, t, int16(p.id), -1, b.seq, restartAddr)
 		p.emitBlockEvent(b, t, true)
 		p.window = p.window[:i]
 		p.releaseIFB(b)
@@ -488,7 +471,7 @@ func (p *Proc) outputDone(b *IFB, t uint64, kind critpath.OutKind, idx int32) {
 	}
 	b.outputsPending--
 	if b.outputsPending < 0 {
-		p.fail("proc %d block %s seq %d: too many outputs", p.id, b.blk.Name, b.seq)
+		p.chip.fail("proc %d block %s seq %d: too many outputs", p.id, b.blk.Name, b.seq)
 		return
 	}
 	if b.outputsPending == 0 {
@@ -522,7 +505,7 @@ func (p *Proc) tryCommit() {
 func (p *Proc) startCommit(b *IFB) {
 	b.phase = phaseCommitting
 	start := b.completeAt
-	if now := p.dom.now; now > start {
+	if now := p.chip.now; now > start {
 		start = now
 	}
 	if p.anyCommitted {
@@ -604,7 +587,7 @@ func (p *Proc) startCommit(b *IFB) {
 	p.Stats.CommitArchSum += drainMax
 	p.Stats.CommitHandshakeSum += (deallocAt - start) - drainMax
 
-	p.scheduleEv(deallocAt, event{kind: evDealloc, b: b, gen: b.gen, val: deallocAt})
+	p.chip.scheduleEv(deallocAt, event{kind: evDealloc, b: b, gen: b.gen, val: deallocAt})
 }
 
 // applyArchState commits a block's register writes and stores.
@@ -637,7 +620,7 @@ func (p *Proc) commitStoreToCache(addr uint64) {
 	physCore := p.phys(bank)
 	cache := p.chip.l1dAt(physCore)
 	pa := p.physAddr(addr)
-	now := p.dom.now
+	now := p.chip.now
 	if line, hit := cache.Access(pa, now); hit {
 		if !line.Dirty {
 			p.chip.L2.Upgrade(physCore, pa, now)
@@ -687,7 +670,7 @@ func (p *Proc) finalizeCommit(b *IFB, t uint64) {
 	}
 	p.Stats.BlocksCommitted++
 	p.Stats.InstsCommitted += uint64(b.useful)
-	p.fr.Add(flight.KCommit, t, int16(p.id), int16(p.phys(b.owner)), b.seq, t-b.tFetchStart)
+	p.chip.flight.Add(flight.KCommit, t, int16(p.id), int16(p.phys(b.owner)), b.seq, t-b.tFetchStart)
 	if b.cp != nil {
 		p.finalizeCritPath(b, t)
 	}

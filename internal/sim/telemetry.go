@@ -19,6 +19,7 @@ import (
 //	core<phys>.l1d.* core<phys>.lsq.*   per physical core
 //	noc.opnd.* noc.ctl.*          meshes, incl. .link.<a>.<b>.flits
 //	l2.* dram.*                   shared memory system
+//	sim.events                    events the chip's loop executed
 //
 // Counters are views over the fields the components already increment;
 // only histograms, gauges, the sampler and the Chrome trace do work at
@@ -45,9 +46,7 @@ func (c *Chip) Telemetry() *telemetry.Registry {
 	for _, p := range c.Procs {
 		p.register(c.tel)
 	}
-	for _, d := range c.domains {
-		d.register(c.tel)
-	}
+	c.tel.CounterView("sim.events", &c.events)
 	return c.tel
 }
 

@@ -110,18 +110,12 @@ type (
 	// CritPathCategory names one attribution category.
 	CritPathCategory = critpath.Category
 	// Observer is the live observability server: /metrics, /critpath,
-	// /events (SSE), /domains, /flight and /debug/pprof over plain
-	// net/http.
+	// /events (SSE), /flight and /debug/pprof over plain net/http.
 	Observer = obs.Server
 
-	// FlightDump is a drained flight recorder: the surviving ring
-	// records of every event domain, renderable as text, JSON or a
-	// Chrome trace.
+	// FlightDump is a drained flight recorder: the chip's surviving
+	// ring records, renderable as text, JSON or a Chrome trace.
 	FlightDump = flight.Dump
-	// DomainStats are one event domain's scheduler statistics: windows
-	// run, events executed, barrier slack and deferred invalidations
-	// delivered.
-	DomainStats = flight.DomainStats
 )
 
 // NumCritPathCategories is the number of attribution categories.
@@ -222,10 +216,10 @@ type RunConfig struct {
 	// Options overrides the chip options (nil: DefaultOptions, or
 	// TRIPSOptions when TRIPS is set).
 	Options *Options
-	// ParallelDomains is accepted and has no effect: every event domain
-	// runs on the calling goroutine.  The field remains only because
-	// the frozen benchmark (cmd/clpbench) still assigns it; the next
-	// benchmark PR may drop it.
+	// ParallelDomains is accepted and has no effect: a chip has one
+	// event queue, drained on the calling goroutine.  The field remains
+	// only because the frozen benchmark (cmd/clpbench) still assigns
+	// it; the benchmark PR (ROADMAP item 1a) drops it.
 	ParallelDomains int
 	// OnBlock, if set, observes every block retirement (commit or flush).
 	OnBlock func(BlockEvent)
@@ -252,16 +246,15 @@ type RunConfig struct {
 	// at every sample point (SampleEvery, defaulting to 4096 cycles when
 	// unset).  Start/Close the server yourself.
 	Observe *Observer
-	// Flight arms the always-on flight recorder: every domain keeps a
-	// fixed-size ring of compact scheduler/pipeline records (fetch,
-	// dispatch, issue, commit, flush, window and barrier crossings,
-	// deferred invalidations, composition changes).  Result.Flight and Result.Domains report the drained
-	// rings and per-domain statistics; on a failed or panicking run the
-	// rings are dumped to stderr as a post-mortem.  Off by default —
-	// the hot paths then pay only nil checks.
+	// Flight arms the flight recorder: the chip keeps one fixed-size
+	// ring of compact pipeline records (fetch, dispatch, issue, commit,
+	// flush, processor composition, watchdog stall).  Result.Flight
+	// reports the drained ring; on a failed or panicking run the ring
+	// is dumped to stderr as a post-mortem.  Off by default — the hot
+	// paths then pay only nil checks.
 	Flight bool
-	// FlightEvents sizes each domain's ring (rounded up to a power of
-	// two; <= 0 means 4096).  Setting it implies Flight.
+	// FlightEvents sizes the ring (rounded up to a power of two; <= 0
+	// means 4096).  Setting it implies Flight.
 	FlightEvents int
 	// ArchDigest arms collection of the unified architectural state:
 	// the committed-store stream is hashed during the run and
@@ -293,9 +286,6 @@ type Result struct {
 	// RunConfig.Flight (or FlightEvents) was set.  RunMulti results
 	// share one chip-wide dump.
 	Flight *FlightDump
-	// Domains reports per-domain scheduler statistics; nil unless the
-	// flight recorder was armed.
-	Domains []DomainStats
 }
 
 // Run executes a program on a freshly composed processor and returns its
@@ -350,7 +340,7 @@ func Run(p *Program, cfg RunConfig) (*Result, error) {
 		chip.SetCritPathSink(srv.Rolling())
 		// Publishing happens on the chip's event-loop goroutine via the
 		// sampler notify hook, so handlers never read live counters or
-		// rings.
+		// the ring.
 		obsReg := chip.Telemetry()
 		pubSamp := samp
 		if pubSamp == nil {
@@ -359,7 +349,6 @@ func Run(p *Program, cfg RunConfig) (*Result, error) {
 		pubSamp.SetNotify(func(cycle uint64, names []string, row []float64) {
 			srv.PublishSample(cycle, names, row)
 			srv.PublishMetrics(obsReg.Snapshot())
-			srv.PublishDomains(chip.DomainStats())
 			if srv.FlightWanted() {
 				srv.PublishFlight(chip.FlightDump())
 			}
@@ -389,13 +378,9 @@ func Run(p *Program, cfg RunConfig) (*Result, error) {
 		cp := chip.CritPath()
 		res.CritPath = &cp
 	}
-	if chip.FlightEnabled() {
-		res.Flight = chip.FlightDump()
-		res.Domains = chip.DomainStats()
-	}
+	res.Flight = chip.FlightDump() // nil unless armed
 	if cfg.Observe != nil {
 		cfg.Observe.PublishMetrics(chip.Telemetry().Snapshot())
-		cfg.Observe.PublishDomains(chip.DomainStats())
 		if cfg.Observe.FlightWanted() && chip.FlightEnabled() {
 			cfg.Observe.PublishFlight(chip.FlightDump())
 		}
@@ -416,17 +401,16 @@ type ProgramSpec struct {
 
 // RunMulti executes several independent programs on one chip, each on
 // its own composed processor, and returns one Result per program in
-// input order.  Each processor (plus the architectural memory it shares
-// with nobody) becomes its own event domain; the domains advance in
-// lockstep windows and interact only through the shared L2/DRAM.
+// input order.  The processors share the chip's one event queue and
+// clock and interact only through the shared L2/DRAM.
 //
 // Only the chip-wide RunConfig fields apply (MaxCycles, Options,
 // Flight/FlightEvents, Observe); the per-program
 // instrumentation fields are for single-program runs and are ignored
 // here.  When the flight recorder is armed, every Result shares the
-// same chip-wide dump and domain statistics.  An Observe server gets
-// live /metrics, /domains and on-demand /flight during the run,
-// published from the chip's sampler notify hook.
+// same chip-wide dump.  An Observe server gets live /metrics and
+// on-demand /flight during the run, published from the chip's sampler
+// notify hook.
 func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tflex: RunMulti needs at least one program")
@@ -447,13 +431,12 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 		chip.EnableCritPath()
 		chip.SetCritPathSink(srv.Rolling())
 		// Same publishing contract as Run: the sampler notify hook fires
-		// on the event-loop goroutine, so DomainStats/FlightDump reads
+		// on the event-loop goroutine, so registry and FlightDump reads
 		// are safe.
 		obsReg := chip.Telemetry()
 		chip.SampleEvery(4096).SetNotify(func(cycle uint64, names []string, row []float64) {
 			srv.PublishSample(cycle, names, row)
 			srv.PublishMetrics(obsReg.Snapshot())
-			srv.PublishDomains(chip.DomainStats())
 			if srv.FlightWanted() {
 				srv.PublishFlight(chip.FlightDump())
 			}
@@ -476,20 +459,13 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 		return nil, fmt.Errorf("tflex: %w", err)
 	}
 	results := make([]*Result, len(specs))
-	var dump *FlightDump
-	var ds []DomainStats
-	if chip.FlightEnabled() {
-		dump = chip.FlightDump()
-		ds = chip.DomainStats()
-	}
+	dump := chip.FlightDump() // nil unless armed
 	for i, pr := range procs {
 		results[i] = newResult(pr, hashers[i])
 		results[i].Flight = dump
-		results[i].Domains = ds
 	}
 	if srv := cfg.Observe; srv != nil {
 		srv.PublishMetrics(chip.Telemetry().Snapshot())
-		srv.PublishDomains(chip.DomainStats())
 		if srv.FlightWanted() && chip.FlightEnabled() {
 			srv.PublishFlight(chip.FlightDump())
 		}
@@ -519,13 +495,8 @@ func newResult(pr *Proc, sh *arch.StoreHasher) *Result {
 		Mem:    pr.Mem,
 	}
 	if sh != nil {
-		res.Arch = &ArchState{
-			Regs:        pr.Regs,
-			MemDigest:   pr.Mem.Digest(),
-			Blocks:      pr.Stats.BlocksCommitted,
-			Stores:      sh.Count(),
-			StoreDigest: sh.Digest(),
-		}
+		st := arch.SimState(pr, sh)
+		res.Arch = &st
 	}
 	return res
 }
