@@ -16,7 +16,8 @@
 # /metrics + /flight scraped off a live four-processor chip), a live
 # smoke that curls /metrics and /critpath off a serving tflexexp, a
 # flight-recorder smoke (tflexsim -flight on a fuzz seed must write a
-# dump that -flight-print parses back), and a one-iteration smoke of
+# dump that -flight-print parses back, and a multiprogrammed run must
+# write its observer files), and a one-iteration smoke of
 # every benchmark so the bench harness cannot rot unnoticed.
 #
 #   ./ci.sh bench
@@ -152,6 +153,8 @@ echo "== flight recorder smoke (tflexsim -flight on a fuzz seed) =="
 flightdir=$(mktemp -d)
 go run ./cmd/tflexsim -fuzz-seed 7 -flight "$flightdir/seed7.flight.json" >/dev/null
 go run ./cmd/tflexsim -flight-print "$flightdir/seed7.flight.json" | head -5
+go run ./cmd/tflexsim -kernel conv -cores 8 -procs 2 -critpath -chrome-trace "$flightdir/c.json" -metrics "$flightdir/m.json" >/dev/null
+test -s "$flightdir/c.json" -a -s "$flightdir/m.json" || { echo "FAIL: -procs 2 wrote no Chrome trace or metrics file" >&2; exit 1; }
 rm -rf "$flightdir"
 
 echo "== benchmark smoke (1 iteration each) =="

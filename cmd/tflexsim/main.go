@@ -14,7 +14,11 @@
 //
 // -procs N multiprograms N copies of the kernel onto disjoint
 // compositions of -cores cores each (one chip, one event queue) and
-// prints per-processor results.
+// prints per-processor results.  Every observer flag works there as on
+// one processor: -metrics, -chrome-trace, -sample, -timeline and -flight
+// write one chip-wide file each, their rows keyed by processor ID (the
+// timeline CSV gains a leading proc column), -critpath prints one
+// breakdown per processor and -json one object per processor.
 //
 // -critpath prints the cycle-exact critical-path attribution breakdown
 // after the run (every committed block's latency split across eight
@@ -39,13 +43,11 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 
 	"github.com/clp-sim/tflex"
 	"github.com/clp-sim/tflex/internal/edgegen"
@@ -55,156 +57,154 @@ import (
 	"github.com/clp-sim/tflex/internal/profiling"
 )
 
+// simFlags are the flags of a kernel run (as opposed to -sweep, the
+// fuzzer and -flight-print).
+type simFlags struct {
+	kernel              string
+	cores, scale, procs int
+	trips               bool
+
+	jsonOut, critPath                              bool
+	timeline, metrics, chromeTrace, sample, flight string
+	sampleEvery                                    uint64
+	flightEvents                                   int
+}
+
 func main() {
-	kernel := flag.String("kernel", "conv", "benchmark name (see -list)")
-	cores := flag.Int("cores", 8, "TFlex composition size (1, 2, 4, 8, 16, 32)")
-	useTRIPS := flag.Bool("trips", false, "run on the fixed-granularity TRIPS baseline")
-	scale := flag.Int("scale", 2, "kernel input scale")
+	var f simFlags
+	flag.StringVar(&f.kernel, "kernel", "conv", "benchmark name (see -list)")
+	flag.IntVar(&f.cores, "cores", 8, "TFlex composition size (1, 2, 4, 8, 16, 32)")
+	flag.BoolVar(&f.trips, "trips", false, "run on the fixed-granularity TRIPS baseline")
+	flag.IntVar(&f.scale, "scale", 2, "kernel input scale")
 	list := flag.Bool("list", false, "list benchmarks and exit")
-	jsonOut := flag.Bool("json", false, "emit statistics as JSON")
-	timeline := flag.String("timeline", "", "write a per-block lifecycle CSV to this file")
-	metrics := flag.String("metrics", "", "write the telemetry registry (counters/gauges/histograms) as JSON to this file")
-	chromeTrace := flag.String("chrome-trace", "", "write block lifecycles as a chrome://tracing event file")
-	sample := flag.String("sample", "", "write cycle-sampled occupancy time series as JSON to this file")
-	sampleEvery := flag.Uint64("sample-every", 256, "sampling interval in cycles for -sample")
-	critPath := flag.Bool("critpath", false, "attribute every committed block's latency across the critical-path categories and print the breakdown")
+	flag.BoolVar(&f.jsonOut, "json", false, "emit statistics as JSON")
+	flag.StringVar(&f.timeline, "timeline", "", "write a per-block lifecycle CSV to this file")
+	flag.StringVar(&f.metrics, "metrics", "", "write the telemetry registry (counters/gauges/histograms) as JSON to this file")
+	flag.StringVar(&f.chromeTrace, "chrome-trace", "", "write block lifecycles as a chrome://tracing event file")
+	flag.StringVar(&f.sample, "sample", "", "write cycle-sampled occupancy time series as JSON to this file")
+	flag.Uint64Var(&f.sampleEvery, "sample-every", 256, "sampling interval in cycles for -sample")
+	flag.BoolVar(&f.critPath, "critpath", false, "attribute every committed block's latency across the critical-path categories and print the breakdown")
 	serve := flag.String("serve", "", "serve live observability (/metrics, /critpath, /events, /debug/pprof) on this address during the run")
 	sweep := flag.Bool("sweep", false, "run the kernel on every composition size concurrently and print the speedup curve")
 	jobs := flag.Int("jobs", 0, "concurrent simulation jobs for -sweep (<=0: GOMAXPROCS)")
-	procs := flag.Int("procs", 1, "multiprogram this many copies of the kernel on disjoint compositions")
+	flag.IntVar(&f.procs, "procs", 1, "multiprogram this many copies of the kernel on disjoint compositions")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	fuzzSeed := flag.Int64("fuzz-seed", -1, "replay this differential-fuzz seed through every executor and report any divergence")
 	fuzzN := flag.Int("fuzz-n", 0, "differentially check seeds [0,N) across every executor")
-	flightOut := flag.String("flight", "", "arm the flight recorder and write its ring dump as JSON to this file after the run")
-	flightEvents := flag.Int("flight-events", 0, "flight ring size in records, rounded up to a power of two (<=0: 4096)")
+	flag.StringVar(&f.flight, "flight", "", "arm the flight recorder and write its ring dump as JSON to this file after the run")
+	flag.IntVar(&f.flightEvents, "flight-events", 0, "flight ring size in records, rounded up to a power of two (<=0: 4096)")
 	flightPrint := flag.String("flight-print", "", "render a flight dump file as text on stdout and exit")
 	flag.Parse()
 
-	if *flightPrint != "" {
-		if err := printFlight(*flightPrint); err != nil {
+	if *flightPrint == "" {
+		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.trips, *sweep); err != nil {
 			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
+			flag.Usage()
+			os.Exit(2)
 		}
-		return
 	}
-
-	if err := validateFlags(*cores, *scale, *procs, *fuzzN, *fuzzSeed, *useTRIPS); err != nil {
-		fmt.Fprintln(os.Stderr, "tflexsim:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tflexsim:", err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-
-	if *list {
-		for _, k := range append(tflex.Kernels(), tflex.KernelExtras()...) {
-			ilp := "low-ilp"
-			if k.HighILP {
-				ilp = "high-ilp"
-			}
-			fmt.Printf("%-12s %-8s %s\n", k.Name, k.Suite, ilp)
+	// One function, so that its deferred calls (profiles, the server) run
+	// before a failure exits.
+	err := func() error {
+		if *flightPrint != "" {
+			return printFlight(*flightPrint)
 		}
-		return
-	}
-
-	if *fuzzSeed >= 0 || *fuzzN > 0 {
-		if err := runFuzz(*fuzzSeed, *fuzzN, *flightOut, *flightEvents); err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *sweep {
-		if err := runSweep(*kernel, *scale, *jobs); err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var srv *tflex.Observer
-	if *serve != "" {
-		srv = tflex.NewObserver()
-		addr, err := srv.Start(*serve)
+		stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim: serve:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "observability server on http://%s (endpoints: /metrics /critpath /events /flight /debug/pprof)\n", addr)
-		defer srv.Close()
-	}
-
-	if *procs > 1 {
-		if err := runMultiProg(*kernel, *scale, *cores, *procs, *flightOut, *flightEvents, srv); err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
+		defer stopProfiles()
+		switch {
+		case *list:
+			for _, k := range append(tflex.Kernels(), tflex.KernelExtras()...) {
+				ilp := "low-ilp"
+				if k.HighILP {
+					ilp = "high-ilp"
+				}
+				fmt.Printf("%-12s %-8s %s\n", k.Name, k.Suite, ilp)
+			}
+			return nil
+		case *fuzzSeed >= 0 || *fuzzN > 0:
+			return runFuzz(*fuzzSeed, *fuzzN, f.flight, f.flightEvents)
+		case *sweep:
+			return runSweep(f.kernel, f.scale, *jobs)
 		}
-		return
-	}
-
-	runCfg := tflex.RunConfig{
-		Cores:        *cores,
-		TRIPS:        *useTRIPS,
-		CritPath:     *critPath,
-		Flight:       *flightOut != "",
-		FlightEvents: *flightEvents,
-		Observe:      srv,
-	}
-	var events []tflex.BlockEvent
-	if *timeline != "" {
-		runCfg.OnBlock = func(ev tflex.BlockEvent) { events = append(events, ev) }
-	}
-	runCfg.CollectMetrics = *metrics != ""
-	if *chromeTrace != "" {
-		runCfg.ChromeTrace = tflex.NewTrace()
-	}
-	if *sample != "" {
-		runCfg.SampleEvery = *sampleEvery
-	}
-	res, err := tflex.RunKernel(*kernel, *scale, runCfg)
+		var srv *tflex.Observer
+		if *serve != "" {
+			srv = tflex.NewObserver()
+			addr, err := srv.Start(*serve)
+			if err != nil {
+				return fmt.Errorf("serve: %w", err)
+			}
+			fmt.Fprintf(os.Stderr, "observability server on http://%s (endpoints: /metrics /critpath /events /flight /debug/pprof)\n", addr)
+			defer srv.Close()
+		}
+		return runSim(f, srv, os.Stdout)
+	}()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tflexsim:", err)
 		os.Exit(1)
 	}
-	if *timeline != "" {
-		if err := writeTimeline(*timeline, events); err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
-		}
+}
+
+// runSim runs the kernel on one processor, or on f.procs disjoint
+// compositions of one chip, writes the requested artefacts and prints
+// the per-processor results.  The artefacts are chip-wide — one file of
+// each kind per run, whatever the processor count.
+func runSim(f simFlags, srv *tflex.Observer, stdout io.Writer) error {
+	cfg := tflex.RunConfig{
+		Cores:          f.cores,
+		TRIPS:          f.trips,
+		CritPath:       f.critPath,
+		CollectMetrics: f.metrics != "",
+		Flight:         f.flight != "",
+		FlightEvents:   f.flightEvents,
+		Observe:        srv,
 	}
+	if f.timeline != "" || f.chromeTrace != "" {
+		cfg.ChromeTrace = tflex.NewTrace() // both files render its block records
+	}
+	if f.sample != "" {
+		cfg.SampleEvery = f.sampleEvery
+	}
+	var results []*tflex.Result
+	if f.procs > 1 {
+		var err error
+		if results, err = runMultiProg(f, cfg); err != nil {
+			return err
+		}
+	} else {
+		res, err := tflex.RunKernel(f.kernel, f.scale, cfg)
+		if err != nil {
+			return err
+		}
+		results = []*tflex.Result{res}
+	}
+	shared := results[0] // every result of a run carries the same chip-wide observers
 	for _, out := range []struct {
 		path  string
 		write func(io.Writer) error
 	}{
-		{*metrics, func(w io.Writer) error { return res.Telemetry.WriteJSON(w) }},
-		{*chromeTrace, func(w io.Writer) error { return runCfg.ChromeTrace.WriteJSON(w) }},
-		{*sample, func(w io.Writer) error { return res.Samples.WriteJSON(w) }},
-		{*flightOut, func(w io.Writer) error { return res.Flight.WriteJSON(w) }},
+		{f.timeline, func(w io.Writer) error { return cfg.ChromeTrace.WriteTimeline(w, f.procs > 1) }},
+		{f.metrics, shared.Telemetry.WriteJSON},
+		{f.chromeTrace, cfg.ChromeTrace.WriteJSON},
+		{f.sample, shared.Samples.WriteJSON},
+		{f.flight, shared.Flight.WriteJSON},
 	} {
 		if out.path == "" {
 			continue
 		}
 		if err := writeFile(out.path, out.write); err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
+			return err
 		}
 	}
-	cfg := fmt.Sprintf("TFlex-%d", *cores)
-	if *useTRIPS {
-		cfg = "TRIPS"
+	config := fmt.Sprintf("TFlex-%d", f.cores)
+	if f.trips {
+		config = "TRIPS"
 	}
-	st := res.Stats
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(struct {
+	if f.jsonOut {
+		type runJSON struct {
 			Kernel   string
 			Config   string
 			Scale    int
@@ -212,47 +212,74 @@ func main() {
 			IPC      float64
 			Stats    tflex.Stats
 			CritPath *tflex.CritPathSummary `json:",omitempty"`
-		}{*kernel, cfg, *scale, res.Cycles, st.IPC(), st, res.CritPath}); err != nil {
-			fmt.Fprintln(os.Stderr, "tflexsim:", err)
-			os.Exit(1)
 		}
-		return
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		for i, r := range results {
+			run := runJSON{f.kernel, config, f.scale, r.Cycles, r.Stats.IPC(), r.Stats, r.CritPath}
+			var obj any = run
+			if f.procs > 1 {
+				obj = struct {
+					Proc int
+					runJSON
+				}{i, run}
+			}
+			if err := enc.Encode(obj); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	fmt.Printf("%s on %s (scale %d): outputs validated against reference\n", *kernel, cfg, *scale)
-	fmt.Printf("  cycles            %d\n", res.Cycles)
-	fmt.Printf("  blocks committed  %d (flushed %d)\n", st.BlocksCommitted, st.BlocksFlushed)
-	fmt.Printf("  useful insts      %d (IPC %.3f)\n", st.InstsCommitted, st.IPC())
-	fmt.Printf("  loads/stores      %d/%d\n", st.Loads, st.Stores)
-	fmt.Printf("  branch flushes    %d\n", st.BranchFlushes)
-	fmt.Printf("  violation flushes %d\n", st.ViolationFlushes)
-	fmt.Printf("  LSQ NACKs         %d (overflow flushes %d)\n", st.LSQNACKs, st.LSQOverflowFlushes)
-	fmt.Printf("  I-cache misses    %d\n", st.ICacheMisses)
+	if f.procs > 1 {
+		fmt.Fprintf(stdout, "%s x%d on %s partitions (scale %d): outputs validated against reference\n",
+			f.kernel, f.procs, config, f.scale)
+		for i, r := range results {
+			fmt.Fprintf(stdout, "  proc %d  cycles %12d  IPC %6.3f  blocks committed %d\n",
+				i, r.Cycles, r.Stats.IPC(), r.Stats.BlocksCommitted)
+			if r.CritPath != nil {
+				fmt.Fprintf(stdout, "    critical path   %s", r.CritPath.String())
+			}
+		}
+		return nil
+	}
+	res, st := results[0], results[0].Stats
+	fmt.Fprintf(stdout, "%s on %s (scale %d): outputs validated against reference\n", f.kernel, config, f.scale)
+	fmt.Fprintf(stdout, "  cycles            %d\n", res.Cycles)
+	fmt.Fprintf(stdout, "  blocks committed  %d (flushed %d)\n", st.BlocksCommitted, st.BlocksFlushed)
+	fmt.Fprintf(stdout, "  useful insts      %d (IPC %.3f)\n", st.InstsCommitted, st.IPC())
+	fmt.Fprintf(stdout, "  loads/stores      %d/%d\n", st.Loads, st.Stores)
+	fmt.Fprintf(stdout, "  branch flushes    %d\n", st.BranchFlushes)
+	fmt.Fprintf(stdout, "  violation flushes %d\n", st.ViolationFlushes)
+	fmt.Fprintf(stdout, "  LSQ NACKs         %d (overflow flushes %d)\n", st.LSQNACKs, st.LSQOverflowFlushes)
+	fmt.Fprintf(stdout, "  I-cache misses    %d\n", st.ICacheMisses)
 	fc, fh, fb, fd, fi := st.FetchLatency()
-	fmt.Printf("  fetch latency     const %.1f + hand-off %.1f + distribute %.1f + dispatch %.1f + i-stall %.1f cycles/block\n",
+	fmt.Fprintf(stdout, "  fetch latency     const %.1f + hand-off %.1f + distribute %.1f + dispatch %.1f + i-stall %.1f cycles/block\n",
 		fc, fh, fb, fd, fi)
 	ca, ch := st.CommitLatency()
-	fmt.Printf("  commit latency    arch %.1f + handshake %.1f cycles/block\n", ca, ch)
+	fmt.Fprintf(stdout, "  commit latency    arch %.1f + handshake %.1f cycles/block\n", ca, ch)
 	util := st.Utilization()
 	if len(util) > 0 {
-		fmt.Printf("  core utilization  ")
+		fmt.Fprintf(stdout, "  core utilization  ")
 		for i, u := range util {
 			if i > 0 {
-				fmt.Print(" ")
+				fmt.Fprint(stdout, " ")
 			}
-			fmt.Printf("%.2f", u)
+			fmt.Fprintf(stdout, "%.2f", u)
 		}
-		fmt.Println(" issued insts/cycle")
+		fmt.Fprintln(stdout, " issued insts/cycle")
 	}
 	if res.CritPath != nil {
-		fmt.Printf("  critical path     %s", res.CritPath.String())
+		fmt.Fprintf(stdout, "  critical path     %s", res.CritPath.String())
 	}
+	return nil
 }
 
 // validateFlags rejects flag combinations before any simulation runs:
 // a composition size the chip cannot form or a partition that does not
-// fit the 32-core array would otherwise surface as a mid-run error (or,
-// for -procs with -trips, silently run a single processor).
-func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, trips bool) error {
+// fit the 32-core array would otherwise surface as a mid-run error, and
+// a mode that runs its own processors (-trips, -sweep, the fuzzer)
+// would otherwise silently ignore -procs.
+func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, trips, sweep bool) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
 	}
@@ -265,8 +292,12 @@ func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, trips bool) e
 	if fuzzSeed >= 0 && fuzzN > 0 {
 		return fmt.Errorf("-fuzz-seed replays one seed; -fuzz-n sweeps a range — give one or the other")
 	}
-	if (fuzzSeed >= 0 || fuzzN > 0) && trips {
+	fuzzing := fuzzSeed >= 0 || fuzzN > 0
+	if fuzzing && trips {
 		return fmt.Errorf("the differential fuzzer fixes its own executor set; it cannot combine with -trips")
+	}
+	if procs > 1 && (fuzzing || sweep) {
+		return fmt.Errorf("-procs multiprograms one kernel run; -sweep and the differential fuzzer compose their own processors")
 	}
 	if trips {
 		if procs > 1 {
@@ -361,48 +392,31 @@ func printFlight(path string) error {
 	return dump.WriteText(os.Stdout)
 }
 
-// runMultiProg multiprograms n copies of the kernel on disjoint
-// compositions of the given size and prints per-processor results.
-func runMultiProg(kernel string, scale, cores, n int, flightOut string, flightEvents int, srv *tflex.Observer) error {
-	rects, err := tflex.Partition(cores, n)
+// runMultiProg multiprograms f.procs copies of the kernel on disjoint
+// compositions of f.cores cores, validating every copy's outputs.
+func runMultiProg(f simFlags, cfg tflex.RunConfig) ([]*tflex.Result, error) {
+	rects, err := tflex.Partition(f.cores, f.procs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	specs := make([]tflex.ProgramSpec, n)
-	insts := make([]*tflex.KernelInstance, n)
+	specs := make([]tflex.ProgramSpec, f.procs)
+	insts := make([]*tflex.KernelInstance, f.procs)
 	for i := range specs {
-		inst, err := tflex.BuildKernel(kernel, scale)
-		if err != nil {
-			return err
+		if insts[i], err = tflex.BuildKernel(f.kernel, f.scale); err != nil {
+			return nil, err
 		}
-		insts[i] = inst
-		specs[i] = tflex.ProgramSpec{Prog: inst.Prog, Cores: rects[i], Init: inst.Init}
+		specs[i] = tflex.ProgramSpec{Prog: insts[i].Prog, Cores: rects[i], Init: insts[i].Init}
 	}
-	results, err := tflex.RunMulti(specs, tflex.RunConfig{
-		Flight:       flightOut != "",
-		FlightEvents: flightEvents,
-		Observe:      srv,
-	})
+	results, err := tflex.RunMulti(specs, cfg)
 	if err != nil {
-		return err
-	}
-	if flightOut != "" {
-		if err := writeFile(flightOut, results[0].Flight.WriteJSON); err != nil {
-			return err
-		}
+		return nil, err
 	}
 	for i, r := range results {
 		if err := insts[i].Check(&r.Regs, r.Mem); err != nil {
-			return fmt.Errorf("proc %d output validation failed: %w", i, err)
+			return nil, fmt.Errorf("proc %d output validation failed: %w", i, err)
 		}
 	}
-	fmt.Printf("%s x%d on TFlex-%d partitions (scale %d): outputs validated against reference\n",
-		kernel, n, cores, scale)
-	for i, r := range results {
-		fmt.Printf("  proc %d  cycles %12d  IPC %6.3f  blocks committed %d\n",
-			i, r.Cycles, r.Stats.IPC(), r.Stats.BlocksCommitted)
-	}
-	return nil
+	return results, nil
 }
 
 // runSweep fans the kernel's full composition sweep out across the
@@ -443,36 +457,4 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeTimeline dumps the block lifecycle events as CSV.
-func writeTimeline(path string, events []tflex.BlockEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"seq", "block", "owner_core", "fetch_start", "dispatch_done", "complete", "commit_start", "retired", "flushed", "useful"}); err != nil {
-		return err
-	}
-	for _, ev := range events {
-		rec := []string{
-			strconv.FormatUint(ev.Seq, 10),
-			ev.Name,
-			strconv.Itoa(ev.OwnerCore),
-			strconv.FormatUint(ev.FetchStart, 10),
-			strconv.FormatUint(ev.DispatchDone, 10),
-			strconv.FormatUint(ev.CompleteAt, 10),
-			strconv.FormatUint(ev.CommitStart, 10),
-			strconv.FormatUint(ev.RetiredAt, 10),
-			strconv.FormatBool(ev.Flushed),
-			strconv.Itoa(ev.Useful),
-		}
-		if err := w.Write(rec); err != nil {
-			return err
-		}
-	}
-	w.Flush()
-	return w.Error()
 }

@@ -62,18 +62,18 @@ func TestCritPathReconciliation(t *testing.T) {
 					CritPath: true,
 					OnBlock: func(ev BlockEvent) {
 						if ev.Flushed {
-							if ev.CritPath != nil {
+							if ev.HasCritPath {
 								t.Errorf("flushed block %d carries a breakdown", ev.Seq)
 							}
 							return
 						}
-						if ev.CritPath == nil {
+						if !ev.HasCritPath {
 							t.Fatalf("committed block %d has no breakdown", ev.Seq)
 						}
 						lat := ev.RetiredAt - ev.FetchStart
 						if got := ev.CritPath.Total(); got != lat {
 							t.Fatalf("block %d (%s): attributed %d cycles, latency %d (breakdown %v)",
-								ev.Seq, ev.Name, got, lat, *ev.CritPath)
+								ev.Seq, ev.Name, got, lat, ev.CritPath)
 						}
 						blocks++
 						sumLatency += lat

@@ -115,12 +115,8 @@ type delivery struct {
 
 var errTwoValues = fmt.Errorf("two values arrived at one operand slot (predication not complementary)")
 
-// RunBlock executes one block architecturally and returns its outputs.
+// runBlock executes one block architecturally and returns its outputs.
 // Register writes and stores are NOT applied; the caller commits them.
-func RunBlock(p *prog.Program, b *isa.Block, regs *[isa.NumRegs]uint64, mem Mem) (*BlockResult, error) {
-	return runBlock(p, b, regs, mem, nil, nil)
-}
-
 func runBlock(p *prog.Program, b *isa.Block, regs *[isa.NumRegs]uint64, mem Mem, trace *Trace, regSrc *[isa.NumRegs]int32) (*BlockResult, error) {
 	r := &blockRun{
 		p: p, b: b, mem: mem,

@@ -63,18 +63,10 @@ func (s *Suite) ablationRun(name, kernel string, cores int) (RunResult, error) {
 		if ab == nil {
 			return RunResult{}, fmt.Errorf("unknown ablation %q", name)
 		}
-		k, ok := kernels.ByName(kernel)
-		if !ok {
-			return RunResult{}, fmt.Errorf("unknown kernel %q", kernel)
-		}
-		inst, err := k.Build(s.Scale)
-		if err != nil {
-			return RunResult{}, err
-		}
 		opts := sim.DefaultOptions()
 		ab.mod(&opts)
 		chip := sim.New(opts)
-		r, err := s.runInstance(inst, chip, compose.MustRect(0, 0, cores), cores)
+		r, err := s.runKernel(kernel, chip, compose.MustRect(0, 0, cores), cores)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("%s under %s: %w", kernel, name, err)
 		}

@@ -52,32 +52,7 @@ type RunResult struct {
 	Cycles   uint64
 	Stats    sim.Stats
 	Counters power.Counters
-	Metrics  telemetry.Snapshot // end-of-run registry capture (see collect)
-}
-
-// fetchLatency recomputes Stats.FetchLatency from the registry snapshot.
-// Counter snapshots are float64(uint64), exact below 2^53, so these
-// quotients equal the flat-struct math bit for bit.
-func (r RunResult) fetchLatency() (constant, handOff, bcast, dispatch, istall float64) {
-	n := r.Metrics.Get("proc0.fetch.blocks")
-	if n == 0 {
-		return
-	}
-	return r.Metrics.Get("proc0.fetch.const_sum") / n,
-		r.Metrics.Get("proc0.fetch.handoff_sum") / n,
-		r.Metrics.Get("proc0.fetch.bcast_sum") / n,
-		r.Metrics.Get("proc0.fetch.dispatch_sum") / n,
-		r.Metrics.Get("proc0.fetch.istall_sum") / n
-}
-
-// commitLatency recomputes Stats.CommitLatency from the registry snapshot.
-func (r RunResult) commitLatency() (arch, handshake float64) {
-	n := r.Metrics.Get("proc0.commit.blocks")
-	if n == 0 {
-		return
-	}
-	return r.Metrics.Get("proc0.commit.arch_sum") / n,
-		r.Metrics.Get("proc0.commit.handshake_sum") / n
+	Metrics  telemetry.Snapshot // end-of-run registry capture, for export (MetricsByJob)
 }
 
 // Suite runs and caches the experiment simulations.  All Run methods are
@@ -298,54 +273,50 @@ func (s *Suite) Summary() Summary {
 	return sum
 }
 
-// collect reads the run's power counters out of the chip's telemetry
-// registry (armed by runInstance before the run) and captures the full
-// registry snapshot — the experiment tables and the -metrics export
-// render from the same hierarchical names.  The operand-traffic number
-// (RouterFlits) is the registry's mesh hop counters; every counter view
-// reads the same field the flat Stats struct carries, so the tables stay
-// byte-identical to the pre-registry renderer.
+// collect gathers a finished run: the processor's statistics, the power
+// model's activity counts read off the processor, meshes, caches and
+// DRAM, and the registry snapshot -metrics exports.
 func collect(chip *sim.Chip, proc *sim.Proc, cores, fpus int) RunResult {
 	st := proc.Stats
-	reg := chip.Telemetry()
-	prefix := fmt.Sprintf("proc%d", proc.ID())
-	cv := reg.CounterValue
 	pc := power.Counters{
-		Cycles: cv(prefix + ".cycles"),
+		Cycles: st.Cycles,
 		Cores:  cores,
 		FPUs:   fpus,
 
-		BlockFetches: cv(prefix + ".blocks.fetched"),
-		Predictions:  cv(prefix + ".pred.predictions"),
-		IntOps:       cv(prefix+".insts.fired") - cv(prefix+".insts.fp_fired"),
-		FPOps:        cv(prefix + ".insts.fp_fired"),
-		RegReads:     cv(prefix + ".reg.reads"),
-		RegWrites:    cv(prefix + ".reg.writes"),
-		L1DAccesses:  reg.SumCounters("", ".l1d.accesses"),
-		LSQOps:       cv(prefix+".mem.loads") + cv(prefix+".mem.stores"),
-		RouterFlits:  cv("noc.opnd.hops") + cv("noc.ctl.hops"),
-		L2Accesses:   cv("l2.accesses"),
-		DRAMAccesses: cv("dram.requests"),
+		BlockFetches: st.BlocksFetched,
+		Predictions:  proc.Pred.Stats.Predictions,
+		IntOps:       st.InstsFired - st.FPFired,
+		FPOps:        st.FPFired,
+		RegReads:     st.RegReads,
+		RegWrites:    st.RegWrites,
+		L1DAccesses:  chip.L1DStats().Accesses,
+		LSQOps:       st.Loads + st.Stores,
+		RouterFlits:  chip.Opn.Stats().Hops + chip.Ctl.Stats().Hops,
+		L2Accesses:   chip.L2.Stats.Accesses,
+		DRAMAccesses: chip.DRAM.Stats.Requests,
 	}
-	return RunResult{Cycles: st.Cycles, Stats: st, Counters: pc, Metrics: reg.Snapshot()}
+	return RunResult{Cycles: st.Cycles, Stats: st, Counters: pc, Metrics: chip.Telemetry().Snapshot()}
 }
 
-// runInstance executes one kernel instance on a chip/processor pair and
-// validates the outputs against the reference.  When an observer is set
-// (SetObserver), the run additionally enables critical-path attribution
-// into the server's rolling aggregate and publishes registry snapshots
-// mid-run; both are passive, so the architectural results are identical
-// with or without observation.
-func (s *Suite) runInstance(inst *kernels.Instance, chip *sim.Chip, procCores compose.Processor, fpus int) (RunResult, error) {
-	reg := chip.Telemetry() // arm metrics pre-run so histograms observe the blocks
-	if o := s.obs; o != nil {
-		chip.EnableCritPath()
-		chip.SetCritPathSink(o.Rolling())
-		samp := chip.SampleEvery(16384)
-		samp.SetNotify(func(cycle uint64, names []string, row []float64) {
-			o.PublishSample(cycle, names, row)
-			o.PublishMetrics(reg.Snapshot())
-		})
+// runKernel builds the named kernel at the suite's scale, executes it
+// on a chip/processor pair and validates the outputs against the
+// reference.  When an observer is set (SetObserver), the run
+// additionally enables critical-path attribution into the server's
+// rolling aggregate and publishes registry snapshots mid-run; both are
+// passive, so the architectural results are identical with or without
+// observation.
+func (s *Suite) runKernel(name string, chip *sim.Chip, procCores compose.Processor, fpus int) (RunResult, error) {
+	k, ok := kernels.ByName(name)
+	if !ok {
+		return RunResult{}, fmt.Errorf("unknown kernel %q", name)
+	}
+	inst, err := k.Build(s.Scale)
+	if err != nil {
+		return RunResult{}, err
+	}
+	chip.Telemetry() // arm metrics pre-run so histograms observe the blocks
+	if s.obs != nil {
+		s.obs.Attach(chip, chip.SampleEvery(16384))
 	}
 	proc, err := chip.AddProc(procCores, inst.Prog)
 	if err != nil {
@@ -356,7 +327,7 @@ func (s *Suite) runInstance(inst *kernels.Instance, chip *sim.Chip, procCores co
 		return RunResult{}, err
 	}
 	if s.obs != nil {
-		s.obs.PublishMetrics(reg.Snapshot())
+		s.obs.PublishChip(chip)
 	}
 	if err := inst.Check(&proc.Regs, proc.Mem); err != nil {
 		return RunResult{}, fmt.Errorf("output validation: %w", err)
@@ -367,16 +338,8 @@ func (s *Suite) runInstance(inst *kernels.Instance, chip *sim.Chip, procCores co
 // TFlexRun returns (cached) the kernel's run on an n-core composition.
 func (s *Suite) TFlexRun(name string, n int) (RunResult, error) {
 	return s.tflex.Get(sizedKey{name, n}, func() (RunResult, error) {
-		k, ok := kernels.ByName(name)
-		if !ok {
-			return RunResult{}, fmt.Errorf("unknown kernel %q", name)
-		}
-		inst, err := k.Build(s.Scale)
-		if err != nil {
-			return RunResult{}, err
-		}
 		chip := sim.New(sim.DefaultOptions())
-		r, err := s.runInstance(inst, chip, compose.MustRect(0, 0, n), n)
+		r, err := s.runKernel(name, chip, compose.MustRect(0, 0, n), n)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("%s on %d cores: %w", name, n, err)
 		}
@@ -387,16 +350,8 @@ func (s *Suite) TFlexRun(name string, n int) (RunResult, error) {
 // TRIPSRun returns (cached) the kernel's run on the TRIPS baseline.
 func (s *Suite) TRIPSRun(name string) (RunResult, error) {
 	return s.tripsR.Get(name, func() (RunResult, error) {
-		k, ok := kernels.ByName(name)
-		if !ok {
-			return RunResult{}, fmt.Errorf("unknown kernel %q", name)
-		}
-		inst, err := k.Build(s.Scale)
-		if err != nil {
-			return RunResult{}, err
-		}
 		chip := trips.NewChip()
-		r, err := s.runInstance(inst, chip, trips.Processor(), trips.NumTiles)
+		r, err := s.runKernel(name, chip, trips.Processor(), trips.NumTiles)
 		if err != nil {
 			return RunResult{}, fmt.Errorf("%s on TRIPS: %w", name, err)
 		}
@@ -439,18 +394,10 @@ func (s *Suite) Core2Run(name string) (conv.Result, error) {
 // distributed handshakes (§6.4).
 func (s *Suite) ZeroHandshakeRun(name string) (RunResult, error) {
 	return s.zeroHS.Get(name, func() (RunResult, error) {
-		k, ok := kernels.ByName(name)
-		if !ok {
-			return RunResult{}, fmt.Errorf("unknown kernel %q", name)
-		}
-		inst, err := k.Build(s.Scale)
-		if err != nil {
-			return RunResult{}, err
-		}
 		opts := sim.DefaultOptions()
 		opts.ZeroHandshake = true
 		chip := sim.New(opts)
-		return s.runInstance(inst, chip, compose.MustRect(0, 0, 32), 32)
+		return s.runKernel(name, chip, compose.MustRect(0, 0, 32), 32)
 	})
 }
 
@@ -461,17 +408,9 @@ func (s *Suite) ZeroHandshakeRun(name string) (RunResult, error) {
 // additionally carries the chip's attribution summary.
 func (s *Suite) CritRun(name string, n int) (CritResult, error) {
 	return s.crit.Get(sizedKey{name, n}, func() (CritResult, error) {
-		k, ok := kernels.ByName(name)
-		if !ok {
-			return CritResult{}, fmt.Errorf("unknown kernel %q", name)
-		}
-		inst, err := k.Build(s.Scale)
-		if err != nil {
-			return CritResult{}, err
-		}
 		chip := sim.New(sim.DefaultOptions())
 		chip.EnableCritPath()
-		r, err := s.runInstance(inst, chip, compose.MustRect(0, 0, n), n)
+		r, err := s.runKernel(name, chip, compose.MustRect(0, 0, n), n)
 		if err != nil {
 			return CritResult{}, fmt.Errorf("%s on %d cores (critpath): %w", name, n, err)
 		}

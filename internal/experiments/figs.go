@@ -421,10 +421,8 @@ func (s *Suite) Fig9() (Fig9Data, string, error) {
 			if err != nil {
 				return d, "", err
 			}
-			// Rendered from the registry snapshot, not the flat Stats
-			// fields; fetchLatency documents why the values are identical.
-			a, b, bc, disp, ist := r.fetchLatency()
-			ar, hs := r.commitLatency()
+			a, b, bc, disp, ist := r.Stats.FetchLatency()
+			ar, hs := r.Stats.CommitLatency()
 			f[0] += a
 			f[1] += b
 			f[2] += bc

@@ -1,7 +1,7 @@
 // Package flight implements the simulator's flight recorder: one
 // fixed-size ring buffer of compact binary event records per chip,
-// written by the engine goroutine and drained post-mortem into text,
-// JSON or Chrome-trace form.
+// written by the engine goroutine and drained post-mortem into text or
+// JSON form.
 //
 // The recorder follows the instrumentation discipline of
 // internal/telemetry: the chip holds a *Ring that is nil unless
@@ -19,7 +19,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Kind enumerates the record types a ring can hold.
@@ -145,9 +144,8 @@ type RingDump struct {
 }
 
 // Dump is a point-in-time snapshot of a chip's ring, serializable to
-// JSON (WriteJSON/ParseDump), human-readable text (WriteText) and the
-// Chrome trace-event format (WriteChrome).  Rings holds one element: a
-// chip has one ring.
+// JSON (WriteJSON/ParseDump) and human-readable text (WriteText).
+// Rings holds one element: a chip has one ring.
 type Dump struct {
 	Events int        `json:"events"`
 	Rings  []RingDump `json:"rings"`
@@ -198,39 +196,6 @@ func (d *Dump) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// chromeEvent mirrors the Chrome trace-event JSON shape.
-type chromeEvent struct {
-	Name  string            `json:"name"`
-	Phase string            `json:"ph"`
-	TS    uint64            `json:"ts"`
-	PID   int               `json:"pid"`
-	TID   int               `json:"tid"`
-	Scope string            `json:"s,omitempty"`
-	Args  map[string]uint64 `json:"args,omitempty"`
-}
-
-// WriteChrome renders the dump in the Chrome trace-event format (load
-// in chrome://tracing or ui.perfetto.dev): one process track per
-// logical processor, every record a thread-scoped instant event on its
-// core's track.
-func (d *Dump) WriteChrome(w io.Writer) error {
-	var evs []chromeEvent
-	for _, ring := range d.Rings {
-		for _, rc := range ring.Recs {
-			evs = append(evs, chromeEvent{
-				Name: rc.Kind.String(), Phase: "i", TS: rc.Cycle,
-				PID: int(rc.Proc), TID: int(rc.Core), Scope: "t",
-				Args: map[string]uint64{"a": rc.A, "b": rc.B},
-			})
-		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
-	enc := json.NewEncoder(w)
-	return enc.Encode(struct {
-		TraceEvents []chromeEvent `json:"traceEvents"`
-	}{evs})
 }
 
 // Records returns every record of the given kinds (all kinds when

@@ -40,17 +40,6 @@ type Block struct {
 	NumStores int
 }
 
-// HasExit reports whether the block contains a branch with the given exit.
-func (b *Block) HasExit(exit uint8) bool {
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		if in.Op.IsBranch() && in.Exit == exit {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks every architectural constraint on the block encoding.
 func (b *Block) Validate() error {
 	if len(b.Insts) == 0 {

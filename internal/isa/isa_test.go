@@ -169,51 +169,6 @@ func TestBlockValidateRejects(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	b := validBlock()
-	b.Reads = append(b.Reads, ReadSlot{Reg: 4, Targets: []Target{{TargetLeft, 1}}})
-	b.Insts[0].Targets[1] = Target{TargetRight, 1}
-	b.Insts = append(b.Insts,
-		Inst{Op: OpGenC, Imm: -77, Targets: []Target{{TargetLeft, 4}}},
-		Inst{Op: OpMov, Pred: PredOnFalse, Targets: []Target{{TargetWrite, 0}}},
-		Inst{Op: OpNull, NullLSID: 0, LSID: 0, Pred: PredOnTrue},
-	)
-	data := EncodeBlock(b)
-	got, err := DecodeBlock(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != b.Name || got.NumStores != b.NumStores {
-		t.Fatalf("header mismatch: %+v vs %+v", got, b)
-	}
-	if len(got.Reads) != len(b.Reads) || len(got.Writes) != len(b.Writes) || len(got.Insts) != len(b.Insts) {
-		t.Fatalf("shape mismatch")
-	}
-	for i := range b.Insts {
-		want, have := b.Insts[i], got.Insts[i]
-		if want.String() != have.String() {
-			t.Errorf("inst %d: %q vs %q", i, want.String(), have.String())
-		}
-		if want.Imm != have.Imm || want.HasImm != have.HasImm {
-			t.Errorf("inst %d imm mismatch", i)
-		}
-	}
-	for i := range b.Reads {
-		if got.Reads[i].Reg != b.Reads[i].Reg || len(got.Reads[i].Targets) != len(b.Reads[i].Targets) {
-			t.Errorf("read %d mismatch", i)
-		}
-	}
-}
-
-func TestDecodeBlockRejectsGarbage(t *testing.T) {
-	if _, err := DecodeBlock([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error on short input")
-	}
-	if _, err := DecodeBlock(make([]byte, 64)); err == nil {
-		t.Fatal("expected error on zero magic")
-	}
-}
-
 func TestBlockStringRenders(t *testing.T) {
 	b := validBlock()
 	s := b.String()

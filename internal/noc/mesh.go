@@ -196,39 +196,3 @@ func (m *Mesh) MulticastInto(from int, targets []int, start uint64, dst []uint64
 	}
 	return dst
 }
-
-// Broadcast sends one message from `from` to each node in targets,
-// injecting at most injectBW messages per cycle, and returns the cycle at
-// which the last target receives it.  Models serialized unicast
-// distribution (tree multicasts use Multicast instead).
-func (m *Mesh) Broadcast(from int, targets []int, start uint64, injectBW int) uint64 {
-	if injectBW < 1 {
-		injectBW = 1
-	}
-	last := start
-	n := 0
-	for _, to := range targets {
-		t := start + uint64(n/injectBW)
-		arr := m.Send(from, to, t)
-		if arr > last {
-			last = arr
-		}
-		if to != from {
-			n++
-		}
-	}
-	return last
-}
-
-// Gather returns the cycle by which messages from every source, sent at
-// their respective start times, reach `to`.  Models commit ACK collection.
-func (m *Mesh) Gather(sources []int, starts []uint64, to int) uint64 {
-	var last uint64
-	for i, from := range sources {
-		arr := m.Send(from, to, starts[i])
-		if arr > last {
-			last = arr
-		}
-	}
-	return last
-}

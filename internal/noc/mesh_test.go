@@ -96,37 +96,6 @@ func TestSendMonotonicProperty(t *testing.T) {
 	}
 }
 
-func TestBroadcastSerializesInjection(t *testing.T) {
-	m := NewMesh(4, 1, 8) // wide links so only injection limits
-	targets := []int{1, 1, 1, 1}
-	last := m.Broadcast(0, targets, 0, 1)
-	// Four messages injected one per cycle, each 1 hop: last at 1+3.
-	if last != 4 {
-		t.Fatalf("last arrival %d, want 4", last)
-	}
-	m2 := NewMesh(4, 1, 8)
-	last2 := m2.Broadcast(0, targets, 0, 4)
-	if last2 >= last {
-		t.Fatalf("higher injection bandwidth should reduce latency: %d vs %d", last2, last)
-	}
-}
-
-func TestBroadcastIncludesSelfFree(t *testing.T) {
-	m := NewMesh(2, 1, 1)
-	last := m.Broadcast(0, []int{0}, 7, 1)
-	if last != 7 {
-		t.Fatalf("self broadcast should be free, got %d", last)
-	}
-}
-
-func TestGather(t *testing.T) {
-	m := NewMesh(4, 1, 2)
-	last := m.Gather([]int{0, 1, 2, 3}, []uint64{0, 0, 0, 0}, 0)
-	if last < 3 {
-		t.Fatalf("gather from node 3 needs >= 3 cycles, got %d", last)
-	}
-}
-
 // ringOracle is the reservation timeline kept as plain maps keyed by
 // absolute cycle: no ring, no generations, nothing to alias.
 type ringOracle struct {

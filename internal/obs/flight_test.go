@@ -48,7 +48,6 @@ func TestFlightUnderFourProcessorRun(t *testing.T) {
 
 	chip := sim.New(sim.DefaultOptions())
 	chip.EnableFlight(1024)
-	reg := chip.Telemetry()
 	p := loopProgram(t)
 	for _, at := range [][2]int{{0, 0}, {2, 0}, {0, 1}, {2, 1}} {
 		pr, err := chip.AddProc(compose.MustRect(at[0], at[1], 2), p)
@@ -57,14 +56,10 @@ func TestFlightUnderFourProcessorRun(t *testing.T) {
 		}
 		pr.Regs[1] = 20_000
 	}
-	// Publish from the sampler notify hook: it fires on the goroutine
-	// running the event loop, so registry and ring reads are safe.
-	chip.SampleEvery(256).SetNotify(func(uint64, []string, []float64) {
-		s.PublishMetrics(reg.Snapshot())
-		if s.FlightWanted() {
-			s.PublishFlight(chip.FlightDump())
-		}
-	})
+	// Attach publishes from the sampler notify hook: it fires on the
+	// goroutine running the event loop, so registry and ring reads are
+	// safe.
+	s.Attach(chip, chip.SampleEvery(256))
 
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
@@ -121,11 +116,8 @@ func TestFlightUnderFourProcessorRun(t *testing.T) {
 	close(stop)
 	scrapers.Wait()
 
-	// Final publish after the run, as tflex.Run does.
-	s.PublishMetrics(reg.Snapshot())
-	if s.FlightWanted() {
-		s.PublishFlight(chip.FlightDump())
-	}
+	// Final publish after the run, as tflex.RunMulti does.
+	s.PublishChip(chip)
 
 	res, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

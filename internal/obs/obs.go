@@ -12,10 +12,10 @@
 //
 // Sharing model: the simulator's counter views are plain fields written
 // by the chip's event-loop goroutine, so scraping them directly from an
-// HTTP handler would race.  Instead the sim side *publishes*: the cycle
-// sampler's notify hook (and a final publish after the run) calls
-// PublishMetrics/PublishSample from the goroutine that owns the
-// counters, and handlers serve only the last published copy.  The
+// HTTP handler would race.  Instead the sim side *publishes*: Attach
+// hooks the cycle sampler's notify (and the driver calls PublishChip
+// once after the run), so snapshots are taken on the goroutine that owns
+// the counters, and handlers serve only the last published copy.  The
 // /critpath aggregate is a critpath.Rolling, which carries its own
 // mutex and is safe to feed from many concurrent simulations (the
 // experiment runner's worker pool).
@@ -33,6 +33,7 @@ import (
 
 	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/flight"
+	"github.com/clp-sim/tflex/internal/sim"
 	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
@@ -55,9 +56,36 @@ type Server struct {
 // New returns an idle server; call Start (or mount Handler yourself).
 func New() *Server { return &Server{} }
 
-// Rolling returns the critical-path aggregate handlers read — hand it
-// to Chip.SetCritPathSink (or tflex.RunConfig.Observe does so for you).
+// Rolling returns the critical-path aggregate handlers read.
 func (s *Server) Rolling() *critpath.Rolling { return &s.roll }
+
+// Attach wires a chip into the server before it runs: critical-path
+// attribution is armed and feeds the rolling /critpath aggregate, and
+// every row samp records is fanned out to /events followed by
+// PublishChip.  The sampler's notify hook fires on the goroutine
+// running the chip's event loop, so handlers never read live counters
+// or the ring.  Call PublishChip once more after the run, for the
+// final state.
+func (s *Server) Attach(chip *sim.Chip, samp *telemetry.Sampler) {
+	chip.SetCritPathSink(&s.roll)
+	chip.Telemetry() // built now, so that its histograms see every block
+	samp.SetNotify(func(cycle uint64, names []string, row []float64) {
+		s.PublishSample(cycle, names, row)
+		s.PublishChip(chip)
+	})
+}
+
+// PublishChip publishes the chip's registry snapshot for /metrics and,
+// when a client has asked for one, its flight ring for /flight (the
+// request stays pending on a chip without a recorder).  Call it from
+// the goroutine running the chip: inside a sampler notify hook, or
+// after Run returns.
+func (s *Server) PublishChip(chip *sim.Chip) {
+	s.PublishMetrics(chip.Telemetry().Snapshot())
+	if s.FlightWanted() && chip.FlightEnabled() {
+		s.PublishFlight(chip.FlightDump())
+	}
+}
 
 // PublishMetrics stores the snapshot served by /metrics.  Call it from
 // the goroutine that owns the registry's counter views (the sampler

@@ -23,7 +23,6 @@ type Program struct {
 	Entry  string
 
 	byName map[string]*isa.Block
-	byAddr map[uint64]*isa.Block
 }
 
 // Lookup returns the block with the given name, or nil.
@@ -36,7 +35,7 @@ func (p *Program) BlockAt(addr uint64) *isa.Block {
 	if i := p.BlockIndex(addr); i >= 0 {
 		return p.Blocks[i]
 	}
-	return p.byAddr[addr] // pre-layout or non-contiguous programs
+	return nil
 }
 
 // BlockIndex returns the dense index of the block at addr under the
@@ -75,14 +74,12 @@ func (p *Program) AddrOf(name string) (uint64, bool) {
 // validates the whole program through Validate.
 func (p *Program) layout() error {
 	p.byName = make(map[string]*isa.Block, len(p.Blocks))
-	p.byAddr = make(map[uint64]*isa.Block, len(p.Blocks))
 	for i, b := range p.Blocks {
 		if _, dup := p.byName[b.Name]; dup {
 			return fmt.Errorf("prog: duplicate block name %q", b.Name)
 		}
 		b.Addr = CodeBase + uint64(i)*uint64(isa.BlockBytes)
 		p.byName[b.Name] = b
-		p.byAddr[b.Addr] = b
 	}
 	if err := Validate(p); err != nil {
 		return err

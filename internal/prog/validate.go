@@ -3,8 +3,6 @@ package prog
 import (
 	"errors"
 	"fmt"
-
-	"github.com/clp-sim/tflex/internal/isa"
 )
 
 // Validate checks every architectural and structural constraint on a
@@ -54,7 +52,3 @@ func Validate(p *Program) error {
 	}
 	return errors.Join(errs...)
 }
-
-// ValidateBlock checks one block's ISA constraints in isolation; it is
-// Validate without the cross-block label resolution.
-func ValidateBlock(b *isa.Block) error { return b.Validate() }

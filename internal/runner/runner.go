@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -191,7 +190,7 @@ func (e *Engine) Run(specs []Spec) ([]Result, error) {
 				results[i] = Result{Spec: sp, Err: err, Wall: wall}
 				e.Trace.Span(runnerTracePID, w, sp.Key(), "job",
 					uint64(t0.Sub(epoch).Microseconds()),
-					uint64(t0.Add(wall).Sub(epoch).Microseconds()), nil)
+					uint64(t0.Add(wall).Sub(epoch).Microseconds()))
 				e.mu.Lock()
 				done++
 				if e.Progress != nil {
@@ -241,12 +240,6 @@ func (e *Engine) Summary() Summary {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.sum
-}
-
-// SortSpecs orders specs by key — handy for callers that accumulate a
-// job set from multiple tables and want a canonical submission order.
-func SortSpecs(specs []Spec) {
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Key() < specs[j].Key() })
 }
 
 func width(n int) int {

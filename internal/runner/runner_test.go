@@ -217,17 +217,3 @@ func TestStoreEachAndLookup(t *testing.T) {
 		t.Fatalf("Len = %d", st.Len())
 	}
 }
-
-func TestSortSpecs(t *testing.T) {
-	specs := []Spec{
-		{Kernel: "z", Config: "tflex", Cores: 1, Scale: 1},
-		{Kernel: "a", Config: "trips", Scale: 1},
-		{Kernel: "a", Config: "tflex", Cores: 2, Scale: 1},
-	}
-	SortSpecs(specs)
-	for i := 1; i < len(specs); i++ {
-		if specs[i-1].Key() > specs[i].Key() {
-			t.Fatalf("not sorted: %s > %s", specs[i-1].Key(), specs[i].Key())
-		}
-	}
-}

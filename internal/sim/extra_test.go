@@ -187,8 +187,8 @@ func TestDeadlockDetectionReportsBadBranch(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = chip.Run(1_000_000)
-	if err == nil {
-		t.Fatal("expected a deadlock error")
+	if err == nil || !strings.HasPrefix(err.Error(), "sim: deadlock") || !strings.Contains(err.Error(), "addr=0x99999999") {
+		t.Fatalf("Run returned %v, want a sim: deadlock error naming the address outside the layout", err)
 	}
 }
 

@@ -1,108 +1,59 @@
-package sim
+package sim_test
 
 import (
-	"fmt"
 	"testing"
 
+	"github.com/clp-sim/tflex/internal/arch"
 	"github.com/clp-sim/tflex/internal/compose"
-	"github.com/clp-sim/tflex/internal/exec"
-	"github.com/clp-sim/tflex/internal/isa"
+	"github.com/clp-sim/tflex/internal/edgegen"
 	"github.com/clp-sim/tflex/internal/prog"
+	"github.com/clp-sim/tflex/internal/sim"
 )
 
-// Random-program cross-validation: generate structured random EDGE
-// programs (arithmetic DAGs, predication, selects, guarded stores, loads,
-// data-dependent branches, loops) and check that the timing simulator
-// finishes with bit-identical architectural state to the functional
-// executor on several compositions.  This is the strongest correctness
+// Random-program cross-validation: edgegen programs (arithmetic DAGs,
+// predication, guarded stores, loads, data-dependent branches, loops)
+// must finish on the timing simulator with the architectural state of
+// the functional executor — registers, memory image, retired blocks and
+// the committed store stream — on compositions and option sets the
+// differential harness (internal/fuzz: rectangles of 1, 2 and 4 cores,
+// default options) does not reach.  This is the strongest correctness
 // property the simulator has: speculation, flushes, forwarding and
-// violation recovery must all be architecturally invisible.
+// violation recovery must all be architecturally invisible.  Every seed
+// must build and run; none is skipped.
 
-type pgen struct{ s uint64 }
-
-func (g *pgen) next() uint64 {
-	g.s = g.s*6364136223846793005 + 1442695040888963407
-	return g.s >> 17
-}
-func (g *pgen) intn(n int) int { return int(g.next() % uint64(n)) }
-
-// genProgram builds a random program: a chain of loop blocks, each with a
-// random dataflow body over registers r10..r19 and a data array.
-func genProgram(seed uint64) (*prog.Program, error) {
-	g := &pgen{s: seed}
-	b := prog.NewBuilder()
-	nBlocks := 2 + g.intn(3)
-	const base = 0x60_0000
-
-	for bi := 0; bi < nBlocks; bi++ {
-		name := fmt.Sprintf("blk%d", bi)
-		bb := b.Block(name)
-		// Value pool seeded from register reads.
-		var pool []prog.Ref
-		for r := 0; r < 4+g.intn(4); r++ {
-			pool = append(pool, bb.Read(10+g.intn(10)))
-		}
-		memBase := bb.Read(1)
-		nOps := 6 + g.intn(18)
-		stores := 0
-		for k := 0; k < nOps; k++ {
-			pick := func() prog.Ref { return pool[g.intn(len(pool))] }
-			switch g.intn(10) {
-			case 0, 1, 2: // integer binop
-				ops := []isa.Opcode{isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpAnd, isa.OpOr, isa.OpXor}
-				pool = append(pool, bb.Op(ops[g.intn(len(ops))], pick(), pick()))
-			case 3: // immediate op
-				pool = append(pool, bb.OpI(isa.OpAdd, pick(), int64(g.intn(100))-50))
-			case 4: // shift (bounded)
-				pool = append(pool, bb.OpI(isa.OpShr, pick(), int64(g.intn(8))))
-			case 5: // compare + select
-				p := bb.Op(isa.OpLtU, pick(), pick())
-				pool = append(pool, bb.Select(p, pick(), pick()))
-			case 6: // load from a bounded, aligned slot
-				addr := bb.Add(memBase, bb.ShlI(bb.AndI(pick(), 31), 3))
-				pool = append(pool, bb.Load(addr, 0, 8, false))
-			case 7: // unconditional store to a bounded, aligned slot
-				if stores < 8 {
-					addr := bb.Add(memBase, bb.ShlI(bb.AndI(pick(), 31), 3))
-					bb.Store(addr, pick(), 0, 8)
-					stores++
-				}
-			case 8: // guarded store (predicated + null pair)
-				if stores < 8 {
-					p := bb.OpI(isa.OpLtU, bb.AndI(pick(), 7), 4)
-					addr := bb.Add(memBase, bb.ShlI(bb.AndI(pick(), 31), 3))
-					bb.When(p).Store(addr, pick(), 0, 8)
-					stores++
-				}
-			case 9: // guarded register write (complementary arms)
-				p := bb.OpI(isa.OpLtU, bb.AndI(pick(), 7), 4)
-				reg := 10 + g.intn(10)
-				bb.Write(reg, bb.Select(p, pick(), pick()))
-			}
-		}
-		// A couple of unconditional register writes.
-		for w := 0; w < 2; w++ {
-			bb.Write(10+g.intn(10), pool[g.intn(len(pool))])
-		}
-		// Loop control: iterate via r2, branch on a data-dependent bit to
-		// one of two successors (both eventually reach the next block).
-		iv := bb.AddI(bb.Read(2), 1)
-		bb.Write(2, iv)
-		limit := int64(6 + g.intn(10))
-		nextName := fmt.Sprintf("blk%d", (bi+1)%nBlocks)
-		if bi == nBlocks-1 {
-			nextName = "fin"
-		}
-		done := bb.Op(isa.OpLe, bb.Const(limit), iv)
-		taken := bb.Op(isa.OpAnd, bb.OpI(isa.OpNe, bb.AndI(pool[g.intn(len(pool))], 1), 0), bb.OpI(isa.OpEq, done, 0))
-		// taken -> self loop; else if done -> next; else -> next as well
-		// (random control, always terminating because r2 monotonically
-		// increases and the limit check dominates).
-		sel := bb.Select(taken, bb.Const(1), bb.Const(0))
-		bb.BranchIf(sel, name, nextName)
+// fuzzCase draws the seed's program and its functional ground truth.
+func fuzzCase(t *testing.T, seed int64) (*prog.Program, arch.Input, arch.State) {
+	t.Helper()
+	spec := edgegen.GenSpec(seed)
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatalf("seed %d does not build: %v", seed, err)
 	}
-	b.Block("fin").Halt()
-	return b.Program("blk0")
+	in := spec.Input()
+	want, err := arch.Functional{}.Run(p, in)
+	if err != nil {
+		t.Fatalf("seed %d does not run functionally: %v", seed, err)
+	}
+	return p, in, want
+}
+
+// simState runs p on one processor composed of cores and reads its
+// architectural state.
+func simState(t *testing.T, opts sim.Options, cores compose.Processor, p *prog.Program, in arch.Input) arch.State {
+	t.Helper()
+	chip := sim.New(opts)
+	proc, err := chip.AddProc(cores, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc.Regs = in.Regs
+	proc.Mem.WriteBytes(in.MemBase, in.Mem)
+	sh := arch.NewStoreHasher()
+	proc.TraceStores(sh.Observe)
+	if err := chip.Run(in.MaxCycles); err != nil {
+		t.Fatalf("%d cores: %v", cores.N(), err)
+	}
+	return arch.SimState(proc, sh)
 }
 
 func TestFuzzSimMatchesFunctional(t *testing.T) {
@@ -113,52 +64,12 @@ func TestFuzzSimMatchesFunctional(t *testing.T) {
 		{Cores: []int{5, 9, 30}},       // arbitrary 3-core composition
 		{Cores: []int{2, 3, 6, 7, 10}}, // arbitrary 5-core composition
 	}
-	for seed := uint64(1); seed <= 25; seed++ {
-		p, err := genProgram(seed)
-		if err != nil {
-			// Some random programs exceed block limits; skip those seeds.
-			continue
-		}
-		init := func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			g := &pgen{s: seed * 77}
-			regs[1] = 0x60_0000
-			for r := 10; r < 20; r++ {
-				regs[r] = g.next()
-			}
-			for i := uint64(0); i < 32; i++ {
-				m.Write64(0x60_0000+8*i, g.next())
-			}
-		}
-		ref := exec.NewMachine(p)
-		init(&ref.Regs, ref.Mem.(*exec.PageMem))
-		if _, err := ref.Run(100_000); err != nil {
-			// Random program hit an architectural limit (e.g. block count);
-			// such seeds are uninteresting.
-			continue
-		}
-
-		for ci, comp := range comps {
-			chip := New(DefaultOptions())
-			proc, err := chip.AddProc(comp, p)
-			if err != nil {
-				t.Fatalf("seed %d comp %d: %v", seed, ci, err)
-			}
-			init(&proc.Regs, proc.Mem)
-			if err := chip.Run(50_000_000); err != nil {
-				t.Fatalf("seed %d comp %d (n=%d): %v", seed, ci, comp.N(), err)
-			}
-			for r := 0; r < 32; r++ {
-				if proc.Regs[r] != ref.Regs[r] {
-					t.Fatalf("seed %d comp %d (n=%d): r%d = %#x, want %#x",
-						seed, ci, comp.N(), r, proc.Regs[r], ref.Regs[r])
-				}
-			}
-			for i := uint64(0); i < 32; i++ {
-				addr := uint64(0x60_0000) + 8*i
-				if g, w := proc.Mem.Read64(addr), ref.Mem.(*exec.PageMem).Read64(addr); g != w {
-					t.Fatalf("seed %d comp %d (n=%d): mem[%d] = %#x, want %#x",
-						seed, ci, comp.N(), i, g, w)
-				}
+	for seed := int64(1); seed <= 25; seed++ {
+		p, in, want := fuzzCase(t, seed)
+		for _, comp := range comps {
+			got := simState(t, sim.DefaultOptions(), comp, p, in)
+			if d := want.Diff(got); d != "" {
+				t.Fatalf("seed %d on cores %v: functional vs sim: %s", seed, comp.Cores, d)
 			}
 		}
 	}
@@ -167,7 +78,7 @@ func TestFuzzSimMatchesFunctional(t *testing.T) {
 func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
 	// The TRIPS-style configuration (central predictor, restricted banks,
 	// 8 blocks in flight) must also be architecturally invisible.
-	opts := DefaultOptions()
+	opts := sim.DefaultOptions()
 	opts.WindowPerCore = 64
 	opts.CentralPredictor = true
 	opts.DBanks = []int{0, 4, 8, 12}
@@ -175,39 +86,11 @@ func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
 	opts.Params.IssueTotal = 1
 	opts.Params.OperandBW = 1
 
-	for seed := uint64(30); seed <= 42; seed++ {
-		p, err := genProgram(seed)
-		if err != nil {
-			continue
-		}
-		init := func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			g := &pgen{s: seed * 77}
-			regs[1] = 0x60_0000
-			for r := 10; r < 20; r++ {
-				regs[r] = g.next()
-			}
-			for i := uint64(0); i < 32; i++ {
-				m.Write64(0x60_0000+8*i, g.next())
-			}
-		}
-		ref := exec.NewMachine(p)
-		init(&ref.Regs, ref.Mem.(*exec.PageMem))
-		if _, err := ref.Run(100_000); err != nil {
-			continue
-		}
-		chip := New(opts)
-		proc, err := chip.AddProc(compose.MustRect(0, 0, 16), p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		init(&proc.Regs, proc.Mem)
-		if err := chip.Run(50_000_000); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for r := 0; r < 32; r++ {
-			if proc.Regs[r] != ref.Regs[r] {
-				t.Fatalf("seed %d: r%d = %#x, want %#x", seed, r, proc.Regs[r], ref.Regs[r])
-			}
+	for seed := int64(30); seed <= 42; seed++ {
+		p, in, want := fuzzCase(t, seed)
+		got := simState(t, opts, compose.MustRect(0, 0, 16), p, in)
+		if d := want.Diff(got); d != "" {
+			t.Fatalf("seed %d: functional vs sim: %s", seed, d)
 		}
 	}
 }

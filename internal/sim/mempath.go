@@ -21,15 +21,10 @@ func (p *Proc) memKey(b *IFB, idx int) mem.MemKey {
 
 // The violation memo is a dense bitset over (block index, instruction ID)
 // pairs — a static program property, so its footprint is bounded by the
-// program size and lookups are two shifts and a mask.  Blocks without a
-// dense index (never produced by the program layout) fall back to a map.
+// program size and lookups are two shifts and a mask.
 
 func (p *Proc) violGet(b *IFB, idx int) bool {
-	bi := b.meta.blkIdx
-	if bi < 0 {
-		return p.violMap[b.blk.Addr<<8|uint64(idx)]
-	}
-	bit := uint(bi)*isa.MaxBlockInsts + uint(idx)
+	bit := uint(b.meta.blkIdx)*isa.MaxBlockInsts + uint(idx)
 	w := bit / 64
 	if w >= uint(len(p.violBits)) {
 		return false
@@ -38,19 +33,7 @@ func (p *Proc) violGet(b *IFB, idx int) bool {
 }
 
 func (p *Proc) violSet(b *IFB, idx int) {
-	bi := b.meta.blkIdx
-	if bi < 0 {
-		if p.violMap == nil {
-			p.violMap = map[uint64]bool{}
-		}
-		key := b.blk.Addr<<8 | uint64(idx)
-		if !p.violMap[key] {
-			p.violMap[key] = true
-			p.violCount++
-		}
-		return
-	}
-	bit := uint(bi)*isa.MaxBlockInsts + uint(idx)
+	bit := uint(b.meta.blkIdx)*isa.MaxBlockInsts + uint(idx)
 	w := bit / 64
 	if w >= uint(len(p.violBits)) {
 		grown := make([]uint64, (uint(p.prog.NumBlocks())*isa.MaxBlockInsts+63)/64)

@@ -123,12 +123,12 @@ func (p *Proc) buildBlockMeta(blk *isa.Block, blkIdx int) *blockMeta {
 	return m
 }
 
-// blockMeta returns the decoded metadata for a block, decoding it on
-// first fetch.  The reference path rebuilds it every fetch so the cache
-// itself is exercised differentially.
-func (p *Proc) blockMeta(blk *isa.Block) *blockMeta {
-	idx := p.prog.BlockIndex(blk.Addr)
-	if p.chip.Opts.Reference || idx < 0 {
+// blockMeta returns the decoded metadata for the program's idx-th
+// block, decoding it on first fetch.  The reference path rebuilds it
+// every fetch so the cache itself is exercised differentially.
+func (p *Proc) blockMeta(idx int) *blockMeta {
+	blk := p.prog.Blocks[idx]
+	if p.chip.Opts.Reference {
 		return p.buildBlockMeta(blk, idx)
 	}
 	if p.meta == nil {

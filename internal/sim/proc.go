@@ -55,10 +55,8 @@ type Proc struct {
 	halted          bool
 
 	// Violation memo: load instructions that have violated, as a dense
-	// bitset indexed blockIndex*MaxBlockInsts+instID (violMap backs the
-	// rare non-laid-out block).
+	// bitset indexed blockIndex*MaxBlockInsts+instID.
 	violBits  []uint64
-	violMap   map[uint64]bool
 	violCount int
 
 	deferred      []deferredLoad
@@ -148,9 +146,6 @@ func idxRange(n int) []int {
 	}
 	return v
 }
-
-// ID returns the processor's logical ID (its telemetry "proc<id>" prefix).
-func (p *Proc) ID() int { return p.id }
 
 // Cores returns the physical core IDs composing the processor.
 func (p *Proc) Cores() []int { return append([]int(nil), p.cores...) }
@@ -247,8 +242,8 @@ func (p *Proc) fetchBlock() {
 	t0 := p.chip.now
 	addr := p.fetch.addr
 	hist := p.fetch.hist
-	blk := p.prog.BlockAt(addr)
-	if blk == nil {
+	blkIdx := p.prog.BlockIndex(addr)
+	if blkIdx < 0 {
 		// Wrong-path fetch to a non-code address (e.g. a cold BTB's
 		// next-sequential fallback past the program end).  Stall the
 		// fetch engine; the mispredicted older block will flush and
@@ -259,8 +254,8 @@ func (p *Proc) fetchBlock() {
 		return
 	}
 	params := &p.chip.Opts.Params
-	m := p.blockMeta(blk)
-	owner := m.owner
+	m := p.blockMeta(blkIdx)
+	blk, owner := m.blk, m.owner
 
 	b := p.acquireIFB()
 	resetIFB(b, p, m, p.nextSeq, hist)

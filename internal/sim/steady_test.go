@@ -7,6 +7,7 @@ import (
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/sim"
+	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
 // TestSteadyStateAllocsPerBlock is the steady-state half of the
@@ -28,8 +29,8 @@ func TestSteadyStateAllocsPerBlock(t *testing.T) {
 		}
 		for _, cores := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/cores=%d", name, cores), func(t *testing.T) {
-				allocsS, blocksS := wholeRunAllocs(t, k, small, cores)
-				allocsL, blocksL := wholeRunAllocs(t, k, large, cores)
+				allocsS, blocksS := wholeRunAllocs(t, k, small, cores, false)
+				allocsL, blocksL := wholeRunAllocs(t, k, large, cores, false)
 				if blocksL <= blocksS {
 					t.Fatalf("scale %d commits %d blocks, scale %d commits %d: no steady state to measure", large, blocksL, small, blocksS)
 				}
@@ -44,19 +45,58 @@ func TestSteadyStateAllocsPerBlock(t *testing.T) {
 	}
 }
 
+// TestObservedAllocsPerBlock is the same ratchet with every tap armed
+// (registry, Chrome trace, sampler at 64 cycles, critical path, flight
+// ring, a block observer): a retired block leaves the engine as one
+// pointer-free record appended to one slice, so the marginal block costs
+// the sampler's row growth and the slices' amortized doubling — a few
+// tenths of an allocation.  A map, a boxed value or a heap copy made
+// per block anywhere on the retirement path reads >= 1 here.
+func TestObservedAllocsPerBlock(t *testing.T) {
+	const small, large = 8, 32
+	for _, name := range []string{"mcf", "gcc"} {
+		k, ok := kernels.ByName(name)
+		if !ok {
+			t.Fatalf("no kernel %q", name)
+		}
+		t.Run(name, func(t *testing.T) {
+			allocsS, blocksS := wholeRunAllocs(t, k, small, 8, true)
+			allocsL, blocksL := wholeRunAllocs(t, k, large, 8, true)
+			perBlock := (allocsL - allocsS) / float64(blocksL-blocksS)
+			t.Logf("%.0f allocs / %d blocks at scale %d, %.0f / %d at scale %d: %.4f allocs per marginal block",
+				allocsS, blocksS, small, allocsL, blocksL, large, perBlock)
+			if perBlock > 0.5 {
+				t.Errorf("%.4f allocations per marginal block with every tap armed, want <= 0.5", perBlock)
+			}
+		})
+	}
+}
+
 // wholeRunAllocs builds the kernel once, then measures one complete job
 // — new chip, composition, input set-up, run to halt — and returns its
-// allocations and the blocks it committed.
-func wholeRunAllocs(t *testing.T, k kernels.Kernel, scale, cores int) (allocs float64, blocks uint64) {
+// allocations and the blocks it committed.  tapped arms every observer
+// the chip has.
+func wholeRunAllocs(t *testing.T, k kernels.Kernel, scale, cores int, tapped bool) (allocs float64, blocks uint64) {
 	inst, err := k.Build(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(1, func() {
 		chip := sim.New(sim.DefaultOptions())
+		if tapped {
+			chip.Telemetry()
+			chip.SetChromeTrace(&telemetry.Trace{})
+			chip.SampleEvery(64)
+			chip.EnableCritPath()
+			chip.EnableFlight(0)
+		}
 		proc, err := chip.AddProc(compose.MustRect(0, 0, cores), inst.Prog)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tapped {
+			var latency uint64
+			proc.TraceBlocks(func(ev sim.BlockEvent) { latency += ev.CritPath.Total() })
 		}
 		inst.Init(&proc.Regs, proc.Mem)
 		if err := chip.Run(2_000_000_000); err != nil {

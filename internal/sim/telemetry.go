@@ -50,9 +50,10 @@ func (c *Chip) Telemetry() *telemetry.Registry {
 	return c.tel
 }
 
-// SetChromeTrace installs a Chrome trace collector: every retired block
-// contributes fetch/execute/commit spans on its owner core's track (one
-// simulated cycle = 1µs of trace time).  Pass nil to stop tracing.
+// SetChromeTrace installs a trace collector: every retired block stores
+// one record there, rendered later as fetch/execute/commit spans on its
+// owner core's track (one simulated cycle = 1µs of trace time) or as a
+// timeline CSV row.  Pass nil to stop tracing.
 func (c *Chip) SetChromeTrace(t *telemetry.Trace) {
 	c.trace = t
 	for _, p := range c.Procs {

@@ -85,17 +85,18 @@ func TestChipTelemetryEndToEnd(t *testing.T) {
 		"noc.ctl.messages":       chip.Ctl.Stats().Messages,
 		"l2.accesses":            chip.L2.Stats.Accesses,
 	}
+	snap := reg.Snapshot()
 	for name, want := range checks {
-		if got := reg.CounterValue(name); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
+		if got := snap.Get(name); got != float64(want) {
+			t.Errorf("%s = %v, want %d", name, got, want)
 		}
 	}
-	if got := reg.SumCounters("", ".l1d.accesses"); got != chip.L1DStats().Accesses {
-		t.Errorf("sum l1d.accesses = %d, want %d", got, chip.L1DStats().Accesses)
+	if got := snap.Sum("", ".l1d.accesses"); got != float64(chip.L1DStats().Accesses) {
+		t.Errorf("sum l1d.accesses = %v, want %d", got, chip.L1DStats().Accesses)
 	}
 	// Per-link flits sum to the mesh hop count.
-	if got := reg.SumCounters("noc.ctl.link.", ".flits"); got != chip.Ctl.Stats().Hops {
-		t.Errorf("sum ctl link flits = %d, want %d hops", got, chip.Ctl.Stats().Hops)
+	if got := snap.Sum("noc.ctl.link.", ".flits"); got != float64(chip.Ctl.Stats().Hops) {
+		t.Errorf("sum ctl link flits = %v, want %d hops", got, chip.Ctl.Stats().Hops)
 	}
 
 	// Histograms observed one sample per committed block.

@@ -134,30 +134,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// CounterValue reads one counter exactly (0 when unregistered).
-func (r *Registry) CounterValue(name string) uint64 {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	return c.Value()
-}
-
-// SumCounters adds up every counter whose name starts with prefix and
-// ends with suffix (either may be empty).  uint64 addition is
-// order-independent, so the result is deterministic regardless of map
-// iteration order.
-func (r *Registry) SumCounters(prefix, suffix string) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var sum uint64
-	for name, c := range r.counters {
-		if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
-			sum += c.Value()
-		}
-	}
-	return sum
-}
-
 // HistogramOf returns the named histogram, or nil.
 func (r *Registry) HistogramOf(name string) *Histogram {
 	r.mu.RLock()

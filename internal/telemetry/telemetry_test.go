@@ -13,14 +13,11 @@ func TestCounterViewTracksSource(t *testing.T) {
 	r := NewRegistry()
 	var src uint64
 	r.CounterView("core3.lsq.nacks", &src)
-	if got := r.CounterValue("core3.lsq.nacks"); got != 0 {
-		t.Fatalf("fresh view = %d, want 0", got)
+	if got := r.Snapshot()["core3.lsq.nacks"]; got != 0 {
+		t.Fatalf("fresh view = %v, want 0", got)
 	}
 	src = 41
 	src++
-	if got := r.CounterValue("core3.lsq.nacks"); got != 42 {
-		t.Fatalf("view = %d, want 42", got)
-	}
 	if got := r.Snapshot()["core3.lsq.nacks"]; got != 42 {
 		t.Fatalf("snapshot = %v, want 42", got)
 	}
@@ -55,8 +52,8 @@ func TestOwnedCounterAndNilSafety(t *testing.T) {
 		t.Fatal("nil sampler must be inert")
 	}
 	var nt *Trace
-	nt.Span(0, 0, "a", "b", 0, 1, nil)
-	nt.Instant(0, 0, "a", "b", 0)
+	nt.Span(0, 0, "a", "b", 0, 1)
+	nt.Block(BlockRecord{Name: "a"})
 	nt.NameProcess(0, "p")
 	nt.NameThread(0, 0, "t")
 	if nt.Len() != 0 {
@@ -72,9 +69,6 @@ func TestGaugeAndSumHelpers(t *testing.T) {
 	r.CounterView("core0.l1d.accesses", &a)
 	r.CounterView("core1.l1d.accesses", &b)
 	r.CounterView("core1.l1d.misses", &b)
-	if got := r.SumCounters("", ".l1d.accesses"); got != 42 {
-		t.Fatalf("SumCounters = %d, want 42", got)
-	}
 	s := r.Snapshot()
 	if s.Get("proc0.window.occupancy") != 3 {
 		t.Fatalf("gauge snapshot = %v, want 3", s.Get("proc0.window.occupancy"))
@@ -217,9 +211,8 @@ func TestChromeTraceFormat(t *testing.T) {
 	tr := &Trace{}
 	tr.NameProcess(1, "proc0")
 	tr.NameThread(1, 3, "core3")
-	tr.Span(1, 3, "blk", "fetch", 100, 140, map[string]any{"seq": 9})
-	tr.Span(1, 3, "bad", "x", 50, 40, nil) // end < start clamps
-	tr.Instant(1, 3, "flush", "flush", 200)
+	tr.Span(1, 3, "blk", "fetch", 100, 140)
+	tr.Span(1, 3, "bad", "x", 50, 40) // end < start clamps
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -230,8 +223,8 @@ func TestChromeTraceFormat(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid chrome JSON: %v", err)
 	}
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("events = %d, want 5", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("events = %d, want 4", len(doc.TraceEvents))
 	}
 	// WriteJSON sorts by (ts, pid, tid, name): metadata first, then the
 	// clamped span at ts 50, then the real span at ts 100.
@@ -278,13 +271,12 @@ func TestRegistryConcurrent(t *testing.T) {
 				r.Histogram("shared.hist")
 				_ = r.Snapshot()
 				_ = r.Names()
-				_ = r.SumCounters("g", "")
-				tr.Span(g, i, "job", "job", uint64(i), uint64(i+1), nil)
+				tr.Span(g, i, "job", "job", uint64(i), uint64(i+1))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := r.CounterValue("shared"); got != 8*200 {
+	if got := r.Counter("shared").Value(); got != 8*200 {
 		t.Fatalf("shared counter = %d, want 1600", got)
 	}
 	if tr.Len() != 8*200 {

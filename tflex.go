@@ -76,7 +76,9 @@ type (
 	Memory = exec.PageMem
 	// Machine executes programs architecturally (no timing).
 	Machine = exec.Machine
-	// BlockEvent records one dynamic block's pipeline lifetime.
+	// BlockEvent is one dynamic block's retirement record: its pipeline
+	// lifetime and, when attribution is armed, its critical-path
+	// breakdown.
 	BlockEvent = sim.BlockEvent
 
 	// ArchState is the unified architectural-state contract every
@@ -95,8 +97,9 @@ type (
 	Metrics = telemetry.Registry
 	// MetricsSnapshot is a flat name→value capture of a registry.
 	MetricsSnapshot = telemetry.Snapshot
-	// Trace collects Chrome trace-event spans (the JSON loaded by
-	// chrome://tracing and Perfetto).
+	// Trace collects one record per retired block and renders them as
+	// Chrome trace-event spans (the JSON loaded by chrome://tracing and
+	// Perfetto) or as the per-block timeline CSV.
 	Trace = telemetry.Trace
 	// Sampler records cycle-sampled time series of chip occupancies.
 	Sampler = telemetry.Sampler
@@ -114,7 +117,7 @@ type (
 	Observer = obs.Server
 
 	// FlightDump is a drained flight recorder: the chip's surviving
-	// ring records, renderable as text, JSON or a Chrome trace.
+	// ring records, renderable as text or JSON.
 	FlightDump = flight.Dump
 )
 
@@ -203,7 +206,9 @@ func CompositionSizes() []int { return compose.Sizes() }
 // `start` — any size from 1 to 32, the paper's "any point in between".
 func ComposeStrip(start, k int) (Processor, error) { return compose.Strip(start, k) }
 
-// RunConfig configures a single-program run.
+// RunConfig configures a run.  Cores, TRIPS and Init describe Run's one
+// program (RunMulti takes a composition and an Init per ProgramSpec);
+// every other field applies to any number of programs.
 type RunConfig struct {
 	// Cores composes a processor of this many cores (default 8).
 	Cores int
@@ -221,15 +226,17 @@ type RunConfig struct {
 	// only because the frozen benchmark (cmd/clpbench) still assigns
 	// it; the benchmark PR (ROADMAP item 1a) drops it.
 	ParallelDomains int
-	// OnBlock, if set, observes every block retirement (commit or flush).
+	// OnBlock, if set, observes every block retirement (commit or
+	// flush) of every processor; BlockEvent.Proc says which.
 	OnBlock func(BlockEvent)
 	// CollectMetrics arms the chip's telemetry registry before the run;
 	// Result.Telemetry and Result.Metrics report it.  Off by default —
 	// the simulation hot paths then pay only nil checks.
 	CollectMetrics bool
-	// ChromeTrace, if non-nil, collects fetch/execute/commit spans for
-	// every retired block, one track per physical core (one simulated
-	// cycle = 1µs of trace time).
+	// ChromeTrace, if non-nil, collects one record per retired block,
+	// rendered as fetch/execute/commit spans on one track per physical
+	// core (one simulated cycle = 1µs of trace time) or as the timeline
+	// CSV.
 	ChromeTrace *Trace
 	// SampleEvery, if > 0, records window/LSQ occupancy and committed
 	// instructions every N cycles; Result.Samples reports the series.
@@ -238,13 +245,15 @@ type RunConfig struct {
 	// latency is attributed across eight categories (fetch/dispatch,
 	// NoC hop, NoC contention, ALU, LSQ, cache miss, register R/W,
 	// commit), reconciling exactly with block latency.  Result.CritPath
-	// reports the aggregate; architectural results are unchanged.
+	// reports the processor's aggregate; architectural results are
+	// unchanged.
 	CritPath bool
 	// Observe, if non-nil, publishes live state into the given
 	// observability server while the run executes: rolling critical-path
-	// aggregates (implies CritPath), metrics snapshots and sampler rows
-	// at every sample point (SampleEvery, defaulting to 4096 cycles when
-	// unset).  Start/Close the server yourself.
+	// aggregates (implies CritPath), metrics snapshots, sampler rows and
+	// on-demand flight dumps at every sample point (SampleEvery,
+	// defaulting to 4096 cycles when unset).  Start/Close the server
+	// yourself.
 	Observe *Observer
 	// Flight arms the flight recorder: the chip keeps one fixed-size
 	// ring of compact pipeline records (fetch, dispatch, issue, commit,
@@ -263,7 +272,9 @@ type RunConfig struct {
 	ArchDigest bool
 }
 
-// Result reports a completed run.
+// Result reports one program of a completed run.  Telemetry, Metrics,
+// Samples and Flight are chip-wide: the results of one RunMulti share
+// them.
 type Result struct {
 	Cycles uint64
 	Stats  Stats
@@ -278,114 +289,40 @@ type Result struct {
 	Metrics   MetricsSnapshot // end-of-run capture; nil unless CollectMetrics
 	Samples   *Sampler        // nil unless SampleEvery > 0
 
-	// CritPath is the chip-wide attribution aggregate; nil unless
+	// CritPath is the processor's attribution aggregate; nil unless
 	// RunConfig.CritPath (or Observe) was set.
 	CritPath *CritPathSummary
 
 	// Flight is the end-of-run flight-recorder dump; nil unless
-	// RunConfig.Flight (or FlightEvents) was set.  RunMulti results
-	// share one chip-wide dump.
+	// RunConfig.Flight (or FlightEvents) was set.
 	Flight *FlightDump
 }
 
 // Run executes a program on a freshly composed processor and returns its
-// statistics and final architectural state.
+// statistics and final architectural state: RunMulti with one program,
+// on the composition cfg.Cores or cfg.TRIPS names.
 func Run(p *Program, cfg RunConfig) (*Result, error) {
-	if cfg.Cores == 0 {
-		cfg.Cores = 8
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
-	var opts Options
-	var cores Processor
-	var err error
-	switch {
-	case cfg.TRIPS:
-		opts = trips.Options()
-		if cfg.Options != nil {
-			opts = *cfg.Options
+	spec := ProgramSpec{Prog: p, Init: cfg.Init}
+	if cfg.TRIPS {
+		spec.Cores = trips.Processor()
+		if cfg.Options == nil {
+			opts := trips.Options()
+			cfg.Options = &opts
 		}
-		cores = trips.Processor()
-	default:
-		opts = sim.DefaultOptions()
-		if cfg.Options != nil {
-			opts = *cfg.Options
+	} else {
+		if cfg.Cores == 0 {
+			cfg.Cores = 8
 		}
-		cores, err = compose.Rect(0, 0, cfg.Cores)
-		if err != nil {
+		var err error
+		if spec.Cores, err = compose.Rect(0, 0, cfg.Cores); err != nil {
 			return nil, err
 		}
 	}
-	chip := sim.New(opts)
-	var reg *Metrics
-	if cfg.CollectMetrics {
-		reg = chip.Telemetry()
-	}
-	if cfg.ChromeTrace != nil {
-		chip.SetChromeTrace(cfg.ChromeTrace)
-	}
-	var samp *Sampler
-	if cfg.SampleEvery > 0 {
-		samp = chip.SampleEvery(cfg.SampleEvery)
-	}
-	if cfg.CritPath || cfg.Observe != nil {
-		chip.EnableCritPath()
-	}
-	if cfg.Flight || cfg.FlightEvents > 0 {
-		chip.EnableFlight(cfg.FlightEvents)
-		chip.SetFlightSink(os.Stderr)
-	}
-	if srv := cfg.Observe; srv != nil {
-		chip.SetCritPathSink(srv.Rolling())
-		// Publishing happens on the chip's event-loop goroutine via the
-		// sampler notify hook, so handlers never read live counters or
-		// the ring.
-		obsReg := chip.Telemetry()
-		pubSamp := samp
-		if pubSamp == nil {
-			pubSamp = chip.SampleEvery(4096)
-		}
-		pubSamp.SetNotify(func(cycle uint64, names []string, row []float64) {
-			srv.PublishSample(cycle, names, row)
-			srv.PublishMetrics(obsReg.Snapshot())
-			if srv.FlightWanted() {
-				srv.PublishFlight(chip.FlightDump())
-			}
-		})
-	}
-	proc, err := chip.AddProc(cores, p)
+	results, err := RunMulti([]ProgramSpec{spec}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Init != nil {
-		cfg.Init(&proc.Regs, proc.Mem)
-	}
-	if cfg.OnBlock != nil {
-		proc.TraceBlocks(cfg.OnBlock)
-	}
-	sh := armArchDigest(proc, cfg.ArchDigest)
-	if err := chip.Run(cfg.MaxCycles); err != nil {
-		return nil, fmt.Errorf("tflex: %w", err)
-	}
-	res := newResult(proc, sh)
-	res.Samples = samp
-	if reg != nil {
-		res.Telemetry = reg
-		res.Metrics = reg.Snapshot()
-	}
-	if cfg.CritPath || cfg.Observe != nil {
-		cp := chip.CritPath()
-		res.CritPath = &cp
-	}
-	res.Flight = chip.FlightDump() // nil unless armed
-	if cfg.Observe != nil {
-		cfg.Observe.PublishMetrics(chip.Telemetry().Snapshot())
-		if cfg.Observe.FlightWanted() && chip.FlightEnabled() {
-			cfg.Observe.PublishFlight(chip.FlightDump())
-		}
-	}
-	return res, nil
+	return results[0], nil
 }
 
 // ProgramSpec is one program of a multiprogrammed run: what to execute
@@ -404,13 +341,11 @@ type ProgramSpec struct {
 // input order.  The processors share the chip's one event queue and
 // clock and interact only through the shared L2/DRAM.
 //
-// Only the chip-wide RunConfig fields apply (MaxCycles, Options,
-// Flight/FlightEvents, Observe); the per-program
-// instrumentation fields are for single-program runs and are ignored
-// here.  When the flight recorder is armed, every Result shares the
-// same chip-wide dump.  An Observe server gets live /metrics and
-// on-demand /flight during the run, published from the chip's sampler
-// notify hook.
+// Every observer of cfg is armed once, on the chip: the registry, the
+// Chrome trace, the sampler, the flight ring and an Observe server see
+// all processors (metric names, trace tracks and sampler series carry
+// the processor ID), while OnBlock, ArchDigest and CritPath report per
+// processor.
 func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tflex: RunMulti needs at least one program")
@@ -423,27 +358,32 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 		opts = *cfg.Options
 	}
 	chip := sim.New(opts)
+	var reg *Metrics
+	if cfg.CollectMetrics {
+		reg = chip.Telemetry()
+	}
+	if cfg.ChromeTrace != nil {
+		chip.SetChromeTrace(cfg.ChromeTrace)
+	}
+	every := cfg.SampleEvery
+	if every == 0 && cfg.Observe != nil {
+		every = 4096
+	}
+	var samp *Sampler
+	if every > 0 {
+		samp = chip.SampleEvery(every)
+	}
+	if cfg.CritPath {
+		chip.EnableCritPath()
+	}
 	if cfg.Flight || cfg.FlightEvents > 0 {
 		chip.EnableFlight(cfg.FlightEvents)
 		chip.SetFlightSink(os.Stderr)
 	}
-	if srv := cfg.Observe; srv != nil {
-		chip.EnableCritPath()
-		chip.SetCritPathSink(srv.Rolling())
-		// Same publishing contract as Run: the sampler notify hook fires
-		// on the event-loop goroutine, so registry and FlightDump reads
-		// are safe.
-		obsReg := chip.Telemetry()
-		chip.SampleEvery(4096).SetNotify(func(cycle uint64, names []string, row []float64) {
-			srv.PublishSample(cycle, names, row)
-			srv.PublishMetrics(obsReg.Snapshot())
-			if srv.FlightWanted() {
-				srv.PublishFlight(chip.FlightDump())
-			}
-		})
+	if cfg.Observe != nil {
+		cfg.Observe.Attach(chip, samp)
 	}
-	procs := make([]*Proc, len(specs))
-	hashers := make([]*arch.StoreHasher, len(specs))
+	var hashers []*arch.StoreHasher // one per program when ArchDigest is set
 	for i, sp := range specs {
 		pr, err := chip.AddProc(sp.Cores, sp.Prog)
 		if err != nil {
@@ -452,53 +392,46 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 		if sp.Init != nil {
 			sp.Init(&pr.Regs, pr.Mem)
 		}
-		procs[i] = pr
-		hashers[i] = armArchDigest(pr, cfg.ArchDigest)
+		if cfg.OnBlock != nil {
+			pr.TraceBlocks(cfg.OnBlock)
+		}
+		if cfg.ArchDigest {
+			sh := arch.NewStoreHasher()
+			pr.TraceStores(sh.Observe)
+			hashers = append(hashers, sh)
+		}
 	}
 	if err := chip.Run(cfg.MaxCycles); err != nil {
 		return nil, fmt.Errorf("tflex: %w", err)
 	}
-	results := make([]*Result, len(specs))
-	dump := chip.FlightDump() // nil unless armed
-	for i, pr := range procs {
-		results[i] = newResult(pr, hashers[i])
-		results[i].Flight = dump
+	var snap MetricsSnapshot
+	if reg != nil {
+		snap = reg.Snapshot()
 	}
-	if srv := cfg.Observe; srv != nil {
-		srv.PublishMetrics(chip.Telemetry().Snapshot())
-		if srv.FlightWanted() && chip.FlightEnabled() {
-			srv.PublishFlight(chip.FlightDump())
+	dump := chip.FlightDump() // nil unless armed
+	results := make([]*Result, len(specs))
+	for i, pr := range chip.Procs { // in AddProc order: one per spec
+		res := &Result{
+			Cycles: pr.Stats.Cycles, Stats: pr.Stats, Regs: pr.Regs, Mem: pr.Mem,
+			Telemetry: reg, Metrics: snap, Flight: dump,
 		}
+		if cfg.ArchDigest {
+			st := arch.SimState(pr, hashers[i])
+			res.Arch = &st
+		}
+		if cfg.SampleEvery > 0 {
+			res.Samples = samp
+		}
+		if cfg.CritPath || cfg.Observe != nil {
+			cp := pr.CritPath()
+			res.CritPath = &cp
+		}
+		results[i] = res
+	}
+	if cfg.Observe != nil {
+		cfg.Observe.PublishChip(chip)
 	}
 	return results, nil
-}
-
-// armArchDigest installs a store-stream hasher on the processor when
-// the run wants the unified architectural state, and returns it (nil
-// when disarmed).  Shared by Run and RunMulti.
-func armArchDigest(pr *Proc, want bool) *arch.StoreHasher {
-	if !want {
-		return nil
-	}
-	sh := arch.NewStoreHasher()
-	pr.TraceStores(sh.Observe)
-	return sh
-}
-
-// newResult assembles the architectural half of a Result — the fields
-// every run type reports identically from a finished processor.
-func newResult(pr *Proc, sh *arch.StoreHasher) *Result {
-	res := &Result{
-		Cycles: pr.Stats.Cycles,
-		Stats:  pr.Stats,
-		Regs:   pr.Regs,
-		Mem:    pr.Mem,
-	}
-	if sh != nil {
-		st := arch.SimState(pr, sh)
-		res.Arch = &st
-	}
-	return res
 }
 
 // Verify runs the program architecturally (no timing) with the same
