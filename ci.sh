@@ -34,6 +34,11 @@
 # go vet plus both tflexlint analyzers over the whole module; on
 # findings the machine-readable JSON record is attached to stderr.
 #
+#   ./ci.sh loc
+#
+# prints the non-test, non-testdata Go line count of every package and of
+# the module — the number a simplicity PR quotes before and after.
+#
 #   ./ci.sh fuzz [fuzztime]
 #
 # runs the open-ended differential fuzzer: seeded random EDGE programs
@@ -55,6 +60,21 @@ if [ "${1:-}" = "lint" ]; then
         exit 1
     fi
     echo "lint: clean"
+    exit 0
+fi
+
+if [ "${1:-}" = "loc" ]; then
+    find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -exec wc -l {} + |
+        awk '$2 != "total" {
+                 d = $2; sub(/\/[^\/]*$/, "", d)
+                 n[d] += $1; all += $1
+                 if (d != "./cmd/clpbench") rest += $1
+             }
+             END {
+                 for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"
+                 close("sort -k2")
+                 printf "%7d module\n%7d module outside cmd/clpbench\n", all, rest
+             }'
     exit 0
 fi
 

@@ -3,6 +3,7 @@ package arch
 import (
 	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/isa"
@@ -149,4 +150,39 @@ func TestMemDigestIgnoresZeroPages(t *testing.T) {
 	if st1.MemDigest != st2.MemDigest {
 		t.Error("writing zero bytes to fresh pages changed the memory digest")
 	}
+}
+
+// TestSharedProgramConcurrentChips runs one *prog.Program at the same time
+// on the functional machine and on optimized and Reference chips of 1, 2, 4
+// and 8 cores; every state must equal the executor's own serial run.  The
+// program's linked form is shared, read-only and composition-independent;
+// under -race this is the test that a run writes nothing into it.
+func TestSharedProgramConcurrentChips(t *testing.T) {
+	p, in := wrongPathProgram(t)
+	execs := []Executor{Functional{}}
+	for _, c := range []int{1, 2, 4, 8} {
+		execs = append(execs, Sim{Cores: c}, Sim{Cores: c, Reference: true})
+	}
+	serial := make([]State, len(execs))
+	for i, ex := range execs {
+		st, err := ex.Run(p, in)
+		if err != nil {
+			t.Fatalf("%s: %v", ex.Name(), err)
+		}
+		serial[i] = st
+	}
+	var wg sync.WaitGroup
+	for i, ex := range execs {
+		wg.Add(1)
+		go func(i int, ex Executor) {
+			defer wg.Done()
+			st, err := ex.Run(p, in)
+			if err != nil {
+				t.Errorf("%s, concurrent: %v", ex.Name(), err)
+			} else if d := st.Diff(serial[i]); d != "" {
+				t.Errorf("%s: concurrent run diverges from its serial run: %s", ex.Name(), d)
+			}
+		}(i, ex)
+	}
+	wg.Wait()
 }

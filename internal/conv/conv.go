@@ -148,7 +148,7 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 		stores = append(stores, s)
 	}
 
-	memAccess := func(addr uint64, at uint64, isStore bool) uint64 {
+	memAccess := func(addr uint64, at uint64) uint64 {
 		if _, hit := l1d.Access(addr, at); hit {
 			return at + cfg.L1DLat
 		}
@@ -162,7 +162,6 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 			l2.Fill(addr, fill)
 		}
 		l1d.Fill(addr, fill)
-		_ = isStore
 		return fill
 	}
 
@@ -241,12 +240,12 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 			if forward {
 				done[i] = at + 1
 			} else {
-				done[i] = memAccess(e.Addr, at, false)
+				done[i] = memAccess(e.Addr, at)
 			}
 		case e.IsStore:
 			at := storePort.reserve(issue.reserve(ready))
 			done[i] = at + 1
-			memAccess(e.Addr, at, true) // warms the cache; store buffer hides latency
+			memAccess(e.Addr, at) // warms the cache; store buffer hides latency
 			addStore(recentStore{addr: e.Addr, size: e.Size, done: done[i]})
 		case e.IsBranch:
 			at := issue.reserve(ready)

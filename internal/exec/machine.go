@@ -48,10 +48,11 @@ type RunStats struct {
 // Run executes from the entry block until halt or maxBlocks blocks.
 func (m *Machine) Run(maxBlocks uint64) (RunStats, error) {
 	var st RunStats
-	blk := m.Prog.EntryBlock()
-	if blk == nil {
+	entry := m.Prog.EntryBlock()
+	if entry == nil {
 		return st, fmt.Errorf("exec: no entry block")
 	}
+	idx := m.Prog.BlockIndex(entry.Addr)
 	for {
 		if st.Blocks >= maxBlocks {
 			return st, fmt.Errorf("exec: exceeded %d blocks without halting", maxBlocks)
@@ -60,7 +61,8 @@ func (m *Machine) Run(maxBlocks uint64) (RunStats, error) {
 		if m.Trace != nil {
 			regSrc = &m.regSrc
 		}
-		res, err := runBlock(m.Prog, blk, &m.Regs, m.Mem, m.Trace, regSrc)
+		lk := m.Prog.Linked(idx)
+		res, err := runBlock(lk, &m.Regs, m.Mem, m.Trace, regSrc)
 		if err != nil {
 			return st, err
 		}
@@ -89,10 +91,8 @@ func (m *Machine) Run(maxBlocks uint64) (RunStats, error) {
 			st.Halted = true
 			return st, nil
 		}
-		next := m.Prog.BlockAt(res.Branch.Target)
-		if next == nil {
-			return st, fmt.Errorf("exec: block %s branched to non-block address %#x", blk.Name, res.Branch.Target)
+		if idx = m.Prog.BlockIndex(res.Branch.Target); idx < 0 {
+			return st, fmt.Errorf("exec: block %s branched to non-block address %#x", lk.Block.Name, res.Branch.Target)
 		}
-		blk = next
 	}
 }

@@ -83,14 +83,12 @@ const (
 
 // blockRun holds the in-flight dataflow state for one block execution.
 type blockRun struct {
-	p     *prog.Program
-	b     *isa.Block
+	lk    *prog.Linked // the block's decoded form, shared and read-only
+	b     *isa.Block   // lk.Block
 	mem   Mem
 	insts []instState
 	wr    []writeState
 	lsid  [isa.MaxMemOps]lsidState
-	// maxLSID is one past the largest LSID present in the block.
-	maxLSID int
 
 	stores   []StoreOp
 	storeSrc []int32 // per stores entry: trace index of value producer
@@ -115,56 +113,30 @@ type delivery struct {
 
 var errTwoValues = fmt.Errorf("two values arrived at one operand slot (predication not complementary)")
 
-// runBlock executes one block architecturally and returns its outputs.
-// Register writes and stores are NOT applied; the caller commits them.
-func runBlock(p *prog.Program, b *isa.Block, regs *[isa.NumRegs]uint64, mem Mem, trace *Trace, regSrc *[isa.NumRegs]int32) (*BlockResult, error) {
+// runBlock executes one linked block architecturally and returns its
+// outputs.  Register writes and stores are NOT applied; the caller commits
+// them.
+func runBlock(lk *prog.Linked, regs *[isa.NumRegs]uint64, mem Mem, trace *Trace, regSrc *[isa.NumRegs]int32) (*BlockResult, error) {
+	b := lk.Block
 	r := &blockRun{
-		p: p, b: b, mem: mem,
-		insts:   make([]instState, len(b.Insts)),
-		wr:      make([]writeState, len(b.Writes)),
+		lk: lk, b: b, mem: mem,
+		insts:   make([]instState, len(lk.Insts)),
+		wr:      make([]writeState, len(lk.WriteProducers)),
 		trace:   trace,
 		regSrc:  regSrc,
-		instSrc: make([]int32, len(b.Insts)),
+		instSrc: make([]int32, len(lk.Insts)),
 	}
-	for i := range r.instSrc {
+	// State is kept for live slots only: Validate rejects a target field
+	// naming an unused one.
+	for _, i := range lk.Live {
+		li, st := &lk.Insts[i], &r.insts[i]
+		st.left.need, st.left.rem = li.Left.Need, int(li.Left.Producers)
+		st.right.need, st.right.rem = li.Right.Need, int(li.Right.Producers)
+		st.pred.need, st.pred.rem = li.Pred.Need, int(li.Pred.Producers)
 		r.instSrc[i] = -1
 	}
-	// Static per-slot producer counts and operand requirements.
-	bump := func(t isa.Target) {
-		switch t.Kind {
-		case isa.TargetWrite:
-			r.wr[t.Index].rem++
-		case isa.TargetLeft:
-			r.insts[t.Index].left.rem++
-		case isa.TargetRight:
-			r.insts[t.Index].right.rem++
-		case isa.TargetPred:
-			r.insts[t.Index].pred.rem++
-		}
-	}
-	for _, rd := range b.Reads {
-		for _, t := range rd.Targets {
-			bump(t)
-		}
-	}
-	for i := range b.Insts {
-		for _, t := range b.Insts[i].Targets {
-			bump(t)
-		}
-	}
-	for i := range b.Insts {
-		in := &b.Insts[i]
-		st := &r.insts[i]
-		n := in.Op.NumOperands()
-		st.left.need = n >= 1
-		st.right.need = n >= 2 && !(in.HasImm && !in.Op.IsMem())
-		st.pred.need = in.Pred != isa.PredNone
-		if in.Op.IsMem() && int(in.LSID)+1 > r.maxLSID {
-			r.maxLSID = int(in.LSID) + 1
-		}
-		if in.Op == isa.OpNull && in.NullLSID >= 0 && int(in.NullLSID)+1 > r.maxLSID {
-			r.maxLSID = int(in.NullLSID) + 1
-		}
+	for i, n := range lk.WriteProducers {
+		r.wr[i].rem = int(n)
 	}
 	// Seed: register reads deliver, and zero-operand unpredicated
 	// instructions fire immediately.
@@ -177,14 +149,9 @@ func runBlock(p *prog.Program, b *isa.Block, regs *[isa.NumRegs]uint64, mem Mem,
 			r.queue = append(r.queue, delivery{target: t, val: regs[rd.Reg], src: src})
 		}
 	}
-	for i := range b.Insts {
-		if b.Insts[i].Op == isa.OpNop {
-			r.insts[i].status = stDead // unused slot in the 128-slot format
-			continue
-		}
-		st := &r.insts[i]
-		if !st.left.need && !st.right.need && !st.pred.need {
-			if err := r.fire(i); err != nil {
+	for _, i := range lk.Live {
+		if li := &lk.Insts[i]; !li.Left.Need && !li.Right.Need && !li.Pred.Need {
+			if err := r.fire(int(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -199,11 +166,14 @@ func runBlock(p *prog.Program, b *isa.Block, regs *[isa.NumRegs]uint64, mem Mem,
 	if len(r.pendingLoads) > 0 {
 		return nil, fmt.Errorf("block %s: %d loads deadlocked on unresolved stores", b.Name, len(r.pendingLoads))
 	}
-	for id := 0; id < r.maxLSID; id++ {
-		if r.hasStoreLSID(int8(id)) && r.lsid[id] == lsPending {
-			return nil, fmt.Errorf("block %s: store LSID %d unresolved", b.Name, id)
+	for id := 0; id < int(lk.MaxLSID); id++ {
+		if lk.StoreMask&(1<<uint(id)) == 0 {
+			continue
 		}
-		if r.hasStoreLSID(int8(id)) && r.lsid[id] == lsDead {
+		switch r.lsid[id] {
+		case lsPending:
+			return nil, fmt.Errorf("block %s: store LSID %d unresolved", b.Name, id)
+		case lsDead:
 			return nil, fmt.Errorf("block %s: store LSID %d dead on all paths", b.Name, id)
 		}
 	}
@@ -216,16 +186,6 @@ func runBlock(p *prog.Program, b *isa.Block, regs *[isa.NumRegs]uint64, mem Mem,
 	r.res.Stores = r.stores
 	r.emitTrace()
 	return &r.res, nil
-}
-
-func (r *blockRun) hasStoreLSID(id int8) bool {
-	for i := range r.b.Insts {
-		in := &r.b.Insts[i]
-		if (in.Op == isa.OpStore && in.LSID == id) || (in.Op == isa.OpNull && in.NullLSID == id) {
-			return true
-		}
-	}
-	return false
 }
 
 func (r *blockRun) drain() error {
@@ -347,6 +307,9 @@ func (r *blockRun) fire(idx int) error {
 		return r.fireLoad(idx)
 	case in.Op == isa.OpStore:
 		addr := st.left.val + uint64(in.Imm)
+		if err := checkAligned(idx, "store", in.MemSize, addr); err != nil {
+			return err
+		}
 		if prev := r.lsid[in.LSID]; prev == lsStored || prev == lsNulled {
 			return fmt.Errorf("store LSID %d resolved twice", in.LSID)
 		}
@@ -377,20 +340,11 @@ func (r *blockRun) fire(idx int) error {
 		r.res.Fired++
 		r.res.Useful++
 		r.firedIDs = append(r.firedIDs, idx)
-		out := BranchOut{Op: in.Op, Exit: in.Exit}
-		switch in.Op {
-		case isa.OpBro, isa.OpCallo:
-			t, ok := r.p.BranchTarget(in)
-			if !ok {
-				return fmt.Errorf("unresolved branch target %q", in.BranchTo)
-			}
-			out.Target = t
-		case isa.OpRet:
-			out.Target = st.left.val
-		case isa.OpHalt:
-			out.Target = 0
+		// TargetAddr is the laid-out address for bro/callo and 0 for halt.
+		r.res.Branch = BranchOut{Op: in.Op, Exit: in.Exit, Target: in.TargetAddr}
+		if in.Op == isa.OpRet {
+			r.res.Branch.Target = st.left.val
 		}
-		r.res.Branch = out
 		return nil
 	default:
 		val := EvalALU(in, st.left.val, st.right.val)
@@ -412,6 +366,9 @@ func (r *blockRun) fireLoad(idx int) error {
 	st := &r.insts[idx]
 	in := &r.b.Insts[idx]
 	addr := st.left.val + uint64(in.Imm)
+	if err := checkAligned(idx, "load", in.MemSize, addr); err != nil {
+		return err
+	}
 	val := r.loadWithForwarding(addr, in)
 	r.res.Fired++
 	r.res.Useful++
@@ -422,11 +379,20 @@ func (r *blockRun) fireLoad(idx int) error {
 	return nil
 }
 
+// checkAligned rejects an address that is not a multiple of the access
+// size — the condition under which the timing engines fail the run.
+func checkAligned(idx int, kind string, size uint8, addr uint64) error {
+	if addr%uint64(size) != 0 {
+		return fmt.Errorf("inst %d: misaligned %d-byte %s at %#x", idx, size, kind, addr)
+	}
+	return nil
+}
+
 // loadWithForwarding reads memory, overlaying bytes from older same-block
 // stores (lower LSID) in LSID order.
 func (r *blockRun) loadWithForwarding(addr uint64, in *isa.Inst) uint64 {
 	size := int(in.MemSize)
-	buf := make([]byte, size)
+	var buf [8]byte // size <= 8
 	base := r.mem.Load(addr, size, false)
 	for i := 0; i < size; i++ {
 		buf[i] = byte(base >> (8 * i))
@@ -470,14 +436,12 @@ func (r *blockRun) storeLSIDResolvedOrAbsent(id int8) bool {
 	if r.lsid[id] == lsStored || r.lsid[id] == lsNulled {
 		return true
 	}
-	// The slot may belong to a load (loads don't gate later loads) or be
-	// dead/pending.  Pending store => unresolved.  Dead store whose null
-	// partner is also dead => unresolved (error caught later); treat as
-	// resolved only if no live store instruction can still fire.
-	for i := range r.b.Insts {
-		in := &r.b.Insts[i]
-		isStoreSlot := (in.Op == isa.OpStore && in.LSID == id) || (in.Op == isa.OpNull && in.NullLSID == id)
-		if isStoreSlot && r.insts[i].status == stWaiting {
+	// The slot may belong to a load (loads don't gate later loads: no
+	// cover) or be dead/pending.  Pending store => unresolved.  Dead store
+	// whose null partner is also dead => unresolved (error caught later);
+	// treat as resolved only if no live store instruction can still fire.
+	for _, i := range r.lk.Cover[id] {
+		if r.insts[i].status == stWaiting {
 			return false
 		}
 	}

@@ -137,5 +137,4 @@ func (r *blockRun) emitTrace() {
 			}
 		}
 	}
-	_ = base
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // BlockBytes is the instruction-cache footprint of one block.  Blocks are
@@ -71,6 +72,10 @@ func (b *Block) Validate() error {
 					continue
 				}
 				dst := &b.Insts[t.Index]
+				if dst.Op == OpNop {
+					// Executors keep state for live slots only.
+					errs = append(errs, fmt.Errorf("block %s: %s targets unused slot %d", b.Name, who, t.Index))
+				}
 				if t.Kind == TargetPred && dst.Pred == PredNone {
 					errs = append(errs, fmt.Errorf("block %s: %s targets predicate of unpredicated inst %d", b.Name, who, t.Index))
 				}
@@ -92,8 +97,8 @@ func (b *Block) Validate() error {
 		}
 	}
 	memIDs := map[int8]bool{}
-	stores := 0
-	branches := 0
+	storeMask := uint32(0) // LSIDs that are store slots
+	branches, unpredicated := 0, 0
 	for i := range b.Insts {
 		in := &b.Insts[i]
 		who := fmt.Sprintf("inst %d (%s)", i, in.Op)
@@ -101,11 +106,12 @@ func (b *Block) Validate() error {
 		if in.Op.IsMem() {
 			if in.LSID < 0 || int(in.LSID) >= MaxMemOps {
 				errs = append(errs, fmt.Errorf("block %s: %s has invalid LSID %d", b.Name, who, in.LSID))
-			} else if memIDs[in.LSID] && in.Op == OpStore {
+			} else if in.Op == OpStore {
+				storeMask |= 1 << uint(in.LSID)
 				// Duplicate store LSIDs are allowed only across predicate
 				// arms; the builder guarantees complementary predication,
 				// so here we only require that duplicates be predicated.
-				if in.Pred == PredNone {
+				if memIDs[in.LSID] && in.Pred == PredNone {
 					errs = append(errs, fmt.Errorf("block %s: %s reuses LSID %d without predication", b.Name, who, in.LSID))
 				}
 			}
@@ -115,17 +121,22 @@ func (b *Block) Validate() error {
 			default:
 				errs = append(errs, fmt.Errorf("block %s: %s has invalid size %d", b.Name, who, in.MemSize))
 			}
-			if in.Op == OpStore && in.Pred == PredNone {
-				stores++
-			}
 		}
 		if in.Op == OpNull && in.NullLSID >= 0 {
 			if in.Pred == PredNone {
 				errs = append(errs, fmt.Errorf("block %s: %s nullifies store %d unconditionally", b.Name, who, in.NullLSID))
 			}
+			if int(in.NullLSID) >= MaxMemOps {
+				errs = append(errs, fmt.Errorf("block %s: %s nullifies invalid LSID %d", b.Name, who, in.NullLSID))
+			} else {
+				storeMask |= 1 << uint(in.NullLSID)
+			}
 		}
 		if in.Op.IsBranch() {
 			branches++
+			if in.Pred == PredNone {
+				unpredicated++
+			}
 			if in.Exit >= NumExits {
 				errs = append(errs, fmt.Errorf("block %s: %s exit %d out of range", b.Name, who, in.Exit))
 			}
@@ -137,10 +148,15 @@ func (b *Block) Validate() error {
 	if branches == 0 {
 		errs = append(errs, fmt.Errorf("block %s: no branch", b.Name))
 	}
-	if b.NumStores > MaxMemOps {
-		errs = append(errs, fmt.Errorf("block %s: store mask %d exceeds %d", b.Name, b.NumStores, MaxMemOps))
+	if unpredicated > 1 {
+		// Both would fire: the executors disagree on which one commits.
+		errs = append(errs, fmt.Errorf("block %s: %d unpredicated branches", b.Name, unpredicated))
 	}
-	_ = stores
+	if n := bits.OnesCount32(storeMask); b.NumStores != n {
+		// The block completes after NumStores store slots resolve; any other
+		// count commits it early or never.
+		errs = append(errs, fmt.Errorf("block %s: store mask %d, but %d store slots", b.Name, b.NumStores, n))
+	}
 	return errors.Join(errs...)
 }
 

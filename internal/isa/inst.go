@@ -113,21 +113,6 @@ type Inst struct {
 	TargetAddr uint64
 }
 
-// NeedsPredOperand reports whether the instruction waits for a predicate.
-func (in *Inst) NeedsPredOperand() bool { return in.Pred != PredNone }
-
-// TotalOperands is the number of dataflow arrivals required to fire.
-func (in *Inst) TotalOperands() int {
-	n := in.Op.NumOperands()
-	if in.HasImm && !in.Op.IsMem() && in.Op != OpGenC && n > 0 {
-		n-- // immediate replaces the right operand
-	}
-	if in.NeedsPredOperand() {
-		n++
-	}
-	return n
-}
-
 // String renders the instruction in a readable assembly-like form.
 func (in *Inst) String() string {
 	s := in.Op.String() + in.Pred.String()

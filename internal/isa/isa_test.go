@@ -88,33 +88,6 @@ func TestBranchTypes(t *testing.T) {
 	}
 }
 
-func TestInstTotalOperands(t *testing.T) {
-	add := Inst{Op: OpAdd}
-	if add.TotalOperands() != 2 {
-		t.Errorf("add: %d", add.TotalOperands())
-	}
-	addi := Inst{Op: OpAdd, HasImm: true, Imm: 4}
-	if addi.TotalOperands() != 1 {
-		t.Errorf("addi: %d", addi.TotalOperands())
-	}
-	addp := Inst{Op: OpAdd, Pred: PredOnTrue}
-	if addp.TotalOperands() != 3 {
-		t.Errorf("predicated add: %d", addp.TotalOperands())
-	}
-	ld := Inst{Op: OpLoad, HasImm: true, Imm: 8, MemSize: 8}
-	if ld.TotalOperands() != 1 {
-		t.Errorf("load with offset: %d", ld.TotalOperands())
-	}
-	st := Inst{Op: OpStore, HasImm: true, MemSize: 8}
-	if st.TotalOperands() != 2 {
-		t.Errorf("store with offset: %d", st.TotalOperands())
-	}
-	genc := Inst{Op: OpGenC, Imm: 42}
-	if genc.TotalOperands() != 0 {
-		t.Errorf("genc: %d", genc.TotalOperands())
-	}
-}
-
 func validBlock() *Block {
 	return &Block{
 		Name: "b0",
@@ -157,6 +130,18 @@ func TestBlockValidateRejects(t *testing.T) {
 		"missing label":    func(b *Block) { b.Insts[2].BranchTo = "" },
 		"too many targets": func(b *Block) { b.Insts[0].Targets = make([]Target, 3) },
 		"bad read reg":     func(b *Block) { b.Reads[0].Reg = 200 },
+		"target names an unused slot": func(b *Block) {
+			b.Insts = append(b.Insts, Inst{}) // a nop: executors keep no state for it
+			b.Insts[0].Targets[0] = Target{TargetLeft, 3}
+		},
+		"two unpredicated branches": func(b *Block) {
+			b.Insts = append(b.Insts, Inst{Op: OpHalt}) // fire both: which one commits?
+		},
+		"store mask too small": func(b *Block) { b.NumStores = 0 }, // would commit before the store
+		"store mask too large": func(b *Block) { b.NumStores = 2 }, // would never commit
+		"null of invalid LSID": func(b *Block) {
+			b.Insts = append(b.Insts, Inst{Op: OpNull, Pred: PredOnTrue, NullLSID: MaxMemOps})
+		},
 	}
 	for name, mutate := range cases {
 		b := validBlock()

@@ -77,7 +77,6 @@ func (c *Cache) Access(addr uint64, now uint64) (*Line, bool) {
 		return nil, false
 	}
 	l.lastUse = c.tick
-	_ = now
 	return l, true
 }
 

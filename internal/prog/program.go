@@ -23,23 +23,16 @@ type Program struct {
 	Entry  string
 
 	byName map[string]*isa.Block
+	linked []Linked // by block index, built by layout
 }
 
 // Lookup returns the block with the given name, or nil.
 func (p *Program) Lookup(name string) *isa.Block { return p.byName[name] }
 
-// BlockAt returns the block at the given address, or nil.  Layout places
-// blocks contiguously from CodeBase, so the lookup is a bounds check and
-// an index — this sits on the simulator's per-fetch hot path.
-func (p *Program) BlockAt(addr uint64) *isa.Block {
-	if i := p.BlockIndex(addr); i >= 0 {
-		return p.Blocks[i]
-	}
-	return nil
-}
-
-// BlockIndex returns the dense index of the block at addr under the
-// contiguous layout, or -1 if addr is not a laid-out block address.
+// BlockIndex returns the dense index of the block at addr, or -1 if addr
+// is not a laid-out block address.  Layout places blocks contiguously from
+// CodeBase, so the lookup is a bounds check and a division — this sits on
+// the simulator's per-fetch hot path.
 func (p *Program) BlockIndex(addr uint64) int {
 	if addr < CodeBase {
 		return -1
@@ -70,8 +63,9 @@ func (p *Program) AddrOf(name string) (uint64, bool) {
 	return b.Addr, true
 }
 
-// layout assigns addresses, resolves branch labels and label constants, and
-// validates the whole program through Validate.
+// layout assigns addresses, validates the whole program through Validate,
+// resolves branch labels and label constants, and links every block.  It
+// is the only function that finishes a program.
 func (p *Program) layout() error {
 	p.byName = make(map[string]*isa.Block, len(p.Blocks))
 	for i, b := range p.Blocks {
@@ -98,24 +92,11 @@ func (p *Program) layout() error {
 			}
 		}
 	}
-	return nil
-}
-
-// BranchTarget resolves the architectural target address of a fired branch.
-// For OpRet the target is the operand value and this returns (0, false).
-func (p *Program) BranchTarget(in *isa.Inst) (uint64, bool) {
-	switch in.Op {
-	case isa.OpBro, isa.OpCallo:
-		if in.TargetAddr != 0 {
-			return in.TargetAddr, true
-		}
-		b := p.byName[in.BranchTo]
-		if b == nil {
-			return 0, false
-		}
-		return b.Addr, true
+	p.linked = make([]Linked, len(p.Blocks))
+	for i, b := range p.Blocks {
+		p.linked[i] = link(b, i)
 	}
-	return 0, false
+	return nil
 }
 
 // Stats summarizes static program properties (used in reports and tests).

@@ -137,6 +137,24 @@ func TestValidateRejections(t *testing.T) {
 			want: `duplicate block name "e"`,
 		},
 		{
+			name: "two unpredicated branches",
+			prog: func() *Program {
+				b := haltBlock("e")
+				b.Insts = append(b.Insts, isa.Inst{Op: isa.OpHalt})
+				return progOf(b)
+			},
+			want: "2 unpredicated branches",
+		},
+		{
+			name: "store mask disagrees with the store slots",
+			prog: func() *Program {
+				b := haltBlock("e")
+				b.Insts = append(b.Insts, isa.Inst{Op: isa.OpStore, LSID: 3, NullLSID: -1, MemSize: 8})
+				return progOf(b) // NumStores left 0: the block would commit before its store
+			},
+			want: "store mask 0, but 1 store slots",
+		},
+		{
 			name: "no branch",
 			prog: func() *Program {
 				b := &isa.Block{Name: "e", Insts: []isa.Inst{{Op: isa.OpGenC}}}

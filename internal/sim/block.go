@@ -7,6 +7,7 @@ import (
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/mem"
 	"github.com/clp-sim/tflex/internal/predictor"
+	"github.com/clp-sim/tflex/internal/prog"
 )
 
 type phase int
@@ -78,8 +79,8 @@ var branchOutZero exec.BranchOut
 // (see resetIFB for the full reset contract).
 type IFB struct {
 	p     *Proc
-	meta  *blockMeta
-	blk   *isa.Block
+	lk    *prog.Linked // the block's decoded form, shared and read-only
+	blk   *isa.Block   // lk.Block
 	seq   uint64
 	gen   uint32 // incremented on release to the pool
 	owner int    // participating-core index
@@ -93,7 +94,6 @@ type IFB struct {
 
 	stores         []firedStore
 	storeDone      [isa.MaxMemOps]bool // store LSIDs resolved (stored or nulled)
-	maxLSID        int8
 	loads          int
 	fired          int
 	useful         int
@@ -106,6 +106,12 @@ type IFB struct {
 	deallocDone    bool
 	deallocAt      uint64
 	frIssued       bool // first-issue flight record written (one per block)
+
+	// A misaligned access this incarnation executed: the instruction (-1:
+	// none) and its address.  It fails the run only once it is known to be
+	// architectural (raiseFault); a flushed block takes it along.
+	faultIdx  int32
+	faultAddr uint64
 
 	// Fetch timing records (Figure 9a).  tFetchStart is the cycle the
 	// fetch pipeline began (prediction + hand-off receipt); the phase
@@ -130,16 +136,8 @@ type IFB struct {
 	cp *critpath.Block
 }
 
-// writeSlotOf returns the write-slot index for reg, if the block writes it.
-func (b *IFB) writeSlotOf(reg uint8) (int, bool) {
-	if s := b.meta.regSlot[reg]; s >= 0 {
-		return int(s), true
-	}
-	return -1, false
-}
-
 // instCoreIdx returns the participating-core index executing instruction id.
-func (b *IFB) instCoreIdx(id int) int { return int(b.meta.instCore[id]) }
+func (b *IFB) instCoreIdx(id int) int { return int(b.p.instCore[id]) }
 
 // deliver processes one operand/write arrival (or dead token) at cycle t.
 func (p *Proc) deliver(b *IFB, target isa.Target, val uint64, dead bool, fromIdx int, t uint64) {
@@ -284,14 +282,20 @@ func (p *Proc) resolveStoreSlot(b *IFB, lsid int8, t uint64, deadArm bool) {
 	}
 	if deadArm {
 		// Retire only if no live instruction can still resolve this slot.
-		for _, i := range b.meta.lsidCover[lsid] {
+		for _, i := range b.lk.Cover[lsid] {
 			if s := b.insts[i].status; s == stWaiting || s == stIssued {
 				return
 			}
 		}
 	}
 	b.storeDone[lsid] = true
-	arr := p.ctlSend(int(b.meta.lsidCore[lsid]), b.owner, t)
+	// The slot's home is the core of the first memory instruction carrying
+	// the LSID (the owner when only nulls do).
+	home := b.owner
+	if f := b.lk.FirstMem[lsid]; f >= 0 {
+		home = b.instCoreIdx(int(f))
+	}
+	arr := p.ctlSend(home, b.owner, t)
 	if b.cp != nil {
 		s := &b.cp.Slots[lsid]
 		s.ResolvedAt = t
@@ -302,6 +306,29 @@ func (p *Proc) resolveStoreSlot(b *IFB, lsid int8, t uint64, deadArm bool) {
 	}
 	p.outputDone(b, arr, critpath.OutStore, int32(lsid))
 	p.retryDeferredLoads()
+	p.raiseFault(b)
+}
+
+// raiseFault fails the run for b's misaligned access once nothing can take
+// the access back: b is the oldest block in the window, so no branch or
+// older store can flush it, and every older store slot of b itself has
+// resolved without a violation, so the address is the one the program
+// computes.  Called when the fault is recorded, when a store slot of b
+// resolves and when b's predecessor deallocates.
+func (p *Proc) raiseFault(b *IFB) {
+	if b.faultIdx < 0 || p.window[0] != b {
+		return
+	}
+	in := &b.blk.Insts[b.faultIdx]
+	if !p.olderStoresResolved(b, in.LSID) {
+		return
+	}
+	kind := "load"
+	if in.Op == isa.OpStore {
+		kind = "store"
+	}
+	p.chip.fail("proc %d block %s inst %d: misaligned %d-byte %s at %#x",
+		p.id, b.blk.Name, b.faultIdx, in.MemSize, kind, b.faultAddr)
 }
 
 // maybeIssue checks readiness and books an issue slot.
@@ -357,14 +384,21 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		p.Stats.FPFired++
 	}
 
-	switch {
-	case in.Op == isa.OpLoad:
-		addr := st.left.val + uint64(in.Imm)
-		if addr%uint64(in.MemSize) != 0 {
-			p.chip.fail("proc %d block %s inst %d: misaligned %d-byte load at %#x",
-				p.id, b.blk.Name, idx, in.MemSize, addr)
+	var addr uint64 // of a load or store
+	if in.Op.IsMem() {
+		if addr = st.left.val + uint64(in.Imm); addr%uint64(in.MemSize) != 0 {
+			// Record it for raiseFault and produce nothing: the consumers
+			// starve, so the block cannot complete past the access.  Of several
+			// in one block keep the oldest, whose older store slots can resolve.
+			if b.faultIdx < 0 || in.LSID < b.blk.Insts[b.faultIdx].LSID {
+				b.faultIdx, b.faultAddr = int32(idx), addr
+				p.raiseFault(b)
+			}
 			return
 		}
+	}
+	switch {
+	case in.Op == isa.OpLoad:
 		b.useful++
 		agenDone := issueAt + 1
 		bank := p.dataBankIdx(addr)
@@ -379,12 +413,6 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		p.chip.scheduleEv(arr, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
 
 	case in.Op == isa.OpStore:
-		addr := st.left.val + uint64(in.Imm)
-		if addr%uint64(in.MemSize) != 0 {
-			p.chip.fail("proc %d block %s inst %d: misaligned %d-byte store at %#x",
-				p.id, b.blk.Name, idx, in.MemSize, addr)
-			return
-		}
 		b.useful++
 		val := st.right.val
 		agenDone := issueAt + 1
@@ -419,16 +447,8 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 	case in.Op.IsBranch():
 		b.useful++
 		done := issueAt + uint64(p.chip.Opts.Params.IntLat)
-		var target uint64
-		switch in.Op {
-		case isa.OpBro, isa.OpCallo:
-			tgt, ok := p.prog.BranchTarget(in)
-			if !ok {
-				p.chip.fail("proc %d: unresolved branch target %q", p.id, in.BranchTo)
-				return
-			}
-			target = tgt
-		case isa.OpRet:
+		target := in.TargetAddr // laid out for bro/callo, 0 for halt
+		if in.Op == isa.OpRet {
 			target = st.left.val
 		}
 		arr := p.ctlSend(coreIdx, b.owner, done)
@@ -509,9 +529,9 @@ func (p *Proc) resolveRead(b *IFB, ri int, t uint64) {
 	pos := p.indexOf(b)
 	for j := pos - 1; j >= 0; j-- {
 		a := p.window[j]
-		slot, ok := a.writeSlotOf(reg)
-		if !ok {
-			continue
+		slot := a.lk.RegSlot[reg]
+		if slot < 0 {
+			continue // a does not write reg
 		}
 		w := &a.wr[slot]
 		if !w.resolved {

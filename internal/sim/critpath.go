@@ -20,6 +20,7 @@ import (
 	"math/bits"
 
 	"github.com/clp-sim/tflex/internal/critpath"
+	"github.com/clp-sim/tflex/internal/prog"
 	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
@@ -68,15 +69,15 @@ func (p *Proc) registerCritHists(r *telemetry.Registry) {
 }
 
 // resetCP recycles b's attribution record for a new incarnation, sized
-// to the decoded block (not the ISA maxima, keeping the per-fetch
+// to the linked block (not the ISA maxima, keeping the per-fetch
 // zeroing cost proportional to the block).  Slots spans both store and
-// null LSIDs: lsidHasSlot covers every slot the block must resolve.
-func (p *Proc) resetCP(b *IFB, m *blockMeta) {
+// null LSIDs: StoreMask covers every slot the block must resolve.
+func (p *Proc) resetCP(b *IFB, lk *prog.Linked) {
 	if b.cp == nil {
 		b.cp = critpath.GetBlock()
 	}
 	b.cp = critpath.ResetBlock(b.cp,
-		len(m.instInit), len(m.wrInit), len(m.blk.Reads), bits.Len32(m.lsidHasSlot))
+		len(lk.Insts), len(lk.WriteProducers), len(lk.Block.Reads), bits.Len32(lk.StoreMask))
 }
 
 // releaseCritRecords hands every IFB's attribution record back to the

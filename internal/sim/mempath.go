@@ -24,7 +24,7 @@ func (p *Proc) memKey(b *IFB, idx int) mem.MemKey {
 // program size and lookups are two shifts and a mask.
 
 func (p *Proc) violGet(b *IFB, idx int) bool {
-	bit := uint(b.meta.blkIdx)*isa.MaxBlockInsts + uint(idx)
+	bit := uint(b.lk.Index)*isa.MaxBlockInsts + uint(idx)
 	w := bit / 64
 	if w >= uint(len(p.violBits)) {
 		return false
@@ -33,7 +33,7 @@ func (p *Proc) violGet(b *IFB, idx int) bool {
 }
 
 func (p *Proc) violSet(b *IFB, idx int) {
-	bit := uint(b.meta.blkIdx)*isa.MaxBlockInsts + uint(idx)
+	bit := uint(b.lk.Index)*isa.MaxBlockInsts + uint(idx)
 	w := bit / 64
 	if w >= uint(len(p.violBits)) {
 		grown := make([]uint64, (uint(p.prog.NumBlocks())*isa.MaxBlockInsts+63)/64)
@@ -144,11 +144,8 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 			}
 			// Memoize the violating loads so replays wait.
 			if vb := p.blockBySeq(v.BlockSeq); vb != nil {
-				for i := range vb.blk.Insts {
-					mi := &vb.blk.Insts[i]
-					if mi.Op == isa.OpLoad && mi.LSID == v.LSID {
-						p.violSet(vb, i)
-					}
+				for _, i := range vb.lk.Loads[v.LSID] {
+					p.violSet(vb, int(i))
 				}
 			}
 		}
@@ -227,7 +224,7 @@ func (p *Proc) loadValue(b *IFB, key mem.MemKey, addr uint64, size int, signed b
 		if w.seq > key.BlockSeq {
 			break
 		}
-		for lsid := int8(0); lsid < w.maxLSID; lsid++ {
+		for lsid, end := int8(0), w.lk.MaxLSID; lsid < end; lsid++ {
 			for si := range w.stores {
 				s := &w.stores[si]
 				if s.key.LSID != lsid {
@@ -263,13 +260,12 @@ func (p *Proc) olderStoresResolved(b *IFB, lsid int8) bool {
 		if w.seq > b.seq {
 			break
 		}
-		limit := w.maxLSID
+		limit, mask := w.lk.MaxLSID, w.lk.StoreMask
 		if w.seq == b.seq {
 			limit = lsid
 		}
-		hasSlot := w.meta.lsidHasSlot
 		for id := int8(0); id < limit; id++ {
-			if hasSlot&(1<<uint(id)) != 0 && !w.storeDone[id] {
+			if mask&(1<<uint(id)) != 0 && !w.storeDone[id] {
 				return false
 			}
 		}

@@ -60,11 +60,11 @@ type Options struct {
 	// events — orders of magnitude above what any legal cycle executes).
 	StallEvents uint64
 
-	// Reference disables the engine's hot-path optimizations — the
-	// container/heap event queue replaces the calendar queue, in-flight
-	// blocks are never pooled, and block metadata is re-decoded on every
-	// fetch.  Simulated results are identical either way; the differential
-	// tests run both and compare.
+	// Reference selects the oracle engine the differential tests compare
+	// against: the container/heap event queue replaces the calendar queue
+	// and in-flight blocks are never recycled.  Everything else — the
+	// event loop, the linked block form — is shared, and simulated results
+	// are identical either way.
 	Reference bool
 }
 

@@ -31,6 +31,11 @@ type Proc struct {
 	rbanks []int          // participating-core indices carrying register banks
 	l1i    *mem.Cache     // composed logical I-cache (block granularity)
 
+	// instCore is placement: the participating-core index holding each
+	// instruction ID — the ID's low bits reinterpreted for n cores (paper
+	// Figure 4a), so one table serves every block.
+	instCore [isa.MaxBlockInsts]uint8
+
 	maxBlocks int
 	window    []*IFB // oldest first
 	nextSeq   uint64
@@ -62,7 +67,6 @@ type Proc struct {
 	deferred      []deferredLoad
 	deferredSpare []deferredLoad // swap buffer for retryDeferredLoads
 
-	meta       []*blockMeta   // decoded-block cache, indexed by block index
 	ifbFree    []*IFB         // recycled in-flight blocks
 	waiterFree [][]readWaiter // drained read-waiter lists, emptied, awaiting reuse
 
@@ -102,6 +106,9 @@ func newProc(c *Chip, id int, cores []int, program *prog.Program, m *exec.PageMe
 	p := &Proc{
 		chip: c, id: id, asid: uint64(id + 1),
 		cores: cores, n: len(cores), prog: program, Mem: m,
+	}
+	for i := range p.instCore {
+		p.instCore[i] = uint8(compose.InstCore(i, p.n))
 	}
 	params := c.Opts.Params
 	predBanks := p.n
@@ -254,11 +261,11 @@ func (p *Proc) fetchBlock() {
 		return
 	}
 	params := &p.chip.Opts.Params
-	m := p.blockMeta(blkIdx)
-	blk, owner := m.blk, m.owner
+	lk := p.prog.Linked(blkIdx)
 
 	b := p.acquireIFB()
-	resetIFB(b, p, m, p.nextSeq, hist)
+	resetIFB(b, p, lk, p.nextSeq, hist)
+	blk, owner := b.blk, b.owner
 	p.nextSeq++
 	p.window = append(p.window, b)
 	p.Stats.BlocksFetched++
@@ -322,15 +329,15 @@ func (p *Proc) fetchBlock() {
 
 	// Per-core dispatch: each core reads its slots from its I-bank at
 	// DispatchBW instructions per cycle.  Nop slots are never dispatched;
-	// the decoded metadata lists the live ones.
+	// the linked block lists the live ones.
 	dispatchLast := bcastLast
 	slotCount := p.slotScratch
 	for i := range slotCount {
 		slotCount[i] = 0
 	}
-	for _, id32 := range m.nonNop {
+	for _, id32 := range lk.Live {
 		id := int(id32)
-		c := int(m.instCore[id])
+		c := int(p.instCore[id])
 		av := arr[c] + 1 + uint64(slotCount[c]/params.DispatchBW)
 		slotCount[c]++
 		b.insts[id].availAt = av
@@ -349,7 +356,7 @@ func (p *Proc) fetchBlock() {
 	}
 
 	// Blocks with no register writes/stores can complete with just the
-	// branch; outputsPending was set from the decoded metadata.
+	// branch; outputsPending was set from the linked block.
 	p.maybeFetch()
 }
 
@@ -490,8 +497,8 @@ func (p *Proc) tryCommit() {
 			b = w
 			break
 		}
-		if b == nil || b.phase != phaseComplete {
-			return
+		if b == nil || b.phase != phaseComplete || b.faultIdx >= 0 {
+			return // a faulted block waits for raiseFault or a flush
 		}
 		p.startCommit(b)
 	}
@@ -653,6 +660,9 @@ func (p *Proc) drainCommitted() {
 		p.finalizeCommit(b, b.deallocAt)
 	}
 	if !p.halted {
+		if len(p.window) > 0 {
+			p.raiseFault(p.window[0]) // now the oldest block
+		}
 		p.tryCommit()
 		p.maybeFetch()
 	}
