@@ -17,8 +17,10 @@
 # smoke that curls /metrics and /critpath off a serving tflexexp, a
 # flight-recorder smoke (tflexsim -flight on a fuzz seed must write a
 # dump that -flight-print parses back, and a multiprogrammed run must
-# write its observer files), and a one-iteration smoke of
-# every benchmark so the bench harness cannot rot unnoticed.
+# write its observer files), a tflexexp artefact smoke (-metrics and
+# -chrome-trace on fig5: 26 job keys, one named track per worker), and a
+# one-iteration smoke of every benchmark so the bench harness cannot rot
+# unnoticed.
 #
 #   ./ci.sh bench
 #
@@ -176,6 +178,20 @@ go run ./cmd/tflexsim -flight-print "$flightdir/seed7.flight.json" | head -5
 go run ./cmd/tflexsim -kernel conv -cores 8 -procs 2 -critpath -chrome-trace "$flightdir/c.json" -metrics "$flightdir/m.json" >/dev/null
 test -s "$flightdir/c.json" -a -s "$flightdir/m.json" || { echo "FAIL: -procs 2 wrote no Chrome trace or metrics file" >&2; exit 1; }
 rm -rf "$flightdir"
+
+echo "== tflexexp artefact smoke (-metrics and -chrome-trace on fig5) =="
+expdir=$(mktemp -d)
+go run ./cmd/tflexexp -exp fig5 -scale 1 -jobs 2 -metrics "$expdir/m.json" -chrome-trace "$expdir/t.json" >/dev/null 2>&1
+test -s "$expdir/m.json" -a -s "$expdir/t.json" || { echo "FAIL: tflexexp wrote no metrics or Chrome trace file" >&2; exit 1; }
+# One snapshot per chip job (the 26 trips runs; core2 has no registry),
+# one named track per worker however many batches ran.
+jobkeys=$(grep -c '^  "' "$expdir/m.json")
+tracks=$(grep -o '"thread_name"' "$expdir/t.json" | wc -l)
+if [ "$jobkeys" -ne 26 ] || [ "$tracks" -ne 2 ]; then
+    echo "FAIL: tflexexp -exp fig5 -jobs 2 exported $jobkeys job keys (want 26) and $tracks thread_name records (want 2)" >&2
+    exit 1
+fi
+rm -rf "$expdir"
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x ./...

@@ -98,7 +98,7 @@ func main() {
 	flag.Parse()
 
 	if *flightPrint == "" {
-		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.trips, *sweep); err != nil {
+		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.sampleEvery, f.trips, *sweep); err != nil {
 			fmt.Fprintln(os.Stderr, "tflexsim:", err)
 			flag.Usage()
 			os.Exit(2)
@@ -279,9 +279,12 @@ func runSim(f simFlags, srv *tflex.Observer, stdout io.Writer) error {
 // fit the 32-core array would otherwise surface as a mid-run error, and
 // a mode that runs its own processors (-trips, -sweep, the fuzzer)
 // would otherwise silently ignore -procs.
-func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, trips, sweep bool) error {
+func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, sampleEvery uint64, trips, sweep bool) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
+	}
+	if sampleEvery < 1 {
+		return fmt.Errorf("-sample-every must be >= 1 cycle, got %d", sampleEvery)
 	}
 	if procs < 1 {
 		return fmt.Errorf("-procs must be >= 1, got %d", procs)

@@ -48,8 +48,9 @@ func TestExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The memoized stores must dedupe across experiments: a second run of an
-// experiment does zero new simulations.
+// The one store is shared across experiments: a second run of an
+// experiment, and any experiment drawing on jobs an earlier one ran, does
+// zero new simulations.
 func TestSuiteCachesAcrossExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full sweep")
@@ -79,5 +80,16 @@ func TestSuiteCachesAcrossExperiments(t *testing.T) {
 	}
 	if got := s.Summary().JobsRun; got != jobsAfterFirst {
 		t.Fatalf("Fig9 after Fig6 ran %d new jobs, want 0", got-jobsAfterFirst)
+	}
+	// So do Fig7 (the sweep and the trips rows) and Table2 (the 8-core and
+	// trips rows).
+	if _, _, err := s.Fig7(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Table2(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Summary().JobsRun; got != jobsAfterFirst {
+		t.Fatalf("Fig7 and Table2 after Fig6 ran %d new jobs, want 0", got-jobsAfterFirst)
 	}
 }

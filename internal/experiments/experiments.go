@@ -5,84 +5,63 @@
 // and the §6.4 instantaneous-handshake ablation), and the multiprogrammed
 // weighted-speedup comparison against fixed CMPs (Figure 10).
 //
-// Every experiment is two-phase: it first enqueues its full set of
-// declarative job specs on the suite's concurrent runner (internal/runner),
-// which fans the independent cycle-level simulations out across a worker
-// pool and memoizes each result by job key; it then renders its tables
-// from the warmed store.  Because the simulator is deterministic and the
-// render phase is serial over stable kernel/size orders, the output is
-// byte-identical at any worker count (see determinism_test.go).
+// The paper evaluates one engine under many configurations, and so does
+// this package: a job is a runner.Spec, its Config names a row of the
+// machine table (machines.go), one function simulates any spec by looking
+// its row up, and one store keyed by the spec remembers every result.
+//
+// Every experiment is two-phase: it first enqueues its full set of job
+// specs on the suite's concurrent runner (internal/runner), which fans the
+// independent cycle-level simulations out across a worker pool; it then
+// renders its tables from the batch it prefetched.  Because the simulator
+// is deterministic and the render phase is serial over stable kernel/size
+// orders, the output is byte-identical at any worker count (see
+// determinism_test.go).
 package experiments
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"github.com/clp-sim/tflex/internal/compose"
-	"github.com/clp-sim/tflex/internal/conv"
 	"github.com/clp-sim/tflex/internal/critpath"
-	"github.com/clp-sim/tflex/internal/exec"
-	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/obs"
 	"github.com/clp-sim/tflex/internal/power"
 	"github.com/clp-sim/tflex/internal/runner"
 	"github.com/clp-sim/tflex/internal/sim"
 	"github.com/clp-sim/tflex/internal/telemetry"
-	"github.com/clp-sim/tflex/internal/trips"
 )
 
 // MaxCycles bounds every simulation.
 const MaxCycles = 2_000_000_000
 
-// Machine-configuration names used in job specs.
-const (
-	cfgTFlex  = "tflex"
-	cfgTRIPS  = "trips"
-	cfgCore2  = "core2"
-	cfgZeroHS = "zero-handshake"
-	cfgCrit   = "critpath"
-	cfgAblate = "ablate:" // prefix; full config is "ablate:<name>"
-)
-
-// RunResult captures one timing-simulator run.
+// RunResult captures one job: a timing-simulator run, or the
+// conventional-core model's cycle count (which fills Cycles only).
 type RunResult struct {
 	Cycles   uint64
 	Stats    sim.Stats
 	Counters power.Counters
-	Metrics  telemetry.Snapshot // end-of-run registry capture, for export (MetricsByJob)
+	Crit     critpath.Summary   // zero unless the machine (or an observer) arms attribution
+	Metrics  telemetry.Snapshot // end-of-run registry capture, for export (MetricsByJob); nil without a chip
 }
 
-// Suite runs and caches the experiment simulations.  All Run methods are
-// safe for concurrent use: results live in concurrency-safe memoized
-// stores, and each simulation builds its own private chip.
+// Suite runs and remembers the experiment simulations.  A job's identity
+// is its runner.Spec: the machine it runs on is the machines row its
+// Config names, and its result lives in the one store under the spec
+// itself.  Every simulation is a job of the suite's runner.Engine, whose
+// own record of completed keys is bookkeeping (job counts, progress
+// lines, trace spans), not a second result cache.  All methods are safe
+// for concurrent use: the store is concurrency-safe and each simulation
+// builds its own private chip.
 type Suite struct {
 	Scale int   // kernel input scale
 	Sizes []int // TFlex composition sizes
 
-	engine *runner.Engine
-	obs    *obs.Server // nil unless SetObserver armed live observability
-
-	tflex  runner.Store[sizedKey, RunResult] // kernel × cores
-	tripsR runner.Store[string, RunResult]
-	core2  runner.Store[string, conv.Result]
-	zeroHS runner.Store[string, RunResult]    // 32-core zero-handshake runs
-	ablate runner.Store[sizedKey, RunResult]  // ablation variants, key = {"<ablation>/<kernel>", cores}
-	crit   runner.Store[sizedKey, CritResult] // attribution-enabled runs, kernel × cores
-}
-
-// CritResult is one attribution-enabled timing run: the ordinary run
-// result plus the chip's critical-path summary.
-type CritResult struct {
-	Run RunResult
-	Sum critpath.Summary
-}
-
-type sizedKey struct {
-	name  string
-	cores int
+	engine  *runner.Engine
+	obs     *obs.Server // nil unless SetObserver armed live observability
+	results runner.Store[runner.Spec, RunResult]
 }
 
 // NewSuite returns a suite at the given kernel scale, running jobs on
@@ -93,8 +72,16 @@ func NewSuite(scale int) *Suite {
 		Sizes:  compose.Sizes(),
 		engine: &runner.Engine{},
 	}
-	s.engine.Exec = s.exec
+	s.engine.Exec = func(sp runner.Spec) error {
+		_, err := s.get(sp)
+		return err
+	}
 	return s
+}
+
+// get returns the spec's remembered result, simulating it on first use.
+func (s *Suite) get(sp runner.Spec) (RunResult, error) {
+	return s.results.Get(sp, func() (RunResult, error) { return s.simulate(sp) })
 }
 
 // SetJobs caps the number of concurrently running simulations; n <= 0
@@ -122,14 +109,11 @@ func (s *Suite) SetObserver(o *obs.Server) { s.obs = o }
 // trace and carries no registry).
 func (s *Suite) MetricsByJob() map[string]telemetry.Snapshot {
 	out := map[string]telemetry.Snapshot{}
-	s.tflex.Each(func(k sizedKey, r RunResult) { out[s.TFlexSpec(k.name, k.cores).Key()] = r.Metrics })
-	s.tripsR.Each(func(k string, r RunResult) { out[s.TRIPSSpec(k).Key()] = r.Metrics })
-	s.zeroHS.Each(func(k string, r RunResult) { out[s.ZeroHSSpec(k).Key()] = r.Metrics })
-	s.ablate.Each(func(k sizedKey, r RunResult) {
-		abl, kern, _ := strings.Cut(k.name, "/")
-		out[s.AblateSpec(abl, kern, k.cores).Key()] = r.Metrics
+	s.results.Each(func(sp runner.Spec, r RunResult) {
+		if r.Metrics != nil {
+			out[sp.Key()] = r.Metrics
+		}
 	})
-	s.crit.Each(func(k sizedKey, r CritResult) { out[s.CritSpec(k.name, k.cores).Key()] = r.Run.Metrics })
 	return out
 }
 
@@ -142,79 +126,69 @@ func (s *Suite) WriteMetrics(w io.Writer) error {
 	return enc.Encode(s.MetricsByJob())
 }
 
-// exec dispatches one declarative job spec to the matching run method.
-// Results land in the memoized stores keyed by spec, so the runner's
-// merge is simply the warmed cache.
-func (s *Suite) exec(sp runner.Spec) error {
-	var err error
-	switch {
-	case sp.Config == cfgTFlex:
-		_, err = s.TFlexRun(sp.Kernel, sp.Cores)
-	case sp.Config == cfgTRIPS:
-		_, err = s.TRIPSRun(sp.Kernel)
-	case sp.Config == cfgCore2:
-		_, err = s.Core2Run(sp.Kernel)
-	case sp.Config == cfgZeroHS:
-		_, err = s.ZeroHandshakeRun(sp.Kernel)
-	case sp.Config == cfgCrit:
-		_, err = s.CritRun(sp.Kernel, sp.Cores)
-	case strings.HasPrefix(sp.Config, cfgAblate):
-		_, err = s.ablationRun(strings.TrimPrefix(sp.Config, cfgAblate), sp.Kernel, sp.Cores)
-	default:
-		err = fmt.Errorf("unknown job config %q", sp.Config)
-	}
-	return err
-}
-
 // Prefetch fans the job specs out across the worker pool and blocks
-// until every job has run; results are memoized in the suite's stores,
-// so subsequent Run-method calls for the same specs are cache hits.
-// Duplicate specs collapse onto one job.  All jobs run to completion;
-// the returned error is the first failure in submission order.
+// until every job has run and its result is in the store.  Duplicate
+// specs, and specs an earlier batch ran, collapse onto one job.  All
+// jobs run to completion; the returned error is the first failure in
+// submission order, wrapped with its job key.
 func (s *Suite) Prefetch(specs []runner.Spec) error {
 	_, err := s.engine.Run(specs)
 	return err
 }
 
-// TFlexSpec is the job spec for kernel on an n-core TFlex composition.
-func (s *Suite) TFlexSpec(kernel string, cores int) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: cfgTFlex, Cores: cores, Scale: s.Scale}
+// have returns the result of a spec a successful Prefetch covered, which
+// leaves no error to return: rendering a spec whose job failed is a bug
+// in the figure.
+func (s *Suite) have(sp runner.Spec) RunResult {
+	r, err := s.get(sp)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s rendered without a successful Prefetch: %v", sp.Key(), err))
+	}
+	return r
 }
 
-// TRIPSSpec is the job spec for kernel on the TRIPS baseline.
-func (s *Suite) TRIPSSpec(kernel string) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: cfgTRIPS, Scale: s.Scale}
-}
-
-// Core2Spec is the job spec for kernel on the conventional-core model.
-func (s *Suite) Core2Spec(kernel string) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: cfgCore2, Scale: s.Scale}
-}
-
-// ZeroHSSpec is the job spec for kernel's 32-core zero-handshake run.
-func (s *Suite) ZeroHSSpec(kernel string) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: cfgZeroHS, Cores: 32, Scale: s.Scale}
-}
-
-// CritSpec is the job spec for kernel's attribution-enabled run on an
-// n-core composition.
-func (s *Suite) CritSpec(kernel string, cores int) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: cfgCrit, Cores: cores, Scale: s.Scale}
-}
-
-// AblateSpec is the job spec for kernel under the named design ablation.
-func (s *Suite) AblateSpec(ablation, kernel string, cores int) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: cfgAblate + ablation, Cores: cores, Scale: s.Scale}
+// spec is the job spec for kernel on the named machine at the suite's
+// scale; cores is 0 where the machine fixes its own size.
+func (s *Suite) spec(config, kernel string, cores int) runner.Spec {
+	return runner.Spec{Kernel: kernel, Config: config, Cores: cores, Scale: s.Scale}
 }
 
 // SweepSpecs lists every composition size (plus the 1-core baseline
 // implied by Speedups) for one kernel.
 func (s *Suite) SweepSpecs(kernel string) []runner.Spec {
-	specs := []runner.Spec{s.TFlexSpec(kernel, 1)}
+	specs := []runner.Spec{s.spec(cfgTFlex, kernel, 1)}
 	for _, n := range s.Sizes {
-		specs = append(specs, s.TFlexSpec(kernel, n))
+		specs = append(specs, s.spec(cfgTFlex, kernel, n))
 	}
 	return specs
+}
+
+// TFlexRun returns the kernel's run on an n-core composition, simulating
+// it as a one-job batch on first use.
+func (s *Suite) TFlexRun(kernel string, n int) (RunResult, error) {
+	sp := s.spec(cfgTFlex, kernel, n)
+	if err := s.Prefetch([]runner.Spec{sp}); err != nil {
+		return RunResult{}, err
+	}
+	return s.have(sp), nil
+}
+
+// Speedups returns the kernel's cores→speedup curve relative to one core.
+func (s *Suite) Speedups(kernel string) (map[int]float64, error) {
+	if err := s.Prefetch(s.SweepSpecs(kernel)); err != nil {
+		return nil, err
+	}
+	return s.speedups(kernel), nil
+}
+
+// speedups is Speedups over a sweep the caller has prefetched.
+func (s *Suite) speedups(kernel string) map[int]float64 {
+	base := s.have(s.spec(cfgTFlex, kernel, 1))
+	curve := map[int]float64{}
+	for _, n := range s.Sizes {
+		curve[n] = float64(base.Cycles) / float64(s.have(s.spec(cfgTFlex, kernel, n)).Cycles)
+	}
+	return curve
 }
 
 // Summary aggregates suite activity: jobs run, cache hits, simulated
@@ -222,7 +196,7 @@ func (s *Suite) SweepSpecs(kernel string) []runner.Spec {
 type Summary struct {
 	JobsRun   int           // simulations executed by the runner
 	CacheHits uint64        // store lookups served from memo
-	SimCycles uint64        // total simulated cycles across all timing runs
+	SimCycles uint64        // total simulated cycles across all runs
 	Wall      time.Duration // real elapsed time inside runner batches
 	CPUTime   time.Duration // summed per-job wall time
 }
@@ -243,196 +217,13 @@ func (s *Suite) Parallel() string {
 		es.CPUTime.Seconds()/es.Wall.Seconds(), es.CPUTime.Seconds(), es.Wall.Seconds())
 }
 
-// Summary reports cumulative runner and cache activity.
+// Summary reports cumulative runner and store activity.
 func (s *Suite) Summary() Summary {
 	es := s.engine.Summary()
-	sum := Summary{
-		JobsRun: es.JobsRun,
-		Wall:    es.Wall,
-		CPUTime: es.CPUTime,
-	}
-	addHits := func(hits uint64) { sum.CacheHits += hits }
-	h, _ := s.tflex.Stats()
-	addHits(h)
-	h, _ = s.tripsR.Stats()
-	addHits(h)
-	h, _ = s.core2.Stats()
-	addHits(h)
-	h, _ = s.zeroHS.Stats()
-	addHits(h)
-	h, _ = s.ablate.Stats()
-	addHits(h)
-	h, _ = s.crit.Stats()
-	addHits(h)
-	s.tflex.Each(func(_ sizedKey, r RunResult) { sum.SimCycles += r.Cycles })
-	s.tripsR.Each(func(_ string, r RunResult) { sum.SimCycles += r.Cycles })
-	s.zeroHS.Each(func(_ string, r RunResult) { sum.SimCycles += r.Cycles })
-	s.ablate.Each(func(_ sizedKey, r RunResult) { sum.SimCycles += r.Cycles })
-	s.crit.Each(func(_ sizedKey, r CritResult) { sum.SimCycles += r.Run.Cycles })
-	s.core2.Each(func(_ string, r conv.Result) { sum.SimCycles += r.Cycles })
+	sum := Summary{JobsRun: es.JobsRun, Wall: es.Wall, CPUTime: es.CPUTime}
+	sum.CacheHits, _ = s.results.Stats()
+	s.results.Each(func(_ runner.Spec, r RunResult) { sum.SimCycles += r.Cycles })
 	return sum
-}
-
-// collect gathers a finished run: the processor's statistics, the power
-// model's activity counts read off the processor, meshes, caches and
-// DRAM, and the registry snapshot -metrics exports.
-func collect(chip *sim.Chip, proc *sim.Proc, cores, fpus int) RunResult {
-	st := proc.Stats
-	pc := power.Counters{
-		Cycles: st.Cycles,
-		Cores:  cores,
-		FPUs:   fpus,
-
-		BlockFetches: st.BlocksFetched,
-		Predictions:  proc.Pred.Stats.Predictions,
-		IntOps:       st.InstsFired - st.FPFired,
-		FPOps:        st.FPFired,
-		RegReads:     st.RegReads,
-		RegWrites:    st.RegWrites,
-		L1DAccesses:  chip.L1DStats().Accesses,
-		LSQOps:       st.Loads + st.Stores,
-		RouterFlits:  chip.Opn.Stats().Hops + chip.Ctl.Stats().Hops,
-		L2Accesses:   chip.L2.Stats.Accesses,
-		DRAMAccesses: chip.DRAM.Stats.Requests,
-	}
-	return RunResult{Cycles: st.Cycles, Stats: st, Counters: pc, Metrics: chip.Telemetry().Snapshot()}
-}
-
-// runKernel builds the named kernel at the suite's scale, executes it
-// on a chip/processor pair and validates the outputs against the
-// reference.  When an observer is set (SetObserver), the run
-// additionally enables critical-path attribution into the server's
-// rolling aggregate and publishes registry snapshots mid-run; both are
-// passive, so the architectural results are identical with or without
-// observation.
-func (s *Suite) runKernel(name string, chip *sim.Chip, procCores compose.Processor, fpus int) (RunResult, error) {
-	k, ok := kernels.ByName(name)
-	if !ok {
-		return RunResult{}, fmt.Errorf("unknown kernel %q", name)
-	}
-	inst, err := k.Build(s.Scale)
-	if err != nil {
-		return RunResult{}, err
-	}
-	chip.Telemetry() // arm metrics pre-run so histograms observe the blocks
-	if s.obs != nil {
-		s.obs.Attach(chip, chip.SampleEvery(16384))
-	}
-	proc, err := chip.AddProc(procCores, inst.Prog)
-	if err != nil {
-		return RunResult{}, err
-	}
-	inst.Init(&proc.Regs, proc.Mem)
-	if err := chip.Run(MaxCycles); err != nil {
-		return RunResult{}, err
-	}
-	if s.obs != nil {
-		s.obs.PublishChip(chip)
-	}
-	if err := inst.Check(&proc.Regs, proc.Mem); err != nil {
-		return RunResult{}, fmt.Errorf("output validation: %w", err)
-	}
-	return collect(chip, proc, procCores.N(), fpus), nil
-}
-
-// TFlexRun returns (cached) the kernel's run on an n-core composition.
-func (s *Suite) TFlexRun(name string, n int) (RunResult, error) {
-	return s.tflex.Get(sizedKey{name, n}, func() (RunResult, error) {
-		chip := sim.New(sim.DefaultOptions())
-		r, err := s.runKernel(name, chip, compose.MustRect(0, 0, n), n)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("%s on %d cores: %w", name, n, err)
-		}
-		return r, nil
-	})
-}
-
-// TRIPSRun returns (cached) the kernel's run on the TRIPS baseline.
-func (s *Suite) TRIPSRun(name string) (RunResult, error) {
-	return s.tripsR.Get(name, func() (RunResult, error) {
-		chip := trips.NewChip()
-		r, err := s.runKernel(name, chip, trips.Processor(), trips.NumTiles)
-		if err != nil {
-			return RunResult{}, fmt.Errorf("%s on TRIPS: %w", name, err)
-		}
-		// Clock-tree power scales with latch counts (paper §6.3): the TRIPS
-		// processor's tiles carry roughly the latch count of 8 TFlex cores,
-		// plus one FPU per execution tile (twice the FPUs of an equal-width
-		// TFlex composition — the paper's idle-FPU asymmetry).
-		r.Counters.Cores = 8
-		r.Counters.FPUs = trips.NumTiles
-		return r, nil
-	})
-}
-
-// Core2Run returns (cached) the kernel's run on the conventional
-// superscalar model, via the linearized functional trace.
-func (s *Suite) Core2Run(name string) (conv.Result, error) {
-	return s.core2.Get(name, func() (conv.Result, error) {
-		k, ok := kernels.ByName(name)
-		if !ok {
-			return conv.Result{}, fmt.Errorf("unknown kernel %q", name)
-		}
-		inst, err := k.Build(s.Scale)
-		if err != nil {
-			return conv.Result{}, err
-		}
-		m := exec.NewMachine(inst.Prog)
-		m.Trace = &exec.Trace{}
-		inst.Init(&m.Regs, m.Mem.(*exec.PageMem))
-		if _, err := m.Run(50_000_000); err != nil {
-			return conv.Result{}, err
-		}
-		if err := inst.Check(&m.Regs, m.Mem.(*exec.PageMem)); err != nil {
-			return conv.Result{}, err
-		}
-		return conv.Run(m.Trace.Entries, conv.DefaultConfig()), nil
-	})
-}
-
-// ZeroHandshakeRun returns the kernel's 32-core run with instantaneous
-// distributed handshakes (§6.4).
-func (s *Suite) ZeroHandshakeRun(name string) (RunResult, error) {
-	return s.zeroHS.Get(name, func() (RunResult, error) {
-		opts := sim.DefaultOptions()
-		opts.ZeroHandshake = true
-		chip := sim.New(opts)
-		return s.runKernel(name, chip, compose.MustRect(0, 0, 32), 32)
-	})
-}
-
-// CritRun returns (cached) the kernel's run on an n-core composition
-// with critical-path attribution enabled.  It simulates separately from
-// TFlexRun — same deterministic timing (recording is passive; the
-// differential test in the root package pins this), but the result
-// additionally carries the chip's attribution summary.
-func (s *Suite) CritRun(name string, n int) (CritResult, error) {
-	return s.crit.Get(sizedKey{name, n}, func() (CritResult, error) {
-		chip := sim.New(sim.DefaultOptions())
-		chip.EnableCritPath()
-		r, err := s.runKernel(name, chip, compose.MustRect(0, 0, n), n)
-		if err != nil {
-			return CritResult{}, fmt.Errorf("%s on %d cores (critpath): %w", name, n, err)
-		}
-		return CritResult{Run: r, Sum: chip.CritPath()}, nil
-	})
-}
-
-// Speedups returns the kernel's cores→speedup curve relative to one core.
-func (s *Suite) Speedups(name string) (map[int]float64, error) {
-	base, err := s.TFlexRun(name, 1)
-	if err != nil {
-		return nil, err
-	}
-	curve := map[int]float64{}
-	for _, n := range s.Sizes {
-		r, err := s.TFlexRun(name, n)
-		if err != nil {
-			return nil, err
-		}
-		curve[n] = float64(base.Cycles) / float64(r.Cycles)
-	}
-	return curve, nil
 }
 
 // Power evaluates the power model over a run.

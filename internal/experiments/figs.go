@@ -42,7 +42,7 @@ func (s *Suite) Fig5() (Fig5Data, string, error) {
 	d := Fig5Data{Relative: map[string]float64{}, SuiteGeo: map[string]float64{}}
 	var specs []runner.Spec
 	for _, k := range kernels.All() {
-		specs = append(specs, s.Core2Spec(k.Name), s.TRIPSSpec(k.Name))
+		specs = append(specs, s.spec(cfgCore2, k.Name, 0), s.spec(cfgTRIPS, k.Name, 0))
 	}
 	if err := s.Prefetch(specs); err != nil {
 		return d, "", err
@@ -50,14 +50,8 @@ func (s *Suite) Fig5() (Fig5Data, string, error) {
 	t := stats.NewTable("benchmark", "suite", "core2-cycles", "trips-cycles", "trips/core2 perf")
 	suiteVals := map[string][]float64{}
 	for _, k := range kernels.All() {
-		c2, err := s.Core2Run(k.Name)
-		if err != nil {
-			return d, "", err
-		}
-		tr, err := s.TRIPSRun(k.Name)
-		if err != nil {
-			return d, "", err
-		}
+		c2 := s.have(s.spec(cfgCore2, k.Name, 0))
+		tr := s.have(s.spec(cfgTRIPS, k.Name, 0))
 		rel := float64(c2.Cycles) / float64(tr.Cycles)
 		d.Relative[k.Name] = rel
 		suiteVals[k.Suite] = append(suiteVals[k.Suite], rel)
@@ -72,6 +66,108 @@ func (s *Suite) Fig5() (Fig5Data, string, error) {
 		out += fmt.Sprintf("  %-8s %.3f\n", suite, d.SuiteGeo[suite])
 	}
 	return d, out, nil
+}
+
+// sweepTable is what Figures 6, 7 and 8 share: one metric of every
+// kernel on every composition size and on TRIPS, normalized to the
+// kernel's 1-core run, with the per-kernel best size and the geomeans.
+type sweepTable struct {
+	perKernel map[string]map[int]float64 // kernel -> cores -> metric
+	trips     map[string]float64         // kernel -> metric on TRIPS
+	best      map[string]float64
+	bestSize  map[string]int
+
+	avgBySize map[int]float64 // geomean per fixed size
+	avgBest   float64
+	avgTRIPS  float64
+	bestFixed int // the size with the highest geomean
+
+	// text is the table, the caption and one geomean line per size and
+	// for TRIPS.
+	text string
+}
+
+// sweep runs the 26-kernel composition sweep plus the TRIPS baseline and
+// tabulates metric(base, r, cores): the run r's figure of merit over the
+// kernel's 1-core run base, cores being 0 for the TRIPS run.  detail adds
+// Figure 6's "ilp" and "BEST" columns.
+func (s *Suite) sweep(caption string, detail bool, metric func(base, r RunResult, cores int) float64) (sweepTable, error) {
+	d := sweepTable{
+		perKernel: map[string]map[int]float64{},
+		trips:     map[string]float64{},
+		best:      map[string]float64{},
+		bestSize:  map[string]int{},
+		avgBySize: map[int]float64{},
+	}
+	var specs []runner.Spec
+	for _, k := range kernels.All() {
+		specs = append(specs, s.SweepSpecs(k.Name)...)
+		specs = append(specs, s.spec(cfgTRIPS, k.Name, 0))
+	}
+	if err := s.Prefetch(specs); err != nil {
+		return d, err
+	}
+	header := []string{"benchmark"}
+	if detail {
+		header = append(header, "ilp")
+	}
+	for _, n := range s.Sizes {
+		header = append(header, fmt.Sprintf("%dc", n))
+	}
+	header = append(header, "TRIPS")
+	if detail {
+		header = append(header, "BEST")
+	}
+	t := stats.NewTable(append(header, "best-n")...)
+
+	bySize := map[int][]float64{}
+	var bests, tripsVals []float64
+	for _, k := range kernels.All() {
+		base := s.have(s.spec(cfgTFlex, k.Name, 1))
+		row := []any{k.Name}
+		if detail {
+			row = append(row, ilpTag(k))
+		}
+		m := map[int]float64{}
+		best, bestN := 0.0, 1
+		for _, n := range s.Sizes {
+			v := metric(base, s.have(s.spec(cfgTFlex, k.Name, n)), n)
+			m[n] = v
+			bySize[n] = append(bySize[n], v)
+			if v > best {
+				best, bestN = v, n
+			}
+			row = append(row, v)
+		}
+		tv := metric(base, s.have(s.spec(cfgTRIPS, k.Name, 0)), 0)
+		d.perKernel[k.Name] = m
+		d.trips[k.Name] = tv
+		d.best[k.Name] = best
+		d.bestSize[k.Name] = bestN
+		bests = append(bests, best)
+		tripsVals = append(tripsVals, tv)
+		row = append(row, tv)
+		if detail {
+			row = append(row, best)
+		}
+		t.Row(append(row, bestN)...)
+	}
+	bestAvg := 0.0
+	for _, n := range s.Sizes {
+		d.avgBySize[n] = stats.Geomean(bySize[n])
+		if d.avgBySize[n] > bestAvg {
+			bestAvg, d.bestFixed = d.avgBySize[n], n
+		}
+	}
+	d.avgBest = stats.Geomean(bests)
+	d.avgTRIPS = stats.Geomean(tripsVals)
+
+	d.text = t.String() + "\n" + caption + ":\n"
+	for _, n := range s.Sizes {
+		d.text += fmt.Sprintf("  %2d cores: %.3f\n", n, d.avgBySize[n])
+	}
+	d.text += fmt.Sprintf("  TRIPS:    %.3f\n", d.avgTRIPS)
+	return d, nil
 }
 
 // Fig6Data holds the composition performance sweep.
@@ -89,77 +185,17 @@ type Fig6Data struct {
 
 // Fig6 runs the 26-kernel composition sweep plus the TRIPS baseline.
 func (s *Suite) Fig6() (Fig6Data, string, error) {
+	t, err := s.sweep("averages (geomean speedup over 1-core TFlex)", true,
+		func(base, r RunResult, _ int) float64 { return float64(base.Cycles) / float64(r.Cycles) })
 	d := Fig6Data{
-		Speedup:   map[string]map[int]float64{},
-		TRIPSRel:  map[string]float64{},
-		Best:      map[string]float64{},
-		BestSize:  map[string]int{},
-		AvgBySize: map[int]float64{},
+		Speedup: t.perKernel, TRIPSRel: t.trips, Best: t.best, BestSize: t.bestSize,
+		AvgBySize: t.avgBySize, AvgBest: t.avgBest, AvgTRIPS: t.avgTRIPS, BestFixedSize: t.bestFixed,
 	}
-	var specs []runner.Spec
-	for _, k := range kernels.All() {
-		specs = append(specs, s.SweepSpecs(k.Name)...)
-		specs = append(specs, s.TRIPSSpec(k.Name))
-	}
-	if err := s.Prefetch(specs); err != nil {
+	if err != nil {
 		return d, "", err
 	}
-	header := []string{"benchmark", "ilp"}
-	for _, n := range s.Sizes {
-		header = append(header, fmt.Sprintf("%dc", n))
-	}
-	header = append(header, "TRIPS", "BEST", "best-n")
-	t := stats.NewTable(header...)
-
-	bySize := map[int][]float64{}
-	var bests, tripsRels []float64
-	for _, k := range kernels.All() {
-		curve, err := s.Speedups(k.Name)
-		if err != nil {
-			return d, "", err
-		}
-		d.Speedup[k.Name] = curve
-		base, _ := s.TFlexRun(k.Name, 1)
-		tr, err := s.TRIPSRun(k.Name)
-		if err != nil {
-			return d, "", err
-		}
-		trel := float64(base.Cycles) / float64(tr.Cycles)
-		d.TRIPSRel[k.Name] = trel
-		best, bestN := 0.0, 1
-		row := []any{k.Name, ilpTag(k)}
-		for _, n := range s.Sizes {
-			sp := curve[n]
-			bySize[n] = append(bySize[n], sp)
-			if sp > best {
-				best, bestN = sp, n
-			}
-			row = append(row, sp)
-		}
-		d.Best[k.Name] = best
-		d.BestSize[k.Name] = bestN
-		bests = append(bests, best)
-		tripsRels = append(tripsRels, trel)
-		row = append(row, trel, best, bestN)
-		t.Row(row...)
-	}
-	bestAvg := 0.0
-	for _, n := range s.Sizes {
-		d.AvgBySize[n] = stats.Geomean(bySize[n])
-		if d.AvgBySize[n] > bestAvg {
-			bestAvg = d.AvgBySize[n]
-			d.BestFixedSize = n
-		}
-	}
-	d.AvgBest = stats.Geomean(bests)
-	d.AvgTRIPS = stats.Geomean(tripsRels)
-
-	out := t.String()
-	out += "\naverages (geomean speedup over 1-core TFlex):\n"
-	for _, n := range s.Sizes {
-		out += fmt.Sprintf("  %2d cores: %.3f\n", n, d.AvgBySize[n])
-	}
-	out += fmt.Sprintf("  TRIPS:    %.3f\n  BEST:     %.3f\n", d.AvgTRIPS, d.AvgBest)
+	out := t.text
+	out += fmt.Sprintf("  BEST:     %.3f\n", d.AvgBest)
 	out += fmt.Sprintf("  best fixed composition: %d cores\n", d.BestFixedSize)
 	out += fmt.Sprintf("  TFlex-8 vs TRIPS: %+.1f%%\n", 100*(d.AvgBySize[8]/d.AvgTRIPS-1))
 	out += fmt.Sprintf("  BEST vs TRIPS:    %+.1f%%\n", 100*(d.AvgBest/d.AvgTRIPS-1))
@@ -190,7 +226,7 @@ func (s *Suite) Table2() (string, error) {
 	// Average power over the suite.
 	var specs []runner.Spec
 	for _, k := range kernels.All() {
-		specs = append(specs, s.TFlexSpec(k.Name, 8), s.TRIPSSpec(k.Name))
+		specs = append(specs, s.spec(cfgTFlex, k.Name, 8), s.spec(cfgTRIPS, k.Name, 0))
 	}
 	if err := s.Prefetch(specs); err != nil {
 		return "", err
@@ -199,16 +235,8 @@ func (s *Suite) Table2() (string, error) {
 	var tflexSum, tripsSum [8]float64
 	n := 0
 	for _, k := range kernels.All() {
-		r8, err := s.TFlexRun(k.Name, 8)
-		if err != nil {
-			return "", err
-		}
-		rt, err := s.TRIPSRun(k.Name)
-		if err != nil {
-			return "", err
-		}
-		b8 := Power(r8)
-		bt := Power(rt)
+		b8 := Power(s.have(s.spec(cfgTFlex, k.Name, 8)))
+		bt := Power(s.have(s.spec(cfgTRIPS, k.Name, 0)))
 		tflexW = append(tflexW, b8.Total())
 		tripsW = append(tripsW, bt.Total())
 		for i, v := range [8]float64{b8.Fetch, b8.Execution, b8.L1D, b8.Routers, b8.L2, b8.DRAMIO, b8.Clock, b8.Leakage} {
@@ -238,71 +266,16 @@ type Fig7Data struct {
 
 // Fig7 computes performance per area: 1/(cycles x mm²).
 func (s *Suite) Fig7() (Fig7Data, string, error) {
-	d := Fig7Data{
-		PerKernel: map[string]map[int]float64{},
-		AvgBySize: map[int]float64{},
-		BestSizes: map[string]int{},
-	}
-	var specs []runner.Spec
-	for _, k := range kernels.All() {
-		specs = append(specs, s.SweepSpecs(k.Name)...)
-		specs = append(specs, s.TRIPSSpec(k.Name))
-	}
-	if err := s.Prefetch(specs); err != nil {
-		return d, "", err
-	}
-	header := []string{"benchmark"}
-	for _, n := range s.Sizes {
-		header = append(header, fmt.Sprintf("%dc", n))
-	}
-	header = append(header, "TRIPS", "best-n")
-	t := stats.NewTable(header...)
-	bySize := map[int][]float64{}
-	var tripsVals []float64
-	for _, k := range kernels.All() {
-		base, err := s.TFlexRun(k.Name, 1)
-		if err != nil {
-			return d, "", err
+	perArea := func(r RunResult, cores int) float64 {
+		if cores == 0 {
+			return area.PerfPerArea(r.Cycles, area.TRIPSArea())
 		}
-		norm := area.PerfPerArea(base.Cycles, area.TFlexArea(1))
-		m := map[int]float64{}
-		best, bestN := 0.0, 1
-		row := []any{k.Name}
-		for _, n := range s.Sizes {
-			r, err := s.TFlexRun(k.Name, n)
-			if err != nil {
-				return d, "", err
-			}
-			v := area.PerfPerArea(r.Cycles, area.TFlexArea(n)) / norm
-			m[n] = v
-			bySize[n] = append(bySize[n], v)
-			if v > best {
-				best, bestN = v, n
-			}
-			row = append(row, v)
-		}
-		tr, err := s.TRIPSRun(k.Name)
-		if err != nil {
-			return d, "", err
-		}
-		tv := area.PerfPerArea(tr.Cycles, area.TRIPSArea()) / norm
-		tripsVals = append(tripsVals, tv)
-		d.PerKernel[k.Name] = m
-		d.BestSizes[k.Name] = bestN
-		row = append(row, tv, bestN)
-		t.Row(row...)
+		return area.PerfPerArea(r.Cycles, area.TFlexArea(cores))
 	}
-	for _, n := range s.Sizes {
-		d.AvgBySize[n] = stats.Geomean(bySize[n])
-	}
-	d.AvgTRIPS = stats.Geomean(tripsVals)
-	out := t.String()
-	out += "\ngeomean perf/area (normalized to 1-core TFlex):\n"
-	for _, n := range s.Sizes {
-		out += fmt.Sprintf("  %2d cores: %.3f\n", n, d.AvgBySize[n])
-	}
-	out += fmt.Sprintf("  TRIPS:    %.3f\n", d.AvgTRIPS)
-	return d, out, nil
+	t, err := s.sweep("geomean perf/area (normalized to 1-core TFlex)", false,
+		func(base, r RunResult, cores int) float64 { return perArea(r, cores) / perArea(base, 1) })
+	d := Fig7Data{PerKernel: t.perKernel, AvgBySize: t.avgBySize, AvgTRIPS: t.avgTRIPS, BestSizes: t.bestSize}
+	return d, t.text, err
 }
 
 // Fig8Data holds power-efficiency results.
@@ -316,76 +289,22 @@ type Fig8Data struct {
 
 // Fig8 computes perf²/Watt across compositions and TRIPS.
 func (s *Suite) Fig8() (Fig8Data, string, error) {
-	d := Fig8Data{PerKernel: map[string]map[int]float64{}, AvgBySize: map[int]float64{}}
-	var specs []runner.Spec
-	for _, k := range kernels.All() {
-		specs = append(specs, s.SweepSpecs(k.Name)...)
-		specs = append(specs, s.TRIPSSpec(k.Name))
+	perf2PerWatt := func(r RunResult) float64 {
+		return 1.0 / (float64(r.Cycles) * float64(r.Cycles) * Power(r).Total())
 	}
-	if err := s.Prefetch(specs); err != nil {
+	t, err := s.sweep("geomean perf²/W (normalized to 1-core TFlex)", false,
+		func(base, r RunResult, _ int) float64 { return perf2PerWatt(r) / perf2PerWatt(base) })
+	d := Fig8Data{
+		PerKernel: t.perKernel, AvgBySize: t.avgBySize,
+		AvgBest: t.avgBest, AvgTRIPS: t.avgTRIPS, BestFixed: t.bestFixed,
+	}
+	if err != nil {
 		return d, "", err
 	}
-	header := []string{"benchmark"}
-	for _, n := range s.Sizes {
-		header = append(header, fmt.Sprintf("%dc", n))
-	}
-	header = append(header, "TRIPS", "best-n")
-	t := stats.NewTable(header...)
-	bySize := map[int][]float64{}
-	var bests, tripsVals []float64
-	for _, k := range kernels.All() {
-		base, err := s.TFlexRun(k.Name, 1)
-		if err != nil {
-			return d, "", err
-		}
-		normW := Power(base).Total()
-		norm := 1.0 / (float64(base.Cycles) * float64(base.Cycles) * normW)
-		m := map[int]float64{}
-		best, bestN := 0.0, 1
-		row := []any{k.Name}
-		for _, n := range s.Sizes {
-			r, err := s.TFlexRun(k.Name, n)
-			if err != nil {
-				return d, "", err
-			}
-			w := Power(r).Total()
-			v := 1.0 / (float64(r.Cycles) * float64(r.Cycles) * w) / norm
-			m[n] = v
-			bySize[n] = append(bySize[n], v)
-			if v > best {
-				best, bestN = v, n
-			}
-			row = append(row, v)
-		}
-		tr, err := s.TRIPSRun(k.Name)
-		if err != nil {
-			return d, "", err
-		}
-		tw := Power(tr).Total()
-		tv := 1.0 / (float64(tr.Cycles) * float64(tr.Cycles) * tw) / norm
-		tripsVals = append(tripsVals, tv)
-		bests = append(bests, best)
-		d.PerKernel[k.Name] = m
-		row = append(row, tv, bestN)
-		t.Row(row...)
-	}
-	bestAvg := 0.0
-	for _, n := range s.Sizes {
-		d.AvgBySize[n] = stats.Geomean(bySize[n])
-		if d.AvgBySize[n] > bestAvg {
-			bestAvg, d.BestFixed = d.AvgBySize[n], n
-		}
-	}
-	d.AvgBest = stats.Geomean(bests)
-	d.AvgTRIPS = stats.Geomean(tripsVals)
-	out := t.String()
-	out += "\ngeomean perf²/W (normalized to 1-core TFlex):\n"
-	for _, n := range s.Sizes {
-		out += fmt.Sprintf("  %2d cores: %.3f\n", n, d.AvgBySize[n])
-	}
-	out += fmt.Sprintf("  TRIPS:    %.3f\n  BEST:     %.3f\n", d.AvgTRIPS, d.AvgBest)
+	out := t.text
+	out += fmt.Sprintf("  BEST:     %.3f\n", d.AvgBest)
 	out += fmt.Sprintf("  best fixed composition: %d cores\n", d.BestFixed)
-	out += fmt.Sprintf("  per-app BEST vs best fixed: %+.1f%%\n", 100*(d.AvgBest/bestAvg-1))
+	out += fmt.Sprintf("  per-app BEST vs best fixed: %+.1f%%\n", 100*(d.AvgBest/d.AvgBySize[d.BestFixed]-1))
 	if d.AvgTRIPS > 0 {
 		out += fmt.Sprintf("  TFlex-8 vs TRIPS: %+.1f%%\n", 100*(d.AvgBySize[8]/d.AvgTRIPS-1))
 	}
@@ -404,7 +323,7 @@ func (s *Suite) Fig9() (Fig9Data, string, error) {
 	var specs []runner.Spec
 	for _, n := range s.Sizes {
 		for _, k := range kernels.All() {
-			specs = append(specs, s.TFlexSpec(k.Name, n))
+			specs = append(specs, s.spec(cfgTFlex, k.Name, n))
 		}
 	}
 	if err := s.Prefetch(specs); err != nil {
@@ -417,10 +336,7 @@ func (s *Suite) Fig9() (Fig9Data, string, error) {
 		var c [2]float64
 		cnt := 0.0
 		for _, k := range kernels.All() {
-			r, err := s.TFlexRun(k.Name, n)
-			if err != nil {
-				return d, "", err
-			}
+			r := s.have(s.spec(cfgTFlex, k.Name, n))
 			a, b, bc, disp, ist := r.Stats.FetchLatency()
 			ar, hs := r.Stats.CommitLatency()
 			f[0] += a
@@ -467,7 +383,7 @@ func (s *Suite) Fig9x() (Fig9xData, string, error) {
 	var specs []runner.Spec
 	for _, n := range s.Sizes {
 		for _, k := range kernels.HandOptimized() {
-			specs = append(specs, s.CritSpec(k.Name, n))
+			specs = append(specs, s.spec(cfgCrit, k.Name, n))
 		}
 	}
 	if err := s.Prefetch(specs); err != nil {
@@ -482,11 +398,7 @@ func (s *Suite) Fig9x() (Fig9xData, string, error) {
 	for _, n := range s.Sizes {
 		var agg critpath.Summary
 		for _, k := range kernels.HandOptimized() {
-			r, err := s.CritRun(k.Name, n)
-			if err != nil {
-				return d, "", err
-			}
-			agg.Merge(r.Sum)
+			agg.Merge(s.have(s.spec(cfgCrit, k.Name, n)).Crit)
 		}
 		// The reconciliation invariant must survive aggregation: every
 		// block's categories sum to its latency, so the chip-wide sums
@@ -531,22 +443,16 @@ func (s *Suite) Handshake() (HandshakeData, string, error) {
 	d := HandshakeData{PerApp: map[string]float64{}}
 	var specs []runner.Spec
 	for _, k := range kernels.All() {
-		specs = append(specs, s.TFlexSpec(k.Name, 32), s.ZeroHSSpec(k.Name))
+		specs = append(specs, s.spec(cfgTFlex, k.Name, 32), s.spec(cfgZeroHS, k.Name, 32))
 	}
 	if err := s.Prefetch(specs); err != nil {
 		return d, "", err
 	}
-	t := stats.NewTable("benchmark", "normal", "zero-handshake", "gain")
+	t := stats.NewTable("benchmark", "normal", cfgZeroHS, "gain")
 	var gains []float64
 	for _, k := range kernels.All() {
-		normal, err := s.TFlexRun(k.Name, 32)
-		if err != nil {
-			return d, "", err
-		}
-		zero, err := s.ZeroHandshakeRun(k.Name)
-		if err != nil {
-			return d, "", err
-		}
+		normal := s.have(s.spec(cfgTFlex, k.Name, 32))
+		zero := s.have(s.spec(cfgZeroHS, k.Name, 32))
 		g := float64(normal.Cycles) / float64(zero.Cycles)
 		d.PerApp[k.Name] = g
 		gains = append(gains, g)
@@ -587,11 +493,7 @@ func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 	}
 	curves := map[string]alloc.Curve{}
 	for _, k := range hand {
-		c, err := s.Speedups(k.Name)
-		if err != nil {
-			return Fig10Data{}, "", err
-		}
-		curves[k.Name] = c
+		curves[k.Name] = s.speedups(k.Name)
 	}
 	cmpKs := []int{1, 2, 4, 8, 16}
 	d := Fig10Data{

@@ -37,7 +37,7 @@ import (
 // Spec declaratively identifies one simulation job.
 type Spec struct {
 	Kernel string // benchmark name
-	Config string // machine configuration: "tflex", "trips", "core2", "zero-handshake", "ablate:<name>", ...
+	Config string // machine configuration: a row name of the executor's machine table (experiments.machines)
 	Cores  int    // composition size (TFlex configs; 0 where fixed by the config)
 	Scale  int    // kernel input scale
 }
@@ -88,7 +88,7 @@ type Engine struct {
 	Workers int
 	// Exec executes one spec.  It must be safe to call from concurrent
 	// goroutines; in the experiment suite it builds a private chip and
-	// records the result in a concurrency-safe Store.
+	// records the result in a concurrency-safe Store keyed by the spec.
 	Exec func(Spec) error
 	// Progress, if non-nil, receives one line per finished job
 	// ("[done/total] key wall").  Lines are serialized but their order
@@ -96,15 +96,17 @@ type Engine struct {
 	// byte-stable output matters.
 	Progress io.Writer
 	// Trace, if non-nil, records one Chrome span per executed job on its
-	// worker's track (pid runnerTracePID, tid = worker index).  Runner
-	// spans use real microseconds since the engine's first Run, unlike
-	// the simulator's cycle-denominated block spans.
+	// worker's track (pid runnerTracePID, tid = worker index, named the
+	// first time that worker runs a job).  Runner spans use real
+	// microseconds since the engine's first Run, unlike the simulator's
+	// cycle-denominated block spans.
 	Trace *telemetry.Trace
 
 	mu        sync.Mutex
 	sum       Summary
 	epoch     time.Time         // first Run's start; trace span time zero
-	completed map[string]Result // merged results of every finished job, by key
+	completed map[string]Result // the engine's record of what it ran, by key (the jobs' outputs live with Exec)
+	named     map[int]bool      // workers whose trace track has its name
 }
 
 // runnerTracePID groups runner job spans in the trace viewer, well away
@@ -157,6 +159,7 @@ func (e *Engine) Run(specs []Spec) ([]Result, error) {
 	e.mu.Lock()
 	if e.completed == nil {
 		e.completed = map[string]Result{}
+		e.named = map[int]bool{}
 	}
 	for i, sp := range unique {
 		if r, ok := e.completed[sp.Key()]; ok {
@@ -179,9 +182,6 @@ func (e *Engine) Run(specs []Spec) ([]Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if e.Trace != nil {
-				e.Trace.NameThread(runnerTracePID, w, fmt.Sprintf("worker%d", w))
-			}
 			for i := range idxCh {
 				sp := unique[i]
 				t0 := time.Now()
@@ -192,6 +192,10 @@ func (e *Engine) Run(specs []Spec) ([]Result, error) {
 					uint64(t0.Sub(epoch).Microseconds()),
 					uint64(t0.Add(wall).Sub(epoch).Microseconds()))
 				e.mu.Lock()
+				if !e.named[w] {
+					e.named[w] = true
+					e.Trace.NameThread(runnerTracePID, w, fmt.Sprintf("worker%d", w))
+				}
 				done++
 				if e.Progress != nil {
 					status := ""

@@ -1,11 +1,14 @@
 package runner
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
 func TestSpecKey(t *testing.T) {
@@ -148,6 +151,39 @@ func TestProgressLines(t *testing.T) {
 	}
 }
 
+// A worker's trace track is named once, the first time that worker runs
+// a job, however many batches follow.  Each batch's two jobs rendezvous,
+// so both workers must hold one.
+func TestTraceNamesEachWorkerOnce(t *testing.T) {
+	var meet sync.WaitGroup
+	tr := &telemetry.Trace{}
+	e := &Engine{Workers: 2, Trace: tr, Exec: func(Spec) error {
+		meet.Done()
+		meet.Wait()
+		return nil
+	}}
+	for batch := 0; batch < 3; batch++ {
+		meet.Add(2)
+		specs := []Spec{
+			{Kernel: "a", Config: "tflex", Cores: 1, Scale: batch + 1},
+			{Kernel: "b", Config: "tflex", Cores: 1, Scale: batch + 1},
+		}
+		if _, err := e.Run(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `"thread_name"`); got != 2 {
+		t.Fatalf("%d thread_name records for 2 workers over 3 batches, want 2", got)
+	}
+	if got := strings.Count(buf.String(), `"job"`); got != 6 {
+		t.Fatalf("%d job spans, want 6", got)
+	}
+}
+
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
@@ -192,12 +228,10 @@ func TestStoreMemoizesErrors(t *testing.T) {
 	if computes != 1 {
 		t.Fatalf("%d computes, want 1", computes)
 	}
-	if _, ok := st.Lookup("k"); ok {
-		t.Fatal("Lookup should not expose failed entries")
-	}
+	st.Each(func(string, int) { t.Fatal("Each should not expose failed entries") })
 }
 
-func TestStoreEachAndLookup(t *testing.T) {
+func TestStoreEach(t *testing.T) {
 	var st Store[int, int]
 	for i := 0; i < 5; i++ {
 		i := i
@@ -209,11 +243,5 @@ func TestStoreEachAndLookup(t *testing.T) {
 	st.Each(func(_, v int) { sum += v })
 	if sum != 0+1+4+9+16 {
 		t.Fatalf("Each sum = %d", sum)
-	}
-	if v, ok := st.Lookup(3); !ok || v != 9 {
-		t.Fatalf("Lookup(3) = %d, %v", v, ok)
-	}
-	if st.Len() != 5 {
-		t.Fatalf("Len = %d", st.Len())
 	}
 }

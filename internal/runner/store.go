@@ -46,25 +46,6 @@ func (s *Store[K, V]) Get(key K, compute func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Lookup returns the value for key if a completed computation exists.
-func (s *Store[K, V]) Lookup(key K) (V, bool) {
-	s.mu.Lock()
-	e, ok := s.entries[key]
-	s.mu.Unlock()
-	if !ok {
-		return *new(V), false
-	}
-	select {
-	case <-e.done:
-		if e.err != nil {
-			return *new(V), false
-		}
-		return e.val, true
-	default:
-		return *new(V), false
-	}
-}
-
 // Each visits every successfully computed entry.  Entries still being
 // computed are skipped; visit order is unspecified.
 func (s *Store[K, V]) Each(visit func(K, V)) {
@@ -92,11 +73,4 @@ func (s *Store[K, V]) Stats() (hits, misses uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.hits, s.misses
-}
-
-// Len counts entries (including in-flight computations).
-func (s *Store[K, V]) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/compose"
@@ -91,17 +92,27 @@ func TestChipTelemetryEndToEnd(t *testing.T) {
 			t.Errorf("%s = %v, want %d", name, got, want)
 		}
 	}
-	if got := snap.Sum("", ".l1d.accesses"); got != float64(chip.L1DStats().Accesses) {
+	// sum adds the entries named prefix…suffix; counts are integers, so
+	// the order of addition cannot matter.
+	sum := func(prefix, suffix string) (total float64) {
+		for name, v := range snap {
+			if strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix) {
+				total += v
+			}
+		}
+		return total
+	}
+	if got := sum("", ".l1d.accesses"); got != float64(chip.L1DStats().Accesses) {
 		t.Errorf("sum l1d.accesses = %v, want %d", got, chip.L1DStats().Accesses)
 	}
 	// Per-link flits sum to the mesh hop count.
-	if got := snap.Sum("noc.ctl.link.", ".flits"); got != float64(chip.Ctl.Stats().Hops) {
+	if got := sum("noc.ctl.link.", ".flits"); got != float64(chip.Ctl.Stats().Hops) {
 		t.Errorf("sum ctl link flits = %v, want %d hops", got, chip.Ctl.Stats().Hops)
 	}
 
 	// Histograms observed one sample per committed block.
-	fh := reg.HistogramOf("proc0.fetch.latency")
-	ch := reg.HistogramOf("proc0.commit.latency")
+	fh := reg.Histogram("proc0.fetch.latency")
+	ch := reg.Histogram("proc0.commit.latency")
 	if fh.Count() != proc.Stats.FetchBlocks || ch.Count() != proc.Stats.BlocksCommitted {
 		t.Errorf("histogram counts = %d/%d, want %d/%d",
 			fh.Count(), ch.Count(), proc.Stats.FetchBlocks, proc.Stats.BlocksCommitted)

@@ -1,12 +1,12 @@
 // Package telemetry is the chip-wide observability layer: a registry of
-// typed counters, gauges and power-of-two-bucket histograms registered
+// counter views, gauges and power-of-two-bucket histograms registered
 // under hierarchical dotted names ("core3.lsq.nacks",
 // "noc.opnd.link.3.4.flits"), a cycle-sampled time-series sampler, and a
 // Chrome trace-event exporter for block/job lifecycles.
 //
 // Design rules (see DESIGN.md, "Telemetry"):
 //
-//   - Counters are usually *views* over a component's own uint64 field
+//   - Counters are *views* over a component's own uint64 field
 //     (gem5-style): the component keeps incrementing its field on the hot
 //     path exactly as before, and the registry only reads it at snapshot
 //     time.  Registering a metric therefore costs nothing per simulated
@@ -21,46 +21,8 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
-	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing uint64 metric.  A counter either
-// owns its storage (Registry.Counter) or is a read-only view over a
-// component-owned field (Registry.CounterView).  Owned counters are
-// atomic — they sit off the simulator hot path, so the atomicity is free
-// for the simulation and lets harness code count from many goroutines.
-// View sources stay plain fields incremented by their single owning
-// simulation goroutine; reading a view mid-run from another goroutine is
-// outside the sharing model (one registry per chip, snapshots after the
-// run or from the chip's own event loop).
-type Counter struct {
-	own atomic.Uint64
-	ext *uint64 // non-nil for views
-}
-
-// Add increments an owned counter.  Safe on nil (disabled telemetry).
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.own.Add(n)
-	}
-}
-
-// Inc increments an owned counter by one.  Safe on nil.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value reads the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	if c.ext != nil {
-		return *c.ext
-	}
-	return c.own.Load()
-}
 
 // Gauge is an instantaneous value computed on demand.
 type Gauge struct{ fn func() float64 }
@@ -78,9 +40,15 @@ func (g *Gauge) Value() float64 {
 // name (a recomposed processor re-registers its cores).  All methods are
 // safe for concurrent use; the intended sharing model is still
 // one registry per chip (see the overhead contract in DESIGN.md).
+//
+// A counter is a read-only view over a monotonically increasing uint64
+// field owned and incremented by a component's single simulation
+// goroutine.  Reading a view mid-run from another goroutine is outside
+// the sharing model (snapshots after the run or from the chip's own
+// event loop).
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*Counter
+	counters map[string]*uint64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
@@ -88,22 +56,10 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
+		counters: map[string]*uint64{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
-}
-
-// Counter registers (or returns the existing) registry-owned counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok && c.ext == nil {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
 }
 
 // CounterView registers name as a view over src, a counter field owned
@@ -111,7 +67,7 @@ func (r *Registry) Counter(name string) *Counter {
 // the field directly; the registry reads it only at snapshot time.
 func (r *Registry) CounterView(name string, src *uint64) {
 	r.mu.Lock()
-	r.counters[name] = &Counter{ext: src}
+	r.counters[name] = src
 	r.mu.Unlock()
 }
 
@@ -134,32 +90,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// HistogramOf returns the named histogram, or nil.
-func (r *Registry) HistogramOf(name string) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.hists[name]
-}
-
-// Names lists every registered metric name in sorted order (histograms
-// appear once under their base name).
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	r.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
 // Snapshot is a flat, point-in-time copy of the registry: counter and
 // gauge values by name, plus "<hist>.count", "<hist>.sum" and
 // "<hist>.mean" per histogram.  Counter values are exact in float64 for
@@ -170,30 +100,13 @@ type Snapshot map[string]float64
 // Get reads one snapshot entry (0 when absent).
 func (s Snapshot) Get(name string) float64 { return s[name] }
 
-// Sum adds every entry whose name starts with prefix and ends with
-// suffix, in sorted-name order for determinism.
-func (s Snapshot) Sum(prefix, suffix string) float64 {
-	names := make([]string, 0, len(s))
-	for n := range s {
-		if strings.HasPrefix(n, prefix) && strings.HasSuffix(n, suffix) {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	var sum float64
-	for _, n := range names {
-		sum += s[n]
-	}
-	return sum
-}
-
 // Snapshot captures every registered metric.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := make(Snapshot, len(r.counters)+len(r.gauges)+3*len(r.hists))
 	for n, c := range r.counters {
-		s[n] = float64(c.Value())
+		s[n] = float64(*c)
 	}
 	for n, g := range r.gauges {
 		s[n] = g.Value()
@@ -221,7 +134,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	r.mu.RLock()
 	counters := make(map[string]uint64, len(r.counters))
 	for n, c := range r.counters {
-		counters[n] = c.Value()
+		counters[n] = *c
 	}
 	gauges := make(map[string]float64, len(r.gauges))
 	for n, g := range r.gauges {

@@ -326,7 +326,7 @@ func TestBlockViewsAgree(t *testing.T) {
 	if cats != res.CritPath.Cats {
 		t.Errorf("critical-path summary %v, records sum to %v", res.CritPath.Cats, cats)
 	}
-	h := res.Telemetry.HistogramOf("proc0.commit.latency")
+	h := res.Telemetry.Histogram("proc0.commit.latency")
 	if h.Count() != res.Stats.BlocksCommitted || h.Sum() != commitSum {
 		t.Errorf("commit.latency histogram: %d blocks, %d cycles; records: %d blocks, %d cycles",
 			h.Count(), h.Sum(), res.Stats.BlocksCommitted, commitSum)
