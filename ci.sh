@@ -9,26 +9,25 @@
 # (the concurrency gate for what is concurrent — the experiment runner,
 # telemetry and the observability server — which also runs the
 # determinism regression in internal/experiments and the
-# optimized-vs-reference engine differential), an explicit race gate on
-# the telemetry layer (shared Chrome trace + per-chip samplers inside
-# concurrent runner jobs), an explicit race gate on the observability
-# server (HTTP scrapers hammering a sweep with live publishing, plus
-# /metrics + /flight scraped off a live four-processor chip), a live
-# smoke that curls /metrics and /critpath off a serving tflexexp, a
-# flight-recorder smoke (tflexsim -flight on a fuzz seed must write a
-# dump that -flight-print parses back, and a multiprogrammed run must
-# write its observer files), a tflexexp artefact smoke (-metrics and
-# -chrome-trace on fig5: 26 job keys, one named track per worker), and a
-# one-iteration smoke of every benchmark so the bench harness cannot rot
-# unnoticed.
+# optimized-vs-reference engine differential), a live smoke that curls
+# /metrics and /critpath off a serving tflexexp, a flight-recorder smoke
+# (tflexsim -flight on a fuzz seed must write a dump that -flight-print
+# parses back, and a multiprogrammed run must write its observer files),
+# a tflexexp artefact smoke (-metrics and -chrome-trace on fig5: 26 job
+# keys, one named track per worker), and a one-iteration smoke of every
+# benchmark so the bench harness cannot rot unnoticed.
 #
-#   ./ci.sh bench
+#   ./ci.sh bench [clpbench flags]
 #
-# runs the performance harness instead: cmd/tflexbench times the Figure 6
-# job grid on the optimized and reference engines and writes the numbers
-# to BENCH_sim.json, then asserts the critical-path attribution overhead
-# budget (critpath_overhead <= 1.10x) and the flight-recorder overhead
-# budget (flight_overhead <= 1.05x).
+# measures, then gates: cmd/clpbench (the repository's one benchmark,
+# what BENCHMARK.json runs) with the given flags, e.g.
+# `./ci.sh bench -workload observed -trace 1`, followed by the budgets
+# that are deterministic for a seed and so cannot flake — allocations per
+# marginal block untapped and with every tap armed, and chip set-up bytes
+# (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
+# TestChipSetupBudget).  No wall-time ratio is compared to a threshold:
+# wall time is judged across commits by the pipeline that runs
+# BENCHMARK.json, under the bounds that file states.
 #
 #   ./ci.sh lint
 #
@@ -88,20 +87,11 @@ if [ "${1:-}" = "fuzz" ]; then
 fi
 
 if [ "${1:-}" = "bench" ]; then
-    echo "== bench harness (cmd/tflexbench -> BENCH_sim.json) =="
-    go run ./cmd/tflexbench -out BENCH_sim.json
-    echo "== critpath overhead budget (<= 1.10x) =="
-    awk '/"critpath_overhead"/ {
-        gsub(/[",]/, ""); ov = $2
-        printf "critpath_overhead = %s\n", ov
-        if (ov + 0 > 1.10) { print "FAIL: critpath attribution exceeds its 1.10x budget"; exit 1 }
-    }' BENCH_sim.json
-    echo "== flight-recorder overhead budget (<= 1.05x) =="
-    awk '/"flight_overhead"/ {
-        gsub(/[",]/, ""); ov = $2
-        printf "flight_overhead = %s\n", ov
-        if (ov + 0 > 1.05) { print "FAIL: flight recorder exceeds its 1.05x budget"; exit 1 }
-    }' BENCH_sim.json
+    shift
+    echo "== benchmark (cmd/clpbench) =="
+    go run ./cmd/clpbench "$@"
+    echo "== deterministic budgets (allocs per block, set-up bytes) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget' ./internal/sim
     exit 0
 fi
 
@@ -124,14 +114,6 @@ go run ./cmd/tflexlint ./...
 
 echo "== go test -race =="
 go test -race ./...
-
-echo "== telemetry race gate (sampler vs. runner jobs) =="
-go test -race -count=1 -run 'TestTelemetryUnderConcurrentJobs|TestRegistryConcurrent|TestChipTelemetryEndToEnd' \
-    . ./internal/telemetry ./internal/sim
-
-echo "== observability race gate (HTTP scrape vs. live sweep + live four-processor chip) =="
-go test -race -count=1 -run 'TestConcurrentPublishAndScrape|TestObserverDuringConcurrentSweep|TestFlightUnderFourProcessorRun' \
-    ./internal/obs ./internal/experiments
 
 echo "== observability live smoke (tflexexp -serve) =="
 obsbin=$(mktemp -d)/tflexexp

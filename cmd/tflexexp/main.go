@@ -6,8 +6,8 @@
 //	tflexexp -exp fig6 -scale 4 -jobs 8
 //	tflexexp -exp fig10 -workloads 20
 //
-// Experiments: table1, fig5, fig6, table2, fig7, fig8, fig9, fig9x,
-// handshake, fig10, ablations, all.
+// -exp takes one name of experiments.Evaluation() — the usage text lists
+// them — or all.
 //
 // With -serve ADDR a live observability server runs for the duration of
 // the sweep: /metrics (latest telemetry snapshot), /critpath (rolling
@@ -35,28 +35,13 @@ import (
 	"github.com/clp-sim/tflex/internal/profiling"
 )
 
-// experiment pairs a name with its runner; the explicit slice fixes the
-// -exp all execution order (a map here would follow Go's randomized map
-// iteration and shuffle the output between runs).
-type experiment struct {
-	name string
-	fn   func(*experiments.Suite) (string, error)
-}
-
-func expList(workloads int) []experiment {
-	return []experiment{
-		{"table1", func(*experiments.Suite) (string, error) { return experiments.Table1(), nil }},
-		{"fig5", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig5(); return out, err }},
-		{"fig6", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig6(); return out, err }},
-		{"table2", func(s *experiments.Suite) (string, error) { return s.Table2() }},
-		{"fig7", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig7(); return out, err }},
-		{"fig8", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig8(); return out, err }},
-		{"fig9", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig9(); return out, err }},
-		{"fig9x", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig9x(); return out, err }},
-		{"handshake", func(s *experiments.Suite) (string, error) { _, out, err := s.Handshake(); return out, err }},
-		{"fig10", func(s *experiments.Suite) (string, error) { _, out, err := s.Fig10(workloads); return out, err }},
-		{"ablations", func(s *experiments.Suite) (string, error) { _, out, err := s.Ablations(8); return out, err }},
+// expNames is what -exp accepts, in evaluation order.
+func expNames() string {
+	var names []string
+	for _, e := range experiments.Evaluation() {
+		names = append(names, e.Name)
 	}
+	return strings.Join(append(names, "all"), ", ")
 }
 
 // validateFlags rejects flag values that would otherwise degrade the
@@ -64,7 +49,7 @@ func expList(workloads int) []experiment {
 // empty or degenerate sweeps, an unparseable -serve address would only
 // surface once the server starts, and an unknown -exp used to be
 // diagnosed after flag handling rather than with the usage text.
-func validateFlags(exp string, scale, workloads int, serve string, names []string) error {
+func validateFlags(exp string, scale, workloads int, serve string) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
 	}
@@ -76,20 +61,18 @@ func validateFlags(exp string, scale, workloads int, serve string, names []strin
 			return fmt.Errorf("-serve %q: %v (want host:port, e.g. 127.0.0.1:8080)", serve, err)
 		}
 	}
-	if exp != "all" {
-		known := false
-		for _, n := range names {
-			known = known || exp == n
-		}
-		if !known {
-			return fmt.Errorf("unknown experiment %q (want one of %s, all)", exp, strings.Join(names, ", "))
-		}
+	known := exp == "all"
+	for _, e := range experiments.Evaluation() {
+		known = known || exp == e.Name
+	}
+	if !known {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", exp, expNames())
 	}
 	return nil
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (table1, fig5, fig6, table2, fig7, fig8, fig9, fig9x, handshake, fig10, ablations, all)")
+	exp := flag.String("exp", "all", "experiment to run ("+expNames()+")")
 	scale := flag.Int("scale", 2, "kernel input scale")
 	workloads := flag.Int("workloads", 10, "multiprogrammed workloads per size (fig10)")
 	jobs := flag.Int("jobs", 0, "concurrent simulation jobs (<=0: GOMAXPROCS)")
@@ -101,12 +84,7 @@ func main() {
 	serve := flag.String("serve", "", "serve live observability (/metrics, /critpath, /events, /debug/pprof) on this address while the sweep runs")
 	flag.Parse()
 
-	exps := expList(*workloads)
-	var names []string
-	for _, e := range exps {
-		names = append(names, e.name)
-	}
-	if err := validateFlags(*exp, *scale, *workloads, *serve, names); err != nil {
+	if err := validateFlags(*exp, *scale, *workloads, *serve); err != nil {
 		fmt.Fprintln(os.Stderr, "tflexexp:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -141,53 +119,38 @@ func main() {
 		defer srv.Close()
 	}
 
-	run := func(e experiment) {
-		if err := render(os.Stdout, s, e); err != nil {
-			fmt.Fprintf(os.Stderr, "tflexexp: %s: %v\n", e.name, err)
+	for _, e := range experiments.Evaluation() {
+		if *exp != "all" && *exp != e.Name {
+			continue
+		}
+		if err := render(os.Stdout, s, e, *workloads); err != nil {
+			fmt.Fprintf(os.Stderr, "tflexexp: %s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}
 
-	// finish writes the telemetry artifacts and the suite summary after
-	// the selected experiments have rendered.
-	finish := func() {
-		if *metrics != "" {
-			if err := writeFile(*metrics, s.WriteMetrics); err != nil {
-				fmt.Fprintln(os.Stderr, "tflexexp:", err)
-				os.Exit(1)
-			}
-		}
-		if trace != nil {
-			if err := writeFile(*chromeTrace, trace.WriteJSON); err != nil {
-				fmt.Fprintln(os.Stderr, "tflexexp:", err)
-				os.Exit(1)
-			}
-		}
-		fmt.Fprintln(os.Stderr, s.Summary())
-		fmt.Fprintln(os.Stderr, s.Parallel())
-	}
-
-	// validateFlags already pinned *exp to "all" or a known name.
-	if *exp == "all" {
-		for _, e := range exps {
-			run(e)
-		}
-	} else {
-		for _, e := range exps {
-			if e.name == *exp {
-				run(e)
-				break
-			}
+	// The telemetry artifacts and the suite summary follow the tables.
+	if *metrics != "" {
+		if err := writeFile(*metrics, s.WriteMetrics); err != nil {
+			fmt.Fprintln(os.Stderr, "tflexexp:", err)
+			os.Exit(1)
 		}
 	}
-	finish()
+	if trace != nil {
+		if err := writeFile(*chromeTrace, trace.WriteJSON); err != nil {
+			fmt.Fprintln(os.Stderr, "tflexexp:", err)
+			os.Exit(1)
+		}
+	}
+	fmt.Fprintln(os.Stderr, s.Summary())
+	fmt.Fprintln(os.Stderr, s.Parallel())
 }
 
 // render runs one experiment and writes its banner and tables — the
 // whole of what the experiment contributes to stdout.
-func render(w io.Writer, s *experiments.Suite, e experiment) error {
-	fmt.Fprintf(w, "\n================ %s ================\n", strings.ToUpper(e.name))
-	out, err := e.fn(s)
+func render(w io.Writer, s *experiments.Suite, e experiments.Experiment, workloads int) error {
+	fmt.Fprintf(w, "\n================ %s ================\n", strings.ToUpper(e.Name))
+	out, err := e.Render(s, workloads)
 	if err != nil {
 		return err
 	}

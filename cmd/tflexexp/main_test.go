@@ -10,7 +10,6 @@ import (
 )
 
 func TestValidateFlags(t *testing.T) {
-	names := []string{"table1", "fig6", "fig10"}
 	tests := []struct {
 		name      string
 		exp       string
@@ -31,7 +30,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := validateFlags(tt.exp, tt.scale, tt.workloads, tt.serve, names)
+			err := validateFlags(tt.exp, tt.scale, tt.workloads, tt.serve)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateFlags(%q, %d, %d, %q) = %v, want nil", tt.exp, tt.scale, tt.workloads, tt.serve, err)
@@ -61,9 +60,9 @@ func TestGoldenScale2(t *testing.T) {
 	}
 	s := experiments.NewSuite(2)
 	var got bytes.Buffer
-	for _, e := range expList(10) { // the flag defaults: -scale 2 -workloads 10
-		if err := render(&got, s, e); err != nil {
-			t.Fatalf("%s: %v", e.name, err)
+	for _, e := range experiments.Evaluation() {
+		if err := render(&got, s, e, 10); err != nil { // the flag defaults: -scale 2 -workloads 10
+			t.Fatalf("%s: %v", e.Name, err)
 		}
 	}
 	if bytes.Equal(got.Bytes(), want) {

@@ -98,7 +98,7 @@ func main() {
 	flag.Parse()
 
 	if *flightPrint == "" {
-		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.sampleEvery, f.trips, *sweep); err != nil {
+		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.sampleEvery, f.trips, *sweep, f.perRunFlag(*serve)); err != nil {
 			fmt.Fprintln(os.Stderr, "tflexsim:", err)
 			flag.Usage()
 			os.Exit(2)
@@ -274,12 +274,38 @@ func runSim(f simFlags, srv *tflex.Observer, stdout io.Writer) error {
 	return nil
 }
 
+// perRunFlag names the first flag set that only a kernel run reads
+// ("" when none is): -sweep and the fuzzer write no artefact, print no
+// JSON and serve nothing.  -flight comes last because -fuzz-seed does
+// read it.
+func (f *simFlags) perRunFlag(serve string) string {
+	for _, fl := range []struct {
+		name string
+		set  bool
+	}{
+		{"-metrics", f.metrics != ""},
+		{"-chrome-trace", f.chromeTrace != ""},
+		{"-timeline", f.timeline != ""},
+		{"-sample", f.sample != ""},
+		{"-critpath", f.critPath},
+		{"-json", f.jsonOut},
+		{"-serve", serve != ""},
+		{"-flight", f.flight != ""},
+	} {
+		if fl.set {
+			return fl.name
+		}
+	}
+	return ""
+}
+
 // validateFlags rejects flag combinations before any simulation runs:
 // a composition size the chip cannot form or a partition that does not
 // fit the 32-core array would otherwise surface as a mid-run error, and
 // a mode that runs its own processors (-trips, -sweep, the fuzzer)
-// would otherwise silently ignore -procs.
-func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, sampleEvery uint64, trips, sweep bool) error {
+// would otherwise silently ignore -procs, -trips or perRun, the
+// per-run flag perRunFlag found set.
+func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, sampleEvery uint64, trips, sweep bool, perRun string) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
 	}
@@ -296,11 +322,16 @@ func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, sampleEvery u
 		return fmt.Errorf("-fuzz-seed replays one seed; -fuzz-n sweeps a range — give one or the other")
 	}
 	fuzzing := fuzzSeed >= 0 || fuzzN > 0
-	if fuzzing && trips {
-		return fmt.Errorf("the differential fuzzer fixes its own executor set; it cannot combine with -trips")
-	}
-	if procs > 1 && (fuzzing || sweep) {
-		return fmt.Errorf("-procs multiprograms one kernel run; -sweep and the differential fuzzer compose their own processors")
+	if fuzzing || sweep {
+		if trips {
+			return fmt.Errorf("-sweep runs every TFlex composition size and the differential fuzzer fixes its own executor set; neither can combine with -trips")
+		}
+		if perRun != "" && !(perRun == "-flight" && fuzzSeed >= 0) {
+			return fmt.Errorf("%s belongs to one kernel run; -sweep and the differential fuzzer do not read it", perRun)
+		}
+		if procs > 1 {
+			return fmt.Errorf("-procs multiprograms one kernel run; -sweep and the differential fuzzer compose their own processors")
+		}
 	}
 	if trips {
 		if procs > 1 {

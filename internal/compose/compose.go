@@ -119,9 +119,6 @@ func OwnerOf(blockAddr uint64, n int) int {
 // composition (Figure 4a).
 func InstCore(instID, n int) int { return instID % n }
 
-// InstSlot maps an instruction ID to the window slot within its core.
-func InstSlot(instID, n int) int { return instID / n }
-
 // RegBank maps an architectural register to the participating-core index
 // holding its register-file bank.
 func RegBank(reg uint8, n int) int { return int(reg) % n }

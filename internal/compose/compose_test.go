@@ -62,25 +62,20 @@ func TestHashesInRange(t *testing.T) {
 }
 
 func TestInstInterleavingPartition(t *testing.T) {
-	// Every instruction ID maps to exactly one (core, slot), and slots
-	// within a core are dense 0..(128/n - 1) for power-of-two n.
+	// The instruction IDs of a block are dealt evenly: every core of a
+	// power-of-two composition holds 128/n of them.
 	for _, n := range Sizes() {
-		perCore := map[int]map[int]bool{}
+		perCore := map[int]int{}
 		for id := 0; id < isa.MaxBlockInsts; id++ {
-			c := InstCore(id, n)
-			s := InstSlot(id, n)
-			if perCore[c] == nil {
-				perCore[c] = map[int]bool{}
-			}
-			if perCore[c][s] {
-				t.Fatalf("n=%d: duplicate slot (%d,%d)", n, c, s)
-			}
-			perCore[c][s] = true
+			perCore[InstCore(id, n)]++
 		}
 		want := isa.MaxBlockInsts / n
-		for c, slots := range perCore {
-			if len(slots) != want {
-				t.Fatalf("n=%d core %d has %d slots, want %d", n, c, len(slots), want)
+		if len(perCore) != n {
+			t.Fatalf("n=%d: instructions land on %d cores", n, len(perCore))
+		}
+		for c, got := range perCore {
+			if got != want {
+				t.Fatalf("n=%d core %d holds %d instructions, want %d", n, c, got, want)
 			}
 		}
 	}

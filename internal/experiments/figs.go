@@ -9,9 +9,36 @@ import (
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/kernels"
+	"github.com/clp-sim/tflex/internal/power"
 	"github.com/clp-sim/tflex/internal/runner"
 	"github.com/clp-sim/tflex/internal/stats"
 )
+
+// Experiment is one table or figure of the evaluation: the name
+// `tflexexp -exp` selects it by and the function that renders its text.
+// workloads sizes Figure 10's multiprogrammed mixes; the rest ignore it.
+type Experiment struct {
+	Name   string
+	Render func(s *Suite, workloads int) (string, error)
+}
+
+// Evaluation lists every experiment in the order `tflexexp -exp all`
+// prints them.  The order is part of the output, hence a slice.
+func Evaluation() []Experiment {
+	return []Experiment{
+		{"table1", func(*Suite, int) (string, error) { return Table1(), nil }},
+		{"fig5", func(s *Suite, _ int) (string, error) { _, out, err := s.Fig5(); return out, err }},
+		{"fig6", func(s *Suite, _ int) (string, error) { _, out, err := s.Fig6(); return out, err }},
+		{"table2", func(s *Suite, _ int) (string, error) { return s.Table2() }},
+		{"fig7", func(s *Suite, _ int) (string, error) { _, out, err := s.Fig7(); return out, err }},
+		{"fig8", func(s *Suite, _ int) (string, error) { _, out, err := s.Fig8(); return out, err }},
+		{"fig9", func(s *Suite, _ int) (string, error) { _, out, err := s.Fig9(); return out, err }},
+		{"fig9x", func(s *Suite, _ int) (string, error) { _, out, err := s.Fig9x(); return out, err }},
+		{"handshake", func(s *Suite, _ int) (string, error) { _, out, err := s.Handshake(); return out, err }},
+		{"fig10", func(s *Suite, workloads int) (string, error) { _, out, err := s.Fig10(workloads); return out, err }},
+		{"ablations", func(s *Suite, _ int) (string, error) { _, out, err := s.Ablations(8); return out, err }},
+	}
+}
 
 // Table1 prints the single-core TFlex configuration.
 func Table1() string {
@@ -290,7 +317,7 @@ type Fig8Data struct {
 // Fig8 computes perf²/Watt across compositions and TRIPS.
 func (s *Suite) Fig8() (Fig8Data, string, error) {
 	perf2PerWatt := func(r RunResult) float64 {
-		return 1.0 / (float64(r.Cycles) * float64(r.Cycles) * Power(r).Total())
+		return power.PerfSqPerWatt(r.Cycles, Power(r).Total())
 	}
 	t, err := s.sweep("geomean perf²/W (normalized to 1-core TFlex)", false,
 		func(base, r RunResult, _ int) float64 { return perf2PerWatt(r) / perf2PerWatt(base) })

@@ -136,16 +136,12 @@ func (m *Mesh) Send(from, to int, start uint64) uint64 {
 // S-NUCA bank access time.
 func (m *Mesh) Latency(from, to int) uint64 { return uint64(m.Dist(from, to)) }
 
-// Multicast delivers one message from `from` to every node in targets as
-// a tree multicast: the flit crosses each link of the XY-route tree once
-// and forks at the routers, as in the TRIPS global dispatch/control
-// networks.  It returns the arrival cycle at each target (same order).
-func (m *Mesh) Multicast(from int, targets []int, start uint64) []uint64 {
-	return m.MulticastInto(from, targets, start, make([]uint64, len(targets)))
-}
-
-// MulticastInto is Multicast writing arrivals into dst (which must have
-// len(targets) entries), so steady-state callers can reuse one buffer.
+// MulticastInto delivers one message from `from` to every node in targets
+// as a tree multicast: the flit crosses each link of the XY-route tree
+// once and forks at the routers, as in the TRIPS global dispatch/control
+// networks.  It writes the arrival cycle at each target (same order) into
+// dst, which must have len(targets) entries, and returns it, so
+// steady-state callers can reuse one buffer.
 func (m *Mesh) MulticastInto(from int, targets []int, start uint64, dst []uint64) []uint64 {
 	if m.crossAt == nil {
 		m.crossAt = make([]uint64, len(m.links))

@@ -8,7 +8,7 @@ import (
 func TestMulticastArrivalsMatchDistance(t *testing.T) {
 	m := NewMesh(4, 8, 2)
 	targets := []int{0, 1, 2, 3, 4, 8, 31}
-	arr := m.Multicast(0, targets, 100)
+	arr := m.MulticastInto(0, targets, 100, make([]uint64, len(targets)))
 	for i, to := range targets {
 		want := uint64(100 + m.Dist(0, to))
 		if arr[i] != want {
@@ -23,7 +23,7 @@ func TestMulticastSharesLinks(t *testing.T) {
 	// does not.  If the multicast had sent per-target unicasts, the first
 	// link would already be saturated.
 	m := NewMesh(4, 1, 2)
-	m.Multicast(0, []int{1, 2, 3}, 10)
+	m.MulticastInto(0, []int{1, 2, 3}, 10, make([]uint64, 3))
 	if arr := m.Send(0, 1, 10); arr != 11 {
 		t.Fatalf("one slot should remain on link 0->1 at t=10, arrival %d", arr)
 	}
@@ -34,7 +34,7 @@ func TestMulticastSharesLinks(t *testing.T) {
 
 func TestMulticastSelfIsFree(t *testing.T) {
 	m := NewMesh(4, 8, 2)
-	arr := m.Multicast(5, []int{5}, 42)
+	arr := m.MulticastInto(5, []int{5}, 42, make([]uint64, 1))
 	if arr[0] != 42 {
 		t.Fatalf("self delivery at %d", arr[0])
 	}
@@ -45,7 +45,7 @@ func TestMulticastNeverBeatsUnicastProperty(t *testing.T) {
 		m := NewMesh(4, 8, 2)
 		src := int(from) % 32
 		targets := []int{int(t1) % 32, int(t2) % 32, int(t3) % 32}
-		arr := m.Multicast(src, targets, uint64(start))
+		arr := m.MulticastInto(src, targets, uint64(start), make([]uint64, len(targets)))
 		for i, to := range targets {
 			// Tree delivery is never earlier than the hop distance and
 			// never later than a fully serialized unicast chain.
@@ -64,7 +64,7 @@ func TestMulticastNeverBeatsUnicastProperty(t *testing.T) {
 
 func TestMulticastCountsOneMessage(t *testing.T) {
 	m := NewMesh(4, 8, 2)
-	m.Multicast(0, []int{1, 2, 3, 4, 5, 6, 7}, 0)
+	m.MulticastInto(0, []int{1, 2, 3, 4, 5, 6, 7}, 0, make([]uint64, 7))
 	if got := m.Stats().Messages; got != 1 {
 		t.Fatalf("multicast counted as %d messages", got)
 	}

@@ -62,7 +62,7 @@ func linkNamesFor(prefix string, w, h int) []linkName {
 // aggregate message/hop/stall counts plus one flit counter per directed
 // on-grid link named "<prefix>.link.<from>.<to>.flits" by node ID.  All
 // entries are views over the mesh's own fields — registration adds no
-// cost to Send/Multicast.
+// cost to Send/MulticastInto.
 func (m *Mesh) Register(r *telemetry.Registry, prefix string) {
 	r.CounterView(prefix+".messages", &m.stats.Messages)
 	r.CounterView(prefix+".hops", &m.stats.Hops)

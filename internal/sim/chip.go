@@ -43,6 +43,13 @@ type Chip struct {
 	events uint64 // events executed
 	err    error
 
+	// stallEvents is the stall-watchdog budget: run fails with a
+	// diagnostic, instead of hanging, when this many events execute
+	// without the clock advancing.  The watchdog counts events, not wall
+	// time, so it is deterministic like everything else in the engine,
+	// and it guards both engines.
+	stallEvents uint64
+
 	onHalt func(*Proc)
 
 	// Telemetry (see telemetry.go): all nil/disarmed by default.  The
@@ -67,6 +74,10 @@ type Chip struct {
 	flightSink io.Writer
 }
 
+// defaultStallEvents is orders of magnitude above what any legal cycle
+// executes.
+const defaultStallEvents = 1 << 20
+
 // OnProcHalt installs a hook invoked (inside the event loop) whenever a
 // processor halts.  The hook may add new processors to the chip — the
 // mechanism run-time schedulers use to launch queued jobs on freed cores.
@@ -75,7 +86,7 @@ func (c *Chip) OnProcHalt(fn func(*Proc)) { c.onHalt = fn }
 // New builds a chip with the given options.
 func New(opts Options) *Chip {
 	p := opts.Params
-	c := &Chip{Opts: opts, sampleAt: ^uint64(0)}
+	c := &Chip{Opts: opts, sampleAt: ^uint64(0), stallEvents: defaultStallEvents}
 	if !opts.Reference {
 		c.cal = new(calQueue)
 	}
@@ -208,23 +219,36 @@ func (c *Chip) L1DStats() mem.CacheStats {
 // AddProc composes a logical processor from the given cores and loads a
 // program onto it with a fresh architectural memory.
 func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, error) {
-	if err := cores.Validate(); err != nil {
+	if err := c.coresFree(cores); err != nil {
 		return nil, err
-	}
-	for _, p := range c.Procs {
-		for _, pc := range p.cores {
-			for _, nc := range cores.Cores {
-				if pc == nc && !p.halted {
-					return nil, fmt.Errorf("sim: core %d already in use", pc)
-				}
-			}
-		}
 	}
 	pr := newProc(c, len(c.Procs), cores.Cores, program, exec.NewPageMem())
 	c.Procs = append(c.Procs, pr)
 	c.attachProcTelemetry(pr)
 	c.launch(pr)
 	return pr, nil
+}
+
+// coresFree rejects a malformed core set and one that names a core a
+// still-running processor holds: two processors booking the same issue
+// rings and L1s would corrupt each other's timing silently.
+func (c *Chip) coresFree(cores compose.Processor) error {
+	if err := cores.Validate(); err != nil {
+		return err
+	}
+	for _, p := range c.Procs {
+		if p.halted {
+			continue
+		}
+		for _, pc := range p.cores {
+			for _, nc := range cores.Cores {
+				if pc == nc {
+					return fmt.Errorf("sim: core %d already in use", pc)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // launch readies a composed processor and schedules its first fetch at
@@ -243,7 +267,13 @@ func (c *Chip) launch(pr *Proc) {
 // recomposition scenario: the same thread resumed on a different core set,
 // finding its working set in the old cores' L1s via the directory.
 func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, from *Proc) (*Proc, error) {
-	if err := cores.Validate(); err != nil {
+	if from == nil {
+		return nil, fmt.Errorf("sim: AddProcShared: no processor to resume from")
+	}
+	if !from.halted {
+		return nil, fmt.Errorf("sim: AddProcShared: processor %d has not halted", from.id)
+	}
+	if err := c.coresFree(cores); err != nil {
 		return nil, err
 	}
 	pr := newProc(c, from.id, cores.Cores, program, from.Mem)
@@ -282,7 +312,7 @@ func (c *Chip) Run(maxCycles uint64) error {
 // reads.  A chip already failed — rejected at construction or launch —
 // runs no event.
 func (c *Chip) run(maxCycles uint64) error {
-	stall := c.Opts.stallEvents()
+	stall := c.stallEvents
 	var sameCycle uint64 // events executed since the clock last advanced
 	var e event
 	for c.err == nil {
@@ -307,7 +337,7 @@ func (c *Chip) run(maxCycles uint64) error {
 		}
 		if sameCycle++; sameCycle >= stall {
 			c.flight.Add(flight.KStall, c.now, -1, -1, sameCycle, 0)
-			c.fail("stall watchdog: %d events executed without the clock advancing past cycle %d (Options.StallEvents; flight ring dumped)", sameCycle, c.now)
+			c.fail("stall watchdog: %d events executed without the clock advancing past cycle %d (flight ring dumped)", sameCycle, c.now)
 			break
 		}
 		c.events++

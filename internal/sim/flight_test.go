@@ -47,9 +47,9 @@ func TestStallWatchdog(t *testing.T) {
 
 func stallRun(t *testing.T, rects [][3]int, reference bool) {
 	opts := DefaultOptions()
-	opts.StallEvents = 5000
 	opts.Reference = reference
 	chip := New(opts)
+	chip.stallEvents = 5000
 	chip.EnableFlight(256)
 	var sink bytes.Buffer
 	chip.SetFlightSink(&sink)

@@ -79,7 +79,7 @@ func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
 	// The TRIPS-style configuration (central predictor, restricted banks,
 	// 8 blocks in flight) must also be architecturally invisible.
 	opts := sim.DefaultOptions()
-	opts.WindowPerCore = 64
+	opts.Params.WindowEntries = 64
 	opts.CentralPredictor = true
 	opts.DBanks = []int{0, 4, 8, 12}
 	opts.RegBanks = []int{0, 1, 2, 3}

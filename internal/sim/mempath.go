@@ -15,6 +15,9 @@ import (
 // progress.  Bank-full conditions NACK the request, which retries after a
 // backoff (the Sethumadhavan LSQ-overflow mechanism).
 
+// nackRetryCycles is the backoff before a NACKed LSQ insert retries.
+const nackRetryCycles = 8
+
 func (p *Proc) memKey(b *IFB, idx int) mem.MemKey {
 	return mem.MemKey{BlockSeq: b.seq, LSID: b.blk.Insts[idx].LSID}
 }
@@ -65,7 +68,7 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 	if !ok {
 		p.Stats.LSQNACKs++
 		p.relieveLSQPressure(b, t)
-		retry := t + p.chip.Opts.NACKRetryCycles
+		retry := t + nackRetryCycles
 		p.chip.scheduleEv(retry, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
 		return
 	}
@@ -130,7 +133,7 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 	if !ok {
 		p.Stats.LSQNACKs++
 		p.relieveLSQPressure(b, t)
-		retry := t + p.chip.Opts.NACKRetryCycles
+		retry := t + nackRetryCycles
 		p.chip.scheduleEv(retry, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
 		return
 	}

@@ -21,11 +21,6 @@ import (
 type Options struct {
 	Params compose.CoreParams
 
-	// WindowPerCore overrides Params.WindowEntries (the number of
-	// instruction-window slots per core).  Blocks in flight per logical
-	// processor = WindowPerCore * nCores / 128.
-	WindowPerCore int
-
 	// ZeroHandshake makes every distributed control handshake (fetch
 	// hand-off and distribution, completion and commit messages)
 	// instantaneous — the paper's §6.4 overhead ablation.  The operand
@@ -43,22 +38,11 @@ type Options struct {
 	DBanks   []int
 	RegBanks []int
 
-	// NACKRetryCycles is the backoff before a NACKed LSQ insert retries.
-	NACKRetryCycles uint64
-
 	// ParallelDomains is accepted and has no effect: a chip has one
 	// event queue, drained on the caller's goroutine.  The field remains
 	// only because the frozen benchmark (cmd/clpbench) still assigns it;
 	// the benchmark PR (ROADMAP item 1a) drops it.
 	ParallelDomains int
-
-	// StallEvents is the stall-watchdog budget: the run fails with a
-	// diagnostic, instead of hanging, when this many events execute
-	// without the clock advancing.  The watchdog counts events, not wall
-	// time, so it is deterministic like everything else in the engine,
-	// and it guards both engines.  Values < 1 mean the default (1<<20
-	// events — orders of magnitude above what any legal cycle executes).
-	StallEvents uint64
 
 	// Reference selects the oracle engine the differential tests compare
 	// against: the container/heap event queue replaces the calendar queue
@@ -70,28 +54,7 @@ type Options struct {
 
 // DefaultOptions returns the TFlex configuration of Table 1.
 func DefaultOptions() Options {
-	return Options{
-		Params:          compose.DefaultCoreParams(),
-		NACKRetryCycles: 8,
-	}
-}
-
-// defaultStallEvents is the default stall-watchdog budget (events per
-// cycle).
-const defaultStallEvents = 1 << 20
-
-func (o *Options) stallEvents() uint64 {
-	if o.StallEvents >= 1 {
-		return o.StallEvents
-	}
-	return defaultStallEvents
-}
-
-func (o *Options) windowPerCore() int {
-	if o.WindowPerCore > 0 {
-		return o.WindowPerCore
-	}
-	return o.Params.WindowEntries
+	return Options{Params: compose.DefaultCoreParams()}
 }
 
 // Latency of one opcode class.

@@ -134,7 +134,8 @@ func newProc(c *Chip, id int, cores []int, program *prog.Program, m *exec.PageMe
 	// block, so the composed capacity in blocks is n * L1IBytes / 1KB.
 	p.l1i = mem.NewCache(p.n*params.L1IBytes, 4, isa.BlockBytes)
 
-	p.maxBlocks = c.Opts.windowPerCore() * p.n / isa.MaxBlockInsts
+	// Blocks in flight: the composed window in 128-instruction frames.
+	p.maxBlocks = params.WindowEntries * p.n / isa.MaxBlockInsts
 	if p.maxBlocks < 1 {
 		p.maxBlocks = 1
 	}
@@ -185,7 +186,7 @@ func (p *Proc) lsqBankOf(addr uint64) *mem.LSQBank {
 }
 
 func (p *Proc) regBankIdx(reg uint8) int {
-	return p.rbanks[int(reg)%len(p.rbanks)]
+	return p.rbanks[compose.RegBank(reg, len(p.rbanks))]
 }
 
 // ctlSend routes a control message, honoring the ZeroHandshake ablation.
@@ -545,7 +546,7 @@ func (p *Proc) startCommit(b *IFB) {
 		if !b.wr[wi].has {
 			continue
 		}
-		pos := int(b.blk.Writes[wi].Reg) % len(p.rbanks)
+		pos := compose.RegBank(b.blk.Writes[wi].Reg, len(p.rbanks))
 		c := p.rbanks[pos]
 		done := p.commitPortR[pos].reserve(cmdArr[c], 1) + 1
 		if done > wbDone[c] {

@@ -480,6 +480,42 @@ func TestSimRejectsOverlappingProcs(t *testing.T) {
 	}
 }
 
+// TestAddProcSharedRejectsBusyCores: recomposition resumes a finished
+// processor on free cores; a running (or missing) predecessor and cores
+// a running processor holds are errors, not two processors on one core.
+func TestAddProcSharedRejectsBusyCores(t *testing.T) {
+	chip := New(DefaultOptions())
+	p := sumProgram(t)
+	running, err := chip.AddProc(compose.MustRect(0, 0, 2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running.Regs[1] = 50
+	if _, err := chip.AddProcShared(compose.MustRect(0, 0, 2), p, running); err == nil {
+		t.Error("recomposing onto the cores of a still-running processor should be rejected")
+	}
+	if _, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, running); err == nil {
+		t.Error("resuming from a processor that has not halted should be rejected")
+	}
+	if _, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, nil); err == nil {
+		t.Error("resuming from a nil processor should be rejected")
+	}
+	if err := chip.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	other, err := chip.AddProc(compose.MustRect(2, 0, 2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other.Regs[1] = 50
+	if _, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, running); err == nil {
+		t.Error("recomposing onto the cores another running processor holds should be rejected")
+	}
+	if _, err := chip.AddProcShared(compose.MustRect(0, 0, 2), p, running); err != nil {
+		t.Errorf("recomposing a halted processor onto its own freed cores: %v", err)
+	}
+}
+
 func TestSimICacheMissesOnLargePrograms(t *testing.T) {
 	// A program with more blocks than a 1-core I-cache holds (8 blocks).
 	b := prog.NewBuilder()

@@ -38,17 +38,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Max returns the maximum (0 for empty input).
-func Max(xs []float64) float64 {
-	m := 0.0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Table accumulates rows and renders a fixed-width text table.
 type Table struct {
 	header []string

@@ -42,9 +42,6 @@ func TestMeanMax(t *testing.T) {
 	if m := Mean(nil); m != 0 {
 		t.Fatalf("mean(nil) = %v", m)
 	}
-	if m := Max([]float64{3, 9, 1}); m != 9 {
-		t.Fatalf("max = %v", m)
-	}
 }
 
 func TestTableRendering(t *testing.T) {

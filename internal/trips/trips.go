@@ -32,7 +32,7 @@ func Options() sim.Options {
 	o.Params.IssueFP = 1
 	o.Params.OperandBW = 1 // TFlex doubles this
 	o.Params.DispatchBW = 1
-	o.WindowPerCore = 64 // 8 blocks x 128 insts over 16 tiles
+	o.Params.WindowEntries = 64 // 8 blocks x 128 insts over 16 tiles
 	o.CentralPredictor = true
 	// D-tiles on the west edge of the 4x4 array (participating indices of
 	// column 0), register tiles on the north edge (row 0).

@@ -64,7 +64,7 @@ func TestTRIPSOptionsShape(t *testing.T) {
 	if !o.CentralPredictor {
 		t.Error("TRIPS predictor is centralized")
 	}
-	if o.WindowPerCore != 64 {
+	if o.Params.WindowEntries != 64 {
 		t.Error("TRIPS window is 64 entries per tile (8 blocks total)")
 	}
 	if len(o.DBanks) != 4 || len(o.RegBanks) != 4 {
