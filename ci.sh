@@ -23,11 +23,12 @@
 # what BENCHMARK.json runs) with the given flags, e.g.
 # `./ci.sh bench -workload observed -trace 1`, followed by the budgets
 # that are deterministic for a seed and so cannot flake — allocations per
-# marginal block untapped and with every tap armed, and chip set-up bytes
+# marginal block untapped and with every tap armed, chip set-up bytes, and
+# host events executed per committed block
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
-# TestChipSetupBudget).  No wall-time ratio is compared to a threshold:
-# wall time is judged across commits by the pipeline that runs
-# BENCHMARK.json, under the bounds that file states.
+# TestChipSetupBudget, TestEventsPerBlock).  No wall-time ratio is
+# compared to a threshold: wall time is judged across commits by the
+# pipeline that runs BENCHMARK.json, under the bounds that file states.
 #
 #   ./ci.sh lint
 #
@@ -90,8 +91,8 @@ if [ "${1:-}" = "bench" ]; then
     shift
     echo "== benchmark (cmd/clpbench) =="
     go run ./cmd/clpbench "$@"
-    echo "== deterministic budgets (allocs per block, set-up bytes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget' ./internal/sim
+    echo "== deterministic budgets (allocs per block, set-up bytes, events per block) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock' ./internal/sim
     exit 0
 fi
 

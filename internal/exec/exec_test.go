@@ -34,6 +34,40 @@ func TestPageMemRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPageMemStraddlesPages: an access is served a page at a time, so one
+// that crosses a boundary is two pieces; it must read back what byte-wise
+// writes stored, whether the pages on either side of the boundary are
+// present or absent (absent reads as zero), at every offset of an 8-byte
+// access across the boundary — and at the top of the address space, where
+// the access wraps to page 0.
+func TestPageMemStraddlesPages(t *testing.T) {
+	for _, boundary := range []uint64{0x3000, 0} {
+		for _, present := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+			for off := uint64(0); off <= 8; off++ {
+				m := NewPageMem()
+				addr := boundary - off // off bytes below the boundary, 8-off above
+				var want uint64
+				for i := uint64(0); i < 8; i++ {
+					if below := i < off; (below && present[0]) || (!below && present[1]) {
+						b := 0x11 * (i + 1)
+						m.Store(addr+i, 1, b)
+						want |= b << (8 * i)
+					}
+				}
+				if got := m.Read64(addr); got != want {
+					t.Errorf("boundary %#x, pages present %v: 8-byte read %d bytes below = %#x, want %#x", boundary, present, off, got, want)
+				}
+				m.Write64(addr, 0x8877665544332211)
+				for i := uint64(0); i < 8; i++ {
+					if got := m.Load(addr+i, 1, false); got != 0x11*(i+1) {
+						t.Errorf("boundary %#x, pages present %v: byte %d of an 8-byte write %d bytes below = %#x", boundary, present, i, off, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPageMemProperty(t *testing.T) {
 	m := NewPageMem()
 	f := func(addr uint32, v uint64, szSel uint8) bool {

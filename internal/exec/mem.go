@@ -46,21 +46,27 @@ func (m *PageMem) page(addr uint64, create bool) *[pageSize]byte {
 	return p
 }
 
+// readBytes, like writeBytes, looks a page up once per page the access
+// touches, not once per byte: one lookup for every aligned load and store,
+// two for an access that crosses a boundary (or wraps past the top of the
+// address space into page 0).
 func (m *PageMem) readBytes(addr uint64, buf []byte) {
-	for i := range buf {
-		p := m.page(addr+uint64(i), false)
-		if p == nil {
-			buf[i] = 0
-			continue
+	for len(buf) > 0 {
+		off := addr & (pageSize - 1)
+		n := min(len(buf), int(pageSize-off))
+		if p := m.page(addr, false); p != nil {
+			copy(buf[:n], p[off:])
+		} else {
+			clear(buf[:n])
 		}
-		buf[i] = p[(addr+uint64(i))&(pageSize-1)]
+		addr, buf = addr+uint64(n), buf[n:]
 	}
 }
 
 func (m *PageMem) writeBytes(addr uint64, buf []byte) {
-	for i := range buf {
-		p := m.page(addr+uint64(i), true)
-		p[(addr+uint64(i))&(pageSize-1)] = buf[i]
+	for len(buf) > 0 {
+		n := copy(m.page(addr, true)[addr&(pageSize-1):], buf)
+		addr, buf = addr+uint64(n), buf[n:]
 	}
 }
 

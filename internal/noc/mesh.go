@@ -43,6 +43,11 @@ type Mesh struct {
 	links []link // [node*4 + dir]
 	stats Stats
 
+	// xy is every node's coordinates, looked up so that routing never
+	// divides by the run-time width; a fixed array, so it costs a mesh no
+	// allocation of its own.
+	xy [maxNodes]struct{ x, y uint8 }
+
 	// Multicast link-sharing scratch: crossAt[link] is the cycle the
 	// current multicast's flit finished crossing that link, valid when
 	// crossStamp[link] == crossGen.  Generation stamping makes the scratch
@@ -60,20 +65,27 @@ const (
 	dirS
 )
 
-// NewMesh returns a mesh of the given dimensions and per-link bandwidth
-// (1..MaxSlotCount flits per cycle).
+// maxNodes is the largest mesh NewMesh builds: twice the 32-core array.
+const maxNodes = 64
+
+// NewMesh returns a mesh of the given dimensions (at most 64 nodes) and
+// per-link bandwidth (1..MaxSlotCount flits per cycle).
 func NewMesh(w, h int, bw int) *Mesh {
-	if w < 1 || h < 1 || bw < 1 || bw > MaxSlotCount {
+	if w < 1 || h < 1 || w*h > maxNodes || bw < 1 || bw > MaxSlotCount {
 		panic("noc: invalid mesh shape")
 	}
-	return &Mesh{W: w, H: h, BW: uint16(bw), links: make([]link, w*h*4)}
+	m := &Mesh{W: w, H: h, BW: uint16(bw), links: make([]link, w*h*4)}
+	for node := range m.xy[:w*h] {
+		m.xy[node].x, m.xy[node].y = uint8(node%w), uint8(node/w)
+	}
+	return m
 }
 
 // Stats returns accumulated network statistics.
 func (m *Mesh) Stats() Stats { return m.stats }
 
 // XY returns the coordinates of a node.
-func (m *Mesh) XY(node int) (x, y int) { return node % m.W, node / m.W }
+func (m *Mesh) XY(node int) (x, y int) { return int(m.xy[node].x), int(m.xy[node].y) }
 
 // Dist returns the Manhattan hop distance between two nodes.
 func (m *Mesh) Dist(a, b int) int {
@@ -98,32 +110,28 @@ func (m *Mesh) Send(from, to int, start uint64) uint64 {
 		return start
 	}
 	m.stats.Messages++
-	t := start
 	x, y := m.XY(from)
 	tx, ty := m.XY(to)
-	ideal := uint64(m.Dist(from, to))
-	// X first, then Y (dimension-ordered).
-	for x != tx {
-		dir := dirE
-		nx := x + 1
-		if tx < x {
-			dir = dirW
-			nx = x - 1
-		}
-		t = m.links[(y*m.W+x)*4+dir].reserve(t, m.BW) + 1
-		x = nx
-		m.stats.Hops++
+	ideal := uint64(abs(x-tx) + abs(y-ty))
+	m.stats.Hops += ideal
+	// X first, then Y (dimension-ordered); li is the link out of the
+	// current node in the direction of travel, a node apart per hop.
+	t, li := start, from*4
+	for ; x < tx; x++ {
+		t = m.links[li+dirE].reserve(t, m.BW) + 1
+		li += 4
 	}
-	for y != ty {
-		dir := dirS
-		ny := y + 1
-		if ty < y {
-			dir = dirN
-			ny = y - 1
-		}
-		t = m.links[(y*m.W+x)*4+dir].reserve(t, m.BW) + 1
-		y = ny
-		m.stats.Hops++
+	for ; x > tx; x-- {
+		t = m.links[li+dirW].reserve(t, m.BW) + 1
+		li -= 4
+	}
+	for ; y < ty; y++ {
+		t = m.links[li+dirS].reserve(t, m.BW) + 1
+		li += 4 * m.W
+	}
+	for ; y > ty; y-- {
+		t = m.links[li+dirN].reserve(t, m.BW) + 1
+		li -= 4 * m.W
 	}
 	if t-start > ideal {
 		m.stats.StallCycles += (t - start) - ideal
@@ -159,11 +167,11 @@ func (m *Mesh) MulticastInto(from int, targets []int, start uint64, dst []uint64
 			m.stats.Messages++
 			first = false
 		}
-		t := start
+		t, node := start, from
 		x, y := m.XY(from)
 		tx, ty := m.XY(to)
-		step := func(dir, nx, ny int) {
-			li := (y*m.W+x)*4 + dir
+		step := func(dir, next int) {
+			li := node*4 + dir
 			if m.crossStamp[li] == m.crossGen {
 				t = m.crossAt[li]
 			} else {
@@ -172,21 +180,19 @@ func (m *Mesh) MulticastInto(from int, targets []int, start uint64, dst []uint64
 				m.crossAt[li] = t
 				m.stats.Hops++
 			}
-			x, y = nx, ny
+			node = next
 		}
-		for x != tx {
-			if tx > x {
-				step(dirE, x+1, y)
-			} else {
-				step(dirW, x-1, y)
-			}
+		for ; x < tx; x++ {
+			step(dirE, node+1)
 		}
-		for y != ty {
-			if ty > y {
-				step(dirS, x, y+1)
-			} else {
-				step(dirN, x, y-1)
-			}
+		for ; x > tx; x-- {
+			step(dirW, node-1)
+		}
+		for ; y < ty; y++ {
+			step(dirS, node+m.W)
+		}
+		for ; y > ty; y-- {
+			step(dirN, node-m.W)
 		}
 		dst[i] = t
 	}

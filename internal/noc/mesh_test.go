@@ -197,10 +197,27 @@ func TestReservationWindowAdvance(t *testing.T) {
 }
 
 func TestNewMeshPanicsOnBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, shape := range [][2]int{{0, 4}, {maxNodes + 1, 1}, {8, 9}} { // the last two outgrow the coordinate table
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewMesh(%d, %d, 1) did not panic", shape[0], shape[1])
+				}
+			}()
+			NewMesh(shape[0], shape[1], 1)
+		}()
+	}
+}
+
+// TestCoordinateTable: XY is a lookup; it must read what the division it
+// replaced computed, on every node of shapes up to the largest.
+func TestCoordinateTable(t *testing.T) {
+	for _, shape := range [][2]int{{4, 8}, {1, 1}, {5, 3}, {8, 8}, {maxNodes, 1}} {
+		m := NewMesh(shape[0], shape[1], 1)
+		for node := 0; node < m.W*m.H; node++ {
+			if x, y := m.XY(node); x != node%m.W || y != node/m.W {
+				t.Errorf("%dx%d mesh: XY(%d) = (%d, %d), want (%d, %d)", m.W, m.H, node, x, y, node%m.W, node/m.W)
+			}
 		}
-	}()
-	NewMesh(0, 4, 1)
+	}
 }

@@ -24,19 +24,20 @@ import (
 // scheduling a successor a short latency ahead, with an occasional
 // far-future event that exercises the calendar queue's overflow heap
 // (offsets beyond the 1024-cycle window).
-func benchEventQueue(b *testing.B, push func(event), popMin func() event) {
+func benchEventQueue(b *testing.B, push func(*event), popMin func(*event)) {
 	offsets := [...]uint64{1, 1, 2, 3, 5, 8, 17, 150, 1500}
 	var seq uint64
 	for i := 0; i < 64; i++ {
 		seq++
-		push(event{at: uint64(i % 8), seq: seq})
+		push(&event{at: uint64(i % 8), seq: seq})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var e event
 	for i := 0; i < b.N; i++ {
-		e := popMin()
+		popMin(&e)
 		seq++
-		push(event{at: e.at + offsets[i%len(offsets)], seq: seq})
+		push(&event{at: e.at + offsets[i%len(offsets)], seq: seq})
 	}
 }
 

@@ -51,6 +51,7 @@ type Chip struct {
 	stallEvents uint64
 
 	onHalt func(*Proc)
+	evFn   func() // what an evFunc event runs
 
 	// Telemetry (see telemetry.go): all nil/disarmed by default.  The
 	// event loop pays one uint64 compare per event against sampleAt
@@ -110,6 +111,7 @@ func New(opts Options) *Chip {
 // is outside what a reservation slot can count: a capacity of zero could
 // never be booked (Reserve would spin inside one event, out of the stall
 // watchdog's reach), and one past noc.MaxSlotCount would wrap to zero.
+// The dispatch width divides a slot count; it has no upper limit.
 func (c *Chip) checkCapacities() {
 	p := &c.Opts.Params
 	for _, f := range []struct {
@@ -120,6 +122,7 @@ func (c *Chip) checkCapacities() {
 		{"IssueFP", p.IssueFP, p.IssueTotal},
 		{"OperandBW", p.OperandBW, noc.MaxSlotCount},
 		{"ControlBW", p.ControlBW, noc.MaxSlotCount},
+		{"DispatchBW", p.DispatchBW, 1<<31 - 1},
 	} {
 		if f.v < 1 || f.v > f.max {
 			c.fail("%s = %d, want 1..%d", f.name, f.v, f.max)
@@ -149,10 +152,10 @@ func (c *Chip) scheduleEv(at uint64, e event) {
 	e.at = at
 	e.seq = c.seq
 	if c.cal == nil {
-		c.ref.push(e)
+		c.ref.push(&e)
 		return
 	}
-	c.cal.push(e)
+	c.cal.push(&e)
 }
 
 // l1dAt returns core's private D-cache, creating it on first use.
@@ -223,8 +226,6 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 		return nil, err
 	}
 	pr := newProc(c, len(c.Procs), cores.Cores, program, exec.NewPageMem())
-	c.Procs = append(c.Procs, pr)
-	c.attachProcTelemetry(pr)
 	c.launch(pr)
 	return pr, nil
 }
@@ -251,12 +252,15 @@ func (c *Chip) coresFree(cores compose.Processor) error {
 	return nil
 }
 
-// launch readies a composed processor and schedules its first fetch at
-// the current cycle — cycle 0 before Run, the halting cycle when an
-// OnProcHalt hook composes it mid-run.  The caller seeds registers and
-// memory afterwards, which is safe because no event executes outside
-// Run and prepareStart reads no architectural state.
+// launch files a composed processor on the chip, readies it and schedules
+// its first fetch at the current cycle — cycle 0 before Run, the halting
+// cycle when an OnProcHalt hook composes it mid-run.  The caller seeds
+// registers and memory afterwards, which is safe because no event
+// executes outside Run and prepareStart reads no architectural state.
 func (c *Chip) launch(pr *Proc) {
+	pr.slot = int32(len(c.Procs))
+	c.Procs = append(c.Procs, pr)
+	c.attachProcTelemetry(pr)
 	pr.prepareStart()
 	c.flight.Add(flight.KCompose, c.now, int16(pr.id), int16(pr.cores[0]), uint64(pr.id), uint64(len(pr.cores)))
 	pr.maybeFetch()
@@ -278,8 +282,6 @@ func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, fro
 	}
 	pr := newProc(c, from.id, cores.Cores, program, from.Mem)
 	pr.Regs = from.Regs
-	c.Procs = append(c.Procs, pr)
-	c.attachProcTelemetry(pr)
 	c.launch(pr)
 	return pr, nil
 }
@@ -320,12 +322,12 @@ func (c *Chip) run(maxCycles uint64) error {
 			if c.cal.empty() {
 				break
 			}
-			e = c.cal.popMin()
+			c.cal.popMin(&e)
 		} else {
 			if c.ref.empty() {
 				break
 			}
-			e = c.ref.popMin()
+			c.ref.popMin(&e)
 		}
 		if e.at > maxCycles {
 			c.fail("exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())
@@ -370,14 +372,18 @@ func (c *Chip) dispatch(e *event, now uint64) {
 	}
 	switch e.kind {
 	case evFunc:
-		e.fn()
+		c.evFn()
 	case evDispatch:
+		// Every slot of the block arriving this cycle, in Live order from
+		// the first: the sequence one event per slot used to execute.
 		b := e.b
-		if b.dead {
-			return
+		live := b.lk.Live
+		for i := int(e.idx); i < len(live) && !b.dead && b.gen == e.gen; i++ {
+			if st := &b.insts[live[i]]; st.availAt == now && !st.avail {
+				st.avail = true
+				b.p.maybeIssue(b, int(live[i]))
+			}
 		}
-		b.insts[e.idx].avail = true
-		b.p.maybeIssue(b, int(e.idx))
 	case evRegRead:
 		b := e.b
 		if b.dead {
@@ -407,7 +413,7 @@ func (c *Chip) dispatch(e *event, now uint64) {
 		b.deallocAt = e.val
 		b.p.drainCommitted()
 	case evFetch:
-		p := e.proc
+		p := c.Procs[e.idx]
 		if e.val != p.fetch.epoch || p.halted {
 			return
 		}

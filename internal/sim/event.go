@@ -7,10 +7,10 @@ import (
 )
 
 // The event layer.  Every simulator action is an event executed in
-// (cycle, insertion-order) order.  The hot paths use *typed* events — a
-// small tagged union dispatched by the chip — so scheduling one costs no
-// closure or interface boxing; arbitrary callbacks remain available via
-// evFunc for the cold control paths.
+// (cycle, insertion-order) order.  Events are *typed* — a small tagged
+// union dispatched by the chip — so scheduling one costs no closure or
+// interface boxing: the record is built once at the schedule site and
+// copied once, into its slab node.
 //
 // Two interchangeable queues implement the same ordering contract:
 //
@@ -32,8 +32,8 @@ import (
 type evKind uint8
 
 const (
-	evFunc      evKind = iota // fn()
-	evDispatch                // b, idx: instruction slot arrives in the window
+	evFunc      evKind = iota // Chip.evFn(): no model path schedules one (a test hook)
+	evDispatch                // b, idx (position in lk.Live): the slots arriving in the window this cycle
 	evRegRead                 // b, idx: read slot dispatched at its register bank
 	evDeliver                 // b, tgt, val, from: operand/write arrival
 	evDeadToken               // b, tgt, from: dead-token arrival
@@ -42,17 +42,16 @@ const (
 	evNullSlot                // b, idx (LSID): store slot nulled
 	evBranch                  // b, idx (opcode), from (exit), val (target): branch out
 	evDealloc                 // b, val (dealloc cycle): commit deallocation done
-	evFetch                   // proc, val (epoch): fetch-engine callback
+	evFetch                   // idx (index into Chip.Procs), val (epoch): fetch-engine callback
 )
 
-// event is one scheduled simulator action.
+// event is one scheduled simulator action: 56 bytes, so a calNode is one
+// cache line.
 type event struct {
 	at  uint64
 	seq uint64 // insertion order: deterministic tie-break
 
-	fn   func() // evFunc only
 	b    *IFB
-	proc *Proc
 	val  uint64
 	addr uint64
 	gen  uint32 // IFB generation at schedule time; stale events are dropped
@@ -72,12 +71,12 @@ func (q eventQueue) Less(i, j int) bool {
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)  { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)    { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any      { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q *eventQueue) empty() bool   { return len(*q) == 0 }
-func (q *eventQueue) push(e event)  { heap.Push(q, e) }
-func (q *eventQueue) popMin() event { return heap.Pop(q).(event) }
+func (q eventQueue) Swap(i, j int)    { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)      { *q = append(*q, x.(event)) }
+func (q *eventQueue) Pop() any        { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
+func (q *eventQueue) empty() bool     { return len(*q) == 0 }
+func (q *eventQueue) push(e *event)   { heap.Push(q, *e) }
+func (q *eventQueue) popMin(e *event) { *e = heap.Pop(q).(event) }
 
 // Calendar-queue geometry: one bucket per cycle over a lookahead window.
 // The window comfortably covers every modeled latency (NoC reservations,
@@ -117,7 +116,7 @@ func (q *calQueue) empty() bool { return q.nbucket == 0 && len(q.overflow) == 0 
 // the cursor.  The chip's loop moves the cursor only by popping, which
 // leaves it on the popped event's cycle — the chip's now — and
 // Chip.scheduleEv clamps every schedule time to now.
-func (q *calQueue) push(e event) {
+func (q *calQueue) push(e *event) {
 	if e.at < q.base+calBuckets {
 		q.file(e)
 	} else {
@@ -125,8 +124,9 @@ func (q *calQueue) push(e event) {
 	}
 }
 
-// file appends an in-window event to its cycle's bucket.
-func (q *calQueue) file(e event) {
+// file appends an in-window event to its cycle's bucket: the one copy an
+// event makes on its way in.
+func (q *calQueue) file(e *event) {
 	h := q.free
 	if h != 0 {
 		q.free = q.nodes[h-1].next
@@ -134,7 +134,8 @@ func (q *calQueue) file(e event) {
 		q.nodes = append(q.nodes, calNode{})
 		h = int32(len(q.nodes))
 	}
-	q.nodes[h-1] = calNode{ev: e}
+	n := &q.nodes[h-1]
+	n.ev, n.next = *e, 0
 	i := e.at & calMask
 	if t := q.tail[i]; t != 0 {
 		q.nodes[t-1].next = h
@@ -145,15 +146,17 @@ func (q *calQueue) file(e event) {
 	q.nbucket++
 }
 
-// popMin removes and returns the earliest event in (at, seq) order; the
-// queue must not be empty.
+// popMin removes the earliest event in (at, seq) order and copies it to
+// *e — out of the slab, because the node goes to the head of the free
+// list and the first event the handler files reuses it.  The queue must
+// not be empty.
 //
 // Ordering argument: a bucket only ever holds events for one cycle at a
 // time (the window is exactly calBuckets wide), and all pushes for a given
 // cycle T arrive in seq order — overflow events for T are migrated, in seq
 // order, by the nextAt that first makes T reachable, which is before any
 // event executes and directly pushes more work for T.
-func (q *calQueue) popMin() event {
+func (q *calQueue) popMin(e *event) {
 	i := q.base & calMask
 	if q.head[i] == 0 {
 		// Cursor bucket drained: scan to the next pending cycle.  While it
@@ -164,7 +167,7 @@ func (q *calQueue) popMin() event {
 	}
 	h := q.head[i]
 	n := &q.nodes[h-1]
-	e := n.ev
+	*e = n.ev
 	q.head[i] = n.next
 	if n.next == 0 {
 		q.tail[i] = 0
@@ -172,7 +175,6 @@ func (q *calQueue) popMin() event {
 	n.next = q.free
 	q.free = h
 	q.nbucket--
-	return e
 }
 
 // nextAt returns the cycle of the earliest pending event without
@@ -186,7 +188,8 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 	for {
 		// Pull due overflow events into the calendar window.
 		for len(q.overflow) > 0 && q.overflow[0].at < q.base+calBuckets {
-			q.file(q.overflow.pop())
+			e := q.overflow.pop()
+			q.file(&e)
 		}
 		if q.head[q.base&calMask] != 0 {
 			// A bucket holds events for exactly one cycle (the window is
@@ -212,8 +215,8 @@ func (h minEvHeap) less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h *minEvHeap) push(e event) {
-	*h = append(*h, e)
+func (h *minEvHeap) push(e *event) {
+	*h = append(*h, *e)
 	a := *h
 	i := len(a) - 1
 	for i > 0 {

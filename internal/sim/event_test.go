@@ -3,14 +3,27 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
+
+// TestEventRecordSize holds the record's diet: an event carries no closure
+// and no processor pointer, and a slab node is one 64-byte cache line.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 56 {
+		t.Errorf("event is %d bytes, want <= 56", n)
+	}
+	if n := unsafe.Sizeof(calNode{}); n > 64 {
+		t.Errorf("calNode is %d bytes, want <= 64", n)
+	}
+}
 
 // drainCal pops every event and returns the (at, seq) sequence.
 func drainCal(t *testing.T, q *calQueue) [][2]uint64 {
 	t.Helper()
 	var got [][2]uint64
 	for !q.empty() {
-		e := q.popMin()
+		var e event
+		q.popMin(&e)
 		got = append(got, [2]uint64{e.at, e.seq})
 	}
 	return got
@@ -37,8 +50,9 @@ func expectOrder(t *testing.T, got, want [][2]uint64) {
 func TestCalQueueBucketWraparound(t *testing.T) {
 	var q calQueue
 	// Move the cursor off zero so in-window indices actually wrap.
-	q.push(event{at: 5, seq: 1})
-	if e := q.popMin(); e.at != 5 || e.seq != 1 {
+	q.push(&event{at: 5, seq: 1})
+	var e event
+	if q.popMin(&e); e.at != 5 || e.seq != 1 {
 		t.Fatalf("warm-up pop = (at %d, seq %d), want (5, 1)", e.at, e.seq)
 	}
 	now := uint64(5) // q.base after the pop
@@ -46,9 +60,9 @@ func TestCalQueueBucketWraparound(t *testing.T) {
 	atIn := now + calBuckets - 1 // last in-window cycle; index wraps to 4
 	atEdge := now + calBuckets   // first cycle that must overflow
 	atPast := now + calBuckets + 1
-	q.push(event{at: atEdge, seq: 2})
-	q.push(event{at: atPast, seq: 3})
-	q.push(event{at: atIn, seq: 4})
+	q.push(&event{at: atEdge, seq: 2})
+	q.push(&event{at: atPast, seq: 3})
+	q.push(&event{at: atIn, seq: 4})
 	if len(q.overflow) != 2 {
 		t.Fatalf("overflow holds %d events, want 2 (at now+calBuckets and beyond)", len(q.overflow))
 	}
@@ -70,15 +84,16 @@ func TestCalQueueBucketWraparound(t *testing.T) {
 func TestCalQueueOverflowMigrationKeepsSeqOrder(t *testing.T) {
 	var q calQueue
 	far := uint64(calBuckets + 500) // out of window from base 0
-	q.push(event{at: far, seq: 1})  // overflow
-	q.push(event{at: 500, seq: 2})  // bucket
-	if e := q.popMin(); e.at != 500 || e.seq != 2 {
+	q.push(&event{at: far, seq: 1}) // overflow
+	q.push(&event{at: 500, seq: 2}) // bucket
+	var e event
+	if q.popMin(&e); e.at != 500 || e.seq != 2 {
 		t.Fatalf("first pop = (at %d, seq %d), want (500, 2)", e.at, e.seq)
 	}
 	// The cursor passed far-calBuckets during that pop, so seq 1 has
 	// already migrated; a fresh push for the same cycle must land after
 	// it despite going straight to the bucket.
-	q.push(event{at: far, seq: 3})
+	q.push(&event{at: far, seq: 3})
 	expectOrder(t, drainCal(t, &q), [][2]uint64{{far, 1}, {far, 3}})
 }
 
@@ -100,14 +115,16 @@ func TestCalQueueMatchesHeapOnRandomStreams(t *testing.T) {
 		push := func(at uint64) {
 			seq++
 			e := event{at: at, seq: seq, val: seq}
-			cal.push(e)
-			ref.push(e)
+			cal.push(&e)
+			ref.push(&e)
 			if live++; live > peak {
 				peak = live
 			}
 		}
 		pop := func() {
-			c, r := cal.popMin(), ref.popMin()
+			var c, r event
+			cal.popMin(&c)
+			ref.popMin(&r)
 			if c.at != r.at || c.seq != r.seq || c.val != r.val {
 				t.Fatalf("seed %d: calendar popped (at %d, seq %d), heap popped (at %d, seq %d)", seed, c.at, c.seq, r.at, r.seq)
 			}
@@ -162,14 +179,15 @@ func TestCalQueueSteadyStateAllocatesNothing(t *testing.T) {
 	var seq uint64
 	for i := 0; i < 64; i++ {
 		seq++
-		q.push(event{at: uint64(i % 8), seq: seq})
+		q.push(&event{at: uint64(i % 8), seq: seq})
 	}
 	i := 0
 	churn := func() {
 		for n := 0; n < 1000; n++ {
-			e := q.popMin()
+			var e event
+			q.popMin(&e)
 			seq++
-			q.push(event{at: e.at + offsets[i%len(offsets)], seq: seq})
+			q.push(&event{at: e.at + offsets[i%len(offsets)], seq: seq})
 			i++
 		}
 	}

@@ -224,7 +224,8 @@ func TestUtilizationProfile(t *testing.T) {
 // TestOutOfRangeCapacitiesFailTheRun: an issue width or link bandwidth a
 // reservation slot cannot count — zero, which could never be booked and
 // used to spin forever inside one event where the stall watchdog cannot
-// fire, or one past noc.MaxSlotCount, which used to wrap to zero — is
+// fire, or one past noc.MaxSlotCount, which used to wrap to zero — or a
+// dispatch width below one, which used to divide by zero, is
 // rejected by New and reported by Run before any event, on both engines,
 // with neither a panic nor a hang.
 func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
@@ -243,6 +244,8 @@ func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 		{"ControlBW 0", func(p *compose.CoreParams) { p.ControlBW = 0 }},
 		{"ControlBW 256", func(p *compose.CoreParams) { p.ControlBW = 256 }},
 		{"ControlBW 70000", func(p *compose.CoreParams) { p.ControlBW = 70000 }},
+		{"DispatchBW 0", func(p *compose.CoreParams) { p.DispatchBW = 0 }}, // divided by in fetch
+		{"DispatchBW -1", func(p *compose.CoreParams) { p.DispatchBW = -1 }},
 	} {
 		for _, reference := range []bool{false, true} {
 			opts := DefaultOptions()

@@ -15,12 +15,11 @@ import (
 // watchdog must catch this as a stall, not a hang.
 func armBomb(proc *Proc) {
 	armed := false
-	var bomb func()
-	bomb = func() { proc.chip.scheduleEv(0, event{kind: evFunc, fn: bomb}) }
+	proc.chip.evFn = func() { proc.chip.scheduleEv(0, event{kind: evFunc}) }
 	proc.TraceBlocks(func(BlockEvent) {
 		if !armed {
 			armed = true
-			bomb()
+			proc.chip.evFn()
 		}
 	})
 }

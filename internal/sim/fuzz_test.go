@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/arch"
@@ -38,8 +40,8 @@ func fuzzCase(t *testing.T, seed int64) (*prog.Program, arch.Input, arch.State) 
 }
 
 // simState runs p on one processor composed of cores and reads its
-// architectural state.
-func simState(t *testing.T, opts sim.Options, cores compose.Processor, p *prog.Program, in arch.Input) arch.State {
+// architectural state and its cycle count.
+func simState(t *testing.T, opts sim.Options, cores compose.Processor, p *prog.Program, in arch.Input) (arch.State, uint64) {
 	t.Helper()
 	chip := sim.New(opts)
 	proc, err := chip.AddProc(cores, p)
@@ -53,21 +55,23 @@ func simState(t *testing.T, opts sim.Options, cores compose.Processor, p *prog.P
 	if err := chip.Run(in.MaxCycles); err != nil {
 		t.Fatalf("%d cores: %v", cores.N(), err)
 	}
-	return arch.SimState(proc, sh)
+	return arch.SimState(proc, sh), proc.Stats.Cycles
+}
+
+// fuzzComps are the compositions seeds 1-25 run on under default options.
+var fuzzComps = []compose.Processor{
+	compose.MustRect(0, 0, 1),
+	compose.MustRect(0, 0, 4),
+	compose.MustRect(0, 0, 32),
+	{Cores: []int{5, 9, 30}},       // arbitrary 3-core composition
+	{Cores: []int{2, 3, 6, 7, 10}}, // arbitrary 5-core composition
 }
 
 func TestFuzzSimMatchesFunctional(t *testing.T) {
-	comps := []compose.Processor{
-		compose.MustRect(0, 0, 1),
-		compose.MustRect(0, 0, 4),
-		compose.MustRect(0, 0, 32),
-		{Cores: []int{5, 9, 30}},       // arbitrary 3-core composition
-		{Cores: []int{2, 3, 6, 7, 10}}, // arbitrary 5-core composition
-	}
 	for seed := int64(1); seed <= 25; seed++ {
 		p, in, want := fuzzCase(t, seed)
-		for _, comp := range comps {
-			got := simState(t, sim.DefaultOptions(), comp, p, in)
+		for _, comp := range fuzzComps {
+			got, _ := simState(t, sim.DefaultOptions(), comp, p, in)
 			if d := want.Diff(got); d != "" {
 				t.Fatalf("seed %d on cores %v: functional vs sim: %s", seed, comp.Cores, d)
 			}
@@ -75,9 +79,9 @@ func TestFuzzSimMatchesFunctional(t *testing.T) {
 	}
 }
 
-func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
-	// The TRIPS-style configuration (central predictor, restricted banks,
-	// 8 blocks in flight) must also be architecturally invisible.
+// tripsFuzzOptions is the TRIPS-style configuration seeds 30-42 run under
+// on 16 cores: central predictor, restricted banks, 8 blocks in flight.
+func tripsFuzzOptions() sim.Options {
 	opts := sim.DefaultOptions()
 	opts.Params.WindowEntries = 64
 	opts.CentralPredictor = true
@@ -85,12 +89,44 @@ func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
 	opts.RegBanks = []int{0, 1, 2, 3}
 	opts.Params.IssueTotal = 1
 	opts.Params.OperandBW = 1
+	return opts
+}
 
+// TestFuzzTRIPSConfigMatchesFunctional: the TRIPS-style configuration must
+// be architecturally invisible too.
+func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
 	for seed := int64(30); seed <= 42; seed++ {
 		p, in, want := fuzzCase(t, seed)
-		got := simState(t, opts, compose.MustRect(0, 0, 16), p, in)
+		got, _ := simState(t, tripsFuzzOptions(), compose.MustRect(0, 0, 16), p, in)
 		if d := want.Diff(got); d != "" {
 			t.Fatalf("seed %d: functional vs sim: %s", seed, d)
 		}
+	}
+}
+
+// TestFuzzCyclesPinned pins the timing of random programs: one digest
+// over the cycle count of every run the two tests above make (all 38
+// seeds, every composition).  The architectural checks cannot see an
+// event-ordering slip and the Reference differential shares the engine's
+// fetch and dispatch code, so a cycle-exact engine change is held to this
+// number; a model change updates it and says so.
+func TestFuzzCyclesPinned(t *testing.T) {
+	const want = 0xa2ea0c03a54e6464
+	h := fnv.New64a()
+	run := func(seed int64, opts sim.Options, comp compose.Processor) {
+		p, in, _ := fuzzCase(t, seed)
+		_, cycles := simState(t, opts, comp, p, in)
+		fmt.Fprintf(h, "%d %v %d\n", seed, comp.Cores, cycles)
+	}
+	for seed := int64(1); seed <= 25; seed++ {
+		for _, comp := range fuzzComps {
+			run(seed, sim.DefaultOptions(), comp)
+		}
+	}
+	for seed := int64(30); seed <= 42; seed++ {
+		run(seed, tripsFuzzOptions(), compose.MustRect(0, 0, 16))
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("cycle digest over the edgegen seeds = %#x, want %#x: simulated timing moved", got, uint64(want))
 	}
 }

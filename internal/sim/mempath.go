@@ -114,7 +114,7 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 	// The architectural value: committed memory overlaid with all older
 	// in-flight stores fired so far.  Any older store that fires later
 	// and overlaps will flush this block, so the value is consistent.
-	val := p.loadValue(b, key, addr, int(in.MemSize), in.MemSigned)
+	val := p.loadValue(key, addr, int(in.MemSize), in.MemSigned)
 	b.loads++
 	for _, tg := range in.Targets {
 		p.scheduleDelivery(b, tg, val, bankIdx, dataAt, critpath.SrcInst, int32(idx))
@@ -173,7 +173,7 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 	physCore := p.phys(bankIdx)
 	svc := p.chip.l1dPort[physCore].reserve(t, 1)
 
-	b.stores = append(b.stores, firedStore{key: key, addr: addr, size: in.MemSize, val: val})
+	b.addStore(firedStore{key: key, addr: addr, size: in.MemSize, val: val})
 	if b.cp != nil {
 		// The firing store is the slot's producer, overriding any null
 		// twin's pre-record.
@@ -212,35 +212,47 @@ func (p *Proc) blockBySeq(seq uint64) *IFB {
 	return nil
 }
 
+// addStore files a fired store, keeping b.stores in LSID order — program
+// order within the block — with same-LSID stores in firing order, so the
+// load overlay and commit each walk the list once.
+func (b *IFB) addStore(s firedStore) {
+	i := len(b.stores)
+	b.stores = append(b.stores, s)
+	for ; i > 0 && b.stores[i-1].key.LSID > s.key.LSID; i-- {
+		b.stores[i] = b.stores[i-1]
+	}
+	b.stores[i] = s
+}
+
 // loadValue computes the architectural value of a load: committed memory
 // overlaid with every older fired store (older blocks' stores plus
 // same-block stores with lower LSIDs), applied in program order.
-func (p *Proc) loadValue(b *IFB, key mem.MemKey, addr uint64, size int, signed bool) uint64 {
+func (p *Proc) loadValue(key mem.MemKey, addr uint64, size int, signed bool) uint64 {
 	var buf [8]byte // size <= 8
 	base := p.Mem.Load(addr, size, false)
 	for i := 0; i < size; i++ {
 		buf[i] = byte(base >> (8 * i))
 	}
-	// Window blocks are ordered oldest-first, and within a block stores
-	// are overlaid in LSID order.
+	// Window blocks are ordered oldest-first and each block's stores are in
+	// LSID order, so later writes to a byte win as they do in program order.
 	for _, w := range p.window {
 		if w.seq > key.BlockSeq {
 			break
 		}
-		for lsid, end := int8(0), w.lk.MaxLSID; lsid < end; lsid++ {
-			for si := range w.stores {
-				s := &w.stores[si]
-				if s.key.LSID != lsid {
-					continue
-				}
-				if !s.key.Less(key) {
-					continue
-				}
-				for bb := 0; bb < int(s.size); bb++ {
-					off := int64(s.addr) + int64(bb) - int64(addr)
-					if off >= 0 && off < int64(size) {
-						buf[off] = byte(s.val >> (8 * bb))
-					}
+		for si := range w.stores {
+			s := &w.stores[si]
+			if !s.key.Less(key) {
+				break
+			}
+			// first is the store's first byte as an offset into the load,
+			// signed: the difference wraps at the top of the address space.
+			first := int64(s.addr - addr)
+			if first >= int64(size) || first+int64(s.size) <= 0 {
+				continue
+			}
+			for bb := int64(0); bb < int64(s.size); bb++ {
+				if off := first + bb; off >= 0 && off < int64(size) {
+					buf[off] = byte(s.val >> (8 * bb))
 				}
 			}
 		}

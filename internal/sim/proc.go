@@ -18,6 +18,7 @@ import (
 type Proc struct {
 	chip *Chip
 	id   int
+	slot int32 // index in chip.Procs, which a resumed thread's id is not
 	asid uint64
 
 	cores  []int // physical core IDs, participating order
@@ -240,7 +241,7 @@ func (p *Proc) maybeFetch() {
 		return // re-invoked on dealloc
 	}
 	p.fetch.scheduled = true
-	p.chip.scheduleEv(p.fetch.readyAt, event{kind: evFetch, proc: p, val: p.fetch.epoch})
+	p.chip.scheduleEv(p.fetch.readyAt, event{kind: evFetch, idx: p.slot, val: p.fetch.epoch})
 }
 
 // fetchBlock runs the distributed fetch pipeline for the block at
@@ -320,23 +321,28 @@ func (p *Proc) fetchBlock() {
 	// Fetch-command distribution to every participating core.
 	arr := p.mcArr
 	p.ctlMulticastInto(owner, cmdStart, arr)
-	bcastLast := cmdStart
+	bcastFirst, bcastLast := arr[0], cmdStart
 	for _, a := range arr {
-		if a > bcastLast {
-			bcastLast = a
-		}
+		bcastFirst = min(bcastFirst, a)
+		bcastLast = max(bcastLast, a)
 	}
 	b.bcastLat = bcastLast - cmdStart
 
 	// Per-core dispatch: each core reads its slots from its I-bank at
 	// DispatchBW instructions per cycle.  Nop slots are never dispatched;
-	// the linked block lists the live ones.
+	// the linked block lists the live ones.  One evDispatch is filed per
+	// distinct dispatch cycle, at the first live instruction that has it;
+	// its handler walks Live from there.  seen holds the cycles already
+	// filed, as offsets from the first possible one; a cycle past its 64
+	// bits files an event per instruction, and all but the first of those
+	// find nothing left to do.
 	dispatchLast := bcastLast
 	slotCount := p.slotScratch
 	for i := range slotCount {
 		slotCount[i] = 0
 	}
-	for _, id32 := range lk.Live {
+	var seen uint64
+	for pos, id32 := range lk.Live {
 		id := int(id32)
 		c := int(p.instCore[id])
 		av := arr[c] + 1 + uint64(slotCount[c]/params.DispatchBW)
@@ -345,7 +351,10 @@ func (p *Proc) fetchBlock() {
 		if av > dispatchLast {
 			dispatchLast = av
 		}
-		p.chip.scheduleEv(av, event{kind: evDispatch, b: b, gen: b.gen, idx: id32})
+		if d := av - bcastFirst - 1; d >= 64 || seen&(1<<d) == 0 {
+			seen |= 1 << d // no bit when d >= 64
+			p.chip.scheduleEv(av, event{kind: evDispatch, b: b, gen: b.gen, idx: int32(pos)})
+		}
 	}
 	b.dispatchLat = dispatchLast - bcastLast
 	p.chip.flight.Add(flight.KDispatch, dispatchLast, int16(p.id), int16(p.phys(owner)), b.seq, b.dispatchLat)
@@ -601,18 +610,12 @@ func (p *Proc) applyArchState(b *IFB) {
 			p.Stats.RegWrites++
 		}
 	}
-	// Stores in LSID order.
-	for id := int8(0); id < 32; id++ {
-		for _, s := range b.stores {
-			if s.key.LSID != id {
-				continue
-			}
-			p.Mem.Store(s.addr, int(s.size), s.val)
-			if p.storeTrace != nil {
-				p.storeTrace(s.addr, s.size, s.val)
-			}
-			p.commitStoreToCache(s.addr)
+	for _, s := range b.stores { // in LSID order: see addStore
+		p.Mem.Store(s.addr, int(s.size), s.val)
+		if p.storeTrace != nil {
+			p.storeTrace(s.addr, s.size, s.val)
 		}
+		p.commitStoreToCache(s.addr)
 	}
 }
 

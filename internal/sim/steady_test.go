@@ -8,6 +8,7 @@ import (
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/sim"
 	"github.com/clp-sim/tflex/internal/telemetry"
+	"github.com/clp-sim/tflex/internal/trips"
 )
 
 // TestSteadyStateAllocsPerBlock is the steady-state half of the
@@ -70,6 +71,79 @@ func TestObservedAllocsPerBlock(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEventsPerBlock holds the event diet: host events executed per
+// committed block, deterministic for a seed.  A block's dispatch costs one
+// event per distinct dispatch cycle, not one per instruction; each ceiling
+// is the measured value rounded up.  Beside each row is what one event
+// per instruction read: conv's 112-instruction blocks fall to 0.66-0.73
+// of it, mcf's and gcc's 7- to 11-instruction blocks to 0.80-0.89.
+func TestEventsPerBlock(t *testing.T) {
+	for _, c := range []struct {
+		kernel string
+		cores  int // 0: the TRIPS configuration
+		max    float64
+	}{
+		// per-instruction dispatch read 25.99, 26.00, 26.00
+		{"mcf", 1, 21}, {"mcf", 8, 21.1}, {"mcf", 0, 23.1},
+		// 26.96, 27.61, 37.65
+		{"gcc", 1, 21.7}, {"gcc", 8, 22.5}, {"gcc", 0, 32.6},
+		// 312.49, 1055.33, 892.17
+		{"conv", 1, 230}, {"conv", 8, 695}, {"conv", 0, 622},
+	} {
+		opts, comp := trips.Options(), trips.Processor()
+		if c.cores > 0 {
+			opts, comp = sim.DefaultOptions(), compose.MustRect(0, 0, c.cores)
+		}
+		chip, proc := runKernel(t, c.kernel, 4, opts, comp)
+		perBlock := float64(chip.DomainStats()[0].Events) / float64(proc.Stats.BlocksCommitted)
+		t.Logf("%s, cores %d: %.2f events per committed block", c.kernel, c.cores, perBlock)
+		if perBlock > c.max {
+			t.Errorf("%s, cores %d: %.2f events per committed block, want <= %.1f", c.kernel, c.cores, perBlock, c.max)
+		}
+	}
+}
+
+// TestWideDispatchSpanCyclesPinned: conv's 112-instruction block on one
+// core at one slot a cycle dispatches over 112 cycles, wider than the 64
+// the fetch stage's seen-this-cycle set covers, so the cycles past it take
+// the fallback — which must be as exact as the rest (value read from the
+// per-instruction dispatch this replaced).
+func TestWideDispatchSpanCyclesPinned(t *testing.T) {
+	opts := sim.DefaultOptions()
+	opts.Params.DispatchBW = 1
+	_, proc := runKernel(t, "conv", 1, opts, compose.MustRect(0, 0, 1))
+	const want = 5234
+	if proc.Stats.Cycles != want {
+		t.Errorf("conv on 1 core at DispatchBW 1 took %d cycles, want %d", proc.Stats.Cycles, want)
+	}
+}
+
+// runKernel runs the named kernel to halt on one processor of a fresh chip.
+func runKernel(t *testing.T, name string, scale int, opts sim.Options, comp compose.Processor) (*sim.Chip, *sim.Proc) {
+	t.Helper()
+	k, ok := kernels.ByName(name)
+	if !ok {
+		t.Fatalf("no kernel %q", name)
+	}
+	inst, err := k.Build(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chip := sim.New(opts)
+	proc, err := chip.AddProc(comp, inst.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Init(&proc.Regs, proc.Mem)
+	if err := chip.Run(2_000_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if err := inst.Check(&proc.Regs, proc.Mem); err != nil {
+		t.Fatal(err)
+	}
+	return chip, proc
 }
 
 // wholeRunAllocs builds the kernel once, then measures one complete job
