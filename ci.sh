@@ -23,10 +23,13 @@
 # what BENCHMARK.json runs) with the given flags, e.g.
 # `./ci.sh bench -workload observed -trace 1`, followed by the budgets
 # that are deterministic for a seed and so cannot flake — allocations per
-# marginal block untapped and with every tap armed, chip set-up bytes, and
-# host events executed per committed block
+# marginal block untapped and with every tap armed, chip set-up bytes,
+# host events executed per committed block, and the sizes those rest on:
+# a reservation ring's footprint and link header, the event record and
+# the in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
-# TestChipSetupBudget, TestEventsPerBlock).  No wall-time ratio is
+# TestChipSetupBudget, TestEventsPerBlock, TestEventRecordSize,
+# TestInstStateSize; TestRingFootprint in internal/noc).  No wall-time ratio is
 # compared to a threshold: wall time is judged across commits by the
 # pipeline that runs BENCHMARK.json, under the bounds that file states.
 #
@@ -91,8 +94,8 @@ if [ "${1:-}" = "bench" ]; then
     shift
     echo "== benchmark (cmd/clpbench) =="
     go run ./cmd/clpbench "$@"
-    echo "== deterministic budgets (allocs per block, set-up bytes, events per block) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock' ./internal/sim
+    echo "== deterministic budgets (allocs per block, set-up bytes, events per block, ring and record sizes) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint' ./internal/sim ./internal/noc
     exit 0
 fi
 

@@ -41,6 +41,22 @@ type Block struct {
 	NumStores int
 }
 
+// blockPart names a read slot or an instruction in a Validate message.
+// It is a value, rendered only when a message is: a valid block formats
+// nothing.
+type blockPart struct {
+	read bool
+	i    int
+	op   Opcode
+}
+
+func (w blockPart) String() string {
+	if w.read {
+		return fmt.Sprintf("read %d", w.i)
+	}
+	return fmt.Sprintf("inst %d (%s)", w.i, w.op)
+}
+
 // Validate checks every architectural constraint on the block encoding.
 func (b *Block) Validate() error {
 	if len(b.Insts) == 0 {
@@ -56,7 +72,7 @@ func (b *Block) Validate() error {
 		return fmt.Errorf("block %s: %d writes exceeds %d", b.Name, len(b.Writes), MaxWrites)
 	}
 	var errs []error
-	checkTargets := func(who string, targets []Target) {
+	checkTargets := func(who blockPart, targets []Target) {
 		if len(targets) > MaxTargets {
 			errs = append(errs, fmt.Errorf("block %s: %s has %d targets (max %d)", b.Name, who, len(targets), MaxTargets))
 		}
@@ -89,7 +105,7 @@ func (b *Block) Validate() error {
 		if int(r.Reg) >= NumRegs {
 			errs = append(errs, fmt.Errorf("block %s: read %d of invalid register %d", b.Name, i, r.Reg))
 		}
-		checkTargets(fmt.Sprintf("read %d", i), r.Targets)
+		checkTargets(blockPart{read: true, i: i}, r.Targets)
 	}
 	for i, w := range b.Writes {
 		if int(w.Reg) >= NumRegs {
@@ -101,7 +117,7 @@ func (b *Block) Validate() error {
 	branches, unpredicated := 0, 0
 	for i := range b.Insts {
 		in := &b.Insts[i]
-		who := fmt.Sprintf("inst %d (%s)", i, in.Op)
+		who := blockPart{i: i, op: in.Op}
 		checkTargets(who, in.Targets)
 		if in.Op.IsMem() {
 			if in.LSID < 0 || int(in.LSID) >= MaxMemOps {

@@ -42,13 +42,13 @@ var EventDiscipline = &Analyzer{
 
 // queueTypes are the event-queue implementations; direct method access
 // is confined to event.go plus the methods of queue-owner types.
-var queueTypes = map[string]bool{"calQueue": true, "eventQueue": true, "minEvHeap": true}
+var queueTypes = map[string]bool{"calQueue": true, "minEvHeap": true}
 
 // pushMethods stamp-sensitively insert events: owner scheduleEv only.
-var pushMethods = map[string]bool{"push": true, "Push": true}
+var pushMethods = map[string]bool{"push": true}
 
 // popMethods remove or cursor-advance: any owner method (drain loops).
-var popMethods = map[string]bool{"popMin": true, "pop": true, "Pop": true, "nextAt": true}
+var popMethods = map[string]bool{"popMin": true, "pop": true, "nextAt": true}
 
 func runEventDiscipline(m *Module, pkg *Package, report ReportFunc) {
 	if pkg.RelPath != "internal/sim" {

@@ -20,7 +20,7 @@ type link struct {
 }
 
 func (l *link) reserve(t uint64, bw uint16) uint64 {
-	if l.ring.slots == nil {
+	if l.ring.words == nil {
 		l.ring.init(t, int(bw), int(bw))
 	}
 	l.flits++

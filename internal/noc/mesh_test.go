@@ -2,8 +2,10 @@ package noc
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDist(t *testing.T) {
@@ -137,18 +139,21 @@ func TestReservationWindowAdvance(t *testing.T) {
 	// The packed rings against the map oracle, as a link books them (one
 	// class, window opening at the first request) and as a core's issue
 	// slots do (FP the restricted class, window opening at cycle 0).
-	// Request times hover around a cursor that mostly creeps, so slots
-	// fill to capacity and requests spill into the next cycle; sometimes
-	// falls back behind the window base (the clamp); and sometimes leaps
-	// to just below a multiple of the horizon, a whole number of laps
-	// ahead, or across the points where the 16-bit generation reaches
-	// half range and wraps — where a slot stale by exactly 65536 laps
-	// would alias a current one if advance did not clear.
-	const wrap = horizon << genBits
-	leaps := [...]uint64{horizon, 3 * horizon, 64 * horizon, wrap / 2, wrap, wrap + wrap/2}
-	for seed := int64(1); seed <= 12; seed++ {
+	// Capacities sit on both sides of every field width (1, 2, 4 and 8
+	// bits a count), so a count that spilled into its neighbour's field
+	// would book a cycle the oracle holds full, or refuse one it holds
+	// free.  Request times hover around a cursor that mostly creeps, so
+	// slots fill to capacity and requests spill into the next cycle;
+	// sometimes falls back behind the window base (the clamp); and
+	// sometimes leaps to just below a multiple of the horizon, one lap or
+	// millions ahead — a ring keeps no lap number, so any leap must find
+	// the same index empty: advance cleared it.
+	const far = horizon << 16
+	leaps := [...]uint64{horizon, 3 * horizon, 64 * horizon, far / 2, far, far + far/2}
+	capacities := [...][2]int{{1, 1}, {2, 1}, {2, 2}, {3, 3}, {4, 3}, {15, 7}, {16, 1}, {MaxSlotCount, 1}, {MaxSlotCount, MaxSlotCount}}
+	for seed := int64(1); seed <= 18; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		caps := [...][2]int{{1, 1}, {2, 1}, {2, 2}, {4, 3}, {MaxSlotCount, 1}}[seed%5]
+		caps := capacities[seed%int64(len(capacities))]
 		start := uint64(rng.Intn(3 * horizon))
 		var asLink link
 		linkOracle := &ringOracle{base: start, capTotal: caps[0], capFP: caps[0], total: map[uint64]int{}, fp: map[uint64]int{}}
@@ -190,9 +195,35 @@ func TestReservationWindowAdvance(t *testing.T) {
 		if asLink.flits != 30000 {
 			t.Fatalf("seed %d: link counted %d flits, want 30000", seed, asLink.flits)
 		}
-		if advances < 100 || cursor < 2*wrap {
+		if advances < 100 || cursor < 2*far {
 			t.Fatalf("seed %d: %d window advances up to cycle %d: the stream is too tame", seed, advances, cursor)
 		}
+	}
+}
+
+// TestRingFootprint holds a ring to the size of what it counts: what a
+// link allocates on its first flit is a count field just wide enough for
+// the capacity, and the header is small enough that a mesh's 128 links,
+// touched or not, stay cheap.
+func TestRingFootprint(t *testing.T) {
+	for _, c := range []struct {
+		capacity uint16
+		max      uint64
+	}{{1, 1 << 10}, {3, 2 << 10}, {MaxSlotCount, 8 << 10}} {
+		const rings = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < rings; i++ {
+			var l link
+			l.reserve(0, c.capacity)
+		}
+		runtime.ReadMemStats(&after)
+		if n := (after.TotalAlloc - before.TotalAlloc) / rings; n > c.max {
+			t.Errorf("a ring of capacity %d allocates %d bytes, want <= %d", c.capacity, n, c.max)
+		}
+	}
+	if n := unsafe.Sizeof(link{}); n > 48 {
+		t.Errorf("link is %d bytes, want <= 48", n)
 	}
 }
 

@@ -1,39 +1,32 @@
 package noc
 
+import "math/bits"
+
 // horizon is the reservation window in cycles.  Reservations are made at
 // or slightly after the current simulation cycle, so a few thousand
 // cycles of lookahead is ample.
 const horizon = 4096
 
-// A Ring slot is one uint32 describing one cycle:
-//
-//	bits 31..16  generation: the low 16 bits of cycle/horizon
-//	bits 15..8   restricted-class bookings
-//	bits  7..0   total bookings
-//
-// A slot whose generation differs from the requested cycle's describes an
-// older lap of the ring and reads as empty, so advancing the window never
-// clears.  The all-zero slot is an empty slot of generation 0.
-const (
-	countBits = 8
-	countMask = 1<<countBits - 1
-	fpShift   = countBits
-	genShift  = 2 * countBits
-	genBits   = 32 - genShift
-
-	// MaxSlotCount is the largest per-cycle capacity a slot can count.
-	MaxSlotCount = countMask
-)
+// MaxSlotCount is the largest per-cycle capacity a ring can count.
+const MaxSlotCount = 255
 
 // Ring is a reservation timeline: at most capTotal bookings per cycle, of
 // which at most capFP may be of a restricted class.  Mesh links book
 // flits on one (no restricted class); the simulator's cores book issue
 // slots on one, floating-point instructions being the restricted class.
+//
+// A cycle is two counts side by side — total bookings in the low field,
+// restricted-class bookings in the one above — each 1<<lg bits, the
+// narrowest power of two that holds capTotal: 2 bits a cycle (1 KB a
+// ring) at one booking a cycle, 4 at two or three, 8 up to fifteen, 16 up
+// to MaxSlotCount.  A count never exceeds capTotal, so it never carries
+// into its neighbour.  There is no generation: every resident count
+// belongs to a cycle of [base, base+horizon), and advance clears.
 type Ring struct {
-	base     uint64 // earliest reservable cycle (requests clamp forward to it)
-	slots    *[horizon]uint32
-	capTotal uint32
-	capFP    uint32
+	base            uint64   // earliest reservable cycle (requests clamp forward to it)
+	words           []uint64 // horizon cycles, 64>>(lg+1) to a word
+	capTotal, capFP uint8
+	lg              uint8
 }
 
 // NewRing returns a ring whose window starts at cycle base.  Both
@@ -49,7 +42,8 @@ func (r *Ring) init(base uint64, capTotal, capFP int) {
 	if capFP < 1 || capFP > capTotal || capTotal > MaxSlotCount {
 		panic("noc: ring capacity out of range")
 	}
-	*r = Ring{base: base, slots: new([horizon]uint32), capTotal: uint32(capTotal), capFP: uint32(capFP)}
+	lg := uint8(bits.Len(uint(bits.Len(uint(capTotal)) - 1)))
+	*r = Ring{base: base, words: make([]uint64, horizon>>(5-lg)), capTotal: uint8(capTotal), capFP: uint8(capFP), lg: lg}
 }
 
 // Reserve books the earliest cycle at or after t with a free slot (and,
@@ -58,22 +52,23 @@ func (r *Ring) Reserve(t uint64, fp bool) uint64 {
 	if t < r.base {
 		t = r.base
 	}
+	lg := uint(r.lg)
+	width := uint(1) << lg
+	mask := uint64(1)<<width - 1
 	for {
 		if t >= r.base+horizon {
 			r.advance(t)
 		}
-		i := t % horizon
-		gen := uint32(t/horizon) << genShift
-		s := r.slots[i]
-		if (s^gen)>>genShift != 0 {
-			s = gen // stale lap: the slot is empty
-		}
-		if s&countMask < r.capTotal && (!fp || s>>fpShift&countMask < r.capFP) {
-			s++
+		i := uint(t % horizon)
+		word := &r.words[i>>(5-lg)]
+		shift := (i << (lg + 1)) & 63 // a word holds a whole number of cycles
+		s := *word >> shift
+		if s&mask < uint64(r.capTotal) && (!fp || s>>width&mask < uint64(r.capFP)) {
+			inc := uint64(1)
 			if fp {
-				s += 1 << fpShift
+				inc += 1 << width
 			}
-			r.slots[i] = s
+			*word += inc << shift
 			return t
 		}
 		t++
@@ -81,17 +76,9 @@ func (r *Ring) Reserve(t uint64, fp bool) uint64 {
 }
 
 // advance moves the window to start at t; everything before t is
-// forgotten.  Stale slots invalidate lazily via their generations, so
-// there is no bulk clear — except when the window crosses into another
-// half of the generation space (every 2^(genBits-1) laps, 134M cycles).
-// Every booking made so far lies before t, so clearing then loses
-// nothing, and it bounds the generations resident at once to a span
-// shorter than 2^genBits: a slot left untouched for a whole wrap of the
-// counter can never pass for a current one.
+// forgotten.  It is only called with t >= base+horizon, so every booking
+// made so far lies before t and clearing loses nothing.
 func (r *Ring) advance(t uint64) {
-	const half = horizon << (genBits - 1)
-	if t/half != r.base/half {
-		clear(r.slots[:])
-	}
+	clear(r.words)
 	r.base = t
 }

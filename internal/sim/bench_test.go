@@ -11,7 +11,7 @@ import (
 
 // Microbenchmarks of the two engine hot paths this package optimizes: the
 // event queue and the block fetch→execute→commit pipeline.  Each has a
-// *Reference companion running the container/heap queue and the
+// *Reference companion running the plain binary heap and the
 // non-pooled block lifecycle (Options.Reference), so
 //
 //	go test -bench 'EventQueue|BlockPipeline' -benchtime 100x ./internal/sim
@@ -47,8 +47,8 @@ func BenchmarkEventQueueCalendar(b *testing.B) {
 }
 
 func BenchmarkEventQueueReference(b *testing.B) {
-	q := &eventQueue{}
-	benchEventQueue(b, q.push, q.popMin)
+	q := &minEvHeap{}
+	benchEventQueue(b, q.push, func(e *event) { *e = q.pop() })
 }
 
 // benchBlockPipeline runs a register-pressure-free sum loop end to end on
@@ -129,9 +129,11 @@ func BenchmarkChipSetup(b *testing.B) {
 
 // TestChipSetupBudget is the set-up half of the allocation ratchet
 // (ROADMAP item 4): bytes and allocations per chipSetupRun stay within
-// 1.25x of what was measured when the tag arrays, the calendar queue and
-// the reservation rings became lazy.  An eager array creeping back into
-// sim.New or AddProc fails here long before it shows in a sweep.
+// 1.25x of what was measured when the reservation rings shrank to the
+// width of what they count (the tag arrays, the calendar queue and the
+// rings were lazy already).  An eager array creeping back into sim.New or
+// AddProc, or a ring back at a word a cycle, fails here long before it
+// shows in a sweep.
 //
 // The same job with critical-path attribution armed costs at most 1.10x
 // the unarmed bytes: attribution records are 9 KB each, so that holds
@@ -152,8 +154,8 @@ func TestChipSetupBudget(t *testing.T) {
 		cores         int
 		bytes, allocs float64 // measured: go test -bench ChipSetup -benchmem
 	}{
-		{cores: 1, bytes: 95728, allocs: 70},
-		{cores: 4, bytes: 290256, allocs: 121},
+		{cores: 1, bytes: 66720, allocs: 54},
+		{cores: 4, bytes: 102161, allocs: 104},
 	} {
 		bytes, allocs := measure(c.cores, false)
 		t.Logf("%d cores: %.0f B and %.0f allocs per run", c.cores, bytes, allocs)

@@ -27,22 +27,27 @@ const (
 	stDead
 )
 
+// tslot and instTS are the in-flight window's per-operand and
+// per-instruction state, laid out widest field first: resetIFB makes
+// (Reference) or rewrites (pooled) one instTS per live instruction per
+// fetch, so their size is fetch cost.  rem counts down from a
+// prog.Operand's uint8 Producers.
 type tslot struct {
-	need bool
-	got  bool
 	val  uint64
 	at   uint64
-	rem  int
+	rem  int16
+	need bool
+	got  bool
 }
 
 type instTS struct {
-	status  instStatus
 	left    tslot
 	right   tslot
 	pred    tslot
+	availAt uint64
+	status  instStatus
 	predOK  bool
 	avail   bool
-	availAt uint64
 }
 
 type readWaiter struct {

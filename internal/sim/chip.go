@@ -33,11 +33,11 @@ type Chip struct {
 	Procs []*Proc
 
 	// The chip's one event queue (event.go).  Exactly one is live: the
-	// calendar, or under Options.Reference (cal == nil) the
-	// container/heap oracle.  cal is a pointer so a Reference chip never
-	// pays for the calendar's 8 KB of bucket handles.
+	// calendar, or under Options.Reference (cal == nil) the plain
+	// binary heap.  cal is a pointer so a Reference chip never pays for
+	// the calendar's 8 KB of bucket handles.
 	cal    *calQueue
-	ref    eventQueue
+	ref    minEvHeap
 	seq    uint64 // insertion sequence, the (at, seq) tie-break
 	now    uint64
 	events uint64 // events executed
@@ -93,9 +93,9 @@ func New(opts Options) *Chip {
 	}
 	c.checkCapacities()
 	if c.err != nil {
-		// Run reports the fault before any event; one-flit links keep the
-		// rest of the chip well-formed until then.
-		p.OperandBW, p.ControlBW = 1, 1
+		// Run reports the fault before any event; Table 1's networks and
+		// memory keep the rest of the chip well-formed until then.
+		p = compose.DefaultCoreParams()
 	}
 	c.Opn = noc.NewMesh(compose.ArrayW, compose.ArrayH, p.OperandBW)
 	c.Ctl = noc.NewMesh(compose.ArrayW, compose.ArrayH, p.ControlBW)
@@ -111,9 +111,19 @@ func New(opts Options) *Chip {
 // is outside what a reservation slot can count: a capacity of zero could
 // never be booked (Reserve would spin inside one event, out of the stall
 // watchdog's reach), and one past noc.MaxSlotCount would wrap to zero.
-// The dispatch width divides a slot count; it has no upper limit.
+// The dispatch width divides a slot count; it has no upper limit.  Nor
+// have the cache geometry and the LSQ depth, but each must be positive
+// and each cache must hold a set: the tag arrays divide by line size,
+// ways and sets, and an LSQ of no entries NACKs every access forever.
 func (c *Chip) checkCapacities() {
 	p := &c.Opts.Params
+	const unbounded = 1<<31 - 1
+	sets := func(bytes, ways int) int {
+		if ways < 1 || p.LineBytes < 1 {
+			return 1 // its own row below
+		}
+		return bytes / (ways * p.LineBytes)
+	}
 	for _, f := range []struct {
 		name   string
 		v, max int
@@ -122,7 +132,13 @@ func (c *Chip) checkCapacities() {
 		{"IssueFP", p.IssueFP, p.IssueTotal},
 		{"OperandBW", p.OperandBW, noc.MaxSlotCount},
 		{"ControlBW", p.ControlBW, noc.MaxSlotCount},
-		{"DispatchBW", p.DispatchBW, 1<<31 - 1},
+		{"DispatchBW", p.DispatchBW, unbounded},
+		{"LSQEntries", p.LSQEntries, unbounded},
+		{"LineBytes", p.LineBytes, unbounded},
+		{"L1DAssoc", p.L1DAssoc, unbounded},
+		{"L2Assoc", p.L2Assoc, unbounded},
+		{"L1D sets (L1DBytes / L1DAssoc / LineBytes)", sets(p.L1DBytes, p.L1DAssoc), unbounded},
+		{"L2 sets (L2Bytes / L2Assoc / LineBytes)", sets(p.L2Bytes, p.L2Assoc), unbounded},
 	} {
 		if f.v < 1 || f.v > f.max {
 			c.fail("%s = %d, want 1..%d", f.name, f.v, f.max)
@@ -324,10 +340,10 @@ func (c *Chip) run(maxCycles uint64) error {
 			}
 			c.cal.popMin(&e)
 		} else {
-			if c.ref.empty() {
+			if len(c.ref) == 0 {
 				break
 			}
-			c.ref.popMin(&e)
+			e = c.ref.pop()
 		}
 		if e.at > maxCycles {
 			c.fail("exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())

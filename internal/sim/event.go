@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-
-	"github.com/clp-sim/tflex/internal/isa"
-)
+import "github.com/clp-sim/tflex/internal/isa"
 
 // The event layer.  Every simulator action is an event executed in
 // (cycle, insertion-order) order.  Events are *typed* — a small tagged
@@ -20,10 +16,9 @@ import (
 //     overflow heap and migrate into buckets before their cycle is
 //     processed.  Push and pop are allocation-free once the slab has
 //     grown to the peak number of resident events.
-//   - eventQueue (Options.Reference): the original container/heap binary
-//     heap, kept as the differential-testing slow path.  It boxes every
-//     event through `any`, which is exactly the overhead the calendar
-//     queue removes.
+//   - minEvHeap (Options.Reference, and the calendar's overflow): a plain
+//     binary heap of the same typed records.  event_test.go holds both
+//     queues to the standard library's heap on random streams.
 //
 // Both orders are (at, seq), so the two queues produce byte-identical
 // simulations.
@@ -60,23 +55,6 @@ type event struct {
 	from uint8
 	kind evKind
 }
-
-// eventQueue is the reference binary-heap queue (container/heap).
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)    { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)      { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any        { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q *eventQueue) empty() bool     { return len(*q) == 0 }
-func (q *eventQueue) push(e *event)   { heap.Push(q, *e) }
-func (q *eventQueue) popMin(e *event) { *e = heap.Pop(q).(event) }
 
 // Calendar-queue geometry: one bucket per cycle over a lookahead window.
 // The window comfortably covers every modeled latency (NoC reservations,
@@ -204,8 +182,9 @@ func (q *calQueue) nextAt() (at uint64, ok bool) {
 	}
 }
 
-// minEvHeap is a hand-rolled (at, seq) min-heap for overflow events — no
-// interface boxing, unlike container/heap.
+// minEvHeap is a hand-rolled (at, seq) min-heap, so nothing is boxed
+// through an interface: a Reference chip's whole queue, and where the
+// calendar keeps events beyond its window.
 type minEvHeap []event
 
 func (h minEvHeap) less(i, j int) bool {

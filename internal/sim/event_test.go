@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -16,6 +17,31 @@ func TestEventRecordSize(t *testing.T) {
 		t.Errorf("calNode is %d bytes, want <= 64", n)
 	}
 }
+
+// TestInstStateSize holds the in-flight window's diet: resetIFB makes or
+// rewrites one instTS per live instruction per fetch.
+func TestInstStateSize(t *testing.T) {
+	if n := unsafe.Sizeof(instTS{}); n > 88 {
+		t.Errorf("instTS is %d bytes, want <= 88", n)
+	}
+}
+
+// eventQueue is the oracle both production queues are held to: the
+// standard library's binary heap over the same (at, seq) order, boxing
+// every event through `any`.  Keys are unique, so any correct queue pops
+// the same sequence.
+type eventQueue []event
+
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
+func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
 
 // drainCal pops every event and returns the (at, seq) sequence.
 func drainCal(t *testing.T, q *calQueue) [][2]uint64 {
@@ -97,11 +123,12 @@ func TestCalQueueOverflowMigrationKeepsSeqOrder(t *testing.T) {
 	expectOrder(t, drainCal(t, &q), [][2]uint64{{far, 1}, {far, 3}})
 }
 
-// TestCalQueueMatchesHeapOnRandomStreams drives the calendar queue and
-// the reference heap with the same seeded push/pop stream — pushes far
-// beyond the calBuckets window and idle gaps the cursor jumps, never a
-// push behind the last popped cycle (Chip.scheduleEv's clamp) — and
-// requires the same pop order.
+// TestCalQueueMatchesHeapOnRandomStreams drives the calendar queue, the
+// typed heap a Reference chip runs on and the container/heap oracle with
+// the same seeded push/pop stream — pushes far beyond the calBuckets
+// window and idle gaps the cursor jumps, never a push behind the last
+// popped cycle (Chip.scheduleEv's clamp) — and requires the same pop
+// order of all three.
 // It also pins the slab's footprint: its high-water mark is the peak
 // number of events resident at once, to within one growth step of append.
 func TestCalQueueMatchesHeapOnRandomStreams(t *testing.T) {
@@ -109,24 +136,27 @@ func TestCalQueueMatchesHeapOnRandomStreams(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var cal calQueue
-		var ref eventQueue
+		var typed minEvHeap
+		var oracle eventQueue
 		var now, seq uint64
 		live, peak, jumps := 0, 0, 0
 		push := func(at uint64) {
 			seq++
 			e := event{at: at, seq: seq, val: seq}
 			cal.push(&e)
-			ref.push(&e)
+			typed.push(&e)
+			heap.Push(&oracle, e)
 			if live++; live > peak {
 				peak = live
 			}
 		}
 		pop := func() {
-			var c, r event
+			var c event
 			cal.popMin(&c)
-			ref.popMin(&r)
-			if c.at != r.at || c.seq != r.seq || c.val != r.val {
-				t.Fatalf("seed %d: calendar popped (at %d, seq %d), heap popped (at %d, seq %d)", seed, c.at, c.seq, r.at, r.seq)
+			h, want := typed.pop(), heap.Pop(&oracle).(event)
+			if c != want || h != want {
+				t.Fatalf("seed %d: calendar popped (at %d, seq %d), typed heap (at %d, seq %d), container/heap (at %d, seq %d)",
+					seed, c.at, c.seq, h.at, h.seq, want.at, want.seq)
 			}
 			now = c.at
 			live--
@@ -151,8 +181,8 @@ func TestCalQueueMatchesHeapOnRandomStreams(t *testing.T) {
 			default:
 				pop()
 			}
-			if cal.empty() != ref.empty() {
-				t.Fatalf("seed %d: calendar empty = %t, heap empty = %t", seed, cal.empty(), ref.empty())
+			if cal.empty() != (len(oracle) == 0) || len(typed) != len(oracle) {
+				t.Fatalf("seed %d: calendar empty = %t, typed heap holds %d, container/heap holds %d", seed, cal.empty(), len(typed), len(oracle))
 			}
 		}
 		for live > 0 {

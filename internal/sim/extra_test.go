@@ -225,7 +225,11 @@ func TestUtilizationProfile(t *testing.T) {
 // reservation slot cannot count — zero, which could never be booked and
 // used to spin forever inside one event where the stall watchdog cannot
 // fire, or one past noc.MaxSlotCount, which used to wrap to zero — or a
-// dispatch width below one, which used to divide by zero, is
+// dispatch width below one, which used to divide by zero, or a cache
+// geometry with no set in it (a zero line size, associativity or
+// capacity, which used to divide by zero building or indexing the tag
+// arrays), or an LSQ of no entries (every memory operation NACKed and
+// retried forever, the clock advancing under the watchdog), is
 // rejected by New and reported by Run before any event, on both engines,
 // with neither a panic nor a hang.
 func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
@@ -246,6 +250,14 @@ func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 		{"ControlBW 70000", func(p *compose.CoreParams) { p.ControlBW = 70000 }},
 		{"DispatchBW 0", func(p *compose.CoreParams) { p.DispatchBW = 0 }}, // divided by in fetch
 		{"DispatchBW -1", func(p *compose.CoreParams) { p.DispatchBW = -1 }},
+		{"LineBytes 0", func(p *compose.CoreParams) { p.LineBytes = 0 }},
+		{"L1DAssoc 0", func(p *compose.CoreParams) { p.L1DAssoc = 0 }},
+		{"L2Assoc 0", func(p *compose.CoreParams) { p.L2Assoc = 0 }},
+		{"L2Assoc -8", func(p *compose.CoreParams) { p.L2Assoc = -8 }},
+		{"L2Bytes 0", func(p *compose.CoreParams) { p.L2Bytes = 0 }},
+		{"L2Bytes below one set", func(p *compose.CoreParams) { p.L2Bytes = p.L2Assoc*p.LineBytes - 1 }},
+		{"L1DBytes 0", func(p *compose.CoreParams) { p.L1DBytes = 0 }},
+		{"LSQEntries 0", func(p *compose.CoreParams) { p.LSQEntries = 0 }},
 	} {
 		for _, reference := range []bool{false, true} {
 			opts := DefaultOptions()

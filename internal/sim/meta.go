@@ -66,9 +66,9 @@ func resetIFB(b *IFB, p *Proc, lk *prog.Linked, seq uint64, hist predictor.Histo
 	for _, id := range lk.Live {
 		li := &lk.Insts[id]
 		b.insts[id] = instTS{
-			left:  tslot{need: li.Left.Need, rem: int(li.Left.Producers)},
-			right: tslot{need: li.Right.Need, rem: int(li.Right.Producers)},
-			pred:  tslot{need: li.Pred.Need, rem: int(li.Pred.Producers)},
+			left:  tslot{need: li.Left.Need, rem: int16(li.Left.Producers)},
+			right: tslot{need: li.Right.Need, rem: int16(li.Right.Producers)},
+			pred:  tslot{need: li.Pred.Need, rem: int16(li.Pred.Producers)},
 		}
 	}
 	if cap(b.wr) < len(lk.WriteProducers) {

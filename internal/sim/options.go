@@ -45,7 +45,7 @@ type Options struct {
 	ParallelDomains int
 
 	// Reference selects the oracle engine the differential tests compare
-	// against: the container/heap event queue replaces the calendar queue
+	// against: a plain binary heap of events replaces the calendar queue
 	// and in-flight blocks are never recycled.  Everything else — the
 	// event loop, the linked block form — is shared, and simulated results
 	// are identical either way.
