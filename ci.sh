@@ -3,13 +3,12 @@
 #
 #   ./ci.sh
 #
-# Checks, in order: formatting, vet, build, the tflexlint static-analysis
-# suite (the determinism and event-discipline invariants), the full test
-# suite under the race detector
-# (the concurrency gate for what is concurrent — the experiment runner,
-# telemetry and the observability server — which also runs the
-# determinism regression in internal/experiments and the
-# optimized-vs-reference engine differential), a live smoke that curls
+# Checks, in order: formatting, vet, build, the full test suite under
+# the race detector (the concurrency gate for what is concurrent — the
+# experiment runner, telemetry and the observability server — which also
+# runs the determinism regression in internal/experiments, the
+# optimized-vs-reference engine differential and TestModuleCleanliness,
+# the internal/lint analyzers over the whole module), a live smoke that curls
 # /metrics and /critpath off a serving tflexexp, a flight-recorder smoke
 # (tflexsim -flight on a fuzz seed must write a dump that -flight-print
 # parses back, and a multiprogrammed run must write its observer files),
@@ -35,9 +34,9 @@
 #
 #   ./ci.sh lint
 #
-# runs only the static-analysis stage (a few hundred milliseconds):
-# go vet plus both tflexlint analyzers over the whole module; on
-# findings the machine-readable JSON record is attached to stderr.
+# runs only the static-analysis stage (a few seconds): go vet, then
+# TestModuleCleanliness, the determinism and event-discipline analyzers
+# over the whole module, which prints each finding as file:line:col.
 #
 #   ./ci.sh loc
 #
@@ -46,24 +45,23 @@
 #
 #   ./ci.sh fuzz [fuzztime]
 #
-# runs the open-ended differential fuzzer: seeded random EDGE programs
-# through every executor behind the arch.Executor contract (functional,
-# conv-trace, optimized + reference timing on 1/2/4 cores), shrinking
-# any divergence to a minimal .tfa reproducer.  Defaults to 30s; pass a
-# Go duration to run longer.  The bounded 200-seed corpus pass runs in
-# the default gate as TestFuzzCorpus.
+# runs the three native fuzz targets for fuzztime each: FuzzDifferential
+# (seeded random EDGE programs through every executor behind the
+# arch.Executor contract — functional, conv-trace, optimized + reference
+# timing on 1/2/4 cores — shrinking any divergence to a minimal .tfa
+# reproducer), then FuzzParseTFA and FuzzAssemble (hostile text into the
+# two readers must give a result or an error, never a panic).  Defaults
+# to 30s; pass a Go duration to run longer.  The bounded 200-seed corpus
+# pass and every committed crasher under testdata/fuzz run in the
+# default gate.
 set -eu
 cd "$(dirname "$0")"
 
 if [ "${1:-}" = "lint" ]; then
     echo "== go vet =="
     go vet ./...
-    echo "== tflexlint =="
-    if ! go run ./cmd/tflexlint ./...; then
-        echo "== findings (json) ==" >&2
-        go run ./cmd/tflexlint -json ./... >&2 || true
-        exit 1
-    fi
+    echo "== analyzers (TestModuleCleanliness) =="
+    go test -count=1 -run TestModuleCleanliness ./internal/lint
     echo "lint: clean"
     exit 0
 fi
@@ -85,8 +83,10 @@ fi
 
 if [ "${1:-}" = "fuzz" ]; then
     fuzztime="${2:-30s}"
-    echo "== differential fuzz (FuzzDifferential, ${fuzztime}) =="
-    go test -run=NONE -fuzz=FuzzDifferential -fuzztime="$fuzztime" ./internal/fuzz
+    for target in internal/fuzz:FuzzDifferential internal/fuzz:FuzzParseTFA internal/asm:FuzzAssemble; do
+        echo "== ${target#*:} (${fuzztime}) =="
+        go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime="$fuzztime" "./${target%%:*}"
+    done
     exit 0
 fi
 
@@ -112,9 +112,6 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
-
-echo "== tflexlint =="
-go run ./cmd/tflexlint ./...
 
 echo "== go test -race =="
 go test -race ./...

@@ -93,12 +93,12 @@ func main() {
 	fuzzSeed := flag.Int64("fuzz-seed", -1, "replay this differential-fuzz seed through every executor and report any divergence")
 	fuzzN := flag.Int("fuzz-n", 0, "differentially check seeds [0,N) across every executor")
 	flag.StringVar(&f.flight, "flight", "", "arm the flight recorder and write its ring dump as JSON to this file after the run")
-	flag.IntVar(&f.flightEvents, "flight-events", 0, "flight ring size in records, rounded up to a power of two (<=0: 4096)")
+	flag.IntVar(&f.flightEvents, "flight-events", 0, "flight ring size in records, rounded up to a power of two (<=0: 4096; at most 1048576)")
 	flightPrint := flag.String("flight-print", "", "render a flight dump file as text on stdout and exit")
 	flag.Parse()
 
 	if *flightPrint == "" {
-		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.sampleEvery, f.trips, *sweep, f.perRunFlag(*serve)); err != nil {
+		if err := validateFlags(f.cores, f.scale, f.procs, *fuzzN, *fuzzSeed, f.sampleEvery, f.flightEvents, f.trips, *sweep, f.perRunFlag(*serve)); err != nil {
 			fmt.Fprintln(os.Stderr, "tflexsim:", err)
 			flag.Usage()
 			os.Exit(2)
@@ -305,12 +305,15 @@ func (f *simFlags) perRunFlag(serve string) string {
 // a mode that runs its own processors (-trips, -sweep, the fuzzer)
 // would otherwise silently ignore -procs, -trips or perRun, the
 // per-run flag perRunFlag found set.
-func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, sampleEvery uint64, trips, sweep bool, perRun string) error {
+func validateFlags(cores, scale, procs, fuzzN int, fuzzSeed int64, sampleEvery uint64, flightEvents int, trips, sweep bool, perRun string) error {
 	if scale < 1 {
 		return fmt.Errorf("-scale must be >= 1, got %d", scale)
 	}
 	if sampleEvery < 1 {
 		return fmt.Errorf("-sample-every must be >= 1 cycle, got %d", sampleEvery)
+	}
+	if flightEvents > flight.MaxEvents {
+		return fmt.Errorf("-flight-events must be at most %d records, got %d", flight.MaxEvents, flightEvents)
 	}
 	if procs < 1 {
 		return fmt.Errorf("-procs must be >= 1, got %d", procs)

@@ -23,42 +23,45 @@ func TestValidateFlags(t *testing.T) {
 		fuzzN    int
 		fuzzSeed int64
 		sample   uint64 // -sample-every
+		flight   int    // -flight-events
 		trips    bool
 		sweep    bool
 		perRun   string // a flag only a kernel run reads (perRunFlag)
 		wantErr  string // substring of the error; "" means valid
 	}{
-		{"defaults", 8, 2, 1, 0, -1, 256, false, false, "", ""},
-		{"full-chip partition", 8, 1, 4, 0, -1, 256, false, false, "", ""},
-		{"single-core partition", 1, 1, 32, 0, -1, 256, false, false, "", ""},
-		{"trips baseline", 8, 2, 1, 0, -1, 256, true, false, "", ""},
-		{"trips ignores cores", 3, 2, 1, 0, -1, 256, true, false, "", ""},
-		{"fuzz seed replay", 8, 2, 1, 0, 42, 256, false, false, "", ""},
-		{"fuzz range", 8, 2, 1, 500, -1, 256, false, false, "", ""},
-		{"zero scale", 8, 0, 1, 0, -1, 256, false, false, "", "-scale"},
-		{"zero procs", 8, 1, 0, 0, -1, 256, false, false, "", "-procs"},
-		{"zero sampling interval", 8, 1, 1, 0, -1, 0, false, false, "", "-sample-every"},
-		{"trips multiprogram", 8, 1, 2, 0, -1, 256, true, false, "", "-procs"},
-		{"negative fuzz range", 8, 1, 1, -5, -1, 256, false, false, "", "-fuzz-n"},
-		{"fuzz seed and range", 8, 1, 1, 10, 42, 256, false, false, "", "-fuzz-seed"},
-		{"fuzz with trips", 8, 1, 1, 10, -1, 256, true, false, "", "-trips"},
-		{"bad composition size", 3, 1, 1, 0, -1, 256, false, false, "", "-cores"},
-		{"partition too large", 8, 1, 5, 0, -1, 256, false, false, "", "exceeds"},
-		{"sweep", 8, 1, 1, 0, -1, 256, false, true, "", ""},
-		{"sweep multiprogram", 8, 1, 2, 0, -1, 256, false, true, "", "-procs"},
-		{"fuzz multiprogram", 8, 1, 2, 10, -1, 256, false, false, "", "-procs"},
-		{"kernel run with artefacts", 8, 1, 1, 0, -1, 256, false, false, "-metrics", ""},
-		{"trips with artefacts", 8, 1, 1, 0, -1, 256, true, false, "-critpath", ""},
-		{"fuzz seed with flight", 8, 1, 1, 0, 7, 256, false, false, "-flight", ""},
-		{"sweep with trips", 8, 1, 1, 0, -1, 256, true, true, "", "-trips"},
-		{"sweep with metrics", 8, 1, 1, 0, -1, 256, false, true, "-metrics", "-metrics"},
-		{"sweep with flight", 8, 1, 1, 0, -1, 256, false, true, "-flight", "-flight"},
-		{"fuzz seed with json", 8, 1, 1, 0, 7, 256, false, false, "-json", "-json"},
-		{"fuzz range with flight", 8, 1, 1, 10, -1, 256, false, false, "-flight", "-flight"},
+		{"defaults", 8, 2, 1, 0, -1, 256, 0, false, false, "", ""},
+		{"full-chip partition", 8, 1, 4, 0, -1, 256, 0, false, false, "", ""},
+		{"single-core partition", 1, 1, 32, 0, -1, 256, 0, false, false, "", ""},
+		{"trips baseline", 8, 2, 1, 0, -1, 256, 0, true, false, "", ""},
+		{"trips ignores cores", 3, 2, 1, 0, -1, 256, 0, true, false, "", ""},
+		{"fuzz seed replay", 8, 2, 1, 0, 42, 256, 0, false, false, "", ""},
+		{"fuzz range", 8, 2, 1, 500, -1, 256, 0, false, false, "", ""},
+		{"zero scale", 8, 0, 1, 0, -1, 256, 0, false, false, "", "-scale"},
+		{"zero procs", 8, 1, 0, 0, -1, 256, 0, false, false, "", "-procs"},
+		{"zero sampling interval", 8, 1, 1, 0, -1, 0, 0, false, false, "", "-sample-every"},
+		{"trips multiprogram", 8, 1, 2, 0, -1, 256, 0, true, false, "", "-procs"},
+		{"negative fuzz range", 8, 1, 1, -5, -1, 256, 0, false, false, "", "-fuzz-n"},
+		{"fuzz seed and range", 8, 1, 1, 10, 42, 256, 0, false, false, "", "-fuzz-seed"},
+		{"fuzz with trips", 8, 1, 1, 10, -1, 256, 0, true, false, "", "-trips"},
+		{"bad composition size", 3, 1, 1, 0, -1, 256, 0, false, false, "", "-cores"},
+		{"partition too large", 8, 1, 5, 0, -1, 256, 0, false, false, "", "exceeds"},
+		{"sweep", 8, 1, 1, 0, -1, 256, 0, false, true, "", ""},
+		{"sweep multiprogram", 8, 1, 2, 0, -1, 256, 0, false, true, "", "-procs"},
+		{"fuzz multiprogram", 8, 1, 2, 10, -1, 256, 0, false, false, "", "-procs"},
+		{"kernel run with artefacts", 8, 1, 1, 0, -1, 256, 0, false, false, "-metrics", ""},
+		{"trips with artefacts", 8, 1, 1, 0, -1, 256, 0, true, false, "-critpath", ""},
+		{"fuzz seed with flight", 8, 1, 1, 0, 7, 256, 0, false, false, "-flight", ""},
+		{"sweep with trips", 8, 1, 1, 0, -1, 256, 0, true, true, "", "-trips"},
+		{"sweep with metrics", 8, 1, 1, 0, -1, 256, 0, false, true, "-metrics", "-metrics"},
+		{"sweep with flight", 8, 1, 1, 0, -1, 256, 0, false, true, "-flight", "-flight"},
+		{"fuzz seed with json", 8, 1, 1, 0, 7, 256, 0, false, false, "-json", "-json"},
+		{"fuzz range with flight", 8, 1, 1, 10, -1, 256, 0, false, false, "-flight", "-flight"},
+		{"flight ring at its bound", 8, 1, 1, 0, -1, 256, flight.MaxEvents, false, false, "-flight", ""},
+		{"flight ring past its bound", 8, 1, 1, 0, -1, 256, 1 << 59, false, false, "-flight", "-flight-events"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := validateFlags(tt.cores, tt.scale, tt.procs, tt.fuzzN, tt.fuzzSeed, tt.sample, tt.trips, tt.sweep, tt.perRun)
+			err := validateFlags(tt.cores, tt.scale, tt.procs, tt.fuzzN, tt.fuzzSeed, tt.sample, tt.flight, tt.trips, tt.sweep, tt.perRun)
 			if tt.wantErr == "" {
 				if err != nil {
 					t.Fatalf("validateFlags(%d, %d, %d, %d, %d, %t, %t, %q) = %v, want nil",
@@ -67,8 +70,8 @@ func TestValidateFlags(t *testing.T) {
 				return
 			}
 			if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
-				t.Fatalf("validateFlags(%d, %d, %d, %d, %d, %d, %t, %t, %q) = %v, want error containing %q",
-					tt.cores, tt.scale, tt.procs, tt.fuzzN, tt.fuzzSeed, tt.sample, tt.trips, tt.sweep, tt.perRun, err, tt.wantErr)
+				t.Fatalf("validateFlags(%d, %d, %d, %d, %d, %d, %d, %t, %t, %q) = %v, want error containing %q",
+					tt.cores, tt.scale, tt.procs, tt.fuzzN, tt.fuzzSeed, tt.sample, tt.flight, tt.trips, tt.sweep, tt.perRun, err, tt.wantErr)
 			}
 		})
 	}

@@ -67,6 +67,10 @@ type Rec struct {
 // pick one (tflexsim -flight-events, tflex.RunConfig).
 const DefaultEvents = 4096
 
+// MaxEvents is the largest ring: 1<<20 records, 32 MiB.  NewRing clamps
+// a larger size to it, and tflexsim rejects a larger -flight-events.
+const MaxEvents = 1 << 20
+
 // Ring is a fixed-capacity single-writer record ring.  Once full it
 // overwrites the oldest records, so a dump always holds the most
 // recent window of activity.
@@ -77,11 +81,13 @@ type Ring struct {
 }
 
 // NewRing returns a ring holding size records (<= 0 selects
-// DefaultEvents), rounded up to a power of two, minimum 64.
+// DefaultEvents, above MaxEvents selects MaxEvents), rounded up to a
+// power of two, minimum 64.
 func NewRing(size int) *Ring {
 	if size <= 0 {
 		size = DefaultEvents
 	}
+	size = min(size, MaxEvents)
 	n := 64
 	for n < size {
 		n <<= 1

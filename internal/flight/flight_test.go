@@ -3,8 +3,10 @@ package flight
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -46,6 +48,22 @@ func TestRingWrap(t *testing.T) {
 		if rc.Proc != 1 || rc.Core != 2 {
 			t.Fatalf("record %d misattributed: %+v", i, rc)
 		}
+	}
+}
+
+// TestNewRingClampsAbsurdSizes pins the MaxEvents bound: rounding an
+// unbounded size up to a power of two overflowed int (a loop that never
+// ended) or asked make for more than it can give (a panic).
+func TestNewRingClampsAbsurdSizes(t *testing.T) {
+	done := make(chan int, 1)
+	go func() { done <- len(NewRing(math.MaxInt).rec) }()
+	select {
+	case n := <-done:
+		if n > MaxEvents {
+			t.Fatalf("NewRing(math.MaxInt) holds %d records, want at most MaxEvents = %d", n, MaxEvents)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("NewRing(math.MaxInt) did not return within 5s")
 	}
 }
 

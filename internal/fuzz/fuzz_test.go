@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/arch"
+	"github.com/clp-sim/tflex/internal/asm"
 	"github.com/clp-sim/tflex/internal/edgegen"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
@@ -64,6 +65,50 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("%s\nshrunk reproducer: %s", d.Report(), path)
 		}
 	})
+}
+
+// FuzzParseTFA feeds hostile text to the .tfa reader:
+//
+//	go test -run=NONE -fuzz=FuzzParseTFA ./internal/fuzz
+//
+// Any input gives a program and its input or an error, never a panic,
+// and a program it returns passes prog.Validate and disassembles.  The
+// seeds are generated programs and one whole reproducer; crashers found
+// so far replay from testdata/fuzz/FuzzParseTFA under plain `go test`.
+func FuzzParseTFA(f *testing.F) {
+	for seed := int64(0); seed < 4; seed++ {
+		f.Add(edgegen.GenSpec(seed).Asm())
+	}
+	var tfa strings.Builder
+	if err := WriteTFA(&tfa, &Divergence{Spec: edgegen.GenSpec(1), Exec: "sim-opt-2", Diff: "r3 0x1 vs 0x2"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(tfa.String())
+	f.Fuzz(func(t *testing.T, src string) {
+		p, _, err := ParseTFA(src)
+		if err != nil {
+			return
+		}
+		if err := prog.Validate(p); err != nil {
+			t.Fatalf("ParseTFA returned a program that fails Validate: %v", err)
+		}
+		asm.Disassemble(p)
+	})
+}
+
+// TestParseTFARejectsHostileImages pins the typed errors for the two
+// crashers FuzzParseTFA's corpus replays: input.mem lines far apart (a
+// span make cannot hold) and one running past the address space (a
+// slice index off the image).
+func TestParseTFARejectsHostileImages(t *testing.T) {
+	for _, src := range []string{
+		"; input.mem 0x0 01\n; input.mem 0x7fffffffffff0000 01\nblock a:\n    halt\n",
+		"; input.mem 0x0 01\n; input.mem 0xffffffffffffffff 0102\nblock a:\n    halt\n",
+	} {
+		if _, _, err := ParseTFA(src); err == nil || !strings.HasPrefix(err.Error(), "tfa: line 2: ") {
+			t.Errorf("ParseTFA(%q) = %v, want a tfa: line 2: error", src, err)
+		}
+	}
 }
 
 // buggyMul wraps an executor with a deliberate semantic bug: any

@@ -89,6 +89,12 @@ func allZero(b []byte) bool {
 	return true
 }
 
+// maxImageBytes bounds the memory image a .tfa may describe, from its
+// lowest input.mem address to its highest: edgegen writes at most
+// DataBytes (512), so 1 MiB is ample, and a hostile file cannot make
+// ParseTFA allocate the address space.
+const maxImageBytes = 1 << 20
+
 // ParseTFA reads a .tfa reproducer back into a runnable (program,
 // input) pair.
 func ParseTFA(src string) (*prog.Program, arch.Input, error) {
@@ -132,12 +138,18 @@ func ParseTFA(src string) (*prog.Program, arch.Input, error) {
 			if err != nil {
 				return bad(fmt.Errorf("bad hex: %v", err))
 			}
-			if len(chunks) == 0 || addr < memBase {
-				memBase = addr
+			top := addr + uint64(len(data))
+			if top < addr {
+				return bad(fmt.Errorf("input.mem at %#x runs past the address space", addr))
 			}
-			if top := addr + uint64(len(data)); len(chunks) == 0 || top > memTop {
-				memTop = top
+			lo, hi := addr, top
+			if len(chunks) > 0 {
+				lo, hi = min(lo, memBase), max(hi, memTop)
 			}
+			if hi-lo > maxImageBytes {
+				return bad(fmt.Errorf("input.mem image spans %d bytes, over the %d-byte bound", hi-lo, maxImageBytes))
+			}
+			memBase, memTop = lo, hi
 			chunks = append(chunks, chunk{addr, data})
 		}
 	}

@@ -83,7 +83,6 @@ var seededRandOK = map[string]bool{
 // that can leak Go's randomized order into results.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag time/math-rand imports outside driver packages and order-sensitive map iteration",
 	Run:  runDeterminism,
 }
 

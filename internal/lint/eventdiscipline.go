@@ -36,7 +36,6 @@ import (
 // scheduling in the engine package.
 var EventDiscipline = &Analyzer{
 	Name: "event-discipline",
-	Doc:  "events are scheduled only through a queue owner's scheduleEv, at cycles >= now",
 	Run:  runEventDiscipline,
 }
 

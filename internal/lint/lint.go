@@ -2,8 +2,9 @@
 // analyzers, built on the standard library's go/ast + go/parser +
 // go/types only, that enforce the simulator invariants no general
 // linter knows about and no deterministic test can observe — cycle
-// determinism and event-queue ordering.  cmd/tflexlint is the
-// command-line driver; ci.sh runs it in the default tier-1 gate.
+// determinism and event-queue ordering.  TestModuleCleanliness is the
+// one driver: `go test ./...` runs it in the default tier-1 gate, and
+// `./ci.sh lint` runs it alone.
 //
 // A finding can be suppressed at a call site that has been audited by
 // hand with a directive comment on the flagged line or the line above:
@@ -23,14 +24,10 @@ import (
 )
 
 // Diagnostic is one finding, renderable as "file:line:col: [analyzer] message".
-// Allowed findings were suppressed by an audited //lint:allow directive;
-// Run drops them, RunDetailed keeps them with the directive's reason.
 type Diagnostic struct {
-	Pos         token.Position
-	Analyzer    string
-	Message     string
-	Allowed     bool
-	AllowReason string
+	Pos      token.Position
+	Analyzer string
+	Message  string
 }
 
 func (d Diagnostic) String() string {
@@ -42,7 +39,6 @@ func (d Diagnostic) String() string {
 // findings through report.
 type Analyzer struct {
 	Name string
-	Doc  string
 	Run  func(m *Module, pkg *Package, report ReportFunc)
 }
 
@@ -54,69 +50,24 @@ func All() []*Analyzer {
 	return []*Analyzer{Determinism, EventDiscipline}
 }
 
-// ByName resolves a comma-separated analyzer list ("determinism,event-discipline").
-func ByName(names string) ([]*Analyzer, error) {
-	var out []*Analyzer
-	for _, name := range strings.Split(names, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		found := false
-		for _, a := range All() {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no analyzers selected")
-	}
-	return out, nil
-}
-
 // allowDirective is one parsed //lint:allow comment.
 type allowDirective struct {
 	pos      token.Position
 	analyzer string
-	reason   string
 	used     bool
 }
 
 const directivePrefix = "lint:allow"
 
-// Run applies analyzers to every package in m (or, when filter is
-// non-nil, the packages it admits), resolves //lint:allow directives,
-// and returns the surviving diagnostics sorted by position.  Unused and
-// malformed directives are reported as findings of the pseudo-analyzer
-// "lint".
-func Run(m *Module, analyzers []*Analyzer, filter func(*Package) bool) []Diagnostic {
-	var kept []Diagnostic
-	for _, d := range RunDetailed(m, analyzers, filter) {
-		if !d.Allowed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
-}
-
-// RunDetailed is Run keeping the suppressed findings: every diagnostic
-// comes back, audited ones marked Allowed and carrying their
-// directive's reason — the record the JSON output and CI summaries
-// show.
-func RunDetailed(m *Module, analyzers []*Analyzer, filter func(*Package) bool) []Diagnostic {
+// Run applies analyzers to every package in m, resolves //lint:allow
+// directives, and returns the surviving diagnostics sorted by position.
+// Unused and malformed directives are reported as findings of the
+// pseudo-analyzer "lint".
+func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	var allows []*allowDirective
 
 	for _, pkg := range m.Pkgs {
-		if filter != nil && !filter(pkg) {
-			continue
-		}
 		for _, a := range analyzers {
 			a := a
 			report := func(pos token.Pos, format string, args ...any) {
@@ -135,17 +86,21 @@ func RunDetailed(m *Module, analyzers []*Analyzer, filter func(*Package) bool) [
 
 	// A directive suppresses findings of its analyzer on its own line
 	// (trailing comment) or the line directly below (own-line comment).
-	for i := range diags {
-		d := &diags[i]
+	kept := diags[:0]
+	for _, d := range diags {
+		allowed := false
 		for _, dir := range allows {
 			if dir.analyzer == d.Analyzer && dir.pos.Filename == d.Pos.Filename &&
 				(dir.pos.Line == d.Pos.Line || dir.pos.Line+1 == d.Pos.Line) {
 				dir.used = true
-				d.Allowed = true
-				d.AllowReason = dir.reason
+				allowed = true
 			}
 		}
+		if !allowed {
+			kept = append(kept, d)
+		}
 	}
+	diags = kept
 
 	for _, dir := range allows {
 		if !dir.used {
@@ -223,11 +178,7 @@ func collectDirectives(m *Module, pkg *Package, analyzers []*Analyzer) ([]*allow
 				if !active[name] {
 					continue // analyzer not in this run; directive neither used nor stale
 				}
-				dirs = append(dirs, &allowDirective{
-					pos:      pos,
-					analyzer: name,
-					reason:   strings.Join(fields[1:], " "),
-				})
+				dirs = append(dirs, &allowDirective{pos: pos, analyzer: name})
 			}
 		}
 	}

@@ -10,10 +10,10 @@ import (
 	"time"
 )
 
-// loadFixture loads one testdata tree as the module "example.com/fix".
+// loadFixture loads one testdata tree, the module "example.com/fix".
 func loadFixture(t *testing.T, name string) *Module {
 	t.Helper()
-	m, err := LoadTree(filepath.Join("testdata", name), "example.com/fix")
+	m, err := LoadModule(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
@@ -59,7 +59,7 @@ func fixtureWants(m *Module) []expectation {
 func checkGolden(t *testing.T, fixture string, analyzers []*Analyzer) {
 	t.Helper()
 	m := loadFixture(t, fixture)
-	diags := Run(m, analyzers, nil)
+	diags := Run(m, analyzers)
 	wants := fixtureWants(m)
 
 	matched := make([]bool, len(diags))
@@ -99,7 +99,7 @@ func TestEventDisciplineGolden(t *testing.T) {
 // directives surface as "lint" findings.
 func TestAllowDirectives(t *testing.T) {
 	m := loadFixture(t, "allow")
-	diags := Run(m, []*Analyzer{Determinism}, nil)
+	diags := Run(m, []*Analyzer{Determinism})
 
 	var got []string
 	for _, d := range diags {
@@ -131,7 +131,7 @@ func TestAllowDirectives(t *testing.T) {
 // are suppressing real findings rather than nothing.
 func TestAllowFixtureTriggersWithoutDirectives(t *testing.T) {
 	m := loadFixture(t, "allow")
-	diags := Run(m, []*Analyzer{Determinism}, nil)
+	diags := Run(m, []*Analyzer{Determinism})
 	for _, d := range diags {
 		if d.Analyzer == "determinism" {
 			t.Errorf("audited site leaked through its directive: %s", d)
@@ -147,35 +147,18 @@ func TestAllowFixtureTriggersWithoutDirectives(t *testing.T) {
 	}
 }
 
-// TestByName pins the analyzer-selection flag.
-func TestByName(t *testing.T) {
-	got, err := ByName("determinism, event-discipline")
-	if err != nil || len(got) != 2 || got[0].Name != "determinism" || got[1].Name != "event-discipline" {
-		t.Fatalf("ByName: got %v, err %v", got, err)
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName(bogus): want error")
-	}
-	if _, err := ByName(""); err == nil {
-		t.Fatal(`ByName(""): want error`)
-	}
-}
-
-// TestModuleCleanliness is the dogfood gate in test form: the module
-// itself must be lint-clean, and the whole load+analyze pass must stay
-// fast enough to sit in the default CI gate.  ci.sh runs the CLI too;
-// this keeps `go test ./...` sufficient to catch regressions.
+// TestModuleCleanliness is the one way the module is linted: it must
+// be lint-clean, and the whole load+analyze pass must stay fast enough
+// to sit in the default CI gate.  `go test ./...` runs it; `./ci.sh
+// lint` runs it alone.  Findings print as file:line:col.
 func TestModuleCleanliness(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	start := time.Now()
-	m, err := LoadModule(root)
+	m, err := LoadModule(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(m, All(), nil)
+	pkgByRel(t, m, "internal/sim") // the event-discipline target must be in the load
+	diags := Run(m, All())
 	elapsed := time.Since(start)
 	for _, d := range diags {
 		t.Errorf("module not lint-clean: %s", d)

@@ -1,12 +1,9 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
-	"go/parser"
-	"go/token"
-	"runtime"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,10 +28,12 @@ func relPaths(m *Module) []string {
 	return out
 }
 
-// TestLoaderBuildConstraints pins the file-selection behavior: files
-// excluded by //go:build or legacy // +build lines are dropped (they
-// redeclare symbols of the host files), and the admitted tagged file
-// participates in the shared type-check.
+// TestLoaderBuildConstraints pins the file-selection behavior, which is
+// go build's: files excluded by //go:build or legacy // +build lines —
+// a foreign platform, a Go release newer than the toolchain — are
+// dropped (they redeclare symbols of the host files), and the admitted
+// tagged files, gc and unix (ci.sh is a POSIX shell script, so the gate
+// runs on a unix host), participate in the shared type-check.
 func TestLoaderBuildConstraints(t *testing.T) {
 	m := loadFixture(t, "loader")
 	base := pkgByRel(t, m, "internal/base")
@@ -43,9 +42,9 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	for _, f := range base.Files {
 		names = append(names, base.FileName(f.Pos()))
 	}
-	want := map[string]bool{"base.go": true, "base_host.go": true}
+	want := map[string]bool{"base.go": true, "base_host.go": true, "base_unix.go": true}
 	if len(names) != len(want) {
-		t.Fatalf("internal/base files: want base.go + base_host.go, got %v", names)
+		t.Fatalf("internal/base files: want base.go + base_host.go + base_unix.go, got %v", names)
 	}
 	for _, n := range names {
 		if !want[n] {
@@ -62,37 +61,8 @@ func TestLoaderBuildConstraints(t *testing.T) {
 	if !ok || c.Val().String() != "64" {
 		t.Errorf("base.Width: want constant 64 from the host-tagged file, got %v", obj)
 	}
-}
-
-// TestBuildFileIncluded drives the constraint evaluator directly over
-// the tag vocabulary the loader recognizes.
-func TestBuildFileIncluded(t *testing.T) {
-	cases := []struct {
-		line string
-		want bool
-	}{
-		{"//go:build " + runtime.GOOS, true},
-		{"//go:build !" + runtime.GOOS, false},
-		{"//go:build " + runtime.GOARCH, true},
-		{"//go:build gc", true},
-		{"//go:build go1.20", true},
-		{"//go:build someotherplatform", false},
-		{"//go:build " + runtime.GOOS + " && someotherplatform", false},
-		{"//go:build " + runtime.GOOS + " || someotherplatform", true},
-		{"// +build someotherplatform", false},
-		{"// +build " + runtime.GOOS, true},
-		{"// just a comment", true},
-	}
-	fset := token.NewFileSet()
-	for _, tc := range cases {
-		src := fmt.Sprintf("%s\n\npackage p\n", tc.line)
-		f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatalf("%q: parse: %v", tc.line, err)
-		}
-		if got := buildFileIncluded(f); got != tc.want {
-			t.Errorf("buildFileIncluded(%q) = %v, want %v", tc.line, got, tc.want)
-		}
+	if base.Types.Scope().Lookup("Unix") == nil {
+		t.Error("base.Unix from the unix-tagged file did not type-check")
 	}
 }
 
@@ -149,16 +119,16 @@ func TestLoaderGenerics(t *testing.T) {
 
 	// The whole fixture must also be clean under the full suite — the
 	// analyzers walk the generic bodies without tripping or panicking.
-	if diags := Run(m, All(), nil); len(diags) != 0 {
+	if diags := Run(m, All()); len(diags) != 0 {
 		t.Errorf("loader fixture not clean: %v", diags)
 	}
 }
 
 // TestLoaderImportCycle pins the failure mode: mutually importing
-// packages must surface as a cycle error, not a hang or a stack
+// packages must surface as go list's cycle error, not a hang or a stack
 // overflow.
 func TestLoaderImportCycle(t *testing.T) {
-	_, err := LoadTree("testdata/loadercycle", "example.com/fix")
+	_, err := LoadModule(filepath.Join("testdata", "loadercycle"))
 	if err == nil {
 		t.Fatal("loading a cyclic module: want an import-cycle error, got nil")
 	}

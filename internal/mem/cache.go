@@ -155,14 +155,16 @@ func (c *Cache) Occupancy() int {
 	return n
 }
 
-// port is a simple structural-hazard reservation: one access per cycle.
-type port struct {
+// Port is a structural-hazard reservation: a resource accepting one
+// request per interval cycles (a cache or register bank, an L2 bank, a
+// DRAM channel).
+type Port struct {
 	nextFree uint64
 }
 
-// reserve returns the cycle at which the port accepts a request arriving
+// Reserve returns the cycle at which the port accepts a request arriving
 // at cycle t, and books it.
-func (p *port) reserve(t uint64, interval uint64) uint64 {
+func (p *Port) Reserve(t uint64, interval uint64) uint64 {
 	if t < p.nextFree {
 		t = p.nextFree
 	}

@@ -5,7 +5,7 @@ package mem
 // burst interval.
 type DRAM struct {
 	Latency  uint64
-	Channels []port
+	Channels []Port
 	Interval uint64 // cycles between requests per channel
 
 	Stats struct {
@@ -19,7 +19,7 @@ func NewDRAM(latency uint64, channels int, interval uint64) *DRAM {
 	if channels < 1 {
 		channels = 1
 	}
-	return &DRAM{Latency: latency, Channels: make([]port, channels), Interval: interval}
+	return &DRAM{Latency: latency, Channels: make([]Port, channels), Interval: interval}
 }
 
 // Access books a request issued at cycle now and returns its completion
@@ -27,7 +27,7 @@ func NewDRAM(latency uint64, channels int, interval uint64) *DRAM {
 func (d *DRAM) Access(addr uint64, now uint64) uint64 {
 	d.Stats.Requests++
 	ch := &d.Channels[(addr>>6)%uint64(len(d.Channels))]
-	start := ch.reserve(now, d.Interval)
+	start := ch.Reserve(now, d.Interval)
 	d.Stats.StallCycles += start - now
 	return start + d.Latency
 }

@@ -49,7 +49,7 @@ type L2 struct {
 	hitMax    uint64
 
 	tags     tagArray[l2Line]
-	bankPort []port
+	bankPort []Port
 	dram     *DRAM
 	dir      L1Directory
 
@@ -69,7 +69,7 @@ func NewL2(totalBytes, ways, lineBytes, banks int, hitMin, hitMax uint64, dram *
 		hitMin:    hitMin,
 		hitMax:    hitMax,
 		tags:      newTagArray[l2Line](sets, ways),
-		bankPort:  make([]port, banks),
+		bankPort:  make([]Port, banks),
 		dram:      dram,
 		arrayW:    4,
 	}
@@ -191,7 +191,7 @@ func (l *L2) invalidateSharers(line *l2Line, except int) (maxDist int) {
 func (l *L2) Read(core int, addr uint64, now uint64) uint64 {
 	l.Stats.Accesses++
 	bank := l.BankOf(addr)
-	start := l.bankPort[bank].reserve(now, 2)
+	start := l.bankPort[bank].Reserve(now, 2)
 	lat := l.HitLatency(core, addr)
 	line := l.probe(addr)
 	var done uint64
@@ -229,7 +229,7 @@ func (l *L2) Read(core int, addr uint64, now uint64) uint64 {
 func (l *L2) Upgrade(core int, addr uint64, now uint64) uint64 {
 	l.Stats.Accesses++
 	bank := l.BankOf(addr)
-	start := l.bankPort[bank].reserve(now, 2)
+	start := l.bankPort[bank].Reserve(now, 2)
 	lat := l.HitLatency(core, addr)
 	line := l.probe(addr)
 	var done uint64

@@ -27,7 +27,7 @@ type Chip struct {
 	DRAM *mem.DRAM
 
 	l1d     [compose.NumCores]*mem.Cache
-	l1dPort [compose.NumCores]port
+	l1dPort [compose.NumCores]mem.Port
 	issue   [compose.NumCores]*noc.Ring // issue slots: IssueTotal per cycle, IssueFP of them floating point
 
 	Procs []*Proc
@@ -51,7 +51,6 @@ type Chip struct {
 	stallEvents uint64
 
 	onHalt func(*Proc)
-	evFn   func() // what an evFunc event runs
 
 	// Telemetry (see telemetry.go): all nil/disarmed by default.  The
 	// event loop pays one uint64 compare per event against sampleAt
@@ -387,8 +386,6 @@ func (c *Chip) dispatch(e *event, now uint64) {
 		return
 	}
 	switch e.kind {
-	case evFunc:
-		c.evFn()
 	case evDispatch:
 		// Every slot of the block arriving this cycle, in Live order from
 		// the first: the sequence one event per slot used to execute.

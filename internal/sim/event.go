@@ -27,8 +27,7 @@ import "github.com/clp-sim/tflex/internal/isa"
 type evKind uint8
 
 const (
-	evFunc      evKind = iota // Chip.evFn(): no model path schedules one (a test hook)
-	evDispatch                // b, idx (position in lk.Live): the slots arriving in the window this cycle
+	evDispatch  evKind = iota // b, idx (position in lk.Live): the slots arriving in the window this cycle
 	evRegRead                 // b, idx: read slot dispatched at its register bank
 	evDeliver                 // b, tgt, val, from: operand/write arrival
 	evDeadToken               // b, tgt, from: dead-token arrival
@@ -233,15 +232,4 @@ func (h *minEvHeap) pop() event {
 		i = smallest
 	}
 	return top
-}
-
-// port books a resource accepting one request per interval cycles.
-type port struct{ nextFree uint64 }
-
-func (p *port) reserve(t uint64, interval uint64) uint64 {
-	if t < p.nextFree {
-		t = p.nextFree
-	}
-	p.nextFree = t + interval
-	return t
 }

@@ -75,7 +75,7 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 
 	bankIdx := p.dataBankIdx(addr)
 	physCore := p.phys(bankIdx)
-	svc := p.chip.l1dPort[physCore].reserve(t, 1)
+	svc := p.chip.l1dPort[physCore].Reserve(t, 1)
 
 	// accessDone is when the L1 access pipeline (or LSQ forward) itself
 	// finished; dataAt additionally waits for any in-flight miss fill.
@@ -171,7 +171,7 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 
 	bankIdx := p.dataBankIdx(addr)
 	physCore := p.phys(bankIdx)
-	svc := p.chip.l1dPort[physCore].reserve(t, 1)
+	svc := p.chip.l1dPort[physCore].Reserve(t, 1)
 
 	b.addStore(firedStore{key: key, addr: addr, size: in.MemSize, val: val})
 	if b.cp != nil {

@@ -56,8 +56,8 @@ type Proc struct {
 	lastCommitStart uint64
 	lastCommitOwner int
 	anyCommitted    bool
-	commitPortD     []port // per D-bank store-drain port
-	commitPortR     []port // per register-bank write port
+	commitPortD     []mem.Port // per D-bank store-drain port
+	commitPortR     []mem.Port // per register-bank write port
 	halted          bool
 
 	// Violation memo: load instructions that have violated, as a dense
@@ -129,8 +129,8 @@ func newProc(c *Chip, id int, cores []int, program *prog.Program, m *exec.PageMe
 	for range p.dbanks {
 		p.lsq = append(p.lsq, mem.NewLSQBank(params.LSQEntries))
 	}
-	p.commitPortD = make([]port, len(p.dbanks))
-	p.commitPortR = make([]port, len(p.rbanks))
+	p.commitPortD = make([]mem.Port, len(p.dbanks))
+	p.commitPortR = make([]mem.Port, len(p.rbanks))
 	// The logical I-cache: each participating core caches 1/n of each
 	// block, so the composed capacity in blocks is n * L1IBytes / 1KB.
 	p.l1i = mem.NewCache(p.n*params.L1IBytes, 4, isa.BlockBytes)
@@ -546,7 +546,7 @@ func (p *Proc) startCommit(b *IFB) {
 	for _, s := range b.stores {
 		pos := compose.DataBank(s.addr, lineBytes, len(p.dbanks))
 		c := p.dbanks[pos]
-		done := p.commitPortD[pos].reserve(cmdArr[c], 1) + 1
+		done := p.commitPortD[pos].Reserve(cmdArr[c], 1) + 1
 		if done > wbDone[c] {
 			wbDone[c] = done
 		}
@@ -557,7 +557,7 @@ func (p *Proc) startCommit(b *IFB) {
 		}
 		pos := compose.RegBank(b.blk.Writes[wi].Reg, len(p.rbanks))
 		c := p.rbanks[pos]
-		done := p.commitPortR[pos].reserve(cmdArr[c], 1) + 1
+		done := p.commitPortR[pos].Reserve(cmdArr[c], 1) + 1
 		if done > wbDone[c] {
 			wbDone[c] = done
 		}

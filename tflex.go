@@ -263,7 +263,8 @@ type RunConfig struct {
 	// paths then pay only nil checks.
 	Flight bool
 	// FlightEvents sizes the ring (rounded up to a power of two; <= 0
-	// means 4096).  Setting it implies Flight.
+	// means 4096, and above 1<<20 records it is clamped to 1<<20).
+	// Setting it implies Flight.
 	FlightEvents int
 	// ArchDigest arms collection of the unified architectural state:
 	// the committed-store stream is hashed during the run and
