@@ -11,7 +11,8 @@
 # the internal/lint analyzers over the whole module), a live smoke that curls
 # /metrics and /critpath off a serving tflexexp, a flight-recorder smoke
 # (tflexsim -flight on a fuzz seed must write a dump that -flight-print
-# parses back, and a multiprogrammed run must write its observer files),
+# renders with its ring header and at least one commit record, and a
+# multiprogrammed run must write its observer files),
 # a tflexexp artefact smoke (-metrics and -chrome-trace on fig5: 26 job
 # keys, one named track per worker), and a one-iteration smoke of every
 # benchmark so the bench harness cannot rot unnoticed.
@@ -45,12 +46,13 @@
 #
 #   ./ci.sh fuzz [fuzztime]
 #
-# runs the three native fuzz targets for fuzztime each: FuzzDifferential
+# runs the four native fuzz targets for fuzztime each: FuzzDifferential
 # (seeded random EDGE programs through every executor behind the
 # arch.Executor contract — functional, conv-trace, optimized + reference
 # timing on 1/2/4 cores — shrinking any divergence to a minimal .tfa
-# reproducer), then FuzzParseTFA and FuzzAssemble (hostile text into the
-# two readers must give a result or an error, never a panic).  Defaults
+# reproducer), then FuzzParseTFA, FuzzAssemble and FuzzParseDump (hostile
+# bytes into the three readers must give a result or an error, never a
+# panic).  Defaults
 # to 30s; pass a Go duration to run longer.  The bounded 200-seed corpus
 # pass and every committed crasher under testdata/fuzz run in the
 # default gate.
@@ -83,7 +85,7 @@ fi
 
 if [ "${1:-}" = "fuzz" ]; then
     fuzztime="${2:-30s}"
-    for target in internal/fuzz:FuzzDifferential internal/fuzz:FuzzParseTFA internal/asm:FuzzAssemble; do
+    for target in internal/fuzz:FuzzDifferential internal/fuzz:FuzzParseTFA internal/asm:FuzzAssemble internal/flight:FuzzParseDump; do
         echo "== ${target#*:} (${fuzztime}) =="
         go test -run=NONE -fuzz="^${target#*:}\$" -fuzztime="$fuzztime" "./${target%%:*}"
     done
@@ -157,7 +159,9 @@ rm -rf "$(dirname "$obsbin")"
 echo "== flight recorder smoke (tflexsim -flight on a fuzz seed) =="
 flightdir=$(mktemp -d)
 go run ./cmd/tflexsim -fuzz-seed 7 -flight "$flightdir/seed7.flight.json" >/dev/null
-go run ./cmd/tflexsim -flight-print "$flightdir/seed7.flight.json" | head -5
+go run ./cmd/tflexsim -flight-print "$flightdir/seed7.flight.json" >"$flightdir/seed7.txt"
+grep -q '^ring records=[1-9]' "$flightdir/seed7.txt" && grep -Eq '^  @[0-9]+ +commit ' "$flightdir/seed7.txt" ||
+    { echo "FAIL: -flight-print rendered no ring header or no commit record:" >&2; head -5 "$flightdir/seed7.txt" >&2; exit 1; }
 go run ./cmd/tflexsim -kernel conv -cores 8 -procs 2 -critpath -chrome-trace "$flightdir/c.json" -metrics "$flightdir/m.json" >/dev/null
 test -s "$flightdir/c.json" -a -s "$flightdir/m.json" || { echo "FAIL: -procs 2 wrote no Chrome trace or metrics file" >&2; exit 1; }
 rm -rf "$flightdir"

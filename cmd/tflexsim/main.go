@@ -33,7 +33,7 @@
 // file with a flight-recorder sidecar.
 //
 // -flight FILE arms the flight recorder and writes the chip's ring of
-// pipeline records as JSON after the run (combined with -fuzz-seed it
+// retirement records as JSON after the run (combined with -fuzz-seed it
 // replays the seed with the recorder armed); -flight-events N sizes the
 // ring; -flight-print FILE renders a dump back as text:
 //

@@ -1,7 +1,8 @@
 // Package flight implements the simulator's flight recorder: one
-// fixed-size ring buffer of compact binary event records per chip,
-// written by the engine goroutine and drained post-mortem into text or
-// JSON form.
+// fixed-size ring of compact binary records per chip — one per retired
+// block (commit or flush), processor composition and watchdog stall —
+// and dumps that add the blocks still in flight, read from the live
+// window as the telemetry.BlockRecord the Chrome trace renders.
 //
 // The recorder follows the instrumentation discipline of
 // internal/telemetry: the chip holds a *Ring that is nil unless
@@ -16,21 +17,22 @@
 package flight
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
 // Kind enumerates the record types a ring can hold.
 type Kind uint8
 
 const (
-	// Per-block pipeline milestones, recorded by the owning processor.
-	KFetch    Kind = iota // A=block address, B=block sequence number
-	KDispatch             // A=block sequence number, B=dispatch latency
-	KIssue                // first instruction issue of a block; A=seq
-	KCommit               // A=block sequence number, B=fetch-to-commit latency
-	KFlush                // A=block sequence number, B=restart address
+	// Block retirement, recorded by the owning processor: A=block
+	// sequence number, B=block address, Core=owner core, Cycle=RetiredAt.
+	KCommit Kind = iota
+	KFlush
 
 	// Engine milestones, recorded by the chip.
 	KCompose // processor composed; A=proc id, B=cores
@@ -39,9 +41,7 @@ const (
 	numKinds
 )
 
-var kindNames = [numKinds]string{
-	"fetch", "dispatch", "issue", "commit", "flush", "compose", "stall",
-}
+var kindNames = [numKinds]string{"commit", "flush", "compose", "stall"}
 
 func (k Kind) String() string {
 	if int(k) < len(kindNames) {
@@ -107,19 +107,8 @@ func (r *Ring) Add(k Kind, cycle uint64, proc, core int16, a, b uint64) {
 	rc.Kind, rc.Proc, rc.Core = k, proc, core
 }
 
-// Len reports how many records the ring currently holds.
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	if r.n < uint64(len(r.rec)) {
-		return int(r.n)
-	}
-	return len(r.rec)
-}
-
-// Written reports how many records were ever written (>= Len when the
-// ring has wrapped).
+// Written reports how many records were ever written, more than the ring
+// holds once it has wrapped.
 func (r *Ring) Written() uint64 {
 	if r == nil {
 		return 0
@@ -127,34 +116,36 @@ func (r *Ring) Written() uint64 {
 	return r.n
 }
 
-// Dump snapshots the ring's live records in write order.  Call only
-// from the goroutine that writes the ring.
+// Dump snapshots the ring's live records in write order, with no
+// in-flight half (the chip appends that).  Call only from the goroutine
+// that writes the ring.
 func (r *Ring) Dump() *Dump {
-	d := RingDump{Written: r.n}
-	n := uint64(len(r.rec))
-	start := uint64(0)
-	if r.n > n {
-		start = r.n - n
-	}
-	d.Recs = make([]Rec, 0, r.n-start)
+	start := r.n - min(r.n, uint64(len(r.rec)))
+	d := &Dump{Events: len(r.rec), Written: r.n, Recs: make([]Rec, 0, r.n-start)}
 	for i := start; i < r.n; i++ {
 		d.Recs = append(d.Recs, r.rec[i&r.mask])
 	}
-	return &Dump{Events: len(r.rec), Rings: []RingDump{d}}
+	return d
 }
 
-// RingDump is the drained form of one ring.
-type RingDump struct {
-	Written uint64 `json:"written"` // > len(Recs) means the ring wrapped
-	Recs    []Rec  `json:"records"`
+// InFlight is one block still in a processor's window when the dump was
+// taken: its lifetime so far, RetiredAt 0 (a CompleteAt or CommitStart
+// of 0 means the block has not reached that phase), and the outputs it
+// still waits for.
+type InFlight struct {
+	telemetry.BlockRecord
+	OutputsPending int `json:"outputs_pending"`
 }
 
-// Dump is a point-in-time snapshot of a chip's ring, serializable to
-// JSON (WriteJSON/ParseDump) and human-readable text (WriteText).
-// Rings holds one element: a chip has one ring.
+// Dump is a point-in-time snapshot of a chip's flight recorder,
+// serializable to JSON (WriteJSON/ParseDump) and human-readable text
+// (WriteText): the ring's surviving records, oldest first, and every
+// block in flight, per processor oldest first.
 type Dump struct {
-	Events int        `json:"events"`
-	Rings  []RingDump `json:"rings"`
+	Events   int        `json:"events"`  // ring capacity
+	Written  uint64     `json:"written"` // > len(Recs) means the ring wrapped
+	Recs     []Rec      `json:"records"`
+	InFlight []InFlight `json:"in_flight"`
 }
 
 // WriteJSON serializes the dump as indented JSON, the on-disk form
@@ -165,62 +156,49 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 	return enc.Encode(d)
 }
 
-// ParseDump reads a dump previously written by WriteJSON and
-// validates its record kinds.
+// ParseDump reads a dump previously written by WriteJSON.  It rejects
+// unknown fields (a dump of another shape is an error, not an empty
+// dump) and unknown record kinds.
 func ParseDump(r io.Reader) (*Dump, error) {
 	var d Dump
 	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&d); err != nil {
 		return nil, fmt.Errorf("flight dump: %w", err)
 	}
-	for i, ring := range d.Rings {
-		if uint64(len(ring.Recs)) > ring.Written {
-			return nil, fmt.Errorf("flight dump: ring %d holds %d records but claims only %d written",
-				i, len(ring.Recs), ring.Written)
-		}
-		for _, rc := range ring.Recs {
-			if rc.Kind >= numKinds {
-				return nil, fmt.Errorf("flight dump: ring %d has unknown record kind %d", i, rc.Kind)
-			}
+	if uint64(len(d.Recs)) > d.Written {
+		return nil, fmt.Errorf("flight dump: holds %d records but claims only %d written", len(d.Recs), d.Written)
+	}
+	for _, rc := range d.Recs {
+		if rc.Kind >= numKinds {
+			return nil, fmt.Errorf("flight dump: unknown record kind %d", rc.Kind)
 		}
 	}
 	return &d, nil
 }
 
-// WriteText renders the dump as one line per record.
+// WriteText renders the dump as one line per record, then one line per
+// block in flight.
 func (d *Dump) WriteText(w io.Writer) error {
-	for _, ring := range d.Rings {
-		if _, err := fmt.Fprintf(w, "ring records=%d written=%d\n",
-			len(ring.Recs), ring.Written); err != nil {
-			return err
-		}
-		for _, rc := range ring.Recs {
-			if _, err := fmt.Fprintf(w, "  @%-10d %-9s proc=%d core=%d a=%#x b=%d\n",
-				rc.Cycle, rc.Kind, rc.Proc, rc.Core, rc.A, rc.B); err != nil {
-				return err
-			}
-		}
+	bw := bufio.NewWriter(w) // keeps the first write error, which Flush returns
+	fmt.Fprintf(bw, "ring records=%d written=%d\n", len(d.Recs), d.Written)
+	for _, rc := range d.Recs {
+		fmt.Fprintf(bw, "  @%-10d %-9s proc=%d core=%d a=%d b=%#x\n", rc.Cycle, rc.Kind, rc.Proc, rc.Core, rc.A, rc.B)
 	}
-	return nil
+	fmt.Fprintf(bw, "in flight blocks=%d\n", len(d.InFlight))
+	for _, b := range d.InFlight {
+		fmt.Fprintf(bw, "  proc=%d seq=%d addr=%#x %q core=%d fetch@%d dispatched@%d complete@%d commit@%d pending=%d\n",
+			b.Proc, b.Seq, b.Addr, b.Name, b.OwnerCore, b.FetchStart, b.DispatchDone, b.CompleteAt, b.CommitStart, b.OutputsPending)
+	}
+	return bw.Flush()
 }
 
-// Records returns every record of the given kinds (all kinds when
-// none are named) across all rings, in per-ring write order.
-func (d *Dump) Records(kinds ...Kind) []Rec {
-	want := func(Kind) bool { return true }
-	if len(kinds) > 0 {
-		set := map[Kind]bool{}
-		for _, k := range kinds {
-			set[k] = true
-		}
-		want = func(k Kind) bool { return set[k] }
-	}
+// Records returns the ring's records of one kind, in write order.
+func (d *Dump) Records(k Kind) []Rec {
 	var out []Rec
-	for _, ring := range d.Rings {
-		for _, rc := range ring.Recs {
-			if want(rc.Kind) {
-				out = append(out, rc)
-			}
+	for _, rc := range d.Recs {
+		if rc.Kind == k {
+			out = append(out, rc)
 		}
 	}
 	return out

@@ -12,11 +12,11 @@ import (
 )
 
 // FlightReplay re-runs the program on a fresh chip with the flight
-// recorder armed and returns the drained ring — the last `events`
-// pipeline records leading up to the divergence (or the end of the
-// run).  A failed run is not an error here: the dump is the point, and
-// a reproducer that errors mid-run still leaves its final cycles in the
-// ring.
+// recorder armed and returns its dump — the last `events` records
+// leading up to the divergence (or the end of the run) and the blocks
+// still in flight.  A failed run is not an error here: the dump is the
+// point, and a reproducer that errors mid-run still leaves its final
+// cycles in the ring and its stuck blocks in the window.
 func FlightReplay(p *prog.Program, in arch.Input, cores, events int) (*flight.Dump, error) {
 	comp, err := compose.Rect(0, 0, cores)
 	if err != nil {
@@ -41,7 +41,7 @@ func FlightReplay(p *prog.Program, in arch.Input, cores, events int) (*flight.Du
 }
 
 // writeFlightSidecar replays the divergence on the diverging
-// composition and writes the ring dump as JSON next to the .tfa
+// composition and writes the flight dump as JSON next to the .tfa
 // reproducer.
 func writeFlightSidecar(tfaPath string, d *Divergence) error {
 	p, err := d.Spec.Build()

@@ -58,9 +58,6 @@ func TestForcedDivergenceCarriesFlightDump(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sidecar does not parse: %v", err)
 	}
-	if len(dump.Rings) == 0 {
-		t.Fatal("sidecar has no rings")
-	}
 	if len(dump.Records(flight.KCommit)) == 0 {
 		t.Error("sidecar has no commit records; replay recorded nothing")
 	}
@@ -71,7 +68,8 @@ func TestForcedDivergenceCarriesFlightDump(t *testing.T) {
 
 // TestFlightReplaySurvivesFailingRun pins that FlightReplay returns a
 // dump even for a program whose timing run errors out (here: a cycle
-// budget too small to finish) — the rings are the post-mortem.
+// budget too small to finish) — the dump is the post-mortem, and its
+// in-flight half names the blocks the run stopped on.
 func TestFlightReplaySurvivesFailingRun(t *testing.T) {
 	spec := edgegen.GenSpec(3)
 	p, err := spec.Build()
@@ -84,7 +82,15 @@ func TestFlightReplaySurvivesFailingRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FlightReplay: %v", err)
 	}
-	if dump == nil || len(dump.Rings) == 0 {
+	if dump == nil {
 		t.Fatal("no dump from a failing run; the post-mortem path is broken")
+	}
+	if len(dump.InFlight) == 0 {
+		t.Fatal("a run stopped at cycle 10 left no blocks in flight in its dump")
+	}
+	for _, b := range dump.InFlight {
+		if b.RetiredAt != 0 || b.FetchStart > 10 {
+			t.Errorf("in-flight block %+v: retired, or fetched after the run stopped", b)
+		}
 	}
 }

@@ -60,9 +60,9 @@ func WriteTFA(w io.Writer, d *Divergence) error {
 
 // DumpTFA writes the reproducer to a temp file and returns its path.
 // When the diverging executor is a timing simulation (Cores > 0), the
-// divergence is replayed with the flight recorder armed and the ring
-// dump lands alongside as <path>.flight.json — the last pipeline
-// events leading up to the disagreement.
+// divergence is replayed with the flight recorder armed and the dump
+// lands alongside as <path>.flight.json — the last retirements leading
+// up to the disagreement and the blocks still in flight.
 func DumpTFA(d *Divergence) (string, error) {
 	f, err := os.CreateTemp("", fmt.Sprintf("tflex-fuzz-seed%d-*.tfa", d.Spec.Seed))
 	if err != nil {

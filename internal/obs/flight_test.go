@@ -39,8 +39,9 @@ func loopProgram(t *testing.T) *prog.Program {
 // its sampler notify hook (on the event-loop goroutine) while HTTP
 // scrapers hammer /metrics and /flight.  Run under -race in CI.  Beyond
 // freedom from races it checks the acceptance contract: /metrics
-// carries the chip's event count, and /flight eventually serves a
-// parseable dump of one ring holding every processor's records.
+// carries the chip's event count, and /flight serves parseable dumps
+// taken mid-run, whose ring holds every processor's records and whose
+// in-flight half names blocks the processors had not retired yet.
 func TestFlightUnderFourProcessorRun(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
@@ -57,14 +58,39 @@ func TestFlightUnderFourProcessorRun(t *testing.T) {
 		pr.Regs[1] = 20_000
 	}
 	// Attach publishes from the sampler notify hook: it fires on the
-	// goroutine running the event loop, so registry and ring reads are
-	// safe.
+	// goroutine running the event loop, so registry, ring and window
+	// reads are safe.
 	s.Attach(chip, chip.SampleEvery(256))
 
+	get := func(path string) []byte {
+		res, err := http.Get(ts.URL + path)
+		if err != nil {
+			return nil
+		}
+		defer res.Body.Close()
+		b, _ := io.ReadAll(res.Body)
+		return b
+	}
+	// Arm a dump before the run, so the first sample point publishes one.
+	if b := get("/flight"); !bytes.Contains(b, []byte("pending")) {
+		t.Fatalf("/flight before the run = %q, want pending", b)
+	}
+
+	var mu sync.Mutex
+	var live []*flight.Dump // every /flight dump parsed while the run went on
+	check := func(fb []byte) bool {
+		d, err := flight.ParseDump(bytes.NewReader(fb))
+		if err != nil {
+			t.Errorf("/flight mid-run unparseable: %v", err)
+			return false
+		}
+		mu.Lock()
+		live = append(live, d)
+		mu.Unlock()
+		return true
+	}
 	stop := make(chan struct{})
 	var scrapers sync.WaitGroup
-	var flightMu sync.Mutex
-	var liveFlight *flight.Dump // first parseable /flight body seen mid-run
 	for g := 0; g < 3; g++ {
 		scrapers.Add(1)
 		go func() {
@@ -75,37 +101,18 @@ func TestFlightUnderFourProcessorRun(t *testing.T) {
 					return
 				default:
 				}
-				res, err := http.Get(ts.URL + "/metrics")
-				if err != nil {
-					return
-				}
 				var snap map[string]float64
-				derr := json.NewDecoder(res.Body).Decode(&snap)
-				res.Body.Close()
-				if derr != nil {
-					t.Errorf("/metrics mid-run: %v", derr)
+				if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
+					t.Errorf("/metrics mid-run: %v", err)
 					return
 				}
-
-				res, err = http.Get(ts.URL + "/flight")
-				if err != nil {
-					return
-				}
-				fb, _ := io.ReadAll(res.Body)
-				res.Body.Close()
+				fb := get("/flight")
 				if bytes.Contains(fb, []byte("pending")) {
 					continue // request registered; dump lands at the next sample
 				}
-				d, perr := flight.ParseDump(bytes.NewReader(fb))
-				if perr != nil {
-					t.Errorf("/flight mid-run unparseable: %v", perr)
+				if !check(fb) {
 					return
 				}
-				flightMu.Lock()
-				if liveFlight == nil {
-					liveFlight = d
-				}
-				flightMu.Unlock()
 			}
 		}()
 	}
@@ -115,49 +122,36 @@ func TestFlightUnderFourProcessorRun(t *testing.T) {
 	}
 	close(stop)
 	scrapers.Wait()
+	// The last dump published from inside the run is still the one served.
+	check(get("/flight"))
 
 	// Final publish after the run, as tflex.RunMulti does.
 	s.PublishChip(chip)
-
-	res, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var snap map[string]float64
-	if err := json.NewDecoder(res.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(get("/metrics"), &snap); err != nil {
 		t.Fatal(err)
 	}
-	res.Body.Close()
 	if snap["sim.events"] == 0 {
 		t.Error("final /metrics carries no sim.events count")
 	}
 
-	flightMu.Lock()
-	got := liveFlight
-	flightMu.Unlock()
-	if got == nil {
-		// The run may have outpaced the two-scrape handshake; the
-		// post-run publish must still satisfy a fresh request pair.
-		http.Get(ts.URL + "/flight") //nolint:errcheck // arms the want flag
-		s.PublishFlight(chip.FlightDump())
-		res, err := http.Get(ts.URL + "/flight")
-		if err != nil {
-			t.Fatal(err)
+	inFlight := 0
+	for _, d := range live {
+		procs := map[int16]bool{}
+		for _, rc := range d.Recs {
+			procs[rc.Proc] = true
 		}
-		defer res.Body.Close()
-		got, err = flight.ParseDump(res.Body)
-		if err != nil {
-			t.Fatalf("post-run /flight unparseable: %v", err)
+		if len(procs) != 4 {
+			t.Errorf("a live dump's ring holds records of %d processors, want all 4", len(procs))
 		}
+		for _, b := range d.InFlight {
+			if b.Proc < 0 || b.Proc > 3 || b.RetiredAt != 0 || b.Name != "loop" && b.Name != "done" {
+				t.Errorf("in-flight entry %+v: not a live block of the four processors", b)
+			}
+		}
+		inFlight += len(d.InFlight)
 	}
-	if len(got.Rings) != 1 {
-		t.Fatalf("flight dump served over /flight has %d rings, want 1", len(got.Rings))
-	}
-	procs := map[int16]bool{}
-	for _, rc := range got.Records() {
-		procs[rc.Proc] = true
-	}
-	if len(procs) != 4 {
-		t.Errorf("the ring holds records of %d processors, want all 4", len(procs))
+	if inFlight == 0 {
+		t.Errorf("none of the %d dumps /flight served mid-run carries a block in flight", len(live))
 	}
 }

@@ -7,7 +7,7 @@
 //	/metrics      latest telemetry registry snapshot (JSON)
 //	/critpath     rolling critical-path attribution aggregate (JSON)
 //	/events       SSE stream of cycle-sampler rows
-//	/flight       on-demand flight-recorder ring dump (JSON)
+//	/flight       on-demand flight-recorder dump: ring and blocks in flight (JSON)
 //	/debug/pprof  the standard Go profiling endpoints
 //
 // Sharing model: the simulator's counter views are plain fields written
@@ -82,8 +82,10 @@ func (s *Server) Attach(chip *sim.Chip, samp *telemetry.Sampler) {
 // after Run returns.
 func (s *Server) PublishChip(chip *sim.Chip) {
 	s.PublishMetrics(chip.Telemetry().Snapshot())
-	if s.FlightWanted() && chip.FlightEnabled() {
-		s.PublishFlight(chip.FlightDump())
+	if s.FlightWanted() {
+		if d := chip.FlightDump(); d != nil {
+			s.PublishFlight(d)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package sim
 import (
 	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/exec"
-	"github.com/clp-sim/tflex/internal/flight"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/mem"
 	"github.com/clp-sim/tflex/internal/predictor"
@@ -110,7 +109,6 @@ type IFB struct {
 	phase          phase
 	deallocDone    bool
 	deallocAt      uint64
-	frIssued       bool // first-issue flight record written (one per block)
 
 	// A misaligned access this incarnation executed: the instruction (-1:
 	// none) and its address.  It fails the run only once it is known to be
@@ -365,10 +363,6 @@ func (p *Proc) maybeIssue(b *IFB, idx int) {
 	st.status = stIssued
 	coreIdx := b.instCoreIdx(idx)
 	issueAt := p.chip.issueAt(p.phys(coreIdx)).Reserve(readyAt, in.Op.IsFP())
-	if p.chip.flight != nil && !b.frIssued {
-		b.frIssued = true
-		p.chip.flight.Add(flight.KIssue, issueAt, int16(p.id), int16(p.phys(coreIdx)), b.seq, 0)
-	}
 	if b.cp != nil {
 		ci := b.cp.InstAt(idx)
 		ci.AvailAt, ci.ReadyAt, ci.IssueAt, ci.Issued = st.availAt, readyAt, issueAt, true

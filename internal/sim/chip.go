@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/critpath"
@@ -237,7 +238,7 @@ func (c *Chip) L1DStats() mem.CacheStats {
 // AddProc composes a logical processor from the given cores and loads a
 // program onto it with a fresh architectural memory.
 func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, error) {
-	if err := c.coresFree(cores); err != nil {
+	if err := c.admit(cores, program); err != nil {
 		return nil, err
 	}
 	pr := newProc(c, len(c.Procs), cores.Cores, program, exec.NewPageMem())
@@ -245,12 +246,22 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 	return pr, nil
 }
 
-// coresFree rejects a malformed core set and one that names a core a
-// still-running processor holds: two processors booking the same issue
-// rings and L1s would corrupt each other's timing silently.
-func (c *Chip) coresFree(cores compose.Processor) error {
+// admit rejects what newProc cannot build: no program, a malformed core
+// set, an Options.DBanks or RegBanks entry that is no participating-core
+// index of it, and a core a still-running processor holds — two
+// processors booking the same issue rings and L1s would corrupt each
+// other's timing silently.
+func (c *Chip) admit(cores compose.Processor, program *prog.Program) error {
+	if program == nil {
+		return fmt.Errorf("sim: no program")
+	}
 	if err := cores.Validate(); err != nil {
 		return err
+	}
+	outside := func(b int) bool { return b < 0 || b >= len(cores.Cores) }
+	if slices.ContainsFunc(c.Opts.DBanks, outside) || slices.ContainsFunc(c.Opts.RegBanks, outside) {
+		return fmt.Errorf("sim: Options.DBanks %v or RegBanks %v names a bank outside a %d-core processor",
+			c.Opts.DBanks, c.Opts.RegBanks, len(cores.Cores))
 	}
 	for _, p := range c.Procs {
 		if p.halted {
@@ -292,7 +303,7 @@ func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, fro
 	if !from.halted {
 		return nil, fmt.Errorf("sim: AddProcShared: processor %d has not halted", from.id)
 	}
-	if err := c.coresFree(cores); err != nil {
+	if err := c.admit(cores, program); err != nil {
 		return nil, err
 	}
 	pr := newProc(c, from.id, cores.Cores, program, from.Mem)
@@ -304,10 +315,10 @@ func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, fro
 // Run executes events until every processor halts, the cycle limit is
 // exceeded, or the model faults.  With the flight recorder armed
 // (EnableFlight) and a sink set (SetFlightSink), a panicking or failing
-// run writes a post-mortem text dump of the ring on the way out — the
-// panic is re-raised unchanged.
+// run writes a post-mortem text dump on the way out — the panic is
+// re-raised unchanged.
 func (c *Chip) Run(maxCycles uint64) error {
-	if c.flight == nil {
+	if c.flight == nil || c.flightSink == nil {
 		return c.run(maxCycles)
 	}
 	defer func() {

@@ -297,3 +297,43 @@ func TestFaultBeforePlacementIsATypedError(t *testing.T) {
 		}
 	}
 }
+
+// TestAddProcRejectsWhatItCannotBuild: a nil program and a D- or
+// register-bank index outside the composition are sim: errors from
+// AddProc and AddProcShared on both engines, and nothing is composed;
+// they used to panic in prepareStart or at the first bank access.
+func TestAddProcRejectsWhatItCannotBuild(t *testing.T) {
+	halted := run(t, sumProgram(t), 2, nil) // a predecessor to resume from
+	for _, tc := range []struct {
+		name           string
+		dbanks, rbanks []int
+		cores          int
+		nilProg        bool
+	}{
+		{"TRIPS banks on 8 cores", []int{0, 4, 8, 12}, []int{0, 1, 2, 3}, 8, false},
+		{"a negative D-bank", []int{-1}, nil, 4, false},
+		{"a register bank past the composition", nil, []int{0, 4}, 4, false},
+		{"no program", nil, nil, 4, true},
+	} {
+		p := sumProgram(t)
+		if tc.nilProg {
+			p = nil
+		}
+		for _, reference := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Reference = reference
+			opts.DBanks, opts.RegBanks = tc.dbanks, tc.rbanks
+			chip := New(opts)
+			cores := compose.MustRect(0, 0, tc.cores)
+			if _, err := chip.AddProc(cores, p); err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+				t.Errorf("%s (reference %t): AddProc returned %v, want a sim: error", tc.name, reference, err)
+			}
+			if _, err := chip.AddProcShared(cores, p, halted); err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+				t.Errorf("%s (reference %t): AddProcShared returned %v, want a sim: error", tc.name, reference, err)
+			}
+			if len(chip.Procs) != 0 {
+				t.Errorf("%s (reference %t): %d processors composed", tc.name, reference, len(chip.Procs))
+			}
+		}
+	}
+}

@@ -6,11 +6,12 @@ import (
 	"github.com/clp-sim/tflex/internal/flight"
 )
 
-// Flight recorder wiring (see internal/flight): the chip owns one ring.
-// Everything here follows the telemetry disabled-cost contract — the
-// ring pointer is nil until EnableFlight, every hot-path write is a
-// nil-receiver-safe flight.Ring.Add, and all reads (dumps, stats)
-// happen on the goroutine running the event loop.
+// Flight recorder wiring (see internal/flight): the chip owns one ring,
+// written at three sites — emitBlockEvent (commit, flush), launch
+// (compose) and the watchdog (stall).  Everything here follows the
+// telemetry disabled-cost contract — the ring pointer is nil until
+// EnableFlight, and all reads (dumps, stats) happen on the goroutine
+// running the event loop.
 
 // EnableFlight arms the flight recorder with a ring holding events
 // records (<= 0 selects flight.DefaultEvents).  Idempotent; call before
@@ -21,21 +22,29 @@ func (c *Chip) EnableFlight(events int) {
 	}
 }
 
-// FlightEnabled reports whether EnableFlight armed the recorder.
-func (c *Chip) FlightEnabled() bool { return c.flight != nil }
-
 // SetFlightSink directs post-mortem text dumps at w: Chip.Run writes
-// the ring there when the run panics (before re-panicking) or fails.
+// FlightDump there when the run panics (before re-panicking) or fails.
 func (c *Chip) SetFlightSink(w io.Writer) { c.flightSink = w }
 
-// FlightDump snapshots the ring.  Returns nil when the recorder is
-// disabled.  Call only from the goroutine running the chip: after Run
-// returns, or inside a sampler notify hook.
+// FlightDump snapshots the ring and every block in flight: each running
+// processor's window, oldest first, as the record its retirement would
+// complete.  Returns nil when the recorder is disabled.  Call only from
+// the goroutine running the chip: after Run returns, inside a sampler
+// notify hook, or on Run's way out of a failure.
 func (c *Chip) FlightDump() *flight.Dump {
 	if c.flight == nil {
 		return nil
 	}
-	return c.flight.Dump()
+	d := c.flight.Dump()
+	for _, p := range c.Procs {
+		if p.halted {
+			continue
+		}
+		for _, b := range p.window {
+			d.InFlight = append(d.InFlight, flight.InFlight{BlockRecord: p.blockRecord(b), OutputsPending: b.outputsPending})
+		}
+	}
+	return d
 }
 
 // DomainStats returns exactly one element: the chip's events executed
@@ -47,13 +56,10 @@ func (c *Chip) DomainStats() []flight.DomainStats {
 	return []flight.DomainStats{{Events: c.events, RingRecords: c.flight.Written()}}
 }
 
-// flightPostMortem writes a text dump of the ring to the flight sink,
-// prefixed with why the run ended.  Best-effort: write errors
-// are ignored, the dump is an aid on an already-failing path.
+// flightPostMortem writes a text dump to the flight sink, prefixed with
+// why the run ended.  Best-effort: write errors are ignored, the dump is
+// an aid on an already-failing path.
 func (c *Chip) flightPostMortem(why string) {
-	if c.flight == nil || c.flightSink == nil {
-		return
-	}
 	io.WriteString(c.flightSink, "flight recorder post-mortem ("+why+"):\n")
-	c.flight.Dump().WriteText(c.flightSink)
+	c.FlightDump().WriteText(c.flightSink)
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +15,9 @@ import (
 // share the one event loop), alone and beside a second processor: a
 // cycle that executes more events than the budget fails the whole run
 // with a stall diagnostic instead of hanging, leaves a KStall record in
-// the ring, and the failed run dumps a post-mortem to the flight sink.
+// the ring, and the failed run dumps a post-mortem to the flight sink
+// that names every block in flight, its address and the cycle its fetch
+// began.  Both engines stop on the same cycle with the same dump.
 // The budget is lowered to 4 so that a real run trips it: the busiest
 // cycle of sumProgram executes 8 events on one processor, 9 on two.
 func TestStallWatchdog(t *testing.T) {
@@ -25,13 +29,17 @@ func TestStallWatchdog(t *testing.T) {
 		{"two processors", [][3]int{{0, 0, 2}, {2, 0, 2}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			t.Run("optimized", func(t *testing.T) { stallRun(t, tc.rects, false) })
-			t.Run("reference", func(t *testing.T) { stallRun(t, tc.rects, true) })
+			var opt, ref *flight.Dump
+			t.Run("optimized", func(t *testing.T) { opt = stallRun(t, tc.rects, false) })
+			t.Run("reference", func(t *testing.T) { ref = stallRun(t, tc.rects, true) })
+			if !reflect.DeepEqual(opt, ref) {
+				t.Errorf("the engines' dumps at the trip differ:\noptimized %+v\nreference %+v", opt, ref)
+			}
 		})
 	}
 }
 
-func stallRun(t *testing.T, rects [][3]int, reference bool) {
+func stallRun(t *testing.T, rects [][3]int, reference bool) *flight.Dump {
 	opts := DefaultOptions()
 	opts.Reference = reference
 	chip := New(opts)
@@ -58,16 +66,65 @@ func stallRun(t *testing.T, rects [][3]int, reference bool) {
 	if dump == nil || len(dump.Records(flight.KStall)) == 0 {
 		t.Fatal("no KStall record in the flight ring after a watchdog trip")
 	}
-	if !strings.Contains(sink.String(), "flight recorder post-mortem") {
-		t.Error("failed run did not dump a post-mortem to the flight sink")
+	text := sink.String()
+	if !strings.Contains(text, "flight recorder post-mortem") || !strings.Contains(text, "stall") {
+		t.Errorf("failed run did not dump a post-mortem naming the stall to the flight sink:\n%s", text)
 	}
-	if !strings.Contains(sink.String(), "stall") {
-		t.Error("post-mortem text does not mention the stall")
+	if len(dump.InFlight) == 0 {
+		t.Fatal("the dump at the trip has no blocks in flight")
+	}
+	for _, b := range dump.InFlight {
+		if want := fmt.Sprintf("seq=%d addr=%#x %q core=%d fetch@%d", b.Seq, b.Addr, b.Name, b.OwnerCore, b.FetchStart); !strings.Contains(text, want) {
+			t.Errorf("post-mortem does not name in-flight block %q:\n%s", want, text)
+		}
+	}
+	return dump
+}
+
+// TestFlightRecordsOnlyWhatRetires pins the ring's write sites: one
+// record per committed or flushed block and one per composed processor,
+// nothing while a block is in flight — on both engines, with one and
+// with two processors.
+func TestFlightRecordsOnlyWhatRetires(t *testing.T) {
+	for _, rects := range [][][3]int{{{0, 0, 4}}, {{0, 0, 2}, {2, 0, 2}}} {
+		for _, reference := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.Reference = reference
+			chip := New(opts)
+			chip.EnableFlight(1 << 14)
+			for _, rect := range rects {
+				pr, err := chip.AddProc(compose.MustRect(rect[0], rect[1], rect[2]), memProgram(t))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr.Regs[1], pr.Regs[4] = 0x100000, 200
+			}
+			if err := chip.Run(50_000_000); err != nil {
+				t.Fatal(err)
+			}
+			want := uint64(len(chip.Procs))
+			var flushed uint64
+			for _, p := range chip.Procs {
+				want += p.Stats.BlocksCommitted + p.Stats.BlocksFlushed
+				flushed += p.Stats.BlocksFlushed
+			}
+			d := chip.FlightDump()
+			if d.Written != uint64(len(d.Recs)) {
+				t.Fatalf("ring wrapped (%d written, %d kept)", d.Written, len(d.Recs))
+			}
+			if d.Written != want || flushed == 0 {
+				t.Errorf("%d processors, reference %t: %d records written, want %d (committed + flushed + composed; %d flushed)",
+					len(rects), reference, d.Written, want, flushed)
+			}
+			if len(d.InFlight) != 0 {
+				t.Errorf("a finished run still has %d blocks in flight", len(d.InFlight))
+			}
+		}
 	}
 }
 
 // TestFlightPanicPostMortem pins the Run recover path: a panic inside
-// the event loop dumps the rings to the sink before re-panicking.
+// the event loop dumps the recorder to the sink before re-panicking.
 func TestFlightPanicPostMortem(t *testing.T) {
 	chip := New(DefaultOptions())
 	chip.EnableFlight(128)

@@ -94,7 +94,6 @@ func resetIFB(b *IFB, p *Proc, lk *prog.Linked, seq uint64, hist predictor.Histo
 	b.phase = phaseExecuting
 	b.deallocDone = false
 	b.deallocAt = 0
-	b.frIssued = false
 
 	b.tFetchStart = 0
 	b.constLat = 0

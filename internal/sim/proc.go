@@ -302,7 +302,6 @@ func (p *Proc) fetchBlock() {
 		p.fetch.valid = false
 	}
 	b.tFetchStart = t0
-	p.chip.flight.Add(flight.KFetch, t0, int16(p.id), int16(p.phys(owner)), addr, b.seq)
 
 	// I-cache tag check at the owner; misses fill from the L2.
 	cmdStart := t0 + constLat
@@ -357,7 +356,6 @@ func (p *Proc) fetchBlock() {
 		}
 	}
 	b.dispatchLat = dispatchLast - bcastLast
-	p.chip.flight.Add(flight.KDispatch, dispatchLast, int16(p.id), int16(p.phys(owner)), b.seq, b.dispatchLat)
 
 	// Register reads are dispatched to their register-bank cores.
 	for ri := range blk.Reads {
@@ -393,8 +391,7 @@ func (p *Proc) flushFrom(seq uint64, restartAddr uint64, hist predictor.History,
 		}
 		b.dead = true
 		p.Stats.BlocksFlushed++
-		p.chip.flight.Add(flight.KFlush, t, int16(p.id), -1, b.seq, restartAddr)
-		p.emitBlockEvent(b, t, true)
+		p.emitBlockEvent(b, t, flight.KFlush)
 		p.window = p.window[:i]
 		p.releaseIFB(b)
 	}
@@ -679,11 +676,10 @@ func (p *Proc) finalizeCommit(b *IFB, t uint64) {
 	}
 	p.Stats.BlocksCommitted++
 	p.Stats.InstsCommitted += uint64(b.useful)
-	p.chip.flight.Add(flight.KCommit, t, int16(p.id), int16(p.phys(b.owner)), b.seq, t-b.tFetchStart)
 	if b.cp != nil {
 		p.finalizeCritPath(b, t)
 	}
-	p.emitBlockEvent(b, t, false)
+	p.emitBlockEvent(b, t, flight.KCommit)
 	p.Stats.Loads += uint64(b.loads)
 	p.Stats.Stores += uint64(len(b.stores))
 

@@ -29,39 +29,39 @@ type Trace struct {
 }
 
 // BlockRecord is the lifetime of one dynamic block, written once when
-// the block retires (commit or flush).  It is pointer-free apart from
-// the block's name and carries every phase boundary, so the renderers
-// need no access to simulator internals.
+// it retires (commit or flush), or read off it in flight (RetiredAt 0)
+// for a flight dump.  It is pointer-free apart from the block's name and
+// carries every phase boundary, so renderers need no simulator internals.
 type BlockRecord struct {
-	Seq  uint64
-	Name string
-	Addr uint64
+	Seq  uint64 `json:"seq"`
+	Name string `json:"name"`
+	Addr uint64 `json:"addr"`
 	// Proc is the logical processor's ID — the "proc<id>" of the metric
 	// names and the pid of the Chrome tracks.
-	Proc  int
-	Owner int // participating-core index
+	Proc  int `json:"proc"`
+	Owner int `json:"owner"` // participating-core index
 	// OwnerCore is the physical core ID of the owner — the track a
 	// per-core visualization files this block under.
-	OwnerCore int
+	OwnerCore int `json:"owner_core"`
 	// FetchStart is the cycle the fetch pipeline began working on the
 	// block at its owner (prediction + hand-off receipt).
-	FetchStart uint64
+	FetchStart uint64 `json:"fetch_start"`
 	// DispatchDone is when the last instruction was dispatched into the
 	// window: FetchStart plus the prediction/I-tag constant, I-cache
 	// stall, fetch-command broadcast and per-core dispatch latencies.
-	DispatchDone uint64
+	DispatchDone uint64 `json:"dispatch_done"`
 	// CompleteAt is when the owner detected completion (0 if flushed
 	// before completing).
-	CompleteAt uint64
+	CompleteAt uint64 `json:"complete_at"`
 	// CommitStart is when the four-phase commit protocol launched
 	// (0 if the block never began committing).
-	CommitStart uint64
+	CommitStart uint64 `json:"commit_start"`
 	// RetiredAt is the deallocation time for committed blocks, or the
 	// flush time for squashed ones.
-	RetiredAt uint64
-	Flushed   bool
+	RetiredAt uint64 `json:"retired_at"`
+	Flushed   bool   `json:"flushed"`
 	// Useful counts committed useful instructions (0 for flushed blocks).
-	Useful int
+	Useful int `json:"useful"`
 }
 
 type chromeEvent struct {

@@ -117,7 +117,7 @@ type (
 	Observer = obs.Server
 
 	// FlightDump is a drained flight recorder: the chip's surviving
-	// ring records, renderable as text or JSON.
+	// ring records and the blocks in flight, renderable as text or JSON.
 	FlightDump = flight.Dump
 )
 
@@ -256,11 +256,11 @@ type RunConfig struct {
 	// yourself.
 	Observe *Observer
 	// Flight arms the flight recorder: the chip keeps one fixed-size
-	// ring of compact pipeline records (fetch, dispatch, issue, commit,
-	// flush, processor composition, watchdog stall).  Result.Flight
-	// reports the drained ring; on a failed or panicking run the ring
-	// is dumped to stderr as a post-mortem.  Off by default — the hot
-	// paths then pay only nil checks.
+	// ring of compact records (block commit and flush, processor
+	// composition, watchdog stall), and a dump adds every block still
+	// in flight.  Result.Flight reports the end-of-run dump; on a
+	// failed or panicking run the dump goes to stderr as a post-mortem.
+	// Off by default — the hot paths then pay only nil checks.
 	Flight bool
 	// FlightEvents sizes the ring (rounded up to a power of two; <= 0
 	// means 4096, and above 1<<20 records it is clamped to 1<<20).

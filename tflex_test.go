@@ -1,6 +1,9 @@
 package tflex
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestPublicAPIBuildAndRun(t *testing.T) {
 	b := NewBuilder()
@@ -123,4 +126,39 @@ func TestPublicAPIStripComposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
+}
+
+// TestPublicAPIRejectsWhatItCannotBuild: bank indices outside the
+// composition and a missing program are sim: errors from the public
+// entry points, on both engines, where they used to panic mid-run.
+func TestPublicAPIRejectsWhatItCannotBuild(t *testing.T) {
+	tripsOn8 := TRIPSOptions()
+	negative := DefaultOptions()
+	negative.DBanks = []int{-1}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"TRIPS banks on an 8-core rectangle", tripsOn8},
+		{"a negative D-bank", negative},
+	} {
+		for _, reference := range []bool{false, true} {
+			opts := tc.opts
+			opts.Reference = reference
+			_, err := RunKernel("conv", 1, RunConfig{Cores: 8, Options: &opts})
+			if err == nil || !strings.Contains(err.Error(), "sim: ") {
+				t.Errorf("%s (reference %t): RunKernel returned %v, want a sim: error", tc.name, reference, err)
+			}
+		}
+	}
+	if _, err := Run(nil, RunConfig{}); err == nil || !strings.Contains(err.Error(), "sim: ") {
+		t.Errorf("Run(nil) returned %v, want a sim: error", err)
+	}
+	cores, err := ComposeRect(0, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunMulti([]ProgramSpec{{Cores: cores}}, RunConfig{}); err == nil || !strings.Contains(err.Error(), "sim: ") {
+		t.Errorf("RunMulti with a nil Prog returned %v, want a sim: error", err)
+	}
 }
