@@ -5,7 +5,7 @@
 #
 # Checks, in order: formatting, vet, build, the full test suite under
 # the race detector (the concurrency gate for what is concurrent — the
-# experiment runner, telemetry and the observability server — which also
+# experiment suite's jobs, telemetry and the observability server — which also
 # runs the determinism regression in internal/experiments, the
 # optimized-vs-reference engine differential and TestModuleCleanliness,
 # the internal/lint analyzers over the whole module), a live smoke that curls
@@ -13,8 +13,9 @@
 # (tflexsim -flight on a fuzz seed must write a dump that -flight-print
 # renders with its ring header and at least one commit record, and a
 # multiprogrammed run must write its observer files),
-# a tflexexp artefact smoke (-metrics and -chrome-trace on fig5: 26 job
-# keys, one named track per worker), and a one-iteration smoke of every
+# a tflexexp artefact smoke (-progress, -metrics and -chrome-trace on
+# fig5: one progress line per simulated job, 26 job keys, one named track
+# per worker), and a one-iteration smoke of every
 # benchmark so the bench harness cannot rot unnoticed.
 #
 #   ./ci.sh bench [clpbench flags]
@@ -166,16 +167,18 @@ go run ./cmd/tflexsim -kernel conv -cores 8 -procs 2 -critpath -chrome-trace "$f
 test -s "$flightdir/c.json" -a -s "$flightdir/m.json" || { echo "FAIL: -procs 2 wrote no Chrome trace or metrics file" >&2; exit 1; }
 rm -rf "$flightdir"
 
-echo "== tflexexp artefact smoke (-metrics and -chrome-trace on fig5) =="
+echo "== tflexexp artefact smoke (-progress, -metrics and -chrome-trace on fig5) =="
 expdir=$(mktemp -d)
-go run ./cmd/tflexexp -exp fig5 -scale 1 -jobs 2 -metrics "$expdir/m.json" -chrome-trace "$expdir/t.json" >/dev/null 2>&1
+go run ./cmd/tflexexp -exp fig5 -scale 1 -jobs 2 -progress -metrics "$expdir/m.json" -chrome-trace "$expdir/t.json" >/dev/null 2>"$expdir/stderr"
 test -s "$expdir/m.json" -a -s "$expdir/t.json" || { echo "FAIL: tflexexp wrote no metrics or Chrome trace file" >&2; exit 1; }
-# One snapshot per chip job (the 26 trips runs; core2 has no registry),
-# one named track per worker however many batches ran.
+# One progress line per simulated job (26 core2 + 26 trips), one snapshot
+# per chip job (the 26 trips runs; core2 has no registry), one named
+# track per worker however many batches ran.
+progress=$(grep -c '^\[' "$expdir/stderr")
 jobkeys=$(grep -c '^  "' "$expdir/m.json")
 tracks=$(grep -o '"thread_name"' "$expdir/t.json" | wc -l)
-if [ "$jobkeys" -ne 26 ] || [ "$tracks" -ne 2 ]; then
-    echo "FAIL: tflexexp -exp fig5 -jobs 2 exported $jobkeys job keys (want 26) and $tracks thread_name records (want 2)" >&2
+if [ "$progress" -ne 52 ] || [ "$jobkeys" -ne 26 ] || [ "$tracks" -ne 2 ]; then
+    echo "FAIL: tflexexp -exp fig5 -jobs 2 printed $progress progress lines (want 52), exported $jobkeys job keys (want 26) and $tracks thread_name records (want 2)" >&2
     exit 1
 fi
 rm -rf "$expdir"

@@ -16,10 +16,10 @@
 // stdout are unchanged.  A parallel-efficiency summary line (job
 // concurrency) lands on stderr after the tables.
 //
-// Each experiment enqueues its full simulation job set on the concurrent
-// runner (-jobs workers, default GOMAXPROCS) and renders its tables from
-// the merged result store; the tables on stdout are byte-identical at any
-// -jobs value.  Progress and the suite summary go to stderr.
+// Each experiment prefetches its full simulation job set, which the suite
+// runs on -jobs workers (default GOMAXPROCS), and renders its tables from
+// the results; the tables on stdout are byte-identical at any -jobs
+// value.  Progress and the suite summary go to stderr.
 package main
 
 import (
@@ -78,7 +78,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "concurrent simulation jobs (<=0: GOMAXPROCS)")
 	progress := flag.Bool("progress", false, "print per-job progress with wall-clock timing to stderr")
 	metrics := flag.String("metrics", "", "write every job's telemetry-registry snapshot as JSON to this file")
-	chromeTrace := flag.String("chrome-trace", "", "write runner job lifecycles as a chrome://tracing event file")
+	chromeTrace := flag.String("chrome-trace", "", "write the suite's job lifecycles as a chrome://tracing event file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	serve := flag.String("serve", "", "serve live observability (/metrics, /critpath, /events, /debug/pprof) on this address while the sweep runs")

@@ -457,7 +457,7 @@ func runMultiProg(f simFlags, cfg tflex.RunConfig) ([]*tflex.Result, error) {
 }
 
 // runSweep fans the kernel's full composition sweep out across the
-// concurrent job engine and prints the cores -> cycles/speedup curve.
+// experiment suite's worker pool and prints the cores -> cycles/speedup curve.
 func runSweep(kernel string, scale, jobs int) error {
 	s := experiments.NewSuite(scale)
 	s.SetJobs(jobs)

@@ -2,9 +2,9 @@
 // every composition size and find the best composition per application —
 // the adaptivity argument of the paper's Figure 6.
 //
-// The full benchmark × composition-size matrix is enqueued on the
-// concurrent job engine up front (every cell is an independent
-// simulation), then the table renders from the merged result store.
+// The full benchmark × composition-size matrix is prefetched up front as
+// concurrent suite jobs (every cell is an independent simulation), then
+// the table renders from their results.
 package main
 
 import (
@@ -13,14 +13,13 @@ import (
 
 	"github.com/clp-sim/tflex"
 	"github.com/clp-sim/tflex/internal/experiments"
-	"github.com/clp-sim/tflex/internal/runner"
 )
 
 func main() {
 	benchmarks := []string{"conv", "ct", "dither", "mcf"}
 
 	s := experiments.NewSuite(2)
-	var specs []runner.Spec
+	var specs []experiments.Spec
 	for _, name := range benchmarks {
 		specs = append(specs, s.SweepSpecs(name)...)
 	}

@@ -11,17 +11,16 @@ import (
 	"github.com/clp-sim/tflex"
 	"github.com/clp-sim/tflex/internal/alloc"
 	"github.com/clp-sim/tflex/internal/experiments"
-	"github.com/clp-sim/tflex/internal/runner"
 )
 
 func main() {
 	apps := []string{"conv", "genalg", "bezier", "mcf"}
 
 	// Measure each application's cores -> speedup curve.  The profiling
-	// runs are independent simulations, so enqueue the whole matrix on
-	// the concurrent job engine and read the curves from the store.
+	// runs are independent simulations, so prefetch the whole matrix as
+	// concurrent suite jobs and read the curves from their results.
 	s := experiments.NewSuite(1)
-	var specs []runner.Spec
+	var specs []experiments.Spec
 	for _, name := range apps {
 		specs = append(specs, s.SweepSpecs(name)...)
 	}

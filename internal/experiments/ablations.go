@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/clp-sim/tflex/internal/kernels"
-	"github.com/clp-sim/tflex/internal/runner"
 	"github.com/clp-sim/tflex/internal/sim"
 	"github.com/clp-sim/tflex/internal/stats"
 )
@@ -54,7 +53,7 @@ func (s *Suite) Ablations(cores int) (AblationData, string, error) {
 	d := AblationData{Relative: map[string]float64{}}
 	t := stats.NewTable("ablation", "geomean perf vs default", "note")
 
-	var specs []runner.Spec
+	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.spec(cfgTFlex, k.Name, cores))
 		for _, ab := range ablations {

@@ -5,11 +5,11 @@ import (
 )
 
 // Determinism regression: every experiment must render byte-identical
-// table output regardless of the runner's worker count.  The simulator
-// is deterministic and the render phase reads the memoized store in a
+// table output regardless of the suite's worker count.  The simulator
+// is deterministic and the render phase reads the job map in a
 // fixed order, so 1 worker and 8 workers must agree exactly — cycle
 // counts, stats, formatting, everything.  Run under `go test -race`
-// (ci.sh does) this also exercises the concurrent job engine and the
+// (ci.sh does) this also exercises the suite's concurrent jobs and the
 // audited packages for data races.
 func TestExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
@@ -48,7 +48,7 @@ func TestExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The one store is shared across experiments: a second run of an
+// The one job map is shared across experiments: a second run of an
 // experiment, and any experiment drawing on jobs an earlier one ran, does
 // zero new simulations.
 func TestSuiteCachesAcrossExperiments(t *testing.T) {

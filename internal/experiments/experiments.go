@@ -6,30 +6,43 @@
 // weighted-speedup comparison against fixed CMPs (Figure 10).
 //
 // The paper evaluates one engine under many configurations, and so does
-// this package: a job is a runner.Spec, its Config names a row of the
-// machine table (machines.go), one function simulates any spec by looking
-// its row up, and one store keyed by the spec remembers every result.
+// this package: a job is a Spec, its Config names a row of the machine
+// table (machines.go), one function simulates any spec by looking its row
+// up, and the suite's job map, keyed by the spec, remembers every result.
 //
-// Every experiment is two-phase: it first enqueues its full set of job
-// specs on the suite's concurrent runner (internal/runner), which fans the
-// independent cycle-level simulations out across a worker pool; it then
-// renders its tables from the batch it prefetched.  Because the simulator
-// is deterministic and the render phase is serial over stable kernel/size
+// Every experiment is two-phase: it first prefetches its full set of job
+// specs, which the suite fans out across a bounded worker pool (jobs.go);
+// it then renders its tables from the results.  Because the simulator is
+// deterministic and the render phase is serial over stable kernel/size
 // orders, the output is byte-identical at any worker count (see
 // determinism_test.go).
+//
+// Concurrency-safety audit (why fan-out is sound): each job builds its
+// own sim.Chip, and every package the jobs touch was audited for shared
+// mutable state.
+//
+//   - sim, mem, noc, predictor: all state hangs off the *sim.Chip built
+//     inside the job; there are no package-level variables.
+//   - kernels: the package-level registry/order maps are mutated only by
+//     init-time register() calls, which Go runs single-threaded before
+//     main; afterwards they are read-only (kernels.TestRegistryConcurrentReads
+//     exercises this under -race).
+//   - compose, isa, asm: package-level tables (shapes, opcodeNames,
+//     binOps) are initialized once and never written again.
+//   - exec, conv, power, area, alloc, stats: no package-level state.
 package experiments
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/obs"
 	"github.com/clp-sim/tflex/internal/power"
-	"github.com/clp-sim/tflex/internal/runner"
 	"github.com/clp-sim/tflex/internal/sim"
 	"github.com/clp-sim/tflex/internal/telemetry"
 )
@@ -48,53 +61,46 @@ type RunResult struct {
 }
 
 // Suite runs and remembers the experiment simulations.  A job's identity
-// is its runner.Spec: the machine it runs on is the machines row its
-// Config names, and its result lives in the one store under the spec
-// itself.  Every simulation is a job of the suite's runner.Engine, whose
-// own record of completed keys is bookkeeping (job counts, progress
-// lines, trace spans), not a second result cache.  All methods are safe
-// for concurrent use: the store is concurrency-safe and each simulation
-// builds its own private chip.
+// is its Spec: the machine it runs on is the machines row its Config
+// names, and the job map, keyed by the spec itself, is the one record of
+// the job and its result (jobs.go).  All methods are safe for concurrent
+// use: the map is guarded by mu and each simulation builds its own
+// private chip.
 type Suite struct {
 	Scale int   // kernel input scale
 	Sizes []int // TFlex composition sizes
 
-	engine  *runner.Engine
-	obs     *obs.Server // nil unless SetObserver armed live observability
-	results runner.Store[runner.Spec, RunResult]
+	workers  int              // SetJobs; <= 0 means GOMAXPROCS
+	progress io.Writer        // SetProgress
+	trace    *telemetry.Trace // SetTrace
+	obs      *obs.Server      // nil unless SetObserver armed live observability
+
+	mu     sync.Mutex
+	jobs   map[Spec]*job
+	hits   uint64        // have lookups
+	wall   time.Duration // summed Prefetch wall time
+	inJob  time.Duration // summed per-job wall time
+	epoch  time.Time     // the first Prefetch's start: job span time zero
+	tracks int           // worker tracks named so far
 }
 
 // NewSuite returns a suite at the given kernel scale, running jobs on
 // GOMAXPROCS workers (see SetJobs).
 func NewSuite(scale int) *Suite {
-	s := &Suite{
-		Scale:  scale,
-		Sizes:  compose.Sizes(),
-		engine: &runner.Engine{},
-	}
-	s.engine.Exec = func(sp runner.Spec) error {
-		_, err := s.get(sp)
-		return err
-	}
-	return s
-}
-
-// get returns the spec's remembered result, simulating it on first use.
-func (s *Suite) get(sp runner.Spec) (RunResult, error) {
-	return s.results.Get(sp, func() (RunResult, error) { return s.simulate(sp) })
+	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}}
 }
 
 // SetJobs caps the number of concurrently running simulations; n <= 0
 // restores the GOMAXPROCS default.
-func (s *Suite) SetJobs(n int) { s.engine.Workers = n }
+func (s *Suite) SetJobs(n int) { s.workers = n }
 
 // SetProgress routes per-job progress lines (completion-ordered, with
 // wall-clock timing) to w; nil silences them.
-func (s *Suite) SetProgress(w io.Writer) { s.engine.Progress = w }
+func (s *Suite) SetProgress(w io.Writer) { s.progress = w }
 
 // SetTrace records one Chrome trace span per executed simulation job on
-// the runner's worker tracks (real time, 1µs units).
-func (s *Suite) SetTrace(t *telemetry.Trace) { s.engine.Trace = t }
+// its worker's track (real time, 1µs units).
+func (s *Suite) SetTrace(t *telemetry.Trace) { s.trace = t }
 
 // SetObserver wires a live observability server into every subsequent
 // simulation: each run enables critical-path attribution feeding the
@@ -105,15 +111,17 @@ func (s *Suite) SetTrace(t *telemetry.Trace) { s.engine.Trace = t }
 func (s *Suite) SetObserver(o *obs.Server) { s.obs = o }
 
 // MetricsByJob returns every completed timing run's registry snapshot,
-// keyed by the runner job key (the Core2 model runs on the functional
-// trace and carries no registry).
+// keyed by the job key (the Core2 model runs on the functional trace and
+// carries no registry).
 func (s *Suite) MetricsByJob() map[string]telemetry.Snapshot {
 	out := map[string]telemetry.Snapshot{}
-	s.results.Each(func(sp runner.Spec, r RunResult) {
-		if r.Metrics != nil {
-			out[sp.Key()] = r.Metrics
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for sp, j := range s.jobs {
+		if j.finished() && j.res.Metrics != nil {
+			out[sp.Key()] = j.res.Metrics
 		}
-	})
+	}
 	return out
 }
 
@@ -126,37 +134,16 @@ func (s *Suite) WriteMetrics(w io.Writer) error {
 	return enc.Encode(s.MetricsByJob())
 }
 
-// Prefetch fans the job specs out across the worker pool and blocks
-// until every job has run and its result is in the store.  Duplicate
-// specs, and specs an earlier batch ran, collapse onto one job.  All
-// jobs run to completion; the returned error is the first failure in
-// submission order, wrapped with its job key.
-func (s *Suite) Prefetch(specs []runner.Spec) error {
-	_, err := s.engine.Run(specs)
-	return err
-}
-
-// have returns the result of a spec a successful Prefetch covered, which
-// leaves no error to return: rendering a spec whose job failed is a bug
-// in the figure.
-func (s *Suite) have(sp runner.Spec) RunResult {
-	r, err := s.get(sp)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %s rendered without a successful Prefetch: %v", sp.Key(), err))
-	}
-	return r
-}
-
 // spec is the job spec for kernel on the named machine at the suite's
 // scale; cores is 0 where the machine fixes its own size.
-func (s *Suite) spec(config, kernel string, cores int) runner.Spec {
-	return runner.Spec{Kernel: kernel, Config: config, Cores: cores, Scale: s.Scale}
+func (s *Suite) spec(config, kernel string, cores int) Spec {
+	return Spec{Kernel: kernel, Config: config, Cores: cores, Scale: s.Scale}
 }
 
 // SweepSpecs lists every composition size (plus the 1-core baseline
 // implied by Speedups) for one kernel.
-func (s *Suite) SweepSpecs(kernel string) []runner.Spec {
-	specs := []runner.Spec{s.spec(cfgTFlex, kernel, 1)}
+func (s *Suite) SweepSpecs(kernel string) []Spec {
+	specs := []Spec{s.spec(cfgTFlex, kernel, 1)}
 	for _, n := range s.Sizes {
 		specs = append(specs, s.spec(cfgTFlex, kernel, n))
 	}
@@ -167,7 +154,7 @@ func (s *Suite) SweepSpecs(kernel string) []runner.Spec {
 // it as a one-job batch on first use.
 func (s *Suite) TFlexRun(kernel string, n int) (RunResult, error) {
 	sp := s.spec(cfgTFlex, kernel, n)
-	if err := s.Prefetch([]runner.Spec{sp}); err != nil {
+	if err := s.Prefetch([]Spec{sp}); err != nil {
 		return RunResult{}, err
 	}
 	return s.have(sp), nil
@@ -194,10 +181,10 @@ func (s *Suite) speedups(kernel string) map[int]float64 {
 // Summary aggregates suite activity: jobs run, cache hits, simulated
 // cycles and wall time — the harness-throughput numbers for BENCH_*.json.
 type Summary struct {
-	JobsRun   int           // simulations executed by the runner
-	CacheHits uint64        // store lookups served from memo
+	JobsRun   int           // simulations executed: the job map's size
+	CacheHits uint64        // result lookups by the render phase
 	SimCycles uint64        // total simulated cycles across all runs
-	Wall      time.Duration // real elapsed time inside runner batches
+	Wall      time.Duration // real elapsed time inside Prefetch calls
 	CPUTime   time.Duration // summed per-job wall time
 }
 
@@ -209,20 +196,24 @@ func (s Summary) String() string {
 // Parallel renders the suite's parallel-efficiency line: how well the
 // job pool filled the machine (in-job time over wall time).
 func (s *Suite) Parallel() string {
-	es := s.engine.Summary()
-	if es.Wall <= 0 {
+	sum := s.Summary()
+	if sum.Wall <= 0 {
 		return "parallel: no jobs run"
 	}
 	return fmt.Sprintf("parallel: %.2fx job concurrency (in-job %.2fs / wall %.2fs)",
-		es.CPUTime.Seconds()/es.Wall.Seconds(), es.CPUTime.Seconds(), es.Wall.Seconds())
+		sum.CPUTime.Seconds()/sum.Wall.Seconds(), sum.CPUTime.Seconds(), sum.Wall.Seconds())
 }
 
-// Summary reports cumulative runner and store activity.
+// Summary reports cumulative job activity.
 func (s *Suite) Summary() Summary {
-	es := s.engine.Summary()
-	sum := Summary{JobsRun: es.JobsRun, Wall: es.Wall, CPUTime: es.CPUTime}
-	sum.CacheHits, _ = s.results.Stats()
-	s.results.Each(func(_ runner.Spec, r RunResult) { sum.SimCycles += r.Cycles })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sum := Summary{JobsRun: len(s.jobs), CacheHits: s.hits, Wall: s.wall, CPUTime: s.inJob}
+	for _, j := range s.jobs {
+		if j.finished() {
+			sum.SimCycles += j.res.Cycles
+		}
+	}
 	return sum
 }
 

@@ -10,7 +10,6 @@ import (
 	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/power"
-	"github.com/clp-sim/tflex/internal/runner"
 	"github.com/clp-sim/tflex/internal/stats"
 )
 
@@ -67,7 +66,7 @@ type Fig5Data struct {
 // Fig5 runs the baseline-validation comparison.
 func (s *Suite) Fig5() (Fig5Data, string, error) {
 	d := Fig5Data{Relative: map[string]float64{}, SuiteGeo: map[string]float64{}}
-	var specs []runner.Spec
+	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.spec(cfgCore2, k.Name, 0), s.spec(cfgTRIPS, k.Name, 0))
 	}
@@ -126,7 +125,7 @@ func (s *Suite) sweep(caption string, detail bool, metric func(base, r RunResult
 		bestSize:  map[string]int{},
 		avgBySize: map[int]float64{},
 	}
-	var specs []runner.Spec
+	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.SweepSpecs(k.Name)...)
 		specs = append(specs, s.spec(cfgTRIPS, k.Name, 0))
@@ -251,7 +250,7 @@ func (s *Suite) Table2() (string, error) {
 	at.Row("TRIPS processor total", area.TRIPSArea())
 
 	// Average power over the suite.
-	var specs []runner.Spec
+	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.spec(cfgTFlex, k.Name, 8), s.spec(cfgTRIPS, k.Name, 0))
 	}
@@ -347,7 +346,7 @@ type Fig9Data struct {
 // Fig9 decomposes the distributed protocol latencies per composition size.
 func (s *Suite) Fig9() (Fig9Data, string, error) {
 	d := Fig9Data{Fetch: map[int][5]float64{}, Commit: map[int][2]float64{}}
-	var specs []runner.Spec
+	var specs []Spec
 	for _, n := range s.Sizes {
 		for _, k := range kernels.All() {
 			specs = append(specs, s.spec(cfgTFlex, k.Name, n))
@@ -407,7 +406,7 @@ type Fig9xData struct {
 // 100% of block time with no "other" bucket.
 func (s *Suite) Fig9x() (Fig9xData, string, error) {
 	d := Fig9xData{Agg: map[int]critpath.Summary{}}
-	var specs []runner.Spec
+	var specs []Spec
 	for _, n := range s.Sizes {
 		for _, k := range kernels.HandOptimized() {
 			specs = append(specs, s.spec(cfgCrit, k.Name, n))
@@ -468,7 +467,7 @@ type HandshakeData struct {
 // Handshake runs the instantaneous-handshake ablation at 32 cores.
 func (s *Suite) Handshake() (HandshakeData, string, error) {
 	d := HandshakeData{PerApp: map[string]float64{}}
-	var specs []runner.Spec
+	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.spec(cfgTFlex, k.Name, 32), s.spec(cfgZeroHS, k.Name, 32))
 	}
@@ -511,7 +510,7 @@ type Fig10Data struct {
 // random workloads drawn from the 12 hand-optimized benchmarks.
 func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 	hand := kernels.HandOptimized()
-	var specs []runner.Spec
+	var specs []Spec
 	for _, k := range hand {
 		specs = append(specs, s.SweepSpecs(k.Name)...)
 	}

@@ -8,12 +8,11 @@ import (
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/power"
-	"github.com/clp-sim/tflex/internal/runner"
 	"github.com/clp-sim/tflex/internal/sim"
 	"github.com/clp-sim/tflex/internal/trips"
 )
 
-// Machine-configuration names: the values of runner.Spec.Config, each a
+// Machine-configuration names: the values of Spec.Config, each a
 // row of machines.
 const (
 	cfgTFlex  = "tflex"
@@ -59,7 +58,7 @@ func tflexWith(mod func(*sim.Options)) func() sim.Options {
 }
 
 // machines lists every machine configuration the evaluation runs, by
-// its runner.Spec.Config name.
+// its Spec.Config name.
 var machines = func() map[string]machine {
 	m := map[string]machine{
 		cfgTFlex:  {options: sim.DefaultOptions, shape: composed},
@@ -81,7 +80,7 @@ var machines = func() map[string]machine {
 // server's rolling aggregate and publishes registry snapshots mid-run;
 // both are passive, so the architectural results are identical with or
 // without observation.
-func (s *Suite) simulate(sp runner.Spec) (RunResult, error) {
+func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	m, ok := machines[sp.Config]
 	if !ok {
 		return RunResult{}, fmt.Errorf("unknown job config %q", sp.Config)

@@ -42,8 +42,8 @@ func TestAllKernelsPassValidate(t *testing.T) {
 }
 
 // The registry/order maps are mutated only by init-time register()
-// calls; afterwards they are read-only and safe for the concurrent
-// experiment runner.  This test exercises every read path from many
+// calls; afterwards they are read-only and safe for the experiment
+// suite's concurrent jobs.  This test exercises every read path from many
 // goroutines so `go test -race` verifies that claim.
 func TestRegistryConcurrentReads(t *testing.T) {
 	var wg sync.WaitGroup

@@ -6,7 +6,7 @@ package lint
 // results for one seed state.  Two bug classes silently break both:
 //
 //  1. Wall-clock or randomness inside simulation code.  Only the
-//     runner/driver layer may time things (job wall clocks, progress
+//     suite and the commands may time things (job wall clocks, progress
 //     lines on stderr); everything that feeds a figure or a cycle
 //     count must be a pure function of its inputs.  The analyzer flags
 //     any import of time or math/rand outside the allowlisted
@@ -38,12 +38,12 @@ import (
 )
 
 // wallClockAllowed lists the module-relative package paths that may
-// import time / math/rand: the concurrent job runner (per-job wall
-// clocks), the experiment suite bookkeeping that renders them to
-// stderr, and the command-line drivers.  Simulation, telemetry and
-// analysis packages must stay clock-free.
+// import time / math/rand: the experiment suite (per-job wall clocks
+// and the progress lines that render them to stderr), the commands and
+// the examples.  Simulation, telemetry and analysis packages must stay
+// clock-free.
 func wallClockAllowed(relPath string) bool {
-	if relPath == "internal/runner" || relPath == "internal/experiments" {
+	if relPath == "internal/experiments" {
 		return true
 	}
 	return strings.HasPrefix(relPath, "cmd/") || strings.HasPrefix(relPath, "examples/")

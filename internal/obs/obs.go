@@ -18,7 +18,7 @@
 // the counters, and handlers serve only the last published copy.  The
 // /critpath aggregate is a critpath.Rolling, which carries its own
 // mutex and is safe to feed from many concurrent simulations (the
-// experiment runner's worker pool).
+// experiment suite's worker pool).
 package obs
 
 import (
@@ -48,7 +48,7 @@ type Server struct {
 	srv     *http.Server
 
 	flightDump *flight.Dump
-	flightWant atomic.Bool
+	flightWant atomic.Bool // a client asked for a dump since PublishChip last stored one
 
 	roll critpath.Rolling
 }
@@ -70,7 +70,7 @@ func (s *Server) Attach(chip *sim.Chip, samp *telemetry.Sampler) {
 	chip.SetCritPathSink(&s.roll)
 	chip.Telemetry() // built now, so that its histograms see every block
 	samp.SetNotify(func(cycle uint64, names []string, row []float64) {
-		s.PublishSample(cycle, names, row)
+		s.publishSample(cycle, names, row)
 		s.PublishChip(chip)
 	})
 }
@@ -81,21 +81,24 @@ func (s *Server) Attach(chip *sim.Chip, samp *telemetry.Sampler) {
 // the goroutine running the chip: inside a sampler notify hook, or
 // after Run returns.
 func (s *Server) PublishChip(chip *sim.Chip) {
-	s.PublishMetrics(chip.Telemetry().Snapshot())
-	if s.FlightWanted() {
+	s.publishMetrics(chip.Telemetry().Snapshot())
+	if s.flightWant.Load() {
 		if d := chip.FlightDump(); d != nil {
-			s.PublishFlight(d)
+			s.mu.Lock()
+			s.flightDump = d
+			s.mu.Unlock()
+			s.flightWant.Store(false)
 		}
 	}
 }
 
-// PublishMetrics stores the snapshot served by /metrics.  Call it from
+// publishMetrics stores the snapshot served by /metrics.  Call it from
 // the goroutine that owns the registry's counter views (the sampler
 // notify hook, or after the run): the snapshot is taken there, so
 // handlers never touch live counters.  Non-finite values are zeroed —
 // the snapshot is owned by the caller until published, shared read-only
 // after.
-func (s *Server) PublishMetrics(snap telemetry.Snapshot) {
+func (s *Server) publishMetrics(snap telemetry.Snapshot) {
 	for k, v := range snap {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			snap[k] = 0
@@ -106,10 +109,10 @@ func (s *Server) PublishMetrics(snap telemetry.Snapshot) {
 	s.mu.Unlock()
 }
 
-// PublishSample fans one sampler row out to /events subscribers as a
+// publishSample fans one sampler row out to /events subscribers as a
 // JSON object.  Slow subscribers drop rows rather than stall the
 // publisher (the simulation must never block on an HTTP client).
-func (s *Server) PublishSample(cycle uint64, names []string, row []float64) {
+func (s *Server) publishSample(cycle uint64, names []string, row []float64) {
 	series := make(map[string]float64, len(names))
 	for i, n := range names {
 		if i < len(row) {
@@ -132,21 +135,6 @@ func (s *Server) PublishSample(cycle uint64, names []string, row []float64) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// FlightWanted reports whether an HTTP client has requested a flight
-// dump since the last PublishFlight.  The sim side polls it from its
-// notify hook and, when set, captures a dump there — the handler never
-// touches the live ring.
-func (s *Server) FlightWanted() bool { return s.flightWant.Load() }
-
-// PublishFlight stores the ring dump served by /flight and clears the
-// pending request flag.  Call from the goroutine that owns the ring.
-func (s *Server) PublishFlight(d *flight.Dump) {
-	s.mu.Lock()
-	s.flightDump = d
-	s.mu.Unlock()
-	s.flightWant.Store(false)
 }
 
 func (s *Server) subscribe() (int, chan []byte) {

@@ -31,7 +31,7 @@ func TestMetricsEndpointServesPublishedSnapshot(t *testing.T) {
 		t.Fatalf("empty metrics = %d %q", res.StatusCode, body)
 	}
 
-	s.PublishMetrics(telemetry.Snapshot{"proc0.cycles": 42, "bad.mean": nan()})
+	s.publishMetrics(telemetry.Snapshot{"proc0.cycles": 42, "bad.mean": nan()})
 	res, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestEventsStreamDeliversSamples(t *testing.T) {
 			case <-done:
 				return
 			default:
-				s.PublishSample(4096, []string{"proc0.window.occupancy"}, []float64{3})
+				s.publishSample(4096, []string{"proc0.window.occupancy"}, []float64{3})
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -190,8 +190,8 @@ func TestConcurrentPublishAndScrape(t *testing.T) {
 			var bd critpath.Breakdown
 			bd[critpath.ALUOccupancy] = uint64(g + 1)
 			for i := 0; i < 200; i++ {
-				s.PublishMetrics(telemetry.Snapshot{"x": float64(i)})
-				s.PublishSample(uint64(i), []string{"x"}, []float64{float64(i)})
+				s.publishMetrics(telemetry.Snapshot{"x": float64(i)})
+				s.publishSample(uint64(i), []string{"x"}, []float64{float64(i)})
 				s.Rolling().Add(bd)
 			}
 		}(g)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -222,5 +223,56 @@ func TestTelemetryAttachAfterRun(t *testing.T) {
 	}
 	if got := snap.Get("proc0.fetch.latency.count"); got != 0 {
 		t.Fatalf("histogram observed %v blocks while disabled, want 0", got)
+	}
+}
+
+// A recomposed processor (AddProcShared) reuses its predecessor's ID and
+// so its series names: the sampler keeps one series per name, whose rows
+// up to the recomposition stand and whose later rows read the new
+// processor, not the halted one.
+func TestSamplerFollowsRecomposition(t *testing.T) {
+	p := sumProgram(t)
+	chip := New(DefaultOptions())
+	samp := chip.SampleEvery(64)
+	first, err := chip.AddProc(compose.MustRect(0, 0, 2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Regs[1] = 200
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	before := samp.Series()
+	frozen := float64(first.Stats.InstsCommitted)
+	second, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Regs[1] = 500 // 300 more iterations: more than the first leg committed
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+
+	series := samp.Series()
+	var names []string
+	for _, s := range series {
+		names = append(names, s.Name)
+	}
+	if len(series) != len(before) || len(series) != 3 {
+		t.Fatalf("series %v after recomposition, want the 3 of proc0 once each", names)
+	}
+	for i, s := range series {
+		if s.Name != before[i].Name || !slices.Equal(s.Values[:len(before[i].Values)], before[i].Values) {
+			t.Errorf("%s: the rows before recomposition changed", s.Name)
+		}
+	}
+	committed := series[slices.Index(names, "proc0.insts.committed")].Values
+	after := committed[len(before[0].Values):]
+	if len(after) < 2 {
+		t.Fatalf("%d rows after recomposition, want a run long enough to sample", len(after))
+	}
+	if after[0] >= frozen || after[len(after)-1] <= frozen || after[len(after)-1] > float64(second.Stats.InstsCommitted) {
+		t.Errorf("proc0.insts.committed after recomposition runs %v..%v; the halted processor stopped at %v, the new one at %d",
+			after[0], after[len(after)-1], frozen, second.Stats.InstsCommitted)
 	}
 }

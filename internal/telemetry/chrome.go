@@ -16,9 +16,9 @@ import (
 // both views come from the same stored records and cannot disagree.
 // The simulator maps one simulated cycle to one microsecond of trace
 // time, so cycle counts read directly off the viewer's time axis; the
-// experiment runner uses real microseconds for its job spans.
+// experiment suite uses real microseconds for its job spans.
 //
-// A Trace is safe for concurrent use: runner workers append job spans
+// A Trace is safe for concurrent use: suite workers append job spans
 // from many goroutines.  The zero value is ready to use, and all methods
 // are nil-safe so a disabled trace costs one nil check at each call
 // site.
@@ -177,7 +177,7 @@ func (t *Trace) Len() int {
 // WriteJSON emits the trace as {"traceEvents":[...]} — the JSON Object
 // Format accepted by chrome://tracing and Perfetto.  Events are emitted
 // in (ts, pid, tid, name) order rather than append order: concurrent
-// recorders (runner workers) interleave their appends
+// recorders (suite workers) interleave their appends
 // nondeterministically, and sorting keeps the file byte-stable across
 // runs of the same simulation.  The sort is stable and ties between the
 // spans of one block, and between consecutive dynamic instances of one

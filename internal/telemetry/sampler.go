@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"slices"
 )
 
 // Sampler records a cycle-indexed time series of tracked gauges.  The
@@ -40,10 +41,17 @@ func (s *Sampler) Interval() uint64 {
 }
 
 // Track adds a named series evaluated at every subsequent sample point.
-// A series added mid-run reads 0 for the rows recorded before it.  Safe
-// on nil.
+// A series added mid-run reads 0 for the rows recorded before it.
+// Tracking a name again replaces its source in place, as Registry
+// re-registration does: the series keeps its column and earlier rows
+// (a recomposed processor continues its predecessor's series).  Safe on
+// nil.
 func (s *Sampler) Track(name string, fn func() float64) {
 	if s == nil {
+		return
+	}
+	if i := slices.Index(s.names, name); i >= 0 {
+		s.sources[i] = fn
 		return
 	}
 	s.names = append(s.names, name)

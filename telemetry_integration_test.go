@@ -7,20 +7,21 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
+	"github.com/clp-sim/tflex/internal/experiments"
 	"github.com/clp-sim/tflex/internal/flight"
-	"github.com/clp-sim/tflex/internal/runner"
 )
 
 // TestTelemetryUnderConcurrentJobs is the tier-1 race gate for the
-// telemetry layer: several runner workers execute fully instrumented
-// simulations — each chip driving its own cycle sampler — while all of
-// them append block spans to one shared Chrome trace and the engine
-// appends its own job spans to the same trace.  Run under -race (ci.sh
-// does), this exercises every concurrent surface the telemetry
-// subsystem has: the Trace mutex, per-chip registries built on worker
-// goroutines, and samplers advancing inside concurrent jobs.
+// telemetry layer: several goroutines run fully instrumented simulations
+// — each chip driving its own cycle sampler — that all append block spans
+// to one shared Chrome trace, while the experiment suite's workers run
+// jobs of their own and append their job spans to the same trace.  Run
+// under -race (ci.sh does), this exercises every concurrent surface the
+// telemetry subsystem has: the Trace mutex, per-chip registries built on
+// worker goroutines, and samplers advancing inside concurrent jobs.
 func TestTelemetryUnderConcurrentJobs(t *testing.T) {
 	shared := NewTrace()
 	type out struct {
@@ -29,33 +30,36 @@ func TestTelemetryUnderConcurrentJobs(t *testing.T) {
 	}
 	results := make([]out, 8)
 
-	eng := &runner.Engine{Workers: 4, Trace: shared}
-	eng.Exec = func(sp runner.Spec) error {
-		res, err := RunKernel(sp.Kernel, 1, RunConfig{
-			Cores:          sp.Cores,
-			CollectMetrics: true,
-			ChromeTrace:    shared,
-			SampleEvery:    64,
-		})
-		if err != nil {
-			return err
-		}
-		results[sp.Scale] = out{res.Metrics, res.Samples.Len()}
-		return nil
+	// Eight distinct runs: two kernels across the composition sizes.
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := RunKernel([]string{"conv", "autcor"}[i%2], 1, RunConfig{
+				Cores:          []int{4, 8, 16, 32}[i/2],
+				CollectMetrics: true,
+				ChromeTrace:    shared,
+				SampleEvery:    64,
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = out{res.Metrics, res.Samples.Len()}
+		}()
 	}
-
-	// Eight distinct jobs (two kernels across the composition sizes);
-	// Scale is repurposed as the job's private results-slot index, so the
-	// workers never write the same element.
-	var specs []runner.Spec
-	for i, cores := range []int{4, 8, 16, 32} {
-		specs = append(specs,
-			runner.Spec{Kernel: "conv", Config: "telemetry", Cores: cores, Scale: i},
-			runner.Spec{Kernel: "autcor", Config: "telemetry", Cores: cores, Scale: i + 4})
+	suite := experiments.NewSuite(1)
+	suite.SetJobs(4)
+	suite.SetTrace(shared)
+	var specs []experiments.Spec
+	for _, k := range []string{"conv", "autcor", "ct", "dither"} {
+		specs = append(specs, experiments.Spec{Kernel: k, Config: "trips", Scale: 1})
 	}
-	if _, err := eng.Run(specs); err != nil {
+	if err := suite.Prefetch(specs); err != nil {
 		t.Fatal(err)
 	}
+	wg.Wait()
 
 	for i, r := range results {
 		if r.metrics == nil || r.metrics.Get("proc0.blocks.committed") == 0 {
@@ -66,7 +70,7 @@ func TestTelemetryUnderConcurrentJobs(t *testing.T) {
 		}
 	}
 
-	// The shared trace holds every job's block spans plus the runner's
+	// The shared trace holds every run's block spans plus the suite's
 	// job spans, and still serializes to valid Chrome trace JSON.
 	var buf bytes.Buffer
 	if err := shared.WriteJSON(&buf); err != nil {
@@ -91,7 +95,7 @@ func TestTelemetryUnderConcurrentJobs(t *testing.T) {
 		}
 	}
 	if cats["job"] != len(specs) {
-		t.Errorf("runner job spans = %d, want %d", cats["job"], len(specs))
+		t.Errorf("suite job spans = %d, want %d", cats["job"], len(specs))
 	}
 	for _, cat := range []string{"fetch", "execute", "commit"} {
 		if cats[cat] == 0 {
