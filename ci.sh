@@ -8,7 +8,10 @@
 # experiment suite's jobs, telemetry and the observability server — which also
 # runs the determinism regression in internal/experiments, the
 # optimized-vs-reference engine differential and TestModuleCleanliness,
-# the internal/lint analyzers over the whole module), a live smoke that curls
+# the internal/lint analyzers over the whole module), the summary line of
+# TestPaperShape (how many of the paper's claims land inside the paper's
+# band at kernel scales 1 and 2, so a change that moves a paper shape
+# shows in the log), a live smoke that curls
 # /metrics and /critpath off a serving tflexexp, a flight-recorder smoke
 # (tflexsim -flight on a fuzz seed must write a dump that -flight-print
 # renders with its ring header and at least one commit record, and a
@@ -118,6 +121,10 @@ go build ./...
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== paper table (TestPaperShape) =="
+paper=$(go test -count=1 -v -run '^TestPaperShape$' ./internal/experiments) || { echo "$paper" >&2; exit 1; }
+echo "$paper" | grep -o 'paper table: .*'
 
 echo "== observability live smoke (tflexexp -serve) =="
 obsbin=$(mktemp -d)/tflexexp

@@ -11,6 +11,7 @@ import (
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/mem"
+	"github.com/clp-sim/tflex/internal/noc"
 )
 
 // Config parameterizes the conventional core.
@@ -77,34 +78,6 @@ type Result struct {
 	IPC               float64
 }
 
-type ring struct {
-	base uint64
-	used []uint8
-	cap  uint8
-}
-
-func newRing(width int) *ring { return &ring{used: make([]uint8, 4096), cap: uint8(width)} }
-
-func (r *ring) reserve(t uint64) uint64 {
-	if t < r.base {
-		t = r.base
-	}
-	for {
-		if t >= r.base+uint64(len(r.used)) {
-			for i := range r.used {
-				r.used[i] = 0
-			}
-			r.base = t
-		}
-		i := (t - r.base) % uint64(len(r.used))
-		if r.used[i] < r.cap {
-			r.used[i]++
-			return t
-		}
-		t++
-	}
-}
-
 type recentStore struct {
 	addr uint64
 	size uint8
@@ -134,10 +107,10 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 	btb := make([]uint64, cfg.BTBEntries)
 	var ghist uint64
 
-	issue := newRing(cfg.IssueWidth)
-	loadPort := newRing(1)
-	storePort := newRing(1)
-	commitRing := newRing(cfg.CommitWidth)
+	issue := noc.NewRing(0, cfg.IssueWidth, cfg.IssueWidth)
+	loadPort := noc.NewRing(0, 1, 1)
+	storePort := noc.NewRing(0, 1, 1)
+	commitRing := noc.NewRing(0, cfg.CommitWidth, cfg.CommitWidth)
 
 	stores := make([]recentStore, 0, 64)
 	addStore := func(s recentStore) {
@@ -236,19 +209,19 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 					break
 				}
 			}
-			at := loadPort.reserve(issue.reserve(ready))
+			at := loadPort.Reserve(issue.Reserve(ready, false), false)
 			if forward {
 				done[i] = at + 1
 			} else {
 				done[i] = memAccess(e.Addr, at)
 			}
 		case e.IsStore:
-			at := storePort.reserve(issue.reserve(ready))
+			at := storePort.Reserve(issue.Reserve(ready, false), false)
 			done[i] = at + 1
 			memAccess(e.Addr, at) // warms the cache; store buffer hides latency
 			addStore(recentStore{addr: e.Addr, size: e.Size, done: done[i]})
 		case e.IsBranch:
-			at := issue.reserve(ready)
+			at := issue.Reserve(ready, false)
 			done[i] = at + cfg.IntLat
 			// Prediction.
 			idx := (e.PC ^ ghist) & uint64(len(gshare)-1)
@@ -281,7 +254,7 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 				fetchSlots = 0
 			}
 		default:
-			at := issue.reserve(ready)
+			at := issue.Reserve(ready, false)
 			done[i] = at + opLat(e)
 		}
 
@@ -290,7 +263,7 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 		if lastCommit > c {
 			c = lastCommit
 		}
-		c = commitRing.reserve(c)
+		c = commitRing.Reserve(c, false)
 		commit[i] = c
 		lastCommit = c
 	}

@@ -59,13 +59,12 @@ func Table1() string {
 
 // Fig5Data holds the TRIPS-vs-conventional comparison.
 type Fig5Data struct {
-	Relative map[string]float64 // per kernel: conventional cycles / TRIPS cycles
-	SuiteGeo map[string]float64 // per suite geomean
+	SuiteGeo map[string]float64 // per suite geomean of conventional cycles / TRIPS cycles
 }
 
 // Fig5 runs the baseline-validation comparison.
 func (s *Suite) Fig5() (Fig5Data, string, error) {
-	d := Fig5Data{Relative: map[string]float64{}, SuiteGeo: map[string]float64{}}
+	d := Fig5Data{SuiteGeo: map[string]float64{}}
 	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.spec(cfgCore2, k.Name, 0), s.spec(cfgTRIPS, k.Name, 0))
@@ -79,7 +78,6 @@ func (s *Suite) Fig5() (Fig5Data, string, error) {
 		c2 := s.have(s.spec(cfgCore2, k.Name, 0))
 		tr := s.have(s.spec(cfgTRIPS, k.Name, 0))
 		rel := float64(c2.Cycles) / float64(tr.Cycles)
-		d.Relative[k.Name] = rel
 		suiteVals[k.Suite] = append(suiteVals[k.Suite], rel)
 		t.Row(k.Name, k.Suite, c2.Cycles, tr.Cycles, rel)
 	}
@@ -98,10 +96,7 @@ func (s *Suite) Fig5() (Fig5Data, string, error) {
 // kernel on every composition size and on TRIPS, normalized to the
 // kernel's 1-core run, with the per-kernel best size and the geomeans.
 type sweepTable struct {
-	perKernel map[string]map[int]float64 // kernel -> cores -> metric
-	trips     map[string]float64         // kernel -> metric on TRIPS
-	best      map[string]float64
-	bestSize  map[string]int
+	bestSize map[string]int // kernel -> size with the highest metric
 
 	avgBySize map[int]float64 // geomean per fixed size
 	avgBest   float64
@@ -119,9 +114,6 @@ type sweepTable struct {
 // Figure 6's "ilp" and "BEST" columns.
 func (s *Suite) sweep(caption string, detail bool, metric func(base, r RunResult, cores int) float64) (sweepTable, error) {
 	d := sweepTable{
-		perKernel: map[string]map[int]float64{},
-		trips:     map[string]float64{},
-		best:      map[string]float64{},
 		bestSize:  map[string]int{},
 		avgBySize: map[int]float64{},
 	}
@@ -154,11 +146,9 @@ func (s *Suite) sweep(caption string, detail bool, metric func(base, r RunResult
 		if detail {
 			row = append(row, ilpTag(k))
 		}
-		m := map[int]float64{}
 		best, bestN := 0.0, 1
 		for _, n := range s.Sizes {
 			v := metric(base, s.have(s.spec(cfgTFlex, k.Name, n)), n)
-			m[n] = v
 			bySize[n] = append(bySize[n], v)
 			if v > best {
 				best, bestN = v, n
@@ -166,9 +156,6 @@ func (s *Suite) sweep(caption string, detail bool, metric func(base, r RunResult
 			row = append(row, v)
 		}
 		tv := metric(base, s.have(s.spec(cfgTRIPS, k.Name, 0)), 0)
-		d.perKernel[k.Name] = m
-		d.trips[k.Name] = tv
-		d.best[k.Name] = best
 		d.bestSize[k.Name] = bestN
 		bests = append(bests, best)
 		tripsVals = append(tripsVals, tv)
@@ -198,10 +185,7 @@ func (s *Suite) sweep(caption string, detail bool, metric func(base, r RunResult
 
 // Fig6Data holds the composition performance sweep.
 type Fig6Data struct {
-	Speedup  map[string]map[int]float64 // kernel -> cores -> speedup over 1 core
-	TRIPSRel map[string]float64         // kernel -> TRIPS speedup over 1-core TFlex
-	Best     map[string]float64
-	BestSize map[string]int
+	BestSize map[string]int // kernel -> its fastest composition size
 
 	AvgBySize     map[int]float64 // geomean speedup per fixed size
 	AvgBest       float64
@@ -214,8 +198,7 @@ func (s *Suite) Fig6() (Fig6Data, string, error) {
 	t, err := s.sweep("averages (geomean speedup over 1-core TFlex)", true,
 		func(base, r RunResult, _ int) float64 { return float64(base.Cycles) / float64(r.Cycles) })
 	d := Fig6Data{
-		Speedup: t.perKernel, TRIPSRel: t.trips, Best: t.best, BestSize: t.bestSize,
-		AvgBySize: t.avgBySize, AvgBest: t.avgBest, AvgTRIPS: t.avgTRIPS, BestFixedSize: t.bestFixed,
+		BestSize: t.bestSize, AvgBySize: t.avgBySize, AvgBest: t.avgBest, AvgTRIPS: t.avgTRIPS, BestFixedSize: t.bestFixed,
 	}
 	if err != nil {
 		return d, "", err
@@ -238,6 +221,18 @@ func ilpTag(k kernels.Kernel) string {
 // Table2 prints the area breakdown and the average power breakdown for
 // TRIPS and an 8-core TFlex processor.
 func (s *Suite) Table2() (string, error) {
+	_, out, err := s.table2()
+	return out, err
+}
+
+// table2Data holds Table 2's suite-average power.
+type table2Data struct {
+	tflex8W, tripsW float64 // total watts
+	tflex8Leak      float64 // TFlex-8 leakage watts
+}
+
+func (s *Suite) table2() (table2Data, string, error) {
+	var d table2Data
 	at := stats.NewTable("component", "area (mm², 130nm)")
 	for _, c := range area.TFlexCore() {
 		at.Row("TFlex core: "+c.Name, c.MM2)
@@ -255,7 +250,7 @@ func (s *Suite) Table2() (string, error) {
 		specs = append(specs, s.spec(cfgTFlex, k.Name, 8), s.spec(cfgTRIPS, k.Name, 0))
 	}
 	if err := s.Prefetch(specs); err != nil {
-		return "", err
+		return d, "", err
 	}
 	var tflexW, tripsW []float64
 	var tflexSum, tripsSum [8]float64
@@ -278,16 +273,14 @@ func (s *Suite) Table2() (string, error) {
 	for i, name := range names {
 		pt.Row(name, tflexSum[i]/float64(n), tripsSum[i]/float64(n))
 	}
-	pt.Row("total", stats.Mean(tflexW), stats.Mean(tripsW))
-	return at.String() + "\naverage power across the suite:\n" + pt.String(), nil
+	d.tflex8W, d.tripsW, d.tflex8Leak = stats.Mean(tflexW), stats.Mean(tripsW), tflexSum[7]/float64(n)
+	pt.Row("total", d.tflex8W, d.tripsW)
+	return d, at.String() + "\naverage power across the suite:\n" + pt.String(), nil
 }
 
 // Fig7Data holds performance/area results.
 type Fig7Data struct {
-	PerKernel map[string]map[int]float64 // normalized to 1-core TFlex
-	AvgBySize map[int]float64
-	AvgTRIPS  float64
-	BestSizes map[string]int
+	AvgBySize map[int]float64 // geomean perf/area normalized to 1-core TFlex
 }
 
 // Fig7 computes performance per area: 1/(cycles x mm²).
@@ -300,14 +293,12 @@ func (s *Suite) Fig7() (Fig7Data, string, error) {
 	}
 	t, err := s.sweep("geomean perf/area (normalized to 1-core TFlex)", false,
 		func(base, r RunResult, cores int) float64 { return perArea(r, cores) / perArea(base, 1) })
-	d := Fig7Data{PerKernel: t.perKernel, AvgBySize: t.avgBySize, AvgTRIPS: t.avgTRIPS, BestSizes: t.bestSize}
-	return d, t.text, err
+	return Fig7Data{AvgBySize: t.avgBySize}, t.text, err
 }
 
 // Fig8Data holds power-efficiency results.
 type Fig8Data struct {
-	PerKernel map[string]map[int]float64 // perf²/W normalized to 1-core
-	AvgBySize map[int]float64
+	AvgBySize map[int]float64 // geomean perf²/W normalized to 1-core TFlex
 	AvgBest   float64
 	AvgTRIPS  float64
 	BestFixed int
@@ -321,8 +312,8 @@ func (s *Suite) Fig8() (Fig8Data, string, error) {
 	t, err := s.sweep("geomean perf²/W (normalized to 1-core TFlex)", false,
 		func(base, r RunResult, _ int) float64 { return perf2PerWatt(r) / perf2PerWatt(base) })
 	d := Fig8Data{
-		PerKernel: t.perKernel, AvgBySize: t.avgBySize,
-		AvgBest: t.avgBest, AvgTRIPS: t.avgTRIPS, BestFixed: t.bestFixed,
+		AvgBySize: t.avgBySize,
+		AvgBest:   t.avgBest, AvgTRIPS: t.avgTRIPS, BestFixed: t.bestFixed,
 	}
 	if err != nil {
 		return d, "", err
@@ -461,12 +452,11 @@ func (s *Suite) Fig9x() (Fig9xData, string, error) {
 // HandshakeData holds the §6.4 instantaneous-handshake ablation.
 type HandshakeData struct {
 	AvgGain float64 // speedup of zero-handshake over normal at 32 cores
-	PerApp  map[string]float64
 }
 
 // Handshake runs the instantaneous-handshake ablation at 32 cores.
 func (s *Suite) Handshake() (HandshakeData, string, error) {
-	d := HandshakeData{PerApp: map[string]float64{}}
+	var d HandshakeData
 	var specs []Spec
 	for _, k := range kernels.All() {
 		specs = append(specs, s.spec(cfgTFlex, k.Name, 32), s.spec(cfgZeroHS, k.Name, 32))
@@ -480,7 +470,6 @@ func (s *Suite) Handshake() (HandshakeData, string, error) {
 		normal := s.have(s.spec(cfgTFlex, k.Name, 32))
 		zero := s.have(s.spec(cfgZeroHS, k.Name, 32))
 		g := float64(normal.Cycles) / float64(zero.Cycles)
-		d.PerApp[k.Name] = g
 		gains = append(gains, g)
 		t.Row(k.Name, normal.Cycles, zero.Cycles, g)
 	}
@@ -493,15 +482,13 @@ func (s *Suite) Handshake() (HandshakeData, string, error) {
 
 // Fig10Data holds the multiprogrammed weighted-speedup comparison.
 type Fig10Data struct {
-	Sizes      []int
-	TFlexWS    map[int]float64 // workload size -> average WS
-	CMPWS      map[int]map[int]float64
-	VBWS       map[int]float64
+	TFlexWS    map[int]float64         // workload size -> average WS
+	CMPWS      map[int]map[int]float64 // workload size -> cores per CMP core -> average WS
 	AvgTFlex   float64
 	AvgVB      float64
 	BestCMPAvg float64
 	BestCMPK   int
-	MaxGain    float64                 // max TFlex gain over best fixed CMP
+	MaxGain    float64                 // max over workload sizes of TFlex WS / CMP-BestCMPK WS
 	Fractions  map[int]map[int]float64 // workload size -> granularity -> fraction
 }
 
@@ -522,11 +509,10 @@ func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 		curves[k.Name] = s.speedups(k.Name)
 	}
 	cmpKs := []int{1, 2, 4, 8, 16}
+	sizes := []int{2, 4, 6, 8, 12, 16}
 	d := Fig10Data{
-		Sizes:     []int{2, 4, 6, 8, 12, 16},
 		TFlexWS:   map[int]float64{},
 		CMPWS:     map[int]map[int]float64{},
-		VBWS:      map[int]float64{},
 		Fractions: map[int]map[int]float64{},
 	}
 	header := []string{"threads", "TFlex"}
@@ -538,11 +524,10 @@ func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 
 	cmpSums := map[int]float64{}
 	var tflexSum, vbSum float64
-	var maxGain float64
 	seed := uint64(20070612)
 	lcg := func() uint64 { seed = seed*6364136223846793005 + 1442695040888963407; return seed >> 17 }
 
-	for _, size := range d.Sizes {
+	for _, size := range sizes {
 		var tws, vws float64
 		cws := map[int]float64{}
 		fracs := map[int]float64{}
@@ -566,7 +551,6 @@ func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 		}
 		n := float64(workloadsPerSize)
 		d.TFlexWS[size] = tws / n
-		d.VBWS[size] = vws / n
 		d.CMPWS[size] = map[int]float64{}
 		row := []any{size, tws / n}
 		for _, k := range cmpKs {
@@ -578,21 +562,12 @@ func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 		t.Row(row...)
 		tflexSum += tws / n
 		vbSum += vws / n
-		bestFixed := 0.0
-		for _, k := range cmpKs {
-			if cws[k]/n > bestFixed {
-				bestFixed = cws[k] / n
-			}
-		}
-		if gain := (tws / n) / bestFixed; gain > maxGain {
-			maxGain = gain
-		}
 		d.Fractions[size] = map[int]float64{}
 		for g, c := range fracs {
 			d.Fractions[size][g] = c / float64(assignCount)
 		}
 	}
-	nSizes := float64(len(d.Sizes))
+	nSizes := float64(len(sizes))
 	d.AvgTFlex = tflexSum / nSizes
 	d.AvgVB = vbSum / nSizes
 	for _, k := range cmpKs {
@@ -601,15 +576,17 @@ func (s *Suite) Fig10(workloadsPerSize int) (Fig10Data, string, error) {
 			d.BestCMPK = k
 		}
 	}
-	d.MaxGain = maxGain
+	for _, size := range sizes {
+		d.MaxGain = max(d.MaxGain, d.TFlexWS[size]/d.CMPWS[size][d.BestCMPK])
+	}
 
 	out := "Figure 10: average weighted speedup per workload size\n" + t.String()
 	out += fmt.Sprintf("\nAVG: TFlex %.3f, best fixed CMP-%d %.3f (TFlex %+.1f%%, max %+.1f%%), VB-CMP %.3f (TFlex %+.1f%%)\n",
 		d.AvgTFlex, d.BestCMPK, d.BestCMPAvg,
-		100*(d.AvgTFlex/d.BestCMPAvg-1), 100*(maxGain-1),
+		100*(d.AvgTFlex/d.BestCMPAvg-1), 100*(d.MaxGain-1),
 		d.AvgVB, 100*(d.AvgTFlex/d.AvgVB-1))
 	out += "\nallocation fractions (workload size -> granularity -> fraction of apps):\n"
-	for _, size := range d.Sizes {
+	for _, size := range sizes {
 		var parts []string
 		for _, g := range []int{1, 2, 4, 8, 16, 32} {
 			if f := d.Fractions[size][g]; f > 0 {

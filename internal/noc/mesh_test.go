@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -204,21 +205,27 @@ func TestReservationWindowAdvance(t *testing.T) {
 // TestRingFootprint holds a ring to the size of what it counts: what a
 // link allocates on its first flit is a count field just wide enough for
 // the capacity, and the header is small enough that a mesh's 128 links,
-// touched or not, stay cheap.
+// touched or not, stay cheap.  TotalAlloc also counts what other
+// goroutines allocate meanwhile, which only adds, so the test keeps the
+// smallest of a few measurements.
 func TestRingFootprint(t *testing.T) {
 	for _, c := range []struct {
 		capacity uint16
 		max      uint64
 	}{{1, 1 << 10}, {3, 2 << 10}, {MaxSlotCount, 8 << 10}} {
 		const rings = 16
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < rings; i++ {
-			var l link
-			l.reserve(0, c.capacity)
+		n := uint64(math.MaxUint64)
+		for try := 0; try < 5; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < rings; i++ {
+				var l link
+				l.reserve(0, c.capacity)
+			}
+			runtime.ReadMemStats(&after)
+			n = min(n, (after.TotalAlloc-before.TotalAlloc)/rings)
 		}
-		runtime.ReadMemStats(&after)
-		if n := (after.TotalAlloc - before.TotalAlloc) / rings; n > c.max {
+		if n > c.max {
 			t.Errorf("a ring of capacity %d allocates %d bytes, want <= %d", c.capacity, n, c.max)
 		}
 	}

@@ -13,7 +13,9 @@ const MaxSlotCount = 255
 // Ring is a reservation timeline: at most capTotal bookings per cycle, of
 // which at most capFP may be of a restricted class.  Mesh links book
 // flits on one (no restricted class); the simulator's cores book issue
-// slots on one, floating-point instructions being the restricted class.
+// slots on one, floating-point instructions being the restricted class;
+// the conventional-core model (internal/conv) books issue, port and
+// commit slots on four, with no restricted class.
 //
 // A cycle is two counts side by side — total bookings in the low field,
 // restricted-class bookings in the one above — each 1<<lg bits, the
