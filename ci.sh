@@ -33,7 +33,9 @@
 # the in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
 # TestChipSetupBudget, TestEventsPerBlock, TestEventRecordSize,
-# TestInstStateSize; TestRingFootprint in internal/noc).  No wall-time ratio is
+# TestInstStateSize; TestRingFootprint in internal/noc), and allocations
+# per marginal block of the functional executor, untraced and traced
+# (TestFunctionalAllocsPerBlock in internal/exec).  No wall-time ratio is
 # compared to a threshold: wall time is judged across commits by the
 # pipeline that runs BENCHMARK.json, under the bounds that file states.
 #
@@ -101,7 +103,7 @@ if [ "${1:-}" = "bench" ]; then
     echo "== benchmark (cmd/clpbench) =="
     go run ./cmd/clpbench "$@"
     echo "== deterministic budgets (allocs per block, set-up bytes, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint' ./internal/sim ./internal/noc
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint|TestFunctionalAllocsPerBlock' ./internal/sim ./internal/noc ./internal/exec
     exit 0
 fi
 

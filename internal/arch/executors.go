@@ -1,8 +1,9 @@
 package arch
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/conv"
@@ -137,24 +138,26 @@ func (ConvTrace) Run(p *prog.Program, in Input) (State, error) {
 	}
 	// Replay the store stream from the trace alone.  Entries within a
 	// dynamic block are in instruction-ID order; architectural commit
-	// order is LSID order, so sort each block's stores by LSID.
+	// order is LSID order, so sort each block's stores by LSID (unique
+	// within a block, so the order is total).
 	mem := exec.NewPageMem()
 	if len(in.Mem) > 0 {
 		mem.WriteBytes(in.MemBase, in.Mem)
 	}
 	sh := NewStoreHasher()
+	var stores []exec.TraceEntry
 	for bi, start := range tr.Blocks {
 		end := len(tr.Entries)
 		if bi+1 < len(tr.Blocks) {
 			end = tr.Blocks[bi+1]
 		}
-		var stores []exec.TraceEntry
+		stores = stores[:0]
 		for _, e := range tr.Entries[start:end] {
 			if e.IsStore {
 				stores = append(stores, e)
 			}
 		}
-		sort.Slice(stores, func(i, j int) bool { return stores[i].LSID < stores[j].LSID })
+		slices.SortFunc(stores, func(a, b exec.TraceEntry) int { return cmp.Compare(a.LSID, b.LSID) })
 		for _, e := range stores {
 			mem.Store(e.Addr, int(e.Size), e.Val)
 			sh.Observe(e.Addr, e.Size, e.Val)

@@ -24,6 +24,7 @@ type Machine struct {
 	OnStore func(addr uint64, size uint8, val uint64)
 
 	regSrc [isa.NumRegs]int32
+	run    blockRun // the executing block's state, reused block after block
 }
 
 // NewMachine returns a machine over the program with a fresh paged memory.
@@ -53,16 +54,17 @@ func (m *Machine) Run(maxBlocks uint64) (RunStats, error) {
 		return st, fmt.Errorf("exec: no entry block")
 	}
 	idx := m.Prog.BlockIndex(entry.Addr)
+	r := &m.run
+	r.mem, r.trace, r.regSrc = m.Mem, m.Trace, nil
+	if m.Trace != nil {
+		r.regSrc = &m.regSrc
+	}
 	for {
 		if st.Blocks >= maxBlocks {
 			return st, fmt.Errorf("exec: exceeded %d blocks without halting", maxBlocks)
 		}
-		var regSrc *[isa.NumRegs]int32
-		if m.Trace != nil {
-			regSrc = &m.regSrc
-		}
 		lk := m.Prog.Linked(idx)
-		res, err := runBlock(lk, &m.Regs, m.Mem, m.Trace, regSrc)
+		res, err := r.runBlock(lk, &m.Regs)
 		if err != nil {
 			return st, err
 		}
@@ -77,7 +79,7 @@ func (m *Machine) Run(maxBlocks uint64) (RunStats, error) {
 		for _, w := range res.Writes {
 			m.Regs[w.Reg] = w.Val
 		}
-		for id := int8(0); id < isa.MaxMemOps; id++ {
+		for id := int8(0); id < lk.MaxLSID; id++ {
 			for _, s := range res.Stores {
 				if s.LSID == id {
 					m.Mem.Store(s.Addr, int(s.Size), s.Val)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
@@ -48,28 +49,27 @@ const (
 	stDead     // an operand can never arrive
 )
 
+// slotState is one operand slot's dynamic half; whether the instruction
+// waits on it is read from prog.Linked.
 type slotState struct {
-	got  bool
-	val  uint64
-	src  int32 // trace index of producing entry (-1 unknown)
-	rem  int   // producers that have not yet fired or died
-	need bool
+	val uint64
+	src int32 // trace index of producing entry (-1 unknown)
+	rem int16 // producers that have not yet fired or died
+	got bool
 }
 
 type instState struct {
-	status     instStatus
-	left       slotState
-	right      slotState
-	pred       slotState
-	predOK     bool
-	deferredLd bool
+	left, right, pred slotState
+	out               int32 // trace index of the value the instruction sends (-1 unknown)
+	status            instStatus
+	predOK            bool
 }
 
 type writeState struct {
-	got bool
 	val uint64
 	src int32
-	rem int
+	rem int16
+	got bool
 }
 
 type lsidState uint8
@@ -81,7 +81,10 @@ const (
 	lsDead
 )
 
-// blockRun holds the in-flight dataflow state for one block execution.
+// blockRun holds the in-flight dataflow state of the block a Machine is
+// executing.  It lives on the Machine and is reused block after block:
+// reset re-establishes every field an execution reads from the block's
+// prog.Linked, and slice capacity is the only state that survives.
 type blockRun struct {
 	lk    *prog.Linked // the block's decoded form, shared and read-only
 	b     *isa.Block   // lk.Block
@@ -91,17 +94,17 @@ type blockRun struct {
 	lsid  [isa.MaxMemOps]lsidState
 
 	stores   []StoreOp
-	storeSrc []int32 // per stores entry: trace index of value producer
 	res      BlockResult
 	branched bool
 
 	pendingLoads []int
 	queue        []delivery
+	head         int // next queue entry to deliver
 
 	trace    *Trace
 	regSrc   *[isa.NumRegs]int32 // machine-level: last writer trace index per register
 	firedIDs []int               // instruction IDs in firing order (for tracing)
-	instSrc  []int32             // trace index produced by each fired inst (or forwarded)
+	global   []int32             // per instruction ID: its entry's trace index (emitTrace)
 }
 
 type delivery struct {
@@ -113,37 +116,67 @@ type delivery struct {
 
 var errTwoValues = fmt.Errorf("two values arrived at one operand slot (predication not complementary)")
 
-// runBlock executes one linked block architecturally and returns its
-// outputs.  Register writes and stores are NOT applied; the caller commits
-// them.
-func runBlock(lk *prog.Linked, regs *[isa.NumRegs]uint64, mem Mem, trace *Trace, regSrc *[isa.NumRegs]int32) (*BlockResult, error) {
-	b := lk.Block
-	r := &blockRun{
-		lk: lk, b: b, mem: mem,
-		insts:   make([]instState, len(lk.Insts)),
-		wr:      make([]writeState, len(lk.WriteProducers)),
-		trace:   trace,
-		regSrc:  regSrc,
-		instSrc: make([]int32, len(lk.Insts)),
-	}
-	// State is kept for live slots only: Validate rejects a target field
-	// naming an unused one.
+// reset prepares r to execute lk.  State is kept for live slots only:
+// Validate rejects a target field naming an unused one, so no other slot
+// is ever read.
+func (r *blockRun) reset(lk *prog.Linked) {
+	r.lk, r.b = lk, lk.Block
+	r.insts = grow(r.insts, len(lk.Insts))
 	for _, i := range lk.Live {
-		li, st := &lk.Insts[i], &r.insts[i]
-		st.left.need, st.left.rem = li.Left.Need, int(li.Left.Producers)
-		st.right.need, st.right.rem = li.Right.Need, int(li.Right.Producers)
-		st.pred.need, st.pred.rem = li.Pred.Need, int(li.Pred.Producers)
-		r.instSrc[i] = -1
+		li := &lk.Insts[i]
+		r.insts[i] = instState{
+			left:  slotState{rem: int16(li.Left.Producers)},
+			right: slotState{rem: int16(li.Right.Producers)},
+			pred:  slotState{rem: int16(li.Pred.Producers)},
+			out:   -1,
+		}
 	}
+	r.wr = grow(r.wr, len(lk.WriteProducers))
 	for i, n := range lk.WriteProducers {
-		r.wr[i].rem = int(n)
+		r.wr[i] = writeState{rem: int16(n)}
 	}
+	r.lsid = [isa.MaxMemOps]lsidState{}
+	// The lists are emptied with room for the most the block can add, so
+	// none grows inside a block: each read or live instruction sends at
+	// most MaxTargets deliveries, once.
+	r.stores = reserve(r.stores, bits.OnesCount32(lk.StoreMask))
+	r.res = BlockResult{Writes: reserve(r.res.Writes, len(lk.WriteProducers))}
+	r.branched = false
+	r.pendingLoads = r.pendingLoads[:0]
+	r.queue, r.head = reserve(r.queue, isa.MaxTargets*(len(r.b.Reads)+len(lk.Live))), 0
+	r.firedIDs = reserve(r.firedIDs, len(lk.Live))
+}
+
+// grow returns s resliced to n elements, reallocated only when its
+// capacity is short.  Elements are not cleared.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reserve returns s emptied, reallocated only when it has room for fewer
+// than n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// runBlock executes one linked block architecturally and returns its
+// outputs, valid until the next call.  Register writes and stores are NOT
+// applied; the caller commits them.
+func (r *blockRun) runBlock(lk *prog.Linked, regs *[isa.NumRegs]uint64) (*BlockResult, error) {
+	r.reset(lk)
+	b := r.b
 	// Seed: register reads deliver, and zero-operand unpredicated
 	// instructions fire immediately.
 	for _, rd := range b.Reads {
 		src := int32(-1)
-		if regSrc != nil {
-			src = regSrc[rd.Reg]
+		if r.regSrc != nil {
+			src = r.regSrc[rd.Reg]
 		}
 		for _, t := range rd.Targets {
 			r.queue = append(r.queue, delivery{target: t, val: regs[rd.Reg], src: src})
@@ -189,9 +222,9 @@ func runBlock(lk *prog.Linked, regs *[isa.NumRegs]uint64, mem Mem, trace *Trace,
 }
 
 func (r *blockRun) drain() error {
-	for len(r.queue) > 0 {
-		d := r.queue[0]
-		r.queue = r.queue[1:]
+	for r.head < len(r.queue) {
+		d := r.queue[r.head]
+		r.head++
 		if err := r.deliver(d); err != nil {
 			return err
 		}
@@ -254,17 +287,17 @@ func (r *blockRun) deliver(d delivery) error {
 }
 
 func (r *blockRun) ready(idx int) bool {
-	st := &r.insts[idx]
+	st, li := &r.insts[idx], &r.lk.Insts[idx]
 	if st.status != stWaiting {
 		return false
 	}
-	if st.left.need && !st.left.got {
+	if li.Left.Need && !st.left.got {
 		return false
 	}
-	if st.right.need && !st.right.got {
+	if li.Right.Need && !st.right.got {
 		return false
 	}
-	if st.pred.need && !st.predOK {
+	if li.Pred.Need && !st.predOK {
 		return false
 	}
 	return true
@@ -300,7 +333,6 @@ func (r *blockRun) fire(idx int) error {
 	case in.Op == isa.OpLoad:
 		// Defer until all older stores are resolved.
 		if !r.oldStoresResolved(in.LSID) {
-			st.deferredLd = true
 			r.pendingLoads = append(r.pendingLoads, idx)
 			return nil
 		}
@@ -315,7 +347,6 @@ func (r *blockRun) fire(idx int) error {
 		}
 		r.lsid[in.LSID] = lsStored
 		r.stores = append(r.stores, StoreOp{LSID: in.LSID, Addr: addr, Size: in.MemSize, Val: st.right.val})
-		r.storeSrc = append(r.storeSrc, st.right.src)
 		r.res.Fired++
 		r.res.Useful++
 		r.firedIDs = append(r.firedIDs, idx)
@@ -351,10 +382,10 @@ func (r *blockRun) fire(idx int) error {
 		r.res.Fired++
 		if in.Op == isa.OpMov {
 			// Movs forward their producer's trace identity.
-			r.instSrc[idx] = st.left.src
+			st.out = st.left.src
 		} else {
 			r.res.Useful++
-			r.instSrc[idx] = localSrc(idx)
+			st.out = localSrc(idx)
 			r.firedIDs = append(r.firedIDs, idx)
 		}
 		r.send(idx, val)
@@ -373,7 +404,7 @@ func (r *blockRun) fireLoad(idx int) error {
 	r.res.Fired++
 	r.res.Useful++
 	r.res.Loads++
-	r.instSrc[idx] = localSrc(idx)
+	st.out = localSrc(idx)
 	r.firedIDs = append(r.firedIDs, idx)
 	r.send(idx, val)
 	return nil
@@ -469,7 +500,7 @@ func (r *blockRun) retryLoads() error {
 
 func (r *blockRun) send(idx int, val uint64) {
 	in := &r.b.Insts[idx]
-	src := r.instSrc[idx]
+	src := r.insts[idx].out
 	for _, t := range in.Targets {
 		r.queue = append(r.queue, delivery{target: t, val: val, src: src})
 	}

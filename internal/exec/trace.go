@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"slices"
+
 	"github.com/clp-sim/tflex/internal/isa"
 )
 
@@ -51,40 +53,34 @@ func (t *Trace) limit() int {
 // are appended to the trace.
 func localSrc(idx int) int32 { return int32(-(idx + 2)) }
 
+// emitTrace appends the block's fired instructions to the trace in
+// program order.  Once a block has been dropped for exceeding the limit,
+// tracing stops for good: a later, smaller block would leave a hole and
+// resolve its register sources against a stale regSrc.
 func (r *blockRun) emitTrace() {
-	if r.trace == nil {
+	t := r.trace
+	if t == nil || t.Truncated {
 		return
 	}
-	t := r.trace
-	// Program order: instruction IDs ascending.
-	ids := append([]int(nil), r.firedIDs...)
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	local2global := make(map[int]int32, len(ids))
-	resolve := func(src int32) int32 {
-		if src >= -1 {
-			return src
-		}
-		idx := int(-(src + 2))
-		if g, ok := local2global[idx]; ok {
-			return g
-		}
-		return -1
-	}
+	// Program order: instruction IDs ascending (they are distinct).
+	ids := r.firedIDs
+	slices.Sort(ids)
 	base := len(t.Entries)
 	if base+len(ids) > t.limit() {
 		t.Truncated = true
 		return // stop tracing; callers check Truncated
 	}
 	t.Blocks = append(t.Blocks, base)
+	// Every local source names a fired producer, so it is in ids.  One not
+	// yet appended (a higher ID than its consumer) resolves to -1.
+	r.global = grow(r.global, len(r.b.Insts))
+	for _, idx := range ids {
+		r.global[idx] = -1
+	}
 	for _, idx := range ids {
 		in := &r.b.Insts[idx]
-		st := &r.insts[idx]
-		g := int32(len(t.Entries))
-		local2global[idx] = g
+		st, li := &r.insts[idx], &r.lk.Insts[idx]
+		r.global[idx] = int32(len(t.Entries))
 		e := TraceEntry{
 			Op:   in.Op,
 			PC:   r.b.Addr + uint64(idx)*4,
@@ -96,36 +92,36 @@ func (r *blockRun) emitTrace() {
 			e.Addr = st.left.val + uint64(in.Imm)
 			e.Size = in.MemSize
 			e.LSID = in.LSID
-			e.Src1 = resolve(st.left.src)
+			e.Src1 = r.resolve(st.left.src)
 		case in.Op == isa.OpStore:
 			e.IsStore = true
 			e.Addr = st.left.val + uint64(in.Imm)
 			e.Size = in.MemSize
 			e.Val = st.right.val
 			e.LSID = in.LSID
-			e.Src1 = resolve(st.left.src)
-			e.Src2 = resolve(st.right.src)
+			e.Src1 = r.resolve(st.left.src)
+			e.Src2 = r.resolve(st.right.src)
 		case in.Op.IsBranch():
 			e.IsBranch = true
 			e.Target = r.res.Branch.Target
 			// Taken if the target is not the next sequential block.
 			e.Taken = r.res.Branch.Target != r.b.Addr+uint64(isa.BlockBytes)
-			e.Src1 = resolve(st.left.src)
+			e.Src1 = r.resolve(st.left.src)
 			e.Src2 = -1
 		default:
 			e.Src1 = -1
 			e.Src2 = -1
-			if st.left.need {
-				e.Src1 = resolve(st.left.src)
+			if li.Left.Need {
+				e.Src1 = r.resolve(st.left.src)
 			}
-			if st.right.need {
-				e.Src2 = resolve(st.right.src)
+			if li.Right.Need {
+				e.Src2 = r.resolve(st.right.src)
 			}
 		}
 		if in.Pred != isa.PredNone && e.Src2 < 0 {
 			// The predicate is a real data dependence in conventional code
 			// (it would be a compare+cmov or branch); model it as a source.
-			e.Src2 = resolve(st.pred.src)
+			e.Src2 = r.resolve(st.pred.src)
 		}
 		t.Entries = append(t.Entries, e)
 	}
@@ -133,8 +129,16 @@ func (r *blockRun) emitTrace() {
 	if r.regSrc != nil {
 		for i := range r.wr {
 			if r.wr[i].got {
-				r.regSrc[r.b.Writes[i].Reg] = resolve(r.wr[i].src)
+				r.regSrc[r.b.Writes[i].Reg] = r.resolve(r.wr[i].src)
 			}
 		}
 	}
+}
+
+// resolve maps a source in the block-run encoding to a global trace index.
+func (r *blockRun) resolve(src int32) int32 {
+	if src >= -1 {
+		return src
+	}
+	return r.global[-(src + 2)]
 }

@@ -134,6 +134,9 @@ func conventional(inst *kernels.Instance) (RunResult, error) {
 	if err := inst.Check(&m.Regs, m.Mem.(*exec.PageMem)); err != nil {
 		return RunResult{}, err
 	}
+	if m.Trace.Truncated {
+		return RunResult{}, fmt.Errorf("conventional: trace truncated at %d entries", len(m.Trace.Entries))
+	}
 	return RunResult{Cycles: conv.Run(m.Trace.Entries, conv.DefaultConfig()).Cycles}, nil
 }
 

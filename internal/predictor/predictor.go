@@ -66,18 +66,6 @@ type corePred struct {
 	ctb     []uint64
 }
 
-func newCorePred(p compose.CoreParams) *corePred {
-	return &corePred{
-		localL1: make([]uint16, p.LocalL1Entries),
-		localL2: make([]entry, p.LocalL2Entries),
-		global:  make([]entry, p.GlobalEntries),
-		choice:  make([]uint8, p.ChoiceEntries),
-		btype:   make([]uint8, p.BtypeEntries),
-		btb:     make([]uint64, p.BTBEntries),
-		ctb:     make([]uint64, p.CTBEntries),
-	}
-}
-
 // Stats counts predictor events.  Hits and Mispredicts count trained
 // (committed) outcomes only, so Hits+Mispredicts is the number of blocks
 // the accuracy is measured over; Predictions also includes wrong-path
@@ -129,7 +117,7 @@ type Prediction struct {
 // Composed is the logical predictor of one composed processor.
 type Composed struct {
 	params compose.CoreParams
-	cores  []*corePred
+	cores  []corePred
 
 	// Distributed RAS: entry i lives on participating core i/RASEntries.
 	ras    []uint64
@@ -139,12 +127,33 @@ type Composed struct {
 }
 
 // NewComposed builds the logical predictor over n participating cores.
-func NewComposed(params compose.CoreParams, n int) *Composed {
-	c := &Composed{params: params, ras: make([]uint64, params.RASEntries*n)}
-	for i := 0; i < n; i++ {
-		c.cores = append(c.cores, newCorePred(params))
+// The n banks' tables share one backing array per element type.
+func NewComposed(p compose.CoreParams, n int) *Composed {
+	l1 := make([]uint16, n*p.LocalL1Entries)
+	entries := make([]entry, n*(p.LocalL2Entries+p.GlobalEntries))
+	bytes := make([]uint8, n*(p.ChoiceEntries+p.BtypeEntries))
+	words := make([]uint64, n*(p.BTBEntries+p.CTBEntries+p.RASEntries))
+	c := &Composed{params: p, cores: make([]corePred, n)}
+	for i := range c.cores {
+		c.cores[i] = corePred{
+			localL1: carve(&l1, p.LocalL1Entries),
+			localL2: carve(&entries, p.LocalL2Entries),
+			global:  carve(&entries, p.GlobalEntries),
+			choice:  carve(&bytes, p.ChoiceEntries),
+			btype:   carve(&bytes, p.BtypeEntries),
+			btb:     carve(&words, p.BTBEntries),
+			ctb:     carve(&words, p.CTBEntries),
+		}
 	}
+	c.ras = words
 	return c
+}
+
+// carve takes the next n elements off the front of *slab.
+func carve[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // N returns the number of composed predictor banks.
@@ -181,7 +190,7 @@ func (c *Composed) TopCore() int {
 func (c *Composed) Predict(blockAddr uint64, hist History) (Prediction, History) {
 	c.Stats.Predictions++
 	owner := c.OwnerOf(blockAddr)
-	cp := c.cores[owner]
+	cp := &c.cores[owner]
 	h := blockHash(blockAddr)
 
 	li := int(h % uint64(len(cp.localL1)))
@@ -246,7 +255,7 @@ func (c *Composed) Predict(blockAddr uint64, hist History) (Prediction, History)
 // Repair undoes the speculative updates of a flushed prediction.  Flushed
 // predictions must be repaired youngest-first.
 func (c *Composed) Repair(p *Prediction) {
-	cp := c.cores[p.owner]
+	cp := &c.cores[p.owner]
 	cp.localL1[p.localIdx] = p.localOld
 	if p.rasMoved {
 		if p.Type == isa.BranchCall {
@@ -271,7 +280,7 @@ func (c *Composed) Resolve(p *Prediction, actualExit uint8, actualType isa.Branc
 	c.Train(p, actualExit, actualType, actualTarget)
 	fixed = p.hist.push(actualExit)
 	if !correct {
-		cp := c.cores[p.owner]
+		cp := &c.cores[p.owner]
 		if p.Exit != actualExit {
 			cp.localL1[p.localIdx] = p.localOld<<3 | uint16(actualExit&7)
 		}
@@ -291,7 +300,7 @@ func (c *Composed) Mispredicted(p *Prediction, actualTarget uint64) bool {
 // restart.
 func (c *Composed) RepairAfterMiss(p *Prediction, actualExit uint8, actualType isa.BranchType) History {
 	c.Stats.Flushes++
-	cp := c.cores[p.owner]
+	cp := &c.cores[p.owner]
 	cp.localL1[p.localIdx] = p.localOld<<3 | uint16(actualExit&7)
 	c.CorrectRAS(p.blockAddr, actualType)
 	return p.hist.push(actualExit)
@@ -300,7 +309,7 @@ func (c *Composed) RepairAfterMiss(p *Prediction, actualExit uint8, actualType i
 // Train updates the exit, type and target tables with a block's actual
 // outcome.  Call at commit so wrong-path blocks never train.
 func (c *Composed) Train(p *Prediction, actualExit uint8, actualType isa.BranchType, actualTarget uint64) {
-	cp := c.cores[p.owner]
+	cp := &c.cores[p.owner]
 	h := blockHash(p.blockAddr)
 
 	// Train exit tables with the history values used at prediction time.
