@@ -18,7 +18,9 @@
 # multiprogrammed run must write its observer files),
 # a tflexexp artefact smoke (-progress, -metrics and -chrome-trace on
 # fig5: one progress line per simulated job, 26 job keys, one named track
-# per worker), and a one-iteration smoke of every
+# per worker; -progress and -metrics on fig9x: 72 jobs, every key a tflex
+# run carrying its critpath histograms, none a critpath row), and a
+# one-iteration smoke of every
 # benchmark so the bench harness cannot rot unnoticed.
 #
 #   ./ci.sh bench [clpbench flags]
@@ -176,7 +178,7 @@ go run ./cmd/tflexsim -kernel conv -cores 8 -procs 2 -critpath -chrome-trace "$f
 test -s "$flightdir/c.json" -a -s "$flightdir/m.json" || { echo "FAIL: -procs 2 wrote no Chrome trace or metrics file" >&2; exit 1; }
 rm -rf "$flightdir"
 
-echo "== tflexexp artefact smoke (-progress, -metrics and -chrome-trace on fig5) =="
+echo "== tflexexp artefact smoke (-progress, -metrics and -chrome-trace on fig5; fig9x) =="
 expdir=$(mktemp -d)
 go run ./cmd/tflexexp -exp fig5 -scale 1 -jobs 2 -progress -metrics "$expdir/m.json" -chrome-trace "$expdir/t.json" >/dev/null 2>"$expdir/stderr"
 test -s "$expdir/m.json" -a -s "$expdir/t.json" || { echo "FAIL: tflexexp wrote no metrics or Chrome trace file" >&2; exit 1; }
@@ -188,6 +190,18 @@ jobkeys=$(grep -c '^  "' "$expdir/m.json")
 tracks=$(grep -o '"thread_name"' "$expdir/t.json" | wc -l)
 if [ "$progress" -ne 52 ] || [ "$jobkeys" -ne 26 ] || [ "$tracks" -ne 2 ]; then
     echo "FAIL: tflexexp -exp fig5 -jobs 2 printed $progress progress lines (want 52), exported $jobkeys job keys (want 26) and $tracks thread_name records (want 2)" >&2
+    exit 1
+fi
+# Figure 9x reads the tflex sweep: 12 hand-optimized kernels x 6 sizes,
+# each a tflex job that recorded attribution.
+go run ./cmd/tflexexp -exp fig9x -scale 1 -progress -metrics "$expdir/m9x.json" >/dev/null 2>"$expdir/stderr9x"
+progress=$(grep -c '^\[' "$expdir/stderr9x")
+jobkeys=$(grep -c '^  "' "$expdir/m9x.json")
+tflexkeys=$(grep '^  "' "$expdir/m9x.json" | grep -c '/tflex-' || true)
+critkeys=$(grep -c '/critpath-' "$expdir/m9x.json" || true)
+commits=$(grep -c '"proc0.critpath.commit.count"' "$expdir/m9x.json" || true)
+if [ "$progress" -ne 72 ] || [ "$jobkeys" -ne 72 ] || [ "$tflexkeys" -ne 72 ] || [ "$critkeys" -ne 0 ] || [ "$commits" -ne 72 ]; then
+    echo "FAIL: tflexexp -exp fig9x printed $progress progress lines and exported $jobkeys job keys, $tflexkeys of them tflex, $critkeys critpath and $commits with proc0.critpath.commit.count (want 72, 72, 72, 0, 72)" >&2
     exit 1
 fi
 rm -rf "$expdir"

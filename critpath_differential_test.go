@@ -11,11 +11,14 @@ import (
 // critpath-on run and a critpath-off run must produce bit-identical
 // architectural results — same cycle count, same statistics, same
 // registers — on every kernel and composition size.  Any divergence
-// means recording leaked into a scheduling decision.
+// means recording leaked into a scheduling decision.  The experiment
+// suite's tflex row records attribution, so Figure 6's cycle counts come
+// from recorded runs: the kernels span every hand-optimized suite and the
+// sizes every composition the sweep runs.
 func TestCritPathDifferential(t *testing.T) {
-	kernels := []string{"conv", "autcor", "dither", "tblook", "mcf"}
+	kernels := []string{"conv", "ct", "autcor", "a2time", "dither", "tblook", "802.11b", "mcf"}
 	for _, name := range kernels {
-		for _, cores := range []int{1, 2, 4, 8} {
+		for _, cores := range []int{1, 2, 4, 8, 16, 32} {
 			t.Run(fmt.Sprintf("%s/%dc", name, cores), func(t *testing.T) {
 				off, err := RunKernel(name, 1, RunConfig{Cores: cores})
 				if err != nil {

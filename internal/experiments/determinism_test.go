@@ -92,4 +92,18 @@ func TestSuiteCachesAcrossExperiments(t *testing.T) {
 	if got := s.Summary().JobsRun; got != jobsAfterFirst {
 		t.Fatalf("Fig7 and Table2 after Fig6 ran %d new jobs, want 0", got-jobsAfterFirst)
 	}
+	// Fig9x reads its attribution off the sweep's hand-optimized rows, and
+	// Fig8 and Fig10 read the same rows: no new jobs either.
+	if _, _, err := s.Fig9x(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Fig8(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Fig10(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Summary().JobsRun; got != jobsAfterFirst {
+		t.Fatalf("Fig9x, Fig8 and Fig10 after Fig6 ran %d new jobs, want 0", got-jobsAfterFirst)
+	}
 }

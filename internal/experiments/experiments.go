@@ -56,7 +56,7 @@ type RunResult struct {
 	Cycles   uint64
 	Stats    sim.Stats
 	Counters power.Counters
-	Crit     critpath.Summary   // zero unless the machine (or an observer) arms attribution
+	Crit     critpath.Summary   // zero unless the machine (the tflex row) or an observer arms attribution
 	Metrics  telemetry.Snapshot // end-of-run registry capture, for export (MetricsByJob); nil without a chip
 }
 
@@ -107,7 +107,8 @@ func (s *Suite) SetTrace(t *telemetry.Trace) { s.trace = t }
 // server's rolling /critpath aggregate, and publishes periodic registry
 // snapshots and sampler rows for /metrics and /events.  Call before the
 // first experiment; the tables on stdout are unaffected (recording is
-// passive), but -metrics exports gain critpath histogram entries.
+// passive); -metrics exports of the non-tflex chip rows gain critpath
+// entries (the tflex row records attribution anyway).
 func (s *Suite) SetObserver(o *obs.Server) { s.obs = o }
 
 // MetricsByJob returns every completed timing run's registry snapshot,

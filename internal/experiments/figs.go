@@ -394,13 +394,14 @@ type Fig9xData struct {
 // composition size.  Unlike Figure 9's per-phase protocol averages,
 // these columns reconcile exactly — for every committed block the eight
 // categories sum to the block's full latency, so the table accounts for
-// 100% of block time with no "other" bucket.
+// 100% of block time with no "other" bucket.  The tflex row records
+// attribution, so this reads Figure 6's sweep and runs no jobs of its own.
 func (s *Suite) Fig9x() (Fig9xData, string, error) {
 	d := Fig9xData{Agg: map[int]critpath.Summary{}}
 	var specs []Spec
 	for _, n := range s.Sizes {
 		for _, k := range kernels.HandOptimized() {
-			specs = append(specs, s.spec(cfgCrit, k.Name, n))
+			specs = append(specs, s.spec(cfgTFlex, k.Name, n))
 		}
 	}
 	if err := s.Prefetch(specs); err != nil {
@@ -415,7 +416,7 @@ func (s *Suite) Fig9x() (Fig9xData, string, error) {
 	for _, n := range s.Sizes {
 		var agg critpath.Summary
 		for _, k := range kernels.HandOptimized() {
-			agg.Merge(s.have(s.spec(cfgCrit, k.Name, n)).Crit)
+			agg.Merge(s.have(s.spec(cfgTFlex, k.Name, n)).Crit)
 		}
 		// The reconciliation invariant must survive aggregation: every
 		// block's categories sum to its latency, so the chip-wide sums

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/telemetry"
 )
@@ -253,7 +254,8 @@ func TestTraceNamesEachWorkerOnce(t *testing.T) {
 
 // The -metrics export is exactly the job set: one snapshot per chip run,
 // under the job's own key, none for the Core2 model, and the same bytes
-// at any worker count.
+// at any worker count.  Every tflex run records attribution: its eight
+// critpath histograms each count every committed block.
 func TestMetricsExportIsTheJobSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three experiments twice")
@@ -284,18 +286,28 @@ func TestMetricsExportIsTheJobSet(t *testing.T) {
 			want[sp.Key()] = true
 		}
 	}
-	// 26 trips, 12 hand-optimized x 6 sizes critpath, 26 tflex-8c and
-	// 26 x 4 ablations; Figure 5's 26 core2 jobs carry no registry.
-	if len(want) != 26+72+26+104 || len(enqueued(s)) != len(want)+26 {
-		t.Fatalf("%d chip jobs of %d enqueued, want 228 of 254", len(want), len(enqueued(s)))
+	// 26 trips, 12 hand-optimized x 6 sizes tflex, the 14 other kernels'
+	// tflex-8c and 26 x 4 ablations; Figure 5's 26 core2 jobs carry no
+	// registry.
+	if len(want) != 26+72+14+104 || len(enqueued(s)) != len(want)+26 {
+		t.Fatalf("%d chip jobs of %d enqueued, want 216 of 242", len(want), len(enqueued(s)))
 	}
 	got := s.MetricsByJob()
 	for key, snap := range got {
 		if !want[key] {
 			t.Errorf("export has %q, which no figure enqueued", key)
 		}
-		if snap.Get("proc0.blocks.committed") == 0 {
+		committed := snap.Get("proc0.blocks.committed")
+		if committed == 0 {
 			t.Errorf("%s: snapshot committed no blocks", key)
+		}
+		if !strings.Contains(key, "/"+cfgTFlex+"-") {
+			continue
+		}
+		for c := critpath.Category(0); c < critpath.NumCategories; c++ {
+			if name := "proc0.critpath." + c.String() + ".count"; snap.Get(name) != committed {
+				t.Errorf("%s: %s = %v, want the %v committed blocks", key, name, snap.Get(name), committed)
+			}
 		}
 	}
 	for key := range want {
@@ -303,7 +315,7 @@ func TestMetricsExportIsTheJobSet(t *testing.T) {
 			t.Errorf("export lacks the enqueued job %q", key)
 		}
 	}
-	for _, key := range []string{"conv/trips/scale1", "conv/critpath-32c/scale1", "mcf/ablate:single-issue-8c/scale1"} {
+	for _, key := range []string{"conv/trips/scale1", "conv/tflex-32c/scale1", "mcf/ablate:single-issue-8c/scale1"} {
 		if _, ok := got[key]; !ok {
 			t.Errorf("export lacks %q", key)
 		}
@@ -350,7 +362,7 @@ func TestEveryEnqueuedConfigHasAMachine(t *testing.T) {
 			t.Errorf("machine %q: no figure enqueues it", config)
 		}
 	}
-	if got, want := s.Summary().JobsRun, 410; got != want || len(enqueued(s)) != want {
+	if got, want := s.Summary().JobsRun, 338; got != want || len(enqueued(s)) != want {
 		t.Errorf("%d jobs run, %d results stored, want %d of each", got, len(enqueued(s)), want)
 	}
 

@@ -19,7 +19,6 @@ const (
 	cfgTRIPS  = "trips"
 	cfgCore2  = "core2"
 	cfgZeroHS = "zero-handshake"
-	cfgCrit   = "critpath"
 	cfgAblate = "ablate:" // prefix; an ablation's row is cfgAblate + its name
 )
 
@@ -61,11 +60,10 @@ func tflexWith(mod func(*sim.Options)) func() sim.Options {
 // its Spec.Config name.
 var machines = func() map[string]machine {
 	m := map[string]machine{
-		cfgTFlex:  {options: sim.DefaultOptions, shape: composed},
+		cfgTFlex:  {options: sim.DefaultOptions, shape: composed, critpath: true},
 		cfgTRIPS:  {options: trips.Options, shape: tripsTiles},
 		cfgCore2:  {},
 		cfgZeroHS: {options: tflexWith(func(o *sim.Options) { o.ZeroHandshake = true }), shape: composed},
-		cfgCrit:   {options: sim.DefaultOptions, shape: composed, critpath: true},
 	}
 	for _, a := range ablations {
 		m[a.config()] = machine{options: tflexWith(a.mod), shape: composed}
