@@ -29,10 +29,11 @@
 # what BENCHMARK.json runs) with the given flags, e.g.
 # `./ci.sh bench -workload observed -trace 1`, followed by the budgets
 # that are deterministic for a seed and so cannot flake — allocations per
-# marginal block untapped and with every tap armed, chip set-up bytes,
-# host events executed per committed block, and the sizes those rest on:
-# a reservation ring's footprint and link header, the event record and
-# the in-flight instruction state
+# marginal block untapped and with every tap armed, chip set-up bytes
+# and allocations (bare, and with the metric registry armed), host
+# events executed per committed block, and the sizes those rest on: a
+# reservation ring's footprint and link header, the event record and the
+# in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
 # TestChipSetupBudget, TestEventsPerBlock, TestEventRecordSize,
 # TestInstStateSize; TestRingFootprint in internal/noc), and allocations

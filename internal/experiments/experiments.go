@@ -21,12 +21,22 @@
 // own sim.Chip, and every package the jobs touch was audited for shared
 // mutable state.
 //
-//   - sim, mem, noc, predictor: all state hangs off the *sim.Chip built
-//     inside the job; there are no package-level variables.
+//   - sim, mem, noc, predictor: all simulation state hangs off the
+//     *sim.Chip built inside the job; there are no package-level
+//     variables.
 //   - kernels: the package-level registry/order maps are mutated only by
 //     init-time register() calls, which Go runs single-threaded before
 //     main; afterwards they are read-only (kernels.TestRegistryConcurrentReads
 //     exercises this under -race).
+//   - kernel Instances: the suite builds each (kernel, scale) once and
+//     every job of the pair shares the one *kernels.Instance.  It is
+//     read-only: Init and Check write only the job's own registers and
+//     memory, and no executor writes the program or its linked form
+//     (kernels.TestInstanceIsReadOnly proves both, on both engines and
+//     exec; TestSuiteBuildsEachKernelOnce runs the sharing under -race).
+//   - telemetry: the metric-name memo (Name, Indexed) is process-wide,
+//     append-only and behind a read-write lock; a name, once handed out,
+//     never changes.  Each registry belongs to one job's chip.
 //   - compose, isa, asm: package-level tables (shapes, opcodeNames,
 //     binOps) are initialized once and never written again.
 //   - exec, conv, power, area, alloc, stats: no package-level state.
@@ -64,8 +74,9 @@ type RunResult struct {
 // is its Spec: the machine it runs on is the machines row its Config
 // names, and the job map, keyed by the spec itself, is the one record of
 // the job and its result (jobs.go).  All methods are safe for concurrent
-// use: the map is guarded by mu and each simulation builds its own
-// private chip.
+// use: the job map and the build memo are guarded by mu, each kernel is
+// built once per (kernel, scale) and shared read-only, and each simulation
+// builds its own private chip.
 type Suite struct {
 	Scale int   // kernel input scale
 	Sizes []int // TFlex composition sizes
@@ -77,17 +88,18 @@ type Suite struct {
 
 	mu     sync.Mutex
 	jobs   map[Spec]*job
-	hits   uint64        // have lookups
-	wall   time.Duration // summed Prefetch wall time
-	inJob  time.Duration // summed per-job wall time
-	epoch  time.Time     // the first Prefetch's start: job span time zero
-	tracks int           // worker tracks named so far
+	builds map[buildKey]*build // one kernel build per (kernel, scale)
+	hits   uint64              // have lookups
+	wall   time.Duration       // summed Prefetch wall time
+	inJob  time.Duration       // summed per-job wall time
+	epoch  time.Time           // the first Prefetch's start: job span time zero
+	tracks int                 // worker tracks named so far
 }
 
 // NewSuite returns a suite at the given kernel scale, running jobs on
 // GOMAXPROCS workers (see SetJobs).
 func NewSuite(scale int) *Suite {
-	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}}
+	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}, builds: map[buildKey]*build{}}
 }
 
 // SetJobs caps the number of concurrently running simulations; n <= 0

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"github.com/clp-sim/tflex/internal/kernels"
 )
 
 // Spec declaratively identifies one simulation job.
@@ -42,6 +44,46 @@ func (j *job) finished() bool {
 	default:
 		return false
 	}
+}
+
+// buildKey identifies one kernel build: every job of a (kernel, scale)
+// pair runs the same program.
+type buildKey struct {
+	kernel string
+	scale  int
+}
+
+// build is one (kernel, scale) pair's kernel, built by the first job that
+// needs it and shared by every later one.  The Instance is read-only: jobs
+// run Init and Check on their own registers and memory, and no executor
+// writes the program (kernels.TestInstanceIsReadOnly).  A failed build
+// keeps its error, as a failed job does.
+type build struct {
+	once sync.Once
+	inst *kernels.Instance
+	err  error
+}
+
+// instance returns the kernel built at scale, building it on first use.
+// Concurrent callers for one pair wait on the one build.
+func (s *Suite) instance(kernel string, scale int) (*kernels.Instance, error) {
+	key := buildKey{kernel, scale}
+	s.mu.Lock()
+	b := s.builds[key]
+	if b == nil {
+		b = &build{}
+		s.builds[key] = b
+	}
+	s.mu.Unlock()
+	b.once.Do(func() {
+		k, ok := kernels.ByName(kernel)
+		if !ok {
+			b.err = fmt.Errorf("unknown kernel %q", kernel)
+			return
+		}
+		b.inst, b.err = k.Build(scale)
+	})
+	return b.inst, b.err
 }
 
 // jobTracePID groups job spans in the trace viewer, well away from the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"regexp"
 	"strings"
 	"sync"
@@ -192,6 +193,59 @@ func TestPrefetchMemoizesErrors(t *testing.T) {
 	}
 	if n := len(progressLines(t, &buf)); n != 1 {
 		t.Fatalf("the failed spec ran %d times, want once", n)
+	}
+}
+
+// The suite builds each (kernel, scale) once, however many jobs and
+// workers run it: after Figures 5 and 6 — 26 kernels on core2, trips and
+// six tflex sizes, 208 jobs on 8 workers — the build memo holds the 26
+// kernels, each built without error and handed out as the one shared
+// Instance.  An unknown kernel's failure is memoized the same way: two
+// jobs naming it share one failed build and one error.
+func TestSuiteBuildsEachKernelOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two experiments")
+	}
+	s := NewSuite(1)
+	s.SetJobs(8)
+	if _, _, err := s.Fig5(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Fig6(); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	builds := maps.Clone(s.builds)
+	s.mu.Unlock()
+	if len(builds) != len(kernels.All()) {
+		t.Fatalf("%d kernel builds for %d jobs, want %d: one per kernel", len(builds), s.Summary().JobsRun, len(kernels.All()))
+	}
+	for _, k := range kernels.All() {
+		b := builds[buildKey{k.Name, 1}]
+		if b == nil || b.inst == nil || b.err != nil {
+			t.Fatalf("%s: no successful build in the memo", k.Name)
+		}
+		if inst, err := s.instance(k.Name, 1); inst != b.inst || err != nil {
+			t.Errorf("%s: a later job got a different Instance", k.Name)
+		}
+	}
+
+	var buf bytes.Buffer
+	s.SetProgress(&buf)
+	bogus := []Spec{{Kernel: "no-such-kernel", Config: cfgCore2, Scale: 1}, {Kernel: "no-such-kernel", Config: cfgTRIPS, Scale: 1}}
+	for range 2 {
+		if err := s.Prefetch(bogus); err == nil || !strings.Contains(err.Error(), `unknown kernel "no-such-kernel"`) {
+			t.Fatalf("Prefetch = %v, want the unknown-kernel error", err)
+		}
+	}
+	if n := len(progressLines(t, &buf)); n != 2 {
+		t.Fatalf("the two failing specs ran %d times, want once each", n)
+	}
+	s.mu.Lock()
+	b, n := s.builds[buildKey{"no-such-kernel", 1}], len(s.builds)
+	s.mu.Unlock()
+	if n != len(kernels.All())+1 || b == nil || b.inst != nil || b.err == nil {
+		t.Fatalf("%d builds, unknown kernel's entry %+v: want one more entry holding the error", n, b)
 	}
 }
 

@@ -71,23 +71,19 @@ var machines = func() map[string]machine {
 	return m
 }()
 
-// simulate runs one job: it builds the spec's kernel at the spec's scale,
-// executes it on the machine the spec's config names and validates the
-// outputs against the reference.  When an observer is set (SetObserver),
-// a chip run additionally enables critical-path attribution into the
-// server's rolling aggregate and publishes registry snapshots mid-run;
-// both are passive, so the architectural results are identical with or
-// without observation.
+// simulate runs one job: it takes the spec's kernel at the spec's scale
+// from the suite's build memo, executes it on the machine the spec's
+// config names and validates the outputs against the reference.  When an
+// observer is set (SetObserver), a chip run additionally enables
+// critical-path attribution into the server's rolling aggregate and
+// publishes registry snapshots mid-run; both are passive, so the
+// architectural results are identical with or without observation.
 func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	m, ok := machines[sp.Config]
 	if !ok {
 		return RunResult{}, fmt.Errorf("unknown job config %q", sp.Config)
 	}
-	k, ok := kernels.ByName(sp.Kernel)
-	if !ok {
-		return RunResult{}, fmt.Errorf("unknown kernel %q", sp.Kernel)
-	}
-	inst, err := k.Build(sp.Scale)
+	inst, err := s.instance(sp.Kernel, sp.Scale)
 	if err != nil {
 		return RunResult{}, err
 	}

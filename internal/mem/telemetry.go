@@ -5,41 +5,42 @@ import "github.com/clp-sim/tflex/internal/telemetry"
 // Register methods expose each memory component's counters under a
 // hierarchical prefix ("core3.l1d", "core3.lsq", "l2", "dram").  Every
 // entry is a view over the component's own stats field or an on-demand
-// gauge, so registration adds nothing to the access paths.
+// gauge, so registration adds nothing to the access paths, and every name
+// comes from telemetry's process-wide memo.
 
 // Register exposes cache counters plus a live occupancy gauge.
 func (c *Cache) Register(r *telemetry.Registry, prefix string) {
-	r.CounterView(prefix+".accesses", &c.Stats.Accesses)
-	r.CounterView(prefix+".misses", &c.Stats.Misses)
-	r.CounterView(prefix+".evictions", &c.Stats.Evictions)
-	r.CounterView(prefix+".dirty_evicts", &c.Stats.DirtyEvicts)
-	r.CounterView(prefix+".invalidates", &c.Stats.Invalidates)
-	r.Gauge(prefix+".occupancy", func() float64 { return float64(c.Occupancy()) })
+	r.CounterView(telemetry.Name(prefix, "accesses"), &c.Stats.Accesses)
+	r.CounterView(telemetry.Name(prefix, "misses"), &c.Stats.Misses)
+	r.CounterView(telemetry.Name(prefix, "evictions"), &c.Stats.Evictions)
+	r.CounterView(telemetry.Name(prefix, "dirty_evicts"), &c.Stats.DirtyEvicts)
+	r.CounterView(telemetry.Name(prefix, "invalidates"), &c.Stats.Invalidates)
+	r.Gauge(telemetry.Name(prefix, "occupancy"), func() float64 { return float64(c.Occupancy()) })
 }
 
 // Register exposes LSQ bank counters plus occupancy gauges.
 func (b *LSQBank) Register(r *telemetry.Registry, prefix string) {
-	r.CounterView(prefix+".inserts", &b.Stats.Inserts)
-	r.CounterView(prefix+".nacks", &b.Stats.NACKs)
-	r.CounterView(prefix+".violations", &b.Stats.Violations)
-	r.CounterView(prefix+".forwards", &b.Stats.Forwards)
-	r.Gauge(prefix+".occupancy", func() float64 { return float64(b.Occupancy()) })
-	r.Gauge(prefix+".max_occupancy", func() float64 { return float64(b.Stats.MaxOcc) })
+	r.CounterView(telemetry.Name(prefix, "inserts"), &b.Stats.Inserts)
+	r.CounterView(telemetry.Name(prefix, "nacks"), &b.Stats.NACKs)
+	r.CounterView(telemetry.Name(prefix, "violations"), &b.Stats.Violations)
+	r.CounterView(telemetry.Name(prefix, "forwards"), &b.Stats.Forwards)
+	r.Gauge(telemetry.Name(prefix, "occupancy"), func() float64 { return float64(b.Occupancy()) })
+	r.Gauge(telemetry.Name(prefix, "max_occupancy"), func() float64 { return float64(b.Stats.MaxOcc) })
 }
 
 // Register exposes L2 + directory counters.
 func (l *L2) Register(r *telemetry.Registry, prefix string) {
-	r.CounterView(prefix+".accesses", &l.Stats.Accesses)
-	r.CounterView(prefix+".misses", &l.Stats.Misses)
-	r.CounterView(prefix+".forwards", &l.Stats.Forwards)
-	r.CounterView(prefix+".invals", &l.Stats.Invals)
-	r.CounterView(prefix+".downgrades", &l.Stats.Downgrades)
-	r.CounterView(prefix+".evictions", &l.Stats.Evictions)
-	r.CounterView(prefix+".writebacks", &l.Stats.Writebacks)
+	r.CounterView(telemetry.Name(prefix, "accesses"), &l.Stats.Accesses)
+	r.CounterView(telemetry.Name(prefix, "misses"), &l.Stats.Misses)
+	r.CounterView(telemetry.Name(prefix, "forwards"), &l.Stats.Forwards)
+	r.CounterView(telemetry.Name(prefix, "invals"), &l.Stats.Invals)
+	r.CounterView(telemetry.Name(prefix, "downgrades"), &l.Stats.Downgrades)
+	r.CounterView(telemetry.Name(prefix, "evictions"), &l.Stats.Evictions)
+	r.CounterView(telemetry.Name(prefix, "writebacks"), &l.Stats.Writebacks)
 }
 
 // Register exposes DRAM channel counters.
 func (d *DRAM) Register(r *telemetry.Registry, prefix string) {
-	r.CounterView(prefix+".requests", &d.Stats.Requests)
-	r.CounterView(prefix+".stall_cycles", &d.Stats.StallCycles)
+	r.CounterView(telemetry.Name(prefix, "requests"), &d.Stats.Requests)
+	r.CounterView(telemetry.Name(prefix, "stall_cycles"), &d.Stats.StallCycles)
 }

@@ -1,37 +1,21 @@
 package noc
 
-import (
-	"fmt"
-	"sync"
+import "github.com/clp-sim/tflex/internal/telemetry"
 
-	"github.com/clp-sim/tflex/internal/telemetry"
-)
-
-// linkName is one directed on-grid link's index into Mesh.links and the
-// name of its flit counter.
-type linkName struct {
-	link int
-	name string
-}
-
-// linkNameKey identifies one set of per-link counter names.
-type linkNameKey struct {
-	prefix string
-	w, h   int
-}
-
-// linkNames memoizes the per-link counter names by prefix and mesh shape
-// (linkNameKey -> []linkName).  Every metrics-collecting job registers
-// the same two meshes, so the names are formatted once per process, not
-// 2 x 104 times per job.
-var linkNames sync.Map
-
-func linkNamesFor(prefix string, w, h int) []linkName {
-	key := linkNameKey{prefix, w, h}
-	if v, ok := linkNames.Load(key); ok {
-		return v.([]linkName)
-	}
-	var names []linkName
+// Register exposes the mesh's counters under prefix (e.g. "noc.opnd"):
+// aggregate message/hop/stall counts plus one flit counter per directed
+// on-grid link named "<prefix>.link.<from>.<to>.flits" by node ID.  All
+// entries are views over the mesh's own fields — registration adds no
+// cost to Send/MulticastInto — and every name comes from telemetry's
+// process-wide memo, so the 2 x 104 link names of a 32-core chip are
+// formatted once per process, not once per job.
+func (m *Mesh) Register(r *telemetry.Registry, prefix string) {
+	r.CounterView(telemetry.Name(prefix, "messages"), &m.stats.Messages)
+	r.CounterView(telemetry.Name(prefix, "hops"), &m.stats.Hops)
+	r.CounterView(telemetry.Name(prefix, "stall_cycles"), &m.stats.StallCycles)
+	r.CounterView(telemetry.Name(prefix, "local_deliveries"), &m.stats.LocalDeliveries)
+	link := telemetry.Name(prefix, "link.") // "<prefix>.link." + "<from>" + ".<to>.flits"
+	w, h := m.W, m.H
 	for node := 0; node < w*h; node++ {
 		x, y := node%w, node/w
 		neighbor := [4]int{-1, -1, -1, -1} // by dirE/dirW/dirN/dirS
@@ -51,24 +35,7 @@ func linkNamesFor(prefix string, w, h int) []linkName {
 			if to < 0 {
 				continue // edge link off the grid: never reservable
 			}
-			names = append(names, linkName{node*4 + dir, fmt.Sprintf("%s.link.%d.%d.flits", prefix, node, to)})
+			r.CounterView(telemetry.Indexed(link, node, telemetry.Indexed("", to, "flits")), &m.links[node*4+dir].flits)
 		}
-	}
-	linkNames.Store(key, names)
-	return names
-}
-
-// Register exposes the mesh's counters under prefix (e.g. "noc.opnd"):
-// aggregate message/hop/stall counts plus one flit counter per directed
-// on-grid link named "<prefix>.link.<from>.<to>.flits" by node ID.  All
-// entries are views over the mesh's own fields — registration adds no
-// cost to Send/MulticastInto.
-func (m *Mesh) Register(r *telemetry.Registry, prefix string) {
-	r.CounterView(prefix+".messages", &m.stats.Messages)
-	r.CounterView(prefix+".hops", &m.stats.Hops)
-	r.CounterView(prefix+".stall_cycles", &m.stats.StallCycles)
-	r.CounterView(prefix+".local_deliveries", &m.stats.LocalDeliveries)
-	for _, ln := range linkNamesFor(prefix, m.W, m.H) {
-		r.CounterView(ln.name, &m.links[ln.link].flits)
 	}
 }

@@ -182,7 +182,7 @@ func (c *Chip) l1dAt(core int) *mem.Cache {
 		cache = mem.NewCache(p.L1DBytes, p.L1DAssoc, p.LineBytes)
 		c.l1d[core] = cache
 		if c.tel != nil {
-			cache.Register(c.tel, fmt.Sprintf("core%d.l1d", core))
+			cache.Register(c.tel, telemetry.Indexed("core", core, "l1d"))
 		}
 	}
 	return cache

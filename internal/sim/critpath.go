@@ -16,7 +16,6 @@ package sim
 // differential test).
 
 import (
-	"fmt"
 	"math/bits"
 
 	"github.com/clp-sim/tflex/internal/critpath"
@@ -62,9 +61,9 @@ func (p *Proc) CritPath() critpath.Summary { return p.crit }
 // registerCritHists exposes one per-category latency histogram under
 // proc<id>.critpath.<category>.
 func (p *Proc) registerCritHists(r *telemetry.Registry) {
-	prefix := fmt.Sprintf("proc%d.critpath.", p.id)
+	prefix := telemetry.Name(telemetry.Indexed("proc", p.id, ""), "critpath")
 	for cat := critpath.Category(0); cat < critpath.NumCategories; cat++ {
-		p.hCrit[cat] = r.Histogram(prefix + cat.String())
+		p.hCrit[cat] = r.NewHistogram(telemetry.Name(prefix, cat.String()))
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"github.com/clp-sim/tflex/internal/telemetry"
-)
+import "github.com/clp-sim/tflex/internal/telemetry"
 
 // Telemetry integration.  The registry, Chrome trace and sampler are all
 // opt-in; a chip that never calls into this file carries three nil
@@ -40,7 +36,7 @@ func (c *Chip) Telemetry() *telemetry.Registry {
 	c.DRAM.Register(c.tel, "dram")
 	for core, cache := range c.l1d {
 		if cache != nil {
-			cache.Register(c.tel, fmt.Sprintf("core%d.l1d", core))
+			cache.Register(c.tel, telemetry.Indexed("core", core, "l1d"))
 		}
 	}
 	for _, p := range c.Procs {
@@ -99,17 +95,17 @@ func (c *Chip) attachProcTelemetry(p *Proc) {
 }
 
 func (c *Chip) nameProcTracks(p *Proc) {
-	c.trace.NameProcess(p.id, fmt.Sprintf("proc%d", p.id))
+	c.trace.NameProcess(p.id, telemetry.Indexed("proc", p.id, ""))
 	for _, core := range p.cores {
-		c.trace.NameThread(p.id, core, fmt.Sprintf("core%d", core))
+		c.trace.NameThread(p.id, core, telemetry.Indexed("core", core, ""))
 	}
 }
 
 func (c *Chip) trackProc(p *Proc) {
-	prefix := fmt.Sprintf("proc%d", p.id)
-	c.sampler.Track(prefix+".window.occupancy", func() float64 { return float64(len(p.window)) })
-	c.sampler.Track(prefix+".insts.committed", func() float64 { return float64(p.Stats.InstsCommitted) })
-	c.sampler.Track(prefix+".lsq.occupancy", func() float64 {
+	prefix := telemetry.Indexed("proc", p.id, "")
+	c.sampler.Track(telemetry.Name(prefix, "window.occupancy"), func() float64 { return float64(len(p.window)) })
+	c.sampler.Track(telemetry.Name(prefix, "insts.committed"), func() float64 { return float64(p.Stats.InstsCommitted) })
+	c.sampler.Track(telemetry.Name(prefix, "lsq.occupancy"), func() float64 {
 		occ := 0
 		for _, bank := range p.lsq {
 			occ += bank.Occupancy()
@@ -120,22 +116,24 @@ func (c *Chip) trackProc(p *Proc) {
 
 // register exposes the processor and its private components.  A
 // recomposed processor (AddProcShared) reuses its predecessor's ID, so
-// re-registration replaces the old views — the registry always reflects
-// the live composition.
+// re-registration replaces the old views and histograms — the registry
+// always reflects the live composition, and the new processor's
+// histograms count its own blocks only.
 func (p *Proc) register(r *telemetry.Registry) {
-	prefix := fmt.Sprintf("proc%d", p.id)
+	prefix := telemetry.Indexed("proc", p.id, "")
 	p.Stats.register(r, prefix)
-	p.Pred.Register(r, prefix+".pred")
-	p.l1i.Register(r, prefix+".l1i")
+	p.Pred.Register(r, telemetry.Name(prefix, "pred"))
+	p.l1i.Register(r, telemetry.Name(prefix, "l1i"))
 	for i := range p.lsq {
-		p.lsq[i].Register(r, fmt.Sprintf("core%d.lsq", p.phys(p.dbanks[i])))
+		p.lsq[i].Register(r, telemetry.Indexed("core", p.phys(p.dbanks[i]), "lsq"))
 	}
+	core := telemetry.Name(prefix, "core")
 	for i := range p.Stats.IssuedByCore {
-		r.CounterView(fmt.Sprintf("%s.core%d.issued", prefix, p.phys(i)), &p.Stats.IssuedByCore[i])
+		r.CounterView(telemetry.Indexed(core, p.phys(i), "issued"), &p.Stats.IssuedByCore[i])
 	}
-	r.Gauge(prefix+".window.occupancy", func() float64 { return float64(len(p.window)) })
-	p.hFetchLat = r.Histogram(prefix + ".fetch.latency")
-	p.hCommitLat = r.Histogram(prefix + ".commit.latency")
+	r.Gauge(telemetry.Name(prefix, "window.occupancy"), func() float64 { return float64(len(p.window)) })
+	p.hFetchLat = r.NewHistogram(telemetry.Name(prefix, "fetch.latency"))
+	p.hCommitLat = r.NewHistogram(telemetry.Name(prefix, "commit.latency"))
 	if p.chip.critEnabled {
 		p.registerCritHists(r)
 	}
@@ -175,6 +173,6 @@ func (s *Stats) register(r *telemetry.Registry, prefix string) {
 		{"commit.arch_sum", &s.CommitArchSum},
 		{"commit.handshake_sum", &s.CommitHandshakeSum},
 	} {
-		r.CounterView(prefix+"."+m.name, m.f)
+		r.CounterView(telemetry.Name(prefix, m.name), m.f)
 	}
 }

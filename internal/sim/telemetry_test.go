@@ -276,3 +276,45 @@ func TestSamplerFollowsRecomposition(t *testing.T) {
 			after[0], after[len(after)-1], frozen, second.Stats.InstsCommitted)
 	}
 }
+
+// A recomposed processor's histograms count its own blocks, as its counter
+// views do: re-registration under the reused ID hands it fresh
+// histograms, not its predecessor's.  The first leg commits 201 blocks,
+// the second 301; every proc0 histogram must read the second leg alone.
+func TestRecomposedHistogramsCountOneLeg(t *testing.T) {
+	p := sumProgram(t)
+	chip := New(DefaultOptions())
+	chip.EnableCritPath()
+	reg := chip.Telemetry()
+	first, err := chip.AddProc(compose.MustRect(0, 0, 2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Regs[1] = 200
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	second, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Regs[1] = 500
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.BlocksCommitted != 201 || second.Stats.BlocksCommitted != 301 {
+		t.Fatalf("legs committed %d and %d blocks, want 201 and 301",
+			first.Stats.BlocksCommitted, second.Stats.BlocksCommitted)
+	}
+	snap := reg.Snapshot()
+	for name, want := range map[string]uint64{
+		"proc0.blocks.committed":      second.Stats.BlocksCommitted,
+		"proc0.fetch.latency.count":   second.Stats.FetchBlocks,
+		"proc0.commit.latency.count":  second.Stats.BlocksCommitted,
+		"proc0.critpath.commit.count": second.Stats.BlocksCommitted,
+	} {
+		if got := snap.Get(name); got != float64(want) {
+			t.Errorf("%s = %v, want %d: the second leg alone", name, got, want)
+		}
+	}
+}

@@ -28,8 +28,8 @@ import (
 type Gauge struct{ fn func() float64 }
 
 // Value evaluates the gauge.
-func (g *Gauge) Value() float64 {
-	if g == nil || g.fn == nil {
+func (g Gauge) Value() float64 {
+	if g.fn == nil {
 		return 0
 	}
 	return g.fn()
@@ -37,7 +37,9 @@ func (g *Gauge) Value() float64 {
 
 // Registry maps hierarchical metric names to counters, gauges and
 // histograms.  Registration replaces any previous metric of the same
-// name (a recomposed processor re-registers its cores).  All methods are
+// name (a recomposed processor re-registers its cores).  Components name
+// their metrics through Name and Indexed, so registering a chip formats
+// no string the process has formatted before.  All methods are
 // safe for concurrent use; the intended sharing model is still
 // one registry per chip (see the overhead contract in DESIGN.md).
 //
@@ -49,7 +51,7 @@ func (g *Gauge) Value() float64 {
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*uint64
-	gauges   map[string]*Gauge
+	gauges   map[string]Gauge // by value: a gauge costs its closure alone
 	hists    map[string]*Histogram
 }
 
@@ -57,7 +59,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*uint64{},
-		gauges:   map[string]*Gauge{},
+		gauges:   map[string]Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -74,11 +76,23 @@ func (r *Registry) CounterView(name string, src *uint64) {
 // Gauge registers a derived instantaneous metric.
 func (r *Registry) Gauge(name string, fn func() float64) {
 	r.mu.Lock()
-	r.gauges[name] = &Gauge{fn: fn}
+	r.gauges[name] = Gauge{fn: fn}
 	r.mu.Unlock()
 }
 
-// Histogram registers (or returns the existing) histogram.
+// NewHistogram registers a fresh, empty histogram under name, replacing any
+// previous one: a component that registers again (a recomposed processor)
+// starts counting from zero, as its counter views do.
+func (r *Registry) NewHistogram(name string) *Histogram {
+	h := &Histogram{}
+	r.mu.Lock()
+	r.hists[name] = h
+	r.mu.Unlock()
+	return h
+}
+
+// Histogram returns the histogram registered under name, registering an
+// empty one if there is none.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -112,9 +126,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s[n] = g.Value()
 	}
 	for n, h := range r.hists {
-		s[n+".count"] = float64(h.Count())
-		s[n+".sum"] = float64(h.Sum())
-		s[n+".mean"] = h.Mean()
+		s[Name(n, "count")] = float64(h.Count())
+		s[Name(n, "sum")] = float64(h.Sum())
+		s[Name(n, "mean")] = h.Mean()
 	}
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterViewTracksSource(t *testing.T) {
@@ -271,5 +272,48 @@ func TestRegistryConcurrent(t *testing.T) {
 	var buf bytes.Buffer
 	if err := r.WriteJSON(&buf); err != nil || !json.Valid(buf.Bytes()) {
 		t.Fatalf("concurrent registry JSON invalid (err=%v)", err)
+	}
+}
+
+// Name and Indexed build the hierarchical names every component registers
+// under, and hand out one string per name: after the first request a
+// lookup allocates nothing, from any number of goroutines.
+func TestNamesAreMemoized(t *testing.T) {
+	for _, c := range []struct{ got, want string }{
+		{Name("proc0", "blocks.committed"), "proc0.blocks.committed"},
+		{Indexed("proc", 0, ""), "proc0"},
+		{Indexed("core", 3, "lsq"), "core3.lsq"},
+		{Indexed(Name("proc1", "core"), 12, "issued"), "proc1.core12.issued"},
+		{Indexed(Name("noc.opnd", "link."), 3, Indexed("", 4, "flits")), "noc.opnd.link.3.4.flits"},
+	} {
+		if c.got != c.want {
+			t.Errorf("name %q, want %q", c.got, c.want)
+		}
+	}
+	if a, b := Indexed("core", 7, "l1d"), Indexed("core", 7, "l1d"); unsafe.StringData(a) != unsafe.StringData(b) {
+		t.Error("a second request formatted the name again")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		_ = Name("proc0", "fetch.latency")
+		_ = Indexed("core", 31, "lsq")
+	}); n != 0 {
+		t.Errorf("memoized lookups allocate %v times, want 0", n)
+	}
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 100 {
+				got[g] = Indexed("race", i, "leaf")
+			}
+		}()
+	}
+	wg.Wait()
+	for _, s := range got {
+		if unsafe.StringData(s) != unsafe.StringData(got[0]) {
+			t.Fatal("concurrent first requests handed out different strings")
+		}
 	}
 }
