@@ -19,8 +19,10 @@
 # a tflexexp artefact smoke (-progress, -metrics and -chrome-trace on
 # fig5: one progress line per simulated job, 26 job keys, one named track
 # per worker; -progress and -metrics on fig9x: 72 jobs, every key a tflex
-# run carrying its critpath histograms, none a critpath row), and a
-# one-iteration smoke of every
+# run carrying its critpath histograms, none a critpath row), a
+# recomposition smoke (examples/recompose: the thread resumed on new
+# cores reaches the same sum, and its phase counts only its own cycles),
+# and a one-iteration smoke of every
 # benchmark so the bench harness cannot rot unnoticed.
 #
 #   ./ci.sh bench [clpbench flags]
@@ -206,6 +208,16 @@ if [ "$progress" -ne 72 ] || [ "$jobkeys" -ne 72 ] || [ "$tflexkeys" -ne 72 ] ||
     exit 1
 fi
 rm -rf "$expdir"
+
+echo "== recomposition walk-through (examples/recompose) =="
+recomp=$(go run ./examples/recompose)
+# The resumed thread must reach the same sum, and phase 2 must count its
+# own leg: fewer cycles than the chip clock, which ran phase 1 and phase 2.
+echo "$recomp" | grep -q '^results agree' &&
+    echo "$recomp" | awk '/^phase 1 /{c1 = $(NF-1)} /^phase 2 /{c2 = $(NF-4); clock = $NF + 0}
+                          END {exit !(c1 > 0 && c2 > 0 && c2 < clock && c1 + c2 <= clock)}' ||
+    { echo "FAIL: examples/recompose disagrees or counts phase 2 from cycle 0:" >&2; echo "$recomp" >&2; exit 1; }
+echo "$recomp" | grep '^phase 2 '
 
 echo "== benchmark smoke (1 iteration each) =="
 go test -run '^$' -bench . -benchtime 1x ./...

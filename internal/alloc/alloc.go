@@ -27,16 +27,6 @@ func (c Curve) Sizes() []int {
 	return s
 }
 
-// Best returns the composition size with the highest speedup.
-func (c Curve) Best() (k int, sp float64) {
-	for _, size := range c.Sizes() {
-		if c[size] > sp {
-			k, sp = size, c[size]
-		}
-	}
-	return
-}
-
 // BestWS computes the optimal asymmetric assignment: core counts per
 // application (each a measured size, minimum one core) summing to at most
 // totalCores, maximizing the weighted speedup.  This is the paper's

@@ -123,11 +123,3 @@ func TestHistogram(t *testing.T) {
 		t.Fatalf("histogram = %v", h)
 	}
 }
-
-func TestCurveBest(t *testing.T) {
-	c := Curve{1: 1, 2: 1.5, 4: 2.5, 8: 2.0}
-	k, sp := c.Best()
-	if k != 4 || sp != 2.5 {
-		t.Fatalf("best = (%d, %v)", k, sp)
-	}
-}

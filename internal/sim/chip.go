@@ -51,8 +51,6 @@ type Chip struct {
 	// and it guards both engines.
 	stallEvents uint64
 
-	onHalt func(*Proc)
-
 	// Telemetry (see telemetry.go): all nil/disarmed by default.  The
 	// event loop pays one uint64 compare per event against sampleAt
 	// (+inf when no sampler is armed); everything else is reached only
@@ -78,11 +76,6 @@ type Chip struct {
 // defaultStallEvents is orders of magnitude above what any legal cycle
 // executes.
 const defaultStallEvents = 1 << 20
-
-// OnProcHalt installs a hook invoked (inside the event loop) whenever a
-// processor halts.  The hook may add new processors to the chip — the
-// mechanism run-time schedulers use to launch queued jobs on freed cores.
-func (c *Chip) OnProcHalt(fn func(*Proc)) { c.onHalt = fn }
 
 // New builds a chip with the given options.
 func New(opts Options) *Chip {
@@ -279,12 +272,14 @@ func (c *Chip) admit(cores compose.Processor, program *prog.Program) error {
 }
 
 // launch files a composed processor on the chip, readies it and schedules
-// its first fetch at the current cycle — cycle 0 before Run, the halting
-// cycle when an OnProcHalt hook composes it mid-run.  The caller seeds
-// registers and memory afterwards, which is safe because no event
-// executes outside Run and prepareStart reads no architectural state.
+// its first fetch at the current cycle — cycle 0 before the first Run,
+// the cycle the last Run stopped at after it — from which Stats.Cycles
+// counts.  Nothing composes a processor while Run executes, so the
+// caller seeds registers and memory afterwards: no event executes
+// outside Run and prepareStart reads no architectural state.
 func (c *Chip) launch(pr *Proc) {
 	pr.slot = int32(len(c.Procs))
+	pr.launchedAt = c.now
 	c.Procs = append(c.Procs, pr)
 	c.attachProcTelemetry(pr)
 	pr.prepareStart()
@@ -295,19 +290,26 @@ func (c *Chip) launch(pr *Proc) {
 // AddProcShared composes a logical processor that shares the architectural
 // memory (and physical address space) of a finished processor — the
 // recomposition scenario: the same thread resumed on a different core set,
-// finding its working set in the old cores' L1s via the directory.
+// finding its working set in the old cores' L1s via the directory.  A
+// thread resumes once: from must be a halted processor of this chip that
+// no earlier call resumed (its successor may be resumed in turn).
 func (c *Chip) AddProcShared(cores compose.Processor, program *prog.Program, from *Proc) (*Proc, error) {
-	if from == nil {
+	switch {
+	case from == nil:
 		return nil, fmt.Errorf("sim: AddProcShared: no processor to resume from")
-	}
-	if !from.halted {
+	case from.chip != c:
+		return nil, fmt.Errorf("sim: AddProcShared: processor %d is not on this chip", from.id)
+	case !from.halted:
 		return nil, fmt.Errorf("sim: AddProcShared: processor %d has not halted", from.id)
+	case from.resumed:
+		return nil, fmt.Errorf("sim: AddProcShared: processor %d was already resumed", from.id)
 	}
 	if err := c.admit(cores, program); err != nil {
 		return nil, err
 	}
 	pr := newProc(c, from.id, cores.Cores, program, from.Mem)
 	pr.Regs = from.Regs
+	from.resumed = true
 	c.launch(pr)
 	return pr, nil
 }

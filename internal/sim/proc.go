@@ -59,6 +59,8 @@ type Proc struct {
 	commitPortD     []mem.Port // per D-bank store-drain port
 	commitPortR     []mem.Port // per register-bank write port
 	halted          bool
+	resumed         bool   // AddProcShared launched a successor on this thread
+	launchedAt      uint64 // cycle of the first fetch; Stats.Cycles counts from here
 
 	// Violation memo: load instructions that have violated, as a dense
 	// bitset indexed blockIndex*MaxBlockInsts+instID.
@@ -710,10 +712,7 @@ func (p *Proc) finalizeCommit(b *IFB, t uint64) {
 
 	if b.actual.Op == isa.OpHalt {
 		p.halted = true
-		p.Stats.Cycles = t
-		if p.chip.onHalt != nil {
-			p.chip.onHalt(p)
-		}
+		p.Stats.Cycles = t - p.launchedAt
 	}
 	p.releaseIFB(b)
 }

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/exec"
+	"github.com/clp-sim/tflex/internal/flight"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -516,6 +519,62 @@ func TestAddProcSharedRejectsBusyCores(t *testing.T) {
 	}
 }
 
+// TestAddProcSharedResumesOnce: a halted thread is resumed at most once,
+// and only from a processor of the same chip; either mistake is a sim:
+// error that composes nothing.  Two successors of one processor would
+// share its ID and memory, and one of them would vanish from the
+// metrics.  A successor can be resumed in turn: the chain
+// first -> second -> third sums as one run does.
+func TestAddProcSharedResumesOnce(t *testing.T) {
+	p := sumProgram(t)
+	want := run(t, p, 2, func(pr *Proc) { pr.Regs[1] = 300 }).Regs[3]
+	foreign := run(t, p, 2, func(pr *Proc) { pr.Regs[1] = 50 })
+
+	chip := New(DefaultOptions())
+	first, err := chip.AddProc(compose.MustRect(0, 0, 2), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Regs[1] = 100
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	// Each rejection names cores of its own, so none fails only because
+	// the composition an earlier one wrongly allowed holds its cores.
+	rejected := func(from *Proc, cores []int, why string) {
+		t.Helper()
+		n := len(chip.Procs)
+		if _, err := chip.AddProcShared(compose.Processor{Cores: cores}, p, from); err == nil || !strings.HasPrefix(err.Error(), "sim: ") {
+			t.Errorf("resuming %s: AddProcShared returned %v, want a sim: error", why, err)
+		}
+		if len(chip.Procs) != n {
+			t.Errorf("resuming %s composed a processor", why)
+		}
+	}
+	rejected(foreign, []int{8, 9}, "a processor of another chip")
+	second, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Regs[1] = 200
+	rejected(first, []int{12, 13}, "a thread already resumed")
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	third, err := chip.AddProcShared(compose.MustRect(0, 0, 2), p, second)
+	if err != nil {
+		t.Fatalf("resuming the successor: %v", err)
+	}
+	third.Regs[1] = 300
+	if err := chip.Run(10_000_000); err != nil {
+		t.Fatal(err)
+	}
+	rejected(first, []int{16, 17}, "a thread already resumed, after its successor halted")
+	if third.Regs[3] != want {
+		t.Errorf("three legs summed %d, one run %d", third.Regs[3], want)
+	}
+}
+
 func TestSimICacheMissesOnLargePrograms(t *testing.T) {
 	// A program with more blocks than a 1-core I-cache holds (8 blocks).
 	b := prog.NewBuilder()
@@ -550,36 +609,98 @@ func TestSimICacheMissesOnLargePrograms(t *testing.T) {
 
 func blockName(i int) string { return "b" + string(rune('A'+i/10)) + string(rune('0'+i%10)) }
 
+// TestSimRecompositionFindsOldL1Lines: a store-heavy thread runs on
+// cores {0,1}, halts, and resumes (recomposes) on cores {2,3}: the
+// directory must forward/invalidate the dirty lines without an explicit
+// L1 flush.  Both engines run the two legs, and each leg's Stats,
+// registers, memory digest and the directory's forward and invalidation
+// counts must be the same on both.
 func TestSimRecompositionFindsOldL1Lines(t *testing.T) {
-	// Run a store-heavy program on cores {0,1}, then resume (recompose) on
-	// cores {2,3}: the directory must forward/invalidate the dirty lines
-	// without an explicit L1 flush.
-	p := memProgram(t)
+	type leg struct {
+		Stats            Stats
+		Regs             [isa.NumRegs]uint64
+		Digest           uint64
+		Forwards, Invals uint64
+	}
+	recompose := func(reference bool) [2]leg {
+		p := memProgram(t)
+		opts := DefaultOptions()
+		opts.Reference = reference
+		chip := New(opts)
+		finish := func(pr *Proc) leg {
+			if err := chip.Run(10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			return leg{pr.Stats, pr.Regs, pr.Mem.Digest(), chip.L2.Stats.Forwards, chip.L2.Stats.Invals}
+		}
+		pr1, err := chip.AddProc(compose.Processor{Cores: []int{0, 1}}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr1.Regs[1] = 0x100000
+		pr1.Regs[4] = 64
+		first := finish(pr1)
+		pr2, err := chip.AddProcShared(compose.Processor{Cores: []int{2, 3}}, p, pr1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr2.Regs[2] = 0
+		pr2.Regs[3] = 0
+		second := finish(pr2)
+		if second.Regs[3] != first.Regs[3] {
+			t.Fatalf("reference %t: recomposed run sum %d != original %d", reference, second.Regs[3], first.Regs[3])
+		}
+		if second.Forwards+second.Invals <= first.Forwards+first.Invals {
+			t.Fatalf("reference %t: recomposition should trigger directory forwards/invalidations", reference)
+		}
+		return [2]leg{first, second}
+	}
+	opt, ref := recompose(false), recompose(true)
+	for i := range opt {
+		if !reflect.DeepEqual(opt[i], ref[i]) {
+			t.Errorf("leg %d differs between the engines:\noptimized %+v\nreference %+v", i+1, opt[i], ref[i])
+		}
+	}
+}
+
+// TestRecomposedCyclesCountFromLaunch: a processor composed after a Run
+// counts its cycles from its launch, not from cycle 0, so its IPC is its
+// own leg's.  The launch and halt cycles are read off the flight ring:
+// the second KCompose record and the last KCommit.
+func TestRecomposedCyclesCountFromLaunch(t *testing.T) {
+	p := sumProgram(t)
 	chip := New(DefaultOptions())
-	pr1, err := chip.AddProc(compose.Processor{Cores: []int{0, 1}}, p)
+	chip.EnableFlight(flight.DefaultEvents)
+	first, err := chip.AddProc(compose.MustRect(0, 0, 2), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr1.Regs[1] = 0x100000
-	pr1.Regs[4] = 64
+	first.Regs[1] = 100
 	if err := chip.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	forwardsBefore := chip.L2.Stats.Forwards + chip.L2.Stats.Invals
-
-	pr2, err := chip.AddProcShared(compose.Processor{Cores: []int{2, 3}}, p, pr1)
+	firstHalt := chip.now
+	second, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr2.Regs[2] = 0
-	pr2.Regs[3] = 0
-	if err := chip.Run(20_000_000); err != nil {
+	second.Regs[1] = 300
+	if err := chip.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if pr2.Regs[3] != pr1.Regs[3] {
-		t.Fatalf("recomposed run sum %d != original %d", pr2.Regs[3], pr1.Regs[3])
+	dump := chip.FlightDump()
+	composed, commits := dump.Records(flight.KCompose), dump.Records(flight.KCommit)
+	if len(composed) != 2 || len(commits) == 0 {
+		t.Fatalf("flight ring holds %d compose and %d commit records, want 2 and some", len(composed), len(commits))
 	}
-	if chip.L2.Stats.Forwards+chip.L2.Stats.Invals <= forwardsBefore {
-		t.Fatal("recomposition should trigger directory forwards/invalidations")
+	launch, halt := composed[1].Cycle, commits[len(commits)-1].Cycle
+	if first.Stats.Cycles != firstHalt || launch < firstHalt {
+		t.Errorf("first leg: %d cycles, the run ended at %d and the second leg launched at %d", first.Stats.Cycles, firstHalt, launch)
+	}
+	if second.Stats.Cycles != halt-launch {
+		t.Errorf("second leg: Stats.Cycles %d, want halt %d - launch %d = %d", second.Stats.Cycles, halt, launch, halt-launch)
+	}
+	if want := float64(second.Stats.InstsCommitted) / float64(halt-launch); second.Stats.IPC() != want {
+		t.Errorf("second leg: IPC %v, want %v over its own leg", second.Stats.IPC(), want)
 	}
 }

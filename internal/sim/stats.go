@@ -2,7 +2,9 @@ package sim
 
 // Stats accumulates per-processor simulation statistics.
 type Stats struct {
-	Cycles uint64 // cycle at which the processor halted
+	// Cycles runs from the processor's launch to its halt, so for one
+	// composed after a Run (AddProcShared) it excludes the earlier run.
+	Cycles uint64
 
 	BlocksFetched   uint64
 	BlocksCommitted uint64
