@@ -40,7 +40,9 @@
 # TestChipSetupBudget, TestEventsPerBlock, TestEventRecordSize,
 # TestInstStateSize; TestRingFootprint in internal/noc), and allocations
 # per marginal block of the functional executor, untraced and traced
-# (TestFunctionalAllocsPerBlock in internal/exec).  No wall-time ratio is
+# (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
+# bytes of Build(32), Init and Check for each of the steady workload's
+# kernels (TestKernelBuildBudget in internal/kernels).  No wall-time ratio is
 # compared to a threshold: wall time is judged across commits by the
 # pipeline that runs BENCHMARK.json, under the bounds that file states.
 #
@@ -107,8 +109,8 @@ if [ "${1:-}" = "bench" ]; then
     shift
     echo "== benchmark (cmd/clpbench) =="
     go run ./cmd/clpbench "$@"
-    echo "== deterministic budgets (allocs per block, set-up bytes, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint|TestFunctionalAllocsPerBlock' ./internal/sim ./internal/noc ./internal/exec
+    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, events per block, ring and record sizes) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget' ./internal/sim ./internal/noc ./internal/exec ./internal/kernels
     exit 0
 fi
 

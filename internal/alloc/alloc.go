@@ -100,12 +100,3 @@ func VariableBestWS(curves []Curve, totalCores int, sizes []int) (bestK int, ws 
 	}
 	return
 }
-
-// Histogram counts how many applications received each composition size.
-func Histogram(assign []int) map[int]int {
-	h := map[int]int{}
-	for _, s := range assign {
-		h[s]++
-	}
-	return h
-}

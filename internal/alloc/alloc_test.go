@@ -116,10 +116,3 @@ func TestVariableBestPicksGoodGranularity(t *testing.T) {
 		t.Fatalf("VB granularity = %d, want 16", k)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]int{4, 4, 8, 2})
-	if h[4] != 2 || h[8] != 1 || h[2] != 1 {
-		t.Fatalf("histogram = %v", h)
-	}
-}

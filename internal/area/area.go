@@ -64,7 +64,3 @@ func PerfPerArea(cycles uint64, mm2 float64) float64 {
 	}
 	return 1.0 / (float64(cycles) * mm2)
 }
-
-// L2AreaPerMB approximates the L2 array area (mm²/MB at 130nm), used for
-// whole-die accounting in reports.
-const L2AreaPerMB = 20.0

@@ -1,10 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"math"
-
-	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -21,6 +17,10 @@ func init() {
 	register(Kernel{Name: "rspeed", Suite: "eembc", HighILP: false, Build: buildRspeed})
 	register(Kernel{Name: "tblook", Suite: "eembc", HighILP: false, Build: buildTblook})
 }
+
+// a2timeRPM is a2time's engine-speed table, shared by every build: Init
+// only reads it.
+var a2timeRPM = []uint64{600, 900, 1200, 1800, 2400, 3000, 3600, 4500}
 
 // a2time: angle-to-time pulse conversion with divides, window checks and
 // predicated accumulation.
@@ -52,42 +52,24 @@ func buildA2time(scale int) (*Instance, error) {
 	}
 
 	ang := make([]uint64, n)
-	rpmTab := [8]uint64{600, 900, 1200, 1800, 2400, 3000, 3600, 4500}
 	r := lcg(31337)
 	for i := range ang {
 		ang[i] = r.intn(720)
 	}
 	var acc, count uint64
 	for i := 0; i < n; i++ {
-		tv := ang[i] * 3600 / rpmTab[i&7]
+		tv := ang[i] * 3600 / a2timeRPM[i&7]
 		if tv >= 100 && tv < 5000 {
 			acc += tv
 			count++
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = angBase
-			regs[3] = rpmBase
-			for i, v := range ang {
-				m.Write64(angBase+uint64(i)*8, v)
-			}
-			for i, v := range rpmTab {
-				m.Write64(rpmBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("a2time acc: %w", err)
-			}
-			if err := checkReg(regs, 8, count); err != nil {
-				return fmt.Errorf("a2time count: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "a2time", image: []cell{
+		reg(1, angBase), reg(3, rpmBase),
+		mem64(angBase, ang), mem64(rpmBase, a2timeRPM),
+		reg(7, acc).expect(), reg(8, count).expect(),
+	}}, nil
 }
 
 // autcor: fixed-point autocorrelation r[k] = sum x[i]*x[i+k], unrolled 8
@@ -135,7 +117,7 @@ func buildAutcor(scale int) (*Instance, error) {
 	for i := range xs {
 		xs[i] = r.intn(1 << 12)
 	}
-	var want [8]uint64
+	want := make([]uint64, 8)
 	for k := 0; k < 8; k++ {
 		var acc uint64
 		for c := 0; c < chunks; c++ {
@@ -146,24 +128,11 @@ func buildAutcor(scale int) (*Instance, error) {
 		want[k] = acc
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = xBase
-			regs[3] = rBase
-			for i, v := range xs {
-				m.Write64(xBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for k, w := range want {
-				if err := checkMem64(m, rBase+uint64(k)*8, k, w); err != nil {
-					return fmt.Errorf("autcor: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "autcor", image: []cell{
+		reg(1, xBase), reg(3, rBase),
+		mem64(xBase, xs),
+		mem64(rBase, want).expect(),
+	}}, nil
 }
 
 // basefp: floating-point arithmetic mix, unrolled 4 per block.
@@ -212,29 +181,12 @@ func buildBasefp(scale int) (*Instance, error) {
 		want[i] = (as[i]*sVal + tVal) / (bs[i] + uVal)
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = aBase
-			regs[3] = bBase
-			regs[4] = yBase
-			regs[10] = math.Float64bits(sVal)
-			regs[11] = math.Float64bits(tVal)
-			regs[12] = math.Float64bits(uVal)
-			for i := range as {
-				m.WriteF64(aBase+uint64(i)*8, as[i])
-				m.WriteF64(bBase+uint64(i)*8, bs[i])
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i, w := range want {
-				if err := checkMem64(m, yBase+uint64(i)*8, i, math.Float64bits(w)); err != nil {
-					return fmt.Errorf("basefp: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "basefp", image: []cell{
+		reg(1, aBase), reg(3, bBase), reg(4, yBase),
+		regF(10, sVal), regF(11, tVal), regF(12, uVal),
+		memF64(aBase, as), memF64(bBase, bs),
+		memF64(yBase, want).expect(),
+	}}, nil
 }
 
 // bezier: cubic Bezier curve evaluation, one point per hyperblock.
@@ -275,9 +227,10 @@ func buildBezier(scale int) (*Instance, error) {
 		return nil, err
 	}
 
-	ctrl := [2][4]float64{{0, 1.5, 3.5, 5}, {0, 4, -2, 1}}
+	// Control points x0..x3 then y0..y3, in registers 10-17.
+	ctrl := [8]float64{0, 1.5, 3.5, 5, 0, 4, -2, 1}
 	dtVal := 1.0 / float64(n)
-	want := make([][2]float64, n)
+	want := make([]float64, 2*n) // x, y per point
 	for i := 0; i < n; i++ {
 		t := float64(int64(i)) * dtVal
 		mt := 1 - t
@@ -288,34 +241,16 @@ func buildBezier(scale int) (*Instance, error) {
 		b1 := (3 * mt2) * t
 		b2 := (3 * mt) * t2
 		for dim := 0; dim < 2; dim++ {
-			c := ctrl[dim]
-			want[i][dim] = (mt3*c[0] + b1*c[1]) + (b2*c[2] + t3*c[3])
+			c := ctrl[dim*4:]
+			want[2*i+dim] = (mt3*c[0] + b1*c[1]) + (b2*c[2] + t3*c[3])
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = outBase
-			regs[9] = math.Float64bits(dtVal)
-			for dim := 0; dim < 2; dim++ {
-				for j := 0; j < 4; j++ {
-					regs[10+dim*4+j] = math.Float64bits(ctrl[dim][j])
-				}
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i := 0; i < n; i++ {
-				for dim := 0; dim < 2; dim++ {
-					addr := outBase + uint64(i)*16 + uint64(dim)*8
-					if err := checkMem64(m, addr, i, math.Float64bits(want[i][dim])); err != nil {
-						return fmt.Errorf("bezier: %w", err)
-					}
-				}
-			}
-			return nil
-		},
-	}, nil
+	image := append(make([]cell, 0, 3+len(ctrl)), reg(1, outBase), regF(9, dtVal), memF64(outBase, want).expect())
+	for i, v := range ctrl {
+		image = append(image, regF(10+i, v))
+	}
+	return &Instance{Prog: p, name: "bezier", image: image}, nil
 }
 
 // dither: serial error-diffusion thresholding, 4 pixels per block with a
@@ -368,26 +303,11 @@ func buildDither(scale int) (*Instance, error) {
 	}
 	finalErr := uint64(e)
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = imgBase
-			regs[3] = outBase
-			m.WriteBytes(imgBase, img)
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			got := m.ReadBytes(outBase, n)
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("dither: pixel %d = %d, want %d", i, got[i], want[i])
-				}
-			}
-			if err := checkReg(regs, 7, finalErr); err != nil {
-				return fmt.Errorf("dither err: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "dither", image: []cell{
+		reg(1, imgBase), reg(3, outBase),
+		mem8(imgBase, img),
+		mem8(outBase, want).expect(), reg(7, finalErr).expect(),
+	}}, nil
 }
 
 // rspeed: road-speed computation with divides, clamping selects and
@@ -444,25 +364,11 @@ func buildRspeed(scale int) (*Instance, error) {
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = tsBase
-			regs[10] = distVal
-			for i, v := range ts {
-				m.Write64(tsBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("rspeed acc: %w", err)
-			}
-			if err := checkReg(regs, 8, fastCount); err != nil {
-				return fmt.Errorf("rspeed count: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "rspeed", image: []cell{
+		reg(1, tsBase), reg(10, distVal),
+		mem64(tsBase, ts),
+		reg(7, acc).expect(), reg(8, fastCount).expect(),
+	}}, nil
 }
 
 // tblook: table lookup with linear interpolation and index clamping;
@@ -516,23 +422,9 @@ func buildTblook(scale int) (*Instance, error) {
 		acc += base + ((next-base)*frac)>>8
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = inBase
-			regs[3] = tabBase
-			for i, v := range in {
-				m.Write64(inBase+uint64(i)*8, v)
-			}
-			for i, v := range tab {
-				m.Write64(tabBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("tblook: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "tblook", image: []cell{
+		reg(1, inBase), reg(3, tabBase),
+		mem64(inBase, in), mem64(tabBase, tab),
+		reg(7, acc).expect(),
+	}}, nil
 }

@@ -1,10 +1,8 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
 
-	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -75,27 +73,11 @@ func buildConv(scale int) (*Instance, error) {
 		want[o] = acc
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = xBase
-			regs[3] = yBase
-			for k := 0; k < taps; k++ {
-				regs[10+k] = h[k]
-			}
-			for idx, v := range x {
-				m.Write64(xBase+uint64(idx)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for o := 0; o < n; o++ {
-				if err := checkMem64(m, yBase+uint64(o)*8, o, want[o]); err != nil {
-					return fmt.Errorf("conv: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	image := append(make([]cell, 0, 4+taps), reg(1, xBase), reg(3, yBase), mem64(xBase, x), mem64(yBase, want).expect())
+	for k, v := range h {
+		image = append(image, reg(10+k, v))
+	}
+	return &Instance{Prog: p, name: "conv", image: image}, nil
 }
 
 // ct: 8-point cosine transform (DCT-II) applied to rows, floating point,
@@ -164,28 +146,11 @@ func buildCT(scale int) (*Instance, error) {
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = xBase
-			regs[3] = yBase
-			regs[4] = cBase
-			for i, v := range xs {
-				m.WriteF64(xBase+uint64(i)*8, v)
-			}
-			for i, v := range ctab {
-				m.WriteF64(cBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i, w := range want {
-				if err := checkMem64(m, yBase+uint64(i)*8, i, math.Float64bits(w)); err != nil {
-					return fmt.Errorf("ct: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "ct", image: []cell{
+		reg(1, xBase), reg(3, yBase), reg(4, cBase),
+		memF64(xBase, xs), memF64(cBase, ctab),
+		memF64(yBase, want).expect(),
+	}}, nil
 }
 
 // genalg: a tournament-selection genetic-algorithm step: pick two genomes
@@ -257,23 +222,9 @@ func buildGenalg(scale int) (*Instance, error) {
 		want[loser] = winner ^ (1 << bit)
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = popBase
-			regs[5] = seed0
-			regs[6] = targetVal
-			for i, v := range pop {
-				m.Write64(popBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i, w := range want {
-				if err := checkMem64(m, popBase+uint64(i)*8, i, w); err != nil {
-					return fmt.Errorf("genalg: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "genalg", image: []cell{
+		reg(1, popBase), reg(5, seed0), reg(6, targetVal),
+		mem64(popBase, pop),
+		mem64(popBase, want).expect(),
+	}}, nil
 }

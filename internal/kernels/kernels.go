@@ -15,6 +15,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"github.com/clp-sim/tflex/internal/exec"
@@ -22,14 +23,127 @@ import (
 	"github.com/clp-sim/tflex/internal/prog"
 )
 
-// Instance is one runnable kernel: program, input setup and output check.
+// Instance is one runnable kernel: its program and, as data, the
+// architectural state around a run.  Its image holds the input registers
+// and memory Init writes and the expected registers and memory Check
+// compares, all computed at build time by the kernel's Go reference
+// implementation; inputs and expected outputs share one list so a build
+// allocates one image beside its data.  Init and Check only read the
+// Instance, so one build serves any number of runs.
 type Instance struct {
-	Prog *prog.Program
-	// Init seeds architectural registers and memory.
-	Init func(regs *[isa.NumRegs]uint64, m *exec.PageMem)
-	// Check validates the final architectural state against the Go
-	// reference implementation.
-	Check func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error
+	Prog  *prog.Program
+	name  string
+	image []cell
+}
+
+// A cell is one entry of a kernel's image: one register, or a span of
+// memory elements held in a slice the build computed (never a copy).
+// Init writes the input cells; Check compares the expected ones.
+type cell struct {
+	elem     elem
+	expected bool
+	reg      uint8  // a register cell's register
+	stride   uint32 // a span's bytes from one element to the next
+	word     uint64 // a register cell's value, or a span's base address
+	b        []byte
+	h        []uint16
+	w        []uint64
+	f        []float64
+}
+
+type elem uint8
+
+const (
+	elemReg elem = iota
+	elem8
+	elem16
+	elem64
+	elemF64 // float64 values, stored and compared as their bits
+)
+
+func reg(n int, v uint64) cell             { return cell{elem: elemReg, reg: uint8(n), word: v} }
+func regF(n int, v float64) cell           { return reg(n, math.Float64bits(v)) }
+func mem8(addr uint64, s []byte) cell      { return cell{elem: elem8, word: addr, stride: 1, b: s} }
+func mem16(addr uint64, s []uint16) cell   { return cell{elem: elem16, word: addr, stride: 2, h: s} }
+func mem64(addr uint64, s []uint64) cell   { return cell{elem: elem64, word: addr, stride: 8, w: s} }
+func memF64(addr uint64, s []float64) cell { return cell{elem: elemF64, word: addr, stride: 8, f: s} }
+
+// every interleaves a span with others: its elements sit stride bytes
+// apart.
+func (c cell) every(stride uint32) cell { c.stride = stride; return c }
+
+// expect makes c an expected output, compared by Check.
+func (c cell) expect() cell { c.expected = true; return c }
+
+func (c *cell) len() int {
+	switch c.elem {
+	case elem8:
+		return len(c.b)
+	case elem16:
+		return len(c.h)
+	case elem64:
+		return len(c.w)
+	case elemF64:
+		return len(c.f)
+	}
+	return 0
+}
+
+// addr returns the address of span element i.
+func (c *cell) addr(i int) uint64 { return c.word + uint64(i)*uint64(c.stride) }
+
+// at returns span element i as memory holds it.
+func (c *cell) at(i int) (v uint64, size int) {
+	switch c.elem {
+	case elem8:
+		return uint64(c.b[i]), 1
+	case elem16:
+		return uint64(c.h[i]), 2
+	case elem64:
+		return c.w[i], 8
+	}
+	return math.Float64bits(c.f[i]), 8
+}
+
+// Init writes the kernel's input image into a register file and memory.
+func (inst *Instance) Init(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
+	for i := range inst.image {
+		c := &inst.image[i]
+		switch {
+		case c.expected:
+		case c.elem == elemReg:
+			regs[c.reg] = c.word
+		default:
+			for j := range c.len() {
+				v, size := c.at(j)
+				m.Store(c.addr(j), size, v)
+			}
+		}
+	}
+}
+
+// Check compares a final register file and memory with the kernel's
+// expected image and names the first register or memory element that
+// differs.
+func (inst *Instance) Check(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
+	for i := range inst.image {
+		c := &inst.image[i]
+		switch {
+		case !c.expected:
+		case c.elem == elemReg:
+			if got := regs[c.reg]; got != c.word {
+				return fmt.Errorf("%s: r%d = %d (%#x), want %d (%#x)", inst.name, c.reg, got, got, c.word, c.word)
+			}
+		default:
+			for j := range c.len() {
+				want, size := c.at(j)
+				if got := m.Load(c.addr(j), size, false); got != want {
+					return fmt.Errorf("%s: element %d @%#x = %d (%#x), want %d (%#x)", inst.name, j, c.addr(j), got, got, want, want)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Kernel is one benchmark in the suite.
@@ -122,22 +236,6 @@ func (r *lcg) next() uint64 {
 }
 
 func (r *lcg) intn(n uint64) uint64 { return r.next() % n }
-
-// Common check helpers.
-
-func checkReg(regs *[isa.NumRegs]uint64, reg int, want uint64) error {
-	if regs[reg] != want {
-		return fmt.Errorf("r%d = %d (%#x), want %d (%#x)", reg, regs[reg], regs[reg], want, want)
-	}
-	return nil
-}
-
-func checkMem64(m *exec.PageMem, addr uint64, i int, want uint64) error {
-	if got := m.Read64(addr); got != want {
-		return fmt.Errorf("word %d @%#x = %d (%#x), want %d (%#x)", i, addr, got, got, want, want)
-	}
-	return nil
-}
 
 // loopCtlI emits the canonical induction update and back edge:
 // iv += step; if iv < limit goto loop else goto done.

@@ -1,10 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"math"
-
-	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -43,27 +39,13 @@ func llArrays(n int, seed uint64) (x, y, z, u []float64) {
 	return mk(), mk(), mk(), mk()
 }
 
-func llInit(x, y, z, u []float64) func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-	return func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-		regs[1], regs[3], regs[4], regs[6] = llX, llY, llZ, llU
-		for i := range x {
-			m.WriteF64(llX+uint64(i)*8, x[i])
-			m.WriteF64(llY+uint64(i)*8, y[i])
-			m.WriteF64(llZ+uint64(i)*8, z[i])
-			m.WriteF64(llU+uint64(i)*8, u[i])
-		}
-	}
-}
-
-func llCheckX(name string, want []float64) func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-	return func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-		for i, w := range want {
-			if err := checkMem64(m, llX+uint64(i)*8, i, math.Float64bits(w)); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-		}
-		return nil
-	}
+// llImage is the image every Livermore loop starts from, the four arrays
+// and their base registers, followed by the loop's own cells.
+func llImage(x, y, z, u []float64, cells ...cell) []cell {
+	image := append(make([]cell, 0, 8+len(cells)),
+		reg(1, llX), reg(3, llY), reg(4, llZ), reg(6, llU),
+		memF64(llX, x), memF64(llY, y), memF64(llZ, z), memF64(llU, u))
+	return append(image, cells...)
 }
 
 // LL1 — hydro fragment: x[k] = q + y[k]*(r*z[k+10] + t*z[k+11]),
@@ -104,17 +86,9 @@ func buildLL1(scale int) (*Instance, error) {
 	for k := 0; k < n; k++ {
 		want[k] = q + y[k]*(rc*z[k+10]+tc*z[k+11])
 	}
-	base := llInit(x, y, z, nil2(n))
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			base(regs, m)
-			regs[10] = math.Float64bits(q)
-			regs[11] = math.Float64bits(rc)
-			regs[12] = math.Float64bits(tc)
-		},
-		Check: llCheckX("ll1", want),
-	}, nil
+	return &Instance{Prog: p, name: "ll1_hydro", image: llImage(x, y, z, nil2(n),
+		regF(10, q), regF(11, rc), regF(12, tc),
+		memF64(llX, want).expect())}, nil
 }
 
 func nil2(n int) []float64 { return make([]float64, n+16) }
@@ -151,17 +125,9 @@ func buildLL3(scale int) (*Instance, error) {
 	for k := 0; k < n; k++ {
 		want += z[k] * x[k]
 	}
-	base := llInit(x, y, z, u)
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			base(regs, m)
-			regs[10] = math.Float64bits(0)
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			return checkReg(regs, 10, math.Float64bits(want))
-		},
-	}, nil
+	return &Instance{Prog: p, name: "ll3_inner", image: llImage(x, y, z, u,
+		regF(10, 0),
+		regF(10, want).expect())}, nil
 }
 
 // LL5 — tridiagonal elimination, a serial recurrence:
@@ -196,15 +162,9 @@ func buildLL5(scale int) (*Instance, error) {
 		prevRef = z[i] * (y[i] - prevRef)
 		want[i] = prevRef
 	}
-	base := llInit(x, y, z, u)
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			base(regs, m)
-			regs[10] = math.Float64bits(0)
-		},
-		Check: llCheckX("ll5", want),
-	}, nil
+	return &Instance{Prog: p, name: "ll5_tridiag", image: llImage(x, y, z, u,
+		regF(10, 0),
+		memF64(llX, want).expect())}, nil
 }
 
 // LL7 — equation of state fragment: a deep arithmetic expression over
@@ -258,17 +218,9 @@ func buildLL7(scale int) (*Instance, error) {
 		term3 := u[k+6] + q*(u[k+5]+q*u[k+4])
 		want[k] = (u[k] + rc*t1) + tc*(term2+tc*term3)
 	}
-	base := llInit(x, y, z, u)
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			base(regs, m)
-			regs[10] = math.Float64bits(q)
-			regs[11] = math.Float64bits(rc)
-			regs[12] = math.Float64bits(tc)
-		},
-		Check: llCheckX("ll7", want),
-	}, nil
+	return &Instance{Prog: p, name: "ll7_eos", image: llImage(x, y, z, u,
+		regF(10, q), regF(11, rc), regF(12, tc),
+		memF64(llX, want).expect())}, nil
 }
 
 // LL11 — first sum, the serial prefix: x[k] = x[k-1] + y[k].
@@ -300,15 +252,9 @@ func buildLL11(scale int) (*Instance, error) {
 		prevRef += y[k]
 		want[k] = prevRef
 	}
-	base := llInit(x, y, z, u)
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			base(regs, m)
-			regs[10] = math.Float64bits(0)
-		},
-		Check: llCheckX("ll11", want),
-	}, nil
+	return &Instance{Prog: p, name: "ll11_presum", image: llImage(x, y, z, u,
+		regF(10, 0),
+		memF64(llX, want).expect())}, nil
 }
 
 // LL12 — first difference, fully parallel: x[k] = y[k+1] - y[k],
@@ -341,10 +287,6 @@ func buildLL12(scale int) (*Instance, error) {
 	for k := 0; k < n; k++ {
 		want[k] = y[k+1] - y[k]
 	}
-	base := llInit(x, y, z, u)
-	return &Instance{
-		Prog:  p,
-		Init:  base,
-		Check: llCheckX("ll12", want),
-	}, nil
+	return &Instance{Prog: p, name: "ll12_diff", image: llImage(x, y, z, u,
+		memF64(llX, want).expect())}, nil
 }

@@ -1,10 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-	"math"
-
-	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -59,12 +55,10 @@ func buildAmmp(scale int) (*Instance, error) {
 		return nil, err
 	}
 
-	pos := make([][3]float64, atoms)
+	pos := make([]float64, 3*atoms) // x, y, z per atom
 	r := lcg(7777)
 	for i := range pos {
-		for d := 0; d < 3; d++ {
-			pos[i][d] = float64(int64(r.intn(200)) - 100)
-		}
+		pos[i] = float64(int64(r.intn(200)) - 100)
 	}
 	var accRef float64
 	s := uint64(13)
@@ -73,32 +67,19 @@ func buildAmmp(scale int) (*Instance, error) {
 		ai := (s >> 17) & (atoms - 1)
 		s = s*lcgMul + lcgAdd
 		bi := (s >> 17) & (atoms - 1)
-		dx := pos[ai][0] - pos[bi][0]
-		dy := pos[ai][1] - pos[bi][1]
-		dz := pos[ai][2] - pos[bi][2]
+		u, v := pos[3*ai:], pos[3*bi:]
+		dx := u[0] - v[0]
+		dy := u[1] - v[1]
+		dz := u[2] - v[2]
 		r2 := (dx*dx + dy*dy) + dz*dz
 		accRef += 1 / (r2 + 0.1)
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = posBase
-			regs[5] = 13
-			regs[7] = math.Float64bits(0)
-			for i := range pos {
-				for d := 0; d < 3; d++ {
-					m.WriteF64(posBase+uint64(i)*24+uint64(d)*8, pos[i][d])
-				}
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, math.Float64bits(accRef)); err != nil {
-				return fmt.Errorf("ammp: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "ammp", image: []cell{
+		reg(1, posBase), reg(5, 13), regF(7, 0),
+		memF64(posBase, pos),
+		regF(7, accRef).expect(),
+	}}, nil
 }
 
 // applu: a 5-point Jacobi relaxation over a 2D grid, one point per block.
@@ -141,37 +122,20 @@ func buildApplu(scale int) (*Instance, error) {
 	for i := range grid {
 		grid[i] = float64(int64(r.intn(1000)) - 500)
 	}
-	want := make([]float64, gw*gw)
+	want := make([]float64, dim*dim) // the interior points, row by row
 	for row := 0; row < dim; row++ {
 		for col := 0; col < dim; col++ {
 			i := (row+1)*gw + col + 1
 			sum := (grid[i-gw] + grid[i+gw]) + (grid[i-1] + grid[i+1])
-			want[i] = grid[i] + 0.2*(sum-4*grid[i])
+			want[row*dim+col] = grid[i] + 0.2*(sum-4*grid[i])
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = inBase
-			regs[3] = outBase
-			regs[10] = math.Float64bits(0.2)
-			for i, v := range grid {
-				m.WriteF64(inBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for row := 0; row < dim; row++ {
-				for col := 0; col < dim; col++ {
-					i := (row+1)*gw + col + 1
-					if err := checkMem64(m, outBase+uint64(i)*8, i, math.Float64bits(want[i])); err != nil {
-						return fmt.Errorf("applu: %w", err)
-					}
-				}
-			}
-			return nil
-		},
-	}, nil
+	image := append(make([]cell, 0, 4+dim), reg(1, inBase), reg(3, outBase), regF(10, 0.2), memF64(inBase, grid))
+	for row := 0; row < dim; row++ {
+		image = append(image, memF64(outBase+uint64((row+1)*gw+1)*8, want[row*dim:(row+1)*dim]).expect())
+	}
+	return &Instance{Prog: p, name: "applu", image: image}, nil
 }
 
 // art: neural-network F1 layer: out[j] += w[i][j] * in[i], 4 MACs per
@@ -225,7 +189,7 @@ func buildArt(scale int) (*Instance, error) {
 	for i := range xs {
 		xs[i] = float64(int64(r.intn(64)) - 32)
 	}
-	var want [outs]float64
+	want := make([]float64, outs)
 	for j := 0; j < outs; j++ {
 		acc := 0.0
 		for i := 0; i < ins; i++ {
@@ -234,29 +198,11 @@ func buildArt(scale int) (*Instance, error) {
 		want[j] = acc
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = wBase
-			regs[3] = inBase
-			regs[4] = outBase
-			regs[7] = math.Float64bits(0)
-			for i, v := range ws {
-				m.WriteF64(wBase+uint64(i)*8, v)
-			}
-			for i, v := range xs {
-				m.WriteF64(inBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for j, w := range want {
-				if err := checkMem64(m, outBase+uint64(j)*8, j, math.Float64bits(w)); err != nil {
-					return fmt.Errorf("art: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "art", image: []cell{
+		reg(1, wBase), reg(3, inBase), reg(4, outBase), regF(7, 0),
+		memF64(wBase, ws), memF64(inBase, xs),
+		memF64(outBase, want).expect(),
+	}}, nil
 }
 
 // equake: sparse matrix-vector product with indirect loads, one row per
@@ -320,30 +266,11 @@ func buildEquake(scale int) (*Instance, error) {
 		want[i] = sum
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = colBase
-			regs[3] = valBase
-			regs[4] = xBase
-			regs[6] = yBase
-			for i := range cols {
-				m.Write64(colBase+uint64(i)*8, cols[i])
-				m.WriteF64(valBase+uint64(i)*8, vals[i])
-			}
-			for i, v := range xs {
-				m.WriteF64(xBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i, w := range want {
-				if err := checkMem64(m, yBase+uint64(i)*8, i, math.Float64bits(w)); err != nil {
-					return fmt.Errorf("equake: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "equake", image: []cell{
+		reg(1, colBase), reg(3, valBase), reg(4, xBase), reg(6, yBase),
+		mem64(colBase, cols), memF64(valBase, vals), memF64(xBase, xs),
+		memF64(yBase, want).expect(),
+	}}, nil
 }
 
 // mesa: 4x4 matrix x vec4 vertex transform, split over two blocks per
@@ -392,49 +319,27 @@ func buildMesa(scale int) (*Instance, error) {
 	for i := range mat {
 		mat[i] = float64(int64(r.intn(16)) - 8)
 	}
-	vertsIn := make([][4]float64, verts)
+	vertsIn := make([]float64, 4*verts) // x, y, z, w per vertex
 	for i := range vertsIn {
-		for k := 0; k < 4; k++ {
-			vertsIn[i][k] = float64(int64(r.intn(256)) - 128)
-		}
+		vertsIn[i] = float64(int64(r.intn(256)) - 128)
 	}
-	want := make([][4]float64, verts)
-	for i := range vertsIn {
+	want := make([]float64, 4*verts)
+	for i := 0; i < len(vertsIn); i += 4 {
+		v := vertsIn[i : i+4]
 		for row := 0; row < 4; row++ {
-			acc := mat[row*4] * vertsIn[i][0]
+			acc := mat[row*4] * v[0]
 			for k := 1; k < 4; k++ {
-				acc += mat[row*4+k] * vertsIn[i][k]
+				acc += mat[row*4+k] * v[k]
 			}
-			want[i][row] = acc
+			want[i+row] = acc
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = inBase
-			regs[3] = outBase
-			for i, v := range mat {
-				regs[10+i] = math.Float64bits(v)
-			}
-			for i := range vertsIn {
-				for k := 0; k < 4; k++ {
-					m.WriteF64(inBase+uint64(i)*32+uint64(k)*8, vertsIn[i][k])
-				}
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i := range want {
-				for k := 0; k < 4; k++ {
-					addr := outBase + uint64(i)*32 + uint64(k)*8
-					if err := checkMem64(m, addr, i, math.Float64bits(want[i][k])); err != nil {
-						return fmt.Errorf("mesa: %w", err)
-					}
-				}
-			}
-			return nil
-		},
-	}, nil
+	image := append(make([]cell, 0, 4+len(mat)), reg(1, inBase), reg(3, outBase), memF64(inBase, vertsIn), memF64(outBase, want).expect())
+	for i, v := range mat {
+		image = append(image, regF(10+i, v))
+	}
+	return &Instance{Prog: p, name: "mesa", image: image}, nil
 }
 
 // swim: a 1D shallow-water step: velocity and height updates from
@@ -490,30 +395,10 @@ func buildSwim(scale int) (*Instance, error) {
 		wantH[i] = hs[i+1] + dVal*(us[i+2]-us[i])
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = uBase
-			regs[3] = hBase
-			regs[4] = u2Base
-			regs[6] = h2Base
-			regs[10] = math.Float64bits(cVal)
-			regs[11] = math.Float64bits(dVal)
-			for i := range us {
-				m.WriteF64(uBase+uint64(i)*8, us[i])
-				m.WriteF64(hBase+uint64(i)*8, hs[i])
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i := 0; i < n; i++ {
-				if err := checkMem64(m, u2Base+uint64(i+1)*8, i, math.Float64bits(wantU[i])); err != nil {
-					return fmt.Errorf("swim u: %w", err)
-				}
-				if err := checkMem64(m, h2Base+uint64(i+1)*8, i, math.Float64bits(wantH[i])); err != nil {
-					return fmt.Errorf("swim h: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "swim", image: []cell{
+		reg(1, uBase), reg(3, hBase), reg(4, u2Base), reg(6, h2Base),
+		regF(10, cVal), regF(11, dVal),
+		memF64(uBase, us), memF64(hBase, hs),
+		memF64(u2Base+8, wantU).expect(), memF64(h2Base+8, wantH).expect(),
+	}}, nil
 }

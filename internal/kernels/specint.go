@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
-	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -93,30 +90,11 @@ func buildBzip2(scale int) (*Instance, error) {
 		listRef[0] = sym
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = inBase
-			regs[3] = listBase
-			for i, v := range in {
-				m.Write64(inBase+uint64(i)*8, v)
-			}
-			for i, v := range list {
-				m.Write64(listBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, mtfAcc); err != nil {
-				return fmt.Errorf("bzip2 mtf: %w", err)
-			}
-			for i, w := range listRef {
-				if err := checkMem64(m, listBase+uint64(i)*8, i, w); err != nil {
-					return fmt.Errorf("bzip2 list: %w", err)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "bzip2", image: []cell{
+		reg(1, inBase), reg(3, listBase),
+		mem64(inBase, in), mem64(listBase, list),
+		reg(7, mtfAcc).expect(), mem64(listBase, listRef).expect(),
+	}}, nil
 }
 
 // crafty: bitboard population counts via the Kernighan loop — a
@@ -160,21 +138,11 @@ func buildCrafty(scale int) (*Instance, error) {
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = boardBase
-			for i, v := range boards {
-				m.Write64(boardBase+uint64(i)*8, v)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, popAcc); err != nil {
-				return fmt.Errorf("crafty: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "crafty", image: []cell{
+		reg(1, boardBase),
+		mem64(boardBase, boards),
+		reg(7, popAcc).expect(),
+	}}, nil
 }
 
 // gcc: a control-flow-graph walk with a three-way kind dispatch per node
@@ -220,48 +188,34 @@ func buildGcc(scale int) (*Instance, error) {
 		return nil, err
 	}
 
-	type nodeT struct{ kind, val, n0, n1 uint64 }
-	g := make([]nodeT, nodes)
+	// Node i is the four words kind, val, next0, next1 at g[4*i:].
+	g := make([]uint64, 4*nodes)
 	r := lcg(1618)
-	for i := range g {
-		g[i] = nodeT{kind: r.intn(3), val: r.intn(1000), n0: r.intn(nodes), n1: r.intn(nodes)}
+	for i := 0; i < len(g); i += 4 {
+		g[i], g[i+1], g[i+2], g[i+3] = r.intn(3), r.intn(1000), r.intn(nodes), r.intn(nodes)
 	}
 	var acc uint64
 	curRef := uint64(0)
 	for s := 0; s < steps; s++ {
-		nd := g[curRef]
-		switch nd.kind {
+		nd := g[4*curRef:]
+		switch nd[0] {
 		case 0:
-			acc ^= nd.val
-			curRef = nd.n0
+			acc ^= nd[1]
+			curRef = nd[2]
 		case 1:
-			acc += nd.val * 3
-			curRef = nd.n1
+			acc += nd[1] * 3
+			curRef = nd[3]
 		default:
-			acc -= nd.val
-			curRef = nd.n0
+			acc -= nd[1]
+			curRef = nd[2]
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = nodeBase
-			for i, nd := range g {
-				base := uint64(nodeBase) + uint64(i)*32
-				m.Write64(base, nd.kind)
-				m.Write64(base+8, nd.val)
-				m.Write64(base+16, nd.n0)
-				m.Write64(base+24, nd.n1)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("gcc: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "gcc", image: []cell{
+		reg(1, nodeBase),
+		mem64(nodeBase, g),
+		reg(7, acc).expect(),
+	}}, nil
 }
 
 // gzip: LZ77-style hash-chain matching — hash three bytes, probe the head
@@ -313,12 +267,13 @@ func buildGzip(scale int) (*Instance, error) {
 	for i := range data {
 		data[i] = byte(r.intn(4)) // small alphabet: matches happen
 	}
-	head := make([]uint64, 64)
+	head := make([]uint64, 64) // the bucket heads start empty
+	var headRef [64]uint64
 	var acc uint64
 	for i := 0; i < n; i++ {
 		h := ((uint64(data[i])*33+uint64(data[i+1]))*33 + uint64(data[i+2])) & 63
-		cand := head[h]
-		head[h] = uint64(i)
+		cand := headRef[h]
+		headRef[h] = uint64(i)
 		mlen := uint64(0)
 		for t := uint64(0); t < 4; t++ {
 			if data[uint64(i)+t] != data[cand+t] {
@@ -329,23 +284,11 @@ func buildGzip(scale int) (*Instance, error) {
 		acc += mlen
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = dataBase
-			regs[3] = headBase
-			m.WriteBytes(dataBase, data)
-			for i := range head {
-				m.Write64(headBase+uint64(i)*8, 0)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("gzip: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "gzip", image: []cell{
+		reg(1, dataBase), reg(3, headBase),
+		mem8(dataBase, data), mem64(headBase, head),
+		reg(7, acc).expect(),
+	}}, nil
 }
 
 // mcf: the memory-bound pointer chase — a ring of nodes with a large
@@ -370,9 +313,11 @@ func buildMcf(scale int) (*Instance, error) {
 		return nil, err
 	}
 
-	perm := make([]uint64, nodes)
-	for i := range perm {
-		perm[i] = uint64((i*1237 + 1) % nodes) // fixed-point-free-ish ring
+	// Node i, stride bytes after node i-1, holds its successor's address
+	// and its cost.
+	succ := make([]uint64, nodes)
+	for i := range succ {
+		succ[i] = ringBase + uint64((i*1237+1)%nodes)*stride // fixed-point-free-ish ring
 	}
 	costs := make([]uint64, nodes)
 	r := lcg(3133)
@@ -380,29 +325,18 @@ func buildMcf(scale int) (*Instance, error) {
 		costs[i] = r.intn(97)
 	}
 	var acc uint64
-	curRef := uint64(0)
+	curRef := uint64(ringBase)
 	for s := 0; s < steps; s++ {
-		acc += costs[curRef]
-		curRef = perm[curRef]
+		i := (curRef - ringBase) / stride
+		acc += costs[i]
+		curRef = succ[i]
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[5] = ringBase
-			for i := 0; i < nodes; i++ {
-				addr := uint64(ringBase) + uint64(i)*stride
-				m.Write64(addr, uint64(ringBase)+perm[i]*stride)
-				m.Write64(addr+8, costs[i])
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("mcf: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "mcf", image: []cell{
+		reg(5, ringBase),
+		mem64(ringBase, succ).every(stride), mem64(ringBase+8, costs).every(stride),
+		reg(7, acc).expect(),
+	}}, nil
 }
 
 // parser: a byte-stream tokenizer with a two-state machine and per-class
@@ -462,22 +396,11 @@ func buildParser(scale int) (*Instance, error) {
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = textBase
-			m.WriteBytes(textBase, text)
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, tokens); err != nil {
-				return fmt.Errorf("parser tokens: %w", err)
-			}
-			if err := checkReg(regs, 8, seps); err != nil {
-				return fmt.Errorf("parser seps: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "parser", image: []cell{
+		reg(1, textBase),
+		mem8(textBase, text),
+		reg(7, tokens).expect(), reg(8, seps).expect(),
+	}}, nil
 }
 
 // twolf: placement cost evaluation — random cell pairs, Manhattan
@@ -555,27 +478,11 @@ func buildTwolf(scale int) (*Instance, error) {
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = xyBase
-			regs[5] = 7
-			regs[8] = ^uint64(0)
-			for i := 0; i < cells; i++ {
-				m.Write64(xyBase+uint64(i)*16, xs[i])
-				m.Write64(xyBase+uint64(i)*16+8, ys[i])
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, acc); err != nil {
-				return fmt.Errorf("twolf acc: %w", err)
-			}
-			if err := checkReg(regs, 8, bestRef); err != nil {
-				return fmt.Errorf("twolf best: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "twolf", image: []cell{
+		reg(1, xyBase), reg(5, 7), reg(8, ^uint64(0)),
+		mem64(xyBase, xs).every(16), mem64(xyBase+8, ys).every(16),
+		reg(7, acc).expect(), reg(8, bestRef).expect(),
+	}}, nil
 }
 
 // vortex: hash-table lookups with linear probing — data-dependent probe
@@ -627,22 +534,22 @@ func buildVortex(scale int) (*Instance, error) {
 	}
 
 	// Populate half the table with keys from the same key space.
-	type bucket struct{ key, val uint64 }
-	tab := make([]bucket, buckets)
+	// Bucket h is the two words key, val at tab[2*h:].
+	tab := make([]uint64, 2*buckets)
 	ins := lcg(5150)
 	inserted := 0
 	for inserted < buckets/2 {
 		s := ins.next()
 		key := (s & 1023) | 1
 		h := key * hashMul >> 56 & (buckets - 1)
-		for tab[h].key != 0 {
-			if tab[h].key == key {
+		for tab[2*h] != 0 {
+			if tab[2*h] == key {
 				break
 			}
 			h = (h + 1) & (buckets - 1)
 		}
-		if tab[h].key == 0 {
-			tab[h] = bucket{key: key, val: ins.intn(1000)}
+		if tab[2*h] == 0 {
+			tab[2*h], tab[2*h+1] = key, ins.intn(1000)
 			inserted++
 		}
 	}
@@ -654,9 +561,9 @@ func buildVortex(scale int) (*Instance, error) {
 		key := ((s >> 17) & 1023) | 1
 		h := key * hashMul >> 56 & (buckets - 1)
 		for {
-			k := tab[h].key
+			k := tab[2*h]
 			if k == key {
-				valAcc += tab[h].val
+				valAcc += tab[2*h+1]
 				hitCount++
 				break
 			}
@@ -667,24 +574,9 @@ func buildVortex(scale int) (*Instance, error) {
 		}
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = tabBase
-			regs[5] = 31
-			for i, bk := range tab {
-				m.Write64(tabBase+uint64(i)*16, bk.key)
-				m.Write64(tabBase+uint64(i)*16+8, bk.val)
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			if err := checkReg(regs, 7, valAcc); err != nil {
-				return fmt.Errorf("vortex vals: %w", err)
-			}
-			if err := checkReg(regs, 8, hitCount); err != nil {
-				return fmt.Errorf("vortex hits: %w", err)
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "vortex", image: []cell{
+		reg(1, tabBase), reg(5, 31),
+		mem64(tabBase, tab),
+		reg(7, valAcc).expect(), reg(8, hitCount).expect(),
+	}}, nil
 }

@@ -1,9 +1,6 @@
 package kernels
 
 import (
-	"fmt"
-
-	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -72,24 +69,11 @@ func build80211b(scale int) (*Instance, error) {
 		scrRef = scrRef*5 + 1
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = inBase
-			regs[3] = outBase
-			regs[5] = 0x1234
-			m.WriteBytes(inBase, in)
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			got := m.ReadBytes(outBase, n)
-			for i := range want {
-				if got[i] != want[i] {
-					return fmt.Errorf("802.11b: byte %d = %#x, want %#x", i, got[i], want[i])
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "802.11b", image: []cell{
+		reg(1, inBase), reg(3, outBase), reg(5, 0x1234),
+		mem8(inBase, in),
+		mem8(outBase, want).expect(),
+	}}, nil
 }
 
 // 8b10b: table-driven line coding with a running-disparity feedback loop:
@@ -185,34 +169,11 @@ func build8b10b(scale int) (*Instance, error) {
 		want[i] = uint16((e5&0x3f)<<4 | e3&0xf)
 	}
 
-	return &Instance{
-		Prog: p,
-		Init: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
-			regs[1] = inBase
-			regs[3] = outBase
-			regs[5] = 0
-			regs[10] = t5pBase
-			regs[11] = t5nBase
-			regs[12] = t3pBase
-			regs[13] = t3nBase
-			m.WriteBytes(inBase, in)
-			for v := 0; v < 32; v++ {
-				m.Write64(t5pBase+uint64(v)*8, t5p[v])
-				m.Write64(t5nBase+uint64(v)*8, t5n[v])
-			}
-			for v := 0; v < 8; v++ {
-				m.Write64(t3pBase+uint64(v)*8, t3p[v])
-				m.Write64(t3nBase+uint64(v)*8, t3n[v])
-			}
-		},
-		Check: func(regs *[isa.NumRegs]uint64, m *exec.PageMem) error {
-			for i, w := range want {
-				got := uint16(m.Load(outBase+uint64(i)*2, 2, false))
-				if got != w {
-					return fmt.Errorf("8b10b: code %d = %#x, want %#x", i, got, w)
-				}
-			}
-			return nil
-		},
-	}, nil
+	return &Instance{Prog: p, name: "8b10b", image: []cell{
+		reg(1, inBase), reg(3, outBase), reg(5, 0),
+		reg(10, t5pBase), reg(11, t5nBase), reg(12, t3pBase), reg(13, t3nBase),
+		mem8(inBase, in),
+		mem64(t5pBase, t5p), mem64(t5nBase, t5n), mem64(t3pBase, t3p), mem64(t3nBase, t3n),
+		mem16(outBase, want).expect(),
+	}}, nil
 }

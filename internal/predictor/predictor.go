@@ -265,29 +265,6 @@ func (c *Composed) Repair(p *Prediction) {
 	}
 }
 
-// Resolve trains the predictor with the actual outcome of a block and
-// reports whether the prediction was correct.  On a misprediction the
-// speculative local history is repaired with the actual exit (younger
-// flushed predictions must already have been Repair()ed), and the returned
-// history is the corrected global history with which fetch must restart.
-//
-// Resolve combines Train and RepairAfterMiss for callers that resolve
-// blocks in order; the pipeline simulator instead calls RepairAfterMiss at
-// branch-resolve time (flush) and Train at commit time (so wrong-path
-// blocks never train the tables).
-func (c *Composed) Resolve(p *Prediction, actualExit uint8, actualType isa.BranchType, actualTarget uint64) (correct bool, fixed History) {
-	correct = p.Next == actualTarget
-	c.Train(p, actualExit, actualType, actualTarget)
-	fixed = p.hist.push(actualExit)
-	if !correct {
-		cp := &c.cores[p.owner]
-		if p.Exit != actualExit {
-			cp.localL1[p.localIdx] = p.localOld<<3 | uint16(actualExit&7)
-		}
-	}
-	return correct, fixed
-}
-
 // Mispredicted reports whether the prediction named the wrong next block.
 func (c *Composed) Mispredicted(p *Prediction, actualTarget uint64) bool {
 	return p.Next != actualTarget

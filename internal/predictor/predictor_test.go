@@ -15,17 +15,28 @@ const blockA = uint64(0x10000)
 const blockB = blockA + uint64(isa.BlockBytes)
 const blockC = blockB + uint64(isa.BlockBytes)
 
+// resolve runs what the engine runs once a predicted block's branch
+// resolves and the block commits, with no younger block in flight to
+// Repair first: RepairAfterMiss if the next block was mispredicted
+// (sim's branchResolved), then Train (finalizeCommit).  next is the
+// history Predict returned; resolve returns whether the prediction was
+// right and the history fetch continues with.
+func resolve(p *Composed, pred *Prediction, next History, exit uint8, typ isa.BranchType, target uint64) (bool, History) {
+	ok := !p.Mispredicted(pred, target)
+	if !ok {
+		next = p.RepairAfterMiss(pred, exit, typ)
+	}
+	p.Train(pred, exit, typ, target)
+	return ok, next
+}
+
 func TestLearnsRepeatingExit(t *testing.T) {
 	p := newPred(4)
 	var hist History
 	// Block A always takes exit 2 to block C.
 	for i := 0; i < 50; i++ {
 		pred, h2 := p.Predict(blockA, hist)
-		ok, fixed := p.Resolve(&pred, 2, isa.BranchRegular, blockC)
-		hist = h2
-		if !ok {
-			hist = fixed
-		}
+		_, hist = resolve(p, &pred, h2, 2, isa.BranchRegular, blockC)
 	}
 	pred, _ := p.Predict(blockA, hist)
 	if pred.Exit != 2 {
@@ -51,11 +62,7 @@ func TestLearnsAlternatingPattern(t *testing.T) {
 		if i > 100 && pred.Exit != exit {
 			miss++
 		}
-		ok, fixed := p.Resolve(&pred, exit, isa.BranchRegular, target)
-		hist = h2
-		if !ok {
-			hist = fixed
-		}
+		_, hist = resolve(p, &pred, h2, exit, isa.BranchRegular, target)
 	}
 	if miss > 15 {
 		t.Fatalf("alternating pattern misses = %d/300", miss)
@@ -76,11 +83,7 @@ func TestCapacityScalesWithComposition(t *testing.T) {
 				exit := uint8(b % 3)
 				target := blockA + uint64((b*7+1)%nBlocks)*uint64(isa.BlockBytes)
 				pred, h2 := p.Predict(addr, hist)
-				ok, fixed := p.Resolve(&pred, exit, isa.BranchRegular, target)
-				hist = h2
-				if !ok {
-					hist = fixed
-				}
+				_, hist = resolve(p, &pred, h2, exit, isa.BranchRegular, target)
 			}
 		}
 		return p.Stats.Mispredicts
@@ -98,18 +101,9 @@ func TestRASPushPop(t *testing.T) {
 	// Teach the predictor that A is a call to B and B is a return.
 	for i := 0; i < 20; i++ {
 		predA, h2 := p.Predict(blockA, hist)
-		okA, fixedA := p.Resolve(&predA, 0, isa.BranchCall, blockB)
-		hist = h2
-		if !okA {
-			p.CorrectRAS(blockA, isa.BranchCall)
-			hist = fixedA
-		}
+		_, hist = resolve(p, &predA, h2, 0, isa.BranchCall, blockB)
 		predB, h3 := p.Predict(blockB, hist)
-		okB, fixedB := p.Resolve(&predB, 0, isa.BranchReturn, blockA+uint64(isa.BlockBytes))
-		hist = h3
-		if !okB {
-			hist = fixedB
-		}
+		_, hist = resolve(p, &predB, h3, 0, isa.BranchReturn, blockA+uint64(isa.BlockBytes))
 	}
 	predA, h := p.Predict(blockA, hist)
 	if predA.Type != isa.BranchCall || predA.Next != blockB {
@@ -126,6 +120,29 @@ func TestRASPushPop(t *testing.T) {
 	// the block after A.
 	if predB.Next != blockA+uint64(isa.BlockBytes) {
 		t.Fatalf("return target = %#x, want %#x", predB.Next, blockA+uint64(isa.BlockBytes))
+	}
+}
+
+// A call whose target was mispredicted still leaves its return address
+// on the RAS: RepairAfterMiss applies the actual branch type, so the
+// matching return predicts the block after the call.
+func TestMissedCallPushesReturnAddress(t *testing.T) {
+	p := newPred(2)
+	var hist History
+	// B is known to be a return (taken here on an empty RAS).
+	predB, next := p.Predict(blockB, hist)
+	_, hist = resolve(p, &predB, next, 0, isa.BranchReturn, blockC)
+	// A cold block D calls B: predicted as a fall-through, so it misses.
+	blockD := blockA + 16*uint64(isa.BlockBytes)
+	predD, next := p.Predict(blockD, hist)
+	var ok bool
+	if ok, hist = resolve(p, &predD, next, 0, isa.BranchCall, blockB); ok {
+		t.Fatal("cold call predicted its target")
+	}
+	predB, _ = p.Predict(blockB, hist)
+	if !predB.UsedRAS || predB.Next != blockD+uint64(isa.BlockBytes) {
+		t.Fatalf("return after a missed call: used RAS %v, next %#x, want %#x",
+			predB.UsedRAS, predB.Next, blockD+uint64(isa.BlockBytes))
 	}
 }
 
@@ -153,13 +170,7 @@ func TestRASTopCoreMoves(t *testing.T) {
 		// Force call predictions by training first.
 		for j := 0; j < 3; j++ {
 			pred, h2 := p.Predict(addr, hist)
-			ok, fixed := p.Resolve(&pred, 0, isa.BranchCall, blockB)
-			hist = h2
-			if !ok {
-				p.Repair(&pred)
-				p.CorrectRAS(addr, isa.BranchCall)
-				hist = fixed
-			}
+			_, hist = resolve(p, &pred, h2, 0, isa.BranchCall, blockB)
 		}
 	}
 	if p.TopCore() != 1 {
@@ -173,13 +184,7 @@ func TestRepairRestoresState(t *testing.T) {
 	// Train a call so the RAS moves.
 	for i := 0; i < 10; i++ {
 		pred, h2 := p.Predict(blockA, hist)
-		ok, fixed := p.Resolve(&pred, 0, isa.BranchCall, blockB)
-		hist = h2
-		if !ok {
-			p.Repair(&pred)
-			p.CorrectRAS(blockA, isa.BranchCall)
-			hist = fixed
-		}
+		_, hist = resolve(p, &pred, h2, 0, isa.BranchCall, blockB)
 	}
 	topBefore := p.rasTop
 	cp := p.cores[p.OwnerOf(blockA)]
@@ -206,13 +211,7 @@ func TestRASUnderflowFallsBack(t *testing.T) {
 	// Train a return with an empty RAS.
 	for i := 0; i < 10; i++ {
 		pred, h2 := p.Predict(blockA, hist)
-		ok, fixed := p.Resolve(&pred, 0, isa.BranchReturn, blockB)
-		hist = h2
-		if !ok {
-			p.Repair(&pred)
-			p.CorrectRAS(blockA, isa.BranchReturn)
-			hist = fixed
-		}
+		_, hist = resolve(p, &pred, h2, 0, isa.BranchReturn, blockB)
 	}
 	pred, _ := p.Predict(blockA, hist)
 	if pred.Type == isa.BranchReturn && pred.Next == 0 {
@@ -226,14 +225,15 @@ func TestRASUnderflowFallsBack(t *testing.T) {
 func TestStatsCountMisses(t *testing.T) {
 	p := newPred(1)
 	var hist History
-	pred, _ := p.Predict(blockA, hist)
-	p.Resolve(&pred, 5, isa.BranchRegular, blockC) // cold: wrong
-	_ = hist
+	pred, next := p.Predict(blockA, hist)
+	if ok, _ := resolve(p, &pred, next, 5, isa.BranchRegular, blockC); ok { // cold: wrong
+		t.Fatal("cold prediction named the right block")
+	}
 	if p.Stats.Predictions != 1 {
 		t.Fatalf("predictions = %d", p.Stats.Predictions)
 	}
-	if p.Stats.Mispredicts == 0 {
-		t.Fatal("cold prediction should mispredict")
+	if p.Stats.Mispredicts != 1 || p.Stats.Flushes != 1 {
+		t.Fatalf("mispredicts = %d, flushes = %d, want 1 each", p.Stats.Mispredicts, p.Stats.Flushes)
 	}
 }
 
@@ -266,11 +266,7 @@ func TestAccuracyCountersOnKnownPattern(t *testing.T) {
 				target = blockB // loop exit
 			}
 			pred, h2 := p.Predict(blockA, hist)
-			ok, fixed := p.Resolve(&pred, exit, isa.BranchRegular, target)
-			hist = h2
-			if !ok {
-				hist = fixed
-			}
+			_, hist = resolve(p, &pred, h2, exit, isa.BranchRegular, target)
 		}
 	}
 	const warmup, steady = 400, 100

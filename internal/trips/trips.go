@@ -46,6 +46,3 @@ func Options() sim.Options {
 func Processor() compose.Processor {
 	return compose.MustRect(0, 0, NumTiles)
 }
-
-// NewChip builds a chip configured as a single TRIPS processor.
-func NewChip() *sim.Chip { return sim.New(Options()) }

@@ -36,7 +36,7 @@ func TestTRIPSRunsCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	chip := NewChip()
+	chip := sim.New(Options())
 	proc, err := chip.AddProc(Processor(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestTRIPSOverlapsBlocks(t *testing.T) {
 	// fetch/execute/commit across blocks and beats a single-core
 	// (1-block, dual-issue) TFlex.
 	p := parProgram(t)
-	chip := NewChip()
+	chip := sim.New(Options())
 	proc, err := chip.AddProc(Processor(), p)
 	if err != nil {
 		t.Fatal(err)
