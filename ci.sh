@@ -29,15 +29,20 @@
 #
 # measures, then gates: cmd/clpbench (the repository's one benchmark,
 # what BENCHMARK.json runs) with the given flags, e.g.
-# `./ci.sh bench -workload observed -trace 1`, followed by the budgets
+# `./ci.sh bench -workload observed -trace 1`, whose reports (-out) are
+# appended as one JSON line — short commit, dirty flag, UTC date and the
+# reports with their host block, metrics, timings and exact counters —
+# to the append-only BENCH_history.jsonl, which no gate reads; followed
+# by the budgets
 # that are deterministic for a seed and so cannot flake — allocations per
 # marginal block untapped and with every tap armed, chip set-up bytes
-# and allocations (bare, and with the metric registry armed), host
+# and allocations (bare, and with the metric registry armed), the bytes
+# and allocations of a job on a reused chip (Reset, then the job), host
 # events executed per committed block, and the sizes those rest on: a
 # reservation ring's footprint and link header, the event record and the
 # in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
-# TestChipSetupBudget, TestEventsPerBlock, TestEventRecordSize,
+# TestChipSetupBudget, TestChipReuseBudget, TestEventsPerBlock, TestEventRecordSize,
 # TestInstStateSize; TestRingFootprint in internal/noc), and allocations
 # per marginal block of the functional executor, untraced and traced
 # (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
@@ -108,9 +113,24 @@ fi
 if [ "${1:-}" = "bench" ]; then
     shift
     echo "== benchmark (cmd/clpbench) =="
-    go run ./cmd/clpbench "$@"
+    benchdir=$(mktemp -d)
+    go run ./cmd/clpbench -out "$benchdir/report.json" "$@"
+    if [ -s "$benchdir/report.json" ]; then
+        dirty=false
+        [ -z "$(git status --porcelain -- . ':(exclude)BENCH_history.jsonl' 2>/dev/null)" ] || dirty=true
+        # One line per run: the reports are JSON over several lines, and a
+        # JSON string holds no raw newline, so dropping each line's
+        # indentation and the newlines keeps every value as it was.
+        printf '{"commit":"%s","dirty":%s,"date":"%s","reports":%s}\n' \
+            "$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" "$dirty" "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \
+            "$(sed 's/^ *//' "$benchdir/report.json" | tr -d '\n')" >>BENCH_history.jsonl
+        echo "appended this run to BENCH_history.jsonl"
+    else
+        echo "no report written (an -out flag of your own takes precedence): BENCH_history.jsonl not appended"
+    fi
+    rm -rf "$benchdir"
     echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget' ./internal/sim ./internal/noc ./internal/exec ./internal/kernels
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget' ./internal/sim ./internal/noc ./internal/exec ./internal/kernels
     exit 0
 fi
 

@@ -154,9 +154,12 @@ func TestMemDigestIgnoresZeroPages(t *testing.T) {
 
 // TestSharedProgramConcurrentChips runs one *prog.Program at the same time
 // on the functional machine and on optimized and Reference chips of 1, 2, 4
-// and 8 cores; every state must equal the executor's own serial run.  The
-// program's linked form is shared, read-only and composition-independent;
-// under -race this is the test that a run writes nothing into it.
+// and 8 cores, twice on each; every state must equal the executor's own
+// serial run.  The program's linked form is shared, read-only and
+// composition-independent, and the two runs of one executor draw on one
+// pool of reset chips that the serial runs filled; under -race this is
+// the test that a run writes nothing into the program and that no chip
+// serves two runs at once.
 func TestSharedProgramConcurrentChips(t *testing.T) {
 	p, in := wrongPathProgram(t)
 	execs := []Executor{Functional{}}
@@ -172,7 +175,8 @@ func TestSharedProgramConcurrentChips(t *testing.T) {
 		serial[i] = st
 	}
 	var wg sync.WaitGroup
-	for i, ex := range execs {
+	for i, ex := range append(execs, execs...) {
+		i %= len(execs)
 		wg.Add(1)
 		go func(i int, ex Executor) {
 			defer wg.Done()

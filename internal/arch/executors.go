@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/conv"
@@ -43,9 +44,11 @@ func (Functional) Run(p *prog.Program, in Input) (State, error) {
 	}, nil
 }
 
-// Sim executes programs on the timing simulator: a freshly built chip
-// with one processor composed of Cores cores, in either the optimized
-// or the bit-identical reference engine.
+// Sim executes programs on the timing simulator: a chip in the state
+// sim.New returns, with one processor composed of Cores cores, in either
+// the optimized or the bit-identical reference engine.  The chip comes
+// from an idle one of the same shape when there is one (chipPool), so a
+// corpus run rebuilds no meshes, tag groups or predictor tables.
 type Sim struct {
 	Cores     int
 	Reference bool
@@ -72,9 +75,21 @@ func (s Sim) Run(p *prog.Program, in Input) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	opts := sim.DefaultOptions()
-	opts.Reference = s.Reference
-	chip := sim.New(opts)
+	pool := chipPool(s)
+	chip, _ := pool.Get().(*sim.Chip)
+	if chip == nil {
+		opts := sim.DefaultOptions()
+		opts.Reference = s.Reference
+		chip = sim.New(opts)
+	}
+	st, err := runSim(chip, cores, p, in)
+	chip.Reset()
+	pool.Put(chip)
+	return st, err
+}
+
+// runSim runs p from in on one processor of chip composed of cores.
+func runSim(chip *sim.Chip, cores compose.Processor, p *prog.Program, in Input) (State, error) {
 	proc, err := chip.AddProc(cores, p)
 	if err != nil {
 		return State{}, err
@@ -89,6 +104,26 @@ func (s Sim) Run(p *prog.Program, in Input) (State, error) {
 		return State{}, err
 	}
 	return SimState(proc, sh), nil
+}
+
+// chipPools holds Sim's idle chips, reset, one pool per executor shape:
+// a chip keeps the processor storage of the size it last ran, and its
+// options follow from Reference.  A sync.Pool lets the collector take
+// idle chips back and serves the fuzz tests' parallel runs.
+var (
+	chipPoolsMu sync.Mutex
+	chipPools   = map[Sim]*sync.Pool{}
+)
+
+func chipPool(s Sim) *sync.Pool {
+	chipPoolsMu.Lock()
+	defer chipPoolsMu.Unlock()
+	pool := chipPools[s]
+	if pool == nil {
+		pool = new(sync.Pool)
+		chipPools[s] = pool
+	}
+	return pool
 }
 
 // SimState reads the architectural state off a finished simulated
@@ -163,9 +198,15 @@ func (ConvTrace) Run(p *prog.Program, in Input) (State, error) {
 			sh.Observe(e.Addr, e.Size, e.Val)
 		}
 	}
-	// Timing-model consistency: conv must consume exactly the trace.
-	if res := conv.Run(tr.Entries, conv.DefaultConfig()); res.Insts != uint64(len(tr.Entries)) {
+	// Timing-model consistency: conv must commit exactly the trace, and
+	// its commit ring retires at most CommitWidth entries a cycle.
+	cfg := conv.DefaultConfig()
+	res := conv.Run(tr.Entries, cfg)
+	if res.Insts != uint64(len(tr.Entries)) {
 		return State{}, fmt.Errorf("conv-trace: model retired %d of %d entries", res.Insts, len(tr.Entries))
+	}
+	if w := uint64(cfg.CommitWidth); res.Cycles < (res.Insts+w-1)/w {
+		return State{}, fmt.Errorf("conv-trace: model retired %d entries in %d cycles at %d a cycle", res.Insts, res.Cycles, w)
 	}
 	return State{
 		Regs:        m.Regs,

@@ -91,7 +91,6 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 	if n == 0 {
 		return res
 	}
-	res.Insts = uint64(n)
 
 	done := make([]uint64, n)
 	commit := make([]uint64, n)
@@ -266,6 +265,7 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 		c = commitRing.Reserve(c, false)
 		commit[i] = c
 		lastCommit = c
+		res.Insts++
 	}
 	res.Cycles = lastCommit + 1
 	if res.Cycles > 0 {

@@ -53,6 +53,14 @@ func NewCache(totalBytes, ways, lineBytes int) *Cache {
 	}
 }
 
+// Reset empties the cache and zeroes its statistics, keeping the tag
+// groups it filled: it is then the cache NewCache returned.
+func (c *Cache) Reset() {
+	c.tags.reset()
+	c.Stats = CacheStats{}
+	c.tick = 0
+}
+
 // Probe returns the line holding addr without updating stats or LRU.
 func (c *Cache) Probe(addr uint64) *Line {
 	la := addr / uint64(c.LineBytes)
@@ -131,15 +139,6 @@ func (c *Cache) Invalidate(addr uint64) (found, dirty bool) {
 	l.Valid = false
 	l.Dirty = false
 	return found, dirty
-}
-
-// InvalidateAll drops every line (used when a thread's L1 mapping is
-// rebuilt wholesale in tests; recomposition itself uses directory-driven
-// per-line invalidation).
-func (c *Cache) InvalidateAll() {
-	for _, g := range c.tags.groups {
-		clear(g)
-	}
 }
 
 // Occupancy returns the number of valid lines.

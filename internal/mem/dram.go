@@ -22,6 +22,14 @@ func NewDRAM(latency uint64, channels int, interval uint64) *DRAM {
 	return &DRAM{Latency: latency, Channels: make([]Port, channels), Interval: interval}
 }
 
+// Reset frees every channel and zeroes the statistics: the DRAM is then
+// the one NewDRAM returned.
+func (d *DRAM) Reset() {
+	clear(d.Channels)
+	var fresh DRAM
+	d.Stats = fresh.Stats
+}
+
 // Access books a request issued at cycle now and returns its completion
 // cycle.  Requests are spread across channels by address.
 func (d *DRAM) Access(addr uint64, now uint64) uint64 {

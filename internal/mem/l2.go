@@ -75,6 +75,17 @@ func NewL2(totalBytes, ways, lineBytes, banks int, hitMin, hitMax uint64, dram *
 	}
 }
 
+// Reset empties the L2 and its directory, frees its bank ports and
+// zeroes its statistics, keeping the tag groups it filled and its
+// directory wiring: it is then the L2 NewL2 and SetDirectory left.  The
+// DRAM behind it has its own Reset.
+func (l *L2) Reset() {
+	l.tags.reset()
+	clear(l.bankPort)
+	l.Stats = L2Stats{}
+	l.tick = 0
+}
+
 // SetDirectory wires the L1 invalidation callbacks.
 func (l *L2) SetDirectory(dir L1Directory) { l.dir = dir }
 

@@ -54,18 +54,24 @@ func TestTagArrayMapsSetsLikeADenseArray(t *testing.T) {
 
 // TestCacheLazyMatchesDense drives random Access/Fill/Invalidate (with
 // dirty lines and evictions) through a lazily grouped cache and a dense
-// one: every return value and the final Stats must be identical.
+// one: every return value and the final Stats must be identical.  The
+// lazy cache is then Reset and driven again beside a new dense one, so a
+// reset cache, its groups kept, must behave as a new one.
 func TestCacheLazyMatchesDense(t *testing.T) {
 	const lineBytes = 64
+	var reused *Cache // seeds 11-20 run on the cache seed 10 left, reset
 	newPair := func() (lazy, dense *Cache) {
 		lazy = NewCache((2*groupSets+9)*2*lineBytes, 2, lineBytes)
 		dense = NewCache((2*groupSets+9)*2*lineBytes, 2, lineBytes)
 		densify(&dense.tags)
 		return
 	}
-	for seed := int64(1); seed <= 10; seed++ {
+	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		lazy, dense := newPair()
+		if seed > 10 {
+			lazy = reused
+		}
 		span := uint64(lazy.SetCount * lazy.Ways * 3) // lines: 3x capacity, so fills evict
 		if seed%2 == 0 {
 			span = groupSets / 2 // a footprint inside one group
@@ -101,10 +107,11 @@ func TestCacheLazyMatchesDense(t *testing.T) {
 			t.Fatalf("seed %d: stats %+v occupancy %d, dense %+v occupancy %d",
 				seed, lazy.Stats, lazy.Occupancy(), dense.Stats, dense.Occupancy())
 		}
-		lazy.InvalidateAll()
-		if lazy.Occupancy() != 0 {
-			t.Fatalf("seed %d: %d lines survive InvalidateAll", seed, lazy.Occupancy())
+		lazy.Reset()
+		if lazy.Occupancy() != 0 || lazy.Stats != (CacheStats{}) {
+			t.Fatalf("seed %d: %d lines and stats %+v survive Reset", seed, lazy.Occupancy(), lazy.Stats)
 		}
+		reused = lazy
 	}
 }
 
@@ -205,18 +212,18 @@ func TestNeverFilledSetsCostNothing(t *testing.T) {
 		if n := c.Occupancy(); n != 0 {
 			t.Fatalf("Occupancy = %d in an empty cache", n)
 		}
-		c.InvalidateAll()
+		c.Reset()
 	})
 	if allocs != 0 {
 		t.Fatalf("operations on never-filled sets allocate %.0f times, want 0", allocs)
 	}
 	for _, g := range c.tags.groups {
-		if g != nil {
+		if cap(g) != 0 {
 			t.Fatal("a lookup allocated a cache group")
 		}
 	}
 	for _, g := range l2.tags.groups {
-		if g != nil {
+		if cap(g) != 0 {
 			t.Fatal("a lookup allocated an L2 group")
 		}
 	}

@@ -13,15 +13,21 @@
 package noc
 
 // link is one directed mesh link.  Its reservation ring is built by the
-// first flit that crosses it, so an untouched link costs nothing.
+// first flit that crosses it, so an untouched link costs nothing.  A
+// link with no flit since the mesh was built or reset takes its window's
+// base from its first flit, whether the ring is new or kept from before.
 type link struct {
 	ring  Ring
 	flits uint64 // total flit traversals, exported per-link via telemetry
 }
 
 func (l *link) reserve(t uint64, bw uint16) uint64 {
-	if l.ring.words == nil {
-		l.ring.init(t, int(bw), int(bw))
+	if l.flits == 0 {
+		if l.ring.words == nil {
+			l.ring.init(t, int(bw), int(bw))
+		} else {
+			l.ring.Reset(t)
+		}
 	}
 	l.flits++
 	return l.ring.Reserve(t, false)
@@ -79,6 +85,19 @@ func NewMesh(w, h int, bw int) *Mesh {
 		m.xy[node].x, m.xy[node].y = uint8(node%w), uint8(node/w)
 	}
 	return m
+}
+
+// Reset returns the mesh to the state NewMesh left it in while keeping
+// its storage: statistics and flit counts go to zero, and each link's
+// ring words wait for the link's next first flit, which clears them and
+// sets their base (link.reserve), so a reset costs a pass over the link
+// headers.  The multicast scratch needs nothing: its generation stamp
+// keeps counting, so no stamp from before matches.
+func (m *Mesh) Reset() {
+	for i := range m.links {
+		m.links[i].flits = 0
+	}
+	m.stats = Stats{}
 }
 
 // Stats returns accumulated network statistics.

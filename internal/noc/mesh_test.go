@@ -148,7 +148,7 @@ func TestReservationWindowAdvance(t *testing.T) {
 	// sometimes falls back behind the window base (the clamp); and
 	// sometimes leaps to just below a multiple of the horizon, one lap or
 	// millions ahead — a ring keeps no lap number, so any leap must find
-	// the same index empty: advance cleared it.
+	// the same index empty: moving the window cleared it.
 	const far = horizon << 16
 	leaps := [...]uint64{horizon, 3 * horizon, 64 * horizon, far / 2, far, far + far/2}
 	capacities := [...][2]int{{1, 1}, {2, 1}, {2, 2}, {3, 3}, {4, 3}, {15, 7}, {16, 1}, {MaxSlotCount, 1}, {MaxSlotCount, MaxSlotCount}}

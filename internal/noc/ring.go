@@ -23,7 +23,7 @@ const MaxSlotCount = 255
 // ring) at one booking a cycle, 4 at two or three, 8 up to fifteen, 16 up
 // to MaxSlotCount.  A count never exceeds capTotal, so it never carries
 // into its neighbour.  There is no generation: every resident count
-// belongs to a cycle of [base, base+horizon), and advance clears.
+// belongs to a cycle of [base, base+horizon), and Reset clears.
 type Ring struct {
 	base            uint64   // earliest reservable cycle (requests clamp forward to it)
 	words           []uint64 // horizon cycles, 64>>(lg+1) to a word
@@ -59,7 +59,7 @@ func (r *Ring) Reserve(t uint64, fp bool) uint64 {
 	mask := uint64(1)<<width - 1
 	for {
 		if t >= r.base+horizon {
-			r.advance(t)
+			r.Reset(t) // every booking so far lies before t
 		}
 		i := uint(t % horizon)
 		word := &r.words[i>>(5-lg)]
@@ -77,10 +77,11 @@ func (r *Ring) Reserve(t uint64, fp bool) uint64 {
 	}
 }
 
-// advance moves the window to start at t; everything before t is
-// forgotten.  It is only called with t >= base+horizon, so every booking
-// made so far lies before t and clearing loses nothing.
-func (r *Ring) advance(t uint64) {
+// Reset forgets every booking and restarts the window at cycle base,
+// keeping the ring's words and capacities: the ring is then the one
+// NewRing(base, ...) returns.  Reserve calls it to move the window when a
+// request lands past the horizon, where every booking lies behind it.
+func (r *Ring) Reset(base uint64) {
 	clear(r.words)
-	r.base = t
+	r.base = base
 }

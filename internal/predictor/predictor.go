@@ -149,6 +149,24 @@ func NewComposed(p compose.CoreParams, n int) *Composed {
 	return c
 }
 
+// Reset zeroes every table, the RAS and the statistics in place: the
+// predictor is then the one NewComposed returned.
+func (c *Composed) Reset() {
+	for i := range c.cores {
+		cp := &c.cores[i]
+		clear(cp.localL1)
+		clear(cp.localL2)
+		clear(cp.global)
+		clear(cp.choice)
+		clear(cp.btype)
+		clear(cp.btb)
+		clear(cp.ctb)
+	}
+	clear(c.ras)
+	c.rasTop = 0
+	c.Stats = Stats{}
+}
+
 // carve takes the next n elements off the front of *slab.
 func carve[T any](slab *[]T, n int) []T {
 	s := (*slab)[:n:n]

@@ -100,6 +100,11 @@ func chipSetupRun(tb testing.TB, p *prog.Program, n int, critpath bool) {
 	if critpath {
 		chip.EnableCritPath()
 	}
+	setupJob(tb, chip, p, n)
+}
+
+// setupJob is chipSetupRun's job on a chip in the state New returns.
+func setupJob(tb testing.TB, chip *Chip, p *prog.Program, n int) {
 	proc, err := chip.AddProc(compose.MustRect(0, 0, n), p)
 	if err != nil {
 		tb.Fatal(err)
@@ -215,6 +220,49 @@ func TestChipSetupBudget(t *testing.T) {
 		if armed > 1.10*bytes {
 			t.Errorf("%d cores, critpath armed: %.0f B per run, over 1.10 x the unarmed %.0f: attribution records are not returning to their pool",
 				c.cores, armed, bytes)
+		}
+	}
+}
+
+// TestChipReuseBudget holds what the fuzz harness pays per run on a
+// chip it reuses (arch.Sim): Reset, then chipSetupRun's job, on a warm
+// chip, at 1 and 4 cores.  What is left is the job's own state — the
+// processor's architectural memory (a map), its Stats slice and the
+// composition's core list — and a reset allocates nothing, so each row's
+// bytes and allocations stay within 1.10x of the measured value (a new
+// chip costs 66,712 B and 49 allocations at 1 core: TestChipSetupBudget).
+// The race detector's runtime adds bytes of its own, a number that varied
+// from run to run while this was measured, so a -race build holds the
+// allocation bound only.  The chip is reset directly rather than through
+// arch's sync.Pool, which drops Puts at random under the race detector.
+func TestChipReuseBudget(t *testing.T) {
+	p := sumProgram(t)
+	const runs = 50
+	for _, c := range []struct {
+		cores         int
+		bytes, allocs float64 // measured: the log lines below
+	}{
+		{cores: 1, bytes: 72, allocs: 4},
+		{cores: 4, bytes: 144, allocs: 6},
+	} {
+		chip := New(DefaultOptions())
+		setupJob(t, chip, p, c.cores)
+		chip.Reset() // the first reset builds the chip's store of kept parts
+		setupJob(t, chip, p, c.cores)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() {
+			chip.Reset()
+			setupJob(t, chip, p, c.cores)
+		})
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+		t.Logf("%d cores, reused chip: %.0f B and %.0f allocs per run", c.cores, bytes, allocs)
+		if bytes > 1.10*c.bytes && !raceDetector {
+			t.Errorf("%d cores, reused chip: %.0f B per run, budget %.0f (1.10 x %.0f)", c.cores, bytes, 1.10*c.bytes, c.bytes)
+		}
+		if allocs > 1.10*c.allocs {
+			t.Errorf("%d cores, reused chip: %.0f allocs per run, budget %.0f (1.10 x %.0f)", c.cores, allocs, 1.10*c.allocs, c.allocs)
 		}
 	}
 }

@@ -33,6 +33,10 @@ type Chip struct {
 
 	Procs []*Proc
 
+	// kept is the storage Reset keeps for the next job; nil until the
+	// first reset, so a chip that is never reset does not pay for it.
+	kept *keptStorage
+
 	// The chip's one event queue (event.go).  Exactly one is live: the
 	// calendar, or under Options.Reference (cal == nil) the plain
 	// binary heap.  cal is a pointer so a Reference chip never pays for
@@ -73,18 +77,61 @@ type Chip struct {
 	flightSink io.Writer
 }
 
+// keptStorage is what a reset keeps: emptied L1 D-caches and issue
+// rings, which l1dAt and issueAt take before building one, and emptied
+// processors, which AddProc takes for a processor of the same size
+// (newProc).
+type keptStorage struct {
+	l1d   [compose.NumCores]*mem.Cache
+	issue [compose.NumCores]*noc.Ring
+	procs []*Proc
+}
+
 // defaultStallEvents is orders of magnitude above what any legal cycle
 // executes.
 const defaultStallEvents = 1 << 20
 
-// New builds a chip with the given options.
+// New builds a chip with the given options: Reset on an empty chip.
 func New(opts Options) *Chip {
-	p := opts.Params
-	c := &Chip{Opts: opts, sampleAt: ^uint64(0), stallEvents: defaultStallEvents}
-	if !opts.Reference {
-		c.cal = new(calQueue)
+	c := &Chip{Opts: opts}
+	c.Reset()
+	return c
+}
+
+// Reset returns the chip to exactly the state New(c.Opts) returns — no
+// processor, cycle 0, every cache, network, queue and statistic empty,
+// telemetry, critical-path attribution and the flight recorder disarmed
+// — while keeping the storage the jobs run on it built: meshes and their
+// link rings, the L2 and L1 tag groups they filled, the event queue's
+// slab, and each processor's predictor, LSQ banks, I-cache, window and
+// in-flight block pool, which the next AddProc of a processor of the same
+// size takes over.  A reset zeroes only what the last job touched.
+//
+// Every *Proc obtained from the chip before Reset is invalid after it,
+// and so is the registry, trace or sampler armed before it; a
+// processor's architectural memory (Proc.Mem) is the caller's and is
+// never reused.
+func (c *Chip) Reset() {
+	if c.Opn != nil {
+		c.emptyStorage()
 	}
+	c.seq, c.now, c.events = 0, 0, 0
+	c.err = nil
+	c.stallEvents = defaultStallEvents
+	c.tel, c.trace, c.sampler, c.sampleAt = nil, nil, nil, ^uint64(0)
+	c.critEnabled, c.critSink = false, nil
+	c.flight, c.flightSink = nil, nil
 	c.checkCapacities()
+	if c.Opn == nil {
+		c.buildStorage()
+	}
+}
+
+// buildStorage builds an empty chip's networks, memory and event queue.
+// L1 D-caches and issue rings are created on first use: a job composing
+// k of the 32 cores pays setup for k, not 32.
+func (c *Chip) buildStorage() {
+	p := c.Opts.Params
 	if c.err != nil {
 		// Run reports the fault before any event; Table 1's networks and
 		// memory keep the rest of the chip well-formed until then.
@@ -95,9 +142,49 @@ func New(opts Options) *Chip {
 	c.DRAM = mem.NewDRAM(uint64(p.DRAMCycles), 2, 4)
 	c.L2 = mem.NewL2(p.L2Bytes, p.L2Assoc, p.LineBytes, 32, uint64(p.L2HitMin), uint64(p.L2HitMax), c.DRAM)
 	c.L2.SetDirectory(c)
-	// L1 D-caches and issue rings are created on first use: a job
-	// composing k of the 32 cores pays setup for k, not 32.
-	return c
+	if !c.Opts.Reference {
+		c.cal = new(calQueue)
+	}
+}
+
+// emptyStorage empties everything the jobs since the last reset built or
+// touched, and parks the processors, L1 D-caches and issue rings in
+// c.kept for the next job to take.
+func (c *Chip) emptyStorage() {
+	if c.critEnabled {
+		c.releaseCritRecords() // a failed run still holds its records
+	}
+	if c.kept == nil {
+		c.kept = new(keptStorage)
+	}
+	for i, pr := range c.Procs {
+		pr.empty()
+		c.kept.procs = append(c.kept.procs, pr)
+		c.Procs[i] = nil
+	}
+	c.Procs = c.Procs[:0]
+	for core, cache := range c.l1d {
+		if cache != nil {
+			cache.Reset()
+			c.kept.l1d[core], c.l1d[core] = cache, nil
+		}
+	}
+	for core, r := range c.issue {
+		if r != nil {
+			r.Reset(0)
+			c.kept.issue[core], c.issue[core] = r, nil
+		}
+	}
+	c.l1dPort = [compose.NumCores]mem.Port{}
+	c.Opn.Reset()
+	c.Ctl.Reset()
+	c.DRAM.Reset()
+	c.L2.Reset()
+	if c.cal != nil {
+		c.cal.reset()
+	}
+	clear(c.ref) // drop the block pointers a failed Reference run left queued
+	c.ref = c.ref[:0]
 }
 
 // checkCapacities fails the chip when an issue width or link bandwidth
@@ -167,12 +254,18 @@ func (c *Chip) scheduleEv(at uint64, e event) {
 	c.cal.push(&e)
 }
 
-// l1dAt returns core's private D-cache, creating it on first use.
+// l1dAt returns core's private D-cache, creating it on first use (from
+// the one a reset kept, if any).
 func (c *Chip) l1dAt(core int) *mem.Cache {
 	cache := c.l1d[core]
 	if cache == nil {
-		p := c.Opts.Params
-		cache = mem.NewCache(p.L1DBytes, p.L1DAssoc, p.LineBytes)
+		if c.kept != nil {
+			cache, c.kept.l1d[core] = c.kept.l1d[core], nil
+		}
+		if cache == nil {
+			p := c.Opts.Params
+			cache = mem.NewCache(p.L1DBytes, p.L1DAssoc, p.LineBytes)
+		}
 		c.l1d[core] = cache
 		if c.tel != nil {
 			cache.Register(c.tel, telemetry.Indexed("core", core, "l1d"))
@@ -181,11 +274,17 @@ func (c *Chip) l1dAt(core int) *mem.Cache {
 	return cache
 }
 
-// issueAt returns core's issue ring, creating it on first use.
+// issueAt returns core's issue ring, creating it on first use (from the
+// one a reset kept, if any).
 func (c *Chip) issueAt(core int) *noc.Ring {
 	r := c.issue[core]
 	if r == nil {
-		r = noc.NewRing(0, c.Opts.Params.IssueTotal, c.Opts.Params.IssueFP)
+		if c.kept != nil {
+			r, c.kept.issue[core] = c.kept.issue[core], nil
+		}
+		if r == nil {
+			r = noc.NewRing(0, c.Opts.Params.IssueTotal, c.Opts.Params.IssueFP)
+		}
 		c.issue[core] = r
 	}
 	return r
@@ -237,6 +336,24 @@ func (c *Chip) AddProc(cores compose.Processor, program *prog.Program) (*Proc, e
 	pr := newProc(c, len(c.Procs), cores.Cores, program, exec.NewPageMem())
 	c.launch(pr)
 	return pr, nil
+}
+
+// takeKeptProc removes and returns a processor of n cores that a reset
+// kept, or nil.
+func (c *Chip) takeKeptProc(n int) *Proc {
+	if c.kept == nil {
+		return nil
+	}
+	procs := c.kept.procs
+	for i, p := range procs {
+		if p.n == n {
+			last := len(procs) - 1
+			procs[i], procs[last] = procs[last], nil
+			c.kept.procs = procs[:last]
+			return p
+		}
+	}
+	return nil
 }
 
 // admit rejects what newProc cannot build: no program, a malformed core

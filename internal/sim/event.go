@@ -89,6 +89,14 @@ type calQueue struct {
 
 func (q *calQueue) empty() bool { return q.nbucket == 0 && len(q.overflow) == 0 }
 
+// reset empties the queue, keeping its slab and overflow storage: it is
+// then the zero queue.  Events a failed run left behind are overwritten
+// before they are read again; the blocks they point at are the chip's
+// own, kept with its processors.
+func (q *calQueue) reset() {
+	*q = calQueue{nodes: q.nodes[:0], overflow: q.overflow[:0]}
+}
+
 // push files an event.  Invariant: e.at >= q.base, so no push lands behind
 // the cursor.  The chip's loop moves the cursor only by popping, which
 // leaves it on the popped event's cycle — the chip's now — and

@@ -43,7 +43,12 @@ func fuzzCase(t *testing.T, seed int64) (*prog.Program, arch.Input, arch.State) 
 // architectural state and its cycle count.
 func simState(t *testing.T, opts sim.Options, cores compose.Processor, p *prog.Program, in arch.Input) (arch.State, uint64) {
 	t.Helper()
-	chip := sim.New(opts)
+	return simStateOn(t, sim.New(opts), cores, p, in)
+}
+
+// simStateOn is simState on a given chip, fresh or reset.
+func simStateOn(t *testing.T, chip *sim.Chip, cores compose.Processor, p *prog.Program, in arch.Input) (arch.State, uint64) {
+	t.Helper()
 	proc, err := chip.AddProc(cores, p)
 	if err != nil {
 		t.Fatal(err)
@@ -109,24 +114,38 @@ func TestFuzzTRIPSConfigMatchesFunctional(t *testing.T) {
 // seeds, every composition).  The architectural checks cannot see an
 // event-ordering slip and the Reference differential shares the engine's
 // fetch and dispatch code, so a cycle-exact engine change is held to this
-// number; a model change updates it and says so.
+// number; a model change updates it and says so.  The second leg makes
+// the same runs on one chip per (options, composition), Reset between
+// runs, and must reach the same number: a reset chip times like a fresh
+// one.
 func TestFuzzCyclesPinned(t *testing.T) {
 	const want = 0xa2ea0c03a54e6464
-	h := fnv.New64a()
-	run := func(seed int64, opts sim.Options, comp compose.Processor) {
-		p, in, _ := fuzzCase(t, seed)
-		_, cycles := simState(t, opts, comp, p, in)
-		fmt.Fprintf(h, "%d %v %d\n", seed, comp.Cores, cycles)
-	}
-	for seed := int64(1); seed <= 25; seed++ {
-		for _, comp := range fuzzComps {
-			run(seed, sim.DefaultOptions(), comp)
+	for _, reuse := range []bool{false, true} {
+		h := fnv.New64a()
+		chips := map[string]*sim.Chip{}
+		run := func(seed int64, opts sim.Options, comp compose.Processor) {
+			p, in, _ := fuzzCase(t, seed)
+			key := fmt.Sprint(opts.CentralPredictor, comp.Cores)
+			chip := chips[key]
+			if chip == nil || !reuse {
+				chip = sim.New(opts)
+				chips[key] = chip
+			} else {
+				chip.Reset()
+			}
+			_, cycles := simStateOn(t, chip, comp, p, in)
+			fmt.Fprintf(h, "%d %v %d\n", seed, comp.Cores, cycles)
 		}
-	}
-	for seed := int64(30); seed <= 42; seed++ {
-		run(seed, tripsFuzzOptions(), compose.MustRect(0, 0, 16))
-	}
-	if got := h.Sum64(); got != want {
-		t.Errorf("cycle digest over the edgegen seeds = %#x, want %#x: simulated timing moved", got, uint64(want))
+		for seed := int64(1); seed <= 25; seed++ {
+			for _, comp := range fuzzComps {
+				run(seed, sim.DefaultOptions(), comp)
+			}
+		}
+		for seed := int64(30); seed <= 42; seed++ {
+			run(seed, tripsFuzzOptions(), compose.MustRect(0, 0, 16))
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("cycle digest over the edgegen seeds (chips reused: %v) = %#x, want %#x: simulated timing moved", reuse, got, uint64(want))
+		}
 	}
 }

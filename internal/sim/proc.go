@@ -105,11 +105,23 @@ type deferredLoad struct {
 	t    uint64
 }
 
+// newProc composes a processor on the given cores: the storage a reset
+// kept from a processor of the same size if there is one, else storage
+// built for it.
 func newProc(c *Chip, id int, cores []int, program *prog.Program, m *exec.PageMem) *Proc {
-	p := &Proc{
-		chip: c, id: id, asid: uint64(id + 1),
-		cores: cores, n: len(cores), prog: program, Mem: m,
+	p := c.takeKeptProc(len(cores))
+	if p == nil {
+		p = buildProc(c, len(cores))
 	}
+	p.id, p.asid = id, uint64(id+1)
+	p.cores, p.prog, p.Mem = cores, program, m
+	p.Stats.IssuedByCore = make([]uint64, p.n) // a Stats copy a caller keeps must not change
+	return p
+}
+
+// buildProc allocates the storage of a processor of n cores on c.
+func buildProc(c *Chip, n int) *Proc {
+	p := &Proc{chip: c, n: n}
 	for i := range p.instCore {
 		p.instCore[i] = uint8(compose.InstCore(i, p.n))
 	}
@@ -142,12 +154,40 @@ func newProc(c *Chip, id int, cores []int, program *prog.Program, m *exec.PageMe
 	if p.maxBlocks < 1 {
 		p.maxBlocks = 1
 	}
-	p.Stats.IssuedByCore = make([]uint64, p.n)
 
 	p.mcArr = make([]uint64, p.n)
 	p.wbScratch = make([]uint64, p.n)
 	p.slotScratch = make([]int, p.n)
 	return p
+}
+
+// empty returns a processor Chip.Reset retires to the state buildProc
+// left it in: its storage emptied and kept, every other field zero.  The
+// blocks still in its window go to its pool (on the optimized engine;
+// releaseIFB), and its memory, program and observers are dropped.
+func (p *Proc) empty() {
+	for _, b := range p.window {
+		p.releaseIFB(b)
+	}
+	clear(p.window)
+	p.Pred.Reset()
+	for _, bank := range p.lsq {
+		bank.RemoveFrom(0)
+		bank.Stats = mem.LSQStats{}
+	}
+	clear(p.commitPortD)
+	clear(p.commitPortR)
+	p.l1i.Reset()
+	clear(p.violBits) // its length is a capacity: a zero bit reads as a fresh memo's
+	*p = Proc{
+		chip: p.chip, n: p.n, instCore: p.instCore, maxBlocks: p.maxBlocks,
+		Pred: p.Pred, lsq: p.lsq, dbanks: p.dbanks, rbanks: p.rbanks, l1i: p.l1i,
+		commitPortD: p.commitPortD, commitPortR: p.commitPortR,
+		window: p.window[:0], violBits: p.violBits,
+		deferred: p.deferred[:0], deferredSpare: p.deferredSpare[:0],
+		ifbFree: p.ifbFree, waiterFree: p.waiterFree,
+		mcArr: p.mcArr, wbScratch: p.wbScratch, slotScratch: p.slotScratch,
+	}
 }
 
 func idxRange(n int) []int {
