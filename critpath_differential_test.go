@@ -1,10 +1,20 @@
 package tflex
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
+
+// critPathDigest is the FNV-64a digest of every committed block's
+// (Seq, CritPath) over TestCritPathDifferential's critpath-on runs, in
+// subtest order.  It pins which category each cycle lands in, block by
+// block, below the scale-2 aggregate that results_scale2.txt holds: a
+// walker or recording change that moves one cycle between categories
+// changes it.
+const critPathDigest = 0x1677caa262e680bf
 
 // TestCritPathDifferential pins the attribution layer's passivity:
 // enabling critical-path recording must not perturb the simulation.  A
@@ -14,17 +24,32 @@ import (
 // means recording leaked into a scheduling decision.  The experiment
 // suite's tflex row records attribution, so Figure 6's cycle counts come
 // from recorded runs: the kernels span every hand-optimized suite and the
-// sizes every composition the sweep runs.
+// sizes every composition the sweep runs.  Every committed block's
+// breakdown folds into one digest, pinned as critPathDigest.
 func TestCritPathDifferential(t *testing.T) {
 	kernels := []string{"conv", "ct", "autcor", "a2time", "dither", "tblook", "802.11b", "mcf"}
+	sizes := []int{1, 2, 4, 8, 16, 32}
+	digest := fnv.New64a()
+	ran := 0
 	for _, name := range kernels {
-		for _, cores := range []int{1, 2, 4, 8, 16, 32} {
+		for _, cores := range sizes {
 			t.Run(fmt.Sprintf("%s/%dc", name, cores), func(t *testing.T) {
+				ran++
 				off, err := RunKernel(name, 1, RunConfig{Cores: cores})
 				if err != nil {
 					t.Fatalf("critpath-off run: %v", err)
 				}
-				on, err := RunKernel(name, 1, RunConfig{Cores: cores, CritPath: true})
+				var rec [8 * (1 + len(CritPathBreakdown{}))]byte
+				on, err := RunKernel(name, 1, RunConfig{Cores: cores, CritPath: true, OnBlock: func(ev BlockEvent) {
+					if ev.Flushed {
+						return
+					}
+					binary.LittleEndian.PutUint64(rec[:], ev.Seq)
+					for c, v := range ev.CritPath {
+						binary.LittleEndian.PutUint64(rec[8*(c+1):], v)
+					}
+					digest.Write(rec[:])
+				}})
 				if err != nil {
 					t.Fatalf("critpath-on run: %v", err)
 				}
@@ -44,6 +69,11 @@ func TestCritPathDifferential(t *testing.T) {
 					t.Errorf("critpath-off run reported a summary")
 				}
 			})
+		}
+	}
+	if ran == len(kernels)*len(sizes) && !t.Failed() {
+		if got := digest.Sum64(); got != critPathDigest {
+			t.Errorf("attribution digest = %#x, want %#x", got, critPathDigest)
 		}
 	}
 }
