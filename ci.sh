@@ -43,7 +43,8 @@
 # in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
 # TestChipSetupBudget, TestChipReuseBudget, TestEventsPerBlock, TestEventRecordSize,
-# TestInstStateSize; TestRingFootprint in internal/noc), and allocations
+# TestInstStateSize; TestRingFootprint in internal/noc), the critical-path
+# instruction record (TestCritRecordSize in internal/critpath), and allocations
 # per marginal block of the functional executor, untraced and traced
 # (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
 # bytes of Build(32), Init and Check for each of the steady workload's
@@ -130,7 +131,7 @@ if [ "${1:-}" = "bench" ]; then
     fi
     rm -rf "$benchdir"
     echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget' ./internal/sim ./internal/noc ./internal/exec ./internal/kernels
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget' ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels
     exit 0
 fi
 

@@ -124,7 +124,8 @@ type SrcKind uint8
 const (
 	// SrcNone marks an unrecorded or untraceable producer.
 	SrcNone SrcKind = iota
-	// SrcInst marks a producing instruction (Src is its block index).
+	// SrcInst marks a producing instruction (Src is its position in
+	// prog.Linked.Live, the index of its record in Block.Insts).
 	SrcInst
 	// SrcRegRead marks a register read (Src is the read index).
 	SrcRegRead
@@ -141,23 +142,19 @@ type Edge struct {
 	ArriveAt uint64
 }
 
-// Inst is the per-instruction timestamp record.  Edge fields hold the
-// operand deliveries; the memory fields are stamped only for loads and
-// stores (IsMem).  Gen tags the incarnation that stamped the record
-// (see Block.Gen): entries are recycled lazily via InstAt instead of a
-// bulk clear on every fetch, and the walker treats a stale Gen as
-// unrecorded.  The field sits in the struct's alignment padding, so the
-// tag is free.
+// Inst is the per-instruction timestamp record, one per live instruction
+// (Block.Insts is indexed by position in prog.Linked.Live).  Arm is the
+// operand delivery that armed the instruction last, and invalid when
+// dispatch did (every operand had arrived by then); ArmSlot is the
+// operand slot it filled, the tie-break of Offer.  The memory fields are
+// stamped only for loads and stores (IsMem).
 type Inst struct {
-	Left, Right, Pred Edge
+	Arm Edge
 
-	AvailAt uint64 // dispatched into the window
 	ReadyAt uint64 // all operands armed
-	IssueAt uint64 // won an issue slot
 	Issued  bool
-
-	IsMem bool
-	Gen   uint32
+	IsMem   bool
+	ArmSlot uint8 // 0 left, 1 right, 2 predicate
 
 	AgenDone   uint64 // address generation complete
 	BankIdeal  uint64 // unloaded core->bank hop latency
@@ -167,6 +164,17 @@ type Inst struct {
 	DataAt     uint64 // load data available (after any miss fill)
 }
 
+// Offer records e, a value delivered into operand slot (0 left, 1 right,
+// 2 predicate), as the arming edge when it arrives later than the edge
+// kept so far, or in the same cycle into a lower slot.  Each slot
+// receives one value, so once every operand has been offered Arm holds
+// the last arrival, lowest slot first among equals.
+func (in *Inst) Offer(e Edge, slot uint8) {
+	if !in.Arm.Valid || e.ArriveAt > in.Arm.ArriveAt || e.ArriveAt == in.Arm.ArriveAt && slot < in.ArmSlot {
+		in.Arm, in.ArmSlot = e, slot
+	}
+}
+
 // Read is the per-register-read record.
 type Read struct {
 	DispatchAt uint64 // read request reached its bank
@@ -174,12 +182,10 @@ type Read struct {
 
 // WriteOut is the per-register-write record: the producer edge (local
 // delivery), the operand-network trip to the register bank, and whether
-// the write was nullified.  Gen tags the stamping incarnation exactly
-// as in Inst; recycle through WriteAt.
+// the write was nullified.
 type WriteOut struct {
 	Edge      Edge
 	Null      bool
-	Gen       uint32
 	SendAt    uint64 // producer completion (also Edge.SendAt when Valid)
 	BankAt    uint64 // value arrived at the register bank
 	BankIdeal uint64 // unloaded producer->bank hop latency
@@ -209,18 +215,12 @@ const (
 )
 
 // Block is the complete per-block attribution record.  Instances are
-// pooled alongside the simulator's IFBs and recycled via ResetBlock.
-//
-// The two large record arrays (Insts, Writes) are generation-tagged
-// rather than bulk-cleared on every fetch: ResetBlock bumps Gen, and a
-// record entry is valid for the current incarnation only when its own
-// Gen matches.  Stamp sites recycle entries lazily through InstAt and
-// WriteAt (zeroing on first touch), so the per-fetch reset cost no
-// longer scales with block size — the dominant overhead of attribution
-// before this scheme.  The walker ignores stale-Gen entries, so an
-// entry never touched in this incarnation behaves exactly as if it had
-// been zeroed.  Reads and Slots are small and stamped through scattered
-// conditional sites, so they keep the eager clear.
+// pooled alongside the simulator's IFBs and recycled via ResetBlock,
+// which clears every array.  Insts holds one entry per live instruction,
+// not per instruction ID: IDs pick cores, so a block's IDs span about
+// four times as many slots as it has live instructions, and sized by
+// what the block executes the clear is cheap enough to do on every
+// fetch.
 type Block struct {
 	FetchStart  uint64
 	ConstLat    uint64
@@ -230,8 +230,6 @@ type Block struct {
 	CompleteAt  uint64
 	CommitStart uint64
 	RetiredAt   uint64
-
-	Gen uint32 // current incarnation tag (never 0 after ResetBlock)
 
 	Insts  []Inst
 	Reads  []Read
@@ -246,13 +244,9 @@ type Block struct {
 }
 
 // blockPool recycles whole attribution records across simulations.
-// Experiment suites create thousands of short-lived chips, and without
-// cross-chip reuse the record arrays dominate the attribution pass's
-// allocation volume — and therefore its GC frequency, which is most of
-// attribution's measured overhead once per-fetch clearing is lazy.  A
-// Block carries its generation counter with it, so a recycled record's
-// stale entries stay invisible to the tag check no matter which chip
-// it lands on.
+// Experiment suites run thousands of short jobs, each of which would
+// otherwise allocate its records afresh (DESIGN.md, "Critical-path
+// attribution", measures what that costs).
 var blockPool = sync.Pool{New: func() any { return new(Block) }}
 
 // GetBlock returns a pooled attribution record.  Recycle it with
@@ -266,26 +260,6 @@ func PutBlock(b *Block) {
 	}
 }
 
-// InstAt returns the i'th instruction record, zeroing it first if it
-// still carries a previous incarnation's stamps.
-func (b *Block) InstAt(i int) *Inst {
-	in := &b.Insts[i]
-	if in.Gen != b.Gen {
-		*in = Inst{Gen: b.Gen}
-	}
-	return in
-}
-
-// WriteAt returns the i'th register-write record, zeroing it first if
-// it still carries a previous incarnation's stamps.
-func (b *Block) WriteAt(i int) *WriteOut {
-	w := &b.Writes[i]
-	if w.Gen != b.Gen {
-		*w = WriteOut{Gen: b.Gen}
-	}
-	return w
-}
-
 // resetSlice returns s resized to n with every element zeroed, reusing
 // capacity when possible.
 func resetSlice[T any](s []T, n int) []T {
@@ -297,29 +271,12 @@ func resetSlice[T any](s []T, n int) []T {
 	return s
 }
 
-// resizeLazy returns s resized to n without clearing: stale elements
-// are detected by their generation tag and recycled at first touch.  A
-// fresh allocation is zero anyway (Gen 0 never matches a live Block).
-func resizeLazy[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // ResetBlock recycles blk (allocating on first use) for a new block
-// incarnation with the given record dimensions.  Scalars, Reads and
-// Slots come back zeroed; Insts and Writes are invalidated by the
-// generation bump and recycled lazily via InstAt/WriteAt.
+// incarnation with the given record dimensions — nInsts is the block's
+// live instruction count — and returns it with every field zeroed.
 func ResetBlock(blk *Block, nInsts, nWrites, nReads, nSlots int) *Block {
 	if blk == nil {
 		blk = &Block{}
-	}
-	blk.Gen++
-	if blk.Gen == 0 { // wrapped: tags from 2^32 incarnations ago could collide
-		blk.Gen = 1
-		clear(blk.Insts[:cap(blk.Insts)])
-		clear(blk.Writes[:cap(blk.Writes)])
 	}
 	blk.FetchStart = 0
 	blk.ConstLat = 0
@@ -329,9 +286,9 @@ func ResetBlock(blk *Block, nInsts, nWrites, nReads, nSlots int) *Block {
 	blk.CompleteAt = 0
 	blk.CommitStart = 0
 	blk.RetiredAt = 0
-	blk.Insts = resizeLazy(blk.Insts, nInsts)
+	blk.Insts = resetSlice(blk.Insts, nInsts)
 	blk.Reads = resetSlice(blk.Reads, nReads)
-	blk.Writes = resizeLazy(blk.Writes, nWrites)
+	blk.Writes = resetSlice(blk.Writes, nWrites)
 	blk.Slots = resetSlice(blk.Slots, nSlots)
 	blk.Branch = SlotOut{}
 	blk.LastOut = OutNone
@@ -422,7 +379,7 @@ func Attribute(b *Block) Breakdown {
 	idx := int32(-1)
 	switch b.LastOut {
 	case OutWrite:
-		if int(b.LastIdx) < len(b.Writes) && b.Writes[b.LastIdx].Gen == b.Gen {
+		if int(b.LastIdx) < len(b.Writes) {
 			w := &b.Writes[b.LastIdx]
 			if w.Null {
 				if w.SendAt > 0 {
@@ -472,8 +429,8 @@ func Attribute(b *Block) Breakdown {
 			break
 		}
 		in := &b.Insts[idx]
-		if in.Gen != b.Gen || !in.Issued {
-			break // unrecorded (or stale-incarnation) producer
+		if !in.Issued {
+			break // unrecorded producer
 		}
 		if in.IsMem {
 			// Memory pipeline, back to front.  Loads enter with cur at
@@ -496,23 +453,11 @@ func Attribute(b *Block) Breakdown {
 		charge(in.ReadyAt, ALUOccupancy)
 
 		// Step to the producer of the operand that armed this
-		// instruction last; dispatch availability wins ties (the
-		// instruction was waiting on dispatch, not on an operand).
-		var arm *Edge
-		armAt := in.AvailAt
-		if in.Left.Valid && in.Left.ArriveAt > armAt {
-			arm, armAt = &in.Left, in.Left.ArriveAt
-		}
-		if in.Right.Valid && in.Right.ArriveAt > armAt {
-			arm, armAt = &in.Right, in.Right.ArriveAt
-		}
-		if in.Pred.Valid && in.Pred.ArriveAt > armAt {
-			arm, armAt = &in.Pred, in.Pred.ArriveAt
-		}
-		if arm == nil {
+		// instruction last; none did when it waited on dispatch.
+		if !in.Arm.Valid {
 			break // dispatch-bound root
 		}
-		idx = follow(arm)
+		idx = follow(&in.Arm)
 	}
 
 	// Residue: recorded chain exhausted above the dispatch floor —

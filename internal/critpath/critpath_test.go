@@ -3,9 +3,11 @@ package critpath
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestAttributeALUChainReconciles hand-builds a three-stage chain
@@ -23,16 +25,16 @@ func TestAttributeALUChainReconciles(t *testing.T) {
 
 	b.Reads[0] = Read{DispatchAt: 110}
 	b.Insts[0] = Inst{
-		Left:    Edge{Kind: SrcRegRead, Valid: true, Src: 0, SendAt: 115, HopIdeal: 2, ArriveAt: 118},
-		AvailAt: 111, ReadyAt: 118, IssueAt: 120, Issued: true, Gen: b.Gen,
+		Arm:     Edge{Kind: SrcRegRead, Valid: true, Src: 0, SendAt: 115, HopIdeal: 2, ArriveAt: 118},
+		ReadyAt: 118, Issued: true,
 	}
 	b.Insts[1] = Inst{
-		Right:   Edge{Kind: SrcInst, Valid: true, Src: 0, SendAt: 121, HopIdeal: 1, ArriveAt: 123},
-		AvailAt: 111, ReadyAt: 123, IssueAt: 125, Issued: true, Gen: b.Gen,
+		Arm:     Edge{Kind: SrcInst, Valid: true, Src: 0, SendAt: 121, HopIdeal: 1, ArriveAt: 123},
+		ReadyAt: 123, Issued: true, ArmSlot: 1,
 	}
 	b.Writes[0] = WriteOut{
 		Edge:   Edge{Kind: SrcInst, Valid: true, Src: 1, SendAt: 128, HopIdeal: 0, ArriveAt: 128},
-		SendAt: 128, BankAt: 133, BankIdeal: 2, Gen: b.Gen,
+		SendAt: 128, BankAt: 133, BankIdeal: 2,
 	}
 	b.LastOut, b.LastIdx = OutWrite, 0
 
@@ -63,17 +65,17 @@ func TestAttributeLoadChain(t *testing.T) {
 	b.RetiredAt = 40
 
 	b.Insts[0] = Inst{
-		AvailAt: 5, ReadyAt: 5, IssueAt: 6, Issued: true, Gen: b.Gen,
+		ReadyAt: 5, Issued: true, // dispatch armed it
 		IsMem: true, AgenDone: 7, BankIdeal: 2, BankArrive: 10,
 		SvcAt: 14, AccessDone: 16, DataAt: 22,
 	}
 	b.Insts[1] = Inst{
-		Left:    Edge{Kind: SrcInst, Valid: true, Src: 0, SendAt: 22, HopIdeal: 1, ArriveAt: 23},
-		AvailAt: 5, ReadyAt: 23, IssueAt: 23, Issued: true, Gen: b.Gen,
+		Arm:     Edge{Kind: SrcInst, Valid: true, Src: 0, SendAt: 22, HopIdeal: 1, ArriveAt: 23},
+		ReadyAt: 23, Issued: true,
 	}
 	b.Writes[0] = WriteOut{
 		Edge:   Edge{Kind: SrcInst, Valid: true, Src: 1, SendAt: 24, ArriveAt: 24},
-		SendAt: 24, BankAt: 25, BankIdeal: 1, Gen: b.Gen,
+		SendAt: 24, BankAt: 25, BankIdeal: 1,
 	}
 	b.LastOut, b.LastIdx = OutWrite, 0
 
@@ -105,7 +107,7 @@ func TestAttributeStoreRoot(t *testing.T) {
 	b.RetiredAt = 30
 
 	b.Insts[0] = Inst{
-		AvailAt: 15, ReadyAt: 15, IssueAt: 17, Issued: true, Gen: b.Gen,
+		ReadyAt: 15, Issued: true,
 		IsMem: true, AgenDone: 18, BankArrive: 18, SvcAt: 20,
 	}
 	b.Slots[0] = SlotOut{Kind: SrcInst, Src: 0, ResolvedAt: 21, Valid: true}
@@ -132,7 +134,7 @@ func TestAttributeBranchRoot(t *testing.T) {
 	b.ConstLat = 4
 	b.CompleteAt = 12
 	b.RetiredAt = 20
-	b.Insts[0] = Inst{AvailAt: 5, ReadyAt: 5, IssueAt: 6, Issued: true, Gen: b.Gen}
+	b.Insts[0] = Inst{ReadyAt: 5, Issued: true}
 	b.Branch = SlotOut{Kind: SrcInst, Src: 0, ResolvedAt: 7, Valid: true}
 	b.LastOut = OutBranch
 
@@ -210,18 +212,13 @@ func TestAttributeFuzzReconciles(t *testing.T) {
 		b.LastIdx = int32(next() % 4)
 		b.Branch = SlotOut{Kind: SrcKind(next() % 3), Src: int32(next() % 8), ResolvedAt: next() % 2000, Valid: next()%2 == 0}
 		for i := range b.Insts {
-			mk := func() Edge {
-				return Edge{
+			b.Insts[i] = Inst{
+				Arm: Edge{
 					Kind: SrcKind(next() % 3), Valid: next()%2 == 0,
 					Src: int32(next() % 8), SendAt: next() % 2000,
 					HopIdeal: next() % 8, ArriveAt: next() % 2000,
-				}
-			}
-			b.Insts[i] = Inst{
-				Left: mk(), Right: mk(), Pred: mk(),
-				AvailAt: next() % 2000, ReadyAt: next() % 2000,
-				IssueAt: next() % 2000, Issued: next()%4 != 0,
-				Gen:   b.Gen - uint32(next()%2),
+				},
+				ReadyAt: next() % 2000, Issued: next()%4 != 0, ArmSlot: uint8(next() % 3),
 				IsMem: next()%2 == 0, AgenDone: next() % 2000,
 				BankIdeal: next() % 8, BankArrive: next() % 2000,
 				SvcAt: next() % 2000, AccessDone: next() % 2000, DataAt: next() % 2000,
@@ -232,8 +229,8 @@ func TestAttributeFuzzReconciles(t *testing.T) {
 		}
 		for i := range b.Writes {
 			b.Writes[i] = WriteOut{
-				Edge: Edge{Kind: SrcKind(next() % 3), Valid: next()%2 == 0, Src: int32(next() % 8), SendAt: next() % 2000, ArriveAt: next() % 2000},
-				Null: next()%4 == 0, Gen: b.Gen - uint32(next()%2),
+				Edge:   Edge{Kind: SrcKind(next() % 3), Valid: next()%2 == 0, Src: int32(next() % 8), SendAt: next() % 2000, ArriveAt: next() % 2000},
+				Null:   next()%4 == 0,
 				SendAt: next() % 2000, BankAt: next() % 2000, BankIdeal: next() % 8,
 			}
 		}
@@ -252,54 +249,89 @@ func TestAttributeFuzzReconciles(t *testing.T) {
 }
 
 // TestResetBlockRecycles checks the pooled-record recycle contract:
-// scalars, Reads and Slots come back zeroed eagerly; Insts and Writes
-// are invalidated by the generation bump and InstAt/WriteAt hand back
-// clean records on first touch.
+// every field and every array entry comes back zeroed, whether the
+// record shrinks below a stamped entry or grows back over it within its
+// capacity, and growing past capacity reallocates.
 func TestResetBlockRecycles(t *testing.T) {
 	b := ResetBlock(nil, 4, 2, 2, 2)
-	gen1 := b.Gen
-	if gen1 == 0 {
-		t.Fatalf("fresh block has zero generation")
+	insts := &b.Insts[0]
+	stamp := func(b *Block) {
+		for i := range b.Insts {
+			b.Insts[i] = Inst{Arm: Edge{Valid: true, ArriveAt: 9}, Issued: true, DataAt: 99}
+		}
+		for i := range b.Writes {
+			b.Writes[i] = WriteOut{Null: true, BankAt: 99}
+		}
+		for i := range b.Reads {
+			b.Reads[i].DispatchAt = 99
+		}
+		for i := range b.Slots {
+			b.Slots[i] = SlotOut{Valid: true, ResolvedAt: 99}
+		}
+		b.Branch.Valid = true
+		b.LastOut, b.LastIdx = OutStore, 1
+		b.Result[Commit] = 7
+		b.FetchStart, b.RetiredAt = 3, 123
 	}
-	b.InstAt(3).DataAt = 99
-	b.WriteAt(1).BankAt = 99
-	b.Slots[1].ResolvedAt = 99
-	b.Reads[1].DispatchAt = 99
-	b.Branch.Valid = true
-	b.LastOut = OutStore
-	b.Result[Commit] = 7
-	b.RetiredAt = 123
-
+	zero := func(b *Block, nInsts, nWrites, nReads, nSlots int) {
+		t.Helper()
+		want := Block{
+			Insts: make([]Inst, nInsts), Writes: make([]WriteOut, nWrites),
+			Reads: make([]Read, nReads), Slots: make([]SlotOut, nSlots),
+		}
+		if !reflect.DeepEqual(*b, want) {
+			t.Fatalf("reset to %d/%d/%d/%d left %+v", nInsts, nWrites, nReads, nSlots, *b)
+		}
+	}
+	stamp(b)
 	b2 := ResetBlock(b, 2, 1, 1, 1)
 	if b2 != b {
-		t.Fatalf("reset reallocated despite sufficient capacity")
+		t.Fatalf("reset reallocated the record")
 	}
-	if b2.Gen == gen1 {
-		t.Fatalf("reset did not advance the generation")
-	}
-	if len(b2.Insts) != 2 || len(b2.Writes) != 1 || len(b2.Reads) != 1 || len(b2.Slots) != 1 {
-		t.Fatalf("reset sizes = %d/%d/%d/%d", len(b2.Insts), len(b2.Writes), len(b2.Reads), len(b2.Slots))
-	}
-	if b2.Slots[0] != (SlotOut{}) || b2.Reads[0] != (Read{}) {
-		t.Fatalf("reset left stale eager-cleared state")
-	}
-	if b2.Branch.Valid || b2.LastOut != OutNone || b2.Result != (Breakdown{}) || b2.RetiredAt != 0 {
-		t.Fatalf("reset left stale scalar state")
-	}
-	// Shrink below a dirtied index, then grow back over it within
-	// capacity: the stale entry must come back clean through the lazy
-	// accessors.
+	zero(b2, 2, 1, 1, 1)
+	stamp(b2)
+	// Grow back over entries stamped before the shrink, within capacity.
 	b3 := ResetBlock(b2, 4, 2, 2, 2)
-	if got := *b3.InstAt(3); got != (Inst{Gen: b3.Gen}) {
-		t.Fatalf("InstAt returned stale record %+v", got)
+	if &b3.Insts[0] != insts {
+		t.Fatalf("reset within capacity reallocated Insts")
 	}
-	if got := *b3.WriteAt(1); got != (WriteOut{Gen: b3.Gen}) {
-		t.Fatalf("WriteAt returned stale record %+v", got)
-	}
+	zero(b3, 4, 2, 2, 2)
+	stamp(b3)
 	// Growing past capacity reallocates zeroed storage.
-	b4 := ResetBlock(b3, 8, 4, 4, 4)
-	if len(b4.Insts) != 8 || *b4.InstAt(7) != (Inst{Gen: b4.Gen}) {
-		t.Fatalf("reset failed to grow")
+	zero(ResetBlock(b3, 8, 4, 4, 4), 8, 4, 4, 4)
+}
+
+// TestCritRecordSize holds the instruction record's diet: ResetBlock
+// clears one Inst per live instruction on every fetch.
+func TestCritRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n > 96 {
+		t.Errorf("Inst is %d bytes, want <= 96", n)
+	}
+}
+
+// TestOfferKeepsArmingEdge: whatever order the three operand deliveries
+// are offered in, the record keeps the last arrival, and among arrivals
+// in the same cycle the lowest operand slot (left, right, predicate).
+func TestOfferKeepsArmingEdge(t *testing.T) {
+	edge := func(src int32, at uint64) Edge { return Edge{Kind: SrcInst, Valid: true, Src: src, ArriveAt: at} }
+	for _, tc := range []struct {
+		at   [3]uint64 // arrival per slot
+		want int32     // slot whose edge arms
+	}{
+		{[3]uint64{5, 7, 6}, 1},
+		{[3]uint64{7, 7, 7}, 0},
+		{[3]uint64{4, 7, 7}, 1},
+		{[3]uint64{3, 2, 9}, 2},
+	} {
+		for _, order := range [][3]uint8{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			var in Inst
+			for _, slot := range order {
+				in.Offer(edge(int32(slot), tc.at[slot]), slot)
+			}
+			if in.Arm.Src != tc.want || in.ArmSlot != uint8(tc.want) {
+				t.Errorf("arrivals %v offered in order %v: slot %d arms, want %d", tc.at, order, in.Arm.Src, tc.want)
+			}
+		}
 	}
 }
 

@@ -33,6 +33,9 @@ type Linked struct {
 	// dispatched and — Validate rejects a target field naming any other —
 	// the only ones an executor keeps state for.
 	Live []int32
+	// LivePos is the inverse of Live: LivePos[id] is instruction id's
+	// position in Live, or -1 for a nop or an ID past the block's end.
+	LivePos [isa.MaxBlockInsts]int8
 	// Outputs is what the block must produce to complete: every write
 	// slot, every store slot (Block.NumStores) and one branch.
 	Outputs int
@@ -84,6 +87,9 @@ func link(b *isa.Block, idx int) Linked {
 	for i := range l.FirstMem {
 		l.FirstMem[i] = -1
 	}
+	for i := range l.LivePos {
+		l.LivePos[i] = -1
+	}
 	storeSlot := func(lsid int8, i int) {
 		l.StoreMask |= 1 << uint(lsid)
 		l.Cover[lsid] = append(l.Cover[lsid], int32(i))
@@ -98,6 +104,7 @@ func link(b *isa.Block, idx int) Linked {
 		li.Right.Need = n >= 2 && !(in.HasImm && !in.Op.IsMem())
 		li.Pred.Need = in.Pred != isa.PredNone
 		if in.Op != isa.OpNop {
+			l.LivePos[i] = int8(len(l.Live))
 			l.Live = append(l.Live, int32(i))
 		}
 		if in.Op.IsMem() && l.FirstMem[in.LSID] < 0 {

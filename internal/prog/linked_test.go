@@ -3,6 +3,7 @@ package prog_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/edgegen"
@@ -123,6 +124,10 @@ func recount(b *isa.Block, lk *prog.Linked) error {
 			return fmt.Errorf("write slot %d: %d producers, want %d", w, got, want)
 		}
 	}
+	var livePos [isa.MaxBlockInsts]int8
+	for id := range livePos {
+		livePos[id] = int8(slices.Index(live, int32(id)))
+	}
 	var regSlot [isa.NumRegs]int8
 	for r := range regSlot {
 		regSlot[r] = -1
@@ -140,6 +145,7 @@ func recount(b *isa.Block, lk *prog.Linked) error {
 		got, want any
 	}{
 		{"Live", lk.Live, live},
+		{"LivePos", lk.LivePos, livePos},
 		{"Outputs", lk.Outputs, len(b.Writes) + b.NumStores + 1},
 		{"MaxLSID", lk.MaxLSID, maxWithNulls},
 		{"StoreMask", lk.StoreMask, mask},

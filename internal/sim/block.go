@@ -142,6 +142,10 @@ type IFB struct {
 // instCoreIdx returns the participating-core index executing instruction id.
 func (b *IFB) instCoreIdx(id int) int { return int(b.p.instCore[id]) }
 
+// cpInst returns instruction id's attribution record, which sits at id's
+// position in Live: records are kept per live instruction, not per ID.
+func (b *IFB) cpInst(id int) *critpath.Inst { return &b.cp.Insts[b.lk.LivePos[id]] }
+
 // deliver processes one operand/write arrival (or dead token) at cycle t.
 func (p *Proc) deliver(b *IFB, target isa.Target, val uint64, dead bool, fromIdx int, t uint64) {
 	if b.dead {
@@ -205,7 +209,7 @@ func (p *Proc) deliverWrite(b *IFB, wi int, val uint64, dead bool, fromIdx int, 
 		p.serveWriteWaiters(b, wi, w.bankAt)
 		arr := p.ctlSend(bank, b.owner, w.bankAt)
 		if b.cp != nil {
-			cw := b.cp.WriteAt(wi)
+			cw := &b.cp.Writes[wi]
 			cw.SendAt = t
 			cw.BankAt = w.bankAt
 			cw.BankIdeal = p.opnIdeal(fromIdx, bank)
@@ -221,7 +225,7 @@ func (p *Proc) deliverWrite(b *IFB, wi int, val uint64, dead bool, fromIdx int, 
 		bank := p.regBankIdx(reg)
 		arr := p.ctlSend(bank, b.owner, t)
 		if b.cp != nil {
-			cw := b.cp.WriteAt(wi)
+			cw := &b.cp.Writes[wi]
 			cw.Null = true
 			cw.SendAt = t
 		}
@@ -364,8 +368,11 @@ func (p *Proc) maybeIssue(b *IFB, idx int) {
 	coreIdx := b.instCoreIdx(idx)
 	issueAt := p.chip.issueAt(p.phys(coreIdx)).Reserve(readyAt, in.Op.IsFP())
 	if b.cp != nil {
-		ci := b.cp.InstAt(idx)
-		ci.AvailAt, ci.ReadyAt, ci.IssueAt, ci.Issued = st.availAt, readyAt, issueAt, true
+		ci := b.cpInst(idx)
+		ci.ReadyAt, ci.Issued = readyAt, true
+		if readyAt == st.availAt {
+			ci.Arm = critpath.Edge{} // dispatch armed it, not an operand
+		}
 	}
 	p.executeInst(b, idx, issueAt)
 }
@@ -403,7 +410,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		bank := p.dataBankIdx(addr)
 		arr := p.opnSend(coreIdx, bank, agenDone)
 		if b.cp != nil {
-			ci := b.cp.InstAt(idx)
+			ci := b.cpInst(idx)
 			ci.IsMem = true
 			ci.AgenDone = agenDone
 			ci.BankIdeal = p.opnIdeal(coreIdx, bank)
@@ -418,7 +425,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		bank := p.dataBankIdx(addr)
 		arr := p.opnSend(coreIdx, bank, agenDone)
 		if b.cp != nil {
-			ci := b.cp.InstAt(idx)
+			ci := b.cpInst(idx)
 			ci.IsMem = true
 			ci.AgenDone = agenDone
 			ci.BankIdeal = p.opnIdeal(coreIdx, bank)
@@ -434,7 +441,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			// unconditional record in storeAtBank takes precedence).
 			if b.cp != nil {
 				if s := &b.cp.Slots[in.NullLSID]; s.Kind == critpath.SrcNone {
-					s.Kind, s.Src = critpath.SrcInst, int32(idx)
+					s.Kind, s.Src = critpath.SrcInst, int32(b.lk.LivePos[idx])
 				}
 			}
 			p.chip.scheduleEv(done, event{kind: evNullSlot, b: b, gen: b.gen, idx: int32(in.NullLSID)})
@@ -454,7 +461,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		if b.cp != nil && !b.cp.Branch.Valid {
 			// First executed branch wins: branchResolved also takes the
 			// first arrival and ignores a later predicated twin.
-			b.cp.Branch = critpath.SlotOut{Kind: critpath.SrcInst, Src: int32(idx), ResolvedAt: done, Valid: true}
+			b.cp.Branch = critpath.SlotOut{Kind: critpath.SrcInst, Src: int32(b.lk.LivePos[idx]), ResolvedAt: done, Valid: true}
 		}
 		p.chip.scheduleEv(arr, event{kind: evBranch, b: b, gen: b.gen, idx: int32(in.Op), from: in.Exit, val: target})
 
@@ -474,10 +481,11 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 }
 
 // scheduleDelivery routes one produced value to its target and, with
-// attribution on, records the delivery edge: who sent it, when, the
-// unloaded hop latency and the actual arrival.  Each operand/write slot
-// receives exactly one value (two is a simulator failure), so the edge
-// is recorded without overwrite hazards.
+// attribution on, records the delivery edge: who sent it (srcIdx is a read
+// index or an instruction ID), when, the unloaded hop latency and the
+// actual arrival.  A write slot receives exactly one value (two is a
+// simulator failure) and keeps its edge; an instruction keeps the edge
+// that arms it last (critpath.Inst.Offer).
 func (p *Proc) scheduleDelivery(b *IFB, tg isa.Target, val uint64, fromIdx int, t uint64, srcKind critpath.SrcKind, srcIdx int32) {
 	toIdx := fromIdx
 	if tg.Kind != isa.TargetWrite {
@@ -488,19 +496,17 @@ func (p *Proc) scheduleDelivery(b *IFB, tg isa.Target, val uint64, fromIdx int, 
 		arr = p.opnSend(fromIdx, toIdx, t)
 	}
 	if b.cp != nil {
+		if srcKind == critpath.SrcInst {
+			srcIdx = int32(b.lk.LivePos[srcIdx])
+		}
 		e := critpath.Edge{
 			Kind: srcKind, Valid: true, Src: srcIdx,
 			SendAt: t, HopIdeal: p.opnIdeal(fromIdx, toIdx), ArriveAt: arr,
 		}
-		switch tg.Kind {
-		case isa.TargetWrite:
-			b.cp.WriteAt(int(tg.Index)).Edge = e
-		case isa.TargetLeft:
-			b.cp.InstAt(int(tg.Index)).Left = e
-		case isa.TargetRight:
-			b.cp.InstAt(int(tg.Index)).Right = e
-		case isa.TargetPred:
-			b.cp.InstAt(int(tg.Index)).Pred = e
+		if tg.Kind == isa.TargetWrite {
+			b.cp.Writes[tg.Index].Edge = e
+		} else {
+			b.cpInst(int(tg.Index)).Offer(e, uint8(tg.Kind))
 		}
 	}
 	p.chip.scheduleEv(arr, event{kind: evDeliver, b: b, gen: b.gen, tgt: tg, val: val, from: uint8(fromIdx)})

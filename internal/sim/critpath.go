@@ -68,15 +68,15 @@ func (p *Proc) registerCritHists(r *telemetry.Registry) {
 }
 
 // resetCP recycles b's attribution record for a new incarnation, sized
-// to the linked block (not the ISA maxima, keeping the per-fetch
-// zeroing cost proportional to the block).  Slots spans both store and
-// null LSIDs: StoreMask covers every slot the block must resolve.
+// to what the linked block executes: one instruction record per live
+// instruction, and Slots spanning both store and null LSIDs (StoreMask
+// covers every slot the block must resolve).
 func (p *Proc) resetCP(b *IFB, lk *prog.Linked) {
 	if b.cp == nil {
 		b.cp = critpath.GetBlock()
 	}
 	b.cp = critpath.ResetBlock(b.cp,
-		len(lk.Insts), len(lk.WriteProducers), len(lk.Block.Reads), bits.Len32(lk.StoreMask))
+		len(lk.Live), len(lk.WriteProducers), len(lk.Block.Reads), bits.Len32(lk.StoreMask))
 }
 
 // releaseCritRecords hands every IFB's attribution record back to the

@@ -105,7 +105,7 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 		}
 	}
 	if b.cp != nil {
-		ci := b.cp.InstAt(idx)
+		ci := b.cpInst(idx)
 		ci.SvcAt = svc
 		ci.AccessDone = accessDone
 		ci.DataAt = dataAt
@@ -178,8 +178,8 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 		// The firing store is the slot's producer, overriding any null
 		// twin's pre-record.
 		s := &b.cp.Slots[in.LSID]
-		s.Kind, s.Src = critpath.SrcInst, int32(idx)
-		b.cp.InstAt(idx).SvcAt = svc
+		s.Kind, s.Src = critpath.SrcInst, int32(b.lk.LivePos[idx])
+		b.cpInst(idx).SvcAt = svc
 	}
 	p.resolveStoreSlot(b, in.LSID, svc+1, false)
 	p.retryDeferredLoads()

@@ -738,16 +738,8 @@ func (p *Proc) finalizeCommit(b *IFB, t uint64) {
 		p.Pred.Train(&b.pred, b.actual.Exit, b.actual.Op.Type(), b.actual.Target)
 	}
 
-	// Serve any read waiters that were still attached (defensively:
-	// normally writes resolve before completion).
-	for wi := range b.wr {
-		for i := range b.wr[wi].waiters {
-			if w := &b.wr[wi].waiters[i]; w.live() {
-				p.resolveRead(w.b, w.readIdx, t)
-			}
-		}
-		b.wr[wi].waiters = nil
-	}
+	// No read waits on b: it completed with every write slot resolved, and
+	// resolving a slot drains its waiters (serveWriteWaiters).
 	p.retryDeferredLoads()
 
 	if b.actual.Op == isa.OpHalt {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/compose"
+	"github.com/clp-sim/tflex/internal/critpath"
 	"github.com/clp-sim/tflex/internal/edgegen"
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
@@ -16,6 +17,7 @@ import (
 	"github.com/clp-sim/tflex/internal/predictor"
 	"github.com/clp-sim/tflex/internal/prog"
 	"github.com/clp-sim/tflex/internal/sim"
+	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
 // resetJob is one program with its input, run alone on a chip.
@@ -98,6 +100,88 @@ func checkReuse(t *testing.T, opts sim.Options, cores compose.Processor, jobs []
 	}
 }
 
+// attribution is what a job reports with critical-path attribution and
+// the metric registry armed: its cycles, the chip's and the processor's
+// summaries, every committed block's breakdown in order, and the
+// registry's snapshot.  An unarmed job reports its cycles alone.
+type attribution struct {
+	Cycles     uint64
+	Chip, Proc critpath.Summary
+	Blocks     []critpath.Breakdown
+	Metrics    telemetry.Snapshot
+}
+
+func arm(chip *sim.Chip) *telemetry.Registry {
+	reg := chip.Telemetry()
+	chip.EnableCritPath()
+	return reg
+}
+
+func runAttributed(t *testing.T, chip *sim.Chip, cores compose.Processor, j resetJob, armed bool) attribution {
+	t.Helper()
+	var reg *telemetry.Registry
+	if armed {
+		reg = arm(chip)
+	}
+	proc := startJob(t, chip, cores, j)
+	var a attribution
+	proc.TraceBlocks(func(ev sim.BlockEvent) {
+		if ev.HasCritPath {
+			a.Blocks = append(a.Blocks, ev.CritPath)
+		}
+	})
+	if err := chip.Run(1 << 24); err != nil {
+		t.Fatalf("%s on %d cores: %v", j.name, cores.N(), err)
+	}
+	a.Cycles, a.Chip, a.Proc = chip.Now(), chip.CritPath(), proc.CritPath()
+	if reg != nil {
+		a.Metrics = reg.Snapshot()
+	}
+	return a
+}
+
+// checkAttribution runs jobs in order on one chip, Reset between them,
+// armed, armed, unarmed and so on, so that every order of an armed and an
+// unarmed job occurs.  An armed job must attribute exactly as on a fresh
+// armed chip; an unarmed one must carry no breakdown.  Before every other
+// job the chip runs the job before it armed and stopped halfway, so the
+// reset finds attribution records on blocks still in flight.
+func checkAttribution(t *testing.T, opts sim.Options, cores compose.Processor, jobs []resetJob) {
+	t.Helper()
+	fresh := map[string]attribution{}
+	for _, j := range jobs {
+		if _, ok := fresh[j.name]; !ok {
+			fresh[j.name] = runAttributed(t, sim.New(opts), cores, j, true)
+		}
+	}
+	chip := sim.New(opts)
+	armedBefore := false
+	for i, j := range jobs {
+		if i > 0 {
+			chip.Reset()
+		}
+		if i > 0 && i%2 == 0 {
+			prev := jobs[i-1]
+			arm(chip)
+			startJob(t, chip, cores, prev)
+			if err := chip.Run(fresh[prev.name].Cycles / 2); err == nil {
+				t.Fatalf("%s stopped at cycle %d finished", prev.name, fresh[prev.name].Cycles/2)
+			}
+			chip.Reset()
+		}
+		armed := i%3 != 2
+		want := fresh[j.name]
+		if !armed {
+			want = attribution{Cycles: want.Cycles}
+		}
+		if got := runAttributed(t, chip, cores, j, armed); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (armed %v) after %s (armed %v) on a reset chip:\n got %+v\nwant %+v",
+				j.name, armed, jobs[max(i-1, 0)].name, armedBefore, got, want)
+		}
+		armedBefore = armed
+	}
+}
+
 // pairWalk returns a walk over 0..n-1 that steps along every ordered pair
 // of distinct indices exactly once (an Euler circuit of the complete
 // directed graph, by Hierholzer's algorithm): n(n-1)+1 visits.
@@ -130,6 +214,9 @@ func pairWalk(n int) []int {
 // and under the TRIPS options, and the steady kernels at scale 1 in an
 // order that follows every ordered pair, mcf before conv among them, so
 // a heavy job's L2, predictor and ring state precedes every light one.
+// The attribution leg runs the edgegen programs on 2 cores and the
+// kernel walk on 8 with critical-path attribution and the metric
+// registry armed on some jobs and not others (checkAttribution).
 func TestChipResetIsolation(t *testing.T) {
 	var fuzzJobs []resetJob
 	for seed := int64(1); seed <= 25; seed++ {
@@ -173,6 +260,10 @@ func TestChipResetIsolation(t *testing.T) {
 			for _, n := range []int{1, 8, 32} {
 				checkReuse(t, opts, compose.MustRect(0, 0, n), kernelWalk)
 			}
+			t.Run("attribution", func(t *testing.T) {
+				checkAttribution(t, opts, compose.MustRect(0, 0, 2), fuzzJobs)
+				checkAttribution(t, opts, compose.MustRect(0, 0, 8), kernelWalk)
+			})
 		})
 	}
 }
