@@ -48,7 +48,9 @@
 # per marginal block of the functional executor, untraced and traced
 # (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
 # bytes of Build(32), Init and Check for each of the steady workload's
-# kernels (TestKernelBuildBudget in internal/kernels).  No wall-time ratio is
+# kernels (TestKernelBuildBudget in internal/kernels), and the bytes and
+# allocations of the experiment suite's jobs on chips and a Core2 trace it
+# reuses (TestSuiteJobBudget in internal/experiments).  No wall-time ratio is
 # compared to a threshold: wall time is judged across commits by the
 # pipeline that runs BENCHMARK.json, under the bounds that file states.
 #
@@ -130,8 +132,8 @@ if [ "${1:-}" = "bench" ]; then
         echo "no report written (an -out flag of your own takes precedence): BENCH_history.jsonl not appended"
     fi
     rm -rf "$benchdir"
-    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget' ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels
+    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, events per block, ring and record sizes) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget' ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments
     exit 0
 fi
 

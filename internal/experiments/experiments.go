@@ -17,13 +17,16 @@
 // orders, the output is byte-identical at any worker count (see
 // determinism_test.go).
 //
-// Concurrency-safety audit (why fan-out is sound): each job builds its
-// own sim.Chip, and every package the jobs touch was audited for shared
-// mutable state.
+// Concurrency-safety audit (why fan-out is sound): each job runs on a
+// sim.Chip no other job holds while it runs — one the suite keeps idle
+// for the job's machine row, reset, or a new one when none is idle — and
+// every package the jobs touch was audited for shared mutable state.
 //
 //   - sim, mem, noc, predictor: all simulation state hangs off the
-//     *sim.Chip built inside the job; there are no package-level
-//     variables.
+//     *sim.Chip the job holds; there are no package-level variables.  A
+//     chip goes back to the suite's idle list only after the job has
+//     copied its results out and Chip.Reset has returned it to the state
+//     sim.New returns.
 //   - kernels: the package-level registry/order maps are mutated only by
 //     init-time register() calls, which Go runs single-threaded before
 //     main; afterwards they are read-only (kernels.TestRegistryConcurrentReads
@@ -51,6 +54,7 @@ import (
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/critpath"
+	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/obs"
 	"github.com/clp-sim/tflex/internal/power"
 	"github.com/clp-sim/tflex/internal/sim"
@@ -74,9 +78,12 @@ type RunResult struct {
 // is its Spec: the machine it runs on is the machines row its Config
 // names, and the job map, keyed by the spec itself, is the one record of
 // the job and its result (jobs.go).  All methods are safe for concurrent
-// use: the job map and the build memo are guarded by mu, each kernel is
-// built once per (kernel, scale) and shared read-only, and each simulation
-// builds its own private chip.
+// use: the job map, the build memo and the idle storage are guarded by
+// mu, each kernel is built once per (kernel, scale) and shared read-only,
+// and each simulation holds its chip, or its Core2 trace, alone until it
+// returns it.  Idle chips and traces live as long as the suite: a chip
+// per machine row per concurrently running job, and a trace per
+// concurrently running Core2 job.
 type Suite struct {
 	Scale int   // kernel input scale
 	Sizes []int // TFlex composition sizes
@@ -88,18 +95,21 @@ type Suite struct {
 
 	mu     sync.Mutex
 	jobs   map[Spec]*job
-	builds map[buildKey]*build // one kernel build per (kernel, scale)
-	hits   uint64              // have lookups
-	wall   time.Duration       // summed Prefetch wall time
-	inJob  time.Duration       // summed per-job wall time
-	epoch  time.Time           // the first Prefetch's start: job span time zero
-	tracks int                 // worker tracks named so far
+	builds map[buildKey]*build    // one kernel build per (kernel, scale)
+	chips  map[string][]*sim.Chip // idle reset chips, by machine row (Spec.Config)
+	traces []*exec.Trace          // idle Core2 functional traces
+	hits   uint64                 // have lookups
+	wall   time.Duration          // summed Prefetch wall time
+	inJob  time.Duration          // summed per-job wall time
+	epoch  time.Time              // the first Prefetch's start: job span time zero
+	tracks int                    // worker tracks named so far
 }
 
 // NewSuite returns a suite at the given kernel scale, running jobs on
 // GOMAXPROCS workers (see SetJobs).
 func NewSuite(scale int) *Suite {
-	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}, builds: map[buildKey]*build{}}
+	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}, builds: map[buildKey]*build{},
+		chips: map[string][]*sim.Chip{}}
 }
 
 // SetJobs caps the number of concurrently running simulations; n <= 0

@@ -73,11 +73,16 @@ var machines = func() map[string]machine {
 
 // simulate runs one job: it takes the spec's kernel at the spec's scale
 // from the suite's build memo, executes it on the machine the spec's
-// config names and validates the outputs against the reference.  When an
-// observer is set (SetObserver), a chip run additionally enables
-// critical-path attribution into the server's rolling aggregate and
-// publishes registry snapshots mid-run; both are passive, so the
-// architectural results are identical with or without observation.
+// config names and validates the outputs against the reference.  A chip
+// job runs on an idle chip of its machine row (takeChip), which goes back
+// reset once collect has copied the results out, on the error paths too
+// (putChip).  A reset chip parks one processor of each size it has run
+// for AddProc to take, so one chip per row per running job serves every
+// composition size.  When an observer is set (SetObserver), a chip run
+// additionally enables critical-path attribution into the server's
+// rolling aggregate and publishes registry snapshots mid-run; both are
+// passive, so the architectural results are identical with or without
+// observation.
 func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	m, ok := machines[sp.Config]
 	if !ok {
@@ -88,9 +93,10 @@ func (s *Suite) simulate(sp Spec) (RunResult, error) {
 		return RunResult{}, err
 	}
 	if m.options == nil {
-		return conventional(inst)
+		return s.conventional(inst)
 	}
-	chip := sim.New(m.options())
+	chip := s.takeChip(sp.Config, m.options)
+	defer s.putChip(sp.Config, chip)
 	if m.critpath {
 		chip.EnableCritPath()
 	}
@@ -116,11 +122,50 @@ func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	return collect(chip, proc, powerCores, fpus), nil
 }
 
+// takeChip returns an idle chip of the machine row, or builds one from
+// the row's options when none is idle.  The caller holds it alone until
+// putChip.
+func (s *Suite) takeChip(row string, options func() sim.Options) *sim.Chip {
+	s.mu.Lock()
+	var chip *sim.Chip
+	if idle := s.chips[row]; len(idle) > 0 {
+		chip, s.chips[row] = idle[len(idle)-1], idle[:len(idle)-1]
+	}
+	s.mu.Unlock()
+	if chip == nil {
+		chip = sim.New(options())
+	}
+	return chip
+}
+
+// putChip resets a chip whose job is done with it and files it as idle
+// for the row's next job.
+func (s *Suite) putChip(row string, chip *sim.Chip) {
+	chip.Reset()
+	s.mu.Lock()
+	s.chips[row] = append(s.chips[row], chip)
+	s.mu.Unlock()
+}
+
 // conventional runs the kernel on the conventional superscalar model,
-// via the linearized functional trace.
-func conventional(inst *kernels.Instance) (RunResult, error) {
+// via the linearized functional trace.  The trace is recorded into an
+// idle buffer of the suite's, emptied, so a Core2 job regrows no trace
+// an earlier one already grew.
+func (s *Suite) conventional(inst *kernels.Instance) (RunResult, error) {
+	s.mu.Lock()
+	t := &exec.Trace{}
+	if n := len(s.traces); n > 0 {
+		t, s.traces = s.traces[n-1], s.traces[:n-1]
+		t.Entries, t.Blocks, t.Truncated = t.Entries[:0], t.Blocks[:0], false
+	}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.traces = append(s.traces, t)
+		s.mu.Unlock()
+	}()
 	m := exec.NewMachine(inst.Prog)
-	m.Trace = &exec.Trace{}
+	m.Trace = t
 	inst.Init(&m.Regs, m.Mem.(*exec.PageMem))
 	if _, err := m.Run(50_000_000); err != nil {
 		return RunResult{}, err
@@ -128,10 +173,10 @@ func conventional(inst *kernels.Instance) (RunResult, error) {
 	if err := inst.Check(&m.Regs, m.Mem.(*exec.PageMem)); err != nil {
 		return RunResult{}, err
 	}
-	if m.Trace.Truncated {
-		return RunResult{}, fmt.Errorf("conventional: trace truncated at %d entries", len(m.Trace.Entries))
+	if t.Truncated {
+		return RunResult{}, fmt.Errorf("conventional: trace truncated at %d entries", len(t.Entries))
 	}
-	return RunResult{Cycles: conv.Run(m.Trace.Entries, conv.DefaultConfig()).Cycles}, nil
+	return RunResult{Cycles: conv.Run(t.Entries, conv.DefaultConfig()).Cycles}, nil
 }
 
 // collect gathers a finished chip run: the processor's statistics, the
