@@ -50,7 +50,9 @@
 # bytes of Build(32), Init and Check for each of the steady workload's
 # kernels (TestKernelBuildBudget in internal/kernels), and the bytes and
 # allocations of the experiment suite's jobs on chips and a Core2 trace it
-# reuses (TestSuiteJobBudget in internal/experiments).  No wall-time ratio is
+# reuses (TestSuiteJobBudget in internal/experiments), and the bytes and
+# allocations of a tflex.RunKernel once the chip pool is warm
+# (TestRunKernelReuseBudget in the root package).  No wall-time ratio is
 # compared to a threshold: wall time is judged across commits by the
 # pipeline that runs BENCHMARK.json, under the bounds that file states.
 #
@@ -132,8 +134,8 @@ if [ "${1:-}" = "bench" ]; then
         echo "no report written (an -out flag of your own takes precedence): BENCH_history.jsonl not appended"
     fi
     rm -rf "$benchdir"
-    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget' ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments
+    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, pooled runs, events per block, ring and record sizes) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments
     exit 0
 fi
 

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/conv"
@@ -47,8 +46,9 @@ func (Functional) Run(p *prog.Program, in Input) (State, error) {
 // Sim executes programs on the timing simulator: a chip in the state
 // sim.New returns, with one processor composed of Cores cores, in either
 // the optimized or the bit-identical reference engine.  The chip comes
-// from an idle one of the same shape when there is one (chipPool), so a
-// corpus run rebuilds no meshes, tag groups or predictor tables.
+// from sim's pool of idle chips of the engine (sim.Acquire), which serves
+// every core count, so a corpus run rebuilds no meshes, tag groups or
+// predictor tables.
 type Sim struct {
 	Cores     int
 	Reference bool
@@ -75,16 +75,11 @@ func (s Sim) Run(p *prog.Program, in Input) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	pool := chipPool(s)
-	chip, _ := pool.Get().(*sim.Chip)
-	if chip == nil {
-		opts := sim.DefaultOptions()
-		opts.Reference = s.Reference
-		chip = sim.New(opts)
-	}
+	opts := sim.DefaultOptions()
+	opts.Reference = s.Reference
+	chip := sim.Acquire(opts)
 	st, err := runSim(chip, cores, p, in)
-	chip.Reset()
-	pool.Put(chip)
+	sim.Release(chip)
 	return st, err
 }
 
@@ -104,26 +99,6 @@ func runSim(chip *sim.Chip, cores compose.Processor, p *prog.Program, in Input) 
 		return State{}, err
 	}
 	return SimState(proc, sh), nil
-}
-
-// chipPools holds Sim's idle chips, reset, one pool per executor shape:
-// a chip keeps the processor storage of the size it last ran, and its
-// options follow from Reference.  A sync.Pool lets the collector take
-// idle chips back and serves the fuzz tests' parallel runs.
-var (
-	chipPoolsMu sync.Mutex
-	chipPools   = map[Sim]*sync.Pool{}
-)
-
-func chipPool(s Sim) *sync.Pool {
-	chipPoolsMu.Lock()
-	defer chipPoolsMu.Unlock()
-	pool := chipPools[s]
-	if pool == nil {
-		pool = new(sync.Pool)
-		chipPools[s] = pool
-	}
-	return pool
 }
 
 // SimState reads the architectural state off a finished simulated

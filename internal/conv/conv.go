@@ -8,6 +8,8 @@
 package conv
 
 import (
+	"sync"
+
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/mem"
@@ -84,40 +86,98 @@ type recentStore struct {
 	done uint64
 }
 
+// state is the storage one Core2 model runs on: its caches, predictor
+// tables, issue and commit rings, recent-store list and per-entry
+// completion times.
+type state struct {
+	cfg                                    Config
+	l1d, l1i, l2                           *mem.Cache
+	gshare                                 []uint8
+	btb                                    []uint64
+	issue, loadPort, storePort, commitRing *noc.Ring
+	stores                                 []recentStore
+	done, commit                           []uint64 // grown to the longest trace run so far
+}
+
+// states holds idle states, each in the state newState returns for its
+// config, so a run builds no caches or tables unless the config changed.
+var states sync.Pool
+
+func newState(cfg Config) *state {
+	s := &state{
+		cfg:        cfg,
+		l1d:        mem.NewCache(cfg.L1DBytes, cfg.L1DAssoc, cfg.LineBytes),
+		l1i:        mem.NewCache(cfg.L1IBytes, cfg.L1IAssoc, cfg.LineBytes),
+		l2:         mem.NewCache(cfg.L2Bytes, cfg.L2Assoc, cfg.LineBytes),
+		gshare:     make([]uint8, 1<<cfg.GshareBits),
+		btb:        make([]uint64, cfg.BTBEntries),
+		issue:      noc.NewRing(0, cfg.IssueWidth, cfg.IssueWidth),
+		loadPort:   noc.NewRing(0, 1, 1),
+		storePort:  noc.NewRing(0, 1, 1),
+		commitRing: noc.NewRing(0, cfg.CommitWidth, cfg.CommitWidth),
+		stores:     make([]recentStore, 0, 64),
+	}
+	for i := range s.gshare {
+		s.gshare[i] = 1 // weakly not-taken
+	}
+	return s
+}
+
+// reset returns s to the state newState(s.cfg) returns, keeping its
+// storage.
+func (s *state) reset() {
+	s.l1d.Reset()
+	s.l1i.Reset()
+	s.l2.Reset()
+	for i := range s.gshare {
+		s.gshare[i] = 1
+	}
+	clear(s.btb)
+	s.issue.Reset(0)
+	s.loadPort.Reset(0)
+	s.storePort.Reset(0)
+	s.commitRing.Reset(0)
+}
+
 // Run simulates the trace on the conventional core.
 func Run(entries []exec.TraceEntry, cfg Config) Result {
+	if len(entries) == 0 {
+		return Result{}
+	}
+	s, _ := states.Get().(*state)
+	if s == nil || s.cfg != cfg {
+		s = newState(cfg)
+	}
+	res := s.run(entries)
+	s.reset()
+	states.Put(s)
+	return res
+}
+
+// run simulates the trace on s, a state as newState returns it.
+func (s *state) run(entries []exec.TraceEntry) Result {
 	var res Result
+	cfg := &s.cfg
 	n := len(entries)
-	if n == 0 {
-		return res
+	if cap(s.done) < n {
+		s.done, s.commit = make([]uint64, n), make([]uint64, n)
 	}
+	done, commit := s.done[:n], s.commit[:n]
+	clear(done)
+	clear(commit)
 
-	done := make([]uint64, n)
-	commit := make([]uint64, n)
-
-	l1d := mem.NewCache(cfg.L1DBytes, cfg.L1DAssoc, cfg.LineBytes)
-	l1i := mem.NewCache(cfg.L1IBytes, cfg.L1IAssoc, cfg.LineBytes)
-	l2 := mem.NewCache(cfg.L2Bytes, cfg.L2Assoc, cfg.LineBytes)
-
-	gshare := make([]uint8, 1<<cfg.GshareBits)
-	for i := range gshare {
-		gshare[i] = 1 // weakly not-taken
-	}
-	btb := make([]uint64, cfg.BTBEntries)
+	l1d, l1i, l2 := s.l1d, s.l1i, s.l2
+	gshare, btb := s.gshare, s.btb
 	var ghist uint64
+	issue, loadPort, storePort, commitRing := s.issue, s.loadPort, s.storePort, s.commitRing
 
-	issue := noc.NewRing(0, cfg.IssueWidth, cfg.IssueWidth)
-	loadPort := noc.NewRing(0, 1, 1)
-	storePort := noc.NewRing(0, 1, 1)
-	commitRing := noc.NewRing(0, cfg.CommitWidth, cfg.CommitWidth)
-
-	stores := make([]recentStore, 0, 64)
-	addStore := func(s recentStore) {
+	stores := s.stores[:0] // a run starts with no recent store; the array is kept
+	addStore := func(r recentStore) {
 		if len(stores) == 64 {
 			copy(stores, stores[1:])
 			stores = stores[:63]
 		}
-		stores = append(stores, s)
+		stores = append(stores, r)
 	}
 
 	memAccess := func(addr uint64, at uint64) uint64 {
@@ -199,10 +259,10 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 			// overlapping store.
 			forward := false
 			for j := len(stores) - 1; j >= 0; j-- {
-				s := &stores[j]
-				if s.addr < e.Addr+uint64(e.Size) && e.Addr < s.addr+uint64(s.size) {
-					if s.done > ready {
-						ready = s.done
+				st := &stores[j]
+				if st.addr < e.Addr+uint64(e.Size) && e.Addr < st.addr+uint64(st.size) {
+					if st.done > ready {
+						ready = st.done
 					}
 					forward = true
 					break

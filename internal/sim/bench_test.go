@@ -234,7 +234,8 @@ func TestChipSetupBudget(t *testing.T) {
 // The race detector's runtime adds bytes of its own, a number that varied
 // from run to run while this was measured, so a -race build holds the
 // allocation bound only.  The chip is reset directly rather than through
-// arch's sync.Pool, which drops Puts at random under the race detector.
+// the chip pool (Release), whose sync.Pool drops Puts at random under the
+// race detector.
 func TestChipReuseBudget(t *testing.T) {
 	p := sumProgram(t)
 	const runs = 50

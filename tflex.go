@@ -231,7 +231,9 @@ type RunConfig struct {
 	OnBlock func(BlockEvent)
 	// CollectMetrics arms the chip's telemetry registry before the run;
 	// Result.Telemetry and Result.Metrics report it.  Off by default —
-	// the simulation hot paths then pay only nil checks.
+	// the simulation hot paths then pay only nil checks.  The registry
+	// reads the chip live, so a run that arms it keeps its chip instead
+	// of returning it to the pool of reset chips RunMulti draws from.
 	CollectMetrics bool
 	// ChromeTrace, if non-nil, collects one record per retired block,
 	// rendered as fetch/execute/commit spans on one track per physical
@@ -240,6 +242,7 @@ type RunConfig struct {
 	ChromeTrace *Trace
 	// SampleEvery, if > 0, records window/LSQ occupancy and committed
 	// instructions every N cycles; Result.Samples reports the series.
+	// The sampler is a live view of the chip, which the run then keeps.
 	SampleEvery uint64
 	// CritPath arms critical-path attribution: every committed block's
 	// latency is attributed across eight categories (fetch/dispatch,
@@ -253,7 +256,7 @@ type RunConfig struct {
 	// aggregates (implies CritPath), metrics snapshots, sampler rows and
 	// on-demand flight dumps at every sample point (SampleEvery,
 	// defaulting to 4096 cycles when unset).  Start/Close the server
-	// yourself.
+	// yourself.  The server holds the chip, which the run then keeps.
 	Observe *Observer
 	// Flight arms the flight recorder: the chip keeps one fixed-size
 	// ring of compact records (block commit and flush, processor
@@ -275,7 +278,11 @@ type RunConfig struct {
 
 // Result reports one program of a completed run.  Telemetry, Metrics,
 // Samples and Flight are chip-wide: the results of one RunMulti share
-// them.
+// them.  Telemetry and Samples are live views of the chip, so a run that
+// arms one (CollectMetrics, SampleEvery or Observe) keeps its chip.
+// Every other field is a copy that no later run touches, so any other run
+// returns its chip, reset, to a pool the next run with equal options
+// takes it from.
 type Result struct {
 	Cycles uint64
 	Stats  Stats
@@ -347,28 +354,43 @@ type ProgramSpec struct {
 // all processors (metric names, trace tracks and sampler series carry
 // the processor ID), while OnBlock, ArchDigest and CritPath report per
 // processor.
+//
+// The chip comes from the pool of reset chips with equal options
+// (sim.Acquire), and a run that arms no live view returns it there (see
+// Result), so runs in a row build one chip, not one each.
 func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("tflex: RunMulti needs at least one program")
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 2_000_000_000
 	}
 	opts := sim.DefaultOptions()
 	if cfg.Options != nil {
 		opts = *cfg.Options
 	}
-	chip := sim.New(opts)
+	chip := sim.Acquire(opts)
+	results, err := runOn(chip, specs, cfg)
+	// A live view (registry, sampler, Observe server) reads the chip after
+	// the run; everything else in the results is a copy, failed run or not.
+	if !cfg.CollectMetrics && cfg.SampleEvery == 0 && cfg.Observe == nil {
+		sim.Release(chip)
+	}
+	return results, err
+}
+
+// runOn is RunMulti on a chip in the state sim.New returns.
+func runOn(chip *Chip, specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
+	if cfg.MaxCycles == 0 {
+		cfg.MaxCycles = 2_000_000_000
+	}
+	every := cfg.SampleEvery
+	if every == 0 && cfg.Observe != nil {
+		every = 4096
+	}
 	var reg *Metrics
 	if cfg.CollectMetrics {
 		reg = chip.Telemetry()
 	}
 	if cfg.ChromeTrace != nil {
 		chip.SetChromeTrace(cfg.ChromeTrace)
-	}
-	every := cfg.SampleEvery
-	if every == 0 && cfg.Observe != nil {
-		every = 4096
 	}
 	var samp *Sampler
 	if every > 0 {
