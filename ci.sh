@@ -49,12 +49,16 @@
 # (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
 # bytes of Build(32), Init and Check for each of the steady workload's
 # kernels (TestKernelBuildBudget in internal/kernels), and the bytes and
-# allocations of the experiment suite's jobs on chips and a Core2 trace it
-# reuses (TestSuiteJobBudget in internal/experiments), and the bytes and
-# allocations of a tflex.RunKernel once the chip pool is warm
-# (TestRunKernelReuseBudget in the root package).  No wall-time ratio is
-# compared to a threshold: wall time is judged across commits by the
-# pipeline that runs BENCHMARK.json, under the bounds that file states.
+# allocations of the experiment suite's jobs once the chip pool and the
+# suite's Core2 trace are warm (TestSuiteJobBudget in internal/experiments),
+# and the bytes and allocations of a tflex.RunKernel, untapped and with the
+# observed workload's taps, once the chip pool is warm
+# (TestRunKernelReuseBudget in the root package).  The chip pool is
+# deterministic, so the go test -race stage holds these two tests'
+# allocations as well (not their bytes, which the race runtime inflates).
+# No wall-time ratio is compared to a threshold: wall time is judged
+# across commits by the pipeline that runs BENCHMARK.json, under the
+# bounds that file states.
 #
 #   ./ci.sh lint
 #

@@ -78,9 +78,8 @@ func (s Sim) Run(p *prog.Program, in Input) (State, error) {
 	opts := sim.DefaultOptions()
 	opts.Reference = s.Reference
 	chip := sim.Acquire(opts)
-	st, err := runSim(chip, cores, p, in)
-	sim.Release(chip)
-	return st, err
+	defer sim.Release(chip)
+	return runSim(chip, cores, p, in)
 }
 
 // runSim runs p from in on one processor of chip composed of cores.

@@ -18,15 +18,19 @@
 // determinism_test.go).
 //
 // Concurrency-safety audit (why fan-out is sound): each job runs on a
-// sim.Chip no other job holds while it runs — one the suite keeps idle
-// for the job's machine row, reset, or a new one when none is idle — and
-// every package the jobs touch was audited for shared mutable state.
+// sim.Chip no other job holds while it runs, and every package the jobs
+// touch was audited for shared mutable state.  Package-level state is
+// read-only after init except for three pools, each safe for concurrent
+// use, whose entries one job holds alone between taking and returning:
 //
-//   - sim, mem, noc, predictor: all simulation state hangs off the
-//     *sim.Chip the job holds; there are no package-level variables.  A
-//     chip goes back to the suite's idle list only after the job has
-//     copied its results out and Chip.Reset has returned it to the state
-//     sim.New returns.
+//   - sim.pool, the chip pool (sim.Acquire, sim.Release, under
+//     sim.poolMu); all other simulation state hangs off the chip.  A
+//     chip goes back only after the job has copied its results out and
+//     Chip.Reset has returned it to sim.New's state, so a job cannot tell
+//     it from a new one (TestSuiteReuseMatchesFresh).
+//   - conv.states and critpath.blockPool, sync.Pools of Core2 model
+//     states and of attribution records: a state goes back reset and is
+//     used only for its own Config, and a record is reset when taken.
 //   - kernels: the package-level registry/order maps are mutated only by
 //     init-time register() calls, which Go runs single-threaded before
 //     main; afterwards they are read-only (kernels.TestRegistryConcurrentReads
@@ -40,9 +44,9 @@
 //   - telemetry: the metric-name memo (Name, Indexed) is process-wide,
 //     append-only and behind a read-write lock; a name, once handed out,
 //     never changes.  Each registry belongs to one job's chip.
-//   - compose, isa, asm: package-level tables (shapes, opcodeNames,
-//     binOps) are initialized once and never written again.
-//   - exec, conv, power, area, alloc, stats: no package-level state.
+//   - compose, isa, asm, exec: package-level tables (shapes, opcodeNames,
+//     binOps, errTwoValues) are initialized once and never written again.
+//   - mem, noc, predictor, power, area, alloc, stats: no package state.
 package experiments
 
 import (
@@ -78,12 +82,12 @@ type RunResult struct {
 // is its Spec: the machine it runs on is the machines row its Config
 // names, and the job map, keyed by the spec itself, is the one record of
 // the job and its result (jobs.go).  All methods are safe for concurrent
-// use: the job map, the build memo and the idle storage are guarded by
+// use: the job map, the build memo and the idle traces are guarded by
 // mu, each kernel is built once per (kernel, scale) and shared read-only,
 // and each simulation holds its chip, or its Core2 trace, alone until it
-// returns it.  Idle chips and traces live as long as the suite: a chip
-// per machine row per concurrently running job, and a trace per
-// concurrently running Core2 job.
+// returns it.  Chips come from the sim pool and outlive the suite; idle
+// traces live as long as the suite, one per concurrently running Core2
+// job.
 type Suite struct {
 	Scale int   // kernel input scale
 	Sizes []int // TFlex composition sizes
@@ -95,21 +99,19 @@ type Suite struct {
 
 	mu     sync.Mutex
 	jobs   map[Spec]*job
-	builds map[buildKey]*build    // one kernel build per (kernel, scale)
-	chips  map[string][]*sim.Chip // idle reset chips, by machine row (Spec.Config)
-	traces []*exec.Trace          // idle Core2 functional traces
-	hits   uint64                 // have lookups
-	wall   time.Duration          // summed Prefetch wall time
-	inJob  time.Duration          // summed per-job wall time
-	epoch  time.Time              // the first Prefetch's start: job span time zero
-	tracks int                    // worker tracks named so far
+	builds map[buildKey]*build // one kernel build per (kernel, scale)
+	traces []*exec.Trace       // idle Core2 functional traces
+	hits   uint64              // have lookups
+	wall   time.Duration       // summed Prefetch wall time
+	inJob  time.Duration       // summed per-job wall time
+	epoch  time.Time           // the first Prefetch's start: job span time zero
+	tracks int                 // worker tracks named so far
 }
 
 // NewSuite returns a suite at the given kernel scale, running jobs on
 // GOMAXPROCS workers (see SetJobs).
 func NewSuite(scale int) *Suite {
-	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}, builds: map[buildKey]*build{},
-		chips: map[string][]*sim.Chip{}}
+	return &Suite{Scale: scale, Sizes: compose.Sizes(), jobs: map[Spec]*job{}, builds: map[buildKey]*build{}}
 }
 
 // SetJobs caps the number of concurrently running simulations; n <= 0

@@ -72,17 +72,9 @@ var machines = func() map[string]machine {
 }()
 
 // simulate runs one job: it takes the spec's kernel at the spec's scale
-// from the suite's build memo, executes it on the machine the spec's
-// config names and validates the outputs against the reference.  A chip
-// job runs on an idle chip of its machine row (takeChip), which goes back
-// reset once collect has copied the results out, on the error paths too
-// (putChip).  A reset chip parks one processor of each size it has run
-// for AddProc to take, so one chip per row per running job serves every
-// composition size.  When an observer is set (SetObserver), a chip run
-// additionally enables critical-path attribution into the server's
-// rolling aggregate and publishes registry snapshots mid-run; both are
-// passive, so the architectural results are identical with or without
-// observation.
+// from the suite's build memo and executes it on the machine the spec's
+// config names.  A chip job runs on a pooled chip, which goes back reset
+// once runOn has copied the results out, on the error paths too.
 func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	m, ok := machines[sp.Config]
 	if !ok {
@@ -95,8 +87,17 @@ func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	if m.options == nil {
 		return s.conventional(inst)
 	}
-	chip := s.takeChip(sp.Config, m.options)
-	defer s.putChip(sp.Config, chip)
+	chip := sim.Acquire(m.options())
+	defer sim.Release(chip)
+	return s.runOn(chip, m, sp.Cores, inst)
+}
+
+// runOn runs the kernel on chip, in sim.New's state, on the processor
+// row m composes of cores, and validates the outputs.  An observer
+// (SetObserver) adds attribution into the server's rolling aggregate and
+// registry snapshots mid-run; both are passive, so the results are
+// identical with or without observation.
+func (s *Suite) runOn(chip *sim.Chip, m machine, cores int, inst *kernels.Instance) (RunResult, error) {
 	if m.critpath {
 		chip.EnableCritPath()
 	}
@@ -104,7 +105,7 @@ func (s *Suite) simulate(sp Spec) (RunResult, error) {
 	if s.obs != nil {
 		s.obs.Attach(chip, chip.SampleEvery(16384))
 	}
-	shape, powerCores, fpus := m.shape(sp.Cores)
+	shape, powerCores, fpus := m.shape(cores)
 	proc, err := chip.AddProc(shape, inst.Prog)
 	if err != nil {
 		return RunResult{}, err
@@ -120,31 +121,6 @@ func (s *Suite) simulate(sp Spec) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("output validation: %w", err)
 	}
 	return collect(chip, proc, powerCores, fpus), nil
-}
-
-// takeChip returns an idle chip of the machine row, or builds one from
-// the row's options when none is idle.  The caller holds it alone until
-// putChip.
-func (s *Suite) takeChip(row string, options func() sim.Options) *sim.Chip {
-	s.mu.Lock()
-	var chip *sim.Chip
-	if idle := s.chips[row]; len(idle) > 0 {
-		chip, s.chips[row] = idle[len(idle)-1], idle[:len(idle)-1]
-	}
-	s.mu.Unlock()
-	if chip == nil {
-		chip = sim.New(options())
-	}
-	return chip
-}
-
-// putChip resets a chip whose job is done with it and files it as idle
-// for the row's next job.
-func (s *Suite) putChip(row string, chip *sim.Chip) {
-	chip.Reset()
-	s.mu.Lock()
-	s.chips[row] = append(s.chips[row], chip)
-	s.mu.Unlock()
 }
 
 // conventional runs the kernel on the conventional superscalar model,

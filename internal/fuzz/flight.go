@@ -11,7 +11,7 @@ import (
 	"github.com/clp-sim/tflex/internal/sim"
 )
 
-// FlightReplay re-runs the program on a fresh chip with the flight
+// FlightReplay re-runs the program on a pooled chip with the flight
 // recorder armed and returns its dump — the last `events` records
 // leading up to the divergence (or the end of the run) and the blocks
 // still in flight.  A failed run is not an error here: the dump is the
@@ -22,7 +22,8 @@ func FlightReplay(p *prog.Program, in arch.Input, cores, events int) (*flight.Du
 	if err != nil {
 		return nil, err
 	}
-	chip := sim.New(sim.DefaultOptions())
+	chip := sim.Acquire(sim.DefaultOptions())
+	defer sim.Release(chip) // the dump is a copy
 	chip.EnableFlight(events)
 	proc, err := chip.AddProc(comp, p)
 	if err != nil {

@@ -5,32 +5,30 @@ import (
 	"sync"
 )
 
-// The chip pool: idle chips, reset, filed under the options they were
-// built with.  tflex.RunMulti and arch.Sim take their chips from it, and
-// a reset chip keeps one processor of each size it ran
-// (keptStorage.procs), so one pooled chip serves every composition.  A
-// sync.Pool per options lets the collector take idle chips back and
-// serves concurrent callers.  Options holds two slices and so is no map
-// key: a lookup compares field by field, over a list that only grows, one
-// entry per distinct Options a process runs.
+// The chip pool, the module's only one: idle reset chips in one plain
+// list, last released first acquired, so reuse depends on neither the
+// collector nor the race detector.  A chip serves only options equal to
+// its own, compared field by field: Options holds two slices and so is no
+// map key.  Idle chips live until the process exits.
 var (
-	poolsMu sync.Mutex
-	pools   []*chipPool
+	poolMu sync.Mutex
+	pool   []*Chip
 )
 
-type chipPool struct {
-	opts Options // owns its slices
-	sync.Pool
-}
-
-// Acquire returns an idle chip built with options equal to opts, or
-// New(opts) when none is idle.  The chip is in the state New returns.  A
-// new chip owns copies of opts' slices, so a caller that edits DBanks or
-// RegBanks afterwards changes neither the chip nor where Release files it.
+// Acquire returns the idle chip last released with options equal to opts,
+// or New(opts) when none is idle.  The chip is in the state New returns.
+// A new chip owns copies of opts' slices, so a caller that edits DBanks
+// or RegBanks afterwards changes neither the chip nor what it serves.
 func Acquire(opts Options) *Chip {
-	if c, _ := poolFor(&opts).Get().(*Chip); c != nil {
-		return c
+	poolMu.Lock()
+	for i := len(pool) - 1; i >= 0; i-- {
+		if c := pool[i]; c.Opts.equal(&opts) {
+			pool = slices.Delete(pool, i, i+1)
+			poolMu.Unlock()
+			return c
+		}
 	}
+	poolMu.Unlock()
 	return New(opts.clone())
 }
 
@@ -39,22 +37,9 @@ func Acquire(opts Options) *Chip {
 // after it, as after Reset; the caller must hold none.
 func Release(c *Chip) {
 	c.Reset()
-	poolFor(&c.Opts).Put(c)
-}
-
-// poolFor returns the pool of chips built with options equal to o,
-// making one on first use.
-func poolFor(o *Options) *chipPool {
-	poolsMu.Lock()
-	defer poolsMu.Unlock()
-	for _, p := range pools {
-		if p.opts.equal(o) {
-			return p
-		}
-	}
-	p := &chipPool{opts: o.clone()}
-	pools = append(pools, p)
-	return p
+	poolMu.Lock()
+	pool = append(pool, c)
+	poolMu.Unlock()
 }
 
 // equal reports whether chips built with o and with q behave alike.

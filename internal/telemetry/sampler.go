@@ -70,6 +70,15 @@ func (s *Sampler) SetNotify(fn func(cycle uint64, names []string, row []float64)
 	s.notify = fn
 }
 
+// Freeze drops the sampler's sources and notify hook, so it holds
+// nothing of the chip it sampled.  The rows recorded so far stay for
+// Series and WriteJSON; Track and Sample may not follow.  Safe on nil.
+func (s *Sampler) Freeze() {
+	if s != nil {
+		s.sources, s.notify = nil, nil
+	}
+}
+
 // Sample appends one row for the given cycle.  Safe on nil.
 func (s *Sampler) Sample(cycle uint64) {
 	if s == nil {

@@ -24,13 +24,17 @@ import (
 	"sync"
 )
 
-// Gauge is an instantaneous value computed on demand.
-type Gauge struct{ fn func() float64 }
+// Gauge is an instantaneous value computed on demand, or the value a
+// frozen registry fixed.
+type Gauge struct {
+	fn func() float64
+	v  float64
+}
 
 // Value evaluates the gauge.
 func (g Gauge) Value() float64 {
 	if g.fn == nil {
-		return 0
+		return g.v
 	}
 	return g.fn()
 }
@@ -102,6 +106,23 @@ func (r *Registry) Histogram(name string) *Histogram {
 	h := &Histogram{}
 	r.hists[name] = h
 	return h
+}
+
+// Freeze fixes every counter view and gauge at its current value, so the
+// registry reads the same however the components it viewed change or are
+// reused; its histograms are its own already.
+func (r *Registry) Freeze() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	vals := make([]uint64, 0, len(r.counters)) // one slab: a slot per counter
+	//lint:allow determinism each counter gets a slot of its own; which slot is never read
+	for n, c := range r.counters {
+		vals = append(vals, *c)
+		r.counters[n] = &vals[len(vals)-1]
+	}
+	for n, g := range r.gauges {
+		r.gauges[n] = Gauge{v: g.Value()}
+	}
 }
 
 // Snapshot is a flat, point-in-time copy of the registry: counter and

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/sim"
+	"github.com/clp-sim/tflex/internal/telemetry"
 )
 
 // steadyKernels are clpbench's steady workload kernels: hand-optimized,
@@ -75,9 +76,10 @@ func viewOf(r *Result) resultView {
 // critical-path attribution, the architectural digest, OnBlock and a
 // Chrome trace armed — on chips the pool hands from run to run, keeps
 // every Result, and only then holds each to the same leg run on a chip
-// from sim.New.  A run that arms the registry and the sampler keeps its
-// chip: its live views must read the same after every later run.  Last,
-// four goroutines share the pool.
+// from sim.New.  Two runs that arm the registry, one with the sampler,
+// go first and release their chips to the legs after them: their
+// registries and series must read the same after every later leg as
+// right after their own run.  Last, four goroutines share the pool.
 func TestRunMultiReuseMatchesFresh(t *testing.T) {
 	tripsOpts := TRIPSOptions()
 	var legs []*reuseLeg
@@ -106,7 +108,7 @@ func TestRunMultiReuseMatchesFresh(t *testing.T) {
 		{"flight", RunConfig{Flight: true}},
 		{"critpath", RunConfig{CritPath: true}},
 		{"arch", RunConfig{ArchDigest: true}},
-		{"every tap but the live views", RunConfig{Flight: true, CritPath: true, ArchDigest: true}},
+		{"every tap but the registry and sampler", RunConfig{Flight: true, CritPath: true, ArchDigest: true}},
 	} {
 		for _, k := range []string{"gcc", "mcf"} {
 			legs = append(legs, &reuseLeg{name: k + "/8c " + o.name, specs: kernelSpecs(t, []string{k}, []Processor{p8}), cfg: o.cfg, observe: true})
@@ -114,16 +116,26 @@ func TestRunMultiReuseMatchesFresh(t *testing.T) {
 	}
 	legs = append(legs, &reuseLeg{name: "mix observed", specs: mixSpecs, cfg: RunConfig{CritPath: true, ArchDigest: true}, observe: true})
 
-	// The legs with live views run first, so every other leg runs after
-	// them: one arms the registry and the sampler, one the registry alone.
-	live, err := RunMulti(kernelSpecs(t, []string{"conv"}, []Processor{p8}), RunConfig{CollectMetrics: true, SampleEvery: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := live[0].Samples.Series()
-	metricsOnly, err := RunMulti(kernelSpecs(t, []string{"gcc"}, []Processor{p8}), RunConfig{CollectMetrics: true})
-	if err != nil {
-		t.Fatal(err)
+	// The legs with views run first, so every other leg runs on their
+	// chip after them: one arms the registry and the sampler, one the
+	// registry alone.
+	var views []viewLeg
+	for _, v := range []struct {
+		name, kernel string
+		cfg          RunConfig
+	}{
+		{"registry and sampler", "conv", RunConfig{CollectMetrics: true, SampleEvery: 64}},
+		{"registry", "gcc", RunConfig{CollectMetrics: true}},
+	} {
+		res, err := RunMulti(kernelSpecs(t, []string{v.kernel}, []Processor{p8}), v.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, viewLeg{v.name, res[0], readViews(t, res[0])})
+		// Result.Metrics is the registry's end-of-run capture.
+		if !reflect.DeepEqual(views[len(views)-1].want.snap, res[0].Metrics) {
+			t.Errorf("the %s run's registry does not read its end-of-run values once the run is over", v.name)
+		}
 	}
 
 	results := make([][]*Result, len(legs))
@@ -135,16 +147,11 @@ func TestRunMultiReuseMatchesFresh(t *testing.T) {
 		}
 		blocks = append(blocks, l.blocks)
 		traces = append(traces, chromeJSON(t, l.trace))
-	}
-	// Result.Metrics is the registry's end-of-run capture.
-	if !reflect.DeepEqual(live[0].Telemetry.Snapshot(), live[0].Metrics) {
-		t.Error("a run's live registry changed under the runs after it: its chip was reused")
-	}
-	if !reflect.DeepEqual(live[0].Samples.Series(), series) {
-		t.Error("a run's live sampler changed under the runs after it: its chip was reused")
-	}
-	if !reflect.DeepEqual(metricsOnly[0].Telemetry.Snapshot(), metricsOnly[0].Metrics) {
-		t.Error("the live registry of a run without a sampler changed under the runs after it: its chip was reused")
+		for _, v := range views {
+			if got := readViews(t, v.res); !reflect.DeepEqual(got, v.want) {
+				t.Fatalf("the %s of a run that released its chip changed under leg %s, which reused the chip", v.name, l.name)
+			}
+		}
 	}
 
 	for i, l := range legs {
@@ -193,6 +200,30 @@ func TestRunMultiReuseMatchesFresh(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// viewLeg is a run whose registry and sampler the later legs of
+// TestRunMultiReuseMatchesFresh must not move.
+type viewLeg struct {
+	name string
+	res  *Result
+	want views
+}
+
+// views is what a Result's registry and sampler read.
+type views struct {
+	snap   MetricsSnapshot
+	json   []byte // Telemetry.WriteJSON, histogram buckets included
+	series []telemetry.Series
+}
+
+func readViews(t *testing.T, r *Result) views {
+	t.Helper()
+	var b bytes.Buffer
+	if err := r.Telemetry.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return views{r.Telemetry.Snapshot(), b.Bytes(), r.Samples.Series()}
 }
 
 // optionsOf returns the chip options RunMulti builds for cfg.

@@ -231,9 +231,7 @@ type RunConfig struct {
 	OnBlock func(BlockEvent)
 	// CollectMetrics arms the chip's telemetry registry before the run;
 	// Result.Telemetry and Result.Metrics report it.  Off by default —
-	// the simulation hot paths then pay only nil checks.  The registry
-	// reads the chip live, so a run that arms it keeps its chip instead
-	// of returning it to the pool of reset chips RunMulti draws from.
+	// the simulation hot paths then pay only nil checks.
 	CollectMetrics bool
 	// ChromeTrace, if non-nil, collects one record per retired block,
 	// rendered as fetch/execute/commit spans on one track per physical
@@ -242,7 +240,6 @@ type RunConfig struct {
 	ChromeTrace *Trace
 	// SampleEvery, if > 0, records window/LSQ occupancy and committed
 	// instructions every N cycles; Result.Samples reports the series.
-	// The sampler is a live view of the chip, which the run then keeps.
 	SampleEvery uint64
 	// CritPath arms critical-path attribution: every committed block's
 	// latency is attributed across eight categories (fetch/dispatch,
@@ -256,7 +253,7 @@ type RunConfig struct {
 	// aggregates (implies CritPath), metrics snapshots, sampler rows and
 	// on-demand flight dumps at every sample point (SampleEvery,
 	// defaulting to 4096 cycles when unset).  Start/Close the server
-	// yourself.  The server holds the chip, which the run then keeps.
+	// yourself.
 	Observe *Observer
 	// Flight arms the flight recorder: the chip keeps one fixed-size
 	// ring of compact records (block commit and flush, processor
@@ -278,11 +275,9 @@ type RunConfig struct {
 
 // Result reports one program of a completed run.  Telemetry, Metrics,
 // Samples and Flight are chip-wide: the results of one RunMulti share
-// them.  Telemetry and Samples are live views of the chip, so a run that
-// arms one (CollectMetrics, SampleEvery or Observe) keeps its chip.
-// Every other field is a copy that no later run touches, so any other run
-// returns its chip, reset, to a pool the next run with equal options
-// takes it from.
+// them.  Every field is a copy that no later run touches: the registry
+// and the sampler are frozen at the run's end, so the run returns its
+// chip, reset, to a pool the next run with equal options takes it from.
 type Result struct {
 	Cycles uint64
 	Stats  Stats
@@ -293,7 +288,7 @@ type Result struct {
 	// nil unless RunConfig.ArchDigest was set.
 	Arch *ArchState
 
-	Telemetry *Metrics        // live registry; nil unless CollectMetrics
+	Telemetry *Metrics        // end-of-run registry; nil unless CollectMetrics
 	Metrics   MetricsSnapshot // end-of-run capture; nil unless CollectMetrics
 	Samples   *Sampler        // nil unless SampleEvery > 0
 
@@ -356,7 +351,7 @@ type ProgramSpec struct {
 // processor.
 //
 // The chip comes from the pool of reset chips with equal options
-// (sim.Acquire), and a run that arms no live view returns it there (see
+// (sim.Acquire) and goes back there when the run ends, failed or not (see
 // Result), so runs in a row build one chip, not one each.
 func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if len(specs) == 0 {
@@ -367,16 +362,12 @@ func RunMulti(specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 		opts = *cfg.Options
 	}
 	chip := sim.Acquire(opts)
-	results, err := runOn(chip, specs, cfg)
-	// A live view (registry, sampler, Observe server) reads the chip after
-	// the run; everything else in the results is a copy, failed run or not.
-	if !cfg.CollectMetrics && cfg.SampleEvery == 0 && cfg.Observe == nil {
-		sim.Release(chip)
-	}
-	return results, err
+	defer sim.Release(chip)
+	return runOn(chip, specs, cfg)
 }
 
-// runOn is RunMulti on a chip in the state sim.New returns.
+// runOn is RunMulti on a chip in the state sim.New returns.  Its results
+// hold nothing of the chip, so the caller may reset it afterwards.
 func runOn(chip *Chip, specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 2_000_000_000
@@ -454,6 +445,10 @@ func runOn(chip *Chip, specs []ProgramSpec, cfg RunConfig) ([]*Result, error) {
 	if cfg.Observe != nil {
 		cfg.Observe.PublishChip(chip)
 	}
+	if reg != nil {
+		reg.Freeze()
+	}
+	samp.Freeze()
 	return results, nil
 }
 
