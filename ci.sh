@@ -48,11 +48,13 @@
 # per marginal block of the functional executor, untraced and traced
 # (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
 # bytes of Build(32), Init and Check for each of the steady workload's
-# kernels (TestKernelBuildBudget in internal/kernels), and the bytes and
-# allocations of the experiment suite's jobs once the chip pool and the
+# kernels once its input image is built, so Init attaches the image and
+# writes no page (TestKernelBuildBudget in internal/kernels), and the bytes
+# and allocations of the experiment suite's jobs once the chip pool and the
 # suite's Core2 trace are warm (TestSuiteJobBudget in internal/experiments),
-# and the bytes and allocations of a tflex.RunKernel, untapped and with the
-# observed workload's taps, once the chip pool is warm
+# and the bytes and allocations of a tflex.RunKernel once the chip pool is
+# warm: conv at scale 1 untapped and with the observed workload's taps, and
+# mcf at scale 32, whose 4 MiB image the run reads in place
 # (TestRunKernelReuseBudget in the root package).  The chip pool is
 # deterministic, so the go test -race stage holds these two tests'
 # allocations as well (not their bytes, which the race runtime inflates).

@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -84,6 +86,84 @@ func TestPageMemProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// memOp is one random access of TestPageMemAttachedProperty.
+type memOp struct {
+	Store    bool
+	Boundary uint8  // which of the three page boundaries it lands near
+	Off      uint16 // its offset, near the boundary or anywhere on a page
+	Near     bool
+	SzSel    uint8
+	V        uint64
+}
+
+// TestPageMemAttachedProperty: a memory attached to an image is the image
+// written into it.  The image covers pages 8 and 9 of pages 7 to 10, and
+// random loads and stores of every size, half of them across a page
+// boundary (absent to shared, shared to shared, shared to absent), go to
+// an attached memory and to one the image was written into eagerly.
+// Every load agrees, and after each sequence the two memories agree byte
+// for byte and in Digest, while the image's digest and a second memory
+// attached to it have not moved.
+func TestPageMemAttachedProperty(t *testing.T) {
+	const lo, hi = 0x7000, 0xb000
+	write := func(m *PageMem) {
+		for a := uint64(0x8000); a < 0xa000; a += 8 {
+			m.Store(a, 8, a*0x9e3779b97f4a7c15)
+		}
+	}
+	img := NewImage(write)
+	want := img.Digest()
+	f := func(ops []memOp) bool {
+		cow, eager, other := NewPageMem(), NewPageMem(), NewPageMem()
+		cow.Attach(img)
+		other.Attach(img)
+		write(eager)
+		for _, op := range ops {
+			a := lo + uint64(op.Off)%(hi-lo)
+			if op.Near {
+				a = 0x8000 + uint64(op.Boundary%3)<<pageShift + uint64(op.Off%16) - 8
+			}
+			size := []int{1, 2, 4, 8}[op.SzSel%4]
+			if op.Store {
+				cow.Store(a, size, op.V)
+				eager.Store(a, size, op.V)
+			} else if got, exp := cow.Load(a, size, true), eager.Load(a, size, true); got != exp {
+				t.Logf("%d-byte load at %#x: %#x attached, %#x written", size, a, got, exp)
+				return false
+			}
+		}
+		return bytes.Equal(cow.ReadBytes(lo, hi-lo), eager.ReadBytes(lo, hi-lo)) &&
+			cow.Digest() == eager.Digest() && img.Digest() == want && other.Digest() == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAttachRefusesAMemoryWithPages: an image replaces a memory's
+// contents, so attaching one to a memory that already holds a page, or
+// attaching a second image, panics and says why.
+func TestAttachRefusesAMemoryWithPages(t *testing.T) {
+	img := NewImage(func(m *PageMem) { m.Store(0x4000, 8, 7) })
+	stored := NewPageMem()
+	stored.Store(0x1000, 1, 1)
+	attached := NewPageMem()
+	attached.Attach(img)
+	for _, c := range []struct {
+		holding string
+		m       *PageMem
+	}{{"a stored page", stored}, {"an attached image", attached}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Attach on a memory already holding 1 page(s)") {
+					t.Errorf("Attach on a memory holding %s: recovered %q, want the misuse named", c.holding, msg)
+				}
+			}()
+			c.m.Attach(img)
+		}()
 	}
 }
 

@@ -11,6 +11,8 @@ package exec
 
 import (
 	"encoding/binary"
+	"fmt"
+	"maps"
 	"math"
 	"sort"
 )
@@ -24,26 +26,80 @@ type Mem interface {
 const pageShift = 12
 const pageSize = 1 << pageShift
 
-// PageMem is a sparse paged byte-addressable little-endian memory.
-// The zero value is ready to use.
+// PageMem is a sparse paged byte-addressable little-endian memory.  A
+// page is the memory's own, or shared with the Image the memory was
+// attached to: a shared page is read in place, and the first store to it
+// copies it, so a run copies only the pages it dirties.  Loads, Digest
+// and ReadBytes see one memory either way.  The zero value is ready to
+// use.
 type PageMem struct {
-	pages map[uint64]*[pageSize]byte
+	pages map[uint64]page
+}
+
+// A page is one page of a memory and whether an Image owns it: a shared
+// page is never written in place.
+type page struct {
+	b      *[pageSize]byte
+	shared bool
 }
 
 // NewPageMem returns an empty memory.
-func NewPageMem() *PageMem { return &PageMem{pages: map[uint64]*[pageSize]byte{}} }
+func NewPageMem() *PageMem { return &PageMem{pages: map[uint64]page{}} }
 
-func (m *PageMem) page(addr uint64, create bool) *[pageSize]byte {
-	if m.pages == nil {
-		m.pages = map[uint64]*[pageSize]byte{}
+// Image is an immutable memory image any number of memories share through
+// Attach.  Nothing writes its pages once NewImage returns, so runs on
+// several goroutines may read one image at once.
+type Image struct {
+	pages map[uint64]page
+}
+
+// NewImage builds an image: the contents write stores into an empty
+// memory.
+func NewImage(write func(m *PageMem)) *Image {
+	var m PageMem
+	write(&m)
+	for pn, p := range m.pages {
+		m.pages[pn] = page{b: p.b, shared: true}
 	}
+	return &Image{pages: m.pages}
+}
+
+// Digest returns the digest of a memory attached to the image and not yet
+// written (PageMem.Digest).
+func (im *Image) Digest() uint64 { return digest(im.pages) }
+
+// Bytes returns the bytes of page data the image holds.
+func (im *Image) Bytes() int { return len(im.pages) * pageSize }
+
+// Attach makes the image's pages the contents of m, which must hold no
+// page: m reads them in place until its first store to each.  Attaching
+// to a memory that holds pages panics, since the image would silently
+// replace what was stored there.
+func (m *PageMem) Attach(im *Image) {
+	if len(m.pages) != 0 {
+		panic(fmt.Sprintf("exec: Attach on a memory already holding %d page(s): an image attaches only to an empty memory", len(m.pages)))
+	}
+	m.pages = maps.Clone(im.pages)
+}
+
+// page returns the page holding addr, nil if the memory has none.  For a
+// write it returns a page of the memory's own, creating an empty one or
+// copying a shared one first.
+func (m *PageMem) page(addr uint64, write bool) *[pageSize]byte {
 	pn := addr >> pageShift
 	p := m.pages[pn]
-	if p == nil && create {
-		p = new([pageSize]byte)
-		m.pages[pn] = p
+	if !write || (p.b != nil && !p.shared) {
+		return p.b
 	}
-	return p
+	if m.pages == nil {
+		m.pages = map[uint64]page{}
+	}
+	b := new([pageSize]byte)
+	if p.shared {
+		*b = *p.b
+	}
+	m.pages[pn] = page{b: b}
+	return b
 }
 
 // readBytes, like writeBytes, looks a page up once per page the access
@@ -102,21 +158,24 @@ func (m *PageMem) WriteF64(addr uint64, v float64) { m.Write64(addr, math.Float6
 // ascending order followed by page contents, skipping all-zero pages so
 // the digest is insensitive to whether an untouched page was ever
 // materialized.  Two memories with identical architectural contents
-// produce identical digests regardless of access history.
-func (m *PageMem) Digest() uint64 {
+// produce identical digests regardless of access history, and so
+// regardless of which of their pages are shared with an image.
+func (m *PageMem) Digest() uint64 { return digest(m.pages) }
+
+func digest(pages map[uint64]page) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	pns := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
+	pns := make([]uint64, 0, len(pages))
+	for pn := range pages {
 		pns = append(pns, pn)
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	h := uint64(offset64)
 	byte1a := func(b byte) { h = (h ^ uint64(b)) * prime64 }
 	for _, pn := range pns {
-		p := m.pages[pn]
+		p := pages[pn].b
 		zero := true
 		for _, b := range p {
 			if b != 0 {

@@ -1,21 +1,25 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 )
 
 // Determinism regression: every experiment must render byte-identical
-// table output regardless of the suite's worker count.  The simulator
-// is deterministic and the render phase reads the job map in a
-// fixed order, so 1 worker and 8 workers must agree exactly — cycle
-// counts, stats, formatting, everything.  Run under `go test -race`
-// (ci.sh does) this also exercises the suite's concurrent jobs and the
-// audited packages for data races.
+// table output regardless of the suite's worker count and the Go
+// scheduler's.  The simulator is deterministic and the render phase
+// reads the job map in a fixed order, so 1 worker on GOMAXPROCS 1 and 8
+// workers on GOMAXPROCS N (the host's CPUs, at least 2) must agree
+// exactly — cycle counts, stats, formatting, everything.  The parallel
+// leg's jobs read the kernels' shared input images at once.  Run under
+// `go test -race` (ci.sh does) this also exercises the suite's concurrent
+// jobs and the audited packages for data races.
 func TestExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment twice")
 	}
-	outputs := func(jobs int) map[string]string {
+	outputs := func(procs, jobs int) map[string]string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		s := NewSuite(1)
 		s.SetJobs(jobs)
 		out := map[string]string{}
@@ -39,11 +43,12 @@ func TestExperimentsDeterministicAcrossWorkerCounts(t *testing.T) {
 		return out
 	}
 
-	serial := outputs(1)
-	parallel := outputs(8)
+	procs := max(runtime.NumCPU(), 2)
+	serial := outputs(1, 1)
+	parallel := outputs(procs, 8)
 	for name, want := range serial {
 		if got := parallel[name]; got != want {
-			t.Errorf("%s: output differs between -jobs 1 and -jobs 8\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", name, want, got)
+			t.Errorf("%s: output differs between GOMAXPROCS 1 with -jobs 1 and GOMAXPROCS %d with -jobs 8\n--- serial ---\n%s\n--- parallel ---\n%s", name, procs, want, got)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/isa"
@@ -25,15 +26,18 @@ import (
 
 // Instance is one runnable kernel: its program and, as data, the
 // architectural state around a run.  Its image holds the input registers
-// and memory Init writes and the expected registers and memory Check
-// compares, all computed at build time by the kernel's Go reference
-// implementation; inputs and expected outputs share one list so a build
-// allocates one image beside its data.  Init and Check only read the
-// Instance, so one build serves any number of runs.
+// and memory and the expected registers and memory Check compares, all
+// computed at build time by the kernel's Go reference implementation;
+// inputs and expected outputs share one list so a build allocates one
+// image beside its data.  The input memory is also written, once per
+// (kernel, scale) and process, into a shared exec.Image, which Init
+// attaches.  Init and Check only read the Instance, so one build serves
+// any number of runs.
 type Instance struct {
 	Prog  *prog.Program
 	name  string
 	image []cell
+	mem   *exec.Image // the input memory cells, written once
 }
 
 // A cell is one entry of a kernel's image: one register, or a span of
@@ -105,19 +109,30 @@ func (c *cell) at(i int) (v uint64, size int) {
 	return math.Float64bits(c.f[i]), 8
 }
 
-// Init writes the kernel's input image into a register file and memory.
+// Init writes the kernel's input registers into a register file and
+// attaches its input memory image to m, which must be a fresh memory:
+// the run reads the image in place and copies only the pages it stores
+// to.
 func (inst *Instance) Init(regs *[isa.NumRegs]uint64, m *exec.PageMem) {
 	for i := range inst.image {
-		c := &inst.image[i]
-		switch {
-		case c.expected:
-		case c.elem == elemReg:
+		if c := &inst.image[i]; c.elem == elemReg && !c.expected {
 			regs[c.reg] = c.word
-		default:
-			for j := range c.len() {
-				v, size := c.at(j)
-				m.Store(c.addr(j), size, v)
-			}
+		}
+	}
+	m.Attach(inst.mem)
+}
+
+// writeInputs stores the input memory cells element by element: the one
+// build of the kernel's exec.Image.
+func (inst *Instance) writeInputs(m *exec.PageMem) {
+	for i := range inst.image {
+		c := &inst.image[i]
+		if c.expected || c.elem == elemReg {
+			continue
+		}
+		for j := range c.len() {
+			v, size := c.at(j)
+			m.Store(c.addr(j), size, v)
 		}
 	}
 }
@@ -161,9 +176,41 @@ type Kernel struct {
 var registry = map[string]Kernel{}
 var order []string
 
+// images holds every input image a Build made, by kernel and scale, for
+// the life of the process; its pages are read by every run of the
+// kernel at that scale and copied only where a run stores.
+var (
+	imagesMu sync.Mutex
+	images   = map[imageKey]*exec.Image{}
+)
+
+type imageKey struct {
+	name  string
+	scale int
+}
+
+// register adds k, its Build wrapped to give every Instance the input
+// image of its (kernel, scale), built by the first Build and shared by
+// the rest.  Only the image is kept: each Build returns a fresh program
+// and data, which are freed with their caller.
 func register(k Kernel) {
 	if _, dup := registry[k.Name]; dup {
 		panic("kernels: duplicate " + k.Name)
+	}
+	build := k.Build
+	k.Build = func(scale int) (*Instance, error) {
+		inst, err := build(scale)
+		if err != nil {
+			return nil, err
+		}
+		key := imageKey{k.Name, scale}
+		imagesMu.Lock()
+		defer imagesMu.Unlock()
+		if inst.mem = images[key]; inst.mem == nil {
+			inst.mem = exec.NewImage(inst.writeInputs)
+			images[key] = inst.mem
+		}
+		return inst, nil
 	}
 	registry[k.Name] = k
 	order = append(order, k.Name)

@@ -38,7 +38,8 @@ func initPrint(inst *Instance) uint64 {
 // once and sharing it across jobs (the experiment suite does): running an
 // Instance writes nothing it holds.  For every kernel, the program and
 // its linked form are unchanged after a run on the functional executor,
-// the optimized timing engine and the Reference engine, and Init
+// the optimized timing engine and the Reference engine, the input image
+// every run of the kernel at that scale shares keeps its digest, and Init
 // reproduces the same registers and memory image every time it runs.
 func TestInstanceIsReadOnly(t *testing.T) {
 	if testing.Short() {
@@ -50,11 +51,14 @@ func TestInstanceIsReadOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantProg, wantInit := programPrint(inst.Prog), initPrint(inst)
+			wantProg, wantInit, wantImage := programPrint(inst.Prog), initPrint(inst), inst.mem.Digest()
 			held := func(after string) {
 				t.Helper()
 				if programPrint(inst.Prog) != wantProg {
 					t.Fatalf("the program changed after %s", after)
+				}
+				if inst.mem.Digest() != wantImage {
+					t.Fatalf("the shared input image changed after %s", after)
 				}
 				if initPrint(inst) != wantInit {
 					t.Fatalf("Init produced a different state after %s", after)

@@ -43,14 +43,22 @@ func TestAllKernelsPassValidate(t *testing.T) {
 
 // The registry/order maps are mutated only by init-time register()
 // calls; afterwards they are read-only and safe for the experiment
-// suite's concurrent jobs.  This test exercises every read path from many
-// goroutines so `go test -race` verifies that claim.
+// suite's concurrent jobs.  The input-image memo is written by the first
+// Build of each (kernel, scale), so eight goroutines race to make the
+// first builds of two scales no other test builds.  This test exercises
+// every read path from many goroutines so `go test -race` verifies that
+// claim.
 func TestRegistryConcurrentReads(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			k, _ := ByName("gzip")
+			if _, err := k.Build(3 + g%2); err != nil {
+				t.Error(err)
+				return
+			}
 			for i := 0; i < 50; i++ {
 				if len(All()) != 26 {
 					t.Error("All() lost kernels")
@@ -67,4 +75,39 @@ func TestRegistryConcurrentReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestInputImagesBuiltOnce: register's Build wrapper gives every build of
+// one (kernel, scale) the same input image, and another scale its own.
+// The images are as small as DESIGN.md's substitution row says: at scales
+// 1 and 2, 25 of the paper's 26 kernels hold at most 24 KiB of input
+// pages, and mcf's ring of 2,048 nodes 2 KiB apart holds 4 MiB.
+func TestInputImagesBuiltOnce(t *testing.T) {
+	for _, k := range All() {
+		var prev *Instance
+		for _, scale := range []int{1, 2} {
+			a, err := k.Build(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := k.Build(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.mem != b.mem || a.Prog == b.Prog {
+				t.Errorf("%s at scale %d: two builds share an image %v and a program %v, want an image and not a program",
+					k.Name, scale, a.mem == b.mem, a.Prog == b.Prog)
+			}
+			if prev != nil && prev.mem == a.mem {
+				t.Errorf("%s: scales 1 and 2 share one image", k.Name)
+			}
+			prev = a
+			switch n := a.mem.Bytes(); {
+			case k.Name == "mcf" && n != 4<<20:
+				t.Errorf("mcf at scale %d: %d B of input pages, want 4 MiB", scale, n)
+			case k.Name != "mcf" && n > 24<<10:
+				t.Errorf("%s at scale %d: %d B of input pages, want at most 24 KiB", k.Name, scale, n)
+			}
+		}
+	}
 }

@@ -192,9 +192,12 @@ func (c *Chip) emptyStorage() {
 // never be booked (Reserve would spin inside one event, out of the stall
 // watchdog's reach), and one past noc.MaxSlotCount would wrap to zero.
 // The dispatch width divides a slot count; it has no upper limit.  Nor
-// have the cache geometry and the LSQ depth, but each must be positive
-// and each cache must hold a set: the tag arrays divide by line size,
-// ways and sets, and an LSQ of no entries NACKs every access forever.
+// have the cache geometry and the LSQ depth, but each cache must hold a
+// set, since the tag arrays divide by line size, ways and sets, and an
+// LSQ bank must hold a block's isa.MaxMemOps memory operations: they may
+// all hash to one bank, and the NACK protocol makes progress only when
+// the oldest block fits, so a shallower bank livelocks with the clock
+// still advancing.
 func (c *Chip) checkCapacities() {
 	p := &c.Opts.Params
 	const unbounded = 1<<31 - 1
@@ -205,23 +208,23 @@ func (c *Chip) checkCapacities() {
 		return bytes / (ways * p.LineBytes)
 	}
 	for _, f := range []struct {
-		name   string
-		v, max int
+		name        string
+		v, min, max int
 	}{
-		{"IssueTotal", p.IssueTotal, noc.MaxSlotCount},
-		{"IssueFP", p.IssueFP, p.IssueTotal},
-		{"OperandBW", p.OperandBW, noc.MaxSlotCount},
-		{"ControlBW", p.ControlBW, noc.MaxSlotCount},
-		{"DispatchBW", p.DispatchBW, unbounded},
-		{"LSQEntries", p.LSQEntries, unbounded},
-		{"LineBytes", p.LineBytes, unbounded},
-		{"L1DAssoc", p.L1DAssoc, unbounded},
-		{"L2Assoc", p.L2Assoc, unbounded},
-		{"L1D sets (L1DBytes / L1DAssoc / LineBytes)", sets(p.L1DBytes, p.L1DAssoc), unbounded},
-		{"L2 sets (L2Bytes / L2Assoc / LineBytes)", sets(p.L2Bytes, p.L2Assoc), unbounded},
+		{"IssueTotal", p.IssueTotal, 1, noc.MaxSlotCount},
+		{"IssueFP", p.IssueFP, 1, p.IssueTotal},
+		{"OperandBW", p.OperandBW, 1, noc.MaxSlotCount},
+		{"ControlBW", p.ControlBW, 1, noc.MaxSlotCount},
+		{"DispatchBW", p.DispatchBW, 1, unbounded},
+		{"LSQEntries", p.LSQEntries, isa.MaxMemOps, unbounded},
+		{"LineBytes", p.LineBytes, 1, unbounded},
+		{"L1DAssoc", p.L1DAssoc, 1, unbounded},
+		{"L2Assoc", p.L2Assoc, 1, unbounded},
+		{"L1D sets (L1DBytes / L1DAssoc / LineBytes)", sets(p.L1DBytes, p.L1DAssoc), 1, unbounded},
+		{"L2 sets (L2Bytes / L2Assoc / LineBytes)", sets(p.L2Bytes, p.L2Assoc), 1, unbounded},
 	} {
-		if f.v < 1 || f.v > f.max {
-			c.fail("%s = %d, want 1..%d", f.name, f.v, f.max)
+		if f.v < f.min || f.v > f.max {
+			c.fail("%s = %d, want %d..%d", f.name, f.v, f.min, f.max)
 		}
 	}
 }

@@ -3,9 +3,11 @@ package sim
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/isa"
+	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/prog"
 )
 
@@ -229,8 +231,8 @@ func TestUtilizationProfile(t *testing.T) {
 // geometry with no set in it (a zero line size, associativity or
 // capacity, which used to divide by zero building or indexing the tag
 // arrays), or an LSQ of no entries (every memory operation NACKed and
-// retried forever, the clock advancing under the watchdog), is
-// rejected by New and reported by Run before any event, on both engines,
+// retried forever, the clock advancing under the watchdog) or of fewer
+// entries than a block's memory operations, is rejected by New and reported by Run before any event, on both engines,
 // with neither a panic nor a hang.
 func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 	p := sumProgram(t)
@@ -258,6 +260,7 @@ func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 		{"L2Bytes below one set", func(p *compose.CoreParams) { p.L2Bytes = p.L2Assoc*p.LineBytes - 1 }},
 		{"L1DBytes 0", func(p *compose.CoreParams) { p.L1DBytes = 0 }},
 		{"LSQEntries 0", func(p *compose.CoreParams) { p.LSQEntries = 0 }},
+		{"LSQEntries below MaxMemOps", func(p *compose.CoreParams) { p.LSQEntries = isa.MaxMemOps - 1 }},
 	} {
 		for _, reference := range []bool{false, true} {
 			opts := DefaultOptions()
@@ -276,6 +279,45 @@ func TestOutOfRangeCapacitiesFailTheRun(t *testing.T) {
 			if proc.Stats.BlocksFetched != 0 {
 				t.Errorf("%s (reference %t): %d blocks fetched before the run failed", c.name, reference, proc.Stats.BlocksFetched)
 			}
+		}
+	}
+}
+
+// TestShallowLSQFailsFast holds the reproducers of the LSQ livelock: a
+// bank shallower than isa.MaxMemOps can be filled by younger blocks'
+// accesses while the oldest block's are NACKed, and with 22 entries conv
+// on 8 or 32 cores used to spin for 20 to 40 minutes of host time before
+// reporting exceeded cycles.  conv on 1, 8 and 32 cores and ct on 1 core,
+// each with 22 entries, must now fail within a second of host time with
+// a sim: error that names the parameter.
+func TestShallowLSQFailsFast(t *testing.T) {
+	for _, c := range []struct {
+		kernel string
+		cores  int
+	}{{"conv", 1}, {"conv", 8}, {"conv", 32}, {"ct", 1}} {
+		k, ok := kernels.ByName(c.kernel)
+		if !ok {
+			t.Fatalf("no kernel %q", c.kernel)
+		}
+		inst, err := k.Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Params.LSQEntries = 22
+		start := time.Now()
+		chip := New(opts)
+		proc, err := chip.AddProc(compose.MustRect(0, 0, c.cores), inst.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Init(&proc.Regs, proc.Mem)
+		err = chip.Run(2_000_000_000)
+		if host := time.Since(start); host > time.Second {
+			t.Errorf("%s on %d cores: failed after %v of host time, want under 1s", c.kernel, c.cores, host)
+		}
+		if want := "sim: LSQEntries = 22, want 32.."; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s on %d cores: Run returned %v, want an error beginning %q", c.kernel, c.cores, err, want)
 		}
 	}
 }

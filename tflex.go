@@ -282,7 +282,9 @@ type Result struct {
 	Cycles uint64
 	Stats  Stats
 	Regs   [128]uint64
-	Mem    *Memory
+	// Mem is the run's memory.  A kernel's is an overlay of the pages
+	// the run wrote over the kernel's shared input image.
+	Mem *Memory
 
 	// Arch is the unified architectural state of the finished run;
 	// nil unless RunConfig.ArchDigest was set.
