@@ -35,14 +35,15 @@
 # to the append-only BENCH_history.jsonl, which no gate reads; followed
 # by the budgets
 # that are deterministic for a seed and so cannot flake — allocations per
-# marginal block untapped and with every tap armed, chip set-up bytes
+# marginal block untapped and with every tap armed, bytes per marginal
+# block on the Reference engine, chip set-up bytes
 # and allocations (bare, and with the metric registry armed), the bytes
 # and allocations of a job on a reused chip (Reset, then the job), host
 # events executed per committed block, and the sizes those rest on: a
 # reservation ring's footprint and link header, the event record and the
 # in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
-# TestChipSetupBudget, TestChipReuseBudget, TestEventsPerBlock, TestEventRecordSize,
+# TestReferenceBytesPerBlock, TestChipSetupBudget, TestChipReuseBudget, TestEventsPerBlock, TestEventRecordSize,
 # TestInstStateSize; TestRingFootprint in internal/noc), the critical-path
 # instruction record (TestCritRecordSize in internal/critpath), and allocations
 # per marginal block of the functional executor, untraced and traced
@@ -141,7 +142,7 @@ if [ "${1:-}" = "bench" ]; then
     fi
     rm -rf "$benchdir"
     echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, pooled runs, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestReferenceBytesPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments
     exit 0
 fi
 

@@ -104,7 +104,7 @@ type blockRun struct {
 	trace    *Trace
 	regSrc   *[isa.NumRegs]int32 // machine-level: last writer trace index per register
 	firedIDs []int               // instruction IDs in firing order (for tracing)
-	global   []int32             // per instruction ID: its entry's trace index (emitTrace)
+	global   []int32             // per live position: its entry's trace index (emitTrace)
 }
 
 type delivery struct {
@@ -116,15 +116,15 @@ type delivery struct {
 
 var errTwoValues = fmt.Errorf("two values arrived at one operand slot (predication not complementary)")
 
-// reset prepares r to execute lk.  State is kept for live slots only:
-// Validate rejects a target field naming an unused one, so no other slot
-// is ever read.
+// reset prepares r to execute lk.  State is kept per live instruction,
+// at its position in Live (inst): Validate rejects a target field naming
+// an unused slot, so no other slot is ever read.
 func (r *blockRun) reset(lk *prog.Linked) {
 	r.lk, r.b = lk, lk.Block
-	r.insts = grow(r.insts, len(lk.Insts))
-	for _, i := range lk.Live {
+	r.insts = grow(r.insts, len(lk.Live))
+	for pos, i := range lk.Live {
 		li := &lk.Insts[i]
-		r.insts[i] = instState{
+		r.insts[pos] = instState{
 			left:  slotState{rem: int16(li.Left.Producers)},
 			right: slotState{rem: int16(li.Right.Producers)},
 			pred:  slotState{rem: int16(li.Pred.Producers)},
@@ -146,6 +146,9 @@ func (r *blockRun) reset(lk *prog.Linked) {
 	r.queue, r.head = reserve(r.queue, isa.MaxTargets*(len(r.b.Reads)+len(lk.Live))), 0
 	r.firedIDs = reserve(r.firedIDs, len(lk.Live))
 }
+
+// inst returns instruction id's state, which sits at id's position in Live.
+func (r *blockRun) inst(id int) *instState { return &r.insts[r.lk.LivePos[id]] }
 
 // grow returns s resliced to n elements, reallocated only when its
 // capacity is short.  Elements are not cleared.
@@ -246,7 +249,7 @@ func (r *blockRun) deliver(d delivery) error {
 		return nil
 	}
 	idx := int(d.target.Index)
-	st := &r.insts[idx]
+	st := r.inst(idx)
 	var slot *slotState
 	switch d.target.Kind {
 	case isa.TargetLeft:
@@ -287,7 +290,7 @@ func (r *blockRun) deliver(d delivery) error {
 }
 
 func (r *blockRun) ready(idx int) bool {
-	st, li := &r.insts[idx], &r.lk.Insts[idx]
+	st, li := r.inst(idx), &r.lk.Insts[idx]
 	if st.status != stWaiting {
 		return false
 	}
@@ -305,7 +308,7 @@ func (r *blockRun) ready(idx int) bool {
 
 // kill marks an instruction squashed or dead and propagates dead tokens.
 func (r *blockRun) kill(idx int, status instStatus) {
-	st := &r.insts[idx]
+	st := r.inst(idx)
 	if st.status != stWaiting {
 		return
 	}
@@ -325,7 +328,7 @@ func (r *blockRun) kill(idx int, status instStatus) {
 }
 
 func (r *blockRun) fire(idx int) error {
-	st := &r.insts[idx]
+	st := r.inst(idx)
 	in := &r.b.Insts[idx]
 	st.status = stFired
 
@@ -394,7 +397,7 @@ func (r *blockRun) fire(idx int) error {
 }
 
 func (r *blockRun) fireLoad(idx int) error {
-	st := &r.insts[idx]
+	st := r.inst(idx)
 	in := &r.b.Insts[idx]
 	addr := st.left.val + uint64(in.Imm)
 	if err := checkAligned(idx, "load", in.MemSize, addr); err != nil {
@@ -472,7 +475,7 @@ func (r *blockRun) storeLSIDResolvedOrAbsent(id int8) bool {
 	// whose null partner is also dead => unresolved (error caught later);
 	// treat as resolved only if no live store instruction can still fire.
 	for _, i := range r.lk.Cover[id] {
-		if r.insts[i].status == stWaiting {
+		if r.inst(int(i)).status == stWaiting {
 			return false
 		}
 	}
@@ -500,7 +503,7 @@ func (r *blockRun) retryLoads() error {
 
 func (r *blockRun) send(idx int, val uint64) {
 	in := &r.b.Insts[idx]
-	src := r.insts[idx].out
+	src := r.inst(idx).out
 	for _, t := range in.Targets {
 		r.queue = append(r.queue, delivery{target: t, val: val, src: src})
 	}

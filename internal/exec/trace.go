@@ -73,14 +73,14 @@ func (r *blockRun) emitTrace() {
 	t.Blocks = append(t.Blocks, base)
 	// Every local source names a fired producer, so it is in ids.  One not
 	// yet appended (a higher ID than its consumer) resolves to -1.
-	r.global = grow(r.global, len(r.b.Insts))
+	r.global = grow(r.global, len(r.lk.Live))
 	for _, idx := range ids {
-		r.global[idx] = -1
+		r.global[r.lk.LivePos[idx]] = -1
 	}
 	for _, idx := range ids {
 		in := &r.b.Insts[idx]
-		st, li := &r.insts[idx], &r.lk.Insts[idx]
-		r.global[idx] = int32(len(t.Entries))
+		st, li := r.inst(idx), &r.lk.Insts[idx]
+		r.global[r.lk.LivePos[idx]] = int32(len(t.Entries))
 		e := TraceEntry{
 			Op:   in.Op,
 			PC:   r.b.Addr + uint64(idx)*4,
@@ -140,5 +140,5 @@ func (r *blockRun) resolve(src int32) int32 {
 	if src >= -1 {
 		return src
 	}
-	return r.global[-(src + 2)]
+	return r.global[r.lk.LivePos[-(src+2)]]
 }

@@ -26,26 +26,22 @@ const (
 	stDead
 )
 
-// tslot and instTS are the in-flight window's per-operand and
-// per-instruction state, laid out widest field first: resetIFB makes
-// (Reference) or rewrites (pooled) one instTS per live instruction per
-// fetch, so their size is fetch cost.  rem counts down from a
-// prog.Operand's uint8 Producers.
-type tslot struct {
-	val  uint64
-	at   uint64
-	rem  int16
-	need bool
-	got  bool
-}
-
+// instTS is one live instruction's in-flight state, kept at the
+// instruction's position in prog.Linked.Live (IFB.inst), not at its slot
+// ID: a block names up to 128 slots but runs few of them.  resetIFB makes
+// (Reference) or rewrites (pooled) one per live instruction per fetch, so
+// its size is fetch cost.  Operand fields are indexed by isa.TargetKind
+// (left, right, predicate); a predicate is tested when it arrives and
+// never read again, so only the left and right values are kept.  rem
+// counts down from a prog.Operand's uint8 Producers.
 type instTS struct {
-	left    tslot
-	right   tslot
-	pred    tslot
+	val     [2]uint64
+	at      [3]uint64
 	availAt uint64
+	rem     [3]int16
+	need    [3]bool
+	got     [3]bool
 	status  instStatus
-	predOK  bool
 	avail   bool
 }
 
@@ -142,6 +138,10 @@ type IFB struct {
 // instCoreIdx returns the participating-core index executing instruction id.
 func (b *IFB) instCoreIdx(id int) int { return int(b.p.instCore[id]) }
 
+// inst returns instruction id's in-flight state, which sits at id's
+// position in Live.
+func (b *IFB) inst(id int) *instTS { return &b.insts[b.lk.LivePos[id]] }
+
 // cpInst returns instruction id's attribution record, which sits at id's
 // position in Live: records are kept per live instruction, not per ID.
 func (b *IFB) cpInst(id int) *critpath.Inst { return &b.cp.Insts[b.lk.LivePos[id]] }
@@ -155,20 +155,11 @@ func (p *Proc) deliver(b *IFB, target isa.Target, val uint64, dead bool, fromIdx
 		p.deliverWrite(b, int(target.Index), val, dead, fromIdx, t)
 		return
 	}
-	idx := int(target.Index)
-	st := &b.insts[idx]
-	var slot *tslot
-	switch target.Kind {
-	case isa.TargetLeft:
-		slot = &st.left
-	case isa.TargetRight:
-		slot = &st.right
-	case isa.TargetPred:
-		slot = &st.pred
-	}
-	slot.rem--
+	idx, k := int(target.Index), target.Kind
+	st := b.inst(idx)
+	st.rem[k]--
 	if dead {
-		if slot.rem == 0 && !slot.got && st.status == stWaiting {
+		if st.rem[k] == 0 && !st.got[k] && st.status == stWaiting {
 			p.kill(b, idx, stDead, t)
 		}
 		return
@@ -176,17 +167,16 @@ func (p *Proc) deliver(b *IFB, target isa.Target, val uint64, dead bool, fromIdx
 	if st.status != stWaiting {
 		return // late arrival at squashed/dead instruction
 	}
-	if slot.got {
+	if st.got[k] {
 		p.chip.fail("proc %d block %s inst %d: two values at one operand", p.id, b.blk.Name, idx)
 		return
 	}
-	slot.got, slot.val, slot.at = true, val, t
-	if target.Kind == isa.TargetPred {
-		if !exec.PredMatches(b.blk.Insts[idx].Pred, val) {
-			p.kill(b, idx, stSquashed, t)
-			return
-		}
-		st.predOK = true
+	st.got[k], st.at[k] = true, t
+	if k != isa.TargetPred {
+		st.val[k] = val
+	} else if !exec.PredMatches(b.blk.Insts[idx].Pred, val) {
+		p.kill(b, idx, stSquashed, t)
+		return
 	}
 	p.maybeIssue(b, idx)
 }
@@ -262,7 +252,7 @@ func (p *Proc) serveWriteWaiters(b *IFB, wi int, t uint64) {
 
 // kill squashes or deadens an instruction and propagates dead tokens.
 func (p *Proc) kill(b *IFB, idx int, status instStatus, t uint64) {
-	st := &b.insts[idx]
+	st := b.inst(idx)
 	if st.status != stWaiting {
 		return
 	}
@@ -290,7 +280,7 @@ func (p *Proc) resolveStoreSlot(b *IFB, lsid int8, t uint64, deadArm bool) {
 	if deadArm {
 		// Retire only if no live instruction can still resolve this slot.
 		for _, i := range b.lk.Cover[lsid] {
-			if s := b.insts[i].status; s == stWaiting || s == stIssued {
+			if s := b.inst(int(i)).status; s == stWaiting || s == stIssued {
 				return
 			}
 		}
@@ -340,30 +330,22 @@ func (p *Proc) raiseFault(b *IFB) {
 
 // maybeIssue checks readiness and books an issue slot.
 func (p *Proc) maybeIssue(b *IFB, idx int) {
-	st := &b.insts[idx]
+	st := b.inst(idx)
 	if st.status != stWaiting || !st.avail {
 		return
 	}
-	if st.left.need && !st.left.got {
-		return
-	}
-	if st.right.need && !st.right.got {
-		return
-	}
-	if st.pred.need && !st.predOK {
-		return
+	// A predicate that arrived matched: a mismatch squashed the instruction.
+	readyAt := st.availAt
+	for k, need := range st.need {
+		if !need {
+			continue
+		}
+		if !st.got[k] {
+			return
+		}
+		readyAt = max(readyAt, st.at[k])
 	}
 	in := &b.blk.Insts[idx]
-	readyAt := st.availAt
-	if st.left.need && st.left.at > readyAt {
-		readyAt = st.left.at
-	}
-	if st.right.need && st.right.at > readyAt {
-		readyAt = st.right.at
-	}
-	if st.pred.need && st.pred.at > readyAt {
-		readyAt = st.pred.at
-	}
 	st.status = stIssued
 	coreIdx := b.instCoreIdx(idx)
 	issueAt := p.chip.issueAt(p.phys(coreIdx)).Reserve(readyAt, in.Op.IsFP())
@@ -381,7 +363,7 @@ func (p *Proc) maybeIssue(b *IFB, idx int) {
 // effects.
 func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 	in := &b.blk.Insts[idx]
-	st := &b.insts[idx]
+	st := b.inst(idx)
 	coreIdx := b.instCoreIdx(idx)
 	b.fired++
 	p.Stats.InstsFired++
@@ -392,7 +374,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 
 	var addr uint64 // of a load or store
 	if in.Op.IsMem() {
-		if addr = st.left.val + uint64(in.Imm); addr%uint64(in.MemSize) != 0 {
+		if addr = st.val[isa.TargetLeft] + uint64(in.Imm); addr%uint64(in.MemSize) != 0 {
 			// Record it for raiseFault and produce nothing: the consumers
 			// starve, so the block cannot complete past the access.  Of several
 			// in one block keep the oldest, whose older store slots can resolve.
@@ -420,7 +402,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 
 	case in.Op == isa.OpStore:
 		b.useful++
-		val := st.right.val
+		val := st.val[isa.TargetRight]
 		agenDone := issueAt + 1
 		bank := p.dataBankIdx(addr)
 		arr := p.opnSend(coreIdx, bank, agenDone)
@@ -455,7 +437,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		done := issueAt + uint64(p.chip.Opts.Params.IntLat)
 		target := in.TargetAddr // laid out for bro/callo, 0 for halt
 		if in.Op == isa.OpRet {
-			target = st.left.val
+			target = st.val[isa.TargetLeft]
 		}
 		arr := p.ctlSend(coreIdx, b.owner, done)
 		if b.cp != nil && !b.cp.Branch.Valid {
@@ -466,7 +448,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 		p.chip.scheduleEv(arr, event{kind: evBranch, b: b, gen: b.gen, idx: int32(in.Op), from: in.Exit, val: target})
 
 	default:
-		val := exec.EvalALU(in, st.left.val, st.right.val)
+		val := exec.EvalALU(in, st.val[isa.TargetLeft], st.val[isa.TargetRight])
 		lat := p.chip.Opts.opLatency(in.Op.IsFP(),
 			in.Op == isa.OpMul, in.Op == isa.OpDiv || in.Op == isa.OpDivU ||
 				in.Op == isa.OpMod || in.Op == isa.OpFDiv || in.Op == isa.OpFSqrt)

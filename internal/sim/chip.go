@@ -525,7 +525,7 @@ func (c *Chip) dispatch(e *event, now uint64) {
 		b := e.b
 		live := b.lk.Live
 		for i := int(e.idx); i < len(live) && !b.dead && b.gen == e.gen; i++ {
-			if st := &b.insts[live[i]]; st.availAt == now && !st.avail {
+			if st := &b.insts[i]; st.availAt == now && !st.avail {
 				st.avail = true
 				b.p.maybeIssue(b, int(live[i]))
 			}

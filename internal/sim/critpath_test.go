@@ -47,7 +47,7 @@ func TestArmEdgeIsTheArmingOperand(t *testing.T) {
 				_ = chip.Run(limit) // stops with blocks in flight, or finishes
 				for _, b := range proc.window {
 					for pos, id := range b.lk.Live {
-						ci, st := &b.cp.Insts[pos], &b.insts[id]
+						ci, st := &b.cp.Insts[pos], &b.insts[pos]
 						if !ci.Issued {
 							continue
 						}

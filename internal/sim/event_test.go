@@ -21,8 +21,8 @@ func TestEventRecordSize(t *testing.T) {
 // TestInstStateSize holds the in-flight window's diet: resetIFB makes or
 // rewrites one instTS per live instruction per fetch.
 func TestInstStateSize(t *testing.T) {
-	if n := unsafe.Sizeof(instTS{}); n > 88 {
-		t.Errorf("instTS is %d bytes, want <= 88", n)
+	if n := unsafe.Sizeof(instTS{}); n > 64 {
+		t.Errorf("instTS is %d bytes, want <= 64", n)
 	}
 }
 

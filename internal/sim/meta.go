@@ -56,19 +56,19 @@ func resetIFB(b *IFB, p *Proc, lk *prog.Linked, seq uint64, hist predictor.Histo
 	b.specNext = false
 	b.pred = predictor.Prediction{}
 
-	if cap(b.insts) < len(lk.Insts) {
-		b.insts = make([]instTS, len(lk.Insts))
+	// One state per live instruction, at its position in Live (IFB.inst):
+	// Validate rejects a target field naming an unused slot, so no other
+	// slot is ever read.
+	if cap(b.insts) < len(lk.Live) {
+		b.insts = make([]instTS, len(lk.Live))
 	} else {
-		b.insts = b.insts[:len(lk.Insts)]
+		b.insts = b.insts[:len(lk.Live)]
 	}
-	// Only live slots are reset, because only they are ever read: Validate
-	// rejects a target field naming an unused slot.
-	for _, id := range lk.Live {
+	for pos, id := range lk.Live {
 		li := &lk.Insts[id]
-		b.insts[id] = instTS{
-			left:  tslot{need: li.Left.Need, rem: int16(li.Left.Producers)},
-			right: tslot{need: li.Right.Need, rem: int16(li.Right.Producers)},
-			pred:  tslot{need: li.Pred.Need, rem: int16(li.Pred.Producers)},
+		b.insts[pos] = instTS{
+			rem:  [3]int16{int16(li.Left.Producers), int16(li.Right.Producers), int16(li.Pred.Producers)},
+			need: [3]bool{li.Left.Need, li.Right.Need, li.Pred.Need},
 		}
 	}
 	if cap(b.wr) < len(lk.WriteProducers) {

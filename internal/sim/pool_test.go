@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"github.com/clp-sim/tflex/internal/compose"
+	"github.com/clp-sim/tflex/internal/kernels"
 )
 
 // TestChipPoolKeying holds the chip pool to its key: a released chip
@@ -66,5 +69,70 @@ func TestChipPoolKeying(t *testing.T) {
 	}
 	if d := Acquire(want); d != c {
 		t.Error("the chip did not come back for the options it was acquired with")
+	}
+}
+
+// TestReferenceNeverPoolsIFBs pins the oracle's independence from the
+// storage recycling it checks: on a Reference chip every fetch gets a
+// fresh in-flight block, so a processor's IFB free list stays empty and
+// no *IFB carries two fetches, across a run to halt, a run stopped with
+// blocks in flight, the chip's Reset and a run on the reset chip.  The
+// pooled engine on the same runs must reuse IFBs, or the observation
+// below could not see reuse.  The window is watched at every block
+// retirement, which on these runs sees every fetch: a Reference run
+// shows as many distinct IFBs as it fetched blocks.
+func TestReferenceNeverPoolsIFBs(t *testing.T) {
+	for _, name := range []string{"mcf", "gcc", "conv"} {
+		k, _ := kernels.ByName(name)
+		inst, err := k.Build(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, reference := range []bool{true, false} {
+			opts := DefaultOptions()
+			opts.Reference = reference
+			chip := New(opts)
+			seqOf := map[*IFB]uint64{} // holds every IFB seen, so none is freed and its address reused
+			reused := 0
+			watch := func(p *Proc) {
+				if reference && len(p.ifbFree) > 0 {
+					t.Fatalf("%s: a Reference processor holds %d free IFBs", name, len(p.ifbFree))
+				}
+				for _, b := range p.window {
+					if seq, ok := seqOf[b]; ok && seq != b.seq {
+						if reference {
+							t.Fatalf("%s: a Reference processor handed one IFB to fetches %d and %d", name, seq, b.seq)
+						}
+						reused++
+					}
+					seqOf[b] = b.seq
+				}
+			}
+			const whole = 2_000_000_000
+			for _, limit := range []uint64{whole, 1500, whole} {
+				proc, err := chip.AddProc(compose.MustRect(0, 0, 4), inst.Prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				proc.TraceBlocks(func(BlockEvent) { watch(proc) })
+				before := len(seqOf)
+				inst.Init(&proc.Regs, proc.Mem)
+				if err := chip.Run(limit); err != nil && limit == whole {
+					t.Fatalf("%s: %v", name, err)
+				}
+				watch(proc)
+				fetched := int(proc.Stats.BlocksCommitted+proc.Stats.BlocksFlushed) + len(proc.window)
+				if reference && len(seqOf)-before != fetched {
+					t.Fatalf("%s: %d fetches showed %d distinct IFBs", name, fetched, len(seqOf)-before)
+				}
+				chip.Reset()
+				if reference && len(proc.ifbFree) > 0 {
+					t.Fatalf("%s: Reset left %d free IFBs on a Reference processor", name, len(proc.ifbFree))
+				}
+			}
+			if !reference && reused == 0 {
+				t.Errorf("%s: the pooled engine reused no IFB, so the watch sees no reuse", name)
+			}
+		}
 	}
 }

@@ -388,7 +388,7 @@ func (p *Proc) fetchBlock() {
 		c := int(p.instCore[id])
 		av := arr[c] + 1 + uint64(slotCount[c]/params.DispatchBW)
 		slotCount[c]++
-		b.insts[id].availAt = av
+		b.insts[pos].availAt = av
 		if av > dispatchLast {
 			dispatchLast = av
 		}

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/compose"
@@ -30,8 +31,8 @@ func TestSteadyStateAllocsPerBlock(t *testing.T) {
 		}
 		for _, cores := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/cores=%d", name, cores), func(t *testing.T) {
-				allocsS, blocksS := wholeRunAllocs(t, k, small, cores, false)
-				allocsL, blocksL := wholeRunAllocs(t, k, large, cores, false)
+				allocsS, _, blocksS := wholeRun(t, k, small, cores, sim.DefaultOptions(), false)
+				allocsL, _, blocksL := wholeRun(t, k, large, cores, sim.DefaultOptions(), false)
 				if blocksL <= blocksS {
 					t.Fatalf("scale %d commits %d blocks, scale %d commits %d: no steady state to measure", large, blocksL, small, blocksS)
 				}
@@ -42,6 +43,45 @@ func TestSteadyStateAllocsPerBlock(t *testing.T) {
 					t.Errorf("%.4f allocations per marginal block, want <= 0.1", perBlock)
 				}
 			})
+		}
+	}
+}
+
+// TestReferenceBytesPerBlock is the same subtraction for the Reference
+// engine, in bytes: the oracle never recycles storage, so every fetch
+// allocates a fresh IFB and its per-instruction state, and the marginal
+// block's bytes are mostly what its in-flight state costs.  That state is
+// one record per live instruction, not one per slot of the block's frame:
+// mcf's and gcc's committed blocks span 98-99 slots and run 7-8
+// instructions, conv's span 121 and run 110.  Each ceiling is the
+// measured value plus 10 %; beside each row is what per-slot state read.
+func TestReferenceBytesPerBlock(t *testing.T) {
+	const small, large = 2, 16
+	opts := sim.DefaultOptions()
+	opts.Reference = true
+	for _, c := range []struct {
+		kernel string
+		cores  int
+		max    float64
+	}{
+		// per-slot state read 10096.0, 10096.1
+		{"mcf", 1, 1180}, {"mcf", 8, 1180},
+		// 10076.4, 10076.4
+		{"gcc", 1, 1213}, {"gcc", 8, 1213},
+		// 13221.0, 44270.2
+		{"conv", 1, 10040}, {"conv", 8, 33270},
+	} {
+		k, ok := kernels.ByName(c.kernel)
+		if !ok {
+			t.Fatalf("no kernel %q", c.kernel)
+		}
+		_, bytesS, blocksS := wholeRun(t, k, small, c.cores, opts, false)
+		_, bytesL, blocksL := wholeRun(t, k, large, c.cores, opts, false)
+		perBlock := (bytesL - bytesS) / float64(blocksL-blocksS)
+		t.Logf("%s, cores %d: %.0f B / %d blocks at scale %d, %.0f / %d at scale %d: %.1f B per marginal block",
+			c.kernel, c.cores, bytesS, blocksS, small, bytesL, blocksL, large, perBlock)
+		if perBlock > c.max {
+			t.Errorf("%s, cores %d: %.1f bytes per marginal Reference block, want <= %.0f", c.kernel, c.cores, perBlock, c.max)
 		}
 	}
 }
@@ -61,8 +101,8 @@ func TestObservedAllocsPerBlock(t *testing.T) {
 			t.Fatalf("no kernel %q", name)
 		}
 		t.Run(name, func(t *testing.T) {
-			allocsS, blocksS := wholeRunAllocs(t, k, small, 8, true)
-			allocsL, blocksL := wholeRunAllocs(t, k, large, 8, true)
+			allocsS, _, blocksS := wholeRun(t, k, small, 8, sim.DefaultOptions(), true)
+			allocsL, _, blocksL := wholeRun(t, k, large, 8, sim.DefaultOptions(), true)
 			perBlock := (allocsL - allocsS) / float64(blocksL-blocksS)
 			t.Logf("%.0f allocs / %d blocks at scale %d, %.0f / %d at scale %d: %.4f allocs per marginal block",
 				allocsS, blocksS, small, allocsL, blocksL, large, perBlock)
@@ -146,17 +186,18 @@ func runKernel(t *testing.T, name string, scale int, opts sim.Options, comp comp
 	return chip, proc
 }
 
-// wholeRunAllocs builds the kernel once, then measures one complete job
-// — new chip, composition, input set-up, run to halt — and returns its
-// allocations and the blocks it committed.  tapped arms every observer
-// the chip has.
-func wholeRunAllocs(t *testing.T, k kernels.Kernel, scale, cores int, tapped bool) (allocs float64, blocks uint64) {
+// wholeRun builds the kernel once, then measures one complete job — new
+// chip of the given options, composition, input set-up, run to halt —
+// and returns its allocations, its bytes and the blocks it committed.
+// tapped arms every observer the chip has.  Like testing.AllocsPerRun,
+// it runs the job once to warm up, then measures one run at GOMAXPROCS 1.
+func wholeRun(t *testing.T, k kernels.Kernel, scale, cores int, opts sim.Options, tapped bool) (allocs, bytes float64, blocks uint64) {
 	inst, err := k.Build(scale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs = testing.AllocsPerRun(1, func() {
-		chip := sim.New(sim.DefaultOptions())
+	job := func() {
+		chip := sim.New(opts)
 		if tapped {
 			chip.Telemetry()
 			chip.SetChromeTrace(&telemetry.Trace{})
@@ -177,6 +218,12 @@ func wholeRunAllocs(t *testing.T, k kernels.Kernel, scale, cores int, tapped boo
 			t.Fatal(err)
 		}
 		blocks = proc.Stats.BlocksCommitted
-	})
-	return allocs, blocks
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	job()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	job()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc), blocks
 }
