@@ -56,7 +56,10 @@
 # and the bytes and allocations of a tflex.RunKernel once the chip pool is
 # warm: conv at scale 1 untapped and with the observed workload's taps, and
 # mcf at scale 32, whose 4 MiB image the run reads in place
-# (TestRunKernelReuseBudget in the root package).  The chip pool is
+# (TestRunKernelReuseBudget in the root package), and the allocations of the
+# differential harness's CheckSeed over seeds 0-49 — generate, build, run on
+# all eight executors — once the chip pool is warm (TestCheckSeedAllocs in
+# internal/fuzz).  The chip pool is
 # deterministic, so the go test -race stage holds these two tests'
 # allocations as well (not their bytes, which the race runtime inflates).
 # No wall-time ratio is compared to a threshold: wall time is judged
@@ -141,8 +144,8 @@ if [ "${1:-}" = "bench" ]; then
         echo "no report written (an -out flag of your own takes precedence): BENCH_history.jsonl not appended"
     fi
     rm -rf "$benchdir"
-    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, pooled runs, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestReferenceBytesPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments
+    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, pooled runs, harness checks, events per block, ring and record sizes) =="
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestReferenceBytesPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget|TestCheckSeedAllocs' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz
     exit 0
 fi
 

@@ -132,8 +132,10 @@ func (s State) Diff(o State) string {
 	return strings.TrimSuffix(b.String(), "; ")
 }
 
-// FNV-1a, the same hash family PageMem.Digest uses, so the two digests
-// in a State share one well-understood construction.
+// FNV-1a's offset basis and prime.  The store digest folds the stream a
+// byte at a time; PageMem.Digest folds memory with the same constants a
+// word at a time, with a xorshift after each multiply, because it hashes
+// whole pages for every run.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211

@@ -52,22 +52,24 @@ func GenSpec(seed int64) *Spec {
 	r.Read(s.Mem)
 
 	nb := minBlocks + r.Intn(maxBlocks-minBlocks+1)
-	for bi := 0; bi < nb; bi++ {
-		s.Blocks = append(s.Blocks, genBlock(r, bi, nb))
+	s.Blocks = make([]BlockSpec, nb)
+	for bi := range s.Blocks {
+		s.Blocks[bi] = genBlock(r, bi, nb)
 	}
 	return s
 }
 
 func genBlock(r *rand.Rand, bi, nb int) BlockSpec {
-	var blk BlockSpec
 	nops := minOps + r.Intn(maxOps-minOps+1)
+	blk := BlockSpec{Ops: make([]OpSpec, 0, nops)}
 	memOps := 0
 	// usable tracks value-producing slots, the legal operand pool.
-	var usable []int
-	written := map[uint8]bool{}
+	var usableBuf [maxOps]int
+	usable := usableBuf[:0]
+	var written [NumGenRegs + 1]bool
 	pick := func() int { return usable[r.Intn(len(usable))] }
 	for oi := 0; oi < nops; oi++ {
-		op := genOp(r, oi, usable, pick, written, &memOps)
+		op := genOp(r, len(usable) == 0, pick, &written, &memOps)
 		if op.Kind.producesValue() {
 			usable = append(usable, oi)
 		}
@@ -94,12 +96,14 @@ func genBlock(r *rand.Rand, bi, nb int) BlockSpec {
 	return blk
 }
 
-func genOp(r *rand.Rand, oi int, usable []int, pick func() int, written map[uint8]bool, memOps *int) OpSpec {
+// genOp draws one op; first is set while no earlier op of the block
+// produces a value.
+func genOp(r *rand.Rand, first bool, pick func() int, written *[NumGenRegs + 1]bool, memOps *int) OpSpec {
 	op := OpSpec{A: -1, B: -1, C: -1, Guard: -1}
 	// The first op of a block must produce a value so every later op
 	// (and the terminator) has an operand pool.
 	kind := r.Intn(10)
-	if len(usable) == 0 {
+	if first {
 		kind = r.Intn(2) // KConst or KRead
 	}
 	switch kind {

@@ -1,10 +1,13 @@
 package edgegen
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/arch"
+	"github.com/clp-sim/tflex/internal/asm"
+	"github.com/clp-sim/tflex/internal/isa"
 )
 
 // TestGenSpecDeterministic pins the seed contract: same seed, same
@@ -84,34 +87,43 @@ func TestSpecValidateRejects(t *testing.T) {
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base spec rejected: %v", err)
 	}
+	// textFails marks the corruptions the assembly text path rejects as
+	// well, so Build and asm.Assemble(Asm()) agree on them.
 	cases := []struct {
-		name    string
-		corrupt func(*Spec)
-		want    string
+		name      string
+		corrupt   func(*Spec)
+		want      string
+		textFails bool
 	}{
-		{"backward branch", func(s *Spec) { s.Blocks[1].Term = TermSpec{Kind: TBranch, To1: 0} }, "not a forward block"},
+		{"backward branch", func(s *Spec) { s.Blocks[1].Term = TermSpec{Kind: TBranch, To1: 0} }, "not a forward block", false},
 		{"self-referential operand", func(s *Spec) {
 			s.Blocks[0].Ops[0] = OpSpec{Kind: KALUImm, A: 0, B: -1, C: -1, Guard: -1}
-		}, "at or after itself"},
+		}, "at or after itself", true},
 		{"operand out of range", func(s *Spec) {
 			s.Blocks[0].Ops = append(s.Blocks[0].Ops, OpSpec{Kind: KWrite, Reg: 3, A: 9, B: -1, C: -1, Guard: -1})
-		}, "out of range"},
+		}, "out of range", true},
 		{"double write", func(s *Spec) {
 			s.Blocks[0].Ops = append(s.Blocks[0].Ops,
 				OpSpec{Kind: KWrite, Reg: 3, A: 0, B: -1, C: -1, Guard: -1},
 				OpSpec{Kind: KWrite, Reg: 3, A: 0, B: -1, C: -1, Guard: -1})
-		}, "writes r3 twice"},
+		}, "writes r3 twice", false},
 		{"write to loop register", func(s *Spec) {
 			s.Blocks[0].Ops = append(s.Blocks[0].Ops, OpSpec{Kind: KWrite, Reg: loopRegBase, A: 0, B: -1, C: -1, Guard: -1})
-		}, "outside the general window"},
+		}, "outside the general window", false},
 		{"zero-trip loop", func(s *Spec) {
 			s.Blocks[0].Term = TermSpec{Kind: TLoop, Trips: 0, To1: 1}
-		}, "0 trips"},
+		}, "0 trips", false},
 		{"store referencing value-less slot", func(s *Spec) {
 			s.Blocks[0].Ops = append(s.Blocks[0].Ops,
 				OpSpec{Kind: KWrite, Reg: 3, A: 0, B: -1, C: -1, Guard: -1},
 				OpSpec{Kind: KStore, A: 1, B: 0, Size: 8, C: -1, Guard: -1})
-		}, "value-less op"},
+		}, "value-less op", true},
+		{"opcode outside the ALU set", func(s *Spec) {
+			s.Blocks[0].Ops = append(s.Blocks[0].Ops, OpSpec{Kind: KALU, Op: isa.OpFDiv, A: 0, B: 0, C: -1, Guard: -1})
+		}, "outside the generator's ALU set", true},
+		{"FP opcode with an immediate", func(s *Spec) {
+			s.Blocks[0].Ops = append(s.Blocks[0].Ops, OpSpec{Kind: KALUImm, Op: isa.OpFAdd, A: 0, Imm: 1, B: -1, C: -1, Guard: -1})
+		}, "gives FP opcode fadd an immediate", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -124,7 +136,36 @@ func TestSpecValidateRejects(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error = %q, want it to contain %q", err, tc.want)
 			}
+			if _, err := s.Build(); err == nil {
+				t.Error("Build accepted a spec Validate rejects")
+			}
+			if _, err := asm.Assemble(s.Asm()); tc.textFails && err == nil {
+				t.Errorf("the assembly text path accepted the spec:\n%s", s.Asm())
+			}
 		})
+	}
+}
+
+// TestBuildMatchesAssembly holds Build to the text path it replaced: the
+// program it lowers directly deep-equals the one asm.Assemble makes of
+// Asm's text, so a .tfa dump replays exactly the program the harness ran.
+// The fuzz package checks its shrink candidates and fuzz inputs the same
+// way.
+func TestBuildMatchesAssembly(t *testing.T) {
+	for seed := int64(0); seed < 3000; seed++ {
+		s := GenSpec(seed)
+		got, err := s.Build()
+		if err != nil {
+			t.Fatalf("seed %d: Build: %v", seed, err)
+		}
+		want, err := asm.Assemble(s.Asm())
+		if err != nil {
+			t.Fatalf("seed %d: Assemble: %v", seed, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: Build and asm.Assemble(Asm()) differ\nBuild:\n%s\nAssemble:\n%s",
+				seed, asm.Disassemble(got), asm.Disassemble(want))
+		}
 	}
 }
 

@@ -1,8 +1,11 @@
 // Package edgegen generates random valid EDGE block programs for
 // differential testing, in the spirit of microsmith-style compiler
 // fuzzing: a seeded generator emits a small program-shaped IR (Spec),
-// the IR renders to the textual assembly grammar, and the assembler
-// lowers it through the hardened builder/validation pipeline.  Every
+// and Build lowers it straight into the hardened builder/validation
+// pipeline.  Asm renders the same Spec in the textual assembly grammar
+// for reproducer dumps; Build makes the builder calls the assembler
+// makes for that text, in the same order, so the two programs are
+// deep-equal (TestBuildMatchesAssembly holds it).  Every
 // program respects the architectural limits — at most 128 instructions
 // and 32 reads/writes/memory-ops per block — and terminates by
 // construction: inter-block control flow is a forward DAG, and loops
@@ -16,10 +19,10 @@ package edgegen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/clp-sim/tflex/internal/arch"
-	"github.com/clp-sim/tflex/internal/asm"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/prog"
 )
@@ -123,50 +126,66 @@ type Spec struct {
 // producesValue reports whether the op kind fills its value slot.
 func (k OpKind) producesValue() bool { return k != KStore && k != KWrite }
 
+// operands is how many of A, B, C (in that order) the op kind reads.
+func (k OpKind) operands() int {
+	switch k {
+	case KALUImm, KLoad, KWrite:
+		return 1
+	case KALU, KStore:
+		return 2
+	case KSelect:
+		return 3
+	}
+	return 0
+}
+
+// badSlot reports why slot cannot be read in blk, or "" when it can.
+func (blk *BlockSpec) badSlot(slot int) string {
+	if slot < 0 || slot >= len(blk.Ops) {
+		return "out of range"
+	}
+	if !blk.Ops[slot].Kind.producesValue() {
+		return "names a value-less op"
+	}
+	return ""
+}
+
 // Validate checks Spec-level structure: operand slots reference earlier
-// value-producing ops, guards likewise, write registers stay inside the
-// general-register window, at most one write per register per block
-// (two non-complementary producers of one write slot would deadlock the
-// dataflow), and control flow is forward-only with positive trip
-// counts.  Program-level ISA constraints are rechecked downstream by
+// value-producing ops, guards likewise, ALU opcodes come from the
+// generator's set (aluNames) and only integer ones take an immediate,
+// read and write registers stay inside the general-register window, at
+// most one write per register per block (two non-complementary
+// producers of one write slot would deadlock the dataflow), and control
+// flow is forward-only with positive trip counts.  A Spec that passes
+// lowers to the same builder calls through Build as through Asm and the
+// assembler.  Program-level ISA constraints are rechecked downstream by
 // prog.Validate when the Spec is built.
 func (s *Spec) Validate() error {
 	nb := len(s.Blocks)
 	if nb == 0 {
 		return fmt.Errorf("edgegen: no blocks")
 	}
-	for bi, blk := range s.Blocks {
-		ref := func(slot int, what string) error {
-			if slot < 0 || slot >= len(blk.Ops) {
-				return fmt.Errorf("edgegen: b%d: %s slot %d out of range", bi, what, slot)
-			}
-			if !blk.Ops[slot].Kind.producesValue() {
-				return fmt.Errorf("edgegen: b%d: %s slot %d names a value-less op", bi, what, slot)
-			}
-			return nil
-		}
-		written := map[uint8]bool{}
+	for bi := range s.Blocks {
+		blk := &s.Blocks[bi]
+		var written [NumGenRegs + 1]bool
 		for oi, op := range blk.Ops {
-			operands := []struct {
-				slot int
-				used bool
-			}{
-				{op.A, op.Kind == KALU || op.Kind == KALUImm || op.Kind == KLoad || op.Kind == KSelect || op.Kind == KStore || op.Kind == KWrite},
-				{op.B, op.Kind == KALU || op.Kind == KSelect || op.Kind == KStore},
-				{op.C, op.Kind == KSelect},
-			}
-			for _, o := range operands {
-				if !o.used {
-					continue
+			slots := [3]int{op.A, op.B, op.C}
+			for _, slot := range slots[:op.Kind.operands()] {
+				if why := blk.badSlot(slot); why != "" {
+					return fmt.Errorf("edgegen: b%d: op %d operand slot %d %s", bi, oi, slot, why)
 				}
-				if err := ref(o.slot, fmt.Sprintf("op %d operand", oi)); err != nil {
-					return err
-				}
-				if o.slot >= oi {
-					return fmt.Errorf("edgegen: b%d: op %d references slot %d at or after itself", bi, oi, o.slot)
+				if slot >= oi {
+					return fmt.Errorf("edgegen: b%d: op %d references slot %d at or after itself", bi, oi, slot)
 				}
 			}
 			switch op.Kind {
+			case KALU, KALUImm:
+				if _, ok := aluNames[op.Op]; !ok {
+					return fmt.Errorf("edgegen: b%d: op %d has opcode %s outside the generator's ALU set", bi, oi, op.Op)
+				}
+				if op.Kind == KALUImm && op.Op.IsFP() {
+					return fmt.Errorf("edgegen: b%d: op %d gives FP opcode %s an immediate", bi, oi, op.Op)
+				}
 			case KLoad, KStore:
 				switch op.Size {
 				case 1, 2, 4, 8:
@@ -186,14 +205,12 @@ func (s *Spec) Validate() error {
 				}
 				written[op.Reg] = true
 			}
-			if op.Kind == KStore || op.Kind == KWrite {
-				if op.Guard >= 0 {
-					if err := ref(op.Guard, fmt.Sprintf("op %d guard", oi)); err != nil {
-						return err
-					}
-					if op.Guard >= oi {
-						return fmt.Errorf("edgegen: b%d: op %d guard slot %d at or after itself", bi, oi, op.Guard)
-					}
+			if (op.Kind == KStore || op.Kind == KWrite) && op.Guard >= 0 {
+				if why := blk.badSlot(op.Guard); why != "" {
+					return fmt.Errorf("edgegen: b%d: op %d guard slot %d %s", bi, oi, op.Guard, why)
+				}
+				if op.Guard >= oi {
+					return fmt.Errorf("edgegen: b%d: op %d guard slot %d at or after itself", bi, oi, op.Guard)
 				}
 			}
 		}
@@ -211,8 +228,8 @@ func (s *Spec) Validate() error {
 				return err
 			}
 		case TBranchIf:
-			if err := ref(t.P, "branch predicate"); err != nil {
-				return err
+			if why := blk.badSlot(t.P); why != "" {
+				return fmt.Errorf("edgegen: b%d: branch predicate slot %d %s", bi, t.P, why)
 			}
 			if err := forward(t.To1, "then"); err != nil {
 				return err
@@ -235,7 +252,8 @@ func (s *Spec) Validate() error {
 }
 
 // aluNames maps the ALU opcodes the generator emits to their assembly
-// mnemonics.  Kept in spec.go because Asm is the canonical lowering.
+// mnemonics; Validate rejects a KALU or KALUImm opcode it does not name,
+// since Asm could print no text for it.
 var aluNames = map[isa.Opcode]string{
 	isa.OpAdd: "add", isa.OpSub: "sub", isa.OpMul: "mul",
 	isa.OpDiv: "div", isa.OpDivU: "divu", isa.OpMod: "mod",
@@ -246,10 +264,14 @@ var aluNames = map[isa.Opcode]string{
 	isa.OpFAdd: "fadd", isa.OpFSub: "fsub", isa.OpFMul: "fmul",
 }
 
+// addrMask is the mask a size-byte access's address seed is ANDed with:
+// it keeps the access inside the data region and aligned to its size.
+func addrMask(size uint8) int64 { return int64(DataBytes-1) &^ int64(size-1) }
+
 // Asm renders the Spec in the textual assembly grammar (internal/asm)
-// — the same text a .tfa reproducer dump contains.  Build assembles
-// exactly this text, so a dumped program and the harness's in-memory
-// program are one and the same by construction.
+// — the same text a .tfa reproducer dump contains.  asm.Assemble of
+// this text deep-equals Build's program (TestBuildMatchesAssembly), so
+// a dumped program replays the program the harness ran.
 func (s *Spec) Asm() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "; edgegen seed=%d\n", s.Seed)
@@ -259,8 +281,7 @@ func (s *Spec) Asm() string {
 		// addr emits the two-op address computation confining a memory
 		// access to the data region, returning the address value name.
 		addr := func(oi int, seed int, size uint8) string {
-			mask := int64(DataBytes-1) &^ int64(size-1)
-			fmt.Fprintf(&b, "    %%b%da%d = and %s, #%d\n", bi, oi, v(seed), mask)
+			fmt.Fprintf(&b, "    %%b%da%d = and %s, #%d\n", bi, oi, v(seed), addrMask(size))
 			fmt.Fprintf(&b, "    %%b%dm%d = add %%b%da%d, #%d\n", bi, oi, bi, oi, int64(DataBase))
 			return fmt.Sprintf("%%b%dm%d", bi, oi)
 		}
@@ -318,13 +339,90 @@ func (s *Spec) Asm() string {
 	return b.String()
 }
 
-// Build lowers the Spec to a laid-out program through the assembly
-// grammar and the builder's validation pipeline.
+// Build lowers a valid Spec to a laid-out program.  It makes the
+// builder calls asm.Assemble makes for the text Asm renders, in the same
+// order — the and/add address pair before each load and store, guards
+// through When and Unless, the five-instruction loop tail, blocks named
+// b<i> with entry b0 — so the program deep-equals the assembled text's
+// without printing or parsing it (TestBuildMatchesAssembly).
 func (s *Spec) Build() (*prog.Program, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return asm.Assemble(s.Asm())
+	b := prog.NewBuilder()
+	names := make([]string, len(s.Blocks))
+	for bi := range names {
+		names[bi] = "b" + strconv.Itoa(bi)
+	}
+	// vals[slot] is the value of op slot in the block being lowered;
+	// Validate admits reads of earlier value-producing slots only.
+	var buf [maxOps]prog.Ref
+	vals := buf[:]
+	for bi := range s.Blocks {
+		blk := &s.Blocks[bi]
+		if len(blk.Ops) > len(vals) {
+			vals = make([]prog.Ref, len(blk.Ops))
+		}
+		bb := b.Block(names[bi])
+		for oi := range blk.Ops {
+			op := &blk.Ops[oi]
+			switch op.Kind {
+			case KConst:
+				vals[oi] = bb.Const(op.Imm)
+			case KRead:
+				vals[oi] = bb.Read(int(op.Reg))
+			case KALU:
+				vals[oi] = bb.Op(op.Op, vals[op.A], vals[op.B])
+			case KALUImm:
+				vals[oi] = bb.OpI(op.Op, vals[op.A], op.Imm)
+			case KLoad:
+				vals[oi] = bb.Load(dataAddr(bb, vals[op.A], op.Size), 0, int(op.Size), op.Signed)
+			case KSelect:
+				vals[oi] = bb.Select(vals[op.A], vals[op.B], vals[op.C])
+			case KStore:
+				a := dataAddr(bb, vals[op.A], op.Size)
+				guarded(bb, op, vals).Store(a, vals[op.B], 0, int(op.Size))
+			case KWrite:
+				guarded(bb, op, vals).Write(int(op.Reg), vals[op.A])
+			}
+		}
+		switch t := blk.Term; t.Kind {
+		case THalt:
+			bb.Halt()
+		case TBranch:
+			bb.Branch(names[t.To1])
+		case TBranchIf:
+			bb.BranchIf(vals[t.P], names[t.To1], names[t.To2])
+		case TLoop:
+			lr := loopRegBase + bi
+			li2 := bb.OpI(isa.OpAdd, bb.Read(lr), 1)
+			bb.Write(lr, li2)
+			bb.BranchIf(bb.OpI(isa.OpLt, li2, t.Trips), names[bi], names[t.To1])
+		}
+	}
+	p, err := b.Program(names[0])
+	if err != nil {
+		return nil, fmt.Errorf("edgegen: %w", err)
+	}
+	return p, nil
+}
+
+// dataAddr emits the two-op address computation that confines a
+// size-byte access seeded by seed to the data region.
+func dataAddr(bb *prog.BlockBuilder, seed prog.Ref, size uint8) prog.Ref {
+	return bb.OpI(isa.OpAdd, bb.OpI(isa.OpAnd, seed, addrMask(size)), int64(DataBase))
+}
+
+// guarded returns the builder a store or write emits through: bb
+// itself, or bb predicated on the op's guard slot.
+func guarded(bb *prog.BlockBuilder, op *OpSpec, vals []prog.Ref) *prog.BlockBuilder {
+	switch {
+	case op.Guard < 0:
+		return bb
+	case op.GuardNeg:
+		return bb.Unless(vals[op.Guard])
+	}
+	return bb.When(vals[op.Guard])
 }
 
 // Input returns the initial architectural state for running the Spec:

@@ -3,6 +3,7 @@ package exec
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -139,6 +140,49 @@ func TestPageMemAttachedProperty(t *testing.T) {
 			cow.Digest() == eager.Digest() && img.Digest() == want && other.Digest() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDigestSeesEveryByte: changing any one byte of a non-zero page changes
+// the digest.  Every byte of two full random pages takes three flips, and
+// random single-byte flips hit sparse pages, which are mostly zero words.
+func TestDigestSeesEveryByte(t *testing.T) {
+	m := NewPageMem()
+	r := rand.New(rand.NewSource(1))
+	const lo, hi = 0x7000, 0x9000
+	for a := uint64(lo); a < hi; a += 8 {
+		m.Store(a, 8, r.Uint64())
+	}
+	base := m.Digest()
+	for a := uint64(lo); a < hi; a++ {
+		v := m.Load(a, 1, false)
+		for _, x := range []uint64{0x01, 0x80, 0xff} {
+			m.Store(a, 1, v^x)
+			if m.Digest() == base {
+				t.Fatalf("flipping byte %#x by %#x leaves the digest at %#x", a, x, base)
+			}
+		}
+		m.Store(a, 1, v)
+	}
+	if m.Digest() != base {
+		t.Fatalf("restored memory digests to %#x, want %#x", m.Digest(), base)
+	}
+
+	f := func(offs [4]uint16, vals [4]byte, off uint16, x byte) bool {
+		m := NewPageMem()
+		for i, o := range offs {
+			m.Store(lo+uint64(o)%pageSize, 1, uint64(vals[i]|1))
+		}
+		a := lo + uint64(off)%pageSize
+		before := m.Digest()
+		m.Store(a, 1, m.Load(a, 1, false)^uint64(x|1))
+		if bytes.Count(m.ReadBytes(lo, pageSize), []byte{0}) == pageSize {
+			return true // the flip cleared the page's only byte: a zero page is skipped
+		}
+		return m.Digest() != before
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Mem is the architectural memory interface.
@@ -154,14 +154,19 @@ func (m *PageMem) Write32(addr uint64, v uint32)   { m.Store(addr, 4, uint64(v))
 func (m *PageMem) ReadF64(addr uint64) float64     { return math.Float64frombits(m.Read64(addr)) }
 func (m *PageMem) WriteF64(addr uint64, v float64) { m.Write64(addr, math.Float64bits(v)) }
 
-// Digest returns an FNV-1a hash of the memory image: page numbers in
-// ascending order followed by page contents, skipping all-zero pages so
+// Digest returns a hash of the memory image: page numbers in ascending
+// order, each followed by its page's contents, skipping all-zero pages so
 // the digest is insensitive to whether an untouched page was ever
 // materialized.  Two memories with identical architectural contents
 // produce identical digests regardless of access history, and so
 // regardless of which of their pages are shared with an image.
 func (m *PageMem) Digest() uint64 { return digest(m.pages) }
 
+// digest folds the image a word at a time: FNV-1a's xor and multiply over
+// 8 bytes, then a xorshift that feeds the product's high bits back into
+// the low ones.  Each step is a bijection of the running hash for a fixed
+// word and of the word for a fixed hash, so changing any one word of a
+// non-zero page changes the digest.
 func digest(pages map[uint64]page) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -171,28 +176,24 @@ func digest(pages map[uint64]page) uint64 {
 	for pn := range pages {
 		pns = append(pns, pn)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	slices.Sort(pns)
 	h := uint64(offset64)
-	byte1a := func(b byte) { h = (h ^ uint64(b)) * prime64 }
+	fold := func(w uint64) {
+		h = (h ^ w) * prime64
+		h ^= h >> 32
+	}
 	for _, pn := range pns {
 		p := pages[pn].b
-		zero := true
-		for _, b := range p {
-			if b != 0 {
-				zero = false
-				break
-			}
+		first := 0
+		for first < pageSize && binary.LittleEndian.Uint64(p[first:]) == 0 {
+			first += 8
 		}
-		if zero {
+		if first == pageSize {
 			continue
 		}
-		var hdr [8]byte
-		binary.LittleEndian.PutUint64(hdr[:], pn)
-		for _, b := range hdr {
-			byte1a(b)
-		}
-		for _, b := range p {
-			byte1a(b)
+		fold(pn)
+		for i := 0; i < pageSize; i += 8 {
+			fold(binary.LittleEndian.Uint64(p[i:]))
 		}
 	}
 	return h

@@ -1,0 +1,73 @@
+package fuzz
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"github.com/clp-sim/tflex/internal/asm"
+	"github.com/clp-sim/tflex/internal/edgegen"
+)
+
+// TestCheckSeedAllocs is the harness's allocation budget: what CheckSeed
+// allocates for seeds 0-49 once the chip pool is warm, at GOMAXPROCS 1
+// (testing.AllocsPerRun).  It covers generating, building and running each
+// program on all eight executors; the ceiling is the measured count, go1.24
+// linux/amd64, plus 10 %.  Under -race the Core2 model's sync.Pool drops
+// states at random, so the count is not deterministic and the test skips.
+func TestCheckSeedAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops at random under -race")
+	}
+	const measured = 11448
+	h := New()
+	var failed error
+	allocs := testing.AllocsPerRun(3, func() {
+		for seed := int64(0); seed < 50; seed++ {
+			d, err := h.CheckSeed(seed)
+			if d != nil {
+				err = fmt.Errorf("seed %d: %s diverges: %s", seed, d.Exec, d.Diff)
+			}
+			if err != nil && failed == nil {
+				failed = err
+			}
+		}
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	t.Logf("%.0f allocs per CheckSeed of seeds 0-49", allocs)
+	if limit := 1.1 * measured; allocs > limit {
+		t.Errorf("%.0f allocs, budget %.0f (1.1 x %d)", allocs, limit, measured)
+	}
+}
+
+// buildMatchesAssembly fails t unless Build and asm.Assemble of Asm's text
+// agree on s: both refuse it, or their programs are deep-equal.
+func buildMatchesAssembly(t *testing.T, s *edgegen.Spec) {
+	t.Helper()
+	got, gerr := s.Build()
+	want, aerr := asm.Assemble(s.Asm())
+	if (gerr == nil) != (aerr == nil) {
+		t.Fatalf("seed %d: Build error %v, asm.Assemble(Asm()) error %v\nprogram:\n%s", s.Seed, gerr, aerr, s.Asm())
+	}
+	if gerr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed %d: Build and asm.Assemble(Asm()) differ\nBuild:\n%s\nAssemble:\n%s",
+			s.Seed, asm.Disassemble(got), asm.Disassemble(want))
+	}
+}
+
+// TestCandidatesBuildMatchesAssembly holds every shrink candidate of seeds
+// 0-49 to the equivalence edgegen's TestBuildMatchesAssembly holds for
+// generated programs: truncated block lists, simplified terminators and
+// neutralized ops lower directly as they assemble from text.
+func TestCandidatesBuildMatchesAssembly(t *testing.T) {
+	n := 0
+	for seed := int64(0); seed < 50; seed++ {
+		for _, c := range candidates(edgegen.GenSpec(seed)) {
+			buildMatchesAssembly(t, c)
+			n++
+		}
+	}
+	t.Logf("%d candidates", n)
+}

@@ -45,13 +45,15 @@ func TestFuzzCorpus(t *testing.T) {
 //	go test -fuzz=FuzzDifferential ./internal/fuzz
 //
 // The fuzzing engine mutates the seed; every derived program must
-// agree across executors.  Plain `go test` runs just the f.Add corpus.
+// build directly as it assembles from its text, and agree across
+// executors.  Plain `go test` runs just the f.Add corpus.
 func FuzzDifferential(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}
 	h := New()
 	f.Fuzz(func(t *testing.T, seed int64) {
+		buildMatchesAssembly(t, edgegen.GenSpec(seed))
 		d, err := h.CheckSeed(seed)
 		if err != nil {
 			t.Fatal(err)

@@ -16,7 +16,9 @@ import (
 // Init, so a warm Build pays for the program, the reference's data and
 // the attached memory's page table, not for input pages: mcf fell from
 // 4,323,021 B and 1,118 allocations, when Init stored every input
-// element into fresh pages, to 109,313 B and 76.  A kernel that copies
+// element into fresh pages, to 109,313 B and 76, and to 108,680 B and 40
+// once the builder carved each block's consumer, target and decode lists
+// from one slice apiece and kept no per-block maps.  A kernel that copies
 // its inputs into an image, an Init that writes pages again, or a Check
 // that allocates, fails here before it shows in the benchmark's
 // alloc_kb_per_block.  Under -race the runtime adds bytes of its own
@@ -28,14 +30,14 @@ func TestKernelBuildBudget(t *testing.T) {
 		name          string
 		bytes, allocs float64 // measured: the log line below, go1.24 linux/amd64
 	}{
-		{"conv", 115960, 392},
-		{"ct", 107689, 312},
-		{"mcf", 109313, 76},
-		{"gcc", 93105, 244},
-		{"ammp", 47352, 159},
-		{"8b10b", 52520, 166},
-		{"art", 206224, 273},
-		{"bzip2", 89160, 243},
+		{"conv", 108642, 42},
+		{"ct", 103201, 43},
+		{"mcf", 108680, 40},
+		{"gcc", 85088, 91},
+		{"ammp", 45408, 37},
+		{"8b10b", 50169, 41},
+		{"art", 200632, 56},
+		{"bzip2", 80736, 89},
 	} {
 		k, ok := ByName(c.name)
 		if !ok {

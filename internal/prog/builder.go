@@ -3,6 +3,8 @@ package prog
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"github.com/clp-sim/tflex/internal/isa"
 )
@@ -23,7 +25,8 @@ func NewBuilder() *Builder {
 func (b *Builder) Block(name string) *BlockBuilder {
 	s, ok := b.blocks[name]
 	if !ok {
-		s = &blockState{name: name, writeSlot: map[uint8]int{}, readSlot: map[uint8]int{}}
+		// Room for a small block's values saves append's first growths.
+		s = &blockState{name: name, nodes: make([]node, 0, 8)}
 		b.blocks[name] = s
 		b.names = append(b.names, name)
 	}
@@ -32,7 +35,7 @@ func (b *Builder) Block(name string) *BlockBuilder {
 
 // Program seals every block, lays out the program and validates it.
 func (b *Builder) Program(entry string) (*Program, error) {
-	p := &Program{Entry: entry}
+	p := &Program{Entry: entry, Blocks: make([]*isa.Block, 0, len(b.names))}
 	for _, name := range b.names {
 		s := b.blocks[name]
 		blk, err := s.seal()
@@ -106,15 +109,18 @@ type node struct {
 	mergeA, mergeB int // node indices of the two producers
 
 	id        int // instruction ID after seal (insts only)
+	uses      int // consumers before fan-out, counted by seal
 	consumers []endpoint
 }
+
+// writeUse records a Write: node feeds write slot slot.
+type writeUse struct{ node, slot int }
 
 type blockState struct {
 	name      string
 	nodes     []node
 	writes    []isa.WriteSlot
-	writeSlot map[uint8]int
-	readSlot  map[uint8]int
+	writeUses []writeUse // in Write order
 	nextLSID  int8
 	nextExit  uint8
 	err       error
@@ -170,17 +176,25 @@ func (bb *BlockBuilder) apply(n *node) {
 // When returns a builder whose emissions are predicated on p being true
 // (non-zero).  p should be a 0/1 value (e.g. from a comparison).  Guards
 // nest: a When inside a When combines predicates with AND.
-func (bb *BlockBuilder) When(p Ref) *BlockBuilder { return bb.guarded(p, isa.PredOnTrue) }
+func (bb *BlockBuilder) When(p Ref) *BlockBuilder {
+	g := bb.guarded(p, isa.PredOnTrue)
+	return &g
+}
 
 // Unless returns a builder predicated on p being false (zero).
-func (bb *BlockBuilder) Unless(p Ref) *BlockBuilder { return bb.guarded(p, isa.PredOnFalse) }
+func (bb *BlockBuilder) Unless(p Ref) *BlockBuilder {
+	g := bb.guarded(p, isa.PredOnFalse)
+	return &g
+}
 
-func (bb *BlockBuilder) guarded(p Ref, kind isa.PredKind) *BlockBuilder {
+// guarded is When or Unless by value, for callers that keep the guarded
+// builder only while they emit through it.
+func (bb *BlockBuilder) guarded(p Ref, kind isa.PredKind) BlockBuilder {
 	if !bb.s.check(p, "guard") {
-		return &BlockBuilder{s: bb.s}
+		return BlockBuilder{s: bb.s}
 	}
 	if bb.guardKind == isa.PredNone {
-		return &BlockBuilder{s: bb.s, guard: p, guardKind: kind}
+		return BlockBuilder{s: bb.s, guard: p, guardKind: kind}
 	}
 	// Nested guard: combine with the enclosing one into a single 0/1 value.
 	base := bb.s
@@ -192,7 +206,7 @@ func (bb *BlockBuilder) guarded(p Ref, kind isa.PredKind) *BlockBuilder {
 	}
 	root := &BlockBuilder{s: base}
 	combined := root.Op(isa.OpAnd, outer, inner)
-	return &BlockBuilder{s: base, guard: combined, guardKind: isa.PredOnTrue}
+	return BlockBuilder{s: base, guard: combined, guardKind: isa.PredOnTrue}
 }
 
 // GuardValue materializes the builder's current guard as an unpredicated
@@ -227,12 +241,12 @@ func (bb *BlockBuilder) Read(reg int) Ref {
 		s.fail("read of invalid register %d", reg)
 		return Ref{}
 	}
-	if idx, ok := s.readSlot[uint8(reg)]; ok {
-		return Ref{s: s, idx: idx, ok: true}
+	for i := range s.nodes {
+		if n := &s.nodes[i]; n.kind == nodeRead && int(n.reg) == reg {
+			return Ref{s: s, idx: i, ok: true}
+		}
 	}
-	r := s.add(node{kind: nodeRead, reg: uint8(reg)})
-	s.readSlot[uint8(reg)] = r.idx
-	return r
+	return s.add(node{kind: nodeRead, reg: uint8(reg)})
 }
 
 // Write routes v to architectural register reg at block commit.  Multiple
@@ -246,11 +260,10 @@ func (bb *BlockBuilder) Write(reg int, v Ref) {
 		s.fail("write of invalid register %d", reg)
 		return
 	}
-	slot, ok := s.writeSlot[uint8(reg)]
-	if !ok {
+	slot := slices.IndexFunc(s.writes, func(w isa.WriteSlot) bool { return int(w.Reg) == reg })
+	if slot < 0 {
 		slot = len(s.writes)
 		s.writes = append(s.writes, isa.WriteSlot{Reg: uint8(reg)})
-		s.writeSlot[uint8(reg)] = slot
 	}
 	// Route through a mov so predication and fan-out stay uniform: a write
 	// from a guarded region must be a guarded producer.
@@ -259,7 +272,7 @@ func (bb *BlockBuilder) Write(reg int, v Ref) {
 		bb.apply(&n)
 		v = s.add(n)
 	}
-	s.nodes[v.idx].consumers = append(s.nodes[v.idx].consumers, endpoint{isa.TargetWrite, slot})
+	s.writeUses = append(s.writeUses, writeUse{v.idx, slot})
 }
 
 // Const produces a signed 64-bit constant.
@@ -403,8 +416,8 @@ func (bb *BlockBuilder) Select(p, a, b Ref) Ref {
 	if !s.check(p, "select pred") || !s.check(a, "select a") || !s.check(b, "select b") {
 		return Ref{}
 	}
-	t := bb.When(p)
-	f := bb.Unless(p)
+	t := bb.guarded(p, isa.PredOnTrue)
+	f := bb.guarded(p, isa.PredOnFalse)
 	ra := t.Mov(a)
 	rb := f.Mov(b)
 	if s.err != nil {
@@ -452,8 +465,10 @@ func (bb *BlockBuilder) branch(op isa.Opcode, label string, addr Ref) {
 // BranchIf emits a conditional pair: branch to thenLabel if p, else to
 // elseLabel.  Exactly one of the two branches fires.
 func (bb *BlockBuilder) BranchIf(p Ref, thenLabel, elseLabel string) {
-	bb.When(p).Branch(thenLabel)
-	bb.Unless(p).Branch(elseLabel)
+	t := bb.guarded(p, isa.PredOnTrue)
+	t.Branch(thenLabel)
+	f := bb.guarded(p, isa.PredOnFalse)
+	f.Branch(elseLabel)
 }
 
 // placeInsts assigns instruction IDs so that dependence chains share a
@@ -467,7 +482,14 @@ func (s *blockState) placeInsts() {
 	const classes = 32
 	slotCap := isa.MaxBlockInsts / classes
 	var load [classes]int
-	classOf := make([]int, len(s.nodes))
+	// classOf[i] is node i's class once placed, else -1; a valid block's
+	// nodes fit the buffer.
+	var buf [4 * isa.MaxBlockInsts]int8
+	classOf := buf[:0]
+	if len(s.nodes) > len(buf) {
+		classOf = make([]int8, 0, len(s.nodes))
+	}
+	classOf = classOf[:len(s.nodes)]
 	for i := range classOf {
 		classOf[i] = -1
 	}
@@ -481,7 +503,7 @@ func (s *blockState) placeInsts() {
 		}
 		switch s.nodes[idx].kind {
 		case nodeInst:
-			return classOf[idx]
+			return int(classOf[idx])
 		case nodeRead:
 			return int(s.nodes[idx].reg) % classes
 		}
@@ -515,7 +537,7 @@ func (s *blockState) placeInsts() {
 			if ep.kind == isa.TargetWrite {
 				want = int(s.writes[ep.node].Reg) % classes
 			} else if classOf[ep.node] >= 0 {
-				want = classOf[ep.node]
+				want = int(classOf[ep.node])
 			}
 		}
 		cls := want
@@ -523,7 +545,7 @@ func (s *blockState) placeInsts() {
 			cls = leastLoaded()
 		}
 		n.id = cls + classes*load[cls]
-		classOf[i] = cls
+		classOf[i] = int8(cls)
 		load[cls]++
 	}
 }
@@ -534,20 +556,33 @@ func (s *blockState) seal() (*isa.Block, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	// Resolve operand references into consumer lists on producers.
-	resolveInto := func(producer Ref, ep endpoint) {
-		// Follow merge chains: both arms gain the endpoint.
-		var walk func(idx int)
-		walk = func(idx int) {
-			n := &s.nodes[idx]
-			if n.kind == nodeMerge {
-				walk(n.mergeA)
-				walk(n.mergeB)
-				return
-			}
-			n.consumers = append(n.consumers, ep)
+	// Every producer's consumers are its writes in Write order, then the
+	// operands naming it (through merge chains) in node order.  Count
+	// them, and the lists the fan-out trees below build, and carve every
+	// list from one slice.
+	total := len(s.writeUses)
+	for _, w := range s.writeUses {
+		s.nodes[w.node].uses++
+	}
+	for i := range s.nodes {
+		if n := &s.nodes[i]; n.kind == nodeInst {
+			total += s.countUses(n.a) + s.countUses(n.b) + s.countUses(n.p)
 		}
-		walk(producer.idx)
+	}
+	fanOut := 0
+	for i := range s.nodes {
+		for l := s.nodes[i].uses; l > isa.MaxTargets; l = (l + 1) / 2 {
+			fanOut += (l + 1) / 2
+		}
+	}
+	eps := make([]endpoint, total+fanOut)
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		n.consumers, eps = eps[:0:n.uses], eps[n.uses:]
+	}
+	for _, w := range s.writeUses {
+		n := &s.nodes[w.node]
+		n.consumers = append(n.consumers, endpoint{isa.TargetWrite, w.slot})
 	}
 	for i := range s.nodes {
 		n := &s.nodes[i]
@@ -555,17 +590,18 @@ func (s *blockState) seal() (*isa.Block, error) {
 			continue
 		}
 		if n.a.ok {
-			resolveInto(n.a, endpoint{isa.TargetLeft, i})
+			s.resolve(n.a.idx, endpoint{isa.TargetLeft, i})
 		}
 		if n.b.ok {
-			resolveInto(n.b, endpoint{isa.TargetRight, i})
+			s.resolve(n.b.idx, endpoint{isa.TargetRight, i})
 		}
 		if n.p.ok {
-			resolveInto(n.p, endpoint{isa.TargetPred, i})
+			s.resolve(n.p.idx, endpoint{isa.TargetPred, i})
 		}
 	}
 	// Fan-out: while a producer has more than MaxTargets consumers, pair
-	// endpoints under fresh movs (balanced reduction).
+	// endpoints under fresh movs (balanced reduction).  A mov's two
+	// consumers are a pair of its producer's old list.
 	nInsts := 0
 	for i := range s.nodes {
 		if s.nodes[i].kind == nodeInst {
@@ -578,53 +614,64 @@ func (s *blockState) seal() (*isa.Block, error) {
 			continue
 		}
 		for len(n.consumers) > isa.MaxTargets {
-			var next []endpoint
-			eps := n.consumers
-			for len(eps) >= 2 {
-				mov := node{kind: nodeInst, op: isa.OpMov, nullLSID: -1,
-					consumers: []endpoint{eps[0], eps[1]}}
+			old := n.consumers
+			k := (len(old) + 1) / 2
+			next := eps[:0:k]
+			eps = eps[k:]
+			for len(old) >= 2 {
+				mov := node{kind: nodeInst, op: isa.OpMov, nullLSID: -1, consumers: old[:2:2]}
 				nInsts++
 				s.nodes = append(s.nodes, mov)
 				n = &s.nodes[i] // s.nodes may have been reallocated
 				next = append(next, endpoint{isa.TargetLeft, len(s.nodes) - 1})
-				eps = eps[2:]
+				old = old[2:]
 			}
-			next = append(next, eps...)
-			n.consumers = next
+			n.consumers = append(next, old...)
 		}
 	}
 	if nInsts > isa.MaxBlockInsts {
 		return nil, fmt.Errorf("block %s: %d instructions after fan-out exceeds %d", s.name, nInsts, isa.MaxBlockInsts)
 	}
 	s.placeInsts()
-	// The fan-out movs introduced above use node indices in their
-	// endpoints, but endpoints created from operand refs also use node
-	// indices, so translation to instruction IDs is uniform.
-	nodeToID := make([]int, len(s.nodes))
+	// Operand endpoints and the fan-out movs' endpoints both name nodes by
+	// index, so translation to instruction IDs is uniform.  Every read's
+	// and instruction's targets are carved from one slice, each capped at
+	// its own length.
+	nTargets, nReads := 0, 0
 	for i := range s.nodes {
-		nodeToID[i] = s.nodes[i].id
+		n := &s.nodes[i]
+		if n.kind == nodeMerge {
+			continue
+		}
+		if len(n.consumers) > isa.MaxTargets {
+			return nil, fmt.Errorf("block %s: internal: %d targets after fan-out", s.name, len(n.consumers))
+		}
+		nTargets += len(n.consumers)
+		if n.kind == nodeRead {
+			nReads++
+		}
 	}
-	targetsOf := func(n *node) ([]isa.Target, error) {
-		var ts []isa.Target
-		for _, ep := range n.consumers {
-			switch ep.kind {
-			case isa.TargetWrite:
-				ts = append(ts, isa.Target{Kind: isa.TargetWrite, Index: uint8(ep.node)})
-			default:
-				dst := nodeToID[ep.node]
-				// The mov endpoints reference mov nodes by index whose
-				// endpoint kind is TargetLeft; instruction endpoints carry
-				// their own kind.
-				ts = append(ts, isa.Target{Kind: ep.kind, Index: uint8(dst)})
+	all := make([]isa.Target, nTargets)
+	targetsOf := func(n *node) []isa.Target {
+		if len(n.consumers) == 0 {
+			return nil
+		}
+		ts := all[:len(n.consumers):len(n.consumers)]
+		all = all[len(n.consumers):]
+		for j, ep := range n.consumers {
+			idx := ep.node // a write slot for TargetWrite
+			if ep.kind != isa.TargetWrite {
+				idx = s.nodes[ep.node].id
 			}
+			ts[j] = isa.Target{Kind: ep.kind, Index: uint8(idx)}
 		}
-		if len(ts) > isa.MaxTargets {
-			return nil, fmt.Errorf("block %s: internal: %d targets after fan-out", s.name, len(ts))
-		}
-		return ts, nil
+		return ts
 	}
 
 	blk := &isa.Block{Name: s.name, Writes: s.writes}
+	if nReads > 0 {
+		blk.Reads = make([]isa.ReadSlot, 0, nReads)
+	}
 	maxID := 0
 	for i := range s.nodes {
 		if s.nodes[i].kind == nodeInst && s.nodes[i].id > maxID {
@@ -634,36 +681,53 @@ func (s *blockState) seal() (*isa.Block, error) {
 	// Slots the placement left unused stay as nops (TRIPS blocks are
 	// fixed-format 128-slot chunks; unused slots are never dispatched).
 	blk.Insts = make([]isa.Inst, maxID+1)
-	storeIDs := map[int8]bool{}
+	var storeMask uint32 // bit l: LSID l is a store slot
 	for i := range s.nodes {
 		n := &s.nodes[i]
 		switch n.kind {
 		case nodeRead:
-			ts, err := targetsOf(n)
-			if err != nil {
-				return nil, err
-			}
-			blk.Reads = append(blk.Reads, isa.ReadSlot{Reg: n.reg, Targets: ts})
+			blk.Reads = append(blk.Reads, isa.ReadSlot{Reg: n.reg, Targets: targetsOf(n)})
 		case nodeInst:
-			ts, err := targetsOf(n)
-			if err != nil {
-				return nil, err
-			}
-			in := isa.Inst{
+			blk.Insts[n.id] = isa.Inst{
 				Op: n.op, Pred: n.predKind, Imm: n.imm, HasImm: n.hasImm,
-				Targets: ts, LSID: n.lsid, NullLSID: n.nullLSID,
+				Targets: targetsOf(n), LSID: n.lsid, NullLSID: n.nullLSID,
 				MemSize: n.memSize, MemSigned: n.memSigned,
 				Exit: n.exit, BranchTo: n.branchTo,
 			}
 			if n.op == isa.OpStore || (n.op == isa.OpNull && n.nullLSID >= 0) {
-				storeIDs[n.lsid] = true
+				storeMask |= 1 << uint(n.lsid)
 			}
-			blk.Insts[n.id] = in
 		}
 	}
-	blk.NumStores = len(storeIDs)
+	blk.NumStores = bits.OnesCount32(storeMask)
 	if len(blk.Reads) > isa.MaxReads {
 		return nil, fmt.Errorf("block %s: %d reads exceeds %d", s.name, len(blk.Reads), isa.MaxReads)
 	}
 	return blk, nil
+}
+
+// countUses counts a use of r on each producer it stands for, following
+// merge chains as resolve does, and returns how many it counted.
+func (s *blockState) countUses(r Ref) int {
+	if !r.ok {
+		return 0
+	}
+	idx, n := r.idx, 0
+	for s.nodes[idx].kind == nodeMerge {
+		n += s.countUses(Ref{idx: s.nodes[idx].mergeA, ok: true})
+		idx = s.nodes[idx].mergeB
+	}
+	s.nodes[idx].uses++
+	return n + 1
+}
+
+// resolve adds ep to the consumers of the producer node idx, following
+// merge chains: both arms of a merge gain the endpoint, the first arm's
+// producers first.
+func (s *blockState) resolve(idx int, ep endpoint) {
+	for s.nodes[idx].kind == nodeMerge {
+		s.resolve(s.nodes[idx].mergeA, ep)
+		idx = s.nodes[idx].mergeB
+	}
+	s.nodes[idx].consumers = append(s.nodes[idx].consumers, ep)
 }

@@ -84,6 +84,41 @@ func link(b *isa.Block, idx int) Linked {
 	for i := range b.Reads {
 		count(b.Reads[i].Targets)
 	}
+	// Live and every Cover and Loads list are carved from one slice, each
+	// capped at its own length.
+	var nLive int
+	var nLoads, nCover [isa.MaxMemOps]int
+	for i := range b.Insts {
+		switch in := &b.Insts[i]; {
+		case in.Op == isa.OpNop:
+			continue
+		case in.Op == isa.OpLoad:
+			nLoads[in.LSID]++
+		case in.Op == isa.OpStore:
+			nCover[in.LSID]++
+		case in.Op == isa.OpNull && in.NullLSID >= 0:
+			nCover[in.NullLSID]++
+		}
+		nLive++
+	}
+	total := nLive
+	for lsid := range nLoads {
+		total += nLoads[lsid] + nCover[lsid]
+	}
+	ids := make([]int32, total)
+	carve := func(n int) []int32 {
+		if n == 0 {
+			return nil
+		}
+		s := ids[:0:n]
+		ids = ids[n:]
+		return s
+	}
+	l.Live = carve(nLive)
+	for lsid := range nLoads {
+		l.Loads[lsid] = carve(nLoads[lsid])
+		l.Cover[lsid] = carve(nCover[lsid])
+	}
 	for i := range l.FirstMem {
 		l.FirstMem[i] = -1
 	}
