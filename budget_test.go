@@ -18,7 +18,8 @@ import (
 // 1.10x of the measured value (the highest of five runs).  A chip is
 // about 400 KB: when every untapped run built one, conv cost 491,312 B
 // and 650 allocations, and when an observed run kept its chip, 697,592 B
-// and 792.  The pool is a plain list, so the warm-up's chip serves the
+// and 792; when each observed run armed a new 128 KiB flight ring and
+// grew its trace and sample slices by append, 306,408 B.  The pool is a plain list, so the warm-up's chip serves the
 // measured call whatever the collector or the race detector does.  The
 // race detector's runtime adds bytes of its own, so a -race build holds
 // the allocations alone; there the observed leg's attribution records,
@@ -35,7 +36,7 @@ func TestRunKernelReuseBudget(t *testing.T) {
 		{"untapped", "conv", 1, func() RunConfig { return RunConfig{Cores: 8} }, 86096, 403},
 		{"observed", "conv", 1, func() RunConfig {
 			return RunConfig{Cores: 8, CollectMetrics: true, SampleEvery: 64, ChromeTrace: NewTrace(), CritPath: true, Flight: true}
-		}, 296120, 548},
+		}, 154936, 548},
 		{"untapped", "mcf", 32, func() RunConfig { return RunConfig{Cores: 8} }, 110992, 86},
 	} {
 		if _, err := RunKernel(leg.kernel, leg.scale, leg.cfg()); err != nil {

@@ -36,14 +36,16 @@
 # by the budgets
 # that are deterministic for a seed and so cannot flake — allocations per
 # marginal block untapped and with every tap armed, bytes per marginal
-# block on the Reference engine, chip set-up bytes
+# block with every tap armed and on the Reference engine, chip set-up bytes
 # and allocations (bare, and with the metric registry armed), the bytes
-# and allocations of a job on a reused chip (Reset, then the job), host
+# and allocations of a job on a reused chip (Reset, then the job: a short
+# loop, and a whole gcc run that flushes blocks with reads waiting), host
 # events executed per committed block, and the sizes those rest on: a
 # reservation ring's footprint and link header, the event record and the
 # in-flight instruction state
 # (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
-# TestReferenceBytesPerBlock, TestChipSetupBudget, TestChipReuseBudget, TestEventsPerBlock, TestEventRecordSize,
+# TestObservedBytesPerBlock, TestReferenceBytesPerBlock, TestChipSetupBudget,
+# TestChipReuseBudget, TestWarmChipJobBudget, TestEventsPerBlock, TestEventRecordSize,
 # TestInstStateSize; TestRingFootprint in internal/noc), the critical-path
 # instruction record (TestCritRecordSize in internal/critpath), and allocations
 # per marginal block of the functional executor, untraced and traced
@@ -145,7 +147,7 @@ if [ "${1:-}" = "bench" ]; then
     fi
     rm -rf "$benchdir"
     echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, pooled runs, harness checks, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestReferenceBytesPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget|TestCheckSeedAllocs' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz
+    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestObservedBytesPerBlock|TestReferenceBytesPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestWarmChipJobBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget|TestCheckSeedAllocs' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz
     exit 0
 fi
 

@@ -84,6 +84,25 @@ type Ring struct {
 // DefaultEvents, above MaxEvents selects MaxEvents), rounded up to a
 // power of two, minimum 64.
 func NewRing(size int) *Ring {
+	n := ringLen(size)
+	return &Ring{mask: uint64(n - 1), rec: make([]Rec, n)}
+}
+
+// Renew returns r emptied when it holds as many records as
+// NewRing(size) would, and NewRing(size) otherwise (r nil included), so
+// a chip that keeps its ring between jobs re-arms it without
+// allocating.
+func (r *Ring) Renew(size int) *Ring {
+	if r == nil || len(r.rec) != ringLen(size) {
+		return NewRing(size)
+	}
+	clear(r.rec)
+	r.n = 0
+	return r
+}
+
+// ringLen is the record count NewRing gives a ring asked for size.
+func ringLen(size int) int {
 	if size <= 0 {
 		size = DefaultEvents
 	}
@@ -92,7 +111,7 @@ func NewRing(size int) *Ring {
 	for n < size {
 		n <<= 1
 	}
-	return &Ring{mask: uint64(n - 1), rec: make([]Rec, n)}
+	return n
 }
 
 // Add appends one record.  Nil-receiver safe: on a disabled recorder

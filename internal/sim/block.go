@@ -246,6 +246,11 @@ func (p *Proc) serveWriteWaiters(b *IFB, wi int, t uint64) {
 		}
 		p.resolveRead(wt.b, wt.readIdx, at)
 	}
+	p.recycleWaiters(waiters)
+}
+
+// recycleWaiters empties a read-waiter list onto p.waiterFree.
+func (p *Proc) recycleWaiters(waiters []readWaiter) {
 	clear(waiters) // the free list must not pin retired blocks
 	p.waiterFree = append(p.waiterFree, waiters[:0])
 }

@@ -78,13 +78,16 @@ type Chip struct {
 }
 
 // keptStorage is what a reset keeps: emptied L1 D-caches and issue
-// rings, which l1dAt and issueAt take before building one, and emptied
+// rings, which l1dAt and issueAt take before building one, emptied
 // processors, which AddProc takes for a processor of the same size
-// (newProc).
+// (newProc), and the flight ring, which EnableFlight takes back when it
+// has the size asked for (it holds no pointers, so it keeps nothing of
+// a job's caller).
 type keptStorage struct {
 	l1d   [compose.NumCores]*mem.Cache
 	issue [compose.NumCores]*noc.Ring
 	procs []*Proc
+	ring  *flight.Ring
 }
 
 // defaultStallEvents is orders of magnitude above what any legal cycle
@@ -103,9 +106,11 @@ func New(opts Options) *Chip {
 // telemetry, critical-path attribution and the flight recorder disarmed
 // — while keeping the storage the jobs run on it built: meshes and their
 // link rings, the L2 and L1 tag groups they filled, the event queue's
-// slab, and each processor's predictor, LSQ banks, I-cache, window and
+// slab, each processor's predictor, LSQ banks, I-cache, window and
 // in-flight block pool, which the next AddProc of a processor of the same
-// size takes over.  A reset zeroes only what the last job touched.
+// size takes over, and the flight ring, which the next EnableFlight of
+// the same size takes back.  A reset zeroes only what the last job
+// touched.
 //
 // Every *Proc obtained from the chip before Reset is invalid after it,
 // and so is the registry, trace or sampler armed before it; a
@@ -148,8 +153,8 @@ func (c *Chip) buildStorage() {
 }
 
 // emptyStorage empties everything the jobs since the last reset built or
-// touched, and parks the processors, L1 D-caches and issue rings in
-// c.kept for the next job to take.
+// touched, and parks the processors, L1 D-caches, issue rings and flight
+// ring in c.kept for the next job to take.
 func (c *Chip) emptyStorage() {
 	if c.critEnabled {
 		c.releaseCritRecords() // a failed run still holds its records
@@ -163,6 +168,9 @@ func (c *Chip) emptyStorage() {
 		c.Procs[i] = nil
 	}
 	c.Procs = c.Procs[:0]
+	if c.flight != nil {
+		c.kept.ring = c.flight
+	}
 	for core, cache := range c.l1d {
 		if cache != nil {
 			cache.Reset()

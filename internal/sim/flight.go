@@ -14,12 +14,18 @@ import (
 // running the event loop.
 
 // EnableFlight arms the flight recorder with a ring holding events
-// records (<= 0 selects flight.DefaultEvents).  Idempotent; call before
-// Run.
+// records (<= 0 selects flight.DefaultEvents): the ring the last reset
+// kept, emptied, when it has that size, else a new one.  Idempotent;
+// call before Run.
 func (c *Chip) EnableFlight(events int) {
-	if c.flight == nil {
-		c.flight = flight.NewRing(events)
+	if c.flight != nil {
+		return
 	}
+	var kept *flight.Ring
+	if c.kept != nil {
+		kept, c.kept.ring = c.kept.ring, nil
+	}
+	c.flight = kept.Renew(events)
 }
 
 // SetFlightSink directs post-mortem text dumps at w: Chip.Run writes

@@ -30,13 +30,21 @@ func (p *Proc) acquireIFB() *IFB {
 
 // releaseIFB retires a committed or flushed block.  Bumping the
 // generation invalidates every event, deferred load and read waiter still
-// pointing at it — the guard that makes pooling safe.  The reference path
-// bumps the generation too (identical event-drop behavior) but never
-// reuses the storage.
+// pointing at it — the guard that makes pooling safe.  A block flushed
+// before one of its writes resolved still holds that slot's read-waiter
+// list, which goes back to p.waiterFree here on either engine.  The
+// reference path bumps the generation too (identical event-drop
+// behavior) but never reuses the block's storage.
 func (p *Proc) releaseIFB(b *IFB) {
 	b.gen++
 	b.lk = nil
 	b.blk = nil
+	for i := range b.wr {
+		if w := b.wr[i].waiters; w != nil {
+			b.wr[i].waiters = nil
+			p.recycleWaiters(w)
+		}
+	}
 	if p.chip.Opts.Reference {
 		return
 	}

@@ -25,7 +25,7 @@ import (
 type Trace struct {
 	mu     sync.Mutex
 	events []chromeEvent
-	blocks []BlockRecord
+	blocks chunks[BlockRecord]
 }
 
 // BlockRecord is the lifetime of one dynamic block, written once when
@@ -121,13 +121,15 @@ func (r *BlockRecord) appendSpans(evs []chromeEvent) []chromeEvent {
 // spansPerBlock is how many events appendSpans adds.
 const spansPerBlock = 3
 
-// Block stores one retired block's record.  Safe on nil.
+// Block stores one retired block's record.  Records go into fixed
+// chunks, so storing one never copies the records before it.  Safe on
+// nil.
 func (t *Trace) Block(r BlockRecord) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.blocks = append(t.blocks, r)
+	t.blocks.push(r)
 	t.mu.Unlock()
 }
 
@@ -171,7 +173,7 @@ func (t *Trace) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events) + spansPerBlock*len(t.blocks)
+	return len(t.events) + spansPerBlock*t.blocks.n
 }
 
 // WriteJSON emits the trace as {"traceEvents":[...]} — the JSON Object
@@ -185,12 +187,20 @@ func (t *Trace) Len() int {
 // order, fetch, execute, commit within each.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	t.mu.Lock()
-	events := make([]chromeEvent, len(t.events), len(t.events)+spansPerBlock*len(t.blocks))
+	events := make([]chromeEvent, len(t.events), len(t.events)+spansPerBlock*t.blocks.n)
 	copy(events, t.events)
-	for i := range t.blocks {
-		events = t.blocks[i].appendSpans(events)
+	for _, ch := range t.blocks.list {
+		for i := range ch {
+			events = ch[i].appendSpans(events)
+		}
 	}
 	t.mu.Unlock()
+	return writeEvents(w, events)
+}
+
+// writeEvents sorts events by (ts, pid, tid, name), stably, and encodes
+// them as a {"traceEvents":[...]} document.
+func writeEvents(w io.Writer, events []chromeEvent) error {
 	sort.SliceStable(events, func(i, j int) bool {
 		a, b := &events[i], &events[j]
 		if a.TS != b.TS {
@@ -215,8 +225,13 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 // processor ID, for runs with more than one processor.
 func (t *Trace) WriteTimeline(w io.Writer, procColumn bool) error {
 	t.mu.Lock()
-	blocks := append([]BlockRecord(nil), t.blocks...)
+	blocks := t.blocks.appendTo(make([]BlockRecord, 0, t.blocks.n))
 	t.mu.Unlock()
+	return writeTimeline(w, blocks, procColumn)
+}
+
+// writeTimeline renders blocks as WriteTimeline's CSV.
+func writeTimeline(w io.Writer, blocks []BlockRecord, procColumn bool) error {
 	skip := 1
 	if procColumn {
 		skip = 0

@@ -14,14 +14,25 @@ import (
 //
 // The sampler is single-writer by design — it belongs to one chip and is
 // only advanced from that chip's event loop.
+//
+// Rows are stored back to back in fixed chunks (values) beside their
+// cycles, so a sample allocates no row of its own.  A row holds one
+// value per series tracked when it was taken; widths records where that
+// count changed.
 type Sampler struct {
 	interval uint64
 	names    []string
 	sources  []func() float64
-	cycles   []uint64
-	rows     [][]float64
+	cycles   chunks[uint64]
+	values   chunks[float64]
+	widths   []widthRun
+	row      []float64 // the latest row, handed to notify
 	notify   func(cycle uint64, names []string, row []float64)
 }
+
+// widthRun says that rows from row on hold width values each, up to the
+// next run.
+type widthRun struct{ row, width int }
 
 // NewSampler returns a sampler that wants one row every interval cycles
 // (intervals below 1 are clamped to 1).
@@ -84,14 +95,18 @@ func (s *Sampler) Sample(cycle uint64) {
 	if s == nil {
 		return
 	}
-	row := make([]float64, len(s.sources))
-	for i, fn := range s.sources {
-		row[i] = fn()
+	n := len(s.sources)
+	if k := len(s.widths); k == 0 || s.widths[k-1].width != n {
+		s.widths = append(s.widths, widthRun{row: s.cycles.n, width: n})
+		s.row = make([]float64, n)
 	}
-	s.cycles = append(s.cycles, cycle)
-	s.rows = append(s.rows, row)
+	for i, fn := range s.sources {
+		s.row[i] = fn()
+		s.values.push(s.row[i])
+	}
+	s.cycles.push(cycle)
 	if s.notify != nil {
-		s.notify(cycle, s.names, row)
+		s.notify(cycle, s.names, s.row)
 	}
 }
 
@@ -100,7 +115,7 @@ func (s *Sampler) Len() int {
 	if s == nil {
 		return 0
 	}
-	return len(s.cycles)
+	return s.cycles.n
 }
 
 // Series is one tracked metric's sampled trajectory.
@@ -115,15 +130,28 @@ func (s *Sampler) Series() []Series {
 	if s == nil {
 		return nil
 	}
+	rows := s.cycles.n
+	var cycles []uint64 // null in JSON until a row is taken
+	if rows > 0 {
+		cycles = s.cycles.appendTo(make([]uint64, 0, rows))
+	}
+	flat := s.values.appendTo(make([]float64, 0, s.values.n))
 	out := make([]Series, len(s.names))
 	for i, name := range s.names {
-		vals := make([]float64, len(s.rows))
-		for j, row := range s.rows {
-			if i < len(row) { // series added mid-run: earlier rows read 0
-				vals[j] = row[i]
-			}
+		out[i] = Series{Name: name, Cycles: cycles, Values: make([]float64, rows)}
+	}
+	for k, run := range s.widths {
+		end := rows
+		if k+1 < len(s.widths) {
+			end = s.widths[k+1].row
 		}
-		out[i] = Series{Name: name, Cycles: s.cycles, Values: vals}
+		for j := run.row; j < end; j++ {
+			// A series added mid-run reads 0 for the rows before it.
+			for i, v := range flat[:run.width] {
+				out[i].Values[j] = v
+			}
+			flat = flat[run.width:]
+		}
 	}
 	return out
 }
