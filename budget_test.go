@@ -15,17 +15,23 @@ import (
 // pointer ring at every scale: its run stores nothing, so it pays for the
 // attached memory's page table and no page, where writing the image into
 // fresh pages cost over 4 MB.  Bytes and allocations each stay within
-// 1.10x of the measured value (the highest of five runs).  A chip is
+// 1.10x of the measured value (the highest of ten runs).  A chip is
 // about 400 KB: when every untapped run built one, conv cost 491,312 B
 // and 650 allocations, and when an observed run kept its chip, 697,592 B
 // and 792; when each observed run armed a new 128 KiB flight ring and
-// grew its trace and sample slices by append, 306,408 B.  The pool is a plain list, so the warm-up's chip serves the
+// grew its trace and sample slices by append, 306,408 B; while each
+// observed run bound its components' gauge funcs afresh, 176
+// allocations.  The pool is a plain list, so the warm-up's chip serves the
 // measured call whatever the collector or the race detector does.  The
 // race detector's runtime adds bytes of its own, so a -race build holds
-// the allocations alone; there the observed leg's attribution records,
-// in a sync.Pool that drops a quarter of them at random, measured 546 to
-// 572 allocations in 15 runs.
+// the allocations alone, to 1.50x: there the observed leg's attribution
+// records, in a sync.Pool that drops a quarter of them at random,
+// measured 154 to 186 allocations in 30 runs.
 func TestRunKernelReuseBudget(t *testing.T) {
+	allocsFactor := 1.10
+	if raceDetector {
+		allocsFactor = 1.50
+	}
 	for _, leg := range []struct {
 		name          string
 		kernel        string
@@ -33,11 +39,11 @@ func TestRunKernelReuseBudget(t *testing.T) {
 		cfg           func() RunConfig
 		bytes, allocs float64 // measured: the log line below
 	}{
-		{"untapped", "conv", 1, func() RunConfig { return RunConfig{Cores: 8} }, 86096, 403},
+		{"untapped", "conv", 1, func() RunConfig { return RunConfig{Cores: 8} }, 78768, 53},
 		{"observed", "conv", 1, func() RunConfig {
 			return RunConfig{Cores: 8, CollectMetrics: true, SampleEvery: 64, ChromeTrace: NewTrace(), CritPath: true, Flight: true}
-		}, 154936, 548},
-		{"untapped", "mcf", 32, func() RunConfig { return RunConfig{Cores: 8} }, 110992, 86},
+		}, 154936, 156},
+		{"untapped", "mcf", 32, func() RunConfig { return RunConfig{Cores: 8} }, 110368, 50},
 	} {
 		if _, err := RunKernel(leg.kernel, leg.scale, leg.cfg()); err != nil {
 			t.Fatal(err)
@@ -55,8 +61,8 @@ func TestRunKernelReuseBudget(t *testing.T) {
 		if bytes > 1.10*leg.bytes && !raceDetector {
 			t.Errorf("%s %s: %.0f B, budget %.0f (1.10 x %.0f)", leg.name, leg.kernel, bytes, 1.10*leg.bytes, leg.bytes)
 		}
-		if allocs > 1.10*leg.allocs {
-			t.Errorf("%s %s: %.0f allocations, budget %.0f (1.10 x %.0f)", leg.name, leg.kernel, allocs, 1.10*leg.allocs, leg.allocs)
+		if allocs > allocsFactor*leg.allocs {
+			t.Errorf("%s %s: %.0f allocations, budget %.0f (%.2f x %.0f)", leg.name, leg.kernel, allocs, allocsFactor*leg.allocs, allocsFactor, leg.allocs)
 		}
 	}
 }

@@ -39,7 +39,8 @@
 # block with every tap armed and on the Reference engine, chip set-up bytes
 # and allocations (bare, and with the metric registry armed), the bytes
 # and allocations of a job on a reused chip (Reset, then the job: a short
-# loop, and a whole gcc run that flushes blocks with reads waiting), host
+# loop, bare and with the metric registry re-armed and snapshotted, and a
+# whole gcc run that flushes blocks with reads waiting), host
 # events executed per committed block, and the sizes those rest on: a
 # reservation ring's footprint and link header, the event record and the
 # in-flight instruction state

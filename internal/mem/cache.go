@@ -37,6 +37,8 @@ type Cache struct {
 	tags  tagArray[Line]
 	Stats CacheStats
 	tick  uint64 // LRU clock
+
+	occGauge func() float64 // Occupancy for the registry, bound by the first Register
 }
 
 // NewCache builds a cache of totalBytes capacity.

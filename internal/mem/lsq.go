@@ -45,6 +45,9 @@ type LSQBank struct {
 	Cap     int
 	entries []LSQEntry
 	Stats   LSQStats
+
+	// The registry's occupancy gauges, bound by the first Register.
+	occGauge, maxOccGauge func() float64
 }
 
 // NewLSQBank returns a bank with the given capacity (44 in Table 1).

@@ -124,6 +124,8 @@ type Composed struct {
 	rasTop int // index of next free slot (0 = empty)
 
 	Stats Stats
+
+	accuracyGauge func() float64 // Stats.Accuracy for the registry, bound by the first Register
 }
 
 // NewComposed builds the logical predictor over n participating cores.

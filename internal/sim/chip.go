@@ -80,14 +80,16 @@ type Chip struct {
 // keptStorage is what a reset keeps: emptied L1 D-caches and issue
 // rings, which l1dAt and issueAt take before building one, emptied
 // processors, which AddProc takes for a processor of the same size
-// (newProc), and the flight ring, which EnableFlight takes back when it
+// (newProc), the flight ring, which EnableFlight takes back when it
 // has the size asked for (it holds no pointers, so it keeps nothing of
-// a job's caller).
+// a job's caller), and the metric registry, cleared, which Telemetry
+// takes back (a frozen one is its caller's, and is not kept).
 type keptStorage struct {
 	l1d   [compose.NumCores]*mem.Cache
 	issue [compose.NumCores]*noc.Ring
 	procs []*Proc
 	ring  *flight.Ring
+	tel   *telemetry.Registry
 }
 
 // defaultStallEvents is orders of magnitude above what any legal cycle
@@ -108,14 +110,15 @@ func New(opts Options) *Chip {
 // link rings, the L2 and L1 tag groups they filled, the event queue's
 // slab, each processor's predictor, LSQ banks, I-cache, window and
 // in-flight block pool, which the next AddProc of a processor of the same
-// size takes over, and the flight ring, which the next EnableFlight of
-// the same size takes back.  A reset zeroes only what the last job
-// touched.
+// size takes over, the flight ring, which the next EnableFlight of the
+// same size takes back, and the metric registry, cleared, which the next
+// Telemetry takes back unless it was frozen.  A reset zeroes only what
+// the last job touched.
 //
 // Every *Proc obtained from the chip before Reset is invalid after it,
-// and so is the registry, trace or sampler armed before it; a
-// processor's architectural memory (Proc.Mem) is the caller's and is
-// never reused.
+// and so is the registry, trace or sampler armed before it (a registry
+// frozen before the reset stays its holder's, as it was); a processor's
+// architectural memory (Proc.Mem) is the caller's and is never reused.
 func (c *Chip) Reset() {
 	if c.Opn != nil {
 		c.emptyStorage()
@@ -153,8 +156,8 @@ func (c *Chip) buildStorage() {
 }
 
 // emptyStorage empties everything the jobs since the last reset built or
-// touched, and parks the processors, L1 D-caches, issue rings and flight
-// ring in c.kept for the next job to take.
+// touched, and parks the processors, L1 D-caches, issue rings, flight
+// ring and an unfrozen registry in c.kept for the next job to take.
 func (c *Chip) emptyStorage() {
 	if c.critEnabled {
 		c.releaseCritRecords() // a failed run still holds its records
@@ -170,6 +173,10 @@ func (c *Chip) emptyStorage() {
 	c.Procs = c.Procs[:0]
 	if c.flight != nil {
 		c.kept.ring = c.flight
+	}
+	if c.tel != nil && !c.tel.Frozen() {
+		c.tel.Clear()
+		c.kept.tel = c.tel
 	}
 	for core, cache := range c.l1d {
 		if cache != nil {

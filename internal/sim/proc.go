@@ -89,6 +89,11 @@ type Proc struct {
 	hFetchLat  *telemetry.Histogram
 	hCommitLat *telemetry.Histogram
 
+	// windowGauge reads the window's occupancy for the registry; the
+	// first register binds it and empty keeps it, so registering a kept
+	// processor again allocates nothing.
+	windowGauge func() float64
+
 	// Critical-path attribution aggregate and per-category histograms
 	// (nil histograms unless both attribution and telemetry are armed).
 	crit  critpath.Summary
@@ -187,6 +192,7 @@ func (p *Proc) empty() {
 		deferred: p.deferred[:0], deferredSpare: p.deferredSpare[:0],
 		ifbFree: p.ifbFree, waiterFree: p.waiterFree,
 		mcArr: p.mcArr, wbScratch: p.wbScratch, slotScratch: p.slotScratch,
+		windowGauge: p.windowGauge,
 	}
 }
 

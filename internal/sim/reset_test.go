@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"slices"
@@ -283,5 +284,103 @@ func TestPairWalk(t *testing.T) {
 	}
 	if len(seen) != n*(n-1) {
 		t.Fatalf("walk %v steps along %d ordered pairs, want %d", walk, len(seen), n*(n-1))
+	}
+}
+
+// registryRun runs j on chip and reads its metric registry: armed, the
+// registry and attribution are armed before the processor is added;
+// unarmed, the registry is built only after the run.  It returns the
+// snapshot and the WriteJSON bytes.
+func registryRun(t *testing.T, chip *sim.Chip, cores compose.Processor, j resetJob, armed bool) (telemetry.Snapshot, []byte) {
+	t.Helper()
+	if armed {
+		arm(chip)
+	}
+	startJob(t, chip, cores, j)
+	if err := chip.Run(1 << 24); err != nil {
+		t.Fatalf("%s on %d cores: %v", j.name, cores.N(), err)
+	}
+	reg := chip.Telemetry()
+	var buf bytes.Buffer
+	if err := reg.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return reg.Snapshot(), buf.Bytes()
+}
+
+// TestRegistryReuseIsInvisible: a reset chip keeps its metric registry,
+// cleared, and the next Telemetry registers the new job's components in
+// it.  That must not show.  After every reset, a job's snapshot and
+// WriteJSON bytes equal the same job's on a fresh chip, armed or built
+// after an unarmed run, so no name a larger composition registered
+// (proc0.core17.issued) and no histogram count survives.  The default
+// chip runs an armed 32-core job, an armed 1-core job, an unarmed one and
+// an armed 8-core one; the TRIPS chip armed, unarmed and armed on its 16
+// cores.  A registry frozen before a reset is not the chip's afterwards:
+// the next job neither registers in it nor changes what it reads.  Both
+// engines.
+func TestRegistryReuseIsInvisible(t *testing.T) {
+	var jobs []resetJob
+	for seed := int64(1); seed <= 4; seed++ {
+		spec := edgegen.GenSpec(seed)
+		p, err := spec.Build()
+		if err != nil {
+			t.Fatalf("seed %d does not build: %v", seed, err)
+		}
+		in := spec.Input()
+		jobs = append(jobs, resetJob{fmt.Sprint("seed ", seed), p, func(r *[isa.NumRegs]uint64, m *exec.PageMem) {
+			*r = in.Regs
+			m.WriteBytes(in.MemBase, in.Mem)
+		}})
+	}
+	type step struct {
+		cores int
+		armed bool
+	}
+	for _, reference := range []bool{false, true} {
+		opts, trips := sim.DefaultOptions(), tripsFuzzOptions()
+		opts.Reference, trips.Reference = reference, reference
+		engine := map[bool]string{false: "opt", true: "ref"}[reference]
+		t.Run(engine, func(t *testing.T) {
+			for _, chip := range []struct {
+				name  string
+				opts  sim.Options
+				steps []step
+			}{
+				{"default", opts, []step{{32, true}, {1, true}, {1, false}, {8, true}}},
+				{"trips", trips, []step{{16, true}, {16, false}, {16, true}}},
+			} {
+				c := sim.New(chip.opts)
+				for i, s := range chip.steps {
+					if i > 0 {
+						c.Reset()
+					}
+					j, cores := jobs[i], compose.MustRect(0, 0, s.cores)
+					snap, js := registryRun(t, c, cores, j, s.armed)
+					wantSnap, wantJS := registryRun(t, sim.New(chip.opts), cores, j, s.armed)
+					what := fmt.Sprintf("%s chip, step %d: %s on %d cores (armed %v)", chip.name, i, j.name, s.cores, s.armed)
+					if _, ok := snap["proc0.core17.issued"]; ok && s.cores == 1 {
+						t.Errorf("%s: snapshot holds proc0.core17.issued", what)
+					}
+					if !reflect.DeepEqual(snap, wantSnap) {
+						t.Errorf("%s: snapshot differs from a fresh chip's:\n got %v\nwant %v", what, snap, wantSnap)
+					}
+					if !bytes.Equal(js, wantJS) {
+						t.Errorf("%s: WriteJSON differs from a fresh chip's", what)
+					}
+				}
+				frozen := c.Telemetry()
+				frozen.Freeze()
+				want := frozen.Snapshot()
+				c.Reset()
+				registryRun(t, c, compose.MustRect(0, 0, chip.steps[0].cores), jobs[len(jobs)-1], true)
+				if c.Telemetry() == frozen {
+					t.Errorf("%s chip: the registry frozen before a reset serves the next job", chip.name)
+				}
+				if got := frozen.Snapshot(); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s chip: a frozen registry changed over a reset and a job:\n got %v\nwant %v", chip.name, got, want)
+				}
+			}
+		})
 	}
 }

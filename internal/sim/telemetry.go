@@ -22,14 +22,20 @@ import "github.com/clp-sim/tflex/internal/telemetry"
 // collection time.
 
 // Telemetry returns the chip's metric registry, building it on first use
-// by registering every existing component.  Components created later
-// (lazy L1s, processors added by a run-time scheduler) register
-// themselves on creation.
+// by registering every existing component: in the registry the last
+// reset kept, cleared, if there is one, else in a new one.  Components
+// created later (lazy L1s, processors added by a run-time scheduler)
+// register themselves on creation.
 func (c *Chip) Telemetry() *telemetry.Registry {
 	if c.tel != nil {
 		return c.tel
 	}
-	c.tel = telemetry.NewRegistry()
+	if c.kept != nil {
+		c.tel, c.kept.tel = c.kept.tel, nil
+	}
+	if c.tel == nil {
+		c.tel = telemetry.NewRegistry()
+	}
 	c.Opn.Register(c.tel, "noc.opnd")
 	c.Ctl.Register(c.tel, "noc.ctl")
 	c.L2.Register(c.tel, "l2")
@@ -120,6 +126,9 @@ func (c *Chip) trackProc(p *Proc) {
 // always reflects the live composition, and the new processor's
 // histograms count its own blocks only.
 func (p *Proc) register(r *telemetry.Registry) {
+	if p.windowGauge == nil {
+		p.windowGauge = func() float64 { return float64(len(p.window)) }
+	}
 	prefix := telemetry.Indexed("proc", p.id, "")
 	p.Stats.register(r, prefix)
 	p.Pred.Register(r, telemetry.Name(prefix, "pred"))
@@ -131,7 +140,7 @@ func (p *Proc) register(r *telemetry.Registry) {
 	for i := range p.Stats.IssuedByCore {
 		r.CounterView(telemetry.Indexed(core, p.phys(i), "issued"), &p.Stats.IssuedByCore[i])
 	}
-	r.Gauge(telemetry.Name(prefix, "window.occupancy"), func() float64 { return float64(len(p.window)) })
+	r.Gauge(telemetry.Name(prefix, "window.occupancy"), p.windowGauge)
 	p.hFetchLat = r.NewHistogram(telemetry.Name(prefix, "fetch.latency"))
 	p.hCommitLat = r.NewHistogram(telemetry.Name(prefix, "commit.latency"))
 	if p.chip.critEnabled {

@@ -52,11 +52,22 @@ func (g Gauge) Value() float64 {
 // goroutine.  Reading a view mid-run from another goroutine is outside
 // the sharing model (snapshots after the run or from the chip's own
 // event loop).
+//
+// A registry can serve one job after another: Clear empties it and keeps
+// its storage, the maps' and the histograms', so registering the same
+// components again allocates nothing.
 type Registry struct {
 	mu       sync.RWMutex
 	counters map[string]*uint64
-	gauges   map[string]Gauge // by value: a gauge costs its closure alone
+	gauges   map[string]Gauge // by value: a gauge costs nothing the component did not bind
 	hists    map[string]*Histogram
+
+	// owned holds every histogram the registry has made, in the order it
+	// handed them out: owned[:used] were handed out since the last Clear,
+	// the rest are zero and wait for the next NewHistogram.
+	owned  []*Histogram
+	used   int
+	frozen bool
 }
 
 // NewRegistry returns an empty registry.
@@ -77,7 +88,9 @@ func (r *Registry) CounterView(name string, src *uint64) {
 	r.mu.Unlock()
 }
 
-// Gauge registers a derived instantaneous metric.
+// Gauge registers a derived instantaneous metric.  A component that
+// registers on every job binds fn once and passes the same func each
+// time, so registering allocates nothing.
 func (r *Registry) Gauge(name string, fn func() float64) {
 	r.mu.Lock()
 	r.gauges[name] = Gauge{fn: fn}
@@ -88,10 +101,21 @@ func (r *Registry) Gauge(name string, fn func() float64) {
 // previous one: a component that registers again (a recomposed processor)
 // starts counting from zero, as its counter views do.
 func (r *Registry) NewHistogram(name string) *Histogram {
-	h := &Histogram{}
 	r.mu.Lock()
+	h := r.take()
 	r.hists[name] = h
 	r.mu.Unlock()
+	return h
+}
+
+// take hands out the next zero histogram the registry owns, making one
+// when every one is in use.  The caller holds r.mu.
+func (r *Registry) take() *Histogram {
+	if r.used == len(r.owned) {
+		r.owned = append(r.owned, new(Histogram))
+	}
+	h := r.owned[r.used]
+	r.used++
 	return h
 }
 
@@ -103,17 +127,36 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
-	h := &Histogram{}
+	h := r.take()
 	r.hists[name] = h
 	return h
 }
 
+// Clear unregisters every metric and zeroes every histogram, keeping the
+// storage of both, so the components of another job can register in the
+// registry as in a new one.  A histogram, counter or gauge obtained
+// before Clear is no longer the registry's.
+func (r *Registry) Clear() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	clear(r.counters)
+	clear(r.gauges)
+	clear(r.hists)
+	for _, h := range r.owned[:r.used] {
+		*h = Histogram{}
+	}
+	r.used = 0
+	r.frozen = false
+}
+
 // Freeze fixes every counter view and gauge at its current value, so the
 // registry reads the same however the components it viewed change or are
-// reused; its histograms are its own already.
+// reused; its histograms are its own already.  A frozen registry belongs
+// to whoever froze it: a chip does not keep it for its next job.
 func (r *Registry) Freeze() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.frozen = true
 	vals := make([]uint64, 0, len(r.counters)) // one slab: a slot per counter
 	//lint:allow determinism each counter gets a slot of its own; which slot is never read
 	for n, c := range r.counters {
@@ -123,6 +166,13 @@ func (r *Registry) Freeze() {
 	for n, g := range r.gauges {
 		r.gauges[n] = Gauge{v: g.Value()}
 	}
+}
+
+// Frozen reports whether Freeze fixed the registry since its last Clear.
+func (r *Registry) Frozen() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.frozen
 }
 
 // Snapshot is a flat, point-in-time copy of the registry: counter and

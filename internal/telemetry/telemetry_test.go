@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -315,5 +316,51 @@ func TestNamesAreMemoized(t *testing.T) {
 		if unsafe.StringData(s) != unsafe.StringData(got[0]) {
 			t.Fatal("concurrent first requests handed out different strings")
 		}
+	}
+}
+
+// Clear empties a registry for the next job and keeps its storage: the
+// same components registering again allocate nothing, a histogram comes
+// back zero, and nothing registered before the Clear is read after it.
+func TestRegistryClearKeepsStorage(t *testing.T) {
+	r := NewRegistry()
+	var a, b uint64 = 3, 4
+	gauge := func() float64 { return 5 }
+	register := func() *Histogram {
+		r.CounterView("a", &a)
+		r.Gauge("g", gauge)
+		h := r.NewHistogram("h")
+		h.Observe(7)
+		return h
+	}
+	h := register()
+	r.CounterView("b", &b)
+	r.Histogram("stale.hist").Observe(1)
+	r.Clear()
+	if got := len(r.Snapshot()); got != 0 {
+		t.Fatalf("a cleared registry snapshots %d entries, want 0", got)
+	}
+	if again := register(); again != h || again.Count() != 1 || again.Sum() != 7 {
+		t.Fatalf("after Clear NewHistogram returned %p with count %d sum %d, want the registry's own %p counting only the new sample",
+			again, again.Count(), again.Sum(), h)
+	}
+	if got, want := r.Snapshot(), (Snapshot{"a": 3, "g": 5, "h.count": 1, "h.sum": 7, "h.mean": 7}); !maps.Equal(got, want) {
+		t.Fatalf("snapshot after Clear = %v, want %v", got, want)
+	}
+	r.Histogram("stale.hist").Observe(1) // the second histogram the registry owns
+	if allocs := testing.AllocsPerRun(20, func() {
+		r.Clear()
+		register()
+		r.Histogram("stale.hist")
+	}); allocs != 0 {
+		t.Fatalf("Clear and the same registrations again: %v allocations, want 0", allocs)
+	}
+	r.Freeze()
+	if !r.Frozen() {
+		t.Fatal("Freeze left the registry unfrozen")
+	}
+	r.Clear()
+	if r.Frozen() {
+		t.Fatal("Clear left the registry frozen")
 	}
 }
