@@ -6,9 +6,11 @@
 # Checks, in order: formatting, vet, build, the full test suite under
 # the race detector (the concurrency gate for what is concurrent — the
 # experiment suite's jobs, telemetry and the observability server — which also
-# runs the determinism regression in internal/experiments, the
-# optimized-vs-reference engine differential and TestModuleCleanliness,
-# the internal/lint analyzers over the whole module), the summary line of
+# runs the root package's invariant harness, invariant_test.go: one job gives
+# one result on either engine, with any observer, on a new, pooled or reset
+# chip, at GOMAXPROCS 1 or N and at the suite's -jobs 1 or 8; and
+# TestModuleCleanliness, the internal/lint analyzers over the whole
+# module), the summary line of
 # TestPaperShape (how many of the paper's claims land inside the paper's
 # band at kernel scales 1 and 2, so a change that moves a paper shape
 # shows in the log), a live smoke that curls
@@ -62,9 +64,10 @@
 # (TestRunKernelReuseBudget in the root package), and the allocations of the
 # differential harness's CheckSeed over seeds 0-49 — generate, build, run on
 # all eight executors — once the chip pool is warm (TestCheckSeedAllocs in
-# internal/fuzz).  The chip pool is
-# deterministic, so the go test -race stage holds these two tests'
-# allocations as well (not their bytes, which the race runtime inflates).
+# internal/fuzz).  The chip pool and the Core2 model's idle states are
+# plain lists, so reuse is deterministic and the go test -race stage holds
+# these two tests' allocations as well (not their bytes, which the race
+# runtime inflates).
 # No wall-time ratio is compared to a threshold: wall time is judged
 # across commits by the pipeline that runs BENCHMARK.json, under the
 # bounds that file states.

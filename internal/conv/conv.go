@@ -99,9 +99,12 @@ type state struct {
 	done, commit                           []uint64 // grown to the longest trace run so far
 }
 
-// states holds idle states, each in the state newState returns for its
-// config, so a run builds no caches or tables unless the config changed.
-var states sync.Pool
+// idle holds reset idle states by config, last released first taken, so a
+// run builds no caches or tables for a config run before, under -race too.
+var (
+	idleMu sync.Mutex
+	idle   = map[Config][]*state{}
+)
 
 func newState(cfg Config) *state {
 	s := &state{
@@ -117,20 +120,18 @@ func newState(cfg Config) *state {
 		commitRing: noc.NewRing(0, cfg.CommitWidth, cfg.CommitWidth),
 		stores:     make([]recentStore, 0, 64),
 	}
-	for i := range s.gshare {
-		s.gshare[i] = 1 // weakly not-taken
-	}
+	s.reset()
 	return s
 }
 
-// reset returns s to the state newState(s.cfg) returns, keeping its
-// storage.
+// reset returns s to a new state's contents, keeping its storage;
+// newState ends with it, so one place sets what a run changes.
 func (s *state) reset() {
 	s.l1d.Reset()
 	s.l1i.Reset()
 	s.l2.Reset()
 	for i := range s.gshare {
-		s.gshare[i] = 1
+		s.gshare[i] = 1 // weakly not-taken
 	}
 	clear(s.btb)
 	s.issue.Reset(0)
@@ -144,13 +145,20 @@ func Run(entries []exec.TraceEntry, cfg Config) Result {
 	if len(entries) == 0 {
 		return Result{}
 	}
-	s, _ := states.Get().(*state)
-	if s == nil || s.cfg != cfg {
+	var s *state
+	idleMu.Lock()
+	if n := len(idle[cfg]); n > 0 {
+		s, idle[cfg] = idle[cfg][n-1], idle[cfg][:n-1]
+	}
+	idleMu.Unlock()
+	if s == nil {
 		s = newState(cfg)
 	}
 	res := s.run(entries)
 	s.reset()
-	states.Put(s)
+	idleMu.Lock()
+	idle[cfg] = append(idle[cfg], s)
+	idleMu.Unlock()
 	return res
 }
 

@@ -9,7 +9,7 @@ type State = state
 func NewState(cfg Config) *State { return newState(cfg) }
 
 // Run simulates a trace on s and then resets s, as Run does to the
-// states it pools.
+// states it keeps.
 func (s *State) Run(entries []exec.TraceEntry) Result {
 	res := s.run(entries)
 	s.reset()

@@ -15,7 +15,7 @@
 // it then renders its tables from the results.  Because the simulator is
 // deterministic and the render phase is serial over stable kernel/size
 // orders, the output is byte-identical at any worker count (see
-// determinism_test.go).
+// TestExperimentsDeterministicAcrossWorkerCounts in the root package).
 //
 // Concurrency-safety audit (why fan-out is sound): each job runs on a
 // sim.Chip no other job holds while it runs, and every package the jobs
@@ -27,10 +27,10 @@
 //     sim.poolMu); all other simulation state hangs off the chip.  A
 //     chip goes back only after the job has copied its results out and
 //     Chip.Reset has returned it to sim.New's state, so a job cannot tell
-//     it from a new one (TestSuiteReuseMatchesFresh).
-//   - conv.states and critpath.blockPool, sync.Pools of Core2 model
-//     states and of attribution records: a state goes back reset and is
-//     used only for its own Config, and a record is reset when taken.
+//     it from a new one (TestSuiteReuseMatchesFresh, root package).
+//   - conv.idle (under conv.idleMu) and critpath.blockPool, a sync.Pool:
+//     idle Core2 model states and attribution records; a state goes back
+//     reset and serves only its Config, and a record is reset when taken.
 //   - kernels: the package-level registry/order maps are mutated only by
 //     init-time register() calls, which Go runs single-threaded before
 //     main; afterwards they are read-only (kernels.TestRegistryConcurrentReads

@@ -253,8 +253,7 @@ func TestChipSetupBudget(t *testing.T) {
 // The race detector's runtime adds bytes of its own, a number that varied
 // from run to run while this was measured, so a -race build holds the
 // allocation bound only.  The chip is reset directly rather than through
-// the chip pool (Release), whose sync.Pool drops Puts at random under the
-// race detector.
+// the chip pool (Release), so the rows price Reset and the job alone.
 func TestChipReuseBudget(t *testing.T) {
 	p := sumProgram(t)
 	const runs = 50
