@@ -35,39 +35,13 @@
 # appended as one JSON line — short commit, dirty flag, UTC date and the
 # reports with their host block, metrics, timings and exact counters —
 # to the append-only BENCH_history.jsonl, which no gate reads; followed
-# by the budgets
-# that are deterministic for a seed and so cannot flake — allocations per
-# marginal block untapped and with every tap armed, bytes per marginal
-# block with every tap armed and on the Reference engine, chip set-up bytes
-# and allocations (bare, and with the metric registry armed), the bytes
-# and allocations of a job on a reused chip (Reset, then the job: a short
-# loop, bare and with the metric registry re-armed and snapshotted, and a
-# whole gcc run that flushes blocks with reads waiting), host
-# events executed per committed block, and the sizes those rest on: a
-# reservation ring's footprint and link header, the event record and the
-# in-flight instruction state
-# (TestSteadyStateAllocsPerBlock, TestObservedAllocsPerBlock,
-# TestObservedBytesPerBlock, TestReferenceBytesPerBlock, TestChipSetupBudget,
-# TestChipReuseBudget, TestWarmChipJobBudget, TestEventsPerBlock, TestEventRecordSize,
-# TestInstStateSize; TestRingFootprint in internal/noc), the critical-path
-# instruction record (TestCritRecordSize in internal/critpath), and allocations
-# per marginal block of the functional executor, untraced and traced
-# (TestFunctionalAllocsPerBlock in internal/exec), and the allocations and
-# bytes of Build(32), Init and Check for each of the steady workload's
-# kernels once its input image is built, so Init attaches the image and
-# writes no page (TestKernelBuildBudget in internal/kernels), and the bytes
-# and allocations of the experiment suite's jobs once the chip pool and the
-# suite's Core2 trace are warm (TestSuiteJobBudget in internal/experiments),
-# and the bytes and allocations of a tflex.RunKernel once the chip pool is
-# warm: conv at scale 1 untapped and with the observed workload's taps, and
-# mcf at scale 32, whose 4 MiB image the run reads in place
-# (TestRunKernelReuseBudget in the root package), and the allocations of the
-# differential harness's CheckSeed over seeds 0-49 — generate, build, run on
-# all eight executors — once the chip pool is warm (TestCheckSeedAllocs in
-# internal/fuzz).  The chip pool and the Core2 model's idle states are
-# plain lists, so reuse is deterministic and the go test -race stage holds
-# these two tests' allocations as well (not their bytes, which the race
-# runtime inflates).
+# by the budget table (DESIGN.md, "One budget table"): the fourteen budget
+# tests, each a table of rows that internal/budget measures in isolated
+# windows, printed one line per row (owner | row | layer | quantity |
+# measured | bound | factor), and then run again under GOGC=5, so a row
+# that depends on when the collector runs fails here before it flakes in
+# the tier-1 gate; and the record sizes the budgets rest on
+# (TestEventRecordSize, TestInstStateSize, TestCritRecordSize).
 # No wall-time ratio is compared to a threshold: wall time is judged
 # across commits by the pipeline that runs BENCHMARK.json, under the
 # bounds that file states.
@@ -150,8 +124,14 @@ if [ "${1:-}" = "bench" ]; then
         echo "no report written (an -out flag of your own takes precedence): BENCH_history.jsonl not appended"
     fi
     rm -rf "$benchdir"
-    echo "== deterministic budgets (allocs per block, set-up bytes, kernel builds, suite jobs, pooled runs, harness checks, events per block, ring and record sizes) =="
-    go test -count=1 -run 'TestSteadyStateAllocsPerBlock|TestObservedAllocsPerBlock|TestObservedBytesPerBlock|TestReferenceBytesPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestWarmChipJobBudget|TestEventsPerBlock|TestEventRecordSize|TestInstStateSize|TestCritRecordSize|TestRingFootprint|TestFunctionalAllocsPerBlock|TestKernelBuildBudget|TestSuiteJobBudget|TestRunKernelReuseBudget|TestCheckSeedAllocs' . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz
+    budgets='TestRunKernelReuseBudget|TestSteadyStateAllocsPerBlock|TestReferenceBytesPerBlock|TestObservedAllocsPerBlock|TestObservedBytesPerBlock|TestEventsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestWarmChipJobBudget|TestKernelBuildBudget|TestCheckSeedAllocs|TestFunctionalAllocsPerBlock|TestSuiteJobBudget|TestRingFootprint'
+    sizes='TestEventRecordSize|TestInstStateSize|TestCritRecordSize'
+    for gogc in 100 5; do
+        echo "== budget table, GOGC=$gogc (owner | row | layer | quantity | measured | bound | factor) =="
+        table=$(GOGC=$gogc go test -count=1 -v -run "^($budgets|$sizes)\$" . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz) ||
+            { echo "$table" >&2; exit 1; }
+        echo "$table" | grep -o 'budget: .*' | sed 's/^budget: //'
+    done
     exit 0
 fi
 

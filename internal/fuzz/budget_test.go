@@ -6,37 +6,31 @@ import (
 	"testing"
 
 	"github.com/clp-sim/tflex/internal/asm"
+	"github.com/clp-sim/tflex/internal/budget"
 	"github.com/clp-sim/tflex/internal/edgegen"
 )
 
 // TestCheckSeedAllocs is the harness's allocation budget: what CheckSeed
-// allocates for seeds 0-49 once the chip pool is warm, at GOMAXPROCS 1
-// (testing.AllocsPerRun).  It covers generating, building and running each
-// program on all eight executors; the ceiling is the measured count, go1.24
-// linux/amd64, plus 10 %.  The chip pool and the Core2 model's idle
-// states are plain lists, so the count is the same under -race.
+// allocates for seeds 0-49 once the chip pool is warm.  It covers
+// generating, building and running each program on all eight executors.
+// The chip pool and the Core2 model's idle states are plain lists, so
+// the count is the same under -race.
 func TestCheckSeedAllocs(t *testing.T) {
-	const measured = 10859
+	const allocs = 10855
 	h := New()
-	var failed error
-	allocs := testing.AllocsPerRun(3, func() {
-		for seed := int64(0); seed < 50; seed++ {
-			d, err := h.CheckSeed(seed)
-			if d != nil {
-				err = fmt.Errorf("seed %d: %s diverges: %s", seed, d.Exec, d.Diff)
+	budget.Check(t, []budget.Row{{Name: "seeds=0-49", Quantity: budget.Allocs, Layer: budget.EngineOther,
+		Run: func(tb testing.TB) budget.Work {
+			for seed := int64(0); seed < 50; seed++ {
+				d, err := h.CheckSeed(seed)
+				if d != nil {
+					err = fmt.Errorf("seed %d: %s diverges: %s", seed, d.Exec, d.Diff)
+				}
+				if err != nil {
+					tb.Fatal(err)
+				}
 			}
-			if err != nil && failed == nil {
-				failed = err
-			}
-		}
-	})
-	if failed != nil {
-		t.Fatal(failed)
-	}
-	t.Logf("%.0f allocs per CheckSeed of seeds 0-49", allocs)
-	if limit := 1.1 * measured; allocs > limit {
-		t.Errorf("%.0f allocs, budget %.0f (1.1 x %d)", allocs, limit, measured)
-	}
+			return budget.Work{}
+		}, Value: allocs, Bound: 1.1 * allocs, Race: 1.1 * allocs}})
 }
 
 // buildMatchesAssembly fails t unless Build and asm.Assemble of Asm's text

@@ -1,12 +1,13 @@
 package noc
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"github.com/clp-sim/tflex/internal/budget"
 )
 
 func TestDist(t *testing.T) {
@@ -205,30 +206,21 @@ func TestReservationWindowAdvance(t *testing.T) {
 // TestRingFootprint holds a ring to the size of what it counts: what a
 // link allocates on its first flit is a count field just wide enough for
 // the capacity, and the header is small enough that a mesh's 128 links,
-// touched or not, stay cheap.  TotalAlloc also counts what other
-// goroutines allocate meanwhile, which only adds, so the test keeps the
-// smallest of a few measurements.
+// touched or not, stay cheap.
 func TestRingFootprint(t *testing.T) {
+	var rows []budget.Row
 	for _, c := range []struct {
-		capacity uint16
-		max      uint64
-	}{{1, 1 << 10}, {3, 2 << 10}, {MaxSlotCount, 8 << 10}} {
-		const rings = 16
-		n := uint64(math.MaxUint64)
-		for try := 0; try < 5; try++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < rings; i++ {
+		capacity     uint16
+		value, bound float64
+	}{{1, 1024, 1 << 10}, {3, 2048, 2 << 10}, {MaxSlotCount, 8192, 8 << 10}} {
+		rows = append(rows, budget.Row{Name: fmt.Sprintf("capacity=%d", c.capacity), Quantity: budget.Bytes, Layer: budget.NoC,
+			Run: func(testing.TB) budget.Work {
 				var l link
 				l.reserve(0, c.capacity)
-			}
-			runtime.ReadMemStats(&after)
-			n = min(n, (after.TotalAlloc-before.TotalAlloc)/rings)
-		}
-		if n > c.max {
-			t.Errorf("a ring of capacity %d allocates %d bytes, want <= %d", c.capacity, n, c.max)
-		}
+				return budget.Work{}
+			}, Value: c.value, Bound: c.bound, Race: c.bound})
 	}
+	budget.Check(t, rows)
 	if n := unsafe.Sizeof(link{}); n > 48 {
 		t.Errorf("link is %d bytes, want <= 48", n)
 	}

@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
+	"github.com/clp-sim/tflex/internal/budget"
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/prog"
@@ -119,12 +119,6 @@ func setupJob(tb testing.TB, chip *Chip, p *prog.Program, n int) {
 	}
 }
 
-// armedSetupRun is chipSetupRun as the experiment suite runs every job
-// (armedJob).
-func armedSetupRun(tb testing.TB, p *prog.Program, n int) {
-	armedJob(tb, New(DefaultOptions()), p, n)
-}
-
 // armedJob is setupJob as the experiment suite runs every job: the
 // registry armed before the processor is added, so every component
 // registers its metrics, and one snapshot taken after the run.
@@ -157,140 +151,100 @@ func BenchmarkChipSetup(b *testing.B) {
 	}
 }
 
-// TestChipSetupBudget is the set-up half of the allocation ratchet
-// (ROADMAP item 4): bytes and allocations per chipSetupRun stay within
-// 1.25x of what was measured when the reservation rings shrank to the
-// width of what they count (the tag arrays, the calendar queue and the
-// rings were lazy already).  An eager array creeping back into sim.New or
-// AddProc, or a ring back at a word a cycle, fails here long before it
-// shows in a sweep.
-//
-// The same job with critical-path attribution armed costs at most 1.10x
-// the unarmed bytes: attribution records are 9 KB each, so that holds
-// only while every record a run draws from critpath's pool goes back to
-// it (measured +0.4 %, +3.6 % under -race where sync.Pool drops a quarter
-// of its Puts, and +20 % with the Put removed).
+// TestChipSetupBudget is the set-up half of the allocation ratchet: the
+// bytes and allocations of chipSetupRun on a new chip.  An eager array
+// creeping back into sim.New or AddProc (the tag arrays, the calendar
+// queue and the rings are lazy), or a ring back at a word a cycle, fails
+// here long before it shows in a sweep.
 //
 // The telemetry-armed rows hold the registration layer the same way: a
 // chip that registers every metric and snapshots once formats no name
 // after the first run in the process (the name memo), and each component
 // binds its gauge funcs on its first registration, one allocation each,
 // which a warm chip re-arming its kept registry does not repeat
-// (TestChipReuseBudget).  Measured when the memo landed: 80 / 243
-// allocations per run at 1 / 32 cores, against 162 / 666 before it (the
-// bytes, mostly the registry's maps, barely moved: 111 / 346 KB before);
-// 82 / 245 since the registry keeps its histograms in a slice of its own.
+// (TestChipReuseBudget).  Before the memo they cost 162 / 666
+// allocations at 1 / 32 cores.
+//
+// The same job with critical-path attribution armed allocates no more
+// than the unarmed rows read in the same test, and at most 1.10x their
+// bytes: every record a run draws from critpath's pool goes back to it,
+// so the warm-up's records serve the job.  With the Put removed a job
+// allocates its records anew, 4 more allocations at 1 core and 6 at 4
+// (under 2 % of the bytes: a record is sized by its block's live
+// instructions).  Under -race the pool drops a quarter of what is put
+// back, so the allocations are held to 1.10x there.
 func TestChipSetupBudget(t *testing.T) {
 	p := sumProgram(t)
-	const runs = 50
-	measureRun := func(run func()) (bytes, allocs float64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, run)
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1), allocs // AllocsPerRun warms up once
-	}
-	measure := func(cores int, critpath bool) (bytes, allocs float64) {
-		return measureRun(func() { chipSetupRun(t, p, cores, critpath) })
-	}
+	var rows []budget.Row
 	for _, c := range []struct {
-		cores         int
-		bytes, allocs float64 // measured: the log lines below
+		name              string
+		layer             budget.Layer
+		run               func(testing.TB)
+		bytes, bytesMax   float64
+		allocs, allocsMax float64
 	}{
-		{cores: 1, bytes: 110778, allocs: 80},
-		{cores: 32, bytes: 339171, allocs: 243},
+		{"cores=1", budget.EngineOther, func(tb testing.TB) { chipSetupRun(tb, p, 1, false) }, 57624, 1.25 * 57624, 49, 1.25 * 49},
+		{"cores=4", budget.EngineOther, func(tb testing.TB) { chipSetupRun(tb, p, 4, false) }, 93544, 1.25 * 93544, 73, 1.25 * 73},
+		{"cores=1/telemetry", budget.ObserverTaps, func(tb testing.TB) { armedJob(tb, New(DefaultOptions()), p, 1) }, 100344, 1.25 * 100344, 82, 1.25 * 80},
+		{"cores=32/telemetry", budget.ObserverTaps, func(tb testing.TB) { armedJob(tb, New(DefaultOptions()), p, 32) }, 331640, 1.25 * 331640, 245, 1.25 * 243},
 	} {
-		bytes, allocs := measureRun(func() { armedSetupRun(t, p, c.cores) })
-		t.Logf("%d cores, telemetry armed: %.0f B and %.0f allocs per run", c.cores, bytes, allocs)
-		if bytes > 1.25*c.bytes {
-			t.Errorf("%d cores, telemetry armed: %.0f B per run, budget %.0f (1.25 x %.0f)", c.cores, bytes, 1.25*c.bytes, c.bytes)
-		}
-		if allocs > 1.25*c.allocs {
-			t.Errorf("%d cores, telemetry armed: %.0f allocs per run, budget %.0f (1.25 x %.0f)", c.cores, allocs, 1.25*c.allocs, c.allocs)
-		}
+		run := func(tb testing.TB) budget.Work { c.run(tb); return budget.Work{} }
+		rows = append(rows,
+			budget.Row{Name: c.name + "/bytes", Quantity: budget.Bytes, Layer: c.layer, Run: run, Value: c.bytes, Bound: c.bytesMax, Race: c.bytesMax},
+			budget.Row{Name: c.name + "/allocs", Quantity: budget.Allocs, Layer: c.layer, Run: run, Value: c.allocs, Bound: c.allocsMax, Race: c.allocsMax})
 	}
-	for _, c := range []struct {
-		cores         int
-		bytes, allocs float64 // measured: go test -bench ChipSetup -benchmem
-	}{
-		{cores: 1, bytes: 66720, allocs: 54},
-		{cores: 4, bytes: 102161, allocs: 104},
-	} {
-		bytes, allocs := measure(c.cores, false)
-		t.Logf("%d cores: %.0f B and %.0f allocs per run", c.cores, bytes, allocs)
-		if bytes > 1.25*c.bytes {
-			t.Errorf("%d cores: %.0f B per run, budget %.0f (1.25 x %.0f)", c.cores, bytes, 1.25*c.bytes, c.bytes)
-		}
-		if allocs > 1.25*c.allocs {
-			t.Errorf("%d cores: %.0f allocs per run, budget %.0f (1.25 x %.0f)", c.cores, allocs, 1.25*c.allocs, c.allocs)
-		}
-		armed, _ := measure(c.cores, true)
-		t.Logf("%d cores, critpath armed: %.0f B per run (%+.1f %%)", c.cores, armed, 100*(armed/bytes-1))
-		if armed > 1.10*bytes {
-			t.Errorf("%d cores, critpath armed: %.0f B per run, over 1.10 x the unarmed %.0f: attribution records are not returning to their pool",
-				c.cores, armed, bytes)
-		}
+	got := budget.Check(t, rows)
+	rows = rows[:0]
+	for i, n := range []int{1, 4} {
+		run := func(tb testing.TB) budget.Work { chipSetupRun(tb, p, n, true); return budget.Work{} }
+		name, bytes, allocs := fmt.Sprintf("cores=%d/critpath", n), got[2*i], got[2*i+1]
+		rows = append(rows,
+			budget.Row{Name: name + "/bytes", Quantity: budget.Bytes, Layer: budget.ObserverTaps, Run: run, Value: bytes, Bound: 1.10 * bytes, Race: 1.10 * bytes},
+			budget.Row{Name: name + "/allocs", Quantity: budget.Allocs, Layer: budget.ObserverTaps, Run: run, Value: allocs, Bound: allocs, Race: 1.10 * allocs})
 	}
+	budget.Check(t, rows)
 }
 
 // TestChipReuseBudget holds what the fuzz harness pays per run on a
 // chip it reuses (arch.Sim): Reset, then chipSetupRun's job, on a warm
 // chip, at 1 and 4 cores.  What is left is the job's own state — the
 // processor's architectural memory (a map), its Stats slice and the
-// composition's core list — and a reset allocates nothing, so each row's
-// bytes and allocations stay within 1.10x of the measured value (a new
-// chip costs 66,712 B and 49 allocations at 1 core: TestChipSetupBudget).
+// composition's core list — and a reset allocates nothing.
 //
 // The armed rows are a job of the experiment suite on a warm chip, at 1
 // and 32 cores: Reset, then armedJob — the registry armed, the job, one
 // snapshot.  The chip keeps its registry across the reset, cleared, and
 // every component bound its gauge funcs on its first registration, so
 // re-arming allocates no map, histogram or gauge: what is left beside the
-// job's own state is the snapshot's map.  While a reset dropped the
-// registry these rows cost 42,712 B and 35 allocations at 1 core and
-// 69,310 B and 118 at 32.
-//
-// The race detector's runtime adds bytes of its own, a number that varied
-// from run to run while this was measured, so a -race build holds the
-// allocation bound only.  The chip is reset directly rather than through
-// the chip pool (Release), so the rows price Reset and the job alone.
+// job's own state is the snapshot's map.  The chip is reset directly
+// rather than through the chip pool (Release), so the rows price Reset
+// and the job alone.
 func TestChipReuseBudget(t *testing.T) {
 	p := sumProgram(t)
-	const runs = 50
+	var rows []budget.Row
 	for _, c := range []struct {
-		cores         int
-		armed         bool
-		bytes, allocs float64 // measured: the log lines below
+		cores                   int
+		armed                   bool
+		bytes, bytesMax, allocs float64
 	}{
-		{cores: 1, bytes: 72, allocs: 4},
-		{cores: 4, bytes: 144, allocs: 6},
-		{cores: 1, armed: true, bytes: 13728, allocs: 8},
-		{cores: 32, armed: true, bytes: 30288, allocs: 20},
+		{1, false, 72, 1.10 * 72, 4},
+		{4, false, 152, 1.10 * 144, 6},
+		{1, true, 13728, 1.10 * 13728, 8},
+		{32, true, 30296, 1.10 * 30288, 20},
 	} {
-		job, what := setupJob, "reused chip"
+		job, name, layer := setupJob, fmt.Sprintf("cores=%d", c.cores), budget.EngineOther
 		if c.armed {
-			job, what = armedJob, "reused chip, telemetry armed"
+			job, name, layer = armedJob, name+"/telemetry", budget.ObserverTaps
 		}
 		chip := New(DefaultOptions())
 		job(t, chip, p, c.cores)
 		chip.Reset() // the first reset builds the chip's store of kept parts
-		job(t, chip, p, c.cores)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, func() {
-			chip.Reset()
-			job(t, chip, p, c.cores)
-		})
-		runtime.ReadMemStats(&after)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-		t.Logf("%d cores, %s: %.0f B and %.0f allocs per run", c.cores, what, bytes, allocs)
-		if bytes > 1.10*c.bytes && !raceDetector {
-			t.Errorf("%d cores, %s: %.0f B per run, budget %.0f (1.10 x %.0f)", c.cores, what, bytes, 1.10*c.bytes, c.bytes)
-		}
-		if allocs > 1.10*c.allocs {
-			t.Errorf("%d cores, %s: %.0f allocs per run, budget %.0f (1.10 x %.0f)", c.cores, what, allocs, 1.10*c.allocs, c.allocs)
-		}
+		run := func(tb testing.TB) budget.Work { chip.Reset(); job(tb, chip, p, c.cores); return budget.Work{} }
+		rows = append(rows,
+			budget.Row{Name: name + "/bytes", Quantity: budget.Bytes, Layer: layer, Run: run, Value: c.bytes, Bound: c.bytesMax},
+			budget.Row{Name: name + "/allocs", Quantity: budget.Allocs, Layer: layer, Run: run, Value: c.allocs, Bound: 1.10 * c.allocs, Race: 1.10 * c.allocs})
 	}
+	budget.Check(t, rows)
 }
 
 // TestWarmChipJobBudget holds what a whole gcc job (scale 8) allocates
@@ -301,49 +255,38 @@ func TestChipReuseBudget(t *testing.T) {
 // the list to the processor's free list, where a list left on a pooled
 // block was lost to the next read that waited, which allocated a new one:
 // on 8 cores that cost 35 allocations and 1,620 B a job instead of 9 and
-// 521.  Each row stays within 1.10x of the measured value (bytes outside
-// -race, as in TestChipReuseBudget).
+// 521.
 func TestWarmChipJobBudget(t *testing.T) {
-	k, ok := kernels.ByName("gcc")
-	if !ok {
-		t.Fatal("no kernel gcc")
-	}
+	k, _ := kernels.ByName("gcc")
 	inst, err := k.Build(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 5
+	var rows []budget.Row
 	for _, c := range []struct {
-		cores         int
-		bytes, allocs float64 // measured: the log lines below
+		cores                   int
+		bytes, bytesMax, allocs float64
 	}{
-		{cores: 1, bytes: 332, allocs: 6},
-		{cores: 8, bytes: 521, allocs: 9},
+		{1, 328, 1.10 * 328, 6},
+		{8, 504, 1.10 * 504, 9},
 	} {
 		chip := New(DefaultOptions())
-		job := func() {
+		run := func(tb testing.TB) budget.Work {
 			chip.Reset()
 			p, err := chip.AddProc(compose.MustRect(0, 0, c.cores), inst.Prog)
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			inst.Init(&p.Regs, p.Mem)
 			if err := chip.Run(2_000_000_000); err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
+			return budget.Work{}
 		}
-		job()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs := testing.AllocsPerRun(runs, job)
-		runtime.ReadMemStats(&after)
-		bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-		t.Logf("gcc on %d cores, warm chip: %.0f B and %.0f allocs per job", c.cores, bytes, allocs)
-		if bytes > 1.10*c.bytes && !raceDetector {
-			t.Errorf("gcc on %d cores, warm chip: %.0f B per job, budget %.0f (1.10 x %.0f)", c.cores, bytes, 1.10*c.bytes, c.bytes)
-		}
-		if allocs > 1.10*c.allocs {
-			t.Errorf("gcc on %d cores, warm chip: %.0f allocs per job, budget %.0f (1.10 x %.0f)", c.cores, allocs, 1.10*c.allocs, c.allocs)
-		}
+		name := fmt.Sprintf("gcc/cores=%d", c.cores)
+		rows = append(rows,
+			budget.Row{Name: name + "/bytes", Quantity: budget.Bytes, Layer: budget.OperandDelivery, Run: run, Value: c.bytes, Bound: c.bytesMax},
+			budget.Row{Name: name + "/allocs", Quantity: budget.Allocs, Layer: budget.OperandDelivery, Run: run, Value: c.allocs, Bound: 1.10 * c.allocs, Race: 1.10 * c.allocs})
 	}
+	budget.Check(t, rows)
 }

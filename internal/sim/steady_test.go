@@ -2,9 +2,9 @@ package sim_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
+	"github.com/clp-sim/tflex/internal/budget"
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/kernels"
 	"github.com/clp-sim/tflex/internal/sim"
@@ -15,36 +15,18 @@ import (
 // TestSteadyStateAllocsPerBlock is the steady-state half of the
 // allocation ratchet (TestChipSetupBudget holds set-up): once a chip is
 // warm, fetching, executing and committing one more block allocates
-// nothing.  Each kernel runs whole on a fresh chip at two scales; the
-// difference in allocations over the difference in committed blocks is
-// the marginal cost of a block, with set-up cancelled by the
+// nothing.  Each kernel runs whole on a fresh chip at scales 2 and 16;
+// the difference in allocations over the difference in committed blocks
+// is the marginal cost of a block, with set-up cancelled by the
 // subtraction.  Anything per-block that regrows — an append onto a list
-// that was dropped instead of recycled, a closure, a boxed event — shows
-// up here as ≥ 1; pool and slab growth to a larger working set amortizes
-// to a few thousandths.
+// that was dropped instead of recycled, a closure, a boxed event — reads
+// ≥ 1 here; pool and slab growth to a larger working set amortizes to a
+// few thousandths.
 func TestSteadyStateAllocsPerBlock(t *testing.T) {
-	const small, large = 2, 16
-	for _, name := range []string{"mcf", "bzip2", "gcc"} {
-		k, ok := kernels.ByName(name)
-		if !ok {
-			t.Fatalf("no kernel %q", name)
-		}
-		for _, cores := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/cores=%d", name, cores), func(t *testing.T) {
-				allocsS, _, blocksS := wholeRun(t, k, small, cores, sim.DefaultOptions(), false)
-				allocsL, _, blocksL := wholeRun(t, k, large, cores, sim.DefaultOptions(), false)
-				if blocksL <= blocksS {
-					t.Fatalf("scale %d commits %d blocks, scale %d commits %d: no steady state to measure", large, blocksL, small, blocksS)
-				}
-				perBlock := (allocsL - allocsS) / float64(blocksL-blocksS)
-				t.Logf("%.0f allocs / %d blocks at scale %d, %.0f / %d at scale %d: %.4f allocs per marginal block",
-					allocsS, blocksS, small, allocsL, blocksL, large, perBlock)
-				if perBlock > 0.1 {
-					t.Errorf("%.4f allocations per marginal block, want <= 0.1", perBlock)
-				}
-			})
-		}
+	row := func(kernel string, cores int, value float64) budget.Row {
+		return perBlockRow(t, fmt.Sprintf("%s/cores=%d", kernel, cores), budget.AllocsPerBlock, budget.BlockLifecycle, kernel, cores, 2, 16, sim.DefaultOptions(), false, value, 0.1)
 	}
+	budget.Check(t, []budget.Row{row("mcf", 1, 0), row("mcf", 8, 0.0002), row("bzip2", 1, 0), row("bzip2", 8, 0.0015), row("gcc", 1, 0), row("gcc", 8, 0)})
 }
 
 // TestReferenceBytesPerBlock is the same subtraction for the Reference
@@ -53,132 +35,65 @@ func TestSteadyStateAllocsPerBlock(t *testing.T) {
 // block's bytes are mostly what its in-flight state costs.  That state is
 // one record per live instruction, not one per slot of the block's frame:
 // mcf's and gcc's committed blocks span 98-99 slots and run 7-8
-// instructions, conv's span 121 and run 110.  Each ceiling is the
-// measured value plus 10 %; beside each row is what per-slot state read.
+// instructions, conv's span 121 and run 110.  Per-slot state read 10,096
+// B a block for mcf, 10,076 for gcc, and 13,221 and 44,270 for conv on 1
+// and 8 cores.
 func TestReferenceBytesPerBlock(t *testing.T) {
-	const small, large = 2, 16
 	opts := sim.DefaultOptions()
 	opts.Reference = true
-	for _, c := range []struct {
-		kernel string
-		cores  int
-		max    float64
-	}{
-		// per-slot state read 10096.0, 10096.1
-		{"mcf", 1, 1180}, {"mcf", 8, 1180},
-		// 10076.4, 10076.4
-		{"gcc", 1, 1213}, {"gcc", 8, 1213},
-		// 13221.0, 44270.2
-		{"conv", 1, 10040}, {"conv", 8, 33270},
-	} {
-		k, ok := kernels.ByName(c.kernel)
-		if !ok {
-			t.Fatalf("no kernel %q", c.kernel)
-		}
-		_, bytesS, blocksS := wholeRun(t, k, small, c.cores, opts, false)
-		_, bytesL, blocksL := wholeRun(t, k, large, c.cores, opts, false)
-		perBlock := (bytesL - bytesS) / float64(blocksL-blocksS)
-		t.Logf("%s, cores %d: %.0f B / %d blocks at scale %d, %.0f / %d at scale %d: %.1f B per marginal block",
-			c.kernel, c.cores, bytesS, blocksS, small, bytesL, blocksL, large, perBlock)
-		if perBlock > c.max {
-			t.Errorf("%s, cores %d: %.1f bytes per marginal Reference block, want <= %.0f", c.kernel, c.cores, perBlock, c.max)
-		}
+	row := func(kernel string, cores int, value, bound float64) budget.Row {
+		return perBlockRow(t, fmt.Sprintf("%s/cores=%d", kernel, cores), budget.BytesPerBlock, budget.BlockLifecycle, kernel, cores, 2, 16, opts, false, value, bound)
 	}
+	budget.Check(t, []budget.Row{row("mcf", 1, 1072, 1180), row("mcf", 8, 1072, 1180), row("gcc", 1, 1102, 1213), row("gcc", 8, 1102, 1213),
+		row("conv", 1, 9125, 10040), row("conv", 8, 30240, 33270)})
 }
 
-// TestObservedAllocsPerBlock is the same ratchet with every tap armed
-// (registry, Chrome trace, sampler at 64 cycles, critical path, flight
-// ring, a block observer): a retired block leaves the engine as one
-// pointer-free record stored into the trace's fixed chunks, and a sample
+// TestObservedAllocsPerBlock and TestObservedBytesPerBlock are the same
+// ratchet with every tap armed (registry, Chrome trace, sampler at 64
+// cycles, critical path, flight ring, a block observer), on 8 cores at
+// scales 8 and 32: a retired block leaves the engine as one pointer-free
+// record (112 bytes) stored into the trace's fixed chunks, and a sample
 // stores its row into the sampler's, so the marginal block costs one new
-// chunk now and then — a few thousandths of an allocation, where a row
-// slice per sample and a record slice grown by append cost 0.31 (mcf) and
-// 0.13 (gcc).  A map, a boxed value or a heap copy made per block
-// anywhere on the retirement path reads >= 1 here.
+// chunk now and then.  A row slice per sample and a record slice grown
+// by append cost 0.31 (mcf) and 0.13 (gcc) allocations and 568 and 553
+// bytes a block.  A map, a boxed value or a heap copy made per block
+// anywhere on the retirement path reads >= 1 allocation here.
 func TestObservedAllocsPerBlock(t *testing.T) {
-	const small, large = 8, 32
-	for _, c := range []struct {
-		kernel string
-		max    float64 // measured 0.0024 and 0.0021
-	}{{"mcf", 0.01}, {"gcc", 0.01}} {
-		k, ok := kernels.ByName(c.kernel)
-		if !ok {
-			t.Fatalf("no kernel %q", c.kernel)
-		}
-		t.Run(c.kernel, func(t *testing.T) {
-			allocsS, _, blocksS := wholeRun(t, k, small, 8, sim.DefaultOptions(), true)
-			allocsL, _, blocksL := wholeRun(t, k, large, 8, sim.DefaultOptions(), true)
-			perBlock := (allocsL - allocsS) / float64(blocksL-blocksS)
-			t.Logf("%.0f allocs / %d blocks at scale %d, %.0f / %d at scale %d: %.4f allocs per marginal block",
-				allocsS, blocksS, small, allocsL, blocksL, large, perBlock)
-			if perBlock > c.max {
-				t.Errorf("%.4f allocations per marginal block with every tap armed, want <= %g", perBlock, c.max)
-			}
-		})
-	}
+	budget.Check(t, []budget.Row{observedRow(t, "mcf", budget.AllocsPerBlock, 0.0024, 0.01), observedRow(t, "gcc", budget.AllocsPerBlock, 0.0021, 0.01)})
 }
 
-// TestObservedBytesPerBlock is the byte half of the same ratchet: what a
-// marginal committed block costs with every tap armed is the trace
-// record it keeps (112 bytes) and its share of the samples, not a
-// multiple of it.  A record slice grown by append allocates several
-// times what it finally holds, and a row slice per sample pays the
-// allocator's rounding besides.  Each ceiling is the measured value plus
-// 10 %; beside each row is what those read.
 func TestObservedBytesPerBlock(t *testing.T) {
-	const small, large = 8, 32
-	for _, c := range []struct {
-		kernel string
-		max    float64
-	}{
-		// a record slice and row slices read 568.4, 552.8
-		{"mcf", 135}, {"gcc", 127},
-	} {
-		k, ok := kernels.ByName(c.kernel)
-		if !ok {
-			t.Fatalf("no kernel %q", c.kernel)
-		}
-		_, bytesS, blocksS := wholeRun(t, k, small, 8, sim.DefaultOptions(), true)
-		_, bytesL, blocksL := wholeRun(t, k, large, 8, sim.DefaultOptions(), true)
-		perBlock := (bytesL - bytesS) / float64(blocksL-blocksS)
-		t.Logf("%s: %.0f B / %d blocks at scale %d, %.0f / %d at scale %d: %.1f B per marginal block",
-			c.kernel, bytesS, blocksS, small, bytesL, blocksL, large, perBlock)
-		if perBlock > c.max {
-			t.Errorf("%s: %.1f bytes per marginal block with every tap armed, want <= %.0f", c.kernel, perBlock, c.max)
-		}
-	}
+	budget.Check(t, []budget.Row{observedRow(t, "mcf", budget.BytesPerBlock, 122.8, 135), observedRow(t, "gcc", budget.BytesPerBlock, 115.1, 127)})
+}
+
+func observedRow(t *testing.T, kernel string, q budget.Quantity, value, bound float64) budget.Row {
+	return perBlockRow(t, kernel, q, budget.ObserverTaps, kernel, 8, 8, 32, sim.DefaultOptions(), true, value, bound)
 }
 
 // TestEventsPerBlock holds the event diet: host events executed per
 // committed block, deterministic for a seed.  A block's dispatch costs one
-// event per distinct dispatch cycle, not one per instruction; each ceiling
-// is the measured value rounded up.  Beside each row is what one event
-// per instruction read: conv's 112-instruction blocks fall to 0.66-0.73
-// of it, mcf's and gcc's 7- to 11-instruction blocks to 0.80-0.89.
+// event per distinct dispatch cycle, not one per instruction.  One event
+// per instruction read 25.99, 26.00 and 26.00 events a block for mcf on
+// 1 and 8 cores and TRIPS, 26.96, 27.61 and 37.65 for gcc, and 312.49,
+// 1055.33 and 892.17 for conv: conv's 112-instruction blocks fall to
+// 0.66-0.73 of that, mcf's and gcc's 7- to 11-instruction blocks to
+// 0.80-0.89.
 func TestEventsPerBlock(t *testing.T) {
-	for _, c := range []struct {
-		kernel string
-		cores  int // 0: the TRIPS configuration
-		max    float64
-	}{
-		// per-instruction dispatch read 25.99, 26.00, 26.00
-		{"mcf", 1, 21}, {"mcf", 8, 21.1}, {"mcf", 0, 23.1},
-		// 26.96, 27.61, 37.65
-		{"gcc", 1, 21.7}, {"gcc", 8, 22.5}, {"gcc", 0, 32.6},
-		// 312.49, 1055.33, 892.17
-		{"conv", 1, 230}, {"conv", 8, 695}, {"conv", 0, 622},
-	} {
-		opts, comp := trips.Options(), trips.Processor()
-		if c.cores > 0 {
-			opts, comp = sim.DefaultOptions(), compose.MustRect(0, 0, c.cores)
+	row := func(kernel string, cores int, value, bound float64) budget.Row { // cores 0: the TRIPS configuration
+		opts, comp, name := trips.Options(), trips.Processor(), kernel+"/trips"
+		if cores > 0 {
+			opts, comp, name = sim.DefaultOptions(), compose.MustRect(0, 0, cores), fmt.Sprintf("%s/cores=%d", kernel, cores)
 		}
-		chip, proc := runKernel(t, c.kernel, 4, opts, comp)
-		perBlock := float64(chip.DomainStats()[0].Events) / float64(proc.Stats.BlocksCommitted)
-		t.Logf("%s, cores %d: %.2f events per committed block", c.kernel, c.cores, perBlock)
-		if perBlock > c.max {
-			t.Errorf("%s, cores %d: %.2f events per committed block, want <= %.1f", c.kernel, c.cores, perBlock, c.max)
-		}
+		return budget.Row{Name: name, Quantity: budget.EventsPerBlock, Layer: budget.EventQueue, Run: func(tb testing.TB) budget.Work {
+			chip, proc := runKernel(tb, kernel, 4, opts, comp)
+			return budget.Work{Blocks: proc.Stats.BlocksCommitted, Events: uint64(chip.Telemetry().Snapshot().Get("sim.events"))}
+		}, Value: value, Bound: bound, Race: bound}
 	}
+	budget.Check(t, []budget.Row{
+		row("mcf", 1, 20.99, 21), row("mcf", 8, 21.01, 21.1), row("mcf", 0, 23.00, 23.1),
+		row("gcc", 1, 21.64, 21.7), row("gcc", 8, 22.41, 22.5), row("gcc", 0, 32.51, 32.6),
+		row("conv", 1, 229.44, 230), row("conv", 8, 694.31, 695), row("conv", 0, 621.87, 622),
+	})
 }
 
 // TestWideDispatchSpanCyclesPinned: conv's 112-instruction block on one
@@ -196,8 +111,8 @@ func TestWideDispatchSpanCyclesPinned(t *testing.T) {
 	}
 }
 
-// runKernel runs the named kernel to halt on one processor of a fresh chip.
-func runKernel(t *testing.T, name string, scale int, opts sim.Options, comp compose.Processor) (*sim.Chip, *sim.Proc) {
+// build builds the named kernel at scale.
+func build(t testing.TB, name string, scale int) *kernels.Instance {
 	t.Helper()
 	k, ok := kernels.ByName(name)
 	if !ok {
@@ -207,6 +122,13 @@ func runKernel(t *testing.T, name string, scale int, opts sim.Options, comp comp
 	if err != nil {
 		t.Fatal(err)
 	}
+	return inst
+}
+
+// runKernel runs the named kernel to halt on one processor of a fresh chip.
+func runKernel(t testing.TB, name string, scale int, opts sim.Options, comp compose.Processor) (*sim.Chip, *sim.Proc) {
+	t.Helper()
+	inst := build(t, name, scale)
 	chip := sim.New(opts)
 	proc, err := chip.AddProc(comp, inst.Prog)
 	if err != nil {
@@ -222,17 +144,21 @@ func runKernel(t *testing.T, name string, scale int, opts sim.Options, comp comp
 	return chip, proc
 }
 
-// wholeRun builds the kernel once, then measures one complete job — new
-// chip of the given options, composition, input set-up, run to halt —
-// and returns its allocations, its bytes and the blocks it committed.
-// tapped arms every observer the chip has.  Like testing.AllocsPerRun,
-// it runs the job once to warm up, then measures one run at GOMAXPROCS 1.
-func wholeRun(t *testing.T, k kernels.Kernel, scale, cores int, opts sim.Options, tapped bool) (allocs, bytes float64, blocks uint64) {
-	inst, err := k.Build(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job := func() {
+// perBlockRow is the row that holds q of a marginal block of the
+// kernel on cores: one complete job at each scale (wholeRun), the larger
+// measured against the smaller.
+func perBlockRow(t *testing.T, name string, q budget.Quantity, layer budget.Layer, kernel string, cores, small, large int, opts sim.Options, tapped bool, value, bound float64) budget.Row {
+	return budget.Row{Name: name, Quantity: q, Layer: layer, Base: wholeRun(t, kernel, small, cores, opts, tapped), Run: wholeRun(t, kernel, large, cores, opts, tapped),
+		Value: value, Bound: bound, Race: bound}
+}
+
+// wholeRun builds the kernel at scale and returns one complete job on it
+// — new chip of the given options, composition, input set-up, run to
+// halt — which reports the blocks it committed.  tapped arms every
+// observer the chip has.
+func wholeRun(t *testing.T, kernel string, scale, cores int, opts sim.Options, tapped bool) func(testing.TB) budget.Work {
+	inst := build(t, kernel, scale)
+	return func(tb testing.TB) budget.Work {
 		chip := sim.New(opts)
 		if tapped {
 			chip.Telemetry()
@@ -243,7 +169,7 @@ func wholeRun(t *testing.T, k kernels.Kernel, scale, cores int, opts sim.Options
 		}
 		proc, err := chip.AddProc(compose.MustRect(0, 0, cores), inst.Prog)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if tapped {
 			var latency uint64
@@ -251,15 +177,8 @@ func wholeRun(t *testing.T, k kernels.Kernel, scale, cores int, opts sim.Options
 		}
 		inst.Init(&proc.Regs, proc.Mem)
 		if err := chip.Run(2_000_000_000); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		blocks = proc.Stats.BlocksCommitted
+		return budget.Work{Blocks: proc.Stats.BlocksCommitted}
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	job()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	job()
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc), blocks
 }
