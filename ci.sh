@@ -3,7 +3,8 @@
 #
 #   ./ci.sh
 #
-# Checks, in order: formatting, vet, build, the full test suite under
+# Checks, in order: formatting, vet, build, that no non-test code imports
+# internal/budget (the budget tables' test support), the full test suite under
 # the race detector (the concurrency gate for what is concurrent — the
 # experiment suite's jobs, telemetry and the observability server — which also
 # runs the root package's invariant harness, invariant_test.go: one job gives
@@ -40,7 +41,9 @@
 # windows, printed one line per row (owner | row | layer | quantity |
 # measured | bound | factor), and then run again under GOGC=5, so a row
 # that depends on when the collector runs fails here before it flakes in
-# the tier-1 gate; and the record sizes the budgets rest on
+# the tier-1 gate, and a third time under -race, where a byte row holds
+# its bound plus 16 B an allocation (DESIGN.md); and the record sizes the
+# budgets rest on
 # (TestEventRecordSize, TestInstStateSize, TestCritRecordSize).
 # No wall-time ratio is compared to a threshold: wall time is judged
 # across commits by the pipeline that runs BENCHMARK.json, under the
@@ -56,6 +59,8 @@
 #
 # prints the non-test, non-testdata Go line count of every package and of
 # the module — the number a simplicity PR quotes before and after.
+# internal/budget, which only tests import, prints on a line of its own
+# ("test support") and counts in neither module total.
 #
 #   ./ci.sh fuzz [fuzztime]
 #
@@ -85,12 +90,14 @@ if [ "${1:-}" = "loc" ]; then
     find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' -exec wc -l {} + |
         awk '$2 != "total" {
                  d = $2; sub(/\/[^\/]*$/, "", d)
+                 if (d == "./internal/budget") { support += $1; next }
                  n[d] += $1; all += $1
                  if (d != "./cmd/clpbench") rest += $1
              }
              END {
                  for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"
                  close("sort -k2")
+                 printf "%7d ./internal/budget (test support)\n", support
                  printf "%7d module\n%7d module outside cmd/clpbench\n", all, rest
              }'
     exit 0
@@ -126,9 +133,11 @@ if [ "${1:-}" = "bench" ]; then
     rm -rf "$benchdir"
     budgets='TestRunKernelReuseBudget|TestSteadyStateAllocsPerBlock|TestReferenceBytesPerBlock|TestObservedAllocsPerBlock|TestObservedBytesPerBlock|TestEventsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestWarmChipJobBudget|TestKernelBuildBudget|TestCheckSeedAllocs|TestFunctionalAllocsPerBlock|TestSuiteJobBudget|TestRingFootprint'
     sizes='TestEventRecordSize|TestInstStateSize|TestCritRecordSize'
-    for gogc in 100 5; do
-        echo "== budget table, GOGC=$gogc (owner | row | layer | quantity | measured | bound | factor) =="
-        table=$(GOGC=$gogc go test -count=1 -v -run "^($budgets|$sizes)\$" . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz) ||
+    for build in GOGC=100 GOGC=5 -race; do
+        gogc=100 race=""
+        case "$build" in GOGC=*) gogc=${build#GOGC=} ;; *) race=$build ;; esac
+        echo "== budget table, $build (owner | row | layer | quantity | measured | bound | factor) =="
+        table=$(GOGC=$gogc go test $race -count=1 -v -run "^($budgets|$sizes)\$" . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz) ||
             { echo "$table" >&2; exit 1; }
         echo "$table" | grep -o 'budget: .*' | sed 's/^budget: //'
     done
@@ -148,6 +157,9 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== internal/budget is imported by tests only =="
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | grep -E ': (.* )?github.com/clp-sim/tflex/internal/budget( |$)'; then echo "FAIL: non-test code imports internal/budget" >&2; exit 1; fi
 
 echo "== go test -race =="
 go test -race ./...

@@ -5,24 +5,44 @@
 //
 // A row's work runs once to warm up and then in three windows.  Each
 // window runs the work alone at GOMAXPROCS 1 with the collector off
-// (debug.SetGCPercent(-1)), between two runtime.ReadMemStats.  No
-// collection is forced before a window: one would empty the sync.Pool
-// the critical-path rows draw their records from, and the window would
-// count the refill.  The reading is the smallest window's, because every
-// disturbance seen here only adds: a collection that empties a pool
-// mid-window, the allocations of the testing package's own goroutines,
-// and 5 KB that a window with the collector off and no other goroutine
-// alive still showed now and then.
+// (debug.SetGCPercent(-1), which waits out a collection in progress),
+// between two runtime.ReadMemStats, so no collection runs inside a
+// window and none is forced before one.  The reading is the smallest
+// window's, because every disturbance seen here only adds: the
+// allocations of the testing package's own goroutines, and 5 KB that a
+// window with the collector off and no other goroutine alive still
+// showed now and then.
+//
+// A -race build holds every row to the same Bound with one rule, keyed
+// on the quantity: allocation and event rows hold it as it is, and byte
+// rows hold it plus 16 B for each allocation read in the same window.
+// The race runtime turns tiny allocation off, so each object a plain
+// build packs into a shared 16 B block takes a 16 B slot of its own.
 package budget
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
 )
 
-const windows = 3 // measured runs of a row's work, after its warm-up
+const (
+	windows  = 3  // measured runs of a row's work, after its warm-up
+	tinySlot = 16 // bytes a -race build gives each allocation at most beyond a plain build's
+)
+
+// raceBuild reports whether the binary was built with -race, as its
+// build settings record.
+var raceBuild = func() bool {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}()
 
 // Quantity is what a row holds of its work.
 type Quantity string
@@ -75,9 +95,9 @@ type Row struct {
 	// quantities: the row reads Run's quantity less Base's over Run's
 	// blocks less Base's, so set-up cancels out.
 	Base func(testing.TB) Work
-	// Value is the measured value and Bound the most a reading may be;
-	// Race is the bound in a -race build, where zero holds none.
-	Value, Bound, Race float64
+	// Value is the measured value and Bound the most a reading may be
+	// (in a -race build, see bound).
+	Value, Bound float64
 }
 
 // measure runs setup (if set) and then run once to warm up, then
@@ -119,38 +139,43 @@ func Check(t *testing.T, rows []Row) []float64 {
 // check measures r and fails tb if r is over its bound.
 func (r Row) check(tb testing.TB, owner string) float64 {
 	tb.Helper()
-	got, bound := r.read(tb), r.Bound
-	if raceDetector {
-		bound = r.Race
-	}
-	line := fmt.Sprintf("%s | %s | %s | %s | %.6g | ", owner, r.Name, r.Layer, r.Quantity, got)
-	if raceDetector && bound == 0 {
-		tb.Logf("budget: %snot held under -race", line)
-		return got
-	}
-	tb.Logf("budget: %s%.6g | %.3g x %.6g", line, bound, bound/r.Value, r.Value)
+	got, allocs := r.read(tb)
+	bound := r.bound(allocs, raceBuild)
+	tb.Logf("budget: %s | %s | %s | %s | %.6g | %.6g | %.3g x %.6g", owner, r.Name, r.Layer, r.Quantity, got, bound, bound/r.Value, r.Value)
 	if got > bound {
 		tb.Errorf("%s, %s: %s %.6g, bound %.6g", owner, r.Name, r.Quantity, got, bound)
 	}
 	return got
 }
 
-// read is r's quantity in its smallest window; for a per-block quantity,
-// Run's smallest less Base's over the difference in blocks.
-func (r Row) read(tb testing.TB) float64 {
+// bound is the most r may read in windows that made allocs allocations:
+// its Bound, plus, in a race build and for a byte quantity, tinySlot
+// bytes for each of those allocations.
+func (r Row) bound(allocs float64, race bool) float64 {
+	if race && (r.Quantity == Bytes || r.Quantity == BytesPerBlock) {
+		return r.Bound + tinySlot*allocs
+	}
+	return r.Bound
+}
+
+// read is r's quantity in its smallest window and the allocations read
+// in that window; for a per-block quantity, Run's smallest less Base's
+// over the difference in blocks, for both.
+func (r Row) read(tb testing.TB) (got, allocs float64) {
 	tb.Helper()
 	run := r.smallest(tb, r.Run)
 	switch r.Quantity {
 	case Allocs, Bytes:
-		return r.of(run)
+		return r.of(run), float64(run.Allocs)
 	case EventsPerBlock:
-		return float64(run.Events) / float64(run.Blocks)
+		return float64(run.Events) / float64(run.Blocks), 0
 	}
 	base := r.smallest(tb, r.Base)
 	if run.Blocks <= base.Blocks {
 		tb.Fatalf("%s: Run commits %d blocks, Base %d: no marginal block to measure", r.Name, run.Blocks, base.Blocks)
 	}
-	return (r.of(run) - r.of(base)) / float64(run.Blocks-base.Blocks)
+	blocks := float64(run.Blocks - base.Blocks)
+	return (r.of(run) - r.of(base)) / blocks, (float64(run.Allocs) - float64(base.Allocs)) / blocks
 }
 
 // smallest measures run and returns its window with the least of r's

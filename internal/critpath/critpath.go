@@ -214,13 +214,13 @@ const (
 	OutBranch
 )
 
-// Block is the complete per-block attribution record.  Instances are
-// pooled alongside the simulator's IFBs and recycled via ResetBlock,
-// which clears every array.  Insts holds one entry per live instruction,
-// not per instruction ID: IDs pick cores, so a block's IDs span about
-// four times as many slots as it has live instructions, and sized by
-// what the block executes the clear is cheap enough to do on every
-// fetch.
+// Block is the complete per-block attribution record.  Each of the
+// simulator's IFBs keeps one across incarnations and recycles it via
+// ResetBlock, which clears every array.  Insts holds one entry per live
+// instruction, not per instruction ID: IDs pick cores, so a block's IDs
+// span about four times as many slots as it has live instructions, and
+// sized by what the block executes the clear is cheap enough to do on
+// every fetch.
 type Block struct {
 	FetchStart  uint64
 	ConstLat    uint64
@@ -241,23 +241,6 @@ type Block struct {
 	LastIdx int32
 
 	Result Breakdown // filled by Attribute at commit
-}
-
-// blockPool recycles whole attribution records across simulations.
-// Experiment suites run thousands of short jobs, each of which would
-// otherwise allocate its records afresh (DESIGN.md, "Critical-path
-// attribution", measures what that costs).
-var blockPool = sync.Pool{New: func() any { return new(Block) }}
-
-// GetBlock returns a pooled attribution record.  Recycle it with
-// ResetBlock before stamping.
-func GetBlock() *Block { return blockPool.Get().(*Block) }
-
-// PutBlock returns a record to the cross-simulation pool.
-func PutBlock(b *Block) {
-	if b != nil {
-		blockPool.Put(b)
-	}
 }
 
 // resetSlice returns s resized to n with every element zeroed, reusing

@@ -248,7 +248,7 @@ func TestAttributeFuzzReconciles(t *testing.T) {
 	}
 }
 
-// TestResetBlockRecycles checks the pooled-record recycle contract:
+// TestResetBlockRecycles checks the kept-record recycle contract:
 // every field and every array entry comes back zeroed, whether the
 // record shrinks below a stamped entry or grows back over it within its
 // capacity, and growing past capacity reallocates.

@@ -20,7 +20,7 @@ import (
 func TestFunctionalAllocsPerBlock(t *testing.T) {
 	row := func(kernel string, traced bool, value, bound float64) budget.Row {
 		return budget.Row{Name: fmt.Sprintf("%s/traced=%v", kernel, traced), Quantity: budget.AllocsPerBlock, Layer: budget.FunctionalExecutor,
-			Base: functionalRun(t, kernel, 2, traced), Run: functionalRun(t, kernel, 16, traced), Value: value, Bound: bound, Race: bound}
+			Base: functionalRun(t, kernel, 2, traced), Run: functionalRun(t, kernel, 16, traced), Value: value, Bound: bound}
 	}
 	budget.Check(t, []budget.Row{row("mcf", false, 0, 0.05), row("mcf", true, 0.0028, 0.1), row("bzip2", false, 0, 0.05), row("bzip2", true, 0.0023, 0.1),
 		row("gcc", false, 0, 0.05), row("gcc", true, 0.0046, 0.1)})

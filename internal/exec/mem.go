@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 )
 
@@ -147,12 +146,8 @@ func (m *PageMem) Store(addr uint64, size int, val uint64) {
 
 // Convenience accessors for harnesses and tests.
 
-func (m *PageMem) Read64(addr uint64) uint64       { return m.Load(addr, 8, false) }
-func (m *PageMem) Write64(addr uint64, v uint64)   { m.Store(addr, 8, v) }
-func (m *PageMem) Read32(addr uint64) uint32       { return uint32(m.Load(addr, 4, false)) }
-func (m *PageMem) Write32(addr uint64, v uint32)   { m.Store(addr, 4, uint64(v)) }
-func (m *PageMem) ReadF64(addr uint64) float64     { return math.Float64frombits(m.Read64(addr)) }
-func (m *PageMem) WriteF64(addr uint64, v float64) { m.Write64(addr, math.Float64bits(v)) }
+func (m *PageMem) Read64(addr uint64) uint64     { return m.Load(addr, 8, false) }
+func (m *PageMem) Write64(addr uint64, v uint64) { m.Store(addr, 8, v) }
 
 // Digest returns a hash of the memory image: page numbers in ascending
 // order, each followed by its page's contents, skipping all-zero pages so

@@ -20,17 +20,18 @@
 // Concurrency-safety audit (why fan-out is sound): each job runs on a
 // sim.Chip no other job holds while it runs, and every package the jobs
 // touch was audited for shared mutable state.  Package-level state is
-// read-only after init except for three pools, each safe for concurrent
+// read-only after init except for two pools, each safe for concurrent
 // use, whose entries one job holds alone between taking and returning:
 //
 //   - sim.pool, the chip pool (sim.Acquire, sim.Release, under
-//     sim.poolMu); all other simulation state hangs off the chip.  A
-//     chip goes back only after the job has copied its results out and
-//     Chip.Reset has returned it to sim.New's state, so a job cannot tell
-//     it from a new one (TestSuiteReuseMatchesFresh, root package).
-//   - conv.idle (under conv.idleMu) and critpath.blockPool, a sync.Pool:
-//     idle Core2 model states and attribution records; a state goes back
-//     reset and serves only its Config, and a record is reset when taken.
+//     sim.poolMu); all other simulation state, attribution records
+//     included, hangs off the chip.  A chip goes back only after the job
+//     has copied its results out and Chip.Reset has returned it to
+//     sim.New's state, so a job cannot tell it from a new one
+//     (TestSuiteReuseMatchesFresh, root package).
+//   - conv.idle (under conv.idleMu), the only pool that is not the
+//     chips': idle Core2 model states; a state goes back reset and serves
+//     only its Config.
 //   - kernels: the package-level registry/order maps are mutated only by
 //     init-time register() calls, which Go runs single-threaded before
 //     main; afterwards they are read-only (kernels.TestRegistryConcurrentReads

@@ -30,7 +30,7 @@ func TestCheckSeedAllocs(t *testing.T) {
 				}
 			}
 			return budget.Work{}
-		}, Value: allocs, Bound: 1.1 * allocs, Race: 1.1 * allocs}})
+		}, Value: allocs, Bound: 1.1 * allocs}})
 }
 
 // buildMatchesAssembly fails t unless Build and asm.Assemble of Asm's text

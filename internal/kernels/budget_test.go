@@ -64,7 +64,7 @@ func TestKernelBuildBudget(t *testing.T) {
 		}
 		rows = append(rows,
 			budget.Row{Name: c.name + "/bytes", Quantity: budget.Bytes, Layer: budget.MemoryPath, Run: run, Value: c.bytes, Bound: 1.02 * c.bytes},
-			budget.Row{Name: c.name + "/allocs", Quantity: budget.Allocs, Layer: budget.MemoryPath, Run: run, Value: c.allocs, Bound: c.allocs, Race: c.allocs})
+			budget.Row{Name: c.name + "/allocs", Quantity: budget.Allocs, Layer: budget.MemoryPath, Run: run, Value: c.allocs, Bound: c.allocs})
 	}
 	budget.Check(t, rows)
 }

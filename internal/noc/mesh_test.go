@@ -218,7 +218,7 @@ func TestRingFootprint(t *testing.T) {
 				var l link
 				l.reserve(0, c.capacity)
 				return budget.Work{}
-			}, Value: c.value, Bound: c.bound, Race: c.bound})
+			}, Value: c.value, Bound: c.bound})
 	}
 	budget.Check(t, rows)
 	if n := unsafe.Sizeof(link{}); n > 48 {

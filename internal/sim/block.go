@@ -127,12 +127,13 @@ type IFB struct {
 	// (Figure 9b), recorded for BlockEvent/commit-latency telemetry.
 	commitStart uint64
 
-	// cp is the critical-path attribution record, pooled with the IFB.
-	// nil unless Chip.EnableCritPath was called — every stamp below is
-	// gated on a nil check, mirroring the telemetry disabled-cost
-	// contract.  Recording is passive: it never feeds back into
-	// scheduling, so architectural results are identical either way.
-	cp *critpath.Block
+	// cp is the critical-path attribution record of this incarnation:
+	// cpKept, the record the IFB keeps across incarnations, when
+	// Chip.EnableCritPath was called, and nil otherwise — every stamp
+	// below is gated on a nil check, mirroring the telemetry
+	// disabled-cost contract.  Recording is passive: it never feeds back
+	// into scheduling, so architectural results are identical either way.
+	cp, cpKept *critpath.Block
 }
 
 // instCoreIdx returns the participating-core index executing instruction id.

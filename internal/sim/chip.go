@@ -65,9 +65,10 @@ type Chip struct {
 	sampleAt uint64
 
 	// Critical-path attribution (see critpath.go): off by default.
-	// critEnabled arms per-block recording (IFBs get a pooled record on
-	// reset); critSink optionally mirrors each committed breakdown into
-	// a concurrency-safe rolling aggregate for live observability.
+	// critEnabled arms per-block recording (a fetch points the IFB at the
+	// record it keeps); critSink optionally mirrors each committed
+	// breakdown into a concurrency-safe rolling aggregate for live
+	// observability.
 	critEnabled bool
 	critSink    *critpath.Rolling
 
@@ -159,9 +160,6 @@ func (c *Chip) buildStorage() {
 // touched, and parks the processors, L1 D-caches, issue rings, flight
 // ring and an unfrozen registry in c.kept for the next job to take.
 func (c *Chip) emptyStorage() {
-	if c.critEnabled {
-		c.releaseCritRecords() // a failed run still holds its records
-	}
 	if c.kept == nil {
 		c.kept = new(keptStorage)
 	}
@@ -246,6 +244,10 @@ func (c *Chip) checkCapacities() {
 
 // Now returns the current simulation cycle.
 func (c *Chip) Now() uint64 { return c.now }
+
+// Events returns the host events the chip has executed since New or the
+// last Reset.
+func (c *Chip) Events() uint64 { return c.events }
 
 // fail records the chip's first model fault; the event loop stops before
 // its next event and Run reports it.
@@ -518,9 +520,6 @@ func (c *Chip) run(maxCycles uint64) error {
 		if !p.halted {
 			return fmt.Errorf("sim: deadlock: processor %d stalled at cycle %d (%s)", p.id, c.now, p.describeStall())
 		}
-	}
-	if c.critEnabled {
-		c.releaseCritRecords()
 	}
 	return nil
 }

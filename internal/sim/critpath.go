@@ -2,7 +2,7 @@ package sim
 
 // Critical-path attribution integration (see internal/critpath and
 // DESIGN.md, "Critical-path attribution").  The simulator's role is
-// purely to *record*: each IFB carries a pooled critpath.Block that the
+// purely to *record*: each IFB carries a critpath.Block that the
 // fetch, execute, memory and commit paths stamp with timestamps and
 // last-arrival edges as they already compute them.  At finalizeCommit
 // the walker attributes the block's latency and the result folds into
@@ -70,34 +70,13 @@ func (p *Proc) registerCritHists(r *telemetry.Registry) {
 // resetCP recycles b's attribution record for a new incarnation, sized
 // to what the linked block executes: one instruction record per live
 // instruction, and Slots spanning both store and null LSIDs (StoreMask
-// covers every slot the block must resolve).
+// covers every slot the block must resolve).  The record stays with the
+// IFB across incarnations, unarmed ones included, so a kept chip builds
+// each record once.
 func (p *Proc) resetCP(b *IFB, lk *prog.Linked) {
-	if b.cp == nil {
-		b.cp = critpath.GetBlock()
-	}
-	b.cp = critpath.ResetBlock(b.cp,
+	b.cpKept = critpath.ResetBlock(b.cpKept,
 		len(lk.Live), len(lk.WriteProducers), len(lk.Block.Reads), bits.Len32(lk.StoreMask))
-}
-
-// releaseCritRecords hands every IFB's attribution record back to the
-// cross-simulation pool.  Called when a run completes: the chip and its
-// IFBs are about to become garbage, and the record arrays are the
-// expensive part.
-func (c *Chip) releaseCritRecords() {
-	for _, p := range c.Procs {
-		for _, b := range p.ifbFree {
-			if b.cp != nil {
-				critpath.PutBlock(b.cp)
-				b.cp = nil
-			}
-		}
-		for _, b := range p.window {
-			if b != nil && b.cp != nil {
-				critpath.PutBlock(b.cp)
-				b.cp = nil
-			}
-		}
-	}
+	b.cp = b.cpKept
 }
 
 // opnIdeal is the unloaded operand-network latency between two

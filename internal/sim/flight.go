@@ -59,7 +59,7 @@ func (c *Chip) FlightDump() *flight.Dump {
 // benchmark (cmd/clpbench) still calls it, and the benchmark PR (ROADMAP
 // item 1a) drops it.  Same calling contract as FlightDump.
 func (c *Chip) DomainStats() []flight.DomainStats {
-	return []flight.DomainStats{{Events: c.events, RingRecords: c.flight.Written()}}
+	return []flight.DomainStats{{Events: c.Events(), RingRecords: c.flight.Written()}}
 }
 
 // flightPostMortem writes a text dump to the flight sink, prefixed with

@@ -86,8 +86,8 @@ func TestEventsPerBlock(t *testing.T) {
 		}
 		return budget.Row{Name: name, Quantity: budget.EventsPerBlock, Layer: budget.EventQueue, Run: func(tb testing.TB) budget.Work {
 			chip, proc := runKernel(tb, kernel, 4, opts, comp)
-			return budget.Work{Blocks: proc.Stats.BlocksCommitted, Events: uint64(chip.Telemetry().Snapshot().Get("sim.events"))}
-		}, Value: value, Bound: bound, Race: bound}
+			return budget.Work{Blocks: proc.Stats.BlocksCommitted, Events: chip.Events()}
+		}, Value: value, Bound: bound}
 	}
 	budget.Check(t, []budget.Row{
 		row("mcf", 1, 20.99, 21), row("mcf", 8, 21.01, 21.1), row("mcf", 0, 23.00, 23.1),
@@ -149,7 +149,7 @@ func runKernel(t testing.TB, name string, scale int, opts sim.Options, comp comp
 // measured against the smaller.
 func perBlockRow(t *testing.T, name string, q budget.Quantity, layer budget.Layer, kernel string, cores, small, large int, opts sim.Options, tapped bool, value, bound float64) budget.Row {
 	return budget.Row{Name: name, Quantity: q, Layer: layer, Base: wholeRun(t, kernel, small, cores, opts, tapped), Run: wholeRun(t, kernel, large, cores, opts, tapped),
-		Value: value, Bound: bound, Race: bound}
+		Value: value, Bound: bound}
 }
 
 // wholeRun builds the kernel at scale and returns one complete job on it

@@ -143,7 +143,7 @@ func start(chip *Chip, c *invCase, obs obsSet, maxCycles uint64) (*run, error) {
 	var err error
 	r.results, err = runOn(chip, c.specs, cfg)
 	co := &r.d.Core
-	co.Now, co.Events, co.L1D, co.L2, co.DRAM = chip.Now(), chip.DomainStats()[0].Events, chip.L1DStats(), chip.L2.Stats, chip.DRAM.Stats
+	co.Now, co.Events, co.L1D, co.L2, co.DRAM = chip.Now(), chip.Events(), chip.L1DStats(), chip.L2.Stats, chip.DRAM.Stats
 	co.Opn, co.Ctl = chip.Opn.Stats(), chip.Ctl.Stats()
 	return r, err
 }
