@@ -44,7 +44,7 @@
 # the tier-1 gate, and a third time under -race, where a byte row holds
 # its bound plus 16 B an allocation (DESIGN.md); and the record sizes the
 # budgets rest on
-# (TestEventRecordSize, TestInstStateSize, TestCritRecordSize).
+# (TestEventRecordSize, TestNodeSize, TestInstStateSize, TestCritRecordSize).
 # No wall-time ratio is compared to a threshold: wall time is judged
 # across commits by the pipeline that runs BENCHMARK.json, under the
 # bounds that file states.
@@ -52,8 +52,10 @@
 #   ./ci.sh lint
 #
 # runs only the static-analysis stage (a few seconds): go vet, then
-# TestModuleCleanliness, the determinism and event-discipline analyzers
-# over the whole module, which prints each finding as file:line:col.
+# TestModuleCleanliness, the determinism and event-discipline (no event
+# scheduled at a cycle computed by subtracting from the current one)
+# analyzers over the whole module, which prints each finding as
+# file:line:col.
 #
 #   ./ci.sh loc
 #
@@ -132,12 +134,12 @@ if [ "${1:-}" = "bench" ]; then
     fi
     rm -rf "$benchdir"
     budgets='TestRunKernelReuseBudget|TestSteadyStateAllocsPerBlock|TestReferenceBytesPerBlock|TestObservedAllocsPerBlock|TestObservedBytesPerBlock|TestEventsPerBlock|TestChipSetupBudget|TestChipReuseBudget|TestWarmChipJobBudget|TestKernelBuildBudget|TestCheckSeedAllocs|TestFunctionalAllocsPerBlock|TestSuiteJobBudget|TestRingFootprint'
-    sizes='TestEventRecordSize|TestInstStateSize|TestCritRecordSize'
+    sizes='TestEventRecordSize|TestNodeSize|TestInstStateSize|TestCritRecordSize'
     for build in GOGC=100 GOGC=5 -race; do
         gogc=100 race=""
         case "$build" in GOGC=*) gogc=${build#GOGC=} ;; *) race=$build ;; esac
         echo "== budget table, $build (owner | row | layer | quantity | measured | bound | factor) =="
-        table=$(GOGC=$gogc go test $race -count=1 -v -run "^($budgets|$sizes)\$" . ./internal/sim ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz) ||
+        table=$(GOGC=$gogc go test $race -count=1 -v -run "^($budgets|$sizes)\$" . ./internal/sim ./internal/evq ./internal/noc ./internal/critpath ./internal/exec ./internal/kernels ./internal/experiments ./internal/fuzz) ||
             { echo "$table" >&2; exit 1; }
         echo "$table" | grep -o 'budget: .*' | sed 's/^budget: //'
     done

@@ -135,8 +135,10 @@ func (s *Suite) Prefetch(specs []Spec) error {
 				t0 := time.Now()
 				j.res, j.err = s.simulate(sp)
 				wall := time.Since(t0)
-				s.trace.Span(jobTracePID, w, sp.Key(), "job",
-					uint64(t0.Sub(epoch).Microseconds()), uint64(t0.Add(wall).Sub(epoch).Microseconds()))
+				if s.trace != nil { // else the key would be formatted for nothing
+					s.trace.Span(jobTracePID, w, sp.Key(), "job",
+						uint64(t0.Sub(epoch).Microseconds()), uint64(t0.Add(wall).Sub(epoch).Microseconds()))
+				}
 				s.mu.Lock()
 				s.inJob += wall
 				ran++

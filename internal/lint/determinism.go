@@ -140,7 +140,7 @@ func runDeterminism(m *Module, pkg *Package, report ReportFunc) {
 				if mapRangeSorted(pkg, fd, rs) || mapRangeCommutative(pkg, rs.Body) {
 					return true
 				}
-				report(rs.Pos(), "range over map %s: iteration order is randomized; sort the keys or make the body order-insensitive", render(rs.X))
+				report(rs.Pos(), "range over map %s: iteration order is randomized; sort the keys or make the body order-insensitive", types.ExprString(rs.X))
 				return true
 			})
 		}

@@ -17,7 +17,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -183,32 +182,4 @@ func collectDirectives(m *Module, pkg *Package, analyzers []*Analyzer) ([]*allow
 		}
 	}
 	return dirs, bad
-}
-
-// render prints an expression's source form for diagnostics.
-func render(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return render(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return render(e.X) + "[" + render(e.Index) + "]"
-	case *ast.ParenExpr:
-		return render(e.X)
-	case *ast.StarExpr:
-		return "*" + render(e.X)
-	case *ast.UnaryExpr:
-		return e.Op.String() + render(e.X)
-	case *ast.CallExpr:
-		args := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = render(a)
-		}
-		return render(e.Fun) + "(" + strings.Join(args, ",") + ")"
-	case *ast.BasicLit:
-		return e.Value
-	default:
-		return fmt.Sprintf("<%T>", e)
-	}
 }

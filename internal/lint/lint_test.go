@@ -157,7 +157,7 @@ func TestModuleCleanliness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgByRel(t, m, "internal/sim") // the event-discipline target must be in the load
+	pkgByRel(t, m, "internal/evq") // the event-discipline target must be in the load
 	diags := Run(m, All())
 	elapsed := time.Since(start)
 	for _, d := range diags {

@@ -13,7 +13,7 @@ package lint
 // Cross-module (standard library) imports are satisfied with empty
 // placeholder packages instead of being type-checked from source: the
 // invariants the analyzers enforce are stated in terms of *this module's*
-// declarations (the engine's event queues and their owners, map-typed
+// declarations (the event queue's Schedule method, map-typed
 // fields), so stdlib member types may come out as `invalid` without
 // costing any analyzer precision — the few stdlib shapes that matter
 // (`sort.*`, `time`/`math/rand` imports) are matched on resolved import

@@ -1,58 +1,40 @@
-// Fixture: the chip owns the event queue.  Ownership is structural — any
-// struct with a queue-typed field (plain or pointer) is an owner — so the
-// analyzer names no engine type.  Pops are confined to owner methods,
-// pushes to the owner's scheduleEv, and nothing may compute a target
-// cycle by subtracting from now.
+// Fixture: nothing may compute an event queue's target cycle by
+// subtracting from the current cycle.  The rule follows the type
+// evq.Queue, whatever the field or the payload is called.
 package sim
 
+import "example.com/fix/internal/evq"
+
+type event struct{ kind uint8 }
+
 type Chip struct {
-	cal *calQueue
-	now uint64
-	seq uint64
-}
-
-func (c *Chip) scheduleEv(at uint64, e event) {
-	if at < c.now {
-		at = c.now
-	}
-	c.seq++
-	e.at = at
-	e.seq = c.seq
-	c.cal.push(e) // ok: the owner's stamping entry point
-}
-
-func (c *Chip) run() {
-	for len(c.cal.evs) > 0 {
-		e := c.cal.popMin() // ok: an owner method draining its queue
-		c.now = e.at
-	}
-}
-
-func (c *Chip) sneak(e event) {
-	c.cal.push(e) // want "bypasses the owner's scheduleEv"
+	q evq.Queue[event]
 }
 
 func (c *Chip) retro(e event) {
-	c.scheduleEv(c.now-1, e) // want "schedules before Now()"
-	c.scheduleEv(c.now+2, e) // ok: forward delay
+	c.q.Schedule(c.q.Now()-1, e) // want "cycle argument c.q.Now() - 1 schedules before Now()"
+	c.q.Schedule(c.q.Now()+2, e) // ok: forward delay
+	now := c.q.Now()
+	c.q.Schedule(now-3+5, e) // want "cycle argument now - 3 schedules"
 }
 
 func (c *Chip) forward(t uint64, e event) {
-	c.scheduleEv(t-1, e) // ok: t is not the current cycle
+	c.q.Schedule(t-1, e) // ok: t is not the current cycle
 }
 
-// Proc owns no queue: it may not touch one, even reached through the
-// chip it runs on.
+// Proc reaches the queue through its chip; the rule holds there too.
 type Proc struct{ chip *Chip }
 
-func (p *Proc) steal() event {
-	return p.chip.cal.popMin() // want "outside a queue-owner method"
+func (p *Proc) retro(e event) {
+	p.chip.q.Schedule(p.chip.q.Now()-1, e) // want "cycle argument p.chip.q.Now() - 1 schedules"
 }
 
-func (p *Proc) sneak(e event) {
-	p.chip.cal.push(e) // want "bypasses the owner's scheduleEv"
-}
+// diary is not the event queue: a Schedule method of another type
+// is not held to the rule.
+type diary struct{ now uint64 }
 
-func drain(q *calQueue) event {
-	return q.popMin() // want "outside a queue-owner method"
+func (diary) Schedule(at uint64, e event) {}
+
+func (d diary) meeting(e event) {
+	d.Schedule(d.now-1, e) // ok: not an evq.Queue
 }

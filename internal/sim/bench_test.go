@@ -10,47 +10,15 @@ import (
 	"github.com/clp-sim/tflex/internal/prog"
 )
 
-// Microbenchmarks of the two engine hot paths this package optimizes: the
-// event queue and the block fetch→execute→commit pipeline.  Each has a
-// *Reference companion running the plain binary heap and the
-// non-pooled block lifecycle (Options.Reference), so
+// Microbenchmarks of the block fetch→execute→commit pipeline.  Each has a
+// *Reference companion running the plain binary heap and the non-pooled
+// block lifecycle (Options.Reference), so
 //
-//	go test -bench 'EventQueue|BlockPipeline' -benchtime 100x ./internal/sim
+//	go test -bench BlockPipeline -benchtime 100x ./internal/sim
 //
 // prints the optimized and unoptimized costs side by side, with
-// allocations per operation.
-
-// benchEventQueue drives a queue through a steady-state churn resembling
-// the simulator's: a resident population of in-flight events, each pop
-// scheduling a successor a short latency ahead, with an occasional
-// far-future event that exercises the calendar queue's overflow heap
-// (offsets beyond the 1024-cycle window).
-func benchEventQueue(b *testing.B, push func(*event), popMin func(*event)) {
-	offsets := [...]uint64{1, 1, 2, 3, 5, 8, 17, 150, 1500}
-	var seq uint64
-	for i := 0; i < 64; i++ {
-		seq++
-		push(&event{at: uint64(i % 8), seq: seq})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var e event
-	for i := 0; i < b.N; i++ {
-		popMin(&e)
-		seq++
-		push(&event{at: e.at + offsets[i%len(offsets)], seq: seq})
-	}
-}
-
-func BenchmarkEventQueueCalendar(b *testing.B) {
-	q := &calQueue{}
-	benchEventQueue(b, q.push, q.popMin)
-}
-
-func BenchmarkEventQueueReference(b *testing.B) {
-	q := &minEvHeap{}
-	benchEventQueue(b, q.push, func(e *event) { *e = q.pop() })
-}
+// allocations per operation.  The event queue's own microbenchmarks are
+// in internal/evq.
 
 // benchBlockPipeline runs a register-pressure-free sum loop end to end on
 // a fresh 4-core composition per iteration: every block goes through

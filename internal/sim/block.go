@@ -404,7 +404,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			ci.BankIdeal = p.opnIdeal(coreIdx, bank)
 			ci.BankArrive = arr
 		}
-		p.chip.scheduleEv(arr, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
+		p.chip.q.Schedule(arr, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
 
 	case in.Op == isa.OpStore:
 		b.useful++
@@ -419,7 +419,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			ci.BankIdeal = p.opnIdeal(coreIdx, bank)
 			ci.BankArrive = arr
 		}
-		p.chip.scheduleEv(arr, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
+		p.chip.q.Schedule(arr, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
 
 	case in.Op == isa.OpNull:
 		done := issueAt + 1
@@ -432,7 +432,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 					s.Kind, s.Src = critpath.SrcInst, int32(b.lk.LivePos[idx])
 				}
 			}
-			p.chip.scheduleEv(done, event{kind: evNullSlot, b: b, gen: b.gen, idx: int32(in.NullLSID)})
+			p.chip.q.Schedule(done, event{kind: evNullSlot, b: b, gen: b.gen, idx: int32(in.NullLSID)})
 		}
 		for _, tg := range in.Targets {
 			p.scheduleDeadToken(b, tg, coreIdx, done)
@@ -451,7 +451,7 @@ func (p *Proc) executeInst(b *IFB, idx int, issueAt uint64) {
 			// first arrival and ignores a later predicated twin.
 			b.cp.Branch = critpath.SlotOut{Kind: critpath.SrcInst, Src: int32(b.lk.LivePos[idx]), ResolvedAt: done, Valid: true}
 		}
-		p.chip.scheduleEv(arr, event{kind: evBranch, b: b, gen: b.gen, idx: int32(in.Op), from: in.Exit, val: target})
+		p.chip.q.Schedule(arr, event{kind: evBranch, b: b, gen: b.gen, idx: int32(in.Op), from: in.Exit, val: target})
 
 	default:
 		val := exec.EvalALU(in, st.val[isa.TargetLeft], st.val[isa.TargetRight])
@@ -497,11 +497,11 @@ func (p *Proc) scheduleDelivery(b *IFB, tg isa.Target, val uint64, fromIdx int, 
 			b.cpInst(int(tg.Index)).Offer(e, uint8(tg.Kind))
 		}
 	}
-	p.chip.scheduleEv(arr, event{kind: evDeliver, b: b, gen: b.gen, tgt: tg, val: val, from: uint8(fromIdx)})
+	p.chip.q.Schedule(arr, event{kind: evDeliver, b: b, gen: b.gen, tgt: tg, val: val, from: uint8(fromIdx)})
 }
 
 func (p *Proc) scheduleDeadToken(b *IFB, tg isa.Target, fromIdx int, t uint64) {
-	p.chip.scheduleEv(t, event{kind: evDeadToken, b: b, gen: b.gen, tgt: tg, from: uint8(fromIdx)})
+	p.chip.q.Schedule(t, event{kind: evDeadToken, b: b, gen: b.gen, tgt: tg, from: uint8(fromIdx)})
 }
 
 // resolveRead finds the architectural or forwarded value of a register

@@ -7,6 +7,7 @@ import (
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/critpath"
+	"github.com/clp-sim/tflex/internal/evq"
 	"github.com/clp-sim/tflex/internal/exec"
 	"github.com/clp-sim/tflex/internal/flight"
 	"github.com/clp-sim/tflex/internal/isa"
@@ -37,14 +38,9 @@ type Chip struct {
 	// first reset, so a chip that is never reset does not pay for it.
 	kept *keptStorage
 
-	// The chip's one event queue (event.go).  Exactly one is live: the
-	// calendar, or under Options.Reference (cal == nil) the plain
-	// binary heap.  cal is a pointer so a Reference chip never pays for
-	// the calendar's 8 KB of bucket handles.
-	cal    *calQueue
-	ref    minEvHeap
-	seq    uint64 // insertion sequence, the (at, seq) tie-break
-	now    uint64
+	// q is the chip's one event queue and its clock (event.go): the
+	// calendar, or under Options.Reference the plain binary heap.
+	q      evq.Queue[event]
 	events uint64 // events executed
 	err    error
 
@@ -124,7 +120,8 @@ func (c *Chip) Reset() {
 	if c.Opn != nil {
 		c.emptyStorage()
 	}
-	c.seq, c.now, c.events = 0, 0, 0
+	c.q.Reset(c.Opts.Reference)
+	c.events = 0
 	c.err = nil
 	c.stallEvents = defaultStallEvents
 	c.tel, c.trace, c.sampler, c.sampleAt = nil, nil, nil, ^uint64(0)
@@ -136,7 +133,7 @@ func (c *Chip) Reset() {
 	}
 }
 
-// buildStorage builds an empty chip's networks, memory and event queue.
+// buildStorage builds an empty chip's networks and memory.
 // L1 D-caches and issue rings are created on first use: a job composing
 // k of the 32 cores pays setup for k, not 32.
 func (c *Chip) buildStorage() {
@@ -151,9 +148,6 @@ func (c *Chip) buildStorage() {
 	c.DRAM = mem.NewDRAM(uint64(p.DRAMCycles), 2, 4)
 	c.L2 = mem.NewL2(p.L2Bytes, p.L2Assoc, p.LineBytes, 32, uint64(p.L2HitMin), uint64(p.L2HitMax), c.DRAM)
 	c.L2.SetDirectory(c)
-	if !c.Opts.Reference {
-		c.cal = new(calQueue)
-	}
 }
 
 // emptyStorage empties everything the jobs since the last reset built or
@@ -193,11 +187,6 @@ func (c *Chip) emptyStorage() {
 	c.Ctl.Reset()
 	c.DRAM.Reset()
 	c.L2.Reset()
-	if c.cal != nil {
-		c.cal.reset()
-	}
-	clear(c.ref) // drop the block pointers a failed Reference run left queued
-	c.ref = c.ref[:0]
 }
 
 // checkCapacities fails the chip when an issue width or link bandwidth
@@ -243,7 +232,7 @@ func (c *Chip) checkCapacities() {
 }
 
 // Now returns the current simulation cycle.
-func (c *Chip) Now() uint64 { return c.now }
+func (c *Chip) Now() uint64 { return c.q.Now() }
 
 // Events returns the host events the chip has executed since New or the
 // last Reset.
@@ -255,23 +244,6 @@ func (c *Chip) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf("sim: "+format, args...)
 	}
-}
-
-// scheduleEv enqueues a typed event, stamping its time (clamped to now)
-// and the chip-wide insertion sequence.  It is the only place an event
-// enters the queue.
-func (c *Chip) scheduleEv(at uint64, e event) {
-	if at < c.now {
-		at = c.now
-	}
-	c.seq++
-	e.at = at
-	e.seq = c.seq
-	if c.cal == nil {
-		c.ref.push(&e)
-		return
-	}
-	c.cal.push(&e)
 }
 
 // l1dAt returns core's private D-cache, creating it on first use (from
@@ -416,11 +388,11 @@ func (c *Chip) admit(cores compose.Processor, program *prog.Program) error {
 // outside Run and prepareStart reads no architectural state.
 func (c *Chip) launch(pr *Proc) {
 	pr.slot = int32(len(c.Procs))
-	pr.launchedAt = c.now
+	pr.launchedAt = c.q.Now()
 	c.Procs = append(c.Procs, pr)
 	c.attachProcTelemetry(pr)
 	pr.prepareStart()
-	c.flight.Add(flight.KCompose, c.now, int16(pr.id), int16(pr.cores[0]), uint64(pr.id), uint64(len(pr.cores)))
+	c.flight.Add(flight.KCompose, c.q.Now(), int16(pr.id), int16(pr.cores[0]), uint64(pr.id), uint64(len(pr.cores)))
 	pr.maybeFetch()
 }
 
@@ -474,51 +446,40 @@ func (c *Chip) Run(maxCycles uint64) error {
 }
 
 // run is the event loop of both engines: pop the earliest event in
-// (at, seq) order, check the cycle limit and the stall watchdog, take due
-// samples, dispatch.  Options.Reference changes only which queue the pop
-// reads.  A chip already failed — rejected at construction or launch —
-// runs no event.
+// (cycle, seq) order, check the cycle limit and the stall watchdog, take
+// due samples, dispatch.  A chip already failed — rejected at
+// construction or launch — runs no event.
 func (c *Chip) run(maxCycles uint64) error {
 	stall := c.stallEvents
+	last := c.q.Now()
 	var sameCycle uint64 // events executed since the clock last advanced
 	var e event
-	for c.err == nil {
-		if c.cal != nil {
-			if c.cal.empty() {
-				break
-			}
-			c.cal.popMin(&e)
-		} else {
-			if len(c.ref) == 0 {
-				break
-			}
-			e = c.ref.pop()
-		}
-		if e.at > maxCycles {
+	for c.err == nil && c.q.Pop(&e) {
+		now := c.q.Now()
+		if now > maxCycles {
 			c.fail("exceeded %d cycles (running: %s)", maxCycles, c.runningProcs())
 			break
 		}
-		if e.at != c.now {
-			c.now = e.at
-			sameCycle = 0
+		if now != last {
+			last, sameCycle = now, 0
 		}
 		if sameCycle++; sameCycle >= stall {
-			c.flight.Add(flight.KStall, c.now, -1, -1, sameCycle, 0)
-			c.fail("stall watchdog: %d events executed without the clock advancing past cycle %d (flight ring dumped)", sameCycle, c.now)
+			c.flight.Add(flight.KStall, now, -1, -1, sameCycle, 0)
+			c.fail("stall watchdog: %d events executed without the clock advancing past cycle %d (flight ring dumped)", sameCycle, now)
 			break
 		}
 		c.events++
-		if e.at >= c.sampleAt {
+		if now >= c.sampleAt {
 			c.takeSamples()
 		}
-		c.dispatch(&e, e.at)
+		c.dispatch(&e, now)
 	}
 	if c.err != nil {
 		return c.err
 	}
 	for _, p := range c.Procs {
 		if !p.halted {
-			return fmt.Errorf("sim: deadlock: processor %d stalled at cycle %d (%s)", p.id, c.now, p.describeStall())
+			return fmt.Errorf("sim: deadlock: processor %d stalled at cycle %d (%s)", p.id, c.q.Now(), p.describeStall())
 		}
 	}
 	return nil

@@ -69,7 +69,7 @@ func (p *Proc) loadAtBank(b *IFB, idx int, addr uint64, t uint64) {
 		p.Stats.LSQNACKs++
 		p.relieveLSQPressure(b, t)
 		retry := t + nackRetryCycles
-		p.chip.scheduleEv(retry, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
+		p.chip.q.Schedule(retry, event{kind: evLoadBank, b: b, gen: b.gen, idx: int32(idx), addr: addr})
 		return
 	}
 
@@ -134,7 +134,7 @@ func (p *Proc) storeAtBank(b *IFB, idx int, addr uint64, val uint64, t uint64) {
 		p.Stats.LSQNACKs++
 		p.relieveLSQPressure(b, t)
 		retry := t + nackRetryCycles
-		p.chip.scheduleEv(retry, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
+		p.chip.q.Schedule(retry, event{kind: evStoreBank, b: b, gen: b.gen, idx: int32(idx), addr: addr, val: val})
 		return
 	}
 
@@ -302,7 +302,7 @@ func (p *Proc) retryDeferredLoads() {
 		}
 		in := &d.b.blk.Insts[d.idx]
 		if p.olderStoresResolved(d.b, in.LSID) {
-			p.chip.scheduleEv(p.chip.now, event{kind: evLoadBank, b: d.b, gen: d.gen, idx: int32(d.idx), addr: d.addr})
+			p.chip.q.Schedule(p.chip.Now(), event{kind: evLoadBank, b: d.b, gen: d.gen, idx: int32(d.idx), addr: d.addr})
 		} else {
 			p.deferred = append(p.deferred, d)
 		}

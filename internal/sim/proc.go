@@ -289,14 +289,14 @@ func (p *Proc) maybeFetch() {
 		return // re-invoked on dealloc
 	}
 	p.fetch.scheduled = true
-	p.chip.scheduleEv(p.fetch.readyAt, event{kind: evFetch, idx: p.slot, val: p.fetch.epoch})
+	p.chip.q.Schedule(p.fetch.readyAt, event{kind: evFetch, idx: p.slot, val: p.fetch.epoch})
 }
 
 // fetchBlock runs the distributed fetch pipeline for the block at
 // p.fetch.addr: prediction, hand-off, I-cache tag check, fetch-command
 // distribution and per-core dispatch (paper §4.2, Figure 9a).
 func (p *Proc) fetchBlock() {
-	t0 := p.chip.now
+	t0 := p.chip.Now()
 	addr := p.fetch.addr
 	hist := p.fetch.hist
 	blkIdx := p.prog.BlockIndex(addr)
@@ -400,7 +400,7 @@ func (p *Proc) fetchBlock() {
 		}
 		if d := av - bcastFirst - 1; d >= 64 || seen&(1<<d) == 0 {
 			seen |= 1 << d // no bit when d >= 64
-			p.chip.scheduleEv(av, event{kind: evDispatch, b: b, gen: b.gen, idx: int32(pos)})
+			p.chip.q.Schedule(av, event{kind: evDispatch, b: b, gen: b.gen, idx: int32(pos)})
 		}
 	}
 	b.dispatchLat = dispatchLast - bcastLast
@@ -408,7 +408,7 @@ func (p *Proc) fetchBlock() {
 	// Register reads are dispatched to their register-bank cores.
 	for ri := range blk.Reads {
 		bank := p.regBankIdx(blk.Reads[ri].Reg)
-		p.chip.scheduleEv(arr[bank]+1, event{kind: evRegRead, b: b, gen: b.gen, idx: int32(ri)})
+		p.chip.q.Schedule(arr[bank]+1, event{kind: evRegRead, b: b, gen: b.gen, idx: int32(ri)})
 	}
 
 	// Blocks with no register writes/stores can complete with just the
@@ -562,7 +562,7 @@ func (p *Proc) tryCommit() {
 func (p *Proc) startCommit(b *IFB) {
 	b.phase = phaseCommitting
 	start := b.completeAt
-	if now := p.chip.now; now > start {
+	if now := p.chip.Now(); now > start {
 		start = now
 	}
 	if p.anyCommitted {
@@ -644,7 +644,7 @@ func (p *Proc) startCommit(b *IFB) {
 	p.Stats.CommitArchSum += drainMax
 	p.Stats.CommitHandshakeSum += (deallocAt - start) - drainMax
 
-	p.chip.scheduleEv(deallocAt, event{kind: evDealloc, b: b, gen: b.gen, val: deallocAt})
+	p.chip.q.Schedule(deallocAt, event{kind: evDealloc, b: b, gen: b.gen, val: deallocAt})
 }
 
 // applyArchState commits a block's register writes and stores.
@@ -671,7 +671,7 @@ func (p *Proc) commitStoreToCache(addr uint64) {
 	physCore := p.phys(bank)
 	cache := p.chip.l1dAt(physCore)
 	pa := p.physAddr(addr)
-	now := p.chip.now
+	now := p.chip.Now()
 	if line, hit := cache.Access(pa, now); hit {
 		if !line.Dirty {
 			p.chip.L2.Upgrade(physCore, pa, now)

@@ -679,7 +679,7 @@ func TestRecomposedCyclesCountFromLaunch(t *testing.T) {
 	if err := chip.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	firstHalt := chip.now
+	firstHalt := chip.Now()
 	second, err := chip.AddProcShared(compose.MustRect(2, 0, 2), p, first)
 	if err != nil {
 		t.Fatal(err)

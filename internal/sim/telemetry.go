@@ -68,7 +68,7 @@ func (c *Chip) SetChromeTrace(t *telemetry.Trace) {
 // processor.  Returns the sampler for rendering after the run.
 func (c *Chip) SampleEvery(interval uint64) *telemetry.Sampler {
 	c.sampler = telemetry.NewSampler(interval)
-	c.sampleAt = c.now + c.sampler.Interval()
+	c.sampleAt = c.q.Now() + c.sampler.Interval()
 	for _, p := range c.Procs {
 		c.trackProc(p)
 	}
@@ -80,7 +80,7 @@ func (c *Chip) SampleEvery(interval uint64) *telemetry.Sampler {
 // multiples even when event time jumps over several of them.
 func (c *Chip) takeSamples() {
 	iv := c.sampler.Interval()
-	for c.sampleAt <= c.now {
+	for c.sampleAt <= c.q.Now() {
 		c.sampler.Sample(c.sampleAt)
 		c.sampleAt += iv
 	}

@@ -142,6 +142,10 @@ func start(chip *Chip, c *invCase, obs obsSet, maxCycles uint64) (*run, error) {
 	}
 	var err error
 	r.results, err = runOn(chip, c.specs, cfg)
+	if blocks := chip.CritPath().Blocks; obs&obsCrit == 0 && (blocks != 0 || len(r.d.Obs.CritBlocks) != 0) && err == nil {
+		err = fmt.Errorf("attribution unarmed, yet the chip attributed %d blocks and %d block events carry a breakdown",
+			blocks, len(r.d.Obs.CritBlocks)/len(rec))
+	}
 	co := &r.d.Core
 	co.Now, co.Events, co.L1D, co.L2, co.DRAM = chip.Now(), chip.Events(), chip.L1DStats(), chip.L2.Stats, chip.DRAM.Stats
 	co.Opn, co.Ctl = chip.Opn.Stats(), chip.Ctl.Stats()
