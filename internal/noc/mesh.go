@@ -33,6 +33,21 @@ func (l *link) reserve(t uint64, bw uint16) uint64 {
 	return l.ring.Reserve(t, false)
 }
 
+// hop books one flit on link li at the earliest cycle at or after t with
+// a free slot and returns the cycle after it, when the flit is across.
+// The common hop is booked inline: the link has carried a flit since the
+// mesh was built or reset, t lies in its ring's window and t has a free
+// slot.  Anything else goes to link.reserve, which books the same cycle
+// the inline path would have.
+func (m *Mesh) hop(li int, t uint64) uint64 {
+	l := &m.links[li]
+	if l.flits != 0 && t-l.ring.base < horizon && l.ring.bookFree(t) {
+		l.flits++
+		return t + 1
+	}
+	return l.reserve(t, m.BW) + 1
+}
+
 // Stats counts network activity for the power model and reports.
 type Stats struct {
 	Messages        uint64
@@ -54,13 +69,11 @@ type Mesh struct {
 	// allocation of its own.
 	xy [maxNodes]struct{ x, y uint8 }
 
-	// Multicast link-sharing scratch: crossAt[link] is the cycle the
-	// current multicast's flit finished crossing that link, valid when
-	// crossStamp[link] == crossGen.  Generation stamping makes the scratch
-	// reusable across calls without clearing or allocating.
-	crossGen   uint64
-	crossAt    []uint64
-	crossStamp []uint64
+	// scratch is the tree MulticastInto routes each call into, reusing
+	// its storage; hopAt is the cycle each hop of the tree Multicast is
+	// booking delivers its flit, by hop index.
+	scratch Tree
+	hopAt   [maxNodes]uint64
 }
 
 // Directions for link indexing.
@@ -91,8 +104,8 @@ func NewMesh(w, h int, bw int) *Mesh {
 // its storage: statistics and flit counts go to zero, and each link's
 // ring words wait for the link's next first flit, which clears them and
 // sets their base (link.reserve), so a reset costs a pass over the link
-// headers.  The multicast scratch needs nothing: its generation stamp
-// keeps counting, so no stamp from before matches.
+// headers.  Trees routed on the mesh stay valid: they hold links, not
+// bookings.
 func (m *Mesh) Reset() {
 	for i := range m.links {
 		m.links[i].flits = 0
@@ -137,19 +150,19 @@ func (m *Mesh) Send(from, to int, start uint64) uint64 {
 	// current node in the direction of travel, a node apart per hop.
 	t, li := start, from*4
 	for ; x < tx; x++ {
-		t = m.links[li+dirE].reserve(t, m.BW) + 1
+		t = m.hop(li+dirE, t)
 		li += 4
 	}
 	for ; x > tx; x-- {
-		t = m.links[li+dirW].reserve(t, m.BW) + 1
+		t = m.hop(li+dirW, t)
 		li -= 4
 	}
 	for ; y < ty; y++ {
-		t = m.links[li+dirS].reserve(t, m.BW) + 1
+		t = m.hop(li+dirS, t)
 		li += 4 * m.W
 	}
 	for ; y > ty; y-- {
-		t = m.links[li+dirN].reserve(t, m.BW) + 1
+		t = m.hop(li+dirN, t)
 		li -= 4 * m.W
 	}
 	if t-start > ideal {
@@ -164,56 +177,12 @@ func (m *Mesh) Send(from, to int, start uint64) uint64 {
 func (m *Mesh) Latency(from, to int) uint64 { return uint64(m.Dist(from, to)) }
 
 // MulticastInto delivers one message from `from` to every node in targets
-// as a tree multicast: the flit crosses each link of the XY-route tree
-// once and forks at the routers, as in the TRIPS global dispatch/control
-// networks.  It writes the arrival cycle at each target (same order) into
-// dst, which must have len(targets) entries, and returns it, so
-// steady-state callers can reuse one buffer.
+// as a tree multicast (see Multicast), routing the tree into the mesh's
+// own scratch Tree first.  It writes the arrival cycle at each target
+// (same order) into dst, which must have len(targets) entries, and
+// returns it.  A caller that multicasts from one node to one target list
+// again and again routes a Tree of its own once instead.
 func (m *Mesh) MulticastInto(from int, targets []int, start uint64, dst []uint64) []uint64 {
-	if m.crossAt == nil {
-		m.crossAt = make([]uint64, len(m.links))
-		m.crossStamp = make([]uint64, len(m.links))
-	}
-	m.crossGen++
-	first := true
-	for i, to := range targets {
-		if to == from {
-			dst[i] = start
-			m.stats.LocalDeliveries++
-			continue
-		}
-		if first {
-			m.stats.Messages++
-			first = false
-		}
-		t, node := start, from
-		x, y := m.XY(from)
-		tx, ty := m.XY(to)
-		step := func(dir, next int) {
-			li := node*4 + dir
-			if m.crossStamp[li] == m.crossGen {
-				t = m.crossAt[li]
-			} else {
-				t = m.links[li].reserve(t, m.BW) + 1
-				m.crossStamp[li] = m.crossGen
-				m.crossAt[li] = t
-				m.stats.Hops++
-			}
-			node = next
-		}
-		for ; x < tx; x++ {
-			step(dirE, node+1)
-		}
-		for ; x > tx; x-- {
-			step(dirW, node-1)
-		}
-		for ; y < ty; y++ {
-			step(dirS, node+m.W)
-		}
-		for ; y > ty; y-- {
-			step(dirN, node-m.W)
-		}
-		dst[i] = t
-	}
-	return dst
+	m.Route(&m.scratch, from, targets)
+	return m.Multicast(&m.scratch, start, dst)
 }

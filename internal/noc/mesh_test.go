@@ -251,3 +251,20 @@ func TestCoordinateTable(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSend prices one operand send on the 4x8 array at two flits a
+// link: random pairs, one injection a cycle, so most hops take the
+// uncontended path and some wait a cycle.
+func BenchmarkSend(b *testing.B) {
+	m := NewMesh(4, 8, 2)
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int, 1024)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(32), rng.Intn(32)}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		m.Send(p[0], p[1], uint64(i))
+	}
+}

@@ -77,6 +77,21 @@ func (r *Ring) Reserve(t uint64, fp bool) uint64 {
 	}
 }
 
+// bookFree books one unrestricted slot at cycle t, which must lie in the
+// window, if t has one free, and reports whether it did: Reserve's first
+// probe, small enough to inline into the mesh's hop.
+func (r *Ring) bookFree(t uint64) bool {
+	lg := r.lg
+	i := t % horizon
+	word := &r.words[i>>(5-lg)]
+	shift := (i << (lg + 1)) & 63
+	if *word>>shift&(1<<(1<<lg)-1) >= uint64(r.capTotal) {
+		return false
+	}
+	*word += 1 << shift
+	return true
+}
+
 // Reset forgets every booking and restarts the window at cycle base,
 // keeping the ring's words and capacities: the ring is then the one
 // NewRing(base, ...) returns.  Reserve calls it to move the window when a

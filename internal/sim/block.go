@@ -33,12 +33,15 @@ const (
 // its size is fetch cost.  Operand fields are indexed by isa.TargetKind
 // (left, right, predicate); a predicate is tested when it arrives and
 // never read again, so only the left and right values are kept.  rem
-// counts down from a prog.Operand's uint8 Producers.
+// counts down from a prog.Operand's uint8 Producers.  next chains the
+// instructions that reach the window in the same cycle (fetchBlock): the
+// next one's position in Live, or -1.
 type instTS struct {
 	val     [2]uint64
 	at      [3]uint64
 	availAt uint64
 	rem     [3]int16
+	next    int16
 	need    [3]bool
 	got     [3]bool
 	status  instStatus

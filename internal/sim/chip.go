@@ -41,7 +41,7 @@ type Chip struct {
 	// q is the chip's one event queue and its clock (event.go): the
 	// calendar, or under Options.Reference the plain binary heap.
 	q      evq.Queue[event]
-	events uint64 // events executed
+	events [numEvKinds]uint64 // events executed, by kind
 	err    error
 
 	// stallEvents is the stall-watchdog budget: run fails with a
@@ -59,6 +59,10 @@ type Chip struct {
 	trace    *telemetry.Trace
 	sampler  *telemetry.Sampler
 	sampleAt uint64
+
+	// eventsGauge sums the per-kind counts for the registry's
+	// sim.events; the first Telemetry binds it and a reset keeps it.
+	eventsGauge func() float64
 
 	// Critical-path attribution (see critpath.go): off by default.
 	// critEnabled arms per-block recording (a fetch points the IFB at the
@@ -121,7 +125,7 @@ func (c *Chip) Reset() {
 		c.emptyStorage()
 	}
 	c.q.Reset(c.Opts.Reference)
-	c.events = 0
+	c.events = [numEvKinds]uint64{}
 	c.err = nil
 	c.stallEvents = defaultStallEvents
 	c.tel, c.trace, c.sampler, c.sampleAt = nil, nil, nil, ^uint64(0)
@@ -235,8 +239,14 @@ func (c *Chip) checkCapacities() {
 func (c *Chip) Now() uint64 { return c.q.Now() }
 
 // Events returns the host events the chip has executed since New or the
-// last Reset.
-func (c *Chip) Events() uint64 { return c.events }
+// last Reset, of every kind.
+func (c *Chip) Events() uint64 {
+	var n uint64
+	for _, k := range c.events {
+		n += k
+	}
+	return n
+}
 
 // fail records the chip's first model fault; the event loop stops before
 // its next event and Run reports it.
@@ -468,7 +478,7 @@ func (c *Chip) run(maxCycles uint64) error {
 			c.fail("stall watchdog: %d events executed without the clock advancing past cycle %d (flight ring dumped)", sameCycle, now)
 			break
 		}
-		c.events++
+		c.events[e.kind]++
 		if now >= c.sampleAt {
 			c.takeSamples()
 		}
@@ -495,15 +505,13 @@ func (c *Chip) dispatch(e *event, now uint64) {
 	}
 	switch e.kind {
 	case evDispatch:
-		// Every slot of the block arriving this cycle, in Live order from
-		// the first: the sequence one event per slot used to execute.
+		// Every slot of the block arriving this cycle, along its chain in
+		// Live order: the sequence one event per slot used to execute.
 		b := e.b
 		live := b.lk.Live
-		for i := int(e.idx); i < len(live) && !b.dead && b.gen == e.gen; i++ {
-			if st := &b.insts[i]; st.availAt == now && !st.avail {
-				st.avail = true
-				b.p.maybeIssue(b, int(live[i]))
-			}
+		for i := e.idx; i >= 0 && !b.dead && b.gen == e.gen; i = int32(b.insts[i].next) {
+			b.insts[i].avail = true
+			b.p.maybeIssue(b, int(live[i]))
 		}
 	case evRegRead:
 		b := e.b

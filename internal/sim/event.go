@@ -25,7 +25,11 @@ const (
 	evBranch                  // b, idx (opcode), from (exit), val (target): branch out
 	evDealloc                 // b, val (dealloc cycle): commit deallocation done
 	evFetch                   // idx (index into Chip.Procs), val (epoch): fetch-engine callback
+	numEvKinds
 )
+
+// evKindNames names each kind in the registry's sim.events.<kind>.
+var evKindNames = [numEvKinds]string{"dispatch", "reg_read", "deliver", "dead_token", "load_bank", "store_bank", "null_slot", "branch", "dealloc", "fetch"}
 
 // event is one scheduled simulator action: 40 bytes.  Its cycle and
 // insertion order are the queue's, which stamps them in Schedule.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/clp-sim/tflex/internal/compose"
 	"github.com/clp-sim/tflex/internal/critpath"
@@ -9,6 +10,7 @@ import (
 	"github.com/clp-sim/tflex/internal/flight"
 	"github.com/clp-sim/tflex/internal/isa"
 	"github.com/clp-sim/tflex/internal/mem"
+	"github.com/clp-sim/tflex/internal/noc"
 	"github.com/clp-sim/tflex/internal/predictor"
 	"github.com/clp-sim/tflex/internal/prog"
 	"github.com/clp-sim/tflex/internal/telemetry"
@@ -80,6 +82,14 @@ type Proc struct {
 	wbScratch   []uint64
 	slotScratch []int
 
+	// trees holds the control network's route tree from each
+	// participating core to all of them, routed at the first multicast
+	// from that core; treeCores is the cores they were routed for.  A
+	// reset keeps both, and newProc empties the trees only when the cores
+	// differ.
+	trees     []noc.Tree
+	treeCores []int
+
 	blockTrace func(BlockEvent)
 	storeTrace func(addr uint64, size uint8, val uint64)
 
@@ -120,6 +130,12 @@ func newProc(c *Chip, id int, cores []int, program *prog.Program, m *exec.PageMe
 	}
 	p.id, p.asid = id, uint64(id+1)
 	p.cores, p.prog, p.Mem = cores, program, m
+	if !slices.Equal(p.treeCores, cores) {
+		for i := range p.trees {
+			p.trees[i].Reset()
+		}
+		p.treeCores = append(p.treeCores[:0], cores...)
+	}
 	p.Stats.IssuedByCore = make([]uint64, p.n) // a Stats copy a caller keeps must not change
 	return p
 }
@@ -163,6 +179,7 @@ func buildProc(c *Chip, n int) *Proc {
 	p.mcArr = make([]uint64, p.n)
 	p.wbScratch = make([]uint64, p.n)
 	p.slotScratch = make([]int, p.n)
+	p.trees = make([]noc.Tree, p.n)
 	return p
 }
 
@@ -192,6 +209,7 @@ func (p *Proc) empty() {
 		deferred: p.deferred[:0], deferredSpare: p.deferredSpare[:0],
 		ifbFree: p.ifbFree, waiterFree: p.waiterFree,
 		mcArr: p.mcArr, wbScratch: p.wbScratch, slotScratch: p.slotScratch,
+		trees: p.trees, treeCores: p.treeCores,
 		windowGauge: p.windowGauge,
 	}
 }
@@ -261,7 +279,11 @@ func (p *Proc) ctlMulticastInto(fromIdx int, t uint64, dst []uint64) {
 		}
 		return
 	}
-	p.chip.Ctl.MulticastInto(p.phys(fromIdx), p.cores, t, dst)
+	tree := &p.trees[fromIdx]
+	if tree.Targets() == 0 {
+		p.chip.Ctl.Route(tree, p.phys(fromIdx), p.cores)
+	}
+	p.chip.Ctl.Multicast(tree, t, dst)
 }
 
 // prepareStart validates the program and primes the fetch engine;
@@ -378,30 +400,40 @@ func (p *Proc) fetchBlock() {
 	// Per-core dispatch: each core reads its slots from its I-bank at
 	// DispatchBW instructions per cycle.  Nop slots are never dispatched;
 	// the linked block lists the live ones.  One evDispatch is filed per
-	// distinct dispatch cycle, at the first live instruction that has it;
-	// its handler walks Live from there.  seen holds the cycles already
-	// filed, as offsets from the first possible one; a cycle past its 64
-	// bits files an event per instruction, and all but the first of those
-	// find nothing left to do.
+	// distinct dispatch cycle, at the first live instruction that has it,
+	// and the later ones of that cycle are chained behind it in Live
+	// order (instTS.next), so its handler walks only its own cycle.  seen
+	// holds the cycles already filed, as offsets from the first possible
+	// one, and tail the last position chained at each; a cycle past its 64
+	// bits files an event per instruction, each a chain of one.
 	dispatchLast := bcastLast
 	slotCount := p.slotScratch
 	for i := range slotCount {
 		slotCount[i] = 0
 	}
 	var seen uint64
+	var tail [64]int16
 	for pos, id32 := range lk.Live {
 		id := int(id32)
 		c := int(p.instCore[id])
 		av := arr[c] + 1 + uint64(slotCount[c]/params.DispatchBW)
 		slotCount[c]++
-		b.insts[pos].availAt = av
+		st := &b.insts[pos]
+		st.availAt, st.next = av, -1
 		if av > dispatchLast {
 			dispatchLast = av
 		}
-		if d := av - bcastFirst - 1; d >= 64 || seen&(1<<d) == 0 {
-			seen |= 1 << d // no bit when d >= 64
-			p.chip.q.Schedule(av, event{kind: evDispatch, b: b, gen: b.gen, idx: int32(pos)})
+		d := av - bcastFirst - 1
+		if d < 64 && seen&(1<<d) != 0 {
+			b.insts[tail[d]].next = int16(pos)
+			tail[d] = int16(pos)
+			continue
 		}
+		if d < 64 {
+			seen |= 1 << d
+			tail[d] = int16(pos)
+		}
+		p.chip.q.Schedule(av, event{kind: evDispatch, b: b, gen: b.gen, idx: int32(pos)})
 	}
 	b.dispatchLat = dispatchLast - bcastLast
 

@@ -16,6 +16,7 @@ import "github.com/clp-sim/tflex/internal/telemetry"
 //	noc.opnd.* noc.ctl.*          meshes, incl. .link.<a>.<b>.flits
 //	l2.* dram.*                   shared memory system
 //	sim.events                    events the chip's loop executed
+//	sim.events.<kind>             the same by kind (dispatch, deliver, ...)
 //
 // Counters are views over the fields the components already increment;
 // only histograms, gauges, the sampler and the Chrome trace do work at
@@ -48,7 +49,13 @@ func (c *Chip) Telemetry() *telemetry.Registry {
 	for _, p := range c.Procs {
 		p.register(c.tel)
 	}
-	c.tel.CounterView("sim.events", &c.events)
+	if c.eventsGauge == nil {
+		c.eventsGauge = func() float64 { return float64(c.Events()) }
+	}
+	c.tel.Gauge("sim.events", c.eventsGauge)
+	for k := range c.events {
+		c.tel.CounterView(telemetry.Name("sim.events", evKindNames[k]), &c.events[k])
+	}
 	return c.tel
 }
 

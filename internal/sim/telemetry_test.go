@@ -110,6 +110,16 @@ func TestChipTelemetryEndToEnd(t *testing.T) {
 	if got := sum("noc.ctl.link.", ".flits"); got != float64(chip.Ctl.Stats().Hops) {
 		t.Errorf("sum ctl link flits = %v, want %d hops", got, chip.Ctl.Stats().Hops)
 	}
+	// Events by kind sum to the chip's count, which sim.events reads, and
+	// every kind is exported.
+	if got := sum("sim.events.", ""); got != float64(chip.Events()) || snap.Get("sim.events") != got {
+		t.Errorf("sum sim.events.<kind> = %v, sim.events %v, want %d", got, snap.Get("sim.events"), chip.Events())
+	}
+	for _, kind := range evKindNames {
+		if _, ok := snap["sim.events."+kind]; !ok {
+			t.Errorf("no sim.events.%s", kind)
+		}
+	}
 
 	// Histograms observed one sample per committed block.
 	fh := reg.Histogram("proc0.fetch.latency")

@@ -70,10 +70,17 @@ type Registry struct {
 	frozen bool
 }
 
+// registryCounters sizes a new registry's counter map.  A chip registers
+// 284 (one core) to 484 (32 cores) counters; a map made for 512 takes 3
+// allocations where one grown from empty takes 13 to 15, and as many
+// bytes as growing to the smallest chip's, half of growing to the
+// largest's.
+const registryCounters = 512
+
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*uint64{},
+		counters: make(map[string]*uint64, registryCounters),
 		gauges:   map[string]Gauge{},
 		hists:    map[string]*Histogram{},
 	}
